@@ -20,13 +20,17 @@ class, with subtrees that discovered automorphisms map onto already-explored
 ones pruned away.  The tree is invariant under relabeling, so the minimum is
 too.
 
+The generators found below the i-th node of the first path fix the columns
+individualized above it and generate their pointwise stabilizer, so the group
+order is the product over that path of each individualized column's orbit
+length under the generators fixing its predecessors.
+
 Bit convention: bit (C-1-j) of a row mask holds column j, so masks compare
 exactly like the row read left to right as a binary string.
 """
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 
 from .errors import BudgetExceededError
@@ -156,38 +160,14 @@ class CanonResult:
 
     Invariants: ``permute_columns(input, perm)`` with rows re-sorted by
     (color, bits) equals `matrix`; every generator passes is_automorphism;
-    `group_order` is the exact order of the full automorphism group.
+    `group_order` is the exact order of the full automorphism group, the
+    product of the generators' orbit lengths along the first search path.
     """
     matrix: ColoredBinaryMatrix
     perm: tuple[int, ...]
     generators: list[tuple[int, ...]]
     group_order: int
     nodes: int
-
-
-def _single_perm_order(g) -> int:
-    seen = [False] * len(g)
-    order = 1
-    for s in range(len(g)):
-        if seen[s]:
-            continue
-        length = 0
-        j = s
-        while not seen[j]:
-            seen[j] = True
-            j = g[j]
-            length += 1
-        order = math.lcm(order, length)
-    return order
-
-
-def _group_order(gens, n_cols: int) -> int:
-    if not gens:
-        return 1
-    if len(gens) == 1:
-        return _single_perm_order(gens[0])
-    from sympy.combinatorics import Permutation, PermutationGroup
-    return int(PermutationGroup([Permutation(list(g)) for g in gens]).order())
 
 
 class _Search:
@@ -333,25 +313,34 @@ class _Search:
 
     # -- tree -----------------------------------------------------------------
 
+    @staticmethod
+    def _orbit(v, gens) -> set[int]:
+        """The orbit of column `v` under the group generated by `gens`."""
+        orbit = {v}
+        frontier = [v]
+        while frontier:
+            w = frontier.pop()
+            for g in gens:
+                x = g[w]
+                if x not in orbit:
+                    orbit.add(x)
+                    frontier.append(x)
+        return orbit
+
     def _orbit_joined(self, v, tried, path):
         gens = [g for g in self.gens if all(g[p] == p for p in path)]
-        if not gens:
-            return False
-        parent = list(range(self.C))
+        orbit = self._orbit(v, gens)
+        return any(w in orbit for w in tried)
 
-        def find(x):
-            while parent[x] != x:
-                parent[x] = parent[parent[x]]
-                x = parent[x]
-            return x
-
-        for g in gens:
-            for j in range(self.C):
-                rj, rg = find(j), find(g[j])
-                if rj != rg:
-                    parent[rg] = rj
-        rv = find(v)
-        return any(find(w) == rv for w in tried)
+    def _group_order(self) -> int:
+        """Orbit-length product along the first path (module docstring;
+        McKay & Piperno, Practical graph isomorphism II, 2014)."""
+        order = 1
+        gens = self.gens
+        for v in self.first_path:
+            order *= len(self._orbit(v, gens))
+            gens = [g for g in gens if g[v] == v]
+        return order
 
     def _dfs(self, col_cells, row_cells, path):
         self.nodes += 1
@@ -403,7 +392,7 @@ class _Search:
         for t, j in enumerate(order):
             perm[j] = t
         return CanonResult(canon, tuple(perm), list(self.gens),
-                           _group_order(self.gens, self.C), self.nodes)
+                           self._group_order(), self.nodes)
 
 
 MAX_SEARCH_COLUMNS = 900  # keeps the recursive search within stack limits

@@ -37,7 +37,7 @@ from .bmcanon import ColoredBinaryMatrix, CanonResult, canonical_form, serialize
 from .errors import BudgetExceededError, ResourceLimitError
 from .gfield import FieldSpec
 from .gfmatrix import (ALL_NONZERO_CAP, GFMatrix, all_nonzero_in_span, inverse,
-                       mat_mul, nullspace_basis, rref)
+                       mat_mul, nullspace_basis, rank, rref)
 from .lincode import (CharacteristicVector, GeneratorMatrix,
                       characteristic_vector, systematic_form)
 from .projgeom import incidence, point_table
@@ -148,7 +148,7 @@ def verify_witness(c1: GeneratorMatrix, c2: GeneratorMatrix,
             or not 0 <= witness.rho < spec.m):
         return False
     q = witness.q_matrix
-    if q.nrows != c1.k or q.ncols != c1.k or rref(q).rank != c1.k:
+    if q.nrows != c1.k or q.ncols != c1.k or rank(q) != c1.k:
         return False
     lhs = mat_mul(q, c2.mat)
     rhs = witness.transform(spec).apply(c1.mat)
@@ -277,7 +277,7 @@ def monomial_from_sigma(g1: GeneratorMatrix, g2: GeneratorMatrix, sigma,
     sigma_inv = _perm_inverse(sigma)
     q_cols = [[spec.mul(mu[s], e) for e in cols1[sigma_inv[s]]] for s in range(k)]
     q = GFMatrix.from_columns(spec, q_cols)
-    if rref(q).rank != k:
+    if rank(q) != k:
         raise RuntimeError("internal error: lifted Q is singular")
     back = (spec.m - rho) % spec.m
     lambdas = tuple(spec.frobenius(v, back) for v in mu)
@@ -570,9 +570,18 @@ def _ceimpg_key(code: GeneratorMatrix, budget) -> str:
     return serialize(canonical_form(m, budget).matrix)
 
 
-def _shortened_canon(code: GeneratorMatrix, budget, strip: bool):
-    gs, _, _ = _systematic_parts(code)
-    return gs, canonical_form(build_shortened(gs, strip), budget)
+def _code_key(code: GeneratorMatrix, mode: str, budget, strip: bool):
+    """(key, entry, error) of one code.  `entry` is the (systematic form,
+    CanonResult) pair the cesimpg resolver reuses, None for ceimpg; a
+    per-item failure sets only `error`."""
+    try:
+        if mode == "ceimpg":
+            return _ceimpg_key(code, budget), None, None
+        gs = _systematic_parts(code)[0]
+        canon = canonical_form(build_shortened(gs, strip), budget)
+        return serialize(canon.matrix), (gs, canon), None
+    except (BudgetExceededError, ResourceLimitError) as e:
+        return None, None, f"{type(e).__name__}: {e}"
 
 
 _POOL_STATE: dict = {}
@@ -585,20 +594,20 @@ def _pool_init(q, modulus, mode, budget, strip):
 
 
 def _pool_key(item):
+    """Key one (index, rows) item; an entry travels back as (rows, canon)."""
     idx, rows = item
     st = _POOL_STATE
     try:
         code = GeneratorMatrix(st["spec"], rows)
-        if st["mode"] == "ceimpg":
-            return idx, _ceimpg_key(code, st["budget"]), None
-        gs, canon = _shortened_canon(code, st["budget"], st["strip"])
-        return idx, serialize(canon.matrix), None
-    except (BudgetExceededError, ResourceLimitError, ValueError) as e:
-        return idx, None, f"{type(e).__name__}: {e}"
+    except ValueError as e:
+        return idx, None, None, f"{type(e).__name__}: {e}"
+    key, entry, msg = _code_key(code, st["mode"], st["budget"], st["strip"])
+    return idx, key, entry and (entry[0].mat.rows, entry[1]), msg
 
 
 def _batch_keys(codes, mode, budget, strip, jobs, canon_cache):
-    """Per-code canonical keys; fills `canon_cache` when computed in-process."""
+    """Per-code (index, key, error) triples; fills `canon_cache` with the
+    cesimpg entries, whether computed here or in pool workers."""
     if jobs and jobs > 1 and len(codes) > 1:
         import multiprocessing as mp
         spec = codes[0].spec
@@ -606,39 +615,29 @@ def _batch_keys(codes, mode, budget, strip, jobs, canon_cache):
         with mp.Pool(jobs, initializer=_pool_init,
                      initargs=(spec.q, spec.modulus, mode, budget, strip)) as pool:
             chunk = max(1, len(items) // (jobs * 8))
-            return list(pool.imap(_pool_key, items, chunksize=chunk))
-    out = []
-    for i, code in enumerate(codes):
-        try:
-            if mode == "ceimpg":
-                out.append((i, _ceimpg_key(code, budget), None))
-            else:
-                gs, canon = _shortened_canon(code, budget, strip)
-                canon_cache[i] = (gs, canon)
-                out.append((i, serialize(canon.matrix), None))
-        except (BudgetExceededError, ResourceLimitError) as e:
-            out.append((i, None, f"{type(e).__name__}: {e}"))
-    return out
+            keyed = [(i, key, e and (GeneratorMatrix(spec, e[0]), e[1]), msg)
+                     for i, key, e, msg
+                     in pool.imap(_pool_key, items, chunksize=chunk)]
+    else:
+        keyed = [(i, *_code_key(code, mode, budget, strip))
+                 for i, code in enumerate(codes)]
+    for i, _, entry, _ in keyed:
+        if entry is not None:
+            canon_cache[i] = entry
+    return [(i, key, msg) for i, key, _, msg in keyed]
 
 
 class _PairResolver:
-    """Verdict-only equivalence tests within a shortened-key bucket,
-    reusing each code's systematic form and canonical data across pairs."""
+    """Verdict-only equivalence tests within a shortened-key bucket, reusing
+    each code's systematic form and canonical data (`canon_cache`, which
+    holds an entry for every keyed code) across pairs."""
 
-    def __init__(self, codes, budget, strip, coset_cap, canon_cache):
+    def __init__(self, codes, budget, coset_cap, canon_cache):
         self.codes = codes
         self.budget = budget
-        self.strip = strip
         self.coset_cap = coset_cap
         self.canon = canon_cache
         self.ceimpg_keys: dict[int, str] = {}
-
-    def _entry(self, i: int):
-        e = self.canon.get(i)
-        if e is None:
-            e = _shortened_canon(self.codes[i], self.budget, self.strip)
-            self.canon[i] = e
-        return e
 
     def _ceimpg_key_of(self, i: int) -> str:
         key = self.ceimpg_keys.get(i)
@@ -648,8 +647,8 @@ class _PairResolver:
         return key
 
     def equivalent(self, a: int, b: int) -> bool:
-        gsa, ra = self._entry(a)
-        gsb, rb = self._entry(b)
+        gsa, ra = self.canon[a]
+        gsb, rb = self.canon[b]
         sigma0 = _sigma_from_canons(ra, rb)
         if sigma0 is None:
             return False
@@ -705,8 +704,7 @@ def classify(codes, algo: str = "ceimpg", budget: int | None = None,
             else:
                 cls.members.append(i)
     else:
-        resolver = _PairResolver(codes, budget, strip_full_rows, coset_cap,
-                                 canon_cache)
+        resolver = _PairResolver(codes, budget, coset_cap, canon_cache)
         buckets: dict[str, list[int]] = {}
         for i, key, msg in keyed:
             if msg:

@@ -108,38 +108,44 @@ class RREFResult:
     transform: GFMatrix
 
 
-def rref(a: GFMatrix) -> RREFResult:
-    spec = a.spec
+def _eliminate(spec: FieldSpec, rows: list[list[int]], width: int) -> list[int]:
+    """Gauss-Jordan on `rows` in place, pivoting only in the first `width`
+    columns; returns the pivot columns."""
     add, mul, neg, inv = spec.add, spec.mul, spec.neg, spec.inv
-    n, m = a.nrows, a.ncols
-    r_rows = [list(row) for row in a.rows]
-    t_rows = [[1 if i == j else 0 for j in range(n)] for i in range(n)]
+    n = len(rows)
     pivots = []
     r = 0
-    for c in range(m):
-        pivot = next((i for i in range(r, n) if r_rows[i][c]), None)
-        if pivot is None:
-            continue
-        r_rows[r], r_rows[pivot] = r_rows[pivot], r_rows[r]
-        t_rows[r], t_rows[pivot] = t_rows[pivot], t_rows[r]
-        scale = inv(r_rows[r][c])
-        if scale != 1:
-            r_rows[r] = [mul(scale, e) for e in r_rows[r]]
-            t_rows[r] = [mul(scale, e) for e in t_rows[r]]
-        for i in range(n):
-            if i != r and r_rows[i][c]:
-                f = neg(r_rows[i][c])
-                r_rows[i] = [add(x, mul(f, y)) for x, y in zip(r_rows[i], r_rows[r])]
-                t_rows[i] = [add(x, mul(f, y)) for x, y in zip(t_rows[i], t_rows[r])]
-        pivots.append(c)
-        r += 1
+    for c in range(width):
         if r == n:
             break
-    return RREFResult(GFMatrix(spec, r_rows), r, tuple(pivots), GFMatrix(spec, t_rows))
+        pivot = next((i for i in range(r, n) if rows[i][c]), None)
+        if pivot is None:
+            continue
+        rows[r], rows[pivot] = rows[pivot], rows[r]
+        scale = inv(rows[r][c])
+        if scale != 1:
+            rows[r] = [mul(scale, e) for e in rows[r]]
+        pivot_row = rows[r]
+        for i in range(n):
+            if i != r and rows[i][c]:
+                f = neg(rows[i][c])
+                rows[i] = [add(x, mul(f, y)) for x, y in zip(rows[i], pivot_row)]
+        pivots.append(c)
+        r += 1
+    return pivots
+
+
+def rref(a: GFMatrix) -> RREFResult:
+    n, m = a.nrows, a.ncols
+    rows = [list(row) + [1 if i == j else 0 for j in range(n)]
+            for i, row in enumerate(a.rows)]
+    pivots = _eliminate(a.spec, rows, m)
+    return RREFResult(GFMatrix(a.spec, [row[:m] for row in rows]), len(pivots),
+                      tuple(pivots), GFMatrix(a.spec, [row[m:] for row in rows]))
 
 
 def rank(a: GFMatrix) -> int:
-    return rref(a).rank
+    return len(_eliminate(a.spec, [list(row) for row in a.rows], a.ncols))
 
 
 def inverse(a: GFMatrix) -> GFMatrix:
@@ -154,8 +160,8 @@ def inverse(a: GFMatrix) -> GFMatrix:
 def nullspace_basis(a: GFMatrix) -> list[tuple[int, ...]]:
     """Basis of the right nullspace {x : A x = 0}, one vector per free column."""
     spec = a.spec
-    res = rref(a)
-    pivots = res.pivots
+    rows = [list(row) for row in a.rows]
+    pivots = _eliminate(spec, rows, a.ncols)
     pivot_set = set(pivots)
     basis = []
     for f in range(a.ncols):
@@ -164,7 +170,7 @@ def nullspace_basis(a: GFMatrix) -> list[tuple[int, ...]]:
         vec = [0] * a.ncols
         vec[f] = 1
         for t, pc in enumerate(pivots):
-            vec[pc] = spec.neg(res.rref.rows[t][f])
+            vec[pc] = spec.neg(rows[t][f])
         basis.append(tuple(vec))
     return basis
 

@@ -12,7 +12,7 @@ import random
 from dataclasses import dataclass
 
 from .gfield import FieldSpec, field, normalize_vector
-from .gfmatrix import GFMatrix, rref
+from .gfmatrix import GFMatrix, rank, rref
 from .projgeom import IncidenceMatrix, incidence, point_table, theta
 
 
@@ -35,7 +35,7 @@ class GeneratorMatrix:
         self.mat = GFMatrix.from_columns(spec, cols)
         self.k = raw.nrows
         self.n = raw.ncols
-        if rref(self.mat).rank != self.k:
+        if rank(self.mat) != self.k:
             raise ValueError(f"rank is below k={self.k}")
 
     @classmethod

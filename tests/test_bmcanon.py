@@ -1,14 +1,21 @@
 """Canonical labeling of colored binary matrices: invariance, isomorphism
 decisions, and exact automorphism group orders, all against brute force."""
 
+import os
 import random
+import subprocess
+import sys
+import textwrap
 
 import pytest
 
-from codequiv import (ColoredBinaryMatrix, canonical_form, incidence,
+import codequiv
+from codequiv import (ColoredBinaryMatrix, GeneratorMatrix, build_shortened,
+                      canonical_form, code_aut_group, incidence,
                       is_automorphism, is_isomorphic, permute_columns,
-                      serialize)
+                      random_code, serialize, systematic_form)
 from codequiv.bmcanon import MAX_SEARCH_COLUMNS
+from codequiv.equiv import _iter_group
 from codequiv.errors import BudgetExceededError, ResourceLimitError
 from conftest import brute_force_cbm_aut_count, brute_force_cbm_isomorphic
 
@@ -120,6 +127,58 @@ def test_group_order_matches_brute_force():
     for _ in range(40):
         m = _random_cbm(rng, rng.randrange(1, 6), rng.randrange(1, 8), 2, 2)
         assert canonical_form(m).group_order == brute_force_cbm_aut_count(m)
+
+
+def test_group_order_matches_closure_on_shortened_matrices():
+    # orbit-product orders against the size of the generated group, on 13
+    # shortened matrices per field whose groups need more than one generator
+    for q in (2, 3, 4, 5):
+        seed = 0
+        per_field = 0
+        while per_field < 13:
+            seed += 1
+            rng = random.Random(1000 * q + seed)
+            k = rng.randrange(2, 4)
+            code = random_code(q, rng.randrange(k + 2, k + 7), k, seed=seed)
+            gs = systematic_form(code)[0]
+            res = canonical_form(build_shortened(gs))
+            if len(res.generators) < 2:
+                continue
+            closure = sum(1 for _ in _iter_group(res.generators, gs.n, 10 ** 6))
+            assert res.group_order == closure, (q, seed)
+            per_field += 1
+
+
+def test_ternary_golay_12_automorphism_group():
+    # [11,6]_3 cyclic code of g = 2 + x^2 + 2x^3 + x^4 + x^5, then parity
+    g = [2, 0, 1, 2, 1, 1]
+    rows = [[0] * s + g + [0] * (11 - len(g) - s) for s in range(6)]
+    rows = [r + [-sum(r) % 3] for r in rows]
+    rep = code_aut_group(GeneratorMatrix(3, rows))
+    assert rep.h1_order == 95_040  # M12
+    assert rep.complete and rep.order == 190_080  # 2.M12
+
+
+def test_no_sympy_import():
+    src = os.path.dirname(os.path.dirname(codequiv.__file__))
+    script = textwrap.dedent("""
+        import sys
+        from codequiv import (GeneratorMatrix, classify, code_aut_group,
+                              decide_equivalence)
+        rows = [[1, 0, 0, 0, 0, 1, 1], [0, 1, 0, 0, 1, 0, 1],
+                [0, 0, 1, 0, 1, 1, 0], [0, 0, 0, 1, 1, 1, 1]]
+        code = GeneratorMatrix(2, rows)
+        other = GeneratorMatrix(2, [r[::-1] for r in rows])
+        assert code_aut_group(code).order == 168
+        assert decide_equivalence(code, other).equivalent
+        for algo in ("ceimpg", "cesimpg"):
+            assert len(classify([code, other], algo=algo).classes) == 1
+        assert "sympy" not in sys.modules, "sympy was imported"
+    """)
+    env = dict(os.environ, PYTHONPATH=src)
+    proc = subprocess.run([sys.executable, "-c", script], env=env,
+                          capture_output=True, text=True, timeout=120)
+    assert proc.returncode == 0, proc.stderr
 
 
 def test_group_order_on_point_hyperplane_structures():

@@ -20,6 +20,16 @@ class, with subtrees that discovered automorphisms map onto already-explored
 ones pruned away.  The tree is invariant under relabeling, so the minimum is
 too.
 
+Refinement splits a cell by its members' count vectors against the cells of
+the other side, sub-cells in increasing vector order, until the partition is
+equitable.  It is incremental: members of a cell already have equal counts
+against every cell that existed when the cell was last made equitable, so
+only the fragments split off since then can tell them apart, and the last
+fragment of a split cell can be left out, its count being the old total
+minus the others'.  Sorting by counts against just those fragments, in cell
+order, orders every cell exactly as sorting by the full count vectors would,
+so the tree is the one full recomputation would give.
+
 The generators found below the i-th node of the first path fix the columns
 individualized above it and generate their pointwise stabilizer, so the group
 order is the product over that path of each individualized column's orbit
@@ -208,57 +218,85 @@ class _Search:
                               if self.mat.row_colors[i] == color])
         return col_cells, row_cells
 
-    def _refine(self, col_cells, row_cells):
+    def _refine(self, col_cells, row_cells, splitters=None):
         """Equitable refinement; sub-cells are ordered by signature value so
-        the refined partition depends only on the abstract structure."""
-        C = self.C
-        rows, cols = self.rows, self.cols
+        the refined partition depends only on the abstract structure.
+
+        On entry every row cell has equal counts against each column cell
+        except the ones given as `splitters` (column masks), and every column
+        cell has equal counts against each row cell.  Each step then splits
+        cells only by their counts against the fragments the other side's
+        previous step created, bar the last fragment of each split cell,
+        which orders them exactly as full signatures would (module
+        docstring; McKay & Piperno, Practical graph isomorphism II, 2014).
+        `splitters=None` marks the color-class partition, which is equitable
+        in neither direction: its first row step splits against every column
+        cell and its first column step against every row cell.
+        """
+        first = splitters is None
+        if first:
+            splitters = [self._col_mask(cell) for cell in col_cells]
         while True:
-            changed = False
-            col_cell_masks = []
-            for cell in col_cells:
-                m = 0
-                for j in cell:
-                    m |= 1 << (C - 1 - j)
-                col_cell_masks.append(m)
-            new_rows = []
-            for cell in row_cells:
-                if len(cell) == 1:
-                    new_rows.append(cell)
-                    continue
-                buckets: dict[tuple, list[int]] = {}
-                for i in cell:
-                    ri = rows[i]
-                    sig = tuple((ri & cm).bit_count() for cm in col_cell_masks)
-                    buckets.setdefault(sig, []).append(i)
-                if len(buckets) > 1:
-                    changed = True
-                for sig in sorted(buckets):
-                    new_rows.append(buckets[sig])
-            row_cells = new_rows
-            row_cell_masks = []
-            for cell in row_cells:
-                m = 0
-                for i in cell:
-                    m |= 1 << i
-                row_cell_masks.append(m)
-            new_cols = []
-            for cell in col_cells:
-                if len(cell) == 1:
-                    new_cols.append(cell)
-                    continue
-                buckets = {}
-                for j in cell:
-                    cj = cols[j]
-                    sig = tuple((cj & rm).bit_count() for rm in row_cell_masks)
-                    buckets.setdefault(sig, []).append(j)
-                if len(buckets) > 1:
-                    changed = True
-                for sig in sorted(buckets):
-                    new_cols.append(buckets[sig])
-            col_cells = new_cols
-            if not changed:
+            row_cells, row_frags = self._split(
+                row_cells, self.rows, splitters, self._row_mask)
+            if first:
+                row_frags = [self._row_mask(cell) for cell in row_cells]
+            elif not row_frags:
                 return col_cells, row_cells
+            col_cells, splitters = self._split(
+                col_cells, self.cols, row_frags, self._col_mask)
+            if not splitters:
+                return col_cells, row_cells
+            first = False
+
+    def _col_mask(self, cell) -> int:
+        C = self.C
+        m = 0
+        for j in cell:
+            m |= 1 << (C - 1 - j)
+        return m
+
+    @staticmethod
+    def _row_mask(cell) -> int:
+        m = 0
+        for i in cell:
+            m |= 1 << i
+        return m
+
+    @staticmethod
+    def _split(cells, vectors, splitters, mask):
+        """Split each cell by its members' counts against `splitters`,
+        sub-cells in increasing count order.  Returns the new cells and the
+        masks (built by `mask`) of the new fragments bar the last of each
+        split cell."""
+        out = []
+        frags = []
+        single = splitters[0] if len(splitters) == 1 else None
+        for cell in cells:
+            if len(cell) == 1:
+                out.append(cell)
+                continue
+            buckets: dict = {}
+            if single is not None:
+                # an int sorts like the 1-tuple it stands for
+                for x in cell:
+                    buckets.setdefault((vectors[x] & single).bit_count(),
+                                       []).append(x)
+            else:
+                for x in cell:
+                    v = vectors[x]
+                    buckets.setdefault(
+                        tuple((v & s).bit_count() for s in splitters),
+                        []).append(x)
+            if len(buckets) == 1:
+                out.append(cell)
+                continue
+            ordered = sorted(buckets)
+            for key in ordered:
+                out.append(buckets[key])
+            for key in ordered[:-1]:
+                frags.append(mask(buckets[key]))
+        return out, frags
 
     # -- leaves ---------------------------------------------------------------
 
@@ -342,12 +380,12 @@ class _Search:
             gens = [g for g in gens if g[v] == v]
         return order
 
-    def _dfs(self, col_cells, row_cells, path):
+    def _dfs(self, col_cells, row_cells, path, splitters=None):
         self.nodes += 1
         if self.nodes > self.budget:
             raise BudgetExceededError(
                 f"canonical-form search exceeded {self.budget} nodes")
-        col_cells, row_cells = self._refine(col_cells, row_cells)
+        col_cells, row_cells = self._refine(col_cells, row_cells, splitters)
         target_idx = None
         target_size = 1
         for idx, cell in enumerate(col_cells):
@@ -368,7 +406,9 @@ class _Search:
             new_cells = (col_cells[:target_idx] + [[v], rest]
                          + col_cells[target_idx + 1:])
             path.append(v)
-            ret = self._dfs(new_cells, row_cells, path)
+            # the rest of the target cell is its last fragment
+            ret = self._dfs(new_cells, row_cells, path,
+                            [1 << (self.C - 1 - v)])
             path.pop()
             tried.append(v)
             if ret is not None and ret < depth:

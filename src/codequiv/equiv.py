@@ -675,8 +675,10 @@ def classify(codes, algo: str = "ceimpg", budget: int | None = None,
     algo="ceimpg" groups by the complete canonical key.  algo="cesimpg"
     buckets by the shortened-matrix canonical key and separates bucket
     members with the lifting procedure (falling back per pair like
-    cesimpg_equiv).  Classes are ordered by first appearance; per-item
-    budget errors are collected without aborting the batch.
+    cesimpg_equiv).  Classes are ordered by first appearance.  Per-item
+    budget and size-limit errors, from keying a code or from the fallback
+    while comparing it with an earlier class representative, are collected
+    in `errors` (by code index) without aborting the batch.
     """
     start = time.perf_counter()
     codes = list(codes)
@@ -721,10 +723,15 @@ def classify(codes, algo: str = "ceimpg", budget: int | None = None,
                 continue
             reps = reps_by_bucket.setdefault(key, [])
             joined = None
-            for rep in reps:
-                if resolver.equivalent(rep, i):
-                    joined = placement[rep]
-                    break
+            try:
+                for rep in reps:
+                    if resolver.equivalent(rep, i):
+                        joined = placement[rep]
+                        break
+            except (BudgetExceededError, ResourceLimitError) as e:
+                # the pair's ceimpg fallback failed: code i stays unplaced
+                errors.append((i, f"{type(e).__name__}: {e}"))
+                continue
             if joined is None:
                 cls = CodeClass(i, [i], _short_digest(key))
                 classes.append(cls)
@@ -733,6 +740,7 @@ def classify(codes, algo: str = "ceimpg", budget: int | None = None,
                 placement[i] = cls
             else:
                 joined.members.append(i)
+    errors.sort()
     digest = hashlib.sha256("\n\n".join(sorted(keys)).encode()).hexdigest()
     elapsed = time.perf_counter() - start
     return ClassifyResult(mode, len(codes), classes, errors, elapsed, digest, keys)

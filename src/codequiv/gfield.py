@@ -8,7 +8,9 @@ ordinary arithmetic mod p.  Irreducible moduli use the same encoding with the
 degree-m coefficient included, e.g. x^2+x+1 over GF(2) is 0b111 = 7.
 
 Multiplication and inversion go through exponential/logarithm tables built
-from a primitive element, so fields are limited to q <= 2**16.
+from a primitive element, so fields are limited to q <= 2**16.  Addition is
+XOR of the digit encodings in characteristic 2 and goes through a Zech
+logarithm table (log(1 + g^i) for each i) in the other composite fields.
 """
 
 from __future__ import annotations
@@ -128,6 +130,9 @@ class FieldSpec:
     exp, log : list[int]
         ``exp[i]`` is g**i for a primitive element g (length q-1);
         ``log[a]`` inverts it for a != 0 (log[0] is unused, set to -1).
+    zech : list[int]
+        Odd-characteristic composite fields only: ``zech[i]`` is the log of
+        1 + g**i, or -1 where that sum is 0 (length q-1).
     """
 
     def __init__(self, q: int, modulus: int | None = None):
@@ -186,33 +191,37 @@ class FieldSpec:
             log[v] = i
         self.exp = exp
         self.log = log
+        if self.p > 2 and self.m > 1:
+            # zech[i] = log(1 + g^i), -1 where 1 + g^i = 0; adding 1 bumps
+            # only the constant base-p digit
+            p = self.p
+            self.zech = [log[x - x % p + (x % p + 1) % p] for x in exp]
 
     # -- arithmetic --------------------------------------------------------
 
     def add(self, a: int, b: int) -> int:
         if self.m == 1:
             return (a + b) % self.p
-        p = self.p
-        out = 0
-        shift = 1
-        while a or b:
-            a, da = divmod(a, p)
-            b, db = divmod(b, p)
-            out += ((da + db) % p) * shift
-            shift *= p
-        return out
+        if self.p == 2:
+            return a ^ b
+        if a == 0:
+            return b
+        if b == 0:
+            return a
+        # a + b = a * (1 + b/a) via the Zech logarithm of b/a
+        n = self.q - 1
+        la = self.log[a]
+        z = self.zech[(self.log[b] - la) % n]
+        return 0 if z < 0 else self.exp[(la + z) % n]
 
     def neg(self, a: int) -> int:
         if self.m == 1:
             return (-a) % self.p
-        p = self.p
-        out = 0
-        shift = 1
-        while a:
-            a, da = divmod(a, p)
-            out += ((-da) % p) * shift
-            shift *= p
-        return out
+        if self.p == 2 or a == 0:
+            return a
+        # -1 = g^((q-1)/2) in odd characteristic
+        n = self.q - 1
+        return self.exp[(self.log[a] + n // 2) % n]
 
     def sub(self, a: int, b: int) -> int:
         return self.add(a, self.neg(b))

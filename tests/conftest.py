@@ -132,6 +132,37 @@ def brute_force_cbm_aut_count(mat) -> int:
     return count
 
 
+def reference_refine(mat, col_cells, row_cells):
+    """Equitable refinement by full recomputation: each pass re-splits every
+    row cell by its counts against every column cell, then every column cell
+    against every row cell, sub-cells ordered by that count vector, until a
+    pass changes nothing.  The canonical search's incremental refinement
+    must return exactly these ordered cells."""
+    n_cols = mat.n_cols
+    rows = mat.row_masks
+    cols = [sum(1 << i for i, m in enumerate(rows) if m >> (n_cols - 1 - j) & 1)
+            for j in range(n_cols)]
+
+    def split(cells, vectors, against):
+        out, changed = [], False
+        for cell in cells:
+            buckets = {}
+            for x in cell:
+                sig = tuple(bin(vectors[x] & m).count("1") for m in against)
+                buckets.setdefault(sig, []).append(x)
+            changed |= len(buckets) > 1
+            out += [buckets[sig] for sig in sorted(buckets)]
+        return out, changed
+
+    while True:
+        col_masks = [sum(1 << (n_cols - 1 - j) for j in cell) for cell in col_cells]
+        row_cells, row_changed = split(row_cells, rows, col_masks)
+        row_masks = [sum(1 << i for i in cell) for cell in row_cells]
+        col_cells, col_changed = split(col_cells, cols, row_masks)
+        if not (row_changed or col_changed):
+            return col_cells, row_cells
+
+
 def min_weight_exhaustive(rows, q: int) -> int:
     """Minimum nonzero-codeword weight by scanning all q^k messages
     (plain mod-q arithmetic, prime q)."""

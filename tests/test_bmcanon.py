@@ -14,10 +14,11 @@ from codequiv import (ColoredBinaryMatrix, GeneratorMatrix, build_shortened,
                       canonical_form, code_aut_group, incidence,
                       is_automorphism, is_isomorphic, permute_columns,
                       random_code, serialize, systematic_form)
-from codequiv.bmcanon import MAX_SEARCH_COLUMNS
+from codequiv.bmcanon import DEFAULT_NODE_BUDGET, MAX_SEARCH_COLUMNS, _Search
 from codequiv.equiv import _iter_group
 from codequiv.errors import BudgetExceededError, ResourceLimitError
-from conftest import brute_force_cbm_aut_count, brute_force_cbm_isomorphic
+from conftest import (brute_force_cbm_aut_count, brute_force_cbm_isomorphic,
+                      reference_refine)
 
 
 def _random_cbm(rng, rows, cols, n_row_colors=1, n_col_colors=1):
@@ -98,6 +99,52 @@ def test_canonical_perm_realizes_canonical_matrix():
         assert moved.col_colors == res.matrix.col_colors
         for g in res.generators:
             assert is_automorphism(m, g)
+
+
+def _uneven_cbm(rng):
+    """Random colored matrix whose columns have uneven densities, so the
+    color classes are far from equitable."""
+    n_rows, n_cols = rng.randrange(2, 25), rng.randrange(2, 16)
+    density = [rng.random() for _ in range(n_cols)]
+    bits = [[int(rng.random() < d) for d in density] for _ in range(n_rows)]
+    n_rc, n_cc = rng.randint(1, 3), rng.randint(1, 3)
+    return ColoredBinaryMatrix(bits, [rng.randrange(n_rc) for _ in range(n_rows)],
+                               [rng.randrange(n_cc) for _ in range(n_cols)])
+
+
+def test_incremental_refinement_matches_full_recompute():
+    # the root refinement and three individualize-and-refine steps below it
+    # give exactly the ordered cells of full-signature refinement
+    rng = random.Random(2024)
+    for _ in range(500):
+        m = _uneven_cbm(rng)
+        search = _Search(m, DEFAULT_NODE_BUDGET)
+        col_cells, row_cells = search._initial_cells()
+        want = reference_refine(m, col_cells, row_cells)
+        col_cells, row_cells = search._refine(col_cells, row_cells)
+        assert (col_cells, row_cells) == want
+        for _ in range(3):
+            wide = [t for t, cell in enumerate(col_cells) if len(cell) > 1]
+            if not wide:
+                break
+            t = rng.choice(wide)
+            v = rng.choice(col_cells[t])
+            col_cells = (col_cells[:t] + [[v], [w for w in col_cells[t] if w != v]]
+                         + col_cells[t + 1:])
+            want = reference_refine(m, col_cells, row_cells)
+            col_cells, row_cells = search._refine(
+                col_cells, row_cells, [1 << (m.n_cols - 1 - v)])
+            assert (col_cells, row_cells) == want
+
+
+def test_canonical_invariance_on_uneven_colored_matrices():
+    rng = random.Random(4048)
+    for _ in range(500):
+        m = _uneven_cbm(rng)
+        gamma = list(range(m.n_cols))
+        rng.shuffle(gamma)
+        assert (canonical_form(m).matrix
+                == canonical_form(permute_columns(m, gamma)).matrix)
 
 
 def test_isomorphism_matches_brute_force():

@@ -430,3 +430,13 @@ def test_classify_classes_ordered_by_first_appearance():
     assert result.classes[0].representative == 0
     assert result.classes[0].members == [0, 2]
     assert result.classes[1].representative == 1
+
+
+def test_classify_pair_fallback_errors_collected_not_raised():
+    # coset_cap=1 sends the pair to the ceimpg fallback, whose 1023-point
+    # incidence matrix exceeds the canonical-search column limit
+    c1, c2 = _transformed_pair(field(2), 12, 10, seed=4, allow_rho=False)
+    result = classify([c1, c2], algo="cesimpg", coset_cap=1)
+    assert result.errors == [(1, "ResourceLimitError: 1023 columns exceeds "
+                                  "the canonical-search limit (900)")]
+    assert [c.members for c in result.classes] == [[0]]

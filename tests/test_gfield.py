@@ -124,6 +124,37 @@ def test_dot():
     assert f.dot((), ()) == 0
 
 
+def _digitwise_add(p, a, b):
+    """Reference addition: add the base-p digits of a and b mod p."""
+    out, shift = 0, 1
+    while a or b:
+        a, da = divmod(a, p)
+        b, db = divmod(b, p)
+        out += ((da + db) % p) * shift
+        shift *= p
+    return out
+
+
+def _digitwise_neg(p, a):
+    out, shift = 0, 1
+    while a:
+        a, da = divmod(a, p)
+        out += ((-da) % p) * shift
+        shift *= p
+    return out
+
+
+@pytest.mark.parametrize("q,modulus", [(4, None), (8, None), (9, None),
+                                       (9, 14), (16, None), (25, None),
+                                       (27, None), (49, 50)])
+def test_table_add_neg_match_digitwise(q, modulus):
+    f = field(q, modulus)
+    for a in f.elements():
+        assert f.neg(a) == _digitwise_neg(f.p, a)
+        for b in f.elements():
+            assert f.add(a, b) == _digitwise_add(f.p, a, b)
+
+
 def test_field_cache_identity():
     assert field(4) is field(4)
     assert field(4) is field(4, DEFAULT_MODULI[4])

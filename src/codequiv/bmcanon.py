@@ -37,11 +37,25 @@ length under the generators fixing its predecessors.
 
 Bit convention: bit (C-1-j) of a row mask holds column j, so masks compare
 exactly like the row read left to right as a binary string.
+
+The search keeps the rows as one R x C NumPy bit matrix and writes the sorted
+(color, bits) list of a certificate as one byte string of fixed-width
+records: each row's color as its rank in the sorted row-color palette,
+big-endian in a fixed number of bytes, then the row's bits in the given
+column order packed big-endian, zero-padded on the right.  Every record has
+the same width and both fields are big-endian, so records compare as bytes
+exactly as the (color, mask) pairs compare as tuples, their concatenations
+in sorted order compare exactly as the sorted pair lists do, and the search
+tree, its leaves and generators are those the pairs would give.  The same
+records check generators: a relabeling fixes the row multiset exactly when it
+leaves the sorted records unchanged.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+
+import numpy as np
 
 from .errors import BudgetExceededError
 
@@ -141,12 +155,9 @@ def permute_columns(mat: ColoredBinaryMatrix, gamma) -> ColoredBinaryMatrix:
 
 def is_automorphism(mat: ColoredBinaryMatrix, gamma) -> bool:
     """True when relabeling columns by `gamma` fixes colors and row multiset."""
-    C = mat.n_cols
-    if sorted(gamma) != list(range(C)):
+    if sorted(gamma) != list(range(mat.n_cols)):
         return False
-    if any(mat.col_colors[gamma[j]] != mat.col_colors[j] for j in range(C)):
-        return False
-    return permute_columns(mat, gamma).row_multiset() == mat.row_multiset()
+    return _RowRecords(mat).maps_onto(gamma)
 
 
 def serialize(mat: ColoredBinaryMatrix) -> str:
@@ -162,6 +173,61 @@ def serialize(mat: ColoredBinaryMatrix) -> str:
     for color, m in sorted(zip(mat.row_colors, mat.row_masks)):
         lines.append(f"{color}:{m:0{C}b}" if C else f"{color}:")
     return "\n".join(lines)
+
+
+class _RowRecords:
+    """A matrix's rows as the fixed-width byte records of the module
+    docstring, built from one R x C uint8 bit matrix."""
+
+    def __init__(self, mat: ColoredBinaryMatrix):
+        R, C = mat.n_rows, mat.n_cols
+        self.col_colors = mat.col_colors
+        nbytes = -(-C // 8)
+        self.pad = 8 * nbytes - C
+        data = b"".join(m.to_bytes(nbytes, "big") for m in mat.row_masks)
+        packed = np.frombuffer(data, np.uint8).reshape(R, nbytes)
+        self.bits = np.ascontiguousarray(
+            np.unpackbits(packed, axis=1)[:, self.pad:])
+        self.palette = sorted(set(mat.row_colors))
+        rank = {c: r for r, c in enumerate(self.palette)}
+        # two bytes of rank, more past 65,536 colors
+        self.rank_bytes = max(2, -(-(len(self.palette) - 1).bit_length() // 8))
+        self.width = self.rank_bytes + nbytes
+        ranks = np.array([rank[c] for c in mat.row_colors], dtype=">u8")
+        self.ranks = ranks.view(np.uint8).reshape(R, 8)[:, 8 - self.rank_bytes:]
+        self._identity = None
+
+    def sorted_bytes(self, order) -> bytes:
+        """The sorted records of the rows read in column order `order`."""
+        recs = np.hstack((self.ranks, np.packbits(self.bits[:, order], axis=1)))
+        return recs[np.lexsort(recs.T[::-1])].tobytes()
+
+    def identity(self) -> bytes:
+        if self._identity is None:
+            self._identity = self.sorted_bytes(slice(None))
+        return self._identity
+
+    def maps_onto(self, sigma, other: "_RowRecords | None" = None) -> bool:
+        """True when relabeling columns by the permutation `sigma` carries
+        this matrix's column colors and row multiset onto `other`'s (by
+        default its own).  `other` must have the same row-color palette."""
+        other = other or self
+        inv = [0] * len(sigma)
+        for j, t in enumerate(sigma):
+            if self.col_colors[j] != other.col_colors[t]:
+                return False
+            inv[t] = j
+        return self.sorted_bytes(inv) == other.identity()
+
+    def decode(self, data: bytes):
+        """(row colors, row masks) of sorted records `data`."""
+        colors, masks = [], []
+        for o in range(0, len(data), self.width):
+            cut = o + self.rank_bytes
+            colors.append(self.palette[int.from_bytes(data[o:cut], "big")])
+            masks.append(int.from_bytes(data[cut:o + self.width], "big")
+                         >> self.pad)
+        return colors, masks
 
 
 @dataclass
@@ -188,13 +254,13 @@ class _Search:
         self.C = mat.n_cols
         self.R = mat.n_rows
         self.rows = mat.row_masks
+        self.records = _RowRecords(mat)
         # column masks over row indices (bit i = row i), for column signatures
-        cols = [0] * self.C
-        for i, m in enumerate(mat.row_masks):
-            for j in range(self.C):
-                if (m >> (self.C - 1 - j)) & 1:
-                    cols[j] |= 1 << i
-        self.cols = cols
+        packed = np.packbits(self.records.bits, axis=0, bitorder="little")
+        step = packed.shape[0]
+        data = packed.T.tobytes()
+        self.cols = [int.from_bytes(data[j * step:(j + 1) * step], "little")
+                     for j in range(self.C)]
         self.budget = budget
         self.nodes = 0
         self.first_cert = None
@@ -302,17 +368,8 @@ class _Search:
 
     def _leaf_cert(self, col_cells):
         order = [cell[0] for cell in col_cells]
-        C = self.C
-        shifts = [C - 1 - j for j in order]
-        rows2 = []
-        for i in range(self.R):
-            m = self.rows[i]
-            b = 0
-            for s in shifts:
-                b = (b << 1) | ((m >> s) & 1)
-            rows2.append((self.mat.row_colors[i], b))
-        rows2.sort()
-        cert = (tuple(self.mat.col_colors[j] for j in order), tuple(rows2))
+        cert = (tuple(self.mat.col_colors[j] for j in order),
+                self.records.sorted_bytes(order))
         return cert, order
 
     @staticmethod
@@ -324,7 +381,7 @@ class _Search:
         return tuple(gamma)
 
     def _record_generator(self, gamma):
-        if not is_automorphism(self.mat, gamma):
+        if not self.records.maps_onto(gamma):
             raise RuntimeError("internal error: collision produced a non-automorphism")
         self.gens.append(gamma)
 
@@ -423,11 +480,10 @@ class _Search:
         col_cells, row_cells = self._initial_cells()
         self._dfs(col_cells, row_cells, [])
         order = self.best_order
-        col_colors = tuple(self.mat.col_colors[j] for j in order)
-        row_pairs = self.best_cert[1]
-        canon = ColoredBinaryMatrix.from_masks(
-            [m for _, m in row_pairs], self.C,
-            [c for c, _ in row_pairs], col_colors)
+        col_colors, data = self.best_cert
+        row_colors, masks = self.records.decode(data)
+        canon = ColoredBinaryMatrix.from_masks(masks, self.C, row_colors,
+                                               col_colors)
         perm = [0] * self.C
         for t, j in enumerate(order):
             perm[j] = t
@@ -459,17 +515,21 @@ def is_isomorphic(m1: ColoredBinaryMatrix, m2: ColoredBinaryMatrix,
             or sorted(m1.row_colors) != sorted(m2.row_colors)
             or sorted(m1.col_colors) != sorted(m2.col_colors)):
         return None
-    r1 = canonical_form(m1, budget)
-    r2 = canonical_form(m2, budget)
-    if r1.matrix != r2.matrix:
-        return None
-    inv2 = [0] * m2.n_cols
-    for j, t in enumerate(r2.perm):
-        inv2[t] = j
-    sigma = tuple(inv2[r1.perm[j]] for j in range(m1.n_cols))
-    moved = permute_columns(m1, sigma)
-    if (moved.row_multiset() != m2.row_multiset()
-            or moved.col_colors != m2.col_colors):
+    sigma = _sigma_from_canons(canonical_form(m1, budget),
+                              canonical_form(m2, budget))
+    if sigma is not None and not _RowRecords(m1).maps_onto(
+            sigma, _RowRecords(m2)):
         raise RuntimeError("internal error: canonical forms matched "
                            "but the derived map is not an isomorphism")
     return sigma
+
+
+def _sigma_from_canons(r1: CanonResult, r2: CanonResult):
+    """The column map j -> sigma[j] carrying the input of `r1` onto that of
+    `r2`, or None when their canonical matrices differ."""
+    if r1.matrix != r2.matrix:
+        return None
+    inv2 = [0] * len(r2.perm)
+    for j, t in enumerate(r2.perm):
+        inv2[t] = j
+    return tuple(inv2[t] for t in r1.perm)

@@ -33,7 +33,8 @@ from dataclasses import dataclass, field as dc_field
 import numpy as np
 
 from . import bmcanon
-from .bmcanon import ColoredBinaryMatrix, CanonResult, canonical_form, serialize
+from .bmcanon import (ColoredBinaryMatrix, _sigma_from_canons, canonical_form,
+                      serialize)
 from .errors import BudgetExceededError, ResourceLimitError
 from .gfield import FieldSpec
 from .gfmatrix import (ALL_NONZERO_CAP, GFMatrix, all_nonzero_in_span, inverse,
@@ -335,13 +336,6 @@ def ceimpg_equiv(c1: GeneratorMatrix, c2: GeneratorMatrix,
     return Verdict(sigma is not None, "ceimpg")
 
 
-def _sigma_from_canons(r1: CanonResult, r2: CanonResult):
-    if r1.matrix != r2.matrix:
-        return None
-    inv2 = _perm_inverse(r2.perm)
-    return tuple(inv2[r1.perm[j]] for j in range(len(r1.perm)))
-
-
 def _witness_from_sys(c1: GeneratorMatrix, c2: GeneratorMatrix,
                       t_pre2: MonomialTransform, tr2: GFMatrix,
                       sigma, rho: int, q: GFMatrix, lambdas) -> EquivalenceWitness:
@@ -637,13 +631,20 @@ class _PairResolver:
         self.budget = budget
         self.coset_cap = coset_cap
         self.canon = canon_cache
-        self.ceimpg_keys: dict[int, str] = {}
+        self.ceimpg_keys: dict[int, str | Exception] = {}
 
     def _ceimpg_key_of(self, i: int) -> str:
+        """Code i's ceimpg key, computed once: a typed failure is kept too
+        and raised anew on every later request."""
         key = self.ceimpg_keys.get(i)
         if key is None:
-            key = _ceimpg_key(self.codes[i], self.budget)
+            try:
+                key = _ceimpg_key(self.codes[i], self.budget)
+            except (BudgetExceededError, ResourceLimitError) as e:
+                key = e
             self.ceimpg_keys[i] = key
+        if isinstance(key, Exception):
+            raise type(key)(*key.args)
         return key
 
     def equivalent(self, a: int, b: int) -> bool:

@@ -89,6 +89,19 @@ def brute_force_preserver_count(rows, q: int) -> int:
     return int((keys == target[None, :]).all(axis=1).sum())
 
 
+def _moved_pairs(mat, gamma):
+    """Sorted (row color, row bits) pairs after column j moves to gamma[j]."""
+    cols = mat.n_cols
+    moved = []
+    for color, mask in zip(mat.row_colors, mat.row_masks):
+        out = 0
+        for j in range(cols):
+            if mask & (1 << (cols - 1 - j)):
+                out |= 1 << (cols - 1 - gamma[j])
+        moved.append((color, out))
+    return tuple(sorted(moved))
+
+
 def brute_force_cbm_isomorphic(m1, m2):
     """Colored-binary-matrix isomorphism by trying every column permutation
     (ok for <= 8 columns).  Only the row/column color and bit data are read."""
@@ -100,36 +113,40 @@ def brute_force_cbm_isomorphic(m1, m2):
     for gamma in itertools.permutations(range(cols)):
         if any(m1.col_colors[j] != m2.col_colors[gamma[j]] for j in range(cols)):
             continue
-        moved = []
-        for color, mask in zip(m1.row_colors, m1.row_masks):
-            out = 0
-            for j in range(cols):
-                if mask & (1 << (cols - 1 - j)):
-                    out |= 1 << (cols - 1 - gamma[j])
-            moved.append((color, out))
-        if tuple(sorted(moved)) == target:
+        if _moved_pairs(m1, gamma) == target:
             return gamma
     return None
 
 
+def reference_is_automorphism(mat, gamma) -> bool:
+    """True when the column permutation `gamma` keeps column colors and the
+    multiset of (row color, row bits) pairs."""
+    if any(mat.col_colors[gamma[j]] != mat.col_colors[j]
+           for j in range(mat.n_cols)):
+        return False
+    return _moved_pairs(mat, gamma) == mat.row_multiset()
+
+
 def brute_force_cbm_aut_count(mat) -> int:
     """Number of color-preserving column permutations fixing the row multiset."""
-    count = 0
+    return sum(reference_is_automorphism(mat, gamma)
+               for gamma in itertools.permutations(range(mat.n_cols)))
+
+
+def reference_leaf_cert(mat, order):
+    """A leaf certificate as tuples: the column colors in column order
+    `order`, then the sorted (row color, row bits) pairs with the columns
+    read in that order.  The canonical search's byte-record certificates
+    must compare exactly like these."""
     cols = mat.n_cols
-    target = mat.row_multiset()
-    for gamma in itertools.permutations(range(cols)):
-        if any(mat.col_colors[j] != mat.col_colors[gamma[j]] for j in range(cols)):
-            continue
-        moved = []
-        for color, mask in zip(mat.row_colors, mat.row_masks):
-            out = 0
-            for j in range(cols):
-                if mask & (1 << (cols - 1 - j)):
-                    out |= 1 << (cols - 1 - gamma[j])
-            moved.append((color, out))
-        if tuple(sorted(moved)) == target:
-            count += 1
-    return count
+    shifts = [cols - 1 - j for j in order]
+    rows = []
+    for color, mask in zip(mat.row_colors, mat.row_masks):
+        bits = 0
+        for s in shifts:
+            bits = (bits << 1) | ((mask >> s) & 1)
+        rows.append((color, bits))
+    return tuple(mat.col_colors[j] for j in order), tuple(sorted(rows))
 
 
 def reference_refine(mat, col_cells, row_cells):

@@ -18,6 +18,7 @@ from codequiv.bmcanon import DEFAULT_NODE_BUDGET, MAX_SEARCH_COLUMNS, _Search
 from codequiv.equiv import _iter_group
 from codequiv.errors import BudgetExceededError, ResourceLimitError
 from conftest import (brute_force_cbm_aut_count, brute_force_cbm_isomorphic,
+                      reference_is_automorphism, reference_leaf_cert,
                       reference_refine)
 
 
@@ -145,6 +146,92 @@ def test_canonical_invariance_on_uneven_colored_matrices():
         rng.shuffle(gamma)
         assert (canonical_form(m).matrix
                 == canonical_form(permute_columns(m, gamma)).matrix)
+
+
+def _cert_cases():
+    """514 seeded matrices: widths around byte boundaries, 0 and 1 rows
+    included (fewer with up to 2 rows, whose large groups make slow
+    searches), mixed-sign row colors, and one with 300 distinct row colors."""
+    rng = random.Random(5150)
+    for n_cols in (1, 7, 8, 9, 16, 17, 63, 64, 65):
+        for n_rows in (0, 1, 2, 5, 12, 20, 30):
+            for _ in range(3 if n_rows < 3 else 12):
+                density = [rng.choice((0.0, 0.2, 0.5, 1.0)) for _ in range(n_cols)]
+                masks = [sum(int(rng.random() < d) << (n_cols - 1 - j)
+                             for j, d in enumerate(density))
+                         for _ in range(n_rows)]
+                yield ColoredBinaryMatrix.from_masks(
+                    masks, n_cols, [rng.randrange(-2, 2) for _ in range(n_rows)],
+                    [rng.randrange(2) for _ in range(n_cols)])
+    colors = rng.sample(range(-400, 400), 300)
+    yield ColoredBinaryMatrix.from_masks(
+        [rng.getrandbits(9) for _ in colors], 9, colors, [0] * 9)
+
+
+def _order_cert(search, order):
+    return search._leaf_cert([[j] for j in order])[0]
+
+
+def test_leaf_certificates_compare_like_reference_pairs():
+    rng = random.Random(61)
+    for m in _cert_cases():
+        search = _Search(m, DEFAULT_NODE_BUDGET)
+        orders = []
+        for _ in range(4):
+            order = list(range(m.n_cols))
+            rng.shuffle(order)
+            orders.append(order)
+        # a swap of two columns, often equal ones, gives an equal certificate
+        swapped = list(orders[0])
+        t, u = rng.randrange(m.n_cols), rng.randrange(m.n_cols)
+        swapped[t], swapped[u] = swapped[u], swapped[t]
+        orders.append(swapped)
+        certs = [_order_cert(search, o) for o in orders]
+        refs = [reference_leaf_cert(m, o) for o in orders]
+        for cert, ref in zip(certs, refs):
+            colors, masks = search.records.decode(cert[1])
+            assert (cert[0], tuple(zip(colors, masks))) == ref
+        for a in range(len(orders)):
+            for b in range(len(orders)):
+                assert (certs[a] == certs[b]) == (refs[a] == refs[b])
+                assert (certs[a] < certs[b]) == (refs[a] < refs[b])
+
+
+def test_rank_field_widens_past_65536_row_colors():
+    rng = random.Random(8)
+    n_rows = 70_000
+    colors = rng.sample(range(-10 ** 6, 10 ** 6), n_rows)
+    m = ColoredBinaryMatrix.from_masks(
+        [rng.getrandbits(3) for _ in range(n_rows)], 3, colors)
+    search = _Search(m, DEFAULT_NODE_BUDGET)
+    assert search.records.rank_bytes == 3
+    orders = [[0, 1, 2], [2, 0, 1], [1, 2, 0]]
+    certs = [_order_cert(search, o) for o in orders]
+    refs = [reference_leaf_cert(m, o) for o in orders]
+    for a in range(3):
+        colors_a, masks_a = search.records.decode(certs[a][1])
+        assert tuple(zip(colors_a, masks_a)) == refs[a][1]
+        for b in range(3):
+            assert (certs[a] < certs[b]) == (refs[a] < refs[b])
+
+
+def test_canonical_matrix_and_generators_match_reference():
+    rng = random.Random(62)
+    for m in _cert_cases():
+        res = canonical_form(m)
+        order = [0] * m.n_cols
+        for j, t in enumerate(res.perm):
+            order[t] = j
+        col_colors, pairs = reference_leaf_cert(m, order)
+        assert res.matrix == ColoredBinaryMatrix.from_masks(
+            [b for _, b in pairs], m.n_cols, [c for c, _ in pairs], col_colors)
+        for g in res.generators:
+            assert reference_is_automorphism(m, g)
+            assert is_automorphism(m, g)
+        for _ in range(3):
+            gamma = list(range(m.n_cols))
+            rng.shuffle(gamma)
+            assert is_automorphism(m, gamma) == reference_is_automorphism(m, gamma)
 
 
 def test_isomorphism_matches_brute_force():

@@ -12,6 +12,7 @@ from codequiv import (GFMatrix, GeneratorMatrix, build_ceimpg_matrix,
                       decide_equivalence, field, monomial_from_sigma,
                       point_table, random_code, simplex_generator,
                       systematic_form, theta, verify_witness)
+from codequiv import equiv
 from codequiv.equiv import MonomialTransform, _systematic_parts
 from codequiv.errors import BudgetExceededError
 from conftest import brute_force_equivalent, brute_force_preserver_count
@@ -440,3 +441,26 @@ def test_classify_pair_fallback_errors_collected_not_raised():
     assert result.errors == [(1, "ResourceLimitError: 1023 columns exceeds "
                                   "the canonical-search limit (900)")]
     assert [c.members for c in result.classes] == [[0]]
+
+
+def test_classify_failed_ceimpg_key_built_once(monkeypatch):
+    # the representative's failing ceimpg key is kept and raised again for
+    # every later member of its bucket instead of being rebuilt
+    spec = field(2)
+    c1, c2 = _transformed_pair(spec, 12, 10, seed=4, allow_rho=False)
+    copies = [GeneratorMatrix(spec, _random_transform(
+        spec, 12, random.Random(seed), allow_rho=False).apply(c1.mat).rows)
+        for seed in (5, 6)]
+    calls = []
+    real = equiv._ceimpg_key
+
+    def counted(code, budget):
+        calls.append(code)
+        return real(code, budget)
+
+    monkeypatch.setattr(equiv, "_ceimpg_key", counted)
+    result = classify([c1, c2] + copies, algo="cesimpg", coset_cap=1)
+    msg = "ResourceLimitError: 1023 columns exceeds the canonical-search limit (900)"
+    assert result.errors == [(1, msg), (2, msg), (3, msg)]
+    assert [c.members for c in result.classes] == [[0]]
+    assert len(calls) == 1

@@ -246,6 +246,13 @@ class CanonResult:
     nodes: int
 
 
+def _color_classes(colors) -> list[list[int]]:
+    classes: dict[int, list[int]] = {}
+    for i, color in enumerate(colors):
+        classes.setdefault(color, []).append(i)
+    return [classes[color] for color in sorted(classes)]
+
+
 class _Search:
     """One canonical-form computation; see module docstring for the scheme."""
 
@@ -274,15 +281,10 @@ class _Search:
     # -- partitions ---------------------------------------------------------
 
     def _initial_cells(self):
-        col_cells = []
-        for color in sorted(set(self.mat.col_colors)):
-            col_cells.append([j for j in range(self.C)
-                              if self.mat.col_colors[j] == color])
-        row_cells = []
-        for color in sorted(set(self.mat.row_colors)):
-            row_cells.append([i for i in range(self.R)
-                              if self.mat.row_colors[i] == color])
-        return col_cells, row_cells
+        """Color classes of columns and of rows, in color order, each
+        listing its members in index order."""
+        return (_color_classes(self.mat.col_colors),
+                _color_classes(self.mat.row_colors))
 
     def _refine(self, col_cells, row_cells, splitters=None):
         """Equitable refinement; sub-cells are ordered by signature value so

@@ -89,8 +89,7 @@ def cmd_equiv(args) -> int:
         c1, c2 = codes1[0], codes1[1]
     else:
         raise CodeFileError(f"{args.file1}: need a second code or a second file")
-    verdict = decide_equivalence(c1, c2, args.algo, _budget(args),
-                                 strip_full_rows=args.strip_full_rows)
+    verdict = decide_equivalence(c1, c2, args.algo, _budget(args))
     if verdict.equivalent:
         print(f"EQUIVALENT method={verdict.method}")
         if verdict.witness is not None:
@@ -105,7 +104,7 @@ def cmd_equiv(args) -> int:
 def cmd_classify(args) -> int:
     codes = _read_codes(args.codefile)
     result = classify(codes, algo=args.algo, budget=_budget(args),
-                      jobs=args.jobs, strip_full_rows=args.strip_full_rows)
+                      jobs=args.jobs)
     for i, cls in enumerate(result.classes, start=1):
         members = " ".join(str(m + 1) for m in cls.members)
         print(f"class {i}: size {len(cls.members)} digest {cls.key_digest} "
@@ -212,8 +211,6 @@ def build_parser() -> argparse.ArgumentParser:
                    help="second file; omit to compare the first two codes of file1")
     p.add_argument("--algo", choices=("auto", "cesimpg", "ceimpg"),
                    default="auto")
-    p.add_argument("--strip-full-rows", action="store_true",
-                   help="drop all-ones rows of the shortened matrices")
     _add_budget(p)
     p.set_defaults(func=cmd_equiv)
 
@@ -224,7 +221,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--jobs", type=int, default=1)
     p.add_argument("--seed", type=int, default=None,
                    help="echoed into the report footer for provenance")
-    p.add_argument("--strip-full-rows", action="store_true")
     _add_budget(p)
     p.set_defaults(func=cmd_classify)
 

@@ -18,8 +18,9 @@ Two decision routes are provided:
   (complete invariant; no monomial witness);
 * the shortened route: compare canonical forms of the hyperplane-by-
   coordinate support matrices, then lift each candidate coordinate
-  permutation (an entire automorphism-group coset of them) to an explicit
-  monomial witness by solving a homogeneous linear system for lambda.
+  permutation (an entire automorphism-group coset of them, or only the
+  first one when the group outgrows the coset cap) to an explicit monomial
+  witness by solving a homogeneous linear system for lambda.
   For prime fields exhausting the coset is conclusive; for composite fields
   every field automorphism is tried as well.
 """
@@ -37,8 +38,8 @@ from .bmcanon import (ColoredBinaryMatrix, _sigma_from_canons, canonical_form,
                       serialize)
 from .errors import BudgetExceededError, ResourceLimitError
 from .gfield import FieldSpec
-from .gfmatrix import (ALL_NONZERO_CAP, GFMatrix, all_nonzero_in_span, inverse,
-                       mat_mul, nullspace_basis, rank, rref)
+from .gfmatrix import (ALL_NONZERO_CAP, GFMatrix, all_nonzero_in_span, mat_mul,
+                       nullspace_basis, rank)
 from .lincode import (CharacteristicVector, GeneratorMatrix,
                       characteristic_vector, systematic_form)
 from .projgeom import incidence, point_table
@@ -156,16 +157,6 @@ def verify_witness(c1: GeneratorMatrix, c2: GeneratorMatrix,
     return lhs == rhs
 
 
-def _left_factor(a: GFMatrix, b: GFMatrix) -> GFMatrix | None:
-    """Q with Q @ a == b, for full-row-rank a; None when rows(b) leave rowspace(a)."""
-    res = rref(a)
-    piv = list(res.pivots)
-    sub_a = GFMatrix(a.spec, [[row[j] for j in piv] for row in a.rows])
-    sub_b = GFMatrix(a.spec, [[row[j] for j in piv] for row in b.rows])
-    q = mat_mul(sub_b, inverse(sub_a))
-    return q if mat_mul(q, a) == b else None
-
-
 # ---------------------------------------------------------------------------
 # binary matrices fed to the canonicalizer
 
@@ -185,14 +176,11 @@ def build_ceimpg_matrix(chi: CharacteristicVector) -> ColoredBinaryMatrix:
     return ColoredBinaryMatrix.from_masks(masks, width, row_colors, chi.counts)
 
 
-def build_shortened(code: GeneratorMatrix,
-                    strip_full_rows: bool = False) -> ColoredBinaryMatrix:
+def build_shortened(code: GeneratorMatrix) -> ColoredBinaryMatrix:
     """Hyperplane-by-coordinate support of the code: entry (i, j) = 1 iff
     coordinate j's column has nonzero inner product with hyperplane i.
 
-    Columns are colored by their point multiplicities.  With
-    `strip_full_rows`, all-ones rows (hyperplanes missing the whole support,
-    which constrain nothing) are dropped.
+    Columns are colored by their point multiplicities.
     """
     spec = code.spec
     table = point_table(code.k, spec.q, spec.modulus)
@@ -214,9 +202,6 @@ def build_shortened(code: GeneratorMatrix,
             masks.append(m)
     chi = characteristic_vector(code)
     col_colors = [chi.counts[table.position_of(col)] for col in cols]
-    if strip_full_rows:
-        full = (1 << n) - 1
-        masks = [m for m in masks if m != full]
     return ColoredBinaryMatrix.from_masks(masks, n, [0] * len(masks), col_colors)
 
 
@@ -313,6 +298,56 @@ def _iter_group(gens, n: int, cap: int):
         frontier = nxt
 
 
+def _lift(g1: GeneratorMatrix, g2s: GeneratorMatrix, sigma, span_cap: int):
+    """(rho, Q, lambdas) for the first field automorphism rho under which
+    `sigma` lifts (Q @ g2s == rho(g1 P_sigma diag(lambdas)), g2s
+    systematic), or None when no rho lifts.  Raises BudgetExceededError only
+    when nothing lifted and some span search outgrew `span_cap`."""
+    overran = None
+    for rho in range(g1.spec.m):
+        try:
+            lift = monomial_from_sigma(g1, g2s, sigma, rho, span_cap)
+        except BudgetExceededError as e:
+            overran = e
+            continue
+        if lift is not None:
+            return (rho, *lift)
+    if overran is not None:
+        raise overran
+    return None
+
+
+def _find_lift(g1: GeneratorMatrix, g2s: GeneratorMatrix, r1, r2,
+               coset_cap: int, span_cap: int = ALL_NONZERO_CAP):
+    """(sigma, rho, Q, lambdas) for the first candidate permutation that
+    lifts, or None when none does.
+
+    `r1`, `r2` are the canonical forms of the shortened matrices of g1 and
+    g2s.  The candidates are sigma0 o tau, where sigma0 maps the first
+    matrix onto the second and tau runs over its automorphism group,
+    identity first; they are all of the permutations carrying the first
+    matrix onto the second, so None proves that no monomial map exists.
+    When the group is larger than `coset_cap`, only sigma0 is tried, and
+    BudgetExceededError is raised if it does not lift.
+    """
+    sigma0 = _sigma_from_canons(r1, r2)
+    if sigma0 is None:
+        return None
+    capped = r1.group_order > coset_cap
+    taus = ([tuple(range(g1.n))] if capped
+            else _iter_group(r1.generators, g1.n, coset_cap))
+    for tau in taus:
+        sigma = _perm_compose(sigma0, tau)
+        lift = _lift(g1, g2s, sigma, span_cap)
+        if lift is not None:
+            return (sigma, *lift)
+    if capped:
+        raise BudgetExceededError(
+            f"sigma0 does not lift and the automorphism group "
+            f"({r1.group_order}) exceeds the coset cap ({coset_cap})")
+    return None
+
+
 # ---------------------------------------------------------------------------
 # decision procedures
 
@@ -372,62 +407,41 @@ def _systematic_parts(code: GeneratorMatrix):
 
 def cesimpg_equiv(c1: GeneratorMatrix, c2: GeneratorMatrix,
                   budget: int | None = None, coset_cap: int = COSET_CAP,
-                  span_cap: int = ALL_NONZERO_CAP,
-                  strip_full_rows: bool = False) -> Verdict:
+                  span_cap: int = ALL_NONZERO_CAP) -> Verdict:
     """Decide equivalence via shortened matrices plus monomial lifting.
 
     Non-isomorphic shortened matrices prove inequivalence outright.
-    Otherwise every candidate permutation (one isomorphism composed with the
-    full automorphism group of the first matrix) is lifted in turn, trying
-    each field automorphism; exhausting them proves inequivalence.  When the
-    automorphism group outgrows `coset_cap` (or a lift search outgrows its
-    budget) the decision falls back to the canonical-form route, losing only
-    the witness.
+    Otherwise the candidate permutations (one isomorphism sigma0 composed
+    with each element of the automorphism group of the first matrix,
+    sigma0 first) are lifted in turn, trying each field automorphism;
+    exhausting them proves inequivalence.  When the automorphism group
+    outgrows `coset_cap`, only sigma0 is tried.  If it does not lift, or a
+    lift search outgrows its budget, or a canonical search fails, the
+    decision falls back to the canonical-form route, losing only the
+    witness.
     """
     if not _check_comparable(c1, c2):
         return Verdict(False, "cesimpg")
-    spec = c1.spec
     g2s, t_pre2, tr2 = _systematic_parts(c2)
-    m1 = build_shortened(c1, strip_full_rows)
-    m2 = build_shortened(g2s, strip_full_rows)
-    if m1.n_rows != m2.n_rows:
-        return Verdict(False, "cesimpg")
     try:
-        r1 = canonical_form(m1, budget)
-        r2 = canonical_form(m2, budget)
+        r1 = canonical_form(build_shortened(c1), budget)
+        r2 = canonical_form(build_shortened(g2s), budget)
+        found = _find_lift(c1, g2s, r1, r2, coset_cap, span_cap)
     except (BudgetExceededError, ResourceLimitError):
         verdict = ceimpg_equiv(c1, c2, budget)
         return Verdict(verdict.equivalent, "ceimpg-fallback")
-    sigma0 = _sigma_from_canons(r1, r2)
-    if sigma0 is None:
+    if found is None:
         return Verdict(False, "cesimpg")
-    if r1.group_order > coset_cap:
-        verdict = ceimpg_equiv(c1, c2, budget)
-        return Verdict(verdict.equivalent, "ceimpg-fallback")
-    rhos = range(spec.m)
-    try:
-        for tau in _iter_group(r1.generators, c1.n, coset_cap):
-            sigma = _perm_compose(sigma0, tau)
-            for rho in rhos:
-                lift = monomial_from_sigma(c1, g2s, sigma, rho, span_cap)
-                if lift is not None:
-                    q, lambdas = lift
-                    witness = _witness_from_sys(
-                        c1, c2, t_pre2, tr2, sigma, rho, q, lambdas)
-                    return Verdict(True, "cesimpg", witness)
-    except BudgetExceededError:
-        verdict = ceimpg_equiv(c1, c2, budget)
-        return Verdict(verdict.equivalent, "ceimpg-fallback")
-    return Verdict(False, "cesimpg")
+    witness = _witness_from_sys(c1, c2, t_pre2, tr2, *found)
+    return Verdict(True, "cesimpg", witness)
 
 
 def decide_equivalence(c1: GeneratorMatrix, c2: GeneratorMatrix,
-                       algo: str = "auto", budget: int | None = None,
-                       strip_full_rows: bool = False) -> Verdict:
+                       algo: str = "auto", budget: int | None = None) -> Verdict:
     if algo == "ceimpg":
         return ceimpg_equiv(c1, c2, budget)
     if algo in ("auto", "cesimpg"):
-        return cesimpg_equiv(c1, c2, budget, strip_full_rows=strip_full_rows)
+        return cesimpg_equiv(c1, c2, budget)
     raise ValueError(f"unknown algorithm {algo!r}")
 
 
@@ -494,38 +508,23 @@ def code_aut_group(code: GeneratorMatrix, budget: int | None = None,
     spec = code.spec
     gs, t_pre, tr = _systematic_parts(code)
     r = canonical_form(build_shortened(gs), budget)
-    inv_pre = t_pre.inverse()
-    perm, perm_inv = t_pre.sigma, inv_pre.sigma
-    lifted: list[EquivalenceWitness] = []
-    failed: list[tuple[int, ...]] = []
-    for tau in r.generators:
-        tau_orig = _perm_compose(perm_inv, _perm_compose(tau, perm))
-        lift = None
-        lift_rho = 0
-        for rho in range(spec.m):
-            try:
-                lift = monomial_from_sigma(gs, gs, tau, rho, span_cap)
-            except BudgetExceededError:
-                lift = None
-            if lift is not None:
-                lift_rho = rho
-                break
-        if lift is None:
-            failed.append(tau_orig)
-            continue
-        q, lambdas = lift
-        t_sys = MonomialTransform(spec, tuple(tau), tuple(lambdas), lift_rho)
-        t_orig = t_pre.then(t_sys).then(inv_pre)
-        target = t_orig.apply(code.mat)
-        q_orig = _left_factor(code.mat, target)
-        if q_orig is None:
-            raise RuntimeError("internal error: conjugated automorphism left the code")
-        witness = EquivalenceWitness(t_orig.sigma, t_orig.lambdas, t_orig.rho, q_orig)
-        if not verify_witness(code, code, witness):
-            raise RuntimeError("internal error: automorphism witness failed")
-        lifted.append(witness)
+    perm, perm_inv = t_pre.sigma, _perm_inverse(t_pre.sigma)
     h1_gens_orig = [
         _perm_compose(perm_inv, _perm_compose(tau, perm)) for tau in r.generators]
+    lifted: list[EquivalenceWitness] = []
+    failed: list[tuple[int, ...]] = []
+    for tau, gen in zip(r.generators, h1_gens_orig):
+        # code reaches gs by moving coordinates by perm, so tau o perm
+        # lifts from code to gs exactly when tau lifts from gs to gs
+        sigma = _perm_compose(tau, perm)
+        try:
+            lift = _lift(code, gs, sigma, span_cap)
+        except BudgetExceededError:
+            lift = None
+        if lift is None:
+            failed.append(gen)
+        else:
+            lifted.append(_witness_from_sys(code, code, t_pre, tr, sigma, *lift))
     kernel = _diagonal_stabilizer_order(gs)
     complete = spec.m == 1 and not failed and kernel is not None
     order = r.group_order * kernel if complete else None
@@ -564,7 +563,7 @@ def _ceimpg_key(code: GeneratorMatrix, budget) -> str:
     return serialize(canonical_form(m, budget).matrix)
 
 
-def _code_key(code: GeneratorMatrix, mode: str, budget, strip: bool):
+def _code_key(code: GeneratorMatrix, mode: str, budget):
     """(key, entry, error) of one code.  `entry` is the (systematic form,
     CanonResult) pair the cesimpg resolver reuses, None for ceimpg; a
     per-item failure sets only `error`."""
@@ -572,7 +571,7 @@ def _code_key(code: GeneratorMatrix, mode: str, budget, strip: bool):
         if mode == "ceimpg":
             return _ceimpg_key(code, budget), None, None
         gs = _systematic_parts(code)[0]
-        canon = canonical_form(build_shortened(gs, strip), budget)
+        canon = canonical_form(build_shortened(gs), budget)
         return serialize(canon.matrix), (gs, canon), None
     except (BudgetExceededError, ResourceLimitError) as e:
         return None, None, f"{type(e).__name__}: {e}"
@@ -581,10 +580,10 @@ def _code_key(code: GeneratorMatrix, mode: str, budget, strip: bool):
 _POOL_STATE: dict = {}
 
 
-def _pool_init(q, modulus, mode, budget, strip):
+def _pool_init(q, modulus, mode, budget):
     from .gfield import field
     _POOL_STATE.update(q=q, modulus=modulus, mode=mode, budget=budget,
-                       strip=strip, spec=field(q, modulus or None))
+                       spec=field(q, modulus or None))
 
 
 def _pool_key(item):
@@ -595,11 +594,11 @@ def _pool_key(item):
         code = GeneratorMatrix(st["spec"], rows)
     except ValueError as e:
         return idx, None, None, f"{type(e).__name__}: {e}"
-    key, entry, msg = _code_key(code, st["mode"], st["budget"], st["strip"])
+    key, entry, msg = _code_key(code, st["mode"], st["budget"])
     return idx, key, entry and (entry[0].mat.rows, entry[1]), msg
 
 
-def _batch_keys(codes, mode, budget, strip, jobs, canon_cache):
+def _batch_keys(codes, mode, budget, jobs, canon_cache):
     """Per-code (index, key, error) triples; fills `canon_cache` with the
     cesimpg entries, whether computed here or in pool workers."""
     if jobs and jobs > 1 and len(codes) > 1:
@@ -607,13 +606,13 @@ def _batch_keys(codes, mode, budget, strip, jobs, canon_cache):
         spec = codes[0].spec
         items = [(i, c.mat.rows) for i, c in enumerate(codes)]
         with mp.Pool(jobs, initializer=_pool_init,
-                     initargs=(spec.q, spec.modulus, mode, budget, strip)) as pool:
+                     initargs=(spec.q, spec.modulus, mode, budget)) as pool:
             chunk = max(1, len(items) // (jobs * 8))
             keyed = [(i, key, e and (GeneratorMatrix(spec, e[0]), e[1]), msg)
                      for i, key, e, msg
                      in pool.imap(_pool_key, items, chunksize=chunk)]
     else:
-        keyed = [(i, *_code_key(code, mode, budget, strip))
+        keyed = [(i, *_code_key(code, mode, budget))
                  for i, code in enumerate(codes)]
     for i, _, entry, _ in keyed:
         if entry is not None:
@@ -650,36 +649,24 @@ class _PairResolver:
     def equivalent(self, a: int, b: int) -> bool:
         gsa, ra = self.canon[a]
         gsb, rb = self.canon[b]
-        sigma0 = _sigma_from_canons(ra, rb)
-        if sigma0 is None:
-            return False
-        spec = gsa.spec
-        n = gsa.n
-        if ra.group_order > self.coset_cap:
-            return self._ceimpg_key_of(a) == self._ceimpg_key_of(b)
         try:
-            for tau in _iter_group(ra.generators, n, self.coset_cap):
-                sigma = _perm_compose(sigma0, tau)
-                for rho in range(spec.m):
-                    if monomial_from_sigma(gsa, gsb, sigma, rho) is not None:
-                        return True
+            return _find_lift(gsa, gsb, ra, rb, self.coset_cap) is not None
         except BudgetExceededError:
             return self._ceimpg_key_of(a) == self._ceimpg_key_of(b)
-        return False
 
 
 def classify(codes, algo: str = "ceimpg", budget: int | None = None,
-             jobs: int = 1, strip_full_rows: bool = False,
-             coset_cap: int = COSET_CAP) -> ClassifyResult:
+             jobs: int = 1, coset_cap: int = COSET_CAP) -> ClassifyResult:
     """Partition `codes` into equivalence classes.
 
     algo="ceimpg" groups by the complete canonical key.  algo="cesimpg"
     buckets by the shortened-matrix canonical key and separates bucket
-    members with the lifting procedure (falling back per pair like
-    cesimpg_equiv).  Classes are ordered by first appearance.  Per-item
-    budget and size-limit errors, from keying a code or from the fallback
-    while comparing it with an earlier class representative, are collected
-    in `errors` (by code index) without aborting the batch.
+    members with the lifting procedure of cesimpg_equiv: past `coset_cap`
+    only sigma0 is tried, and a pair it does not decide falls back to
+    comparing ceimpg keys.  Classes are ordered by first appearance.
+    Per-item budget and size-limit errors, from keying a code or from the
+    fallback while comparing it with an earlier class representative, are
+    collected in `errors` (by code index) without aborting the batch.
     """
     start = time.perf_counter()
     codes = list(codes)
@@ -689,7 +676,7 @@ def classify(codes, algo: str = "ceimpg", budget: int | None = None,
         raise ValueError("classification requires a single ambient field")
     mode = "ceimpg" if algo == "ceimpg" else "cesimpg"
     canon_cache: dict[int, tuple] = {}
-    keyed = _batch_keys(codes, mode, budget, strip_full_rows, jobs, canon_cache)
+    keyed = _batch_keys(codes, mode, budget, jobs, canon_cache)
     errors = [(i, msg) for i, _, msg in keyed if msg]
     classes: list[CodeClass] = []
     keys: list[str] = []

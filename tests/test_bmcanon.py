@@ -138,6 +138,23 @@ def test_incremental_refinement_matches_full_recompute():
             assert (col_cells, row_cells) == want
 
 
+def test_initial_cells_match_per_color_scan():
+    # color classes in color order, members in index order, as one scan of
+    # all rows (columns) per distinct color gives them; up to one color per row
+    rng = random.Random(5150)
+    for _ in range(300):
+        n_rows, n_cols = rng.randrange(0, 80), rng.randrange(1, 24)
+        spread_r, spread_c = rng.randint(1, n_rows + 1), rng.randint(1, n_cols)
+        bits = [[rng.randrange(2) for _ in range(n_cols)] for _ in range(n_rows)]
+        m = ColoredBinaryMatrix(
+            bits, [rng.randrange(-spread_r, spread_r) for _ in range(n_rows)],
+            [rng.randrange(-spread_c, spread_c) for _ in range(n_cols)])
+        want = tuple([[i for i in range(len(colors)) if colors[i] == c]
+                      for c in sorted(set(colors))]
+                     for colors in (m.col_colors, m.row_colors))
+        assert _Search(m, DEFAULT_NODE_BUDGET)._initial_cells() == want
+
+
 def test_canonical_invariance_on_uneven_colored_matrices():
     rng = random.Random(4048)
     for _ in range(500):

@@ -7,12 +7,14 @@ import random
 import pytest
 
 from codequiv import (GFMatrix, GeneratorMatrix, build_ceimpg_matrix,
-                      build_shortened, ceimpg_equiv, cesimpg_equiv,
-                      characteristic_vector, classify, code_aut_group,
-                      decide_equivalence, field, monomial_from_sigma,
-                      point_table, random_code, simplex_generator,
-                      systematic_form, theta, verify_witness)
+                      build_shortened, canonical_form, ceimpg_equiv,
+                      cesimpg_equiv, characteristic_vector, classify,
+                      code_aut_group, decide_equivalence, field,
+                      monomial_from_sigma, point_table, random_code,
+                      simplex_generator, systematic_form, theta,
+                      verify_witness)
 from codequiv import equiv
+from codequiv.bmcanon import _sigma_from_canons
 from codequiv.equiv import MonomialTransform, _systematic_parts
 from codequiv.errors import BudgetExceededError
 from conftest import brute_force_equivalent, brute_force_preserver_count
@@ -101,26 +103,6 @@ def test_shortened_matrix_hand_row():
     assert m.row_masks[4] == 0b100110
     assert m.col_colors == (1, 2, 1, 1, 1, 2)
     assert m.row_colors == (0,) * 13
-
-
-def test_shortened_strip_full_rows():
-    g1 = GeneratorMatrix(3, G1_ROWS)
-    full = (1 << 6) - 1
-    kept = build_shortened(g1, strip_full_rows=True)
-    plain = build_shortened(g1)
-    n_full = sum(1 for m in plain.row_masks if m == full)
-    assert kept.n_rows == plain.n_rows - n_full
-    assert all(m != full for m in kept.row_masks)
-
-
-def test_shortened_strip_preserves_verdicts():
-    spec = field(3)
-    for seed in range(6):
-        c1, c2 = _transformed_pair(spec, 8, 3, seed)
-        c3 = random_code(spec, 8, 3, seed=seed + 5000)
-        assert cesimpg_equiv(c1, c2, strip_full_rows=True).equivalent
-        plain = cesimpg_equiv(c1, c3).equivalent
-        assert cesimpg_equiv(c1, c3, strip_full_rows=True).equivalent == plain
 
 
 # ---------------------------------------------------------------------------
@@ -259,6 +241,35 @@ def test_self_equivalence():
     assert v.equivalent and verify_witness(c, c, v.witness)
 
 
+@pytest.mark.parametrize("n,k", [(6, 2), (8, 3), (10, 4), (12, 5), (12, 8)])
+def test_binary_sigma0_lifts_past_coset_cap(n, k):
+    """For q = 2 the shortened rows are the codeword supports, so the first
+    isomorphism between them always lifts: a coset cap of 1 never forces
+    the fallback."""
+    spec = field(2)
+    for seed in range(8):
+        c1, c2 = _transformed_pair(spec, n, k, seed)
+        v = cesimpg_equiv(c1, c2, coset_cap=1)
+        assert v.equivalent and v.method == "cesimpg"
+        assert verify_witness(c1, c2, v.witness)
+
+
+def test_binary_golay_24_witnessed():
+    # [23,12]_2 cyclic code of g = 1 + x^2 + x^4 + x^5 + x^6 + x^10 + x^11,
+    # with the parity bit appended to the raw rows; |Aut| = |M24| exceeds
+    # the coset cap, so only sigma0 is tried
+    g = [1, 0, 1, 0, 1, 1, 1, 0, 0, 0, 1, 1]
+    rows = [[0] * s + g + [0] * (23 - len(g) - s) for s in range(12)]
+    rows = [r + [sum(r) % 2] for r in rows]
+    spec = field(2)
+    c1 = GeneratorMatrix(spec, rows)
+    t = _random_transform(spec, 24, random.Random(24), allow_rho=False)
+    c2 = GeneratorMatrix(spec, t.apply(c1.mat).rows)
+    v = cesimpg_equiv(c1, c2)
+    assert v.equivalent and v.method == "cesimpg"
+    assert verify_witness(c1, c2, v.witness)
+
+
 def test_witness_tampering_detected(worked_pair):
     c1, c2 = worked_pair
     w = cesimpg_equiv(c1, c2).witness
@@ -352,6 +363,18 @@ def test_aut_group_composite_field_partial():
         assert verify_witness(code, code, w)
 
 
+@pytest.mark.parametrize("q", [2, 3, 4, 5, 7, 8, 9])
+def test_aut_group_lifted_sigmas_are_h1_generators(q):
+    """Each lifted witness moves coordinates exactly as the H1 generator it
+    lifts, in generator order."""
+    spec = field(q)
+    for seed in range(6):
+        code = random_code(spec, 7, 3, seed=seed)
+        rep = code_aut_group(code)
+        assert [w.sigma for w in rep.lifted] == [
+            g for g in rep.h1_generators if g not in rep.failed]
+
+
 def test_aut_group_witnesses_verify():
     code = GeneratorMatrix(3, G1_ROWS)
     rep = code_aut_group(code)
@@ -433,24 +456,43 @@ def test_classify_classes_ordered_by_first_appearance():
     assert result.classes[1].representative == 1
 
 
+def _sigma0_lifts(c1, c2):
+    """Whether the first isomorphism found between the shortened matrices of
+    the two codes' systematic forms lifts to a monomial map (prime field)."""
+    gs1, gs2 = (_systematic_parts(c)[0] for c in (c1, c2))
+    r1, r2 = (canonical_form(build_shortened(gs)) for gs in (gs1, gs2))
+    return monomial_from_sigma(gs1, gs2, _sigma_from_canons(r1, r2)) is not None
+
+
+def _fallback_pair():
+    # a [8,6]_5 pair whose sigma0 does not lift: with coset_cap=1 it reaches
+    # the ceimpg fallback, whose 3906-point incidence matrix exceeds the
+    # canonical-search column limit
+    spec = field(5)
+    c1, c2 = _transformed_pair(spec, 8, 6, seed=3, allow_rho=False)
+    assert not _sigma0_lifts(c1, c2)
+    return spec, c1, c2
+
+
+FALLBACK_MSG = ("ResourceLimitError: 3906 columns exceeds the canonical-search "
+                "limit (900)")
+
+
 def test_classify_pair_fallback_errors_collected_not_raised():
-    # coset_cap=1 sends the pair to the ceimpg fallback, whose 1023-point
-    # incidence matrix exceeds the canonical-search column limit
-    c1, c2 = _transformed_pair(field(2), 12, 10, seed=4, allow_rho=False)
+    _, c1, c2 = _fallback_pair()
     result = classify([c1, c2], algo="cesimpg", coset_cap=1)
-    assert result.errors == [(1, "ResourceLimitError: 1023 columns exceeds "
-                                  "the canonical-search limit (900)")]
+    assert result.errors == [(1, FALLBACK_MSG)]
     assert [c.members for c in result.classes] == [[0]]
 
 
 def test_classify_failed_ceimpg_key_built_once(monkeypatch):
     # the representative's failing ceimpg key is kept and raised again for
     # every later member of its bucket instead of being rebuilt
-    spec = field(2)
-    c1, c2 = _transformed_pair(spec, 12, 10, seed=4, allow_rho=False)
+    spec, c1, c2 = _fallback_pair()
     copies = [GeneratorMatrix(spec, _random_transform(
-        spec, 12, random.Random(seed), allow_rho=False).apply(c1.mat).rows)
-        for seed in (5, 6)]
+        spec, 8, random.Random(seed), allow_rho=False).apply(c1.mat).rows)
+        for seed in (7, 8)]
+    assert not any(_sigma0_lifts(c1, c) for c in copies)
     calls = []
     real = equiv._ceimpg_key
 
@@ -460,7 +502,7 @@ def test_classify_failed_ceimpg_key_built_once(monkeypatch):
 
     monkeypatch.setattr(equiv, "_ceimpg_key", counted)
     result = classify([c1, c2] + copies, algo="cesimpg", coset_cap=1)
-    msg = "ResourceLimitError: 1023 columns exceeds the canonical-search limit (900)"
-    assert result.errors == [(1, msg), (2, msg), (3, msg)]
+    assert result.errors == [(1, FALLBACK_MSG), (2, FALLBACK_MSG),
+                             (3, FALLBACK_MSG)]
     assert [c.members for c in result.classes] == [[0]]
     assert len(calls) == 1

@@ -5,7 +5,8 @@ generator-matrix column is a point of PG(k-1, q), and equivalence questions
 reduce to colored-binary-matrix isomorphism via point/hyperplane support
 structures, decided by a canonical-labeling search.  Explicit monomial
 witnesses (permutation, scalings, field automorphism, basis change) are
-recovered by lifting coordinate permutations through a linear system.
+recovered by lifting coordinate permutations along the support graph of the
+systematic generator matrix.
 """
 
 from .bmcanon import (CanonResult, ColoredBinaryMatrix, canonical_form,
@@ -19,8 +20,8 @@ from .equiv import (AutomorphismReport, ClassifyResult, CodeClass,
                     decide_equivalence, monomial_from_sigma, verify_witness)
 from .errors import BudgetExceededError, ResourceLimitError
 from .gfield import FieldSpec, field, normalize_vector
-from .gfmatrix import (GFMatrix, RREFResult, all_nonzero_in_span, inverse,
-                       mat_mul, nullspace_basis, rank, rref)
+from .gfmatrix import (GFMatrix, RREFResult, inverse, mat_mul, nullspace_basis,
+                       rank, rref)
 from .lincode import (CharacteristicVector, GeneratorMatrix,
                       characteristic_vector, code_from_chi,
                       min_distance_hyperplane, random_code, systematic_form)
@@ -34,13 +35,13 @@ __all__ = [
     "CharacteristicVector", "ClassifyResult", "CodeClass", "CodeFileError",
     "ColoredBinaryMatrix", "EquivalenceWitness", "FieldSpec", "GFMatrix",
     "GeneratorMatrix", "IncidenceMatrix", "MonomialTransform", "PointTable",
-    "RREFResult", "ResourceLimitError", "Verdict", "all_nonzero_in_span",
-    "build_ceimpg_matrix", "build_shortened", "canonical_form",
-    "ceimpg_equiv", "cesimpg_equiv", "characteristic_vector", "classify",
-    "code_aut_group", "code_from_chi", "decide_equivalence", "emit_codes",
-    "field", "incidence", "inverse", "is_automorphism", "is_isomorphic",
-    "mat_mul", "min_distance_hyperplane", "monomial_from_sigma",
-    "normalize_vector", "nullspace_basis", "parse_codes", "permute_columns",
-    "point_table", "random_code", "rank", "rref", "serialize",
-    "simplex_generator", "systematic_form", "theta", "verify_witness",
+    "RREFResult", "ResourceLimitError", "Verdict", "build_ceimpg_matrix",
+    "build_shortened", "canonical_form", "ceimpg_equiv", "cesimpg_equiv",
+    "characteristic_vector", "classify", "code_aut_group", "code_from_chi",
+    "decide_equivalence", "emit_codes", "field", "incidence", "inverse",
+    "is_automorphism", "is_isomorphic", "mat_mul", "min_distance_hyperplane",
+    "monomial_from_sigma", "normalize_vector", "nullspace_basis",
+    "parse_codes", "permute_columns", "point_table", "random_code", "rank",
+    "rref", "serialize", "simplex_generator", "systematic_form", "theta",
+    "verify_witness",
 ]

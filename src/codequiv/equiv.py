@@ -20,7 +20,8 @@ Two decision routes are provided:
   coordinate support matrices, then lift each candidate coordinate
   permutation (an entire automorphism-group coset of them, or only the
   first one when the group outgrows the coset cap) to an explicit monomial
-  witness by solving a homogeneous linear system for lambda.
+  witness: the scalings lambda are carried along the bipartite support
+  graph of the systematic form, one free scalar per connected component.
   For prime fields exhausting the coset is conclusive; for composite fields
   every field automorphism is tried as well.
 """
@@ -31,18 +32,15 @@ import hashlib
 import time
 from dataclasses import dataclass, field as dc_field
 
-import numpy as np
-
 from . import bmcanon
 from .bmcanon import (ColoredBinaryMatrix, _sigma_from_canons, canonical_form,
                       serialize)
 from .errors import BudgetExceededError, ResourceLimitError
 from .gfield import FieldSpec
-from .gfmatrix import (ALL_NONZERO_CAP, GFMatrix, all_nonzero_in_span, mat_mul,
-                       nullspace_basis, rank)
+from .gfmatrix import GFMatrix, _eliminate, mat_mul, rank
 from .lincode import (CharacteristicVector, GeneratorMatrix,
                       characteristic_vector, systematic_form)
-from .projgeom import incidence, point_table
+from .projgeom import incidence, nonzero_dot_masks, point_table
 
 COSET_CAP = 10 ** 6
 
@@ -185,84 +183,88 @@ def build_shortened(code: GeneratorMatrix) -> ColoredBinaryMatrix:
     spec = code.spec
     table = point_table(code.k, spec.q, spec.modulus)
     cols = code.columns()
-    n = code.n
-    if spec.m == 1:
-        pts = np.array(table.points, dtype=np.int64)
-        gmat = np.array(cols, dtype=np.int64).T
-        dots = (pts @ gmat) % spec.q
-        from .projgeom import _pack_bool_rows
-        masks = _pack_bool_rows(dots != 0)
-    else:
-        dot = spec.dot
-        masks = []
-        for u in table.points:
-            m = 0
-            for col in cols:
-                m = (m << 1) | (1 if dot(u, col) else 0)
-            masks.append(m)
+    masks = nonzero_dot_masks(table, cols)
     chi = characteristic_vector(code)
     col_colors = [chi.counts[table.position_of(col)] for col in cols]
-    return ColoredBinaryMatrix.from_masks(masks, n, [0] * len(masks), col_colors)
+    return ColoredBinaryMatrix.from_masks(masks, code.n, [0] * len(masks),
+                                          col_colors)
 
 
 # ---------------------------------------------------------------------------
 # lifting a coordinate permutation to a monomial witness
 
 
-def _lift_system_basis(g1: GeneratorMatrix, g2: GeneratorMatrix, sigma,
-                       rho: int):
-    """Nullspace basis of the homogeneous system every scaling vector mu
-    solving Q @ G2 == rho(G1 P_sigma D) must satisfy (G2 systematic)."""
-    spec = g1.spec
-    k, n = g1.k, g1.n
-    g1p = g1.mat.map_entries(lambda e: spec.frobenius(e, rho)) if rho else g1.mat
-    sigma_inv = _perm_inverse(sigma)
-    cols1 = g1p.columns()
-    mul, neg = spec.mul, spec.neg
-    rows = []
-    for c in range(k, n):
-        gc = cols1[sigma_inv[c]]
-        for r in range(k):
-            eq = [0] * n
-            for s in range(k):
-                coeff = mul(cols1[sigma_inv[s]][r], g2.mat.rows[s][c])
-                if coeff:
-                    eq[s] = coeff
-            eq[c] = spec.add(eq[c], neg(gc[r]))
-            rows.append(eq)
-    if rows:
-        return nullspace_basis(GFMatrix(spec, rows))
-    return [tuple(1 if i == j else 0 for i in range(n)) for j in range(n)]
+def _support_forest(e_rows, k: int, n: int):
+    """Spanning forest of the bipartite support graph of a systematic
+    (I_k | E): vertex s < k is row s, vertex c >= k is column c, and s ~ c
+    when E[s][c] != 0.  Each component is walked from its highest-numbered
+    vertex; yields (vertex, parent) in walk order, parent None at a root."""
+    seen = [False] * n
+    for root in range(n - 1, -1, -1):
+        if seen[root]:
+            continue
+        seen[root] = True
+        yield root, None
+        stack = [root]
+        while stack:
+            v = stack.pop()
+            if v < k:
+                nbrs = [c for c in range(k, n) if e_rows[v][c]]
+            else:
+                nbrs = [s for s in range(k) if e_rows[s][v]]
+            for w in nbrs:
+                if not seen[w]:
+                    seen[w] = True
+                    yield w, v
+                    stack.append(w)
 
 
 def monomial_from_sigma(g1: GeneratorMatrix, g2: GeneratorMatrix, sigma,
-                        rho: int = 0, cap: int = ALL_NONZERO_CAP):
+                        rho: int = 0):
     """Solve for (Q, lambdas) with Q @ G2 == rho(G1 P_sigma diag(lambdas)).
 
-    Requires G2 in systematic form (I_k | E).  Writing i_s = sigma^{-1}(s),
-    the first k columns force Q = (mu_1 g'_{i_1} ... mu_k g'_{i_k}) over the
-    rho-image g' of G1, and the remaining columns become a homogeneous linear
-    system in mu; a solution with every coordinate nonzero is searched in its
-    nullspace.  Returns (Q, lambdas) or None (proven absent); may raise
-    BudgetExceededError from the span search.
+    Requires G2 in systematic form (I_k | E2).  Writing A for the first k
+    columns of rho(G1) P_sigma, a lift needs A invertible; then
+    A^-1 rho(G1) P_sigma = (I_k | E1), Q = A diag(mu_0..mu_k-1), and the
+    scalings mu (lambdas = rho^-1(mu)) are exactly the all-nonzero
+    solutions of mu_s E2[s][c] == mu_c E1[s][c].  So E1 and E2 must share
+    their support, and mu is one free scalar per connected component of
+    that support's bipartite graph, set to 1 at the component's
+    highest-numbered coordinate and carried along its edges.  Returns
+    (Q, lambdas), or None when no lift exists.
     """
     spec = g1.spec
     k, n = g1.k, g1.n
     if g2.k != k or g2.n != n:
         raise ValueError("shape mismatch")
     ident = [[1 if i == j else 0 for j in range(k)] for i in range(k)]
-    if [r[:k] for r in g2.mat.rows] != ident:
+    e2 = g2.mat.rows
+    if [r[:k] for r in e2] != ident:
         raise ValueError("g2 must be systematic (I_k | E)")
     rho %= spec.m
-    basis = _lift_system_basis(g1, g2, sigma, rho)
-    mu = all_nonzero_in_span(spec, basis, cap)
-    if mu is None:
-        return None
     g1p = g1.mat.map_entries(lambda e: spec.frobenius(e, rho)) if rho else g1.mat
-    cols1 = g1p.columns()
     sigma_inv = _perm_inverse(sigma)
-    q_cols = [[spec.mul(mu[s], e) for e in cols1[sigma_inv[s]]] for s in range(k)]
-    q = GFMatrix.from_columns(spec, q_cols)
+    moved = [[row[i] for i in sigma_inv] for row in g1p.rows]
+    e1 = [list(row) for row in moved]
+    if _eliminate(spec, e1, k) != list(range(k)):
+        return None
+    if any([x != 0 for x in r1[k:]] != [x != 0 for x in r2[k:]]
+           for r1, r2 in zip(e1, e2)):
+        return None
+    mul, div = spec.mul, spec.div
+    mu = [1] * n
+    for v, p in _support_forest(e2, k, n):
+        if p is None:
+            continue
+        if v < k:
+            mu[v] = div(mul(mu[p], e1[v][p]), e2[v][p])
+        else:
+            mu[v] = div(mul(mu[p], e2[p][v]), e1[p][v])
+    for s in range(k):
+        for c in range(k, n):
+            if e2[s][c] and mul(mu[s], e2[s][c]) != mul(mu[c], e1[s][c]):
+                return None
+    q = GFMatrix(spec, [[mul(row[s], mu[s]) for s in range(k)] for row in moved])
     if rank(q) != k:
         raise RuntimeError("internal error: lifted Q is singular")
     back = (spec.m - rho) % spec.m
@@ -298,27 +300,19 @@ def _iter_group(gens, n: int, cap: int):
         frontier = nxt
 
 
-def _lift(g1: GeneratorMatrix, g2s: GeneratorMatrix, sigma, span_cap: int):
+def _lift(g1: GeneratorMatrix, g2s: GeneratorMatrix, sigma):
     """(rho, Q, lambdas) for the first field automorphism rho under which
     `sigma` lifts (Q @ g2s == rho(g1 P_sigma diag(lambdas)), g2s
-    systematic), or None when no rho lifts.  Raises BudgetExceededError only
-    when nothing lifted and some span search outgrew `span_cap`."""
-    overran = None
+    systematic), or None when no rho lifts."""
     for rho in range(g1.spec.m):
-        try:
-            lift = monomial_from_sigma(g1, g2s, sigma, rho, span_cap)
-        except BudgetExceededError as e:
-            overran = e
-            continue
+        lift = monomial_from_sigma(g1, g2s, sigma, rho)
         if lift is not None:
             return (rho, *lift)
-    if overran is not None:
-        raise overran
     return None
 
 
 def _find_lift(g1: GeneratorMatrix, g2s: GeneratorMatrix, r1, r2,
-               coset_cap: int, span_cap: int = ALL_NONZERO_CAP):
+               coset_cap: int):
     """(sigma, rho, Q, lambdas) for the first candidate permutation that
     lifts, or None when none does.
 
@@ -338,7 +332,7 @@ def _find_lift(g1: GeneratorMatrix, g2s: GeneratorMatrix, r1, r2,
             else _iter_group(r1.generators, g1.n, coset_cap))
     for tau in taus:
         sigma = _perm_compose(sigma0, tau)
-        lift = _lift(g1, g2s, sigma, span_cap)
+        lift = _lift(g1, g2s, sigma)
         if lift is not None:
             return (sigma, *lift)
     if capped:
@@ -406,8 +400,7 @@ def _systematic_parts(code: GeneratorMatrix):
 
 
 def cesimpg_equiv(c1: GeneratorMatrix, c2: GeneratorMatrix,
-                  budget: int | None = None, coset_cap: int = COSET_CAP,
-                  span_cap: int = ALL_NONZERO_CAP) -> Verdict:
+                  budget: int | None = None, coset_cap: int = COSET_CAP) -> Verdict:
     """Decide equivalence via shortened matrices plus monomial lifting.
 
     Non-isomorphic shortened matrices prove inequivalence outright.
@@ -416,9 +409,9 @@ def cesimpg_equiv(c1: GeneratorMatrix, c2: GeneratorMatrix,
     sigma0 first) are lifted in turn, trying each field automorphism;
     exhausting them proves inequivalence.  When the automorphism group
     outgrows `coset_cap`, only sigma0 is tried.  If it does not lift, or a
-    lift search outgrows its budget, or a canonical search fails, the
-    decision falls back to the canonical-form route, losing only the
-    witness.
+    canonical search fails, the decision falls back to the canonical-form
+    route, losing only the witness.  Lifting one candidate is a walk over
+    a support graph, with no budget of its own.
     """
     if not _check_comparable(c1, c2):
         return Verdict(False, "cesimpg")
@@ -426,7 +419,7 @@ def cesimpg_equiv(c1: GeneratorMatrix, c2: GeneratorMatrix,
     try:
         r1 = canonical_form(build_shortened(c1), budget)
         r2 = canonical_form(build_shortened(g2s), budget)
-        found = _find_lift(c1, g2s, r1, r2, coset_cap, span_cap)
+        found = _find_lift(c1, g2s, r1, r2, coset_cap)
     except (BudgetExceededError, ResourceLimitError):
         verdict = ceimpg_equiv(c1, c2, budget)
         return Verdict(verdict.equivalent, "ceimpg-fallback")
@@ -449,9 +442,6 @@ def decide_equivalence(c1: GeneratorMatrix, c2: GeneratorMatrix,
 # automorphism groups
 
 
-KERNEL_CAP = 10 ** 6
-
-
 @dataclass
 class AutomorphismReport:
     """Automorphism group of a code, in the code's own coordinates.
@@ -459,52 +449,23 @@ class AutomorphismReport:
     `h1_order`/`h1_generators` describe the permutation group fixing the
     shortened matrix; `lifted` holds one verified monomial automorphism per
     generator.  `kernel_order` counts the diagonal-only automorphisms (the
-    scalings fixing the code with the identity permutation); it is q-1
-    unless the code decomposes.  When every generator lifts over a prime
-    field, `order` = h1_order * kernel_order; otherwise None (`complete`
-    False; composite fields never report an order).
+    scalings fixing the code with the identity permutation): (q-1)^c for
+    the c connected components of the support graph of the systematic
+    form, so q-1 unless the code decomposes.  When every generator lifts
+    over a prime field, `order` = h1_order * kernel_order; otherwise None
+    (`complete` False; composite fields never report an order).
     """
     h1_order: int
     h1_generators: list[tuple[int, ...]]
     lifted: list[EquivalenceWitness]
     failed: list[tuple[int, ...]]
-    kernel_order: int | None
+    kernel_order: int
     order: int | None
     complete: bool
 
 
-def _diagonal_stabilizer_order(gs: GeneratorMatrix,
-                               cap: int = KERNEL_CAP) -> int | None:
-    """Number of all-nonzero scaling vectors fixing the code of `gs`
-    (systematic) with the identity permutation; None beyond `cap`."""
-    spec = gs.spec
-    basis = _lift_system_basis(gs, gs, tuple(range(gs.n)), 0)
-    d = len(basis)
-    total = spec.q ** d
-    if total > cap:
-        return None
-    count = 0
-    coeffs = [0] * d
-    for _ in range(total - 1):
-        i = 0
-        while coeffs[i] == spec.q - 1:
-            coeffs[i] = 0
-            i += 1
-        coeffs[i] += 1
-        vec = [0] * gs.n
-        for ci, c in enumerate(coeffs):
-            if c:
-                row = basis[ci]
-                for j in range(gs.n):
-                    if row[j]:
-                        vec[j] = spec.add(vec[j], spec.mul(c, row[j]))
-        if all(vec):
-            count += 1
-    return count
-
-
-def code_aut_group(code: GeneratorMatrix, budget: int | None = None,
-                   span_cap: int = ALL_NONZERO_CAP) -> AutomorphismReport:
+def code_aut_group(code: GeneratorMatrix,
+                   budget: int | None = None) -> AutomorphismReport:
     spec = code.spec
     gs, t_pre, tr = _systematic_parts(code)
     r = canonical_form(build_shortened(gs), budget)
@@ -517,16 +478,14 @@ def code_aut_group(code: GeneratorMatrix, budget: int | None = None,
         # code reaches gs by moving coordinates by perm, so tau o perm
         # lifts from code to gs exactly when tau lifts from gs to gs
         sigma = _perm_compose(tau, perm)
-        try:
-            lift = _lift(code, gs, sigma, span_cap)
-        except BudgetExceededError:
-            lift = None
+        lift = _lift(code, gs, sigma)
         if lift is None:
             failed.append(gen)
         else:
             lifted.append(_witness_from_sys(code, code, t_pre, tr, sigma, *lift))
-    kernel = _diagonal_stabilizer_order(gs)
-    complete = spec.m == 1 and not failed and kernel is not None
+    forest = _support_forest(gs.mat.rows, gs.k, gs.n)
+    kernel = (spec.q - 1) ** sum(p is None for _, p in forest)
+    complete = spec.m == 1 and not failed
     order = r.group_order * kernel if complete else None
     return AutomorphismReport(r.group_order, h1_gens_orig, lifted, failed,
                               kernel, order, complete)

@@ -1,4 +1,4 @@
-"""Dense matrices over GF(q): elimination, nullspaces, bounded span searches.
+"""Dense matrices over GF(q): elimination, ranks, inverses and nullspaces.
 
 Matrices are small (dozens of rows/columns), so everything is plain-int
 arithmetic through a FieldSpec; no external linear-algebra package understands
@@ -9,10 +9,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .errors import BudgetExceededError
 from .gfield import FieldSpec
-
-ALL_NONZERO_CAP = 10 ** 6
 
 
 class GFMatrix:
@@ -174,48 +171,3 @@ def nullspace_basis(a: GFMatrix) -> list[tuple[int, ...]]:
         basis.append(tuple(vec))
     return basis
 
-
-def all_nonzero_in_span(spec: FieldSpec, basis, cap: int = ALL_NONZERO_CAP):
-    """Search span(basis) for a vector with every coordinate nonzero.
-
-    Scaling a solution keeps it a solution, so only projective representatives
-    of the coefficient space are tried (first nonzero coefficient fixed to 1),
-    in lexicographic coefficient order; the first hit is returned.  Returns
-    None when the full space was enumerated without a hit (proven absent);
-    raises BudgetExceededError after `cap` candidates otherwise.
-    """
-    basis = [tuple(b) for b in basis]
-    dim = len(basis)
-    if dim == 0:
-        return None
-    q = spec.q
-    add, mul = spec.add, spec.mul
-    n = len(basis[0])
-    total = (q ** dim - 1) // (q - 1)
-    tried = 0
-    # lexicographic order over coefficient tuples: all tuples with a zero
-    # leading block come first, so the outer loop walks the position of the
-    # first nonzero coefficient from the back.
-    for lead in range(dim - 1, -1, -1):
-        free = dim - 1 - lead
-        for counter in range(q ** free):
-            coeffs = [0] * dim
-            coeffs[lead] = 1
-            c = counter
-            for pos in range(dim - 1, lead, -1):
-                coeffs[pos] = c % q
-                c //= q
-            vec = list(basis[lead])
-            for pos in range(lead + 1, dim):
-                cf = coeffs[pos]
-                if cf:
-                    bv = basis[pos]
-                    vec = [add(x, mul(cf, y)) for x, y in zip(vec, bv)]
-            if all(vec):
-                return tuple(vec)
-            tried += 1
-            if tried >= cap and tried < total:
-                raise BudgetExceededError(
-                    f"all-nonzero span search exceeded {cap} candidates "
-                    f"(space holds {total})")
-    return None

@@ -120,26 +120,31 @@ def _pack_bool_rows(bits: np.ndarray) -> list[int]:
             for i in range(n_rows)]
 
 
+def nonzero_dot_masks(table: PointTable, vectors) -> list[int]:
+    """One mask per point u of `table`: bit (len(vectors)-1-j) is set iff
+    u . vectors[j] != 0 (the canonicalization module's bit order)."""
+    spec = table.spec
+    if spec.m == 1:
+        pts = np.array(table.points, dtype=np.int64)
+        dots = (pts @ np.array(vectors, dtype=np.int64).T) % spec.q
+        return _pack_bool_rows(dots != 0)
+    dot = spec.dot
+    masks = []
+    for u in table.points:
+        m = 0
+        for v in vectors:
+            m = (m << 1) | (1 if dot(u, v) else 0)
+        masks.append(m)
+    return masks
+
+
 def incidence(k: int, q: int, modulus: int | None = None) -> IncidenceMatrix:
     table = point_table(k, q, modulus)
-    spec = table.spec
-    key = (k, q, spec.modulus)
+    key = (k, q, table.spec.modulus)
     cached = _INCIDENCE_CACHE.get(key)
     if cached is not None:
         return cached
-    n = len(table)
-    if spec.m == 1:
-        pts = np.array(table.points, dtype=np.int64)
-        gram = (pts @ pts.T) % q
-        masks = _pack_bool_rows(gram != 0)
-    else:
-        dot = spec.dot
-        masks = []
-        for u in table.points:
-            m = 0
-            for p in table.points:
-                m = (m << 1) | (1 if dot(u, p) else 0)
-            masks.append(m)
-    result = IncidenceMatrix(k, q, n, tuple(masks))
+    masks = nonzero_dot_masks(table, table.points)
+    result = IncidenceMatrix(k, q, len(table), tuple(masks))
     _INCIDENCE_CACHE[key] = result
     return result

@@ -1,7 +1,9 @@
 """Shared brute-force oracles, implemented independently of the library.
 
 Everything here works over prime fields with plain integer arithmetic mod q
-(no codequiv field tables), so oracle results cannot inherit library bugs.
+(no codequiv field tables), so oracle results cannot inherit library bugs;
+the one exception, `reference_monomial_from_sigma`, covers extension fields
+and borrows the library's field tables and `nullspace_basis`.
 """
 
 from __future__ import annotations
@@ -87,6 +89,48 @@ def brute_force_preserver_count(rows, q: int) -> int:
     images = np.einsum("mij,jn->min", gl, g) % q
     keys = _normalized_col_keys(images, q)
     return int((keys == target[None, :]).all(axis=1).sum())
+
+
+def reference_monomial_from_sigma(g1, g2, sigma, rho=0):
+    """The lift of `sigma` by linear algebra, as the library computed it
+    before the support-graph walk: the (n-k)k x n homogeneous system
+    Q g2_c == mu_c g'_c (c >= k) in the scalings mu, with g' the columns of
+    rho(G1) P_sigma and Q = (mu_0 g'_0 ... mu_k-1 g'_k-1), then the first
+    all-nonzero vector of its nullspace over coefficient tuples in
+    lexicographic order, leading coefficient 1.  Extension fields need the
+    library's field tables and `nullspace_basis`.  Returns (Q rows,
+    lambdas) or None; g2 must be systematic."""
+    from codequiv import GFMatrix, nullspace_basis
+    spec = g1.spec
+    k, n = g1.k, g1.n
+    inv = [0] * n
+    for i, s in enumerate(sigma):
+        inv[s] = i
+    moved = [[spec.frobenius(row[inv[s]], rho) for s in range(n)]
+             for row in g1.mat.rows]
+    eqs = []
+    for c in range(k, n):
+        for r in range(k):
+            eq = [spec.mul(moved[r][s], g2.mat.rows[s][c]) for s in range(k)]
+            eq += [0] * (n - k)
+            eq[c] = spec.neg(moved[r][c])
+            eqs.append(eq)
+    if eqs:
+        basis = nullspace_basis(GFMatrix(spec, eqs))
+    else:
+        basis = [tuple(int(i == j) for i in range(n)) for j in range(n)]
+    for coeffs in itertools.product(range(spec.q), repeat=len(basis)):
+        if next((c for c in coeffs if c), None) != 1:
+            continue
+        mu = [0] * n
+        for c, b in zip(coeffs, basis):
+            mu = [spec.add(x, spec.mul(c, y)) for x, y in zip(mu, b)]
+        if all(mu):
+            q_rows = [[spec.mul(moved[r][s], mu[s]) for s in range(k)]
+                      for r in range(k)]
+            back = (spec.m - rho) % spec.m
+            return q_rows, tuple(spec.frobenius(v, back) for v in mu)
+    return None
 
 
 def _moved_pairs(mat, gamma):

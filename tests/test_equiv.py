@@ -10,14 +10,15 @@ from codequiv import (GFMatrix, GeneratorMatrix, build_ceimpg_matrix,
                       build_shortened, canonical_form, ceimpg_equiv,
                       cesimpg_equiv, characteristic_vector, classify,
                       code_aut_group, decide_equivalence, field,
-                      monomial_from_sigma, point_table, random_code,
+                      monomial_from_sigma, point_table, random_code, rank,
                       simplex_generator, systematic_form, theta,
                       verify_witness)
 from codequiv import equiv
 from codequiv.bmcanon import _sigma_from_canons
 from codequiv.equiv import MonomialTransform, _systematic_parts
 from codequiv.errors import BudgetExceededError
-from conftest import brute_force_equivalent, brute_force_preserver_count
+from conftest import (brute_force_equivalent, brute_force_preserver_count,
+                      reference_monomial_from_sigma)
 
 G1_ROWS = [
     [1, 0, 0, 1, 2, 0],
@@ -152,6 +153,61 @@ def test_simplex_lift_census_matches_gl_order():
         if monomial_from_sigma(gs, gs, sigma) is not None:
             count += 1
     assert count == 168
+
+
+def _direct_sum(spec, parts):
+    """Block-diagonal generator matrix of the direct sum of `parts`."""
+    n = sum(p.n for p in parts)
+    rows, off = [], 0
+    for p in parts:
+        rows += [[0] * off + list(r) + [0] * (n - off - p.n) for r in p.mat.rows]
+        off += p.n
+    return GeneratorMatrix(spec, rows)
+
+
+@pytest.mark.parametrize("q", [2, 3, 4, 5, 7, 8, 9])
+def test_lift_matches_linear_system_reference(q):
+    """The support-graph walk returns exactly the (Q, lambdas) of the
+    nullspace search, or None with it, for every rho: on the coset
+    candidates of transformed pairs, on random permutations, and on direct
+    sums whose support graph has several components."""
+    spec = field(q)
+    rng = random.Random(600 + q)
+    codes = [random_code(spec, rng.randrange(5, 8), rng.randrange(2, 4),
+                         seed=rng.randrange(10 ** 6)) for _ in range(5)]
+    codes += [_direct_sum(spec, [random_code(spec, rng.randrange(2, 4), 1,
+                                             seed=rng.randrange(10 ** 6)),
+                                 random_code(spec, rng.randrange(3, 5), 2,
+                                             seed=rng.randrange(10 ** 6))])
+              for _ in range(3)]
+    hits = misses = singular = 0
+    for code in codes:
+        n, k = code.n, code.k
+        copy = GeneratorMatrix(spec, _random_transform(spec, n, rng).apply(
+            code.mat).rows)
+        gs1, gs2 = (_systematic_parts(c)[0] for c in (code, copy))
+        r1, r2 = (canonical_form(build_shortened(gs)) for gs in (gs1, gs2))
+        sigma0 = _sigma_from_canons(r1, r2)
+        sigmas = [tuple(sigma0[t] for t in tau) for tau in itertools.islice(
+            equiv._iter_group(r1.generators, n, 10 ** 6), 24)]
+        for _ in range(6):
+            perm = list(range(n))
+            rng.shuffle(perm)
+            sigmas.append(tuple(perm))
+        for g1, g2 in ((code, gs2), (gs1, gs1)):
+            for sigma in sigmas:
+                sigma_inv = [sigma.index(s) for s in range(k)]
+                lead = GFMatrix(spec, [[row[i] for i in sigma_inv]
+                                       for row in g1.mat.rows])
+                singular += rank(lead) < k
+                for rho in range(spec.m):
+                    lift = monomial_from_sigma(g1, g2, sigma, rho)
+                    want = reference_monomial_from_sigma(g1, g2, sigma, rho)
+                    got = lift and (lift[0].rows, lift[1])
+                    assert got == want, (sigma, rho)
+                    hits += got is not None
+                    misses += got is None
+    assert hits and misses and singular
 
 
 # ---------------------------------------------------------------------------
@@ -319,22 +375,36 @@ def test_aut_group_simplex_values():
         assert rep.complete and rep.order == expect
 
 
-def test_aut_group_matches_gl_preserver_census():
+@pytest.mark.parametrize("q", [3, 5, 7])
+def test_aut_group_matches_gl_preserver_census(q):
     """|Aut(C)| equals (number of GL matrices preserving the point multiset)
-    times the product of the multiplicities' factorials."""
+    times the product of the multiplicities' factorials.  The direct sums
+    have several support components, so their kernel order (q-1)^c is
+    checked too.  Random codes are checked for k = 3 only: for k = 2 some
+    generators fail to lift and no order is reported."""
     import math
-    spec = field(3)
-    cases = [GeneratorMatrix(3, G1_ROWS)]
-    cases += [random_code(spec, n, 3, seed=s) for n, s in [(6, 0), (7, 1), (7, 9)]]
+    spec = field(q)
+    k = 3 if q == 3 else 2
+    cases = [_direct_sum(spec, [random_code(spec, a, 1, seed=s),
+                                random_code(spec, b, k - 1, seed=s)])
+             for a, b, s in [(1, 2, 0), (2, 3, 1), (3, 4, 2)]]
+    if k == 3:
+        cases.append(_direct_sum(spec, [random_code(spec, a, 1, seed=a)
+                                        for a in (1, 2, 2)]))
+        cases.append(GeneratorMatrix(3, G1_ROWS))
+        cases += [random_code(spec, n, 3, seed=s) for n, s in [(6, 0), (7, 1), (7, 9)]]
+    kernels = []
     for code in cases:
         rep = code_aut_group(code)
         assert rep.complete
+        kernels.append(rep.kernel_order)
         chi = characteristic_vector(code)
         dup = 1
         for c in chi.counts:
             dup *= math.factorial(c)
-        want = brute_force_preserver_count(code.mat.rows, 3) * dup
+        want = brute_force_preserver_count(code.mat.rows, q) * dup
         assert rep.order == want
+    assert max(kernels) >= (q - 1) ** 2
 
 
 def test_aut_group_decomposable_code():

@@ -6,7 +6,7 @@ reduce to colored-binary-matrix isomorphism via point/hyperplane support
 structures, decided by a canonical-labeling search.  Explicit monomial
 witnesses (permutation, scalings, field automorphism, basis change) are
 recovered by lifting coordinate permutations along the support graph of the
-systematic generator matrix.
+second code's reduced row echelon form.
 """
 
 from .bmcanon import (CanonResult, ColoredBinaryMatrix, canonical_form,

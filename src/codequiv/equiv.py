@@ -20,8 +20,9 @@ Two decision routes are provided:
   coordinate support matrices, then lift each candidate coordinate
   permutation (an entire automorphism-group coset of them, or only the
   first one when the group outgrows the coset cap) to an explicit monomial
-  witness: the scalings lambda are carried along the bipartite support
-  graph of the systematic form, one free scalar per connected component.
+  witness against the second code's own reduced row echelon form: the
+  scalings lambda are carried along its bipartite support graph, one free
+  scalar per connected component.
   For prime fields exhausting the coset is conclusive; for composite fields
   every field automorphism is tried as well.
 """
@@ -37,9 +38,8 @@ from .bmcanon import (ColoredBinaryMatrix, _sigma_from_canons, canonical_form,
                       serialize)
 from .errors import BudgetExceededError, ResourceLimitError
 from .gfield import FieldSpec
-from .gfmatrix import GFMatrix, _eliminate, mat_mul, rank
-from .lincode import (CharacteristicVector, GeneratorMatrix,
-                      characteristic_vector, systematic_form)
+from .gfmatrix import GFMatrix, RREFResult, _eliminate, mat_mul, rank, rref
+from .lincode import CharacteristicVector, GeneratorMatrix, characteristic_vector
 from .projgeom import incidence, nonzero_dot_masks, point_table
 
 COSET_CAP = 10 ** 6
@@ -143,7 +143,8 @@ def verify_witness(c1: GeneratorMatrix, c2: GeneratorMatrix,
     """Recheck a witness from scratch against the stored matrices."""
     spec = c1.spec
     n = c1.n
-    if (len(witness.sigma) != n or sorted(witness.sigma) != list(range(n))
+    if ((c2.k, c2.n) != (c1.k, n)
+            or len(witness.sigma) != n or sorted(witness.sigma) != list(range(n))
             or len(witness.lambdas) != n or any(l == 0 for l in witness.lambdas)
             or not 0 <= witness.rho < spec.m):
         return False
@@ -194,11 +195,14 @@ def build_shortened(code: GeneratorMatrix) -> ColoredBinaryMatrix:
 # lifting a coordinate permutation to a monomial witness
 
 
-def _support_forest(e_rows, k: int, n: int):
-    """Spanning forest of the bipartite support graph of a systematic
-    (I_k | E): vertex s < k is row s, vertex c >= k is column c, and s ~ c
-    when E[s][c] != 0.  Each component is walked from its highest-numbered
-    vertex; yields (vertex, parent) in walk order, parent None at a root."""
+def _support_forest(red: RREFResult, n: int):
+    """Spanning forest of the bipartite support graph of a reduced row
+    echelon form R: pivot coordinate pivots[s] stands for row s, every other
+    coordinate c for column c, and the two are adjacent when R[s][c] != 0.
+    Each component is walked from its highest-numbered coordinate; yields
+    (coordinate, parent) in walk order, parent None at a root."""
+    rows, pivots = red.rref.rows, red.pivots
+    row_of = {p: s for s, p in enumerate(pivots)}
     seen = [False] * n
     for root in range(n - 1, -1, -1):
         if seen[root]:
@@ -208,10 +212,11 @@ def _support_forest(e_rows, k: int, n: int):
         stack = [root]
         while stack:
             v = stack.pop()
-            if v < k:
-                nbrs = [c for c in range(k, n) if e_rows[v][c]]
+            s = row_of.get(v)
+            if s is not None:
+                nbrs = [c for c in range(n) if c != v and rows[s][c]]
             else:
-                nbrs = [s for s in range(k) if e_rows[s][v]]
+                nbrs = [p for t, p in enumerate(pivots) if rows[t][v]]
             for w in nbrs:
                 if not seen[w]:
                     seen[w] = True
@@ -219,52 +224,53 @@ def _support_forest(e_rows, k: int, n: int):
                     stack.append(w)
 
 
-def monomial_from_sigma(g1: GeneratorMatrix, g2: GeneratorMatrix, sigma,
+def monomial_from_sigma(g1: GeneratorMatrix, red2: RREFResult, sigma,
                         rho: int = 0):
     """Solve for (Q, lambdas) with Q @ G2 == rho(G1 P_sigma diag(lambdas)).
 
-    Requires G2 in systematic form (I_k | E2).  Writing A for the first k
-    columns of rho(G1) P_sigma, a lift needs A invertible; then
-    A^-1 rho(G1) P_sigma = (I_k | E1), Q = A diag(mu_0..mu_k-1), and the
-    scalings mu (lambdas = rho^-1(mu)) are exactly the all-nonzero
-    solutions of mu_s E2[s][c] == mu_c E1[s][c].  So E1 and E2 must share
-    their support, and mu is one free scalar per connected component of
-    that support's bipartite graph, set to 1 at the component's
-    highest-numbered coordinate and carried along its edges.  Returns
-    (Q, lambdas), or None when no lift exists.
+    `red2` is rref(G2): T2 @ G2 == R2, with R2's identity columns at the
+    pivots p_0..p_k-1.  Writing M for rho(G1) P_sigma and A for its columns
+    at those pivots, a lift needs A invertible; then A^-1 M == E1 has the
+    same identity columns, Q = A diag(mu_p0..mu_pk-1) T2, and the scalings
+    mu (lambdas = rho^-1(mu)) are exactly the all-nonzero solutions of
+    mu_ps R2[s][c] == mu_c E1[s][c].  So E1 and R2 must share their
+    support, and mu is one free scalar per connected component of that
+    support's bipartite graph, set to 1 at the component's highest-numbered
+    coordinate and carried along its edges.  Returns (Q, lambdas), or None
+    when no lift exists.
     """
     spec = g1.spec
     k, n = g1.k, g1.n
-    if g2.k != k or g2.n != n:
+    r2, pivots = red2.rref.rows, red2.pivots
+    if red2.rref.nrows != k or red2.rref.ncols != n:
         raise ValueError("shape mismatch")
-    ident = [[1 if i == j else 0 for j in range(k)] for i in range(k)]
-    e2 = g2.mat.rows
-    if [r[:k] for r in e2] != ident:
-        raise ValueError("g2 must be systematic (I_k | E)")
     rho %= spec.m
     g1p = g1.mat.map_entries(lambda e: spec.frobenius(e, rho)) if rho else g1.mat
     sigma_inv = _perm_inverse(sigma)
     moved = [[row[i] for i in sigma_inv] for row in g1p.rows]
     e1 = [list(row) for row in moved]
-    if _eliminate(spec, e1, k) != list(range(k)):
+    if _eliminate(spec, e1, pivots) != list(pivots):
         return None
-    if any([x != 0 for x in r1[k:]] != [x != 0 for x in r2[k:]]
-           for r1, r2 in zip(e1, e2)):
+    if any([x != 0 for x in a] != [x != 0 for x in b] for a, b in zip(e1, r2)):
         return None
     mul, div = spec.mul, spec.div
+    row_of = {p: s for s, p in enumerate(pivots)}
     mu = [1] * n
-    for v, p in _support_forest(e2, k, n):
+    for v, p in _support_forest(red2, n):
         if p is None:
             continue
-        if v < k:
-            mu[v] = div(mul(mu[p], e1[v][p]), e2[v][p])
+        s = row_of.get(v)
+        if s is not None:
+            mu[v] = div(mul(mu[p], e1[s][p]), r2[s][p])
         else:
-            mu[v] = div(mul(mu[p], e2[p][v]), e1[p][v])
-    for s in range(k):
-        for c in range(k, n):
-            if e2[s][c] and mul(mu[s], e2[s][c]) != mul(mu[c], e1[s][c]):
+            s = row_of[p]
+            mu[v] = div(mul(mu[p], r2[s][v]), e1[s][v])
+    for s, p in enumerate(pivots):
+        for c in range(n):
+            if r2[s][c] and mul(mu[p], r2[s][c]) != mul(mu[c], e1[s][c]):
                 return None
-    q = GFMatrix(spec, [[mul(row[s], mu[s]) for s in range(k)] for row in moved])
+    a = GFMatrix(spec, [[mul(row[p], mu[p]) for p in pivots] for row in moved])
+    q = mat_mul(a, red2.transform)
     if rank(q) != k:
         raise RuntimeError("internal error: lifted Q is singular")
     back = (spec.m - rho) % spec.m
@@ -300,27 +306,28 @@ def _iter_group(gens, n: int, cap: int):
         frontier = nxt
 
 
-def _lift(g1: GeneratorMatrix, g2s: GeneratorMatrix, sigma):
+def _lift(g1: GeneratorMatrix, red2: RREFResult, sigma):
     """(rho, Q, lambdas) for the first field automorphism rho under which
-    `sigma` lifts (Q @ g2s == rho(g1 P_sigma diag(lambdas)), g2s
-    systematic), or None when no rho lifts."""
+    `sigma` lifts (Q @ G2 == rho(g1 P_sigma diag(lambdas)), red2 = rref(G2)),
+    or None when no rho lifts."""
     for rho in range(g1.spec.m):
-        lift = monomial_from_sigma(g1, g2s, sigma, rho)
+        lift = monomial_from_sigma(g1, red2, sigma, rho)
         if lift is not None:
             return (rho, *lift)
     return None
 
 
-def _find_lift(g1: GeneratorMatrix, g2s: GeneratorMatrix, r1, r2,
+def _find_lift(g1: GeneratorMatrix, red2: RREFResult, r1, r2,
                coset_cap: int):
     """(sigma, rho, Q, lambdas) for the first candidate permutation that
-    lifts, or None when none does.
+    lifts onto red2 = rref(G2), or None when none does.
 
     `r1`, `r2` are the canonical forms of the shortened matrices of g1 and
-    g2s.  The candidates are sigma0 o tau, where sigma0 maps the first
-    matrix onto the second and tau runs over its automorphism group,
-    identity first; they are all of the permutations carrying the first
-    matrix onto the second, so None proves that no monomial map exists.
+    G2, each in its code's own coordinates.  The candidates are
+    sigma0 o tau, where sigma0 maps the first matrix onto the second and
+    tau runs over its automorphism group, identity first; they are all of
+    the permutations carrying the first matrix onto the second, so None
+    proves that no monomial map exists.
     When the group is larger than `coset_cap`, only sigma0 is tried, and
     BudgetExceededError is raised if it does not lift.
     """
@@ -332,7 +339,7 @@ def _find_lift(g1: GeneratorMatrix, g2s: GeneratorMatrix, r1, r2,
             else _iter_group(r1.generators, g1.n, coset_cap))
     for tau in taus:
         sigma = _perm_compose(sigma0, tau)
-        lift = _lift(g1, g2s, sigma)
+        lift = _lift(g1, red2, sigma)
         if lift is not None:
             return (sigma, *lift)
     if capped:
@@ -365,38 +372,13 @@ def ceimpg_equiv(c1: GeneratorMatrix, c2: GeneratorMatrix,
     return Verdict(sigma is not None, "ceimpg")
 
 
-def _witness_from_sys(c1: GeneratorMatrix, c2: GeneratorMatrix,
-                      t_pre2: MonomialTransform, tr2: GFMatrix,
-                      sigma, rho: int, q: GFMatrix, lambdas) -> EquivalenceWitness:
-    """Translate a witness against systematized c2 back to c2's coordinates."""
-    spec = c1.spec
-    t_sys = MonomialTransform(spec, tuple(sigma), tuple(lambdas), rho)
-    w_t = t_sys.then(t_pre2.inverse())
-    q_w = mat_mul(q, tr2)
-    witness = EquivalenceWitness(w_t.sigma, w_t.lambdas, w_t.rho, q_w)
+def _witness(c1: GeneratorMatrix, c2: GeneratorMatrix, sigma, rho: int,
+             q: GFMatrix, lambdas) -> EquivalenceWitness:
+    """The witness of a lift of c1 onto rref(c2), rechecked from scratch."""
+    witness = EquivalenceWitness(tuple(sigma), tuple(lambdas), rho, q)
     if not verify_witness(c1, c2, witness):
         raise RuntimeError("internal error: assembled witness failed verification")
     return witness
-
-
-def _systematic_parts(code: GeneratorMatrix):
-    """Systematic form plus the exact transform connecting it to `code`.
-
-    Returns (gs, t_pre, tr) with gs.mat == tr @ t_pre.apply(code.mat).
-    """
-    gs, perm, tr = systematic_form(code)
-    spec = code.spec
-    x = mat_mul(tr, code.mat)
-    inv_perm = _perm_inverse(perm)
-    lams = []
-    for s in range(code.n):
-        col = x.col(inv_perm[s])
-        lead = next(e for e in col if e)
-        lams.append(spec.inv(lead))
-    t_pre = MonomialTransform(spec, perm, tuple(lams), 0)
-    if mat_mul(tr, t_pre.apply(code.mat)) != gs.mat:
-        raise RuntimeError("internal error: systematic transform mismatch")
-    return gs, t_pre, tr
 
 
 def cesimpg_equiv(c1: GeneratorMatrix, c2: GeneratorMatrix,
@@ -410,23 +392,21 @@ def cesimpg_equiv(c1: GeneratorMatrix, c2: GeneratorMatrix,
     exhausting them proves inequivalence.  When the automorphism group
     outgrows `coset_cap`, only sigma0 is tried.  If it does not lift, or a
     canonical search fails, the decision falls back to the canonical-form
-    route, losing only the witness.  Lifting one candidate is a walk over
-    a support graph, with no budget of its own.
+    route, losing only the witness.  Lifting one candidate onto rref(c2)
+    is a walk over its support graph, with no budget of its own.
     """
     if not _check_comparable(c1, c2):
         return Verdict(False, "cesimpg")
-    g2s, t_pre2, tr2 = _systematic_parts(c2)
     try:
         r1 = canonical_form(build_shortened(c1), budget)
-        r2 = canonical_form(build_shortened(g2s), budget)
-        found = _find_lift(c1, g2s, r1, r2, coset_cap)
+        r2 = canonical_form(build_shortened(c2), budget)
+        found = _find_lift(c1, rref(c2.mat), r1, r2, coset_cap)
     except (BudgetExceededError, ResourceLimitError):
         verdict = ceimpg_equiv(c1, c2, budget)
         return Verdict(verdict.equivalent, "ceimpg-fallback")
     if found is None:
         return Verdict(False, "cesimpg")
-    witness = _witness_from_sys(c1, c2, t_pre2, tr2, *found)
-    return Verdict(True, "cesimpg", witness)
+    return Verdict(True, "cesimpg", _witness(c1, c2, *found))
 
 
 def decide_equivalence(c1: GeneratorMatrix, c2: GeneratorMatrix,
@@ -448,12 +428,13 @@ class AutomorphismReport:
 
     `h1_order`/`h1_generators` describe the permutation group fixing the
     shortened matrix; `lifted` holds one verified monomial automorphism per
-    generator.  `kernel_order` counts the diagonal-only automorphisms (the
-    scalings fixing the code with the identity permutation): (q-1)^c for
-    the c connected components of the support graph of the systematic
-    form, so q-1 unless the code decomposes.  When every generator lifts
-    over a prime field, `order` = h1_order * kernel_order; otherwise None
-    (`complete` False; composite fields never report an order).
+    generator that lifts onto the code's rref, and `failed` the others.
+    `kernel_order` counts the diagonal-only automorphisms (the scalings
+    fixing the code with the identity permutation): (q-1)^c for the c
+    connected components of the support graph of the rref, so q-1 unless
+    the code decomposes.  When every generator lifts over a prime field,
+    `order` = h1_order * kernel_order; otherwise None (`complete` False;
+    composite fields never report an order).
     """
     h1_order: int
     h1_generators: list[tuple[int, ...]]
@@ -467,27 +448,21 @@ class AutomorphismReport:
 def code_aut_group(code: GeneratorMatrix,
                    budget: int | None = None) -> AutomorphismReport:
     spec = code.spec
-    gs, t_pre, tr = _systematic_parts(code)
-    r = canonical_form(build_shortened(gs), budget)
-    perm, perm_inv = t_pre.sigma, _perm_inverse(t_pre.sigma)
-    h1_gens_orig = [
-        _perm_compose(perm_inv, _perm_compose(tau, perm)) for tau in r.generators]
+    r = canonical_form(build_shortened(code), budget)
+    red = rref(code.mat)
     lifted: list[EquivalenceWitness] = []
     failed: list[tuple[int, ...]] = []
-    for tau, gen in zip(r.generators, h1_gens_orig):
-        # code reaches gs by moving coordinates by perm, so tau o perm
-        # lifts from code to gs exactly when tau lifts from gs to gs
-        sigma = _perm_compose(tau, perm)
-        lift = _lift(code, gs, sigma)
+    for tau in r.generators:
+        lift = _lift(code, red, tau)
         if lift is None:
-            failed.append(gen)
+            failed.append(tau)
         else:
-            lifted.append(_witness_from_sys(code, code, t_pre, tr, sigma, *lift))
-    forest = _support_forest(gs.mat.rows, gs.k, gs.n)
+            lifted.append(_witness(code, code, tau, *lift))
+    forest = _support_forest(red, code.n)
     kernel = (spec.q - 1) ** sum(p is None for _, p in forest)
     complete = spec.m == 1 and not failed
     order = r.group_order * kernel if complete else None
-    return AutomorphismReport(r.group_order, h1_gens_orig, lifted, failed,
+    return AutomorphismReport(r.group_order, r.generators, lifted, failed,
                               kernel, order, complete)
 
 
@@ -523,15 +498,14 @@ def _ceimpg_key(code: GeneratorMatrix, budget) -> str:
 
 
 def _code_key(code: GeneratorMatrix, mode: str, budget):
-    """(key, entry, error) of one code.  `entry` is the (systematic form,
+    """(key, entry, error) of one code.  `entry` is the (RREFResult,
     CanonResult) pair the cesimpg resolver reuses, None for ceimpg; a
     per-item failure sets only `error`."""
     try:
         if mode == "ceimpg":
             return _ceimpg_key(code, budget), None, None
-        gs = _systematic_parts(code)[0]
-        canon = canonical_form(build_shortened(gs), budget)
-        return serialize(canon.matrix), (gs, canon), None
+        canon = canonical_form(build_shortened(code), budget)
+        return serialize(canon.matrix), (rref(code.mat), canon), None
     except (BudgetExceededError, ResourceLimitError) as e:
         return None, None, f"{type(e).__name__}: {e}"
 
@@ -546,7 +520,8 @@ def _pool_init(q, modulus, mode, budget):
 
 
 def _pool_key(item):
-    """Key one (index, rows) item; an entry travels back as (rows, canon)."""
+    """Key one (index, rows) item; an entry travels back as (rref rows,
+    pivots, transform rows, canon)."""
     idx, rows = item
     st = _POOL_STATE
     try:
@@ -554,7 +529,10 @@ def _pool_key(item):
     except ValueError as e:
         return idx, None, None, f"{type(e).__name__}: {e}"
     key, entry, msg = _code_key(code, st["mode"], st["budget"])
-    return idx, key, entry and (entry[0].mat.rows, entry[1]), msg
+    if entry is not None:
+        red, canon = entry
+        entry = red.rref.rows, red.pivots, red.transform.rows, canon
+    return idx, key, entry, msg
 
 
 def _batch_keys(codes, mode, budget, jobs, canon_cache):
@@ -567,9 +545,13 @@ def _batch_keys(codes, mode, budget, jobs, canon_cache):
         with mp.Pool(jobs, initializer=_pool_init,
                      initargs=(spec.q, spec.modulus, mode, budget)) as pool:
             chunk = max(1, len(items) // (jobs * 8))
-            keyed = [(i, key, e and (GeneratorMatrix(spec, e[0]), e[1]), msg)
-                     for i, key, e, msg
-                     in pool.imap(_pool_key, items, chunksize=chunk)]
+            keyed = []
+            for i, key, e, msg in pool.imap(_pool_key, items, chunksize=chunk):
+                if e is not None:
+                    rows, pivots, transform, canon = e
+                    e = (RREFResult(GFMatrix(spec, rows), len(pivots), pivots,
+                                    GFMatrix(spec, transform)), canon)
+                keyed.append((i, key, e, msg))
     else:
         keyed = [(i, *_code_key(code, mode, budget))
                  for i, code in enumerate(codes)]
@@ -581,8 +563,8 @@ def _batch_keys(codes, mode, budget, jobs, canon_cache):
 
 class _PairResolver:
     """Verdict-only equivalence tests within a shortened-key bucket, reusing
-    each code's systematic form and canonical data (`canon_cache`, which
-    holds an entry for every keyed code) across pairs."""
+    each code's rref and canonical data (`canon_cache`, which holds an
+    entry for every keyed code) across pairs."""
 
     def __init__(self, codes, budget, coset_cap, canon_cache):
         self.codes = codes
@@ -606,10 +588,11 @@ class _PairResolver:
         return key
 
     def equivalent(self, a: int, b: int) -> bool:
-        gsa, ra = self.canon[a]
-        gsb, rb = self.canon[b]
+        ra = self.canon[a][1]
+        red_b, rb = self.canon[b]
         try:
-            return _find_lift(gsa, gsb, ra, rb, self.coset_cap) is not None
+            return _find_lift(self.codes[a], red_b, ra, rb,
+                              self.coset_cap) is not None
         except BudgetExceededError:
             return self._ceimpg_key_of(a) == self._ceimpg_key_of(b)
 
@@ -637,56 +620,29 @@ def classify(codes, algo: str = "ceimpg", budget: int | None = None,
     canon_cache: dict[int, tuple] = {}
     keyed = _batch_keys(codes, mode, budget, jobs, canon_cache)
     errors = [(i, msg) for i, _, msg in keyed if msg]
+    # a ceimpg key is a complete invariant: its bucket holds one class
+    resolver = (None if mode == "ceimpg"
+                else _PairResolver(codes, budget, coset_cap, canon_cache))
+    buckets: dict[str, list[CodeClass]] = {}
     classes: list[CodeClass] = []
     keys: list[str] = []
-    if mode == "ceimpg":
-        by_key: dict[str, CodeClass] = {}
-        for i, key, msg in keyed:
-            if msg:
-                continue
-            cls = by_key.get(key)
-            if cls is None:
-                cls = CodeClass(i, [i], _short_digest(key))
-                by_key[key] = cls
-                classes.append(cls)
-                keys.append(key)
-            else:
-                cls.members.append(i)
-    else:
-        resolver = _PairResolver(codes, budget, coset_cap, canon_cache)
-        buckets: dict[str, list[int]] = {}
-        for i, key, msg in keyed:
-            if msg:
-                continue
-            buckets.setdefault(key, []).append(i)
-        reps_by_bucket: dict[str, list[int]] = {}
-        placement: dict[int, CodeClass] = {}
-        for i, key, msg in keyed:
-            if msg:
-                continue
-            if len(buckets[key]) == 1:
-                classes.append(CodeClass(i, [i], _short_digest(key)))
-                keys.append(key)
-                continue
-            reps = reps_by_bucket.setdefault(key, [])
-            joined = None
-            try:
-                for rep in reps:
-                    if resolver.equivalent(rep, i):
-                        joined = placement[rep]
-                        break
-            except (BudgetExceededError, ResourceLimitError) as e:
-                # the pair's ceimpg fallback failed: code i stays unplaced
-                errors.append((i, f"{type(e).__name__}: {e}"))
-                continue
-            if joined is None:
-                cls = CodeClass(i, [i], _short_digest(key))
-                classes.append(cls)
-                keys.append(key)
-                reps.append(i)
-                placement[i] = cls
-            else:
-                joined.members.append(i)
+    for i, key, msg in keyed:
+        if msg:
+            continue
+        bucket = buckets.setdefault(key, [])
+        try:
+            joined = next((cls for cls in bucket if resolver is None
+                           or resolver.equivalent(cls.representative, i)), None)
+        except (BudgetExceededError, ResourceLimitError) as e:
+            # the pair's ceimpg fallback failed: code i stays unplaced
+            errors.append((i, f"{type(e).__name__}: {e}"))
+            continue
+        if joined is None:
+            joined = CodeClass(i, [], _short_digest(key))
+            bucket.append(joined)
+            classes.append(joined)
+            keys.append(key)
+        joined.members.append(i)
     errors.sort()
     digest = hashlib.sha256("\n\n".join(sorted(keys)).encode()).hexdigest()
     elapsed = time.perf_counter() - start

@@ -105,14 +105,14 @@ class RREFResult:
     transform: GFMatrix
 
 
-def _eliminate(spec: FieldSpec, rows: list[list[int]], width: int) -> list[int]:
-    """Gauss-Jordan on `rows` in place, pivoting only in the first `width`
-    columns; returns the pivot columns."""
+def _eliminate(spec: FieldSpec, rows: list[list[int]], cols) -> list[int]:
+    """Gauss-Jordan on `rows` in place, trying the candidate pivot columns
+    `cols` in order; returns the pivot columns."""
     add, mul, neg, inv = spec.add, spec.mul, spec.neg, spec.inv
     n = len(rows)
     pivots = []
     r = 0
-    for c in range(width):
+    for c in cols:
         if r == n:
             break
         pivot = next((i for i in range(r, n) if rows[i][c]), None)
@@ -136,13 +136,13 @@ def rref(a: GFMatrix) -> RREFResult:
     n, m = a.nrows, a.ncols
     rows = [list(row) + [1 if i == j else 0 for j in range(n)]
             for i, row in enumerate(a.rows)]
-    pivots = _eliminate(a.spec, rows, m)
+    pivots = _eliminate(a.spec, rows, range(m))
     return RREFResult(GFMatrix(a.spec, [row[:m] for row in rows]), len(pivots),
                       tuple(pivots), GFMatrix(a.spec, [row[m:] for row in rows]))
 
 
 def rank(a: GFMatrix) -> int:
-    return len(_eliminate(a.spec, [list(row) for row in a.rows], a.ncols))
+    return len(_eliminate(a.spec, [list(row) for row in a.rows], range(a.ncols)))
 
 
 def inverse(a: GFMatrix) -> GFMatrix:
@@ -158,7 +158,7 @@ def nullspace_basis(a: GFMatrix) -> list[tuple[int, ...]]:
     """Basis of the right nullspace {x : A x = 0}, one vector per free column."""
     spec = a.spec
     rows = [list(row) for row in a.rows]
-    pivots = _eliminate(spec, rows, a.ncols)
+    pivots = _eliminate(spec, rows, range(a.ncols))
     pivot_set = set(pivots)
     basis = []
     for f in range(a.ncols):

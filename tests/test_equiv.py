@@ -11,11 +11,11 @@ from codequiv import (GFMatrix, GeneratorMatrix, build_ceimpg_matrix,
                       cesimpg_equiv, characteristic_vector, classify,
                       code_aut_group, decide_equivalence, field,
                       monomial_from_sigma, point_table, random_code, rank,
-                      simplex_generator, systematic_form, theta,
-                      verify_witness)
+                      rref, serialize, simplex_generator, systematic_form,
+                      theta, verify_witness)
 from codequiv import equiv
 from codequiv.bmcanon import _sigma_from_canons
-from codequiv.equiv import MonomialTransform, _systematic_parts
+from codequiv.equiv import MonomialTransform
 from codequiv.errors import BudgetExceededError
 from conftest import (brute_force_equivalent, brute_force_preserver_count,
                       reference_monomial_from_sigma)
@@ -114,7 +114,7 @@ def test_lift_on_worked_example():
     g1 = GeneratorMatrix(3, G1_ROWS)
     g2 = GeneratorMatrix(3, G2_ROWS)
     sigma = (0, 2, 3, 1, 4, 5)  # the 3-cycle moving coordinates 2->3->4->2
-    lift = monomial_from_sigma(g1, g2, sigma)
+    lift = monomial_from_sigma(g1, rref(g2.mat), sigma)
     assert lift is not None
     q_mat, lambdas = lift
     t = MonomialTransform(field(3), sigma, lambdas, 0)
@@ -125,20 +125,21 @@ def test_lift_on_worked_example():
 def test_lift_identity_on_self():
     spec = field(3)
     code = random_code(spec, 8, 3, seed=4)
-    gs, _, _ = systematic_form(code)
-    lift = monomial_from_sigma(gs, gs, tuple(range(8)))
+    lift = monomial_from_sigma(code, rref(code.mat), tuple(range(8)))
     assert lift is not None
     q_mat, lambdas = lift
     assert all(l != 0 for l in lambdas)
 
 
-def test_lift_requires_systematic_second_argument():
+def test_lift_shape_mismatch_raises():
     g1 = GeneratorMatrix(3, G1_ROWS)
-    non_sys = GeneratorMatrix(3, [[0, 1, 1, 1, 0, 0],
-                                  [1, 0, 1, 2, 0, 0],
-                                  [0, 0, 0, 0, 1, 1]])
+    spec = field(3)
     with pytest.raises(ValueError):
-        monomial_from_sigma(g1, non_sys, tuple(range(6)))
+        monomial_from_sigma(g1, rref(random_code(spec, 6, 2, seed=0).mat),
+                            tuple(range(6)))
+    with pytest.raises(ValueError):
+        monomial_from_sigma(g1, rref(random_code(spec, 7, 3, seed=0).mat),
+                            tuple(range(6)))
 
 
 def test_simplex_lift_census_matches_gl_order():
@@ -147,10 +148,10 @@ def test_simplex_lift_census_matches_gl_order():
     each invertible map realizes exactly one permutation here."""
     g = simplex_generator(3, 2)
     code = GeneratorMatrix(2, g.rows)
-    gs, _, _ = systematic_form(code)
+    red = rref(code.mat)
     count = 0
     for sigma in itertools.permutations(range(7)):
-        if monomial_from_sigma(gs, gs, sigma) is not None:
+        if monomial_from_sigma(code, red, sigma) is not None:
             count += 1
     assert count == 168
 
@@ -185,7 +186,7 @@ def test_lift_matches_linear_system_reference(q):
         n, k = code.n, code.k
         copy = GeneratorMatrix(spec, _random_transform(spec, n, rng).apply(
             code.mat).rows)
-        gs1, gs2 = (_systematic_parts(c)[0] for c in (code, copy))
+        gs1, gs2 = (systematic_form(c)[0] for c in (code, copy))
         r1, r2 = (canonical_form(build_shortened(gs)) for gs in (gs1, gs2))
         sigma0 = _sigma_from_canons(r1, r2)
         sigmas = [tuple(sigma0[t] for t in tau) for tau in itertools.islice(
@@ -201,7 +202,7 @@ def test_lift_matches_linear_system_reference(q):
                                        for row in g1.mat.rows])
                 singular += rank(lead) < k
                 for rho in range(spec.m):
-                    lift = monomial_from_sigma(g1, g2, sigma, rho)
+                    lift = monomial_from_sigma(g1, rref(g2.mat), sigma, rho)
                     want = reference_monomial_from_sigma(g1, g2, sigma, rho)
                     got = lift and (lift[0].rows, lift[1])
                     assert got == want, (sigma, rho)
@@ -341,6 +342,9 @@ def test_witness_tampering_detected(worked_pair):
     bad_q = dataclasses.replace(
         w, q_matrix=GFMatrix(spec, [[1, 0, 0], [0, 1, 0], [0, 0, 1]]))
     assert not verify_witness(c1, c2, bad_q)
+    # a second code of another shape: mismatched k, then mismatched n
+    assert not verify_witness(c1, random_code(spec, 6, 2, seed=1), w)
+    assert not verify_witness(c1, random_code(spec, 7, 3, seed=1), w)
 
 
 def test_budget_error_propagates_after_both_routes():
@@ -354,14 +358,21 @@ def test_budget_error_propagates_after_both_routes():
         ceimpg_equiv(c1, c2, budget=0)
 
 
-def test_systematic_parts_identity():
-    from codequiv.gfmatrix import mat_mul
-    for q in (2, 3, 4):
-        spec = field(q)
-        for seed in range(8):
-            code = random_code(spec, 7, 3, seed=seed)
-            gs, t_pre, tr = _systematic_parts(code)
-            assert mat_mul(tr, t_pre.apply(code.mat)) == gs.mat
+@pytest.mark.parametrize("q", [2, 3, 4, 5, 7, 8, 9])
+def test_shortened_key_and_group_order_match_systematic_form(q):
+    """Row operations and a column move only relabel the rows and columns
+    of the shortened matrix, so a code and its systematic form share their
+    canonical key and automorphism group order."""
+    spec = field(q)
+    rng = random.Random(700 + q)
+    for _ in range(6):
+        k = rng.randrange(2, 4)
+        code = random_code(spec, rng.randrange(k + 2, k + 6), k,
+                           seed=rng.randrange(10 ** 6))
+        gs = systematic_form(code)[0]
+        r, rs = (canonical_form(build_shortened(c)) for c in (code, gs))
+        assert serialize(r.matrix) == serialize(rs.matrix)
+        assert r.group_order == rs.group_order
 
 
 # ---------------------------------------------------------------------------
@@ -526,12 +537,23 @@ def test_classify_classes_ordered_by_first_appearance():
     assert result.classes[1].representative == 1
 
 
+def test_classify_bucket_with_several_classes():
+    """Three shortened-key buckets of two inequivalent codes each: the
+    cesimpg route must tell the bucket members apart by lifting."""
+    spec = field(5)
+    codes = [random_code(spec, 6, 3, seed=s) for s in (0, 1, 4, 32, 12, 38)]
+    for algo in ("ceimpg", "cesimpg"):
+        result = classify(codes, algo=algo)
+        assert [c.members for c in result.classes] == [[i] for i in range(6)]
+    assert len(set(result._keys)) == 3
+
+
 def _sigma0_lifts(c1, c2):
     """Whether the first isomorphism found between the shortened matrices of
-    the two codes' systematic forms lifts to a monomial map (prime field)."""
-    gs1, gs2 = (_systematic_parts(c)[0] for c in (c1, c2))
-    r1, r2 = (canonical_form(build_shortened(gs)) for gs in (gs1, gs2))
-    return monomial_from_sigma(gs1, gs2, _sigma_from_canons(r1, r2)) is not None
+    the two codes lifts to a monomial map onto rref(c2) (prime field)."""
+    r1, r2 = (canonical_form(build_shortened(c)) for c in (c1, c2))
+    return monomial_from_sigma(c1, rref(c2.mat),
+                               _sigma_from_canons(r1, r2)) is not None
 
 
 def _fallback_pair():

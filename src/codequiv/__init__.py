@@ -3,7 +3,8 @@
 Codes are handled through their multisets of projective points: each
 generator-matrix column is a point of PG(k-1, q), and equivalence questions
 reduce to colored-binary-matrix isomorphism via point/hyperplane support
-structures, decided by a canonical-labeling search.  Explicit monomial
+structures, decided by a canonical-labeling search (on the dual code when
+2k > n, which shrinks PG(k-1, q) to PG(n-k-1, q)).  Explicit monomial
 witnesses (permutation, scalings, field automorphism, basis change) are
 recovered by lifting coordinate permutations along the support graph of the
 second code's reduced row echelon form.

@@ -25,6 +25,15 @@ Two decision routes are provided:
   scalar per connected component.
   For prime fields exhausting the coset is conclusive; for composite fields
   every field automorphism is tried as well.
+
+Both binary matrices have theta(k) = (q^k - 1)/(q - 1) rows or columns, so
+for a high-rate code (2k > n) they are built from its dual instead, which
+has dimension n - k (`_side` names the exceptions).  C1 ~ C2 exactly when
+C1^perp ~ C2^perp under the same coordinate permutation and field
+automorphism, so the dual's canonical forms yield the same candidate
+permutations and the same permutation group.  Lifting, witnesses and the
+diagonal kernel always stay on the codes themselves and their own reduced
+row echelon forms.
 """
 
 from __future__ import annotations
@@ -38,7 +47,8 @@ from .bmcanon import (ColoredBinaryMatrix, _sigma_from_canons, canonical_form,
                       serialize)
 from .errors import BudgetExceededError, ResourceLimitError
 from .gfield import FieldSpec
-from .gfmatrix import GFMatrix, RREFResult, _eliminate, mat_mul, rank, rref
+from .gfmatrix import (GFMatrix, RREFResult, _eliminate, mat_mul,
+                       nullspace_basis, rank, rref)
 from .lincode import CharacteristicVector, GeneratorMatrix, characteristic_vector
 from .projgeom import incidence, nonzero_dot_masks, point_table
 
@@ -143,13 +153,13 @@ def verify_witness(c1: GeneratorMatrix, c2: GeneratorMatrix,
     """Recheck a witness from scratch against the stored matrices."""
     spec = c1.spec
     n = c1.n
-    if ((c2.k, c2.n) != (c1.k, n)
+    if (c2.spec != spec or (c2.k, c2.n) != (c1.k, n)
             or len(witness.sigma) != n or sorted(witness.sigma) != list(range(n))
             or len(witness.lambdas) != n or any(l == 0 for l in witness.lambdas)
             or not 0 <= witness.rho < spec.m):
         return False
     q = witness.q_matrix
-    if q.nrows != c1.k or q.ncols != c1.k or rank(q) != c1.k:
+    if q.spec != spec or q.nrows != c1.k or q.ncols != c1.k or rank(q) != c1.k:
         return False
     lhs = mat_mul(q, c2.mat)
     rhs = witness.transform(spec).apply(c1.mat)
@@ -158,6 +168,27 @@ def verify_witness(c1: GeneratorMatrix, c2: GeneratorMatrix,
 
 # ---------------------------------------------------------------------------
 # binary matrices fed to the canonicalizer
+
+
+def _side(code: GeneratorMatrix) -> GeneratorMatrix:
+    """The code whose binary matrices get canonicalized in place of `code`.
+
+    This is the dual when 2k > n, so the point table has theta(n - k)
+    points instead of theta(k).  It stays `code` when the dual has a zero
+    column (`code` holds a weight-1 word; k = n leaves no dual at all), and
+    when the dual would have dimension 2 over q > 3: the incidence of
+    PG(1, q) is a matching, whose group Sym(q+1) is PGL(2, q) only for
+    q <= 3, so there the ceimpg key would lose completeness (q >= 5) and the
+    shortened matrix would gain automorphisms that do not lift.
+    The choice depends only on (n, k, q) and the minimum distance being 1,
+    so equivalent codes always take the same side.
+    """
+    if 2 * code.k <= code.n or (code.n - code.k == 2 and code.q > 3):
+        return code
+    basis = nullspace_basis(code.mat)
+    if not basis or not all(any(col) for col in zip(*basis)):
+        return code
+    return GeneratorMatrix(code.spec, basis)
 
 
 def build_ceimpg_matrix(chi: CharacteristicVector) -> ColoredBinaryMatrix:
@@ -322,12 +353,12 @@ def _find_lift(g1: GeneratorMatrix, red2: RREFResult, r1, r2,
     """(sigma, rho, Q, lambdas) for the first candidate permutation that
     lifts onto red2 = rref(G2), or None when none does.
 
-    `r1`, `r2` are the canonical forms of the shortened matrices of g1 and
-    G2, each in its code's own coordinates.  The candidates are
-    sigma0 o tau, where sigma0 maps the first matrix onto the second and
-    tau runs over its automorphism group, identity first; they are all of
-    the permutations carrying the first matrix onto the second, so None
-    proves that no monomial map exists.
+    `r1`, `r2` are the canonical forms of the shortened matrices of the
+    sides (`_side`) of g1 and G2, each in its code's own coordinates.  The
+    candidates are sigma0 o tau, where sigma0 maps the first matrix onto
+    the second and tau runs over its automorphism group, identity first;
+    they are all of the permutations carrying the first matrix onto the
+    second, so None proves that no monomial map exists.
     When the group is larger than `coset_cap`, only sigma0 is tried, and
     BudgetExceededError is raised if it does not lift.
     """
@@ -353,21 +384,27 @@ def _find_lift(g1: GeneratorMatrix, red2: RREFResult, r1, r2,
 # decision procedures
 
 
-def _check_comparable(c1: GeneratorMatrix, c2: GeneratorMatrix) -> bool:
-    """True when shapes allow equivalence; raises on mismatched fields."""
+def _comparable_sides(c1: GeneratorMatrix, c2: GeneratorMatrix):
+    """The sides (`_side`) of two codes whose shapes and sides allow
+    equivalence, else None; raises on mismatched fields."""
     if c1.spec != c2.spec:
         raise ValueError("codes live over different fields")
-    return c1.n == c2.n and c1.k == c2.k
+    if (c1.n, c1.k) != (c2.n, c2.k):
+        return None
+    s1, s2 = _side(c1), _side(c2)
+    return (s1, s2) if s1.k == s2.k else None
 
 
 def ceimpg_equiv(c1: GeneratorMatrix, c2: GeneratorMatrix,
                  budget: int | None = None) -> Verdict:
     """Decide equivalence by canonical forms of the multiplicity-extended
-    incidence matrices.  Complete invariant; produces no monomial witness."""
-    if not _check_comparable(c1, c2):
+    incidence matrices of the codes' sides (their duals when 2k > n).
+    Complete invariant, except on sides of dimension 2 over q >= 5, whose
+    incidence is a matching; produces no monomial witness."""
+    sides = _comparable_sides(c1, c2)
+    if sides is None:
         return Verdict(False, "ceimpg")
-    m1 = build_ceimpg_matrix(characteristic_vector(c1))
-    m2 = build_ceimpg_matrix(characteristic_vector(c2))
+    m1, m2 = (build_ceimpg_matrix(characteristic_vector(s)) for s in sides)
     sigma = bmcanon.is_isomorphic(m1, m2, budget)
     return Verdict(sigma is not None, "ceimpg")
 
@@ -385,7 +422,10 @@ def cesimpg_equiv(c1: GeneratorMatrix, c2: GeneratorMatrix,
                   budget: int | None = None, coset_cap: int = COSET_CAP) -> Verdict:
     """Decide equivalence via shortened matrices plus monomial lifting.
 
-    Non-isomorphic shortened matrices prove inequivalence outright.
+    The shortened matrices are those of the codes' sides (`_side`: the
+    duals when 2k > n); lifting and the witness are on c1 and c2 themselves.
+    Codes on different sides, or with non-isomorphic shortened matrices,
+    are inequivalent outright.
     Otherwise the candidate permutations (one isomorphism sigma0 composed
     with each element of the automorphism group of the first matrix,
     sigma0 first) are lifted in turn, trying each field automorphism;
@@ -395,11 +435,11 @@ def cesimpg_equiv(c1: GeneratorMatrix, c2: GeneratorMatrix,
     route, losing only the witness.  Lifting one candidate onto rref(c2)
     is a walk over its support graph, with no budget of its own.
     """
-    if not _check_comparable(c1, c2):
+    sides = _comparable_sides(c1, c2)
+    if sides is None:
         return Verdict(False, "cesimpg")
     try:
-        r1 = canonical_form(build_shortened(c1), budget)
-        r2 = canonical_form(build_shortened(c2), budget)
+        r1, r2 = (canonical_form(build_shortened(s), budget) for s in sides)
         found = _find_lift(c1, rref(c2.mat), r1, r2, coset_cap)
     except (BudgetExceededError, ResourceLimitError):
         verdict = ceimpg_equiv(c1, c2, budget)
@@ -427,7 +467,9 @@ class AutomorphismReport:
     """Automorphism group of a code, in the code's own coordinates.
 
     `h1_order`/`h1_generators` describe the permutation group fixing the
-    shortened matrix; `lifted` holds one verified monomial automorphism per
+    shortened matrix of the code's side (`_side`: its dual when 2k > n,
+    whose monomial automorphisms move coordinates the same way); `lifted`
+    holds one verified monomial automorphism of the code itself per
     generator that lifts onto the code's rref, and `failed` the others.
     `kernel_order` counts the diagonal-only automorphisms (the scalings
     fixing the code with the identity permutation): (q-1)^c for the c
@@ -447,8 +489,11 @@ class AutomorphismReport:
 
 def code_aut_group(code: GeneratorMatrix,
                    budget: int | None = None) -> AutomorphismReport:
+    """The automorphism group of `code` (see AutomorphismReport).  H1 comes
+    from the shortened matrix of the code's side (its dual when 2k > n);
+    each generator is lifted, and the kernel counted, on the code itself."""
     spec = code.spec
-    r = canonical_form(build_shortened(code), budget)
+    r = canonical_form(build_shortened(_side(code)), budget)
     red = rref(code.mat)
     lifted: list[EquivalenceWitness] = []
     failed: list[tuple[int, ...]] = []
@@ -492,20 +537,24 @@ def _short_digest(text: str) -> str:
     return hashlib.sha256(text.encode()).hexdigest()[:12]
 
 
-def _ceimpg_key(code: GeneratorMatrix, budget) -> str:
-    m = build_ceimpg_matrix(characteristic_vector(code))
+def _ceimpg_key(side: GeneratorMatrix, budget) -> str:
+    m = build_ceimpg_matrix(characteristic_vector(side))
     return serialize(canonical_form(m, budget).matrix)
 
 
 def _code_key(code: GeneratorMatrix, mode: str, budget):
     """(key, entry, error) of one code.  `entry` is the (RREFResult,
     CanonResult) pair the cesimpg resolver reuses, None for ceimpg; a
-    per-item failure sets only `error`."""
+    per-item failure sets only `error`.  A key built from the dual starts
+    with "dual:", so that a [13,10] code never shares a key with the [13,3]
+    code whose matrix is the same."""
     try:
+        side = _side(code)
+        tag = "" if side is code else "dual:"
         if mode == "ceimpg":
-            return _ceimpg_key(code, budget), None, None
-        canon = canonical_form(build_shortened(code), budget)
-        return serialize(canon.matrix), (rref(code.mat), canon), None
+            return tag + _ceimpg_key(side, budget), None, None
+        canon = canonical_form(build_shortened(side), budget)
+        return tag + serialize(canon.matrix), (rref(code.mat), canon), None
     except (BudgetExceededError, ResourceLimitError) as e:
         return None, None, f"{type(e).__name__}: {e}"
 
@@ -579,7 +628,7 @@ class _PairResolver:
         key = self.ceimpg_keys.get(i)
         if key is None:
             try:
-                key = _ceimpg_key(self.codes[i], self.budget)
+                key = _ceimpg_key(_side(self.codes[i]), self.budget)
             except (BudgetExceededError, ResourceLimitError) as e:
                 key = e
             self.ceimpg_keys[i] = key
@@ -603,9 +652,11 @@ def classify(codes, algo: str = "ceimpg", budget: int | None = None,
 
     algo="ceimpg" groups by the complete canonical key.  algo="cesimpg"
     buckets by the shortened-matrix canonical key and separates bucket
-    members with the lifting procedure of cesimpg_equiv: past `coset_cap`
-    only sigma0 is tried, and a pair it does not decide falls back to
-    comparing ceimpg keys.  Classes are ordered by first appearance.
+    members with the lifting procedure of cesimpg_equiv.  Both keys are
+    built from each code's side (`_side`: its dual when 2k > n, the key
+    then prefixed "dual:"); lifting stays on the codes themselves.  Past
+    `coset_cap` only sigma0 is tried, and a pair it does not decide falls
+    back to comparing ceimpg keys.  Classes are ordered by first appearance.
     Per-item budget and size-limit errors, from keying a code or from the
     fallback while comparing it with an earlier class representative, are
     collected in `errors` (by code index) without aborting the batch.

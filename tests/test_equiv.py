@@ -13,10 +13,10 @@ from codequiv import (GFMatrix, GeneratorMatrix, build_ceimpg_matrix,
                       monomial_from_sigma, point_table, random_code, rank,
                       rref, serialize, simplex_generator, systematic_form,
                       theta, verify_witness)
-from codequiv import equiv
+from codequiv import bmcanon, equiv, nullspace_basis
 from codequiv.bmcanon import _sigma_from_canons
 from codequiv.equiv import MonomialTransform
-from codequiv.errors import BudgetExceededError
+from codequiv.errors import BudgetExceededError, ResourceLimitError
 from conftest import (brute_force_equivalent, brute_force_preserver_count,
                       reference_monomial_from_sigma)
 
@@ -345,6 +345,8 @@ def test_witness_tampering_detected(worked_pair):
     # a second code of another shape: mismatched k, then mismatched n
     assert not verify_witness(c1, random_code(spec, 6, 2, seed=1), w)
     assert not verify_witness(c1, random_code(spec, 7, 3, seed=1), w)
+    # a second code of the same shape over another field
+    assert not verify_witness(c1, random_code(field(5), 6, 3, seed=1), w)
 
 
 def test_budget_error_propagates_after_both_routes():
@@ -465,6 +467,115 @@ def test_aut_group_witnesses_verify():
 
 
 # ---------------------------------------------------------------------------
+# high-rate codes: canonical forms of the dual, lifting on the code
+
+
+def _dual(code):
+    return GeneratorMatrix(code.spec, nullspace_basis(code.mat))
+
+
+# q -> (n, k) shapes with 2k > n whose primal incidence stays small enough
+# for the independent primal oracle below; n - k = 2 over q > 3 stays on
+# the primal side
+HIGH_RATE_SHAPES = {2: [(9, 6), (8, 5), (5, 3)], 3: [(7, 4), (6, 4), (5, 4)],
+                    4: [(7, 4), (5, 3), (4, 3)], 5: [(7, 4), (5, 3), (4, 3)],
+                    7: [(5, 3), (4, 3)], 8: [(5, 3), (4, 3)],
+                    9: [(5, 3), (4, 3)]}
+
+
+@pytest.mark.parametrize("q", sorted(HIGH_RATE_SHAPES))
+def test_high_rate_pairs_agree_with_ceimpg_and_primal(q):
+    """Seeded high-rate pairs, half of them transformed copies (with a
+    nontrivial field automorphism over GF(4/8/9)), half independent: the
+    verdict agrees with ceimpg_equiv and with the primal incidence
+    structures, and every witness verifies."""
+    spec = field(q)
+    rng = random.Random(900 + q)
+    duals = 0
+    for n, k in HIGH_RATE_SHAPES[q]:
+        for j in range(6):
+            c1 = random_code(spec, n, k, seed=rng.randrange(10 ** 6))
+            if j % 2 == 0:
+                t = _random_transform(spec, n, rng)
+                if spec.m > 1:
+                    t = MonomialTransform(spec, t.sigma, t.lambdas,
+                                          rng.randrange(1, spec.m))
+                c2 = GeneratorMatrix(spec, t.apply(c1.mat).rows)
+            else:
+                c2 = random_code(spec, n, k, seed=rng.randrange(10 ** 6))
+            duals += equiv._side(c1).k == n - k
+            v = cesimpg_equiv(c1, c2)
+            assert v.method == "cesimpg"
+            assert v.equivalent == ceimpg_equiv(c1, c2).equivalent
+            primal = bmcanon.is_isomorphic(
+                *(build_ceimpg_matrix(characteristic_vector(c)) for c in (c1, c2)))
+            assert v.equivalent == (primal is not None)
+            if j % 2 == 0:
+                assert v.equivalent
+            if v.equivalent:
+                assert verify_witness(c1, c2, v.witness)
+    assert duals > 0
+
+
+@pytest.mark.parametrize("q,shapes", [(2, [(5, 3), (6, 4), (7, 4), (5, 4)]),
+                                      (3, [(4, 3), (5, 3)]),
+                                      (5, [(3, 2)]), (7, [(3, 2)])])
+def test_aut_group_high_rate_matches_gl_oracle(q, shapes):
+    """code_aut_group on high-rate prime-field codes: the permutation group
+    comes from the dual, the kernel and the lifts from the code, and the
+    order equals the GL preserver census of the code itself."""
+    import math
+    spec = field(q)
+    for n, k in shapes:
+        for seed in range(4):
+            code = random_code(spec, n, k, seed=seed)
+            rep = code_aut_group(code)
+            assert rep.complete
+            dup = 1
+            for c in characteristic_vector(code).counts:
+                dup *= math.factorial(c)
+            assert rep.order == brute_force_preserver_count(code.mat.rows, q) * dup
+            for w in rep.lifted:
+                assert verify_witness(code, code, w)
+
+
+def test_weight_one_word_stays_primal():
+    """A code holding a weight-1 word has a zero dual column, so it keeps
+    its own side, and still gets a witness and its exact group order."""
+    spec = field(3)
+    code = _direct_sum(spec, [GeneratorMatrix(spec, [[1]]),
+                              random_code(spec, 4, 2, seed=4)])
+    assert 2 * code.k > code.n and equiv._side(code) is code
+    t = _random_transform(spec, code.n, random.Random(5))
+    copy = GeneratorMatrix(spec, t.apply(code.mat).rows)
+    v = cesimpg_equiv(code, copy)
+    assert v.equivalent and verify_witness(code, copy, v.witness)
+    rep = code_aut_group(code)
+    assert rep.complete
+    assert rep.order == brute_force_preserver_count(code.mat.rows, 3)
+    # a code without the weight-1 word is on the dual side, so inequivalent
+    other = random_code(spec, 5, 3, seed=3)
+    assert equiv._side(other).k == 2
+    assert not cesimpg_equiv(code, other).equivalent
+    assert not ceimpg_equiv(code, other).equivalent
+
+
+def test_high_rate_beyond_the_point_table_gets_a_witness():
+    """A [30,25]_2 code: its own point table (PG(24,2)) is refused, its
+    dual's has 31 points."""
+    spec = field(2)
+    c1 = _dual(random_code(spec, 30, 5, seed=1, projective=True))
+    assert (c1.n, c1.k) == (30, 25)
+    with pytest.raises(ResourceLimitError):
+        build_shortened(c1)
+    t = _random_transform(spec, 30, random.Random(2))
+    c2 = GeneratorMatrix(spec, t.apply(c1.mat).rows)
+    v = cesimpg_equiv(c1, c2)
+    assert v.equivalent and v.method == "cesimpg"
+    assert verify_witness(c1, c2, v.witness)
+
+
+# ---------------------------------------------------------------------------
 # classification
 
 
@@ -548,6 +659,23 @@ def test_classify_bucket_with_several_classes():
     assert len(set(result._keys)) == 3
 
 
+def test_classify_keeps_code_and_dual_apart():
+    """A code and its dual have the same binary matrices when one of them is
+    keyed through its dual: [13,3]_3 simplex beside the [13,10]_3 Hamming
+    code, and a random [10,3]_5 code beside its [10,7]_5 dual (classify
+    takes one field per batch)."""
+    simplex = GeneratorMatrix(3, simplex_generator(3, 3).rows)
+    low = random_code(field(5), 10, 3, seed=2)
+    classes = []
+    for batch in ([simplex, _dual(simplex)], [low, _dual(low)]):
+        for algo in ("ceimpg", "cesimpg"):
+            result = classify(batch, algo=algo)
+            assert not result.errors
+            assert [c.members for c in result.classes] == [[0], [1]]
+        classes += result.classes
+    assert len(classes) == 4
+
+
 def _sigma0_lifts(c1, c2):
     """Whether the first isomorphism found between the shortened matrices of
     the two codes lifts to a monomial map onto rref(c2) (prime field)."""
@@ -557,11 +685,14 @@ def _sigma0_lifts(c1, c2):
 
 
 def _fallback_pair():
-    # a [8,6]_5 pair whose sigma0 does not lift: with coset_cap=1 it reaches
-    # the ceimpg fallback, whose 3906-point incidence matrix exceeds the
-    # canonical-search column limit
+    # a [16,6]_5 pair (an [8,6]_5 pair with every column doubled, so that
+    # 2k <= n keeps it off the dual) whose sigma0 does not lift: with
+    # coset_cap=1 it reaches the ceimpg fallback, whose 3906-point incidence
+    # matrix exceeds the canonical-search column limit
     spec = field(5)
-    c1, c2 = _transformed_pair(spec, 8, 6, seed=3, allow_rho=False)
+    pair = _transformed_pair(spec, 8, 6, seed=3, allow_rho=False)
+    c1, c2 = (GeneratorMatrix(spec, [[x for x in row for _ in range(2)]
+                                     for row in c.mat.rows]) for c in pair)
     assert not _sigma0_lifts(c1, c2)
     return spec, c1, c2
 
@@ -582,7 +713,7 @@ def test_classify_failed_ceimpg_key_built_once(monkeypatch):
     # every later member of its bucket instead of being rebuilt
     spec, c1, c2 = _fallback_pair()
     copies = [GeneratorMatrix(spec, _random_transform(
-        spec, 8, random.Random(seed), allow_rho=False).apply(c1.mat).rows)
+        spec, 16, random.Random(seed), allow_rho=False).apply(c1.mat).rows)
         for seed in (7, 8)]
     assert not any(_sigma0_lifts(c1, c) for c in copies)
     calls = []

@@ -24,7 +24,10 @@ Two decision routes are provided:
   scalings lambda are carried along its bipartite support graph, one free
   scalar per connected component.
   For prime fields exhausting the coset is conclusive; for composite fields
-  every field automorphism is tried as well.
+  every field automorphism is tried as well.  A decision the lift cannot
+  finish falls back to the first route, unless the code's side has
+  dimension 2 over q >= 5, where that route is incomplete
+  (`_ceimpg_complete`); then the typed error stands.
 
 Both binary matrices have theta(k) = (q^k - 1)/(q - 1) rows or columns, so
 for a high-rate code (2k > n) they are built from its dual instead, which
@@ -38,6 +41,7 @@ row echelon forms.
 
 from __future__ import annotations
 
+import functools
 import hashlib
 import time
 from dataclasses import dataclass, field as dc_field
@@ -189,6 +193,13 @@ def _side(code: GeneratorMatrix) -> GeneratorMatrix:
     if not basis or not all(any(col) for col in zip(*basis)):
         return code
     return GeneratorMatrix(code.spec, basis)
+
+
+def _ceimpg_complete(side: GeneratorMatrix) -> bool:
+    """Whether the ceimpg key of `side` is a complete invariant.  It is not
+    for dimension 2 over q >= 5, where the incidence of PG(1, q) is a
+    matching and inequivalent point multisets share a key."""
+    return side.k != 2 or side.q <= 4
 
 
 def build_ceimpg_matrix(chi: CharacteristicVector) -> ColoredBinaryMatrix:
@@ -348,8 +359,7 @@ def _lift(g1: GeneratorMatrix, red2: RREFResult, sigma):
     return None
 
 
-def _find_lift(g1: GeneratorMatrix, red2: RREFResult, r1, r2,
-               coset_cap: int):
+def _find_lift(g1: GeneratorMatrix, red2: RREFResult, r1, r2):
     """(sigma, rho, Q, lambdas) for the first candidate permutation that
     lifts onto red2 = rref(G2), or None when none does.
 
@@ -359,15 +369,15 @@ def _find_lift(g1: GeneratorMatrix, red2: RREFResult, r1, r2,
     the second and tau runs over its automorphism group, identity first;
     they are all of the permutations carrying the first matrix onto the
     second, so None proves that no monomial map exists.
-    When the group is larger than `coset_cap`, only sigma0 is tried, and
+    When the group is larger than COSET_CAP, only sigma0 is tried, and
     BudgetExceededError is raised if it does not lift.
     """
     sigma0 = _sigma_from_canons(r1, r2)
     if sigma0 is None:
         return None
-    capped = r1.group_order > coset_cap
+    capped = r1.group_order > COSET_CAP
     taus = ([tuple(range(g1.n))] if capped
-            else _iter_group(r1.generators, g1.n, coset_cap))
+            else _iter_group(r1.generators, g1.n, COSET_CAP))
     for tau in taus:
         sigma = _perm_compose(sigma0, tau)
         lift = _lift(g1, red2, sigma)
@@ -376,7 +386,7 @@ def _find_lift(g1: GeneratorMatrix, red2: RREFResult, r1, r2,
     if capped:
         raise BudgetExceededError(
             f"sigma0 does not lift and the automorphism group "
-            f"({r1.group_order}) exceeds the coset cap ({coset_cap})")
+            f"({r1.group_order}) exceeds the coset cap ({COSET_CAP})")
     return None
 
 
@@ -419,7 +429,7 @@ def _witness(c1: GeneratorMatrix, c2: GeneratorMatrix, sigma, rho: int,
 
 
 def cesimpg_equiv(c1: GeneratorMatrix, c2: GeneratorMatrix,
-                  budget: int | None = None, coset_cap: int = COSET_CAP) -> Verdict:
+                  budget: int | None = None) -> Verdict:
     """Decide equivalence via shortened matrices plus monomial lifting.
 
     The shortened matrices are those of the codes' sides (`_side`: the
@@ -430,18 +440,22 @@ def cesimpg_equiv(c1: GeneratorMatrix, c2: GeneratorMatrix,
     with each element of the automorphism group of the first matrix,
     sigma0 first) are lifted in turn, trying each field automorphism;
     exhausting them proves inequivalence.  When the automorphism group
-    outgrows `coset_cap`, only sigma0 is tried.  If it does not lift, or a
+    outgrows COSET_CAP, only sigma0 is tried.  If it does not lift, or a
     canonical search fails, the decision falls back to the canonical-form
-    route, losing only the witness.  Lifting one candidate onto rref(c2)
-    is a walk over its support graph, with no budget of its own.
+    route, losing only the witness; on sides of dimension 2 over q >= 5,
+    whose ceimpg key is incomplete, the typed error is raised instead.
+    Lifting one candidate onto rref(c2) is a walk over its support graph,
+    with no budget of its own.
     """
     sides = _comparable_sides(c1, c2)
     if sides is None:
         return Verdict(False, "cesimpg")
     try:
         r1, r2 = (canonical_form(build_shortened(s), budget) for s in sides)
-        found = _find_lift(c1, rref(c2.mat), r1, r2, coset_cap)
+        found = _find_lift(c1, rref(c2.mat), r1, r2)
     except (BudgetExceededError, ResourceLimitError):
+        if not _ceimpg_complete(sides[0]):
+            raise
         verdict = ceimpg_equiv(c1, c2, budget)
         return Verdict(verdict.equivalent, "ceimpg-fallback")
     if found is None:
@@ -544,10 +558,10 @@ def _ceimpg_key(side: GeneratorMatrix, budget) -> str:
 
 def _code_key(code: GeneratorMatrix, mode: str, budget):
     """(key, entry, error) of one code.  `entry` is the (RREFResult,
-    CanonResult) pair the cesimpg resolver reuses, None for ceimpg; a
-    per-item failure sets only `error`.  A key built from the dual starts
-    with "dual:", so that a [13,10] code never shares a key with the [13,3]
-    code whose matrix is the same."""
+    CanonResult) pair that cesimpg bucket comparisons lift with, None for
+    ceimpg; a per-item failure sets only `error`.  A key built from the dual
+    starts with "dual:", so that a [13,10] code never shares a key with the
+    [13,3] code whose matrix is the same."""
     try:
         side = _side(code)
         tag = "" if side is code else "dual:"
@@ -559,106 +573,34 @@ def _code_key(code: GeneratorMatrix, mode: str, budget):
         return None, None, f"{type(e).__name__}: {e}"
 
 
-_POOL_STATE: dict = {}
-
-
-def _pool_init(q, modulus, mode, budget):
-    from .gfield import field
-    _POOL_STATE.update(q=q, modulus=modulus, mode=mode, budget=budget,
-                       spec=field(q, modulus or None))
-
-
-def _pool_key(item):
-    """Key one (index, rows) item; an entry travels back as (rref rows,
-    pivots, transform rows, canon)."""
-    idx, rows = item
-    st = _POOL_STATE
-    try:
-        code = GeneratorMatrix(st["spec"], rows)
-    except ValueError as e:
-        return idx, None, None, f"{type(e).__name__}: {e}"
-    key, entry, msg = _code_key(code, st["mode"], st["budget"])
-    if entry is not None:
-        red, canon = entry
-        entry = red.rref.rows, red.pivots, red.transform.rows, canon
-    return idx, key, entry, msg
-
-
-def _batch_keys(codes, mode, budget, jobs, canon_cache):
-    """Per-code (index, key, error) triples; fills `canon_cache` with the
-    cesimpg entries, whether computed here or in pool workers."""
-    if jobs and jobs > 1 and len(codes) > 1:
+def _batch_keys(codes, mode, budget, jobs):
+    """`_code_key` of every code, in order; with jobs > 1 the codes are keyed
+    in a process pool and travel to and from it pickled."""
+    key = functools.partial(_code_key, mode=mode, budget=budget)
+    if jobs > 1 and len(codes) > 1:
         import multiprocessing as mp
-        spec = codes[0].spec
-        items = [(i, c.mat.rows) for i, c in enumerate(codes)]
-        with mp.Pool(jobs, initializer=_pool_init,
-                     initargs=(spec.q, spec.modulus, mode, budget)) as pool:
-            chunk = max(1, len(items) // (jobs * 8))
-            keyed = []
-            for i, key, e, msg in pool.imap(_pool_key, items, chunksize=chunk):
-                if e is not None:
-                    rows, pivots, transform, canon = e
-                    e = (RREFResult(GFMatrix(spec, rows), len(pivots), pivots,
-                                    GFMatrix(spec, transform)), canon)
-                keyed.append((i, key, e, msg))
-    else:
-        keyed = [(i, *_code_key(code, mode, budget))
-                 for i, code in enumerate(codes)]
-    for i, _, entry, _ in keyed:
-        if entry is not None:
-            canon_cache[i] = entry
-    return [(i, key, msg) for i, key, _, msg in keyed]
-
-
-class _PairResolver:
-    """Verdict-only equivalence tests within a shortened-key bucket, reusing
-    each code's rref and canonical data (`canon_cache`, which holds an
-    entry for every keyed code) across pairs."""
-
-    def __init__(self, codes, budget, coset_cap, canon_cache):
-        self.codes = codes
-        self.budget = budget
-        self.coset_cap = coset_cap
-        self.canon = canon_cache
-        self.ceimpg_keys: dict[int, str | Exception] = {}
-
-    def _ceimpg_key_of(self, i: int) -> str:
-        """Code i's ceimpg key, computed once: a typed failure is kept too
-        and raised anew on every later request."""
-        key = self.ceimpg_keys.get(i)
-        if key is None:
-            try:
-                key = _ceimpg_key(_side(self.codes[i]), self.budget)
-            except (BudgetExceededError, ResourceLimitError) as e:
-                key = e
-            self.ceimpg_keys[i] = key
-        if isinstance(key, Exception):
-            raise type(key)(*key.args)
-        return key
-
-    def equivalent(self, a: int, b: int) -> bool:
-        ra = self.canon[a][1]
-        red_b, rb = self.canon[b]
-        try:
-            return _find_lift(self.codes[a], red_b, ra, rb,
-                              self.coset_cap) is not None
-        except BudgetExceededError:
-            return self._ceimpg_key_of(a) == self._ceimpg_key_of(b)
+        with mp.Pool(jobs) as pool:
+            return pool.map(key, codes,
+                            chunksize=max(1, len(codes) // (jobs * 8)))
+    return [key(code) for code in codes]
 
 
 def classify(codes, algo: str = "ceimpg", budget: int | None = None,
-             jobs: int = 1, coset_cap: int = COSET_CAP) -> ClassifyResult:
+             jobs: int = 1) -> ClassifyResult:
     """Partition `codes` into equivalence classes.
 
     algo="ceimpg" groups by the complete canonical key.  algo="cesimpg"
     buckets by the shortened-matrix canonical key and separates bucket
-    members with the lifting procedure of cesimpg_equiv.  Both keys are
-    built from each code's side (`_side`: its dual when 2k > n, the key
-    then prefixed "dual:"); lifting stays on the codes themselves.  Past
-    `coset_cap` only sigma0 is tried, and a pair it does not decide falls
-    back to comparing ceimpg keys.  Classes are ordered by first appearance.
-    Per-item budget and size-limit errors, from keying a code or from the
-    fallback while comparing it with an earlier class representative, are
+    members with the lifting procedure of cesimpg_equiv, reusing each
+    code's rref and canonical form across pairs.  Both keys are built from
+    each code's side (`_side`: its dual when 2k > n, the key then prefixed
+    "dual:"); lifting stays on the codes themselves.  `jobs` > 1 keys the
+    codes in that many worker processes.  Past COSET_CAP only sigma0 is
+    tried, and a pair it does not decide falls back to comparing ceimpg
+    keys, each built at most once, unless the sides have dimension 2 over
+    q >= 5, where those keys are incomplete.  Classes are ordered by first
+    appearance.  Per-item budget and size-limit errors, from keying a code
+    or from comparing it with an earlier class representative, are
     collected in `errors` (by code index) without aborting the batch.
     """
     start = time.perf_counter()
@@ -668,24 +610,45 @@ def classify(codes, algo: str = "ceimpg", budget: int | None = None,
     if codes and any(c.spec != codes[0].spec for c in codes):
         raise ValueError("classification requires a single ambient field")
     mode = "ceimpg" if algo == "ceimpg" else "cesimpg"
-    canon_cache: dict[int, tuple] = {}
-    keyed = _batch_keys(codes, mode, budget, jobs, canon_cache)
-    errors = [(i, msg) for i, _, msg in keyed if msg]
-    # a ceimpg key is a complete invariant: its bucket holds one class
-    resolver = (None if mode == "ceimpg"
-                else _PairResolver(codes, budget, coset_cap, canon_cache))
+    keyed = _batch_keys(codes, mode, budget, jobs)
+    errors = [(i, msg) for i, (_, _, msg) in enumerate(keyed) if msg]
+    ceimpg_keys: dict[int, str | Exception] = {}
+
+    def ceimpg_key(i: int) -> str:
+        # a typed failure is kept too and raised anew on every later request
+        key = ceimpg_keys.get(i)
+        if key is None:
+            try:
+                key = _ceimpg_key(_side(codes[i]), budget)
+            except (BudgetExceededError, ResourceLimitError) as e:
+                key = e
+            ceimpg_keys[i] = key
+        if isinstance(key, Exception):
+            raise type(key)(*key.args)
+        return key
+
+    def equivalent(a: int, b: int) -> bool:
+        (_, ra), (red_b, rb) = keyed[a][1], keyed[b][1]
+        try:
+            return _find_lift(codes[a], red_b, ra, rb) is not None
+        except BudgetExceededError:
+            if not _ceimpg_complete(_side(codes[a])):
+                raise
+            return ceimpg_key(a) == ceimpg_key(b)
+
     buckets: dict[str, list[CodeClass]] = {}
     classes: list[CodeClass] = []
     keys: list[str] = []
-    for i, key, msg in keyed:
+    for i, (key, _, msg) in enumerate(keyed):
         if msg:
             continue
         bucket = buckets.setdefault(key, [])
         try:
-            joined = next((cls for cls in bucket if resolver is None
-                           or resolver.equivalent(cls.representative, i)), None)
+            # the ceimpg route takes its key as complete: one class per bucket
+            joined = next((cls for cls in bucket if mode == "ceimpg"
+                           or equivalent(cls.representative, i)), None)
         except (BudgetExceededError, ResourceLimitError) as e:
-            # the pair's ceimpg fallback failed: code i stays unplaced
+            # the pair's comparison failed: code i stays unplaced
             errors.append((i, f"{type(e).__name__}: {e}"))
             continue
         if joined is None:

@@ -280,6 +280,10 @@ class FieldSpec:
     def __hash__(self) -> int:
         return hash((self.q, self.modulus))
 
+    def __reduce__(self):
+        # unpickle as the cached instance, without shipping the tables
+        return field, (self.q, self.modulus or None)
+
 
 _CACHE: dict[tuple[int, int], FieldSpec] = {}
 

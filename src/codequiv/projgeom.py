@@ -122,12 +122,17 @@ def _pack_bool_rows(bits: np.ndarray) -> list[int]:
 
 def nonzero_dot_masks(table: PointTable, vectors) -> list[int]:
     """One mask per point u of `table`: bit (len(vectors)-1-j) is set iff
-    u . vectors[j] != 0 (the canonicalization module's bit order)."""
+    u . vectors[j] != 0 (the canonicalization module's bit order).  Prime
+    fields take the products in blocks of 512 points, so a full incidence
+    table never holds more than 512 rows of int64 products at once."""
     spec = table.spec
     if spec.m == 1:
         pts = np.array(table.points, dtype=np.int64)
-        dots = (pts @ np.array(vectors, dtype=np.int64).T) % spec.q
-        return _pack_bool_rows(dots != 0)
+        vecs = np.array(vectors, dtype=np.int64).T
+        masks = []
+        for lo in range(0, len(pts), 512):
+            masks += _pack_bool_rows((pts[lo:lo + 512] @ vecs) % spec.q != 0)
+        return masks
     dot = spec.dot
     masks = []
     for u in table.points:

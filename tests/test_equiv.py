@@ -299,14 +299,15 @@ def test_self_equivalence():
 
 
 @pytest.mark.parametrize("n,k", [(6, 2), (8, 3), (10, 4), (12, 5), (12, 8)])
-def test_binary_sigma0_lifts_past_coset_cap(n, k):
+def test_binary_sigma0_lifts_past_coset_cap(n, k, monkeypatch):
     """For q = 2 the shortened rows are the codeword supports, so the first
     isomorphism between them always lifts: a coset cap of 1 never forces
     the fallback."""
+    monkeypatch.setattr(equiv, "COSET_CAP", 1)
     spec = field(2)
     for seed in range(8):
         c1, c2 = _transformed_pair(spec, n, k, seed)
-        v = cesimpg_equiv(c1, c2, coset_cap=1)
+        v = cesimpg_equiv(c1, c2)
         assert v.equivalent and v.method == "cesimpg"
         assert verify_witness(c1, c2, v.witness)
 
@@ -654,8 +655,9 @@ def test_classify_bucket_with_several_classes():
     spec = field(5)
     codes = [random_code(spec, 6, 3, seed=s) for s in (0, 1, 4, 32, 12, 38)]
     for algo in ("ceimpg", "cesimpg"):
-        result = classify(codes, algo=algo)
-        assert [c.members for c in result.classes] == [[i] for i in range(6)]
+        for jobs in (1, 2):
+            result = classify(codes, algo=algo, jobs=jobs)
+            assert [c.members for c in result.classes] == [[i] for i in range(6)]
     assert len(set(result._keys)) == 3
 
 
@@ -668,8 +670,8 @@ def test_classify_keeps_code_and_dual_apart():
     low = random_code(field(5), 10, 3, seed=2)
     classes = []
     for batch in ([simplex, _dual(simplex)], [low, _dual(low)]):
-        for algo in ("ceimpg", "cesimpg"):
-            result = classify(batch, algo=algo)
+        for algo, jobs in itertools.product(("ceimpg", "cesimpg"), (1, 2)):
+            result = classify(batch, algo=algo, jobs=jobs)
             assert not result.errors
             assert [c.members for c in result.classes] == [[0], [1]]
         classes += result.classes
@@ -686,9 +688,9 @@ def _sigma0_lifts(c1, c2):
 
 def _fallback_pair():
     # a [16,6]_5 pair (an [8,6]_5 pair with every column doubled, so that
-    # 2k <= n keeps it off the dual) whose sigma0 does not lift: with
-    # coset_cap=1 it reaches the ceimpg fallback, whose 3906-point incidence
-    # matrix exceeds the canonical-search column limit
+    # 2k <= n keeps it off the dual) whose sigma0 does not lift: with a
+    # coset cap of 1 it reaches the ceimpg fallback, whose 3906-point
+    # incidence matrix exceeds the canonical-search column limit
     spec = field(5)
     pair = _transformed_pair(spec, 8, 6, seed=3, allow_rho=False)
     c1, c2 = (GeneratorMatrix(spec, [[x for x in row for _ in range(2)]
@@ -701,9 +703,10 @@ FALLBACK_MSG = ("ResourceLimitError: 3906 columns exceeds the canonical-search "
                 "limit (900)")
 
 
-def test_classify_pair_fallback_errors_collected_not_raised():
+def test_classify_pair_fallback_errors_collected_not_raised(monkeypatch):
     _, c1, c2 = _fallback_pair()
-    result = classify([c1, c2], algo="cesimpg", coset_cap=1)
+    monkeypatch.setattr(equiv, "COSET_CAP", 1)
+    result = classify([c1, c2], algo="cesimpg")
     assert result.errors == [(1, FALLBACK_MSG)]
     assert [c.members for c in result.classes] == [[0]]
 
@@ -724,8 +727,47 @@ def test_classify_failed_ceimpg_key_built_once(monkeypatch):
         return real(code, budget)
 
     monkeypatch.setattr(equiv, "_ceimpg_key", counted)
-    result = classify([c1, c2] + copies, algo="cesimpg", coset_cap=1)
+    monkeypatch.setattr(equiv, "COSET_CAP", 1)
+    result = classify([c1, c2] + copies, algo="cesimpg")
     assert result.errors == [(1, FALLBACK_MSG), (2, FALLBACK_MSG),
                              (3, FALLBACK_MSG)]
     assert [c.members for c in result.classes] == [[0]]
     assert len(calls) == 1
+
+
+def test_dimension_two_fallback_never_guesses():
+    """Past the coset cap an undecided pair of [18,2]_5 codes must not fall
+    back to the ceimpg key: on PG(1,5) the incidence is a matching, so any
+    two sets of 4 points with multiplicities 6,5,4,3 share it.  |H1| is
+    6!5!4!3! = 12,441,600 here.  Every verdict must match GL(2,5) or be a
+    BudgetExceededError, and classify must never merge an inequivalent
+    pair."""
+    spec = field(5)
+    points = point_table(2, 5).points
+    rng = random.Random(2)
+
+    def code(support):
+        return GeneratorMatrix.from_columns(
+            spec, [p for p, m in zip(support, (6, 5, 4, 3)) for _ in range(m)])
+
+    codes, truths = [], []
+    for _ in range(30):
+        c1, c2 = code(rng.sample(points, 4)), code(rng.sample(points, 4))
+        codes += [c1, c2]
+        truth = brute_force_equivalent(c1.mat.rows, c2.mat.rows, 5)
+        truths.append(truth)
+        result = classify([c1, c2], algo="cesimpg")
+        try:
+            v = decide_equivalence(c1, c2)
+        except BudgetExceededError:
+            assert [c.members for c in result.classes] == [[0]]
+            assert [i for i, _ in result.errors] == [1]
+            continue
+        assert v.equivalent == truth and v.method == "cesimpg"
+        assert verify_witness(c1, c2, v.witness)
+        assert [c.members for c in result.classes] == [[0, 1]]
+    assert any(truths) and not all(truths)
+    for cls in classify(codes, algo="cesimpg").classes:
+        rep = codes[cls.representative].mat.rows
+        assert all(brute_force_equivalent(rep, codes[i].mat.rows, 5)
+                   for i in cls.members)

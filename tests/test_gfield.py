@@ -1,6 +1,7 @@
 """Field arithmetic against hand-computed tables and exhaustive axioms."""
 
 import itertools
+import pickle
 
 import pytest
 
@@ -164,6 +165,14 @@ def test_field_cache_identity():
     assert alt is not field(9)
     assert alt != field(9)
     assert field(9, 14) is alt
+
+
+@pytest.mark.parametrize("q,modulus", [(5, None), (9, None), (9, 14)])
+def test_pickle_returns_cached_spec(q, modulus):
+    spec = field(q, modulus)
+    data = pickle.dumps(spec)
+    assert pickle.loads(data) is spec
+    assert len(data) < 100  # the tables stay behind
 
 
 def test_invalid_fields_rejected():

@@ -1,9 +1,11 @@
 """Projective point tables and hyperplane support structures."""
 
+import random
+
 import pytest
 
 from codequiv import field, incidence, point_table, simplex_generator, theta
-from codequiv.projgeom import MAX_POINTS
+from codequiv.projgeom import MAX_POINTS, nonzero_dot_masks
 
 
 def test_theta_values():
@@ -88,6 +90,24 @@ def test_incidence_entries_match_dot_products():
         for i, u in enumerate(pts):
             for j, v in enumerate(pts):
                 assert inc.entry(i, j) == (1 if spec.dot(u, v) else 0)
+
+
+@pytest.mark.parametrize("k,q", [(10, 2), (7, 3)])
+def test_nonzero_dot_masks_across_blocks(k, q):
+    """Tables of over 1,000 points are multiplied in several blocks; every
+    mask must still equal the per-pair inner products."""
+    spec = field(q)
+    table = point_table(k, q)
+    assert len(table) > 1000
+    rng = random.Random(k)
+    vectors = [tuple(rng.randrange(q) for _ in range(k)) for _ in range(37)]
+    masks = nonzero_dot_masks(table, vectors)
+    assert len(masks) == len(table)
+    for u, mask in zip(table.points, masks):
+        want = 0
+        for v in vectors:
+            want = (want << 1) | (1 if spec.dot(u, v) else 0)
+        assert mask == want
 
 
 def test_incidence_composite_vs_prime_paths_consistent():

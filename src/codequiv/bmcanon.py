@@ -439,40 +439,64 @@ class _Search:
             gens = [g for g in gens if g[v] == v]
         return order
 
-    def _dfs(self, col_cells, row_cells, path, splitters=None):
-        self.nodes += 1
-        if self.nodes > self.budget:
-            raise BudgetExceededError(
-                f"canonical-form search exceeded {self.budget} nodes")
-        col_cells, row_cells = self._refine(col_cells, row_cells, splitters)
-        target_idx = None
-        target_size = 1
-        for idx, cell in enumerate(col_cells):
-            if len(cell) > target_size:
-                target_idx = idx
-                target_size = len(cell)
-        if target_idx is None:
-            return self._handle_leaf(col_cells, path)
-        depth = len(path)
+    def _children(self, col_cells, row_cells, target_idx, tried, path):
+        """(column, unrefined cells and splitters) of each child of the node
+        at `path`, columns of its target cell in increasing order.  On the
+        first path a column is skipped when the generators fixing `path`
+        join it to one in `tried`, the columns explored so far."""
         on_first_path = (self.first_cert is None
-                         or path == self.first_path[:depth])
+                         or path == self.first_path[:len(path)])
         target = col_cells[target_idx]
-        tried: list[int] = []
         for v in sorted(target):
             if tried and on_first_path and self._orbit_joined(v, tried, path):
                 continue
             rest = [w for w in target if w != v]
-            new_cells = (col_cells[:target_idx] + [[v], rest]
-                         + col_cells[target_idx + 1:])
-            path.append(v)
             # the rest of the target cell is its last fragment
-            ret = self._dfs(new_cells, row_cells, path,
-                            [1 << (self.C - 1 - v)])
-            path.pop()
-            tried.append(v)
-            if ret is not None and ret < depth:
-                return ret
-        return None
+            yield v, (col_cells[:target_idx] + [[v], rest]
+                      + col_cells[target_idx + 1:], row_cells,
+                      [1 << (self.C - 1 - v)])
+
+    def _dfs(self, col_cells, row_cells):
+        """Walk the search tree depth first, as a loop over a stack with one
+        (tried, children) frame per open node, so that only the node budget
+        bounds its depth.  A leaf that yields a generator returns the depth
+        at which its path leaves the first or best path, and every open
+        node below that depth is closed."""
+        path: list[int] = []
+        stack: list[tuple] = []
+        node = (col_cells, row_cells, None)
+        while True:
+            self.nodes += 1
+            if self.nodes > self.budget:
+                raise BudgetExceededError(
+                    f"canonical-form search exceeded {self.budget} nodes")
+            col_cells, row_cells = self._refine(*node)
+            # the first largest cell
+            target_idx = max(range(len(col_cells)),
+                             key=lambda t: len(col_cells[t]))
+            ret = None
+            if len(col_cells[target_idx]) == 1:
+                ret = self._handle_leaf(col_cells, path)
+            else:
+                tried: list[int] = []
+                stack.append((tried, self._children(
+                    col_cells, row_cells, target_idx, tried, path)))
+            while stack:
+                tried, children = stack[-1]
+                if len(path) == len(stack):
+                    # back from a child of the node at depth len(stack) - 1
+                    tried.append(path.pop())
+                    if ret is not None and ret < len(stack) - 1:
+                        stack.pop()
+                        continue
+                v, node = next(children, (None, None))
+                if node is not None:
+                    break
+                stack.pop()
+                ret = None
+            else:
+                return
+            path.append(v)
 
     def run(self) -> CanonResult:
         if self.C == 0:
@@ -480,7 +504,7 @@ class _Search:
                 [0] * self.R, 0, tuple(sorted(self.mat.row_colors)), ())
             return CanonResult(mat, (), [], 1, 0)
         col_cells, row_cells = self._initial_cells()
-        self._dfs(col_cells, row_cells, [])
+        self._dfs(col_cells, row_cells)
         order = self.best_order
         col_colors, data = self.best_cert
         row_colors, masks = self.records.decode(data)
@@ -493,16 +517,9 @@ class _Search:
                            self._group_order(), self.nodes)
 
 
-MAX_SEARCH_COLUMNS = 900  # keeps the recursive search within stack limits
-
-
 def canonical_form(mat: ColoredBinaryMatrix, budget: int | None = None) -> CanonResult:
-    """Canonicalize `mat`; raises BudgetExceededError past the node budget."""
-    if mat.n_cols > MAX_SEARCH_COLUMNS:
-        from .errors import ResourceLimitError
-        raise ResourceLimitError(
-            f"{mat.n_cols} columns exceeds the canonical-search limit "
-            f"({MAX_SEARCH_COLUMNS})")
+    """Canonicalize `mat`; raises BudgetExceededError past the node budget,
+    the search's only bound."""
     return _Search(mat, budget if budget is not None else DEFAULT_NODE_BUDGET).run()
 
 

@@ -90,10 +90,6 @@ class MonomialTransform:
         if any(l == 0 for l in self.lambdas):
             raise ValueError("zero scaling")
 
-    @classmethod
-    def identity(cls, spec: FieldSpec, n: int) -> "MonomialTransform":
-        return cls(spec, tuple(range(n)), (1,) * n, 0)
-
     def apply(self, x: GFMatrix) -> GFMatrix:
         spec = self.spec
         inv = _perm_inverse(self.sigma)
@@ -104,28 +100,6 @@ class MonomialTransform:
             col = cols[inv[t]]
             out.append([spec.frobenius(spec.mul(lam, e), self.rho) for e in col])
         return GFMatrix.from_columns(spec, out)
-
-    def then(self, other: "MonomialTransform") -> "MonomialTransform":
-        """The transform equal to applying self first, then `other`."""
-        spec = self.spec
-        m = spec.m
-        # rho of self commutes past other's monomial part by twisting its
-        # scalings: rho(X M1) M2 = rho(X M1 rho^-1(M2))
-        back = (m - self.rho) % m
-        l2 = tuple(spec.frobenius(l, back) for l in other.lambdas)
-        s2inv = _perm_inverse(other.sigma)
-        sigma = _perm_compose(other.sigma, self.sigma)
-        lambdas = tuple(
-            spec.mul(l2[t], self.lambdas[s2inv[t]]) for t in range(len(sigma)))
-        return MonomialTransform(spec, sigma, lambdas, (self.rho + other.rho) % m)
-
-    def inverse(self) -> "MonomialTransform":
-        spec = self.spec
-        m = spec.m
-        sigma_inv = _perm_inverse(self.sigma)
-        base = [spec.inv(self.lambdas[self.sigma[t]]) for t in range(len(self.sigma))]
-        lambdas = tuple(spec.frobenius(b, self.rho) for b in base)
-        return MonomialTransform(spec, sigma_inv, lambdas, (m - self.rho) % m)
 
 
 @dataclass
@@ -453,7 +427,7 @@ def cesimpg_equiv(c1: GeneratorMatrix, c2: GeneratorMatrix,
     try:
         r1, r2 = (canonical_form(build_shortened(s), budget) for s in sides)
         found = _find_lift(c1, rref(c2.mat), r1, r2)
-    except (BudgetExceededError, ResourceLimitError):
+    except BudgetExceededError:
         if not _ceimpg_complete(sides[0]):
             raise
         verdict = ceimpg_equiv(c1, c2, budget)
@@ -491,6 +465,9 @@ class AutomorphismReport:
     the code decomposes.  When every generator lifts over a prime field,
     `order` = h1_order * kernel_order; otherwise None (`complete` False;
     composite fields never report an order).
+    Only `h1_order`, `kernel_order`, `order` and `complete` are invariants
+    of the code; `h1_generators`, `lifted` and `failed` depend on the order
+    of its columns, so a column-permuted copy may report other ones.
     """
     h1_order: int
     h1_generators: list[tuple[int, ...]]
@@ -599,8 +576,8 @@ def classify(codes, algo: str = "ceimpg", budget: int | None = None,
     tried, and a pair it does not decide falls back to comparing ceimpg
     keys, each built at most once, unless the sides have dimension 2 over
     q >= 5, where those keys are incomplete.  Classes are ordered by first
-    appearance.  Per-item budget and size-limit errors, from keying a code
-    or from comparing it with an earlier class representative, are
+    appearance.  Per-item errors, from keying a code (budget or point-table
+    size) or from comparing it with a class representative (budget), are
     collected in `errors` (by code index) without aborting the batch.
     """
     start = time.perf_counter()
@@ -612,7 +589,7 @@ def classify(codes, algo: str = "ceimpg", budget: int | None = None,
     mode = "ceimpg" if algo == "ceimpg" else "cesimpg"
     keyed = _batch_keys(codes, mode, budget, jobs)
     errors = [(i, msg) for i, (_, _, msg) in enumerate(keyed) if msg]
-    ceimpg_keys: dict[int, str | Exception] = {}
+    ceimpg_keys: dict[int, str | BudgetExceededError] = {}
 
     def ceimpg_key(i: int) -> str:
         # a typed failure is kept too and raised anew on every later request
@@ -620,10 +597,10 @@ def classify(codes, algo: str = "ceimpg", budget: int | None = None,
         if key is None:
             try:
                 key = _ceimpg_key(_side(codes[i]), budget)
-            except (BudgetExceededError, ResourceLimitError) as e:
+            except BudgetExceededError as e:
                 key = e
             ceimpg_keys[i] = key
-        if isinstance(key, Exception):
+        if isinstance(key, BudgetExceededError):
             raise type(key)(*key.args)
         return key
 
@@ -647,7 +624,7 @@ def classify(codes, algo: str = "ceimpg", budget: int | None = None,
             # the ceimpg route takes its key as complete: one class per bucket
             joined = next((cls for cls in bucket if mode == "ceimpg"
                            or equivalent(cls.representative, i)), None)
-        except (BudgetExceededError, ResourceLimitError) as e:
+        except BudgetExceededError as e:
             # the pair's comparison failed: code i stays unplaced
             errors.append((i, f"{type(e).__name__}: {e}"))
             continue

@@ -11,4 +11,5 @@ class BudgetExceededError(RuntimeError):
 
 
 class ResourceLimitError(RuntimeError):
-    """An input would exceed a hard memory/size limit (e.g. too many points)."""
+    """A point table of PG(k-1, q) would exceed `projgeom.MAX_POINTS`
+    points; raised before any table is built or any search runs."""

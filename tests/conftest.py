@@ -224,6 +224,57 @@ def reference_refine(mat, col_cells, row_cells):
             return col_cells, row_cells
 
 
+def recursive_search(mat, budget: int):
+    """The canonical search as it was written before it became a loop over
+    an explicit stack: `_dfs` recursing once per tree node, with the same
+    child order, orbit pruning on the first path and return-to-depth
+    backjumps.  The loop must build the identical tree, so every
+    `CanonResult` field, the node count included, must match.  Keep inputs
+    shallow (well under the interpreter's recursion limit)."""
+    from codequiv.bmcanon import _Search
+    from codequiv.errors import BudgetExceededError
+
+    class RecursiveSearch(_Search):
+        def _dfs(self, col_cells, row_cells, path=None, splitters=None):
+            path = [] if path is None else path
+            self.nodes += 1
+            if self.nodes > self.budget:
+                raise BudgetExceededError(
+                    f"canonical-form search exceeded {self.budget} nodes")
+            col_cells, row_cells = self._refine(col_cells, row_cells,
+                                                splitters)
+            target_idx = None
+            target_size = 1
+            for idx, cell in enumerate(col_cells):
+                if len(cell) > target_size:
+                    target_idx = idx
+                    target_size = len(cell)
+            if target_idx is None:
+                return self._handle_leaf(col_cells, path)
+            depth = len(path)
+            on_first_path = (self.first_cert is None
+                             or path == self.first_path[:depth])
+            target = col_cells[target_idx]
+            tried: list[int] = []
+            for v in sorted(target):
+                if (tried and on_first_path
+                        and self._orbit_joined(v, tried, path)):
+                    continue
+                rest = [w for w in target if w != v]
+                new_cells = (col_cells[:target_idx] + [[v], rest]
+                             + col_cells[target_idx + 1:])
+                path.append(v)
+                ret = self._dfs(new_cells, row_cells, path,
+                                [1 << (self.C - 1 - v)])
+                path.pop()
+                tried.append(v)
+                if ret is not None and ret < depth:
+                    return ret
+            return None
+
+    return RecursiveSearch(mat, budget).run()
+
+
 def min_weight_exhaustive(rows, q: int) -> int:
     """Minimum nonzero-codeword weight by scanning all q^k messages
     (plain mod-q arithmetic, prime q)."""

@@ -10,16 +10,18 @@ import textwrap
 import pytest
 
 import codequiv
-from codequiv import (ColoredBinaryMatrix, GeneratorMatrix, build_shortened,
-                      canonical_form, code_aut_group, incidence,
+from codequiv import (ColoredBinaryMatrix, GeneratorMatrix,
+                      build_ceimpg_matrix, build_shortened, canonical_form,
+                      characteristic_vector, code_aut_group, incidence,
                       is_automorphism, is_isomorphic, permute_columns,
-                      random_code, serialize, systematic_form)
-from codequiv.bmcanon import DEFAULT_NODE_BUDGET, MAX_SEARCH_COLUMNS, _Search
+                      random_code, serialize, simplex_generator,
+                      systematic_form)
+from codequiv.bmcanon import DEFAULT_NODE_BUDGET, _Search
 from codequiv.equiv import _iter_group
-from codequiv.errors import BudgetExceededError, ResourceLimitError
+from codequiv.errors import BudgetExceededError
 from conftest import (brute_force_cbm_aut_count, brute_force_cbm_isomorphic,
-                      reference_is_automorphism, reference_leaf_cert,
-                      reference_refine)
+                      recursive_search, reference_is_automorphism,
+                      reference_leaf_cert, reference_refine)
 
 
 def _random_cbm(rng, rows, cols, n_row_colors=1, n_col_colors=1):
@@ -376,10 +378,56 @@ def test_budget_exhaustion_raises():
         canonical_form(m, budget=0)
 
 
-def test_column_limit_guard():
-    wide = ColoredBinaryMatrix.from_masks([0], MAX_SEARCH_COLUMNS + 1)
-    with pytest.raises(ResourceLimitError):
-        canonical_form(wide)
+def test_deep_search_ends_at_the_node_budget():
+    # one all-zero row over 1,100 columns: the first path individualizes
+    # the columns one by one, so the tree is deeper than the interpreter's
+    # recursion limit; only the node budget may stop it
+    wide = ColoredBinaryMatrix.from_masks([0], 1100)
+    with pytest.raises(BudgetExceededError):
+        canonical_form(wide, budget=1200)
+
+
+def _twin_cbm(rng):
+    """Random colored matrix whose columns repeat a few distinct columns,
+    so that its automorphism group is a large product of symmetric
+    groups."""
+    n_rows, n_cols = rng.randrange(1, 10), rng.randrange(2, 20)
+    base = [rng.getrandbits(n_rows) for _ in range(rng.randint(1, 4))]
+    cols = [rng.choice(base) for _ in range(n_cols)]
+    masks = [sum(((c >> i) & 1) << (n_cols - 1 - j) for j, c in enumerate(cols))
+             for i in range(n_rows)]
+    return ColoredBinaryMatrix.from_masks(
+        masks, n_cols, [rng.randrange(2) for _ in range(n_rows)],
+        [rng.randrange(rng.randint(1, 2)) for _ in range(n_cols)])
+
+
+def _oracle_cases():
+    """300 seeded matrices, half uneven and half twin-heavy, then shortened
+    and ceimpg matrices of random codes and of simplex codes."""
+    rng = random.Random(1111)
+    for t in range(300):
+        yield _uneven_cbm(rng) if t % 2 else _twin_cbm(rng)
+    for q, n, k, seed in ((2, 9, 4, 1), (3, 8, 3, 2), (4, 7, 3, 3),
+                          (5, 9, 2, 4), (2, 12, 3, 5), (3, 6, 3, 6)):
+        code = random_code(q, n, k, seed=seed)
+        yield build_shortened(code)
+        yield build_ceimpg_matrix(characteristic_vector(code))
+    for q, k in ((2, 4), (3, 3)):
+        code = GeneratorMatrix(q, simplex_generator(k, q).rows)
+        yield build_shortened(code)
+        yield build_ceimpg_matrix(characteristic_vector(code))
+
+
+def test_search_tree_matches_recursive_oracle():
+    # the explicit-stack search visits the tree of the recursive one: same
+    # canonical matrix and perm, same generators in the same order, same
+    # group order and node count
+    for m in _oracle_cases():
+        got = canonical_form(m)
+        want = recursive_search(m, DEFAULT_NODE_BUDGET)
+        assert (got.matrix, got.perm, got.generators, got.group_order,
+                got.nodes) == (want.matrix, want.perm, want.generators,
+                               want.group_order, want.nodes)
 
 
 def test_nodes_counter_reported():

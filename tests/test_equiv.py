@@ -52,24 +52,6 @@ def _transformed_pair(spec, n, k, seed, allow_rho=True):
 # transform algebra
 
 
-@pytest.mark.parametrize("q", [2, 3, 4, 9, 27])
-def test_transform_composition_inverse_identity(q):
-    spec = field(q)
-    rng = random.Random(q)
-    n, k = 6, 3
-    for _ in range(20):
-        t1 = _random_transform(spec, n, rng)
-        t2 = _random_transform(spec, n, rng)
-        x = GFMatrix(spec, [[rng.randrange(q) for _ in range(n)]
-                            for _ in range(k)])
-        assert t2.apply(t1.apply(x)) == t1.then(t2).apply(x)
-        assert t1.inverse().apply(t1.apply(x)) == x
-        assert t1.apply(t1.inverse().apply(x)) == x
-    ident = MonomialTransform.identity(spec, n)
-    x = GFMatrix(spec, [[rng.randrange(q) for _ in range(n)] for _ in range(k)])
-    assert ident.apply(x) == x
-
-
 def test_transform_validation():
     spec = field(3)
     with pytest.raises(ValueError):
@@ -576,6 +558,25 @@ def test_high_rate_beyond_the_point_table_gets_a_witness():
     assert verify_witness(c1, c2, v.witness)
 
 
+def test_incidence_route_on_1023_points():
+    """A [20,10]_2 code keeps its own side, so its ceimpg matrix is the
+    incidence of PG(9,2): 1,023 columns, searched by the node budget
+    alone.  Both routes must agree on a transformed copy and on an
+    independent code."""
+    spec = field(2)
+    c1, c2 = _transformed_pair(spec, 20, 10, seed=1)
+    c3 = random_code(spec, 20, 10, seed=3)
+    assert equiv._side(c1) is c1 and theta(9, 2) == 1023
+    v = cesimpg_equiv(c1, c2)
+    assert v.equivalent and verify_witness(c1, c2, v.witness)
+    assert not cesimpg_equiv(c1, c3).equivalent
+    assert ceimpg_equiv(c1, c2).equivalent
+    assert not ceimpg_equiv(c1, c3).equivalent
+    result = classify([c1, c2, c3], algo="ceimpg")
+    assert [c.members for c in result.classes] == [[0, 1], [2]]
+    assert result.errors == []
+
+
 # ---------------------------------------------------------------------------
 # classification
 
@@ -689,8 +690,7 @@ def _sigma0_lifts(c1, c2):
 def _fallback_pair():
     # a [16,6]_5 pair (an [8,6]_5 pair with every column doubled, so that
     # 2k <= n keeps it off the dual) whose sigma0 does not lift: with a
-    # coset cap of 1 it reaches the ceimpg fallback, whose 3906-point
-    # incidence matrix exceeds the canonical-search column limit
+    # coset cap of 1 its comparison falls back to the ceimpg key
     spec = field(5)
     pair = _transformed_pair(spec, 8, 6, seed=3, allow_rho=False)
     c1, c2 = (GeneratorMatrix(spec, [[x for x in row for _ in range(2)]
@@ -699,13 +699,26 @@ def _fallback_pair():
     return spec, c1, c2
 
 
-FALLBACK_MSG = ("ResourceLimitError: 3906 columns exceeds the canonical-search "
-                "limit (900)")
+FALLBACK_MSG = "BudgetExceededError: ceimpg key over budget"
+
+
+def _failing_ceimpg_keys(monkeypatch):
+    """Cap the coset at 1 and make every ceimpg key fail, as one over the
+    node budget would; returns the list of sides a key was asked for."""
+    calls = []
+
+    def failing(side, budget):
+        calls.append(side)
+        raise BudgetExceededError("ceimpg key over budget")
+
+    monkeypatch.setattr(equiv, "_ceimpg_key", failing)
+    monkeypatch.setattr(equiv, "COSET_CAP", 1)
+    return calls
 
 
 def test_classify_pair_fallback_errors_collected_not_raised(monkeypatch):
     _, c1, c2 = _fallback_pair()
-    monkeypatch.setattr(equiv, "COSET_CAP", 1)
+    _failing_ceimpg_keys(monkeypatch)
     result = classify([c1, c2], algo="cesimpg")
     assert result.errors == [(1, FALLBACK_MSG)]
     assert [c.members for c in result.classes] == [[0]]
@@ -719,15 +732,7 @@ def test_classify_failed_ceimpg_key_built_once(monkeypatch):
         spec, 16, random.Random(seed), allow_rho=False).apply(c1.mat).rows)
         for seed in (7, 8)]
     assert not any(_sigma0_lifts(c1, c) for c in copies)
-    calls = []
-    real = equiv._ceimpg_key
-
-    def counted(code, budget):
-        calls.append(code)
-        return real(code, budget)
-
-    monkeypatch.setattr(equiv, "_ceimpg_key", counted)
-    monkeypatch.setattr(equiv, "COSET_CAP", 1)
+    calls = _failing_ceimpg_keys(monkeypatch)
     result = classify([c1, c2] + copies, algo="cesimpg")
     assert result.errors == [(1, FALLBACK_MSG), (2, FALLBACK_MSG),
                              (3, FALLBACK_MSG)]

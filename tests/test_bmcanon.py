@@ -430,6 +430,29 @@ def test_search_tree_matches_recursive_oracle():
                                want.group_order, want.nodes)
 
 
+def test_children_prune_by_orbits_on_the_first_path_only():
+    # columns 2 and 3 are twins, so (0 1 3 2) is an automorphism fixing
+    # columns 0 and 1; with it recorded and 2 already tried, column 3 is
+    # skipped below the first path's first node and kept elsewhere
+    m = ColoredBinaryMatrix([[1, 0, 0, 0], [0, 1, 0, 0], [0, 0, 1, 1]])
+    search = _Search(m, DEFAULT_NODE_BUDGET)
+    search.gens = [(0, 1, 3, 2)]
+    assert search.records.maps_onto(search.gens[0])
+
+    def children(col_cells, path):
+        tried, seen = [], []
+        for v, _ in search._children(col_cells, [[0, 1, 2]], 1, tried, path):
+            seen.append(v)
+            tried.append(v)
+        return seen
+
+    # no leaf yet: the path being walked is the first path
+    assert children([[0], [1, 2, 3]], [0]) == [1, 2]
+    search.first_cert, search.first_path = ((0, 0, 0, 0), b""), [0, 1]
+    assert children([[0], [1, 2, 3]], [0]) == [1, 2]
+    assert children([[1], [0, 2, 3]], [1]) == [0, 2, 3]
+
+
 def test_nodes_counter_reported():
     m = ColoredBinaryMatrix([[1, 0], [0, 1]])
     assert canonical_form(m).nodes >= 1

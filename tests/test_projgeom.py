@@ -5,6 +5,7 @@ import random
 import pytest
 
 from codequiv import field, incidence, point_table, simplex_generator, theta
+from codequiv import projgeom
 from codequiv.projgeom import MAX_POINTS, nonzero_dot_masks
 
 
@@ -67,7 +68,8 @@ def test_simplex_generator(k, q):
     assert tuple(tuple(c) for c in g.columns()) == t.points
 
 
-@pytest.mark.parametrize("k,q", [(2, 2), (2, 3), (2, 5), (3, 2), (3, 3), (3, 4), (4, 2)])
+@pytest.mark.parametrize("k,q", [(2, 2), (2, 3), (2, 5), (3, 2), (3, 3), (3, 4),
+                                 (4, 2), (3, 8), (3, 9), (2, 25), (2, 27)])
 def test_incidence_row_weights_and_symmetry(k, q):
     """Row i marks the points NOT on hyperplane i; every hyperplane misses
     exactly q^(k-1) of the theta(k-1) points, and u.v = v.u."""
@@ -83,7 +85,7 @@ def test_incidence_row_weights_and_symmetry(k, q):
 
 
 def test_incidence_entries_match_dot_products():
-    for (k, q) in [(3, 3), (2, 4), (3, 4)]:
+    for (k, q) in [(3, 3), (2, 4), (3, 4), (3, 8), (3, 9)]:
         spec = field(q)
         inc = incidence(k, q)
         pts = point_table(k, q).points
@@ -92,28 +94,57 @@ def test_incidence_entries_match_dot_products():
                 assert inc.entry(i, j) == (1 if spec.dot(u, v) else 0)
 
 
+def _want_masks(spec, points, vectors):
+    """The masks of nonzero_dot_masks, one field inner product at a time."""
+    masks = []
+    for u in points:
+        want = 0
+        for v in vectors:
+            want = (want << 1) | (1 if spec.dot(u, v) else 0)
+        masks.append(want)
+    return masks
+
+
 @pytest.mark.parametrize("k,q", [(10, 2), (7, 3)])
-def test_nonzero_dot_masks_across_blocks(k, q):
-    """Tables of over 1,000 points are multiplied in several blocks; every
-    mask must still equal the per-pair inner products."""
+def test_nonzero_dot_masks_across_blocks(k, q, monkeypatch):
+    """Tables of over 1,000 points, taken 100 points to a block; every mask
+    must still equal the per-pair inner products."""
+    monkeypatch.setattr(projgeom, "_BLOCK_CELLS", 37 * 100)
     spec = field(q)
     table = point_table(k, q)
     assert len(table) > 1000
     rng = random.Random(k)
     vectors = [tuple(rng.randrange(q) for _ in range(k)) for _ in range(37)]
-    masks = nonzero_dot_masks(table, vectors)
-    assert len(masks) == len(table)
-    for u, mask in zip(table.points, masks):
-        want = 0
-        for v in vectors:
-            want = (want << 1) | (1 if spec.dot(u, v) else 0)
-        assert mask == want
+    assert nonzero_dot_masks(table, vectors) == _want_masks(
+        spec, table.points, vectors)
 
 
-def test_incidence_composite_vs_prime_paths_consistent():
-    """The numpy fast path (prime q) and the generic path must agree where
-    both are defined; checked indirectly by the dot-product test above, and
-    here by the weight law on a composite field."""
-    inc = incidence(3, 9)
-    for i in range(inc.n_points):
-        assert inc.row_weight(i) == 81
+# (k, q, modulus): every branch of the mask kernel, GF(2), odd prime,
+# characteristic 2 and odd composite, with accumulators wider than uint8
+# past q = 256 (515 is x^9 + x + 1 over GF(2), 734 is x^6 + x + 2 over GF(3))
+KERNEL_FIELDS = [(5, 2, None), (4, 3, None), (3, 7, None), (2, 257, None),
+                 (3, 4, None), (3, 8, None), (3, 16, None), (2, 512, 515),
+                 (3, 9, None), (3, 25, None), (2, 27, None), (2, 49, 50),
+                 (2, 729, 734)]
+
+
+@pytest.mark.parametrize("k,q,modulus", KERNEL_FIELDS)
+def test_nonzero_dot_masks_match_dot_on_every_field(k, q, modulus,
+                                                    monkeypatch):
+    """Every (point, vector) pair against spec.dot, with blocks of two
+    points so the accumulator crosses many block boundaries; the vectors
+    include the zero vector and unnormalized ones."""
+    spec = field(q, modulus)
+    table = point_table(k, q, modulus)
+    rng = random.Random(q)
+    vectors = [tuple(rng.randrange(q) for _ in range(k)) for _ in range(22)]
+    vectors.append((0,) * k)
+    monkeypatch.setattr(projgeom, "_BLOCK_CELLS", 2 * len(vectors))
+    assert nonzero_dot_masks(table, vectors) == _want_masks(
+        spec, table.points, vectors)
+
+
+@pytest.mark.parametrize("k,q", [(3, 2), (3, 3), (3, 4), (2, 9)])
+def test_nonzero_dot_masks_of_no_vectors(k, q):
+    table = point_table(k, q)
+    assert nonzero_dot_masks(table, []) == [0] * len(table)

@@ -59,7 +59,8 @@ import numpy as np
 
 from .errors import BudgetExceededError
 
-DEFAULT_NODE_BUDGET = 2_000_000
+# the canonical search's only bound: nodes visited per canonical_form call
+NODE_BUDGET = 2_000_000
 
 
 class ColoredBinaryMatrix:
@@ -256,7 +257,7 @@ def _color_classes(colors) -> list[list[int]]:
 class _Search:
     """One canonical-form computation; see module docstring for the scheme."""
 
-    def __init__(self, mat: ColoredBinaryMatrix, budget: int):
+    def __init__(self, mat: ColoredBinaryMatrix):
         self.mat = mat
         self.C = mat.n_cols
         self.R = mat.n_rows
@@ -268,14 +269,10 @@ class _Search:
         data = packed.T.tobytes()
         self.cols = [int.from_bytes(data[j * step:(j + 1) * step], "little")
                      for j in range(self.C)]
-        self.budget = budget
         self.nodes = 0
-        self.first_cert = None
-        self.first_order = None
-        self.first_path: list[int] = []
-        self.best_cert = None
-        self.best_order = None
-        self.best_path: list[int] = []
+        # (cert, order, path) of the first leaf and of the least one so far
+        self.first = None
+        self.best = None
         self.gens: list[tuple[int, ...]] = []
 
     # -- partitions ---------------------------------------------------------
@@ -389,23 +386,16 @@ class _Search:
 
     def _handle_leaf(self, col_cells, path):
         cert, order = self._leaf_cert(col_cells)
-        if self.first_cert is None:
-            self.first_cert, self.first_order = cert, order
-            self.first_path = list(path)
-            self.best_cert, self.best_order = cert, order
-            self.best_path = list(path)
+        if self.first is None:
+            self.first = self.best = (cert, order, list(path))
             return None
-        if cert == self.first_cert:
-            # maps the first leaf's derivation onto this one
-            self._record_generator(self._perm_between(self.first_order, order))
-            return next(t for t in range(len(path)) if path[t] != self.first_path[t])
-        if cert < self.best_cert:
-            self.best_cert, self.best_order = cert, order
-            self.best_path = list(path)
-            return None
-        if cert == self.best_cert:
-            self._record_generator(self._perm_between(self.best_order, order))
-            return next(t for t in range(len(path)) if path[t] != self.best_path[t])
+        for ref_cert, ref_order, ref_path in (self.first, self.best):
+            if cert == ref_cert:
+                # maps the reference leaf's derivation onto this one
+                self._record_generator(self._perm_between(ref_order, order))
+                return next(t for t in range(len(path)) if path[t] != ref_path[t])
+        if cert < self.best[0]:
+            self.best = (cert, order, list(path))
         return None
 
     # -- tree -----------------------------------------------------------------
@@ -434,7 +424,7 @@ class _Search:
         McKay & Piperno, Practical graph isomorphism II, 2014)."""
         order = 1
         gens = self.gens
-        for v in self.first_path:
+        for v in self.first[2]:
             order *= len(self._orbit(v, gens))
             gens = [g for g in gens if g[v] == v]
         return order
@@ -444,8 +434,8 @@ class _Search:
         at `path`, columns of its target cell in increasing order.  On the
         first path a column is skipped when the generators fixing `path`
         join it to one in `tried`, the columns explored so far."""
-        on_first_path = (self.first_cert is None
-                         or path == self.first_path[:len(path)])
+        on_first_path = (self.first is None
+                         or path == self.first[2][:len(path)])
         target = col_cells[target_idx]
         for v in sorted(target):
             if tried and on_first_path and self._orbit_joined(v, tried, path):
@@ -467,9 +457,9 @@ class _Search:
         node = (col_cells, row_cells, None)
         while True:
             self.nodes += 1
-            if self.nodes > self.budget:
+            if self.nodes > NODE_BUDGET:
                 raise BudgetExceededError(
-                    f"canonical-form search exceeded {self.budget} nodes")
+                    f"canonical-form search exceeded {NODE_BUDGET} nodes")
             col_cells, row_cells = self._refine(*node)
             # the first largest cell
             target_idx = max(range(len(col_cells)),
@@ -505,8 +495,7 @@ class _Search:
             return CanonResult(mat, (), [], 1, 0)
         col_cells, row_cells = self._initial_cells()
         self._dfs(col_cells, row_cells)
-        order = self.best_order
-        col_colors, data = self.best_cert
+        (col_colors, data), order, _ = self.best
         row_colors, masks = self.records.decode(data)
         canon = ColoredBinaryMatrix.from_masks(masks, self.C, row_colors,
                                                col_colors)
@@ -517,14 +506,13 @@ class _Search:
                            self._group_order(), self.nodes)
 
 
-def canonical_form(mat: ColoredBinaryMatrix, budget: int | None = None) -> CanonResult:
-    """Canonicalize `mat`; raises BudgetExceededError past the node budget,
-    the search's only bound."""
-    return _Search(mat, budget if budget is not None else DEFAULT_NODE_BUDGET).run()
+def canonical_form(mat: ColoredBinaryMatrix) -> CanonResult:
+    """Canonicalize `mat`; raises BudgetExceededError past NODE_BUDGET
+    nodes, the search's only bound."""
+    return _Search(mat).run()
 
 
-def is_isomorphic(m1: ColoredBinaryMatrix, m2: ColoredBinaryMatrix,
-                  budget: int | None = None):
+def is_isomorphic(m1: ColoredBinaryMatrix, m2: ColoredBinaryMatrix):
     """Column permutation sigma mapping m1 onto m2 (j -> sigma[j]), or None.
 
     Quick shape/color-multiset rejections come first; otherwise both inputs
@@ -534,8 +522,7 @@ def is_isomorphic(m1: ColoredBinaryMatrix, m2: ColoredBinaryMatrix,
             or sorted(m1.row_colors) != sorted(m2.row_colors)
             or sorted(m1.col_colors) != sorted(m2.col_colors)):
         return None
-    sigma = _sigma_from_canons(canonical_form(m1, budget),
-                              canonical_form(m2, budget))
+    sigma = _sigma_from_canons(canonical_form(m1), canonical_form(m2))
     if sigma is not None and not _RowRecords(m1).maps_onto(
             sigma, _RowRecords(m2)):
         raise RuntimeError("internal error: canonical forms matched "

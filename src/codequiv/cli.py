@@ -4,14 +4,12 @@ classification benchmark.
 
 Exit codes: 0 success (for `equiv`: codes equivalent), 1 inequivalent
 (`equiv` only), 2 error.  Permutations print 1-based: `sigma: s1 s2 ...`
-means coordinate i moves to position s_i.  The search-budget default can be
-set with the CODEQUIV_BUDGET environment variable.
+means coordinate i moves to position s_i.
 """
 
 from __future__ import annotations
 
 import argparse
-import os
 import sys
 import time
 
@@ -22,21 +20,6 @@ from .errors import BudgetExceededError, ResourceLimitError
 from .gfield import field
 from .lincode import characteristic_vector, random_code
 from .projgeom import point_table
-
-BUDGET_ENV = "CODEQUIV_BUDGET"
-
-
-def _budget(args) -> int | None:
-    if getattr(args, "budget", None) is not None:
-        return args.budget
-    raw = os.environ.get(BUDGET_ENV)
-    if raw:
-        try:
-            return int(raw)
-        except ValueError:
-            raise ValueError(f"{BUDGET_ENV} must be an integer, got {raw!r}")
-    return None
-
 
 def _read_codes(path: str):
     if path == "-":
@@ -89,7 +72,7 @@ def cmd_equiv(args) -> int:
         c1, c2 = codes1[0], codes1[1]
     else:
         raise CodeFileError(f"{args.file1}: need a second code or a second file")
-    verdict = decide_equivalence(c1, c2, args.algo, _budget(args))
+    verdict = decide_equivalence(c1, c2, args.algo)
     if verdict.equivalent:
         print(f"EQUIVALENT method={verdict.method}")
         if verdict.witness is not None:
@@ -103,8 +86,7 @@ def cmd_equiv(args) -> int:
 
 def cmd_classify(args) -> int:
     codes = _read_codes(args.codefile)
-    result = classify(codes, algo=args.algo, budget=_budget(args),
-                      jobs=args.jobs)
+    result = classify(codes, algo=args.algo, jobs=args.jobs)
     for i, cls in enumerate(result.classes, start=1):
         members = " ".join(str(m + 1) for m in cls.members)
         print(f"class {i}: size {len(cls.members)} digest {cls.key_digest} "
@@ -135,7 +117,7 @@ def cmd_gen(args) -> int:
 
 def cmd_autgroup(args) -> int:
     for idx, code in enumerate(_read_codes(args.codefile), start=1):
-        report = code_aut_group(code, _budget(args))
+        report = code_aut_group(code)
         if report.order is not None:
             head = f"code {idx}: aut order {report.order}"
         elif code.spec.m > 1:
@@ -155,14 +137,13 @@ def cmd_autgroup(args) -> int:
 
 def cmd_bench(args) -> int:
     spec = field(args.q, args.modulus)
-    budget = _budget(args)
     codes = [random_code(spec, args.n, args.k, args.seed + i)
              for i in range(args.count)]
     timings = {}
     counts = {}
     for algo in ("cesimpg", "ceimpg"):
         start = time.perf_counter()
-        result = classify(codes, algo=algo, budget=budget, jobs=args.jobs)
+        result = classify(codes, algo=algo, jobs=args.jobs)
         timings[algo] = time.perf_counter() - start
         counts[algo] = len(result.classes)
         if result.errors:
@@ -182,11 +163,6 @@ def cmd_bench(args) -> int:
 
 
 # ---------------------------------------------------------------------------
-
-
-def _add_budget(p) -> None:
-    p.add_argument("--budget", type=int, default=None,
-                   help=f"canonical-search node budget (default ${BUDGET_ENV})")
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -211,7 +187,6 @@ def build_parser() -> argparse.ArgumentParser:
                    help="second file; omit to compare the first two codes of file1")
     p.add_argument("--algo", choices=("auto", "cesimpg", "ceimpg"),
                    default="auto")
-    _add_budget(p)
     p.set_defaults(func=cmd_equiv)
 
     p = sub.add_parser("classify", help="partition codes into equivalence classes")
@@ -221,7 +196,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--jobs", type=int, default=1)
     p.add_argument("--seed", type=int, default=None,
                    help="echoed into the report footer for provenance")
-    _add_budget(p)
     p.set_defaults(func=cmd_classify)
 
     p = sub.add_parser("gen", help="generate random codes")
@@ -237,7 +211,6 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("autgroup", help="automorphism group of each code")
     p.add_argument("codefile")
-    _add_budget(p)
     p.set_defaults(func=cmd_autgroup)
 
     p = sub.add_parser("bench", help="benchmark both classification routes")
@@ -248,7 +221,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--seed", type=int, default=1)
     p.add_argument("--jobs", type=int, default=1)
     p.add_argument("--modulus", type=int, default=None)
-    _add_budget(p)
     p.set_defaults(func=cmd_bench)
 
     return parser
@@ -259,16 +231,11 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except CodeFileError as e:
-        print(f"error: {e}", file=sys.stderr)
-        return 2
-    except FileNotFoundError as e:
-        print(f"error: {e}", file=sys.stderr)
-        return 2
     except (BudgetExceededError, ResourceLimitError) as e:
         print(f"error: {type(e).__name__}: {e}", file=sys.stderr)
         return 2
-    except ValueError as e:
+    except (OSError, ValueError) as e:
+        # CodeFileError is a ValueError; OSError covers any unreadable path
         print(f"error: {e}", file=sys.stderr)
         return 2
 

@@ -298,11 +298,8 @@ def monomial_from_sigma(g1: GeneratorMatrix, red2: RREFResult, sigma,
 # group element streaming
 
 
-def _iter_group(gens, n: int, cap: int):
-    """Yield every element of <gens> (identity first, BFS order).
-
-    Raises BudgetExceededError when the group outgrows `cap`.
-    """
+def _iter_group(gens, n: int):
+    """Yield every element of <gens> (identity first, BFS order)."""
     ident = tuple(range(n))
     seen = {ident}
     yield ident
@@ -313,9 +310,6 @@ def _iter_group(gens, n: int, cap: int):
             for g in gens:
                 b = tuple(g[a[i]] for i in range(n))
                 if b not in seen:
-                    if len(seen) >= cap:
-                        raise BudgetExceededError(
-                            f"coset enumeration exceeded {cap} elements")
                     seen.add(b)
                     nxt.append(b)
                     yield b
@@ -351,7 +345,7 @@ def _find_lift(g1: GeneratorMatrix, red2: RREFResult, r1, r2):
         return None
     capped = r1.group_order > COSET_CAP
     taus = ([tuple(range(g1.n))] if capped
-            else _iter_group(r1.generators, g1.n, COSET_CAP))
+            else _iter_group(r1.generators, g1.n))
     for tau in taus:
         sigma = _perm_compose(sigma0, tau)
         lift = _lift(g1, red2, sigma)
@@ -379,8 +373,7 @@ def _comparable_sides(c1: GeneratorMatrix, c2: GeneratorMatrix):
     return (s1, s2) if s1.k == s2.k else None
 
 
-def ceimpg_equiv(c1: GeneratorMatrix, c2: GeneratorMatrix,
-                 budget: int | None = None) -> Verdict:
+def ceimpg_equiv(c1: GeneratorMatrix, c2: GeneratorMatrix) -> Verdict:
     """Decide equivalence by canonical forms of the multiplicity-extended
     incidence matrices of the codes' sides (their duals when 2k > n).
     Complete invariant, except on sides of dimension 2 over q >= 5, whose
@@ -389,7 +382,7 @@ def ceimpg_equiv(c1: GeneratorMatrix, c2: GeneratorMatrix,
     if sides is None:
         return Verdict(False, "ceimpg")
     m1, m2 = (build_ceimpg_matrix(characteristic_vector(s)) for s in sides)
-    sigma = bmcanon.is_isomorphic(m1, m2, budget)
+    sigma = bmcanon.is_isomorphic(m1, m2)
     return Verdict(sigma is not None, "ceimpg")
 
 
@@ -402,8 +395,7 @@ def _witness(c1: GeneratorMatrix, c2: GeneratorMatrix, sigma, rho: int,
     return witness
 
 
-def cesimpg_equiv(c1: GeneratorMatrix, c2: GeneratorMatrix,
-                  budget: int | None = None) -> Verdict:
+def cesimpg_equiv(c1: GeneratorMatrix, c2: GeneratorMatrix) -> Verdict:
     """Decide equivalence via shortened matrices plus monomial lifting.
 
     The shortened matrices are those of the codes' sides (`_side`: the
@@ -425,12 +417,12 @@ def cesimpg_equiv(c1: GeneratorMatrix, c2: GeneratorMatrix,
     if sides is None:
         return Verdict(False, "cesimpg")
     try:
-        r1, r2 = (canonical_form(build_shortened(s), budget) for s in sides)
+        r1, r2 = (canonical_form(build_shortened(s)) for s in sides)
         found = _find_lift(c1, rref(c2.mat), r1, r2)
     except BudgetExceededError:
         if not _ceimpg_complete(sides[0]):
             raise
-        verdict = ceimpg_equiv(c1, c2, budget)
+        verdict = ceimpg_equiv(c1, c2)
         return Verdict(verdict.equivalent, "ceimpg-fallback")
     if found is None:
         return Verdict(False, "cesimpg")
@@ -438,11 +430,11 @@ def cesimpg_equiv(c1: GeneratorMatrix, c2: GeneratorMatrix,
 
 
 def decide_equivalence(c1: GeneratorMatrix, c2: GeneratorMatrix,
-                       algo: str = "auto", budget: int | None = None) -> Verdict:
+                       algo: str = "auto") -> Verdict:
     if algo == "ceimpg":
-        return ceimpg_equiv(c1, c2, budget)
+        return ceimpg_equiv(c1, c2)
     if algo in ("auto", "cesimpg"):
-        return cesimpg_equiv(c1, c2, budget)
+        return cesimpg_equiv(c1, c2)
     raise ValueError(f"unknown algorithm {algo!r}")
 
 
@@ -478,13 +470,12 @@ class AutomorphismReport:
     complete: bool
 
 
-def code_aut_group(code: GeneratorMatrix,
-                   budget: int | None = None) -> AutomorphismReport:
+def code_aut_group(code: GeneratorMatrix) -> AutomorphismReport:
     """The automorphism group of `code` (see AutomorphismReport).  H1 comes
     from the shortened matrix of the code's side (its dual when 2k > n);
     each generator is lifted, and the kernel counted, on the code itself."""
     spec = code.spec
-    r = canonical_form(build_shortened(_side(code)), budget)
+    r = canonical_form(build_shortened(_side(code)))
     red = rref(code.mat)
     lifted: list[EquivalenceWitness] = []
     failed: list[tuple[int, ...]] = []
@@ -528,12 +519,12 @@ def _short_digest(text: str) -> str:
     return hashlib.sha256(text.encode()).hexdigest()[:12]
 
 
-def _ceimpg_key(side: GeneratorMatrix, budget) -> str:
+def _ceimpg_key(side: GeneratorMatrix) -> str:
     m = build_ceimpg_matrix(characteristic_vector(side))
-    return serialize(canonical_form(m, budget).matrix)
+    return serialize(canonical_form(m).matrix)
 
 
-def _code_key(code: GeneratorMatrix, mode: str, budget):
+def _code_key(code: GeneratorMatrix, mode: str):
     """(key, entry, error) of one code.  `entry` is the (RREFResult,
     CanonResult) pair that cesimpg bucket comparisons lift with, None for
     ceimpg; a per-item failure sets only `error`.  A key built from the dual
@@ -543,17 +534,17 @@ def _code_key(code: GeneratorMatrix, mode: str, budget):
         side = _side(code)
         tag = "" if side is code else "dual:"
         if mode == "ceimpg":
-            return tag + _ceimpg_key(side, budget), None, None
-        canon = canonical_form(build_shortened(side), budget)
+            return tag + _ceimpg_key(side), None, None
+        canon = canonical_form(build_shortened(side))
         return tag + serialize(canon.matrix), (rref(code.mat), canon), None
     except (BudgetExceededError, ResourceLimitError) as e:
         return None, None, f"{type(e).__name__}: {e}"
 
 
-def _batch_keys(codes, mode, budget, jobs):
+def _batch_keys(codes, mode, jobs):
     """`_code_key` of every code, in order; with jobs > 1 the codes are keyed
     in a process pool and travel to and from it pickled."""
-    key = functools.partial(_code_key, mode=mode, budget=budget)
+    key = functools.partial(_code_key, mode=mode)
     if jobs > 1 and len(codes) > 1:
         import multiprocessing as mp
         with mp.Pool(jobs) as pool:
@@ -562,8 +553,7 @@ def _batch_keys(codes, mode, budget, jobs):
     return [key(code) for code in codes]
 
 
-def classify(codes, algo: str = "ceimpg", budget: int | None = None,
-             jobs: int = 1) -> ClassifyResult:
+def classify(codes, algo: str = "ceimpg", jobs: int = 1) -> ClassifyResult:
     """Partition `codes` into equivalence classes.
 
     algo="ceimpg" groups by the complete canonical key.  algo="cesimpg"
@@ -576,9 +566,10 @@ def classify(codes, algo: str = "ceimpg", budget: int | None = None,
     tried, and a pair it does not decide falls back to comparing ceimpg
     keys, each built at most once, unless the sides have dimension 2 over
     q >= 5, where those keys are incomplete.  Classes are ordered by first
-    appearance.  Per-item errors, from keying a code (budget or point-table
-    size) or from comparing it with a class representative (budget), are
-    collected in `errors` (by code index) without aborting the batch.
+    appearance.  Per-item errors, from keying a code (node budget or
+    point-table size) or from comparing it with a class representative
+    (node budget or coset cap), are collected in `errors` (by code index)
+    without aborting the batch.
     """
     start = time.perf_counter()
     codes = list(codes)
@@ -587,7 +578,7 @@ def classify(codes, algo: str = "ceimpg", budget: int | None = None,
     if codes and any(c.spec != codes[0].spec for c in codes):
         raise ValueError("classification requires a single ambient field")
     mode = "ceimpg" if algo == "ceimpg" else "cesimpg"
-    keyed = _batch_keys(codes, mode, budget, jobs)
+    keyed = _batch_keys(codes, mode, jobs)
     errors = [(i, msg) for i, (_, _, msg) in enumerate(keyed) if msg]
     ceimpg_keys: dict[int, str | BudgetExceededError] = {}
 
@@ -596,7 +587,7 @@ def classify(codes, algo: str = "ceimpg", budget: int | None = None,
         key = ceimpg_keys.get(i)
         if key is None:
             try:
-                key = _ceimpg_key(_side(codes[i]), budget)
+                key = _ceimpg_key(_side(codes[i]))
             except BudgetExceededError as e:
                 key = e
             ceimpg_keys[i] = key

@@ -2,11 +2,13 @@
 
 
 class BudgetExceededError(RuntimeError):
-    """A bounded search ran out of its node/candidate budget.
+    """A search hit a fixed bound: a canonical search visited more than
+    `bmcanon.NODE_BUDGET` nodes, or a permutation that did not lift left the
+    rest of an automorphism group larger than `equiv.COSET_CAP` untried.
 
-    Raised instead of returning a possibly-wrong answer; callers may retry
-    with a larger budget or switch strategy.  Distinct from a proven negative
-    result (which is reported as a normal return value).
+    Raised instead of returning a possibly-wrong answer; a caller may try
+    the other decision route.  Distinct from a proven negative result (which
+    is reported as a normal return value).
     """
 
 

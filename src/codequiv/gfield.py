@@ -69,24 +69,12 @@ def _poly_mul_mod(a: int, b: int, modulus: int, p: int) -> int:
     """Multiply two GF(p)[x] polynomials (digit-int encoded) modulo `modulus`."""
     da = _poly_digits(a, p)
     db = _poly_digits(b, p)
-    if not da or not db:
-        return 0
     prod = [0] * (len(da) + len(db) - 1)
     for i, ca in enumerate(da):
         if ca:
             for j, cb in enumerate(db):
                 prod[i + j] = (prod[i + j] + ca * cb) % p
-    dm = _poly_digits(modulus, p)
-    deg_m = len(dm) - 1
-    inv_lead = pow(dm[-1], p - 2, p)
-    # reduce from the top
-    for i in range(len(prod) - 1, deg_m - 1, -1):
-        c = prod[i]
-        if c:
-            factor = (c * inv_lead) % p
-            for j, cm in enumerate(dm):
-                prod[i - deg_m + j] = (prod[i - deg_m + j] - factor * cm) % p
-    return _poly_encode(prod[:deg_m], p)
+    return _poly_rem(_poly_encode(prod, p), modulus, p)
 
 
 def _is_irreducible(modulus: int, p: int, m: int) -> bool:

@@ -224,13 +224,14 @@ def reference_refine(mat, col_cells, row_cells):
             return col_cells, row_cells
 
 
-def recursive_search(mat, budget: int):
+def recursive_search(mat):
     """The canonical search as it was written before it became a loop over
     an explicit stack: `_dfs` recursing once per tree node, with the same
     child order, orbit pruning on the first path and return-to-depth
     backjumps.  The loop must build the identical tree, so every
     `CanonResult` field, the node count included, must match.  Keep inputs
     shallow (well under the interpreter's recursion limit)."""
+    from codequiv import bmcanon
     from codequiv.bmcanon import _Search
     from codequiv.errors import BudgetExceededError
 
@@ -238,9 +239,9 @@ def recursive_search(mat, budget: int):
         def _dfs(self, col_cells, row_cells, path=None, splitters=None):
             path = [] if path is None else path
             self.nodes += 1
-            if self.nodes > self.budget:
+            if self.nodes > bmcanon.NODE_BUDGET:
                 raise BudgetExceededError(
-                    f"canonical-form search exceeded {self.budget} nodes")
+                    f"canonical-form search exceeded {bmcanon.NODE_BUDGET} nodes")
             col_cells, row_cells = self._refine(col_cells, row_cells,
                                                 splitters)
             target_idx = None
@@ -252,8 +253,8 @@ def recursive_search(mat, budget: int):
             if target_idx is None:
                 return self._handle_leaf(col_cells, path)
             depth = len(path)
-            on_first_path = (self.first_cert is None
-                             or path == self.first_path[:depth])
+            on_first_path = (self.first is None
+                             or path == self.first[2][:depth])
             target = col_cells[target_idx]
             tried: list[int] = []
             for v in sorted(target):
@@ -272,7 +273,7 @@ def recursive_search(mat, budget: int):
                     return ret
             return None
 
-    return RecursiveSearch(mat, budget).run()
+    return RecursiveSearch(mat).run()
 
 
 def min_weight_exhaustive(rows, q: int) -> int:

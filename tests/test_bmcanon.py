@@ -16,7 +16,8 @@ from codequiv import (ColoredBinaryMatrix, GeneratorMatrix,
                       is_automorphism, is_isomorphic, permute_columns,
                       random_code, serialize, simplex_generator,
                       systematic_form)
-from codequiv.bmcanon import DEFAULT_NODE_BUDGET, _Search
+from codequiv import bmcanon
+from codequiv.bmcanon import _Search
 from codequiv.equiv import _iter_group
 from codequiv.errors import BudgetExceededError
 from conftest import (brute_force_cbm_aut_count, brute_force_cbm_isomorphic,
@@ -121,7 +122,7 @@ def test_incremental_refinement_matches_full_recompute():
     rng = random.Random(2024)
     for _ in range(500):
         m = _uneven_cbm(rng)
-        search = _Search(m, DEFAULT_NODE_BUDGET)
+        search = _Search(m)
         col_cells, row_cells = search._initial_cells()
         want = reference_refine(m, col_cells, row_cells)
         col_cells, row_cells = search._refine(col_cells, row_cells)
@@ -154,7 +155,7 @@ def test_initial_cells_match_per_color_scan():
         want = tuple([[i for i in range(len(colors)) if colors[i] == c]
                       for c in sorted(set(colors))]
                      for colors in (m.col_colors, m.row_colors))
-        assert _Search(m, DEFAULT_NODE_BUDGET)._initial_cells() == want
+        assert _Search(m)._initial_cells() == want
 
 
 def test_canonical_invariance_on_uneven_colored_matrices():
@@ -194,7 +195,7 @@ def _order_cert(search, order):
 def test_leaf_certificates_compare_like_reference_pairs():
     rng = random.Random(61)
     for m in _cert_cases():
-        search = _Search(m, DEFAULT_NODE_BUDGET)
+        search = _Search(m)
         orders = []
         for _ in range(4):
             order = list(range(m.n_cols))
@@ -222,7 +223,7 @@ def test_rank_field_widens_past_65536_row_colors():
     colors = rng.sample(range(-10 ** 6, 10 ** 6), n_rows)
     m = ColoredBinaryMatrix.from_masks(
         [rng.getrandbits(3) for _ in range(n_rows)], 3, colors)
-    search = _Search(m, DEFAULT_NODE_BUDGET)
+    search = _Search(m)
     assert search.records.rank_bytes == 3
     orders = [[0, 1, 2], [2, 0, 1], [1, 2, 0]]
     certs = [_order_cert(search, o) for o in orders]
@@ -297,7 +298,7 @@ def test_group_order_matches_closure_on_shortened_matrices():
             res = canonical_form(build_shortened(gs))
             if len(res.generators) < 2:
                 continue
-            closure = sum(1 for _ in _iter_group(res.generators, gs.n, 10 ** 6))
+            closure = sum(1 for _ in _iter_group(res.generators, gs.n))
             assert res.group_order == closure, (q, seed)
             per_field += 1
 
@@ -371,20 +372,22 @@ def test_empty_and_degenerate_shapes():
     assert canonical_form(one_cell).group_order == 1
 
 
-def test_budget_exhaustion_raises():
+def test_budget_exhaustion_raises(monkeypatch):
     rng = random.Random(1)
     m = _random_cbm(rng, 5, 6)
+    monkeypatch.setattr(bmcanon, "NODE_BUDGET", 0)
     with pytest.raises(BudgetExceededError):
-        canonical_form(m, budget=0)
+        canonical_form(m)
 
 
-def test_deep_search_ends_at_the_node_budget():
+def test_deep_search_ends_at_the_node_budget(monkeypatch):
     # one all-zero row over 1,100 columns: the first path individualizes
     # the columns one by one, so the tree is deeper than the interpreter's
     # recursion limit; only the node budget may stop it
     wide = ColoredBinaryMatrix.from_masks([0], 1100)
+    monkeypatch.setattr(bmcanon, "NODE_BUDGET", 1200)
     with pytest.raises(BudgetExceededError):
-        canonical_form(wide, budget=1200)
+        canonical_form(wide)
 
 
 def _twin_cbm(rng):
@@ -424,7 +427,7 @@ def test_search_tree_matches_recursive_oracle():
     # group order and node count
     for m in _oracle_cases():
         got = canonical_form(m)
-        want = recursive_search(m, DEFAULT_NODE_BUDGET)
+        want = recursive_search(m)
         assert (got.matrix, got.perm, got.generators, got.group_order,
                 got.nodes) == (want.matrix, want.perm, want.generators,
                                want.group_order, want.nodes)
@@ -435,7 +438,7 @@ def test_children_prune_by_orbits_on_the_first_path_only():
     # columns 0 and 1; with it recorded and 2 already tried, column 3 is
     # skipped below the first path's first node and kept elsewhere
     m = ColoredBinaryMatrix([[1, 0, 0, 0], [0, 1, 0, 0], [0, 0, 1, 1]])
-    search = _Search(m, DEFAULT_NODE_BUDGET)
+    search = _Search(m)
     search.gens = [(0, 1, 3, 2)]
     assert search.records.maps_onto(search.gens[0])
 
@@ -448,7 +451,7 @@ def test_children_prune_by_orbits_on_the_first_path_only():
 
     # no leaf yet: the path being walked is the first path
     assert children([[0], [1, 2, 3]], [0]) == [1, 2]
-    search.first_cert, search.first_path = ((0, 0, 0, 0), b""), [0, 1]
+    search.first = (((0, 0, 0, 0), b""), [0, 1, 2, 3], [0, 1])
     assert children([[0], [1, 2, 3]], [0]) == [1, 2]
     assert children([[1], [0, 2, 3]], [1]) == [0, 2, 3]
 

@@ -1,12 +1,11 @@
-"""Command-line interface: output formats, exit codes, round-trips, and the
-budget environment variable."""
+"""Command-line interface: output formats, exit codes and round-trips."""
 
 import io
 
 import pytest
 
-from codequiv import (GeneratorMatrix, emit_codes, field, parse_codes,
-                      random_code, simplex_generator)
+from codequiv import (GeneratorMatrix, bmcanon, emit_codes, field,
+                      parse_codes, random_code, simplex_generator)
 from codequiv.cli import main
 from codequiv.equiv import MonomialTransform
 
@@ -97,6 +96,16 @@ def test_missing_file_exit_2(capsys):
     assert "error:" in capsys.readouterr().err
 
 
+def test_directory_path_exit_2(tmp_path, capsys):
+    # exit 1 would read as "inequivalent" from `equiv`
+    assert main(["equiv", str(tmp_path)]) == 2
+    assert main(["chi", str(tmp_path)]) == 2
+    assert main(["gen", "-q", "2", "-k", "3", "-n", "7",
+                 "-o", str(tmp_path)]) == 2
+    err = capsys.readouterr().err
+    assert err.count("error:") == 3 and "Traceback" not in err
+
+
 def test_bad_file_reports_line(tmp_path, capsys):
     p = tmp_path / "bad.txt"
     p.write_text("3 2 3\n1 0 3\n0 1 1\n")
@@ -166,29 +175,15 @@ def test_classify_report_and_determinism(tmp_path, capsys):
     assert digest1 == digest3  # deterministic re-run
 
 
-def test_classify_budget_zero_exit_2(tmp_path, capsys):
+def test_classify_budget_zero_exit_2(tmp_path, monkeypatch, capsys):
     spec = field(3)
     path = _write(tmp_path, "b.txt", [random_code(spec, 8, 3, seed=s)
                                       for s in range(3)])
-    assert main(["classify", path, "--budget", "0"]) == 2
+    monkeypatch.setattr(bmcanon, "NODE_BUDGET", 0)
+    assert main(["classify", path]) == 2
     captured = capsys.readouterr()
     assert "errors 3" in captured.out
     assert captured.err.count("error: code") == 3
-
-
-def test_budget_env_var(tmp_path, monkeypatch, capsys):
-    monkeypatch.setenv("CODEQUIV_BUDGET", "0")
-    spec = field(3)
-    path = _write(tmp_path, "b.txt", [random_code(spec, 8, 3, seed=s)
-                                      for s in range(2)])
-    assert main(["classify", path]) == 2
-    capsys.readouterr()
-    # explicit flag overrides the environment
-    assert main(["classify", path, "--budget", "100000"]) == 0
-    capsys.readouterr()
-    monkeypatch.setenv("CODEQUIV_BUDGET", "not-a-number")
-    assert main(["classify", path]) == 2
-    assert "CODEQUIV_BUDGET" in capsys.readouterr().err
 
 
 def test_autgroup_simplex(tmp_path, capsys):
@@ -224,4 +219,10 @@ def test_bench_small(capsys):
 def test_unknown_subcommand_usage_error():
     with pytest.raises(SystemExit) as exc:
         main(["frobnicate"])
+    assert exc.value.code == 2
+
+
+def test_budget_flag_is_a_usage_error(pair_file):
+    with pytest.raises(SystemExit) as exc:
+        main(["classify", pair_file, "--budget", "5"])
     assert exc.value.code == 2

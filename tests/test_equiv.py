@@ -172,7 +172,7 @@ def test_lift_matches_linear_system_reference(q):
         r1, r2 = (canonical_form(build_shortened(gs)) for gs in (gs1, gs2))
         sigma0 = _sigma_from_canons(r1, r2)
         sigmas = [tuple(sigma0[t] for t in tau) for tau in itertools.islice(
-            equiv._iter_group(r1.generators, n, 10 ** 6), 24)]
+            equiv._iter_group(r1.generators, n), 24)]
         for _ in range(6):
             perm = list(range(n))
             rng.shuffle(perm)
@@ -332,15 +332,16 @@ def test_witness_tampering_detected(worked_pair):
     assert not verify_witness(c1, random_code(field(5), 6, 3, seed=1), w)
 
 
-def test_budget_error_propagates_after_both_routes():
+def test_budget_error_propagates_after_both_routes(monkeypatch):
     # A transformed pair shares every cheap invariant, so both routes must
     # actually canonicalize -- and a zero budget then fails them both.
     spec = field(3)
     c1, c2 = _transformed_pair(spec, 8, 3, seed=6)
+    monkeypatch.setattr(bmcanon, "NODE_BUDGET", 0)
     with pytest.raises(BudgetExceededError):
-        cesimpg_equiv(c1, c2, budget=0)
+        cesimpg_equiv(c1, c2)
     with pytest.raises(BudgetExceededError):
-        ceimpg_equiv(c1, c2, budget=0)
+        ceimpg_equiv(c1, c2)
 
 
 @pytest.mark.parametrize("q", [2, 3, 4, 5, 7, 8, 9])
@@ -628,10 +629,11 @@ def test_classify_mixed_fields_rejected():
                   random_code(field(5), 6, 2, seed=0)])
 
 
-def test_classify_budget_errors_collected_not_raised():
+def test_classify_budget_errors_collected_not_raised(monkeypatch):
     spec = field(3)
     codes = [random_code(spec, 8, 3, seed=s) for s in range(5)]
-    result = classify(codes, algo="ceimpg", budget=0)
+    monkeypatch.setattr(bmcanon, "NODE_BUDGET", 0)
+    result = classify(codes, algo="ceimpg")
     assert len(result.errors) == 5
     assert not result.classes
     for idx, msg in result.errors:
@@ -699,6 +701,23 @@ def _fallback_pair():
     return spec, c1, c2
 
 
+def test_cesimpg_falls_back_to_ceimpg_past_the_coset_cap(monkeypatch):
+    # with a coset cap of 1 only sigma0 is tried: where it does not lift,
+    # the ceimpg key decides, both ways, and no witness is given
+    monkeypatch.setattr(equiv, "COSET_CAP", 1)
+    spec = field(5)
+    # a [6,3]_5 pair whose sigma0 does not lift; the ceimpg keys of
+    # _fallback_pair()'s [16,6]_5 codes (3,906 points) are too slow here
+    c1, c2 = _transformed_pair(spec, 6, 3, seed=4, allow_rho=False)
+    v = decide_equivalence(c1, c2)
+    assert (v.equivalent, v.method, v.witness) == (True, "ceimpg-fallback", None)
+    # same shortened key, inequivalent (test_classify_bucket_with_several_classes)
+    for s1, s2 in ((0, 1), (4, 32), (12, 38)):
+        v = decide_equivalence(random_code(spec, 6, 3, seed=s1),
+                               random_code(spec, 6, 3, seed=s2))
+        assert (v.equivalent, v.method) == (False, "ceimpg-fallback")
+
+
 FALLBACK_MSG = "BudgetExceededError: ceimpg key over budget"
 
 
@@ -707,7 +726,7 @@ def _failing_ceimpg_keys(monkeypatch):
     node budget would; returns the list of sides a key was asked for."""
     calls = []
 
-    def failing(side, budget):
+    def failing(side):
         calls.append(side)
         raise BudgetExceededError("ceimpg key over budget")
 

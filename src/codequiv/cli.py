@@ -165,6 +165,16 @@ def cmd_bench(args) -> int:
 # ---------------------------------------------------------------------------
 
 
+def positive_int(text: str) -> int:
+    value = int(text)
+    if value < 1:
+        raise argparse.ArgumentTypeError(f"must be at least 1, got {value}")
+    return value
+
+
+JOBS_HELP = "processes keying codes, this one included (default 1)"
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="codequiv",
@@ -193,7 +203,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("codefile")
     p.add_argument("--algo", choices=("ceimpg", "cesimpg", "auto"),
                    default="ceimpg")
-    p.add_argument("--jobs", type=int, default=1)
+    p.add_argument("--jobs", type=positive_int, default=1, help=JOBS_HELP)
     p.add_argument("--seed", type=int, default=None,
                    help="echoed into the report footer for provenance")
     p.set_defaults(func=cmd_classify)
@@ -219,7 +229,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("-n", type=int, default=10)
     p.add_argument("--count", type=int, default=1000)
     p.add_argument("--seed", type=int, default=1)
-    p.add_argument("--jobs", type=int, default=1)
+    p.add_argument("--jobs", type=positive_int, default=1, help=JOBS_HELP)
     p.add_argument("--modulus", type=int, default=None)
     p.set_defaults(func=cmd_bench)
 

@@ -542,15 +542,23 @@ def _code_key(code: GeneratorMatrix, mode: str):
 
 
 def _batch_keys(codes, mode, jobs):
-    """`_code_key` of every code, in order; with jobs > 1 the codes are keyed
-    in a process pool and travel to and from it pickled."""
+    """`_code_key` of every code, in order.  `jobs` counts this process plus
+    `jobs - 1` forked workers (never more processes than codes), each keying
+    one contiguous share; this process keys the first share itself, and only
+    the workers' shares travel pickled.  A fork costs tens of ms, so more
+    jobs pay off only on batches whose keying takes much longer than that.
+    The workers are reaped before this returns."""
     key = functools.partial(_code_key, mode=mode)
-    if jobs > 1 and len(codes) > 1:
-        import multiprocessing as mp
-        with mp.Pool(jobs) as pool:
-            return pool.map(key, codes,
-                            chunksize=max(1, len(codes) // (jobs * 8)))
-    return [key(code) for code in codes]
+    jobs = min(jobs, len(codes))
+    if jobs <= 1:
+        return [key(code) for code in codes]
+    share = -(-len(codes) // jobs)
+    workers = -(-len(codes) // share) - 1  # 4 codes, jobs=3: shares 2 and 2
+    import multiprocessing as mp
+    with mp.Pool(workers) as pool:
+        rest = pool.map_async(key, codes[share:], chunksize=share)
+        mine = [key(code) for code in codes[:share]]
+        return mine + rest.get()
 
 
 def classify(codes, algo: str = "ceimpg", jobs: int = 1) -> ClassifyResult:
@@ -561,9 +569,11 @@ def classify(codes, algo: str = "ceimpg", jobs: int = 1) -> ClassifyResult:
     members with the lifting procedure of cesimpg_equiv, reusing each
     code's rref and canonical form across pairs.  Both keys are built from
     each code's side (`_side`: its dual when 2k > n, the key then prefixed
-    "dual:"); lifting stays on the codes themselves.  `jobs` > 1 keys the
-    codes in that many worker processes.  Past COSET_CAP only sigma0 is
-    tried, and a pair it does not decide falls back to comparing ceimpg
+    "dual:"); lifting stays on the codes themselves.  `jobs` counts the
+    processes that key the codes: this one plus `jobs - 1` forked workers,
+    one contiguous share each, all reaped before this returns; a fork costs
+    tens of ms, so only batches that key for much longer gain.  Past
+    COSET_CAP only sigma0 is tried, and a pair it does not decide falls back to comparing ceimpg
     keys, each built at most once, unless the sides have dimension 2 over
     q >= 5, where those keys are incomplete.  Classes are ordered by first
     appearance.  Per-item errors, from keying a code (node budget or

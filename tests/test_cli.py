@@ -226,3 +226,12 @@ def test_budget_flag_is_a_usage_error(pair_file):
     with pytest.raises(SystemExit) as exc:
         main(["classify", pair_file, "--budget", "5"])
     assert exc.value.code == 2
+
+
+@pytest.mark.parametrize("argv", [["classify", "{pair}", "--jobs", "0"],
+                                  ["bench", "--jobs", "-3"]])
+def test_jobs_below_one_is_a_usage_error(pair_file, argv, capsys):
+    with pytest.raises(SystemExit) as exc:
+        main([a.format(pair=pair_file) for a in argv])
+    assert exc.value.code == 2
+    assert "--jobs: must be at least 1" in capsys.readouterr().err

@@ -3,6 +3,7 @@ and batch classification, cross-checked against GL brute-force oracles."""
 
 import itertools
 import random
+import types
 
 import pytest
 
@@ -613,14 +614,55 @@ def test_classify_agreement_and_determinism():
 
 
 def test_classify_jobs_parallel_identical():
+    # 41 codes: neither 2 nor 3 divides the batch, so the shares are uneven
     spec = field(3)
-    codes = [random_code(spec, 9, 3, seed=s) for s in range(40)]
+    codes = [random_code(spec, 9, 3, seed=s) for s in range(41)]
     for algo in ("ceimpg", "cesimpg"):
         seq = classify(codes, algo=algo, jobs=1)
-        par = classify(codes, algo=algo, jobs=3)
-        assert seq.digest == par.digest
-        assert ([c.members for c in seq.classes]
-                == [c.members for c in par.classes])
+        for jobs in (2, 3):
+            par = classify(codes, algo=algo, jobs=jobs)
+            assert seq.digest == par.digest
+            assert seq.errors == par.errors
+            assert ([c.members for c in seq.classes]
+                    == [c.members for c in par.classes])
+
+
+def test_classify_pool_sized_by_batch(monkeypatch):
+    """jobs counts this process too and never exceeds the batch: 3 codes at
+    jobs=64 ask for at most 2 workers, one code opens no pool."""
+    import multiprocessing
+    opened = []
+
+    class SerialPool:
+        """Records the pool size asked for; maps in this process."""
+
+        def __init__(self, processes):
+            opened.append(processes)
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            return False
+
+        def map_async(self, func, iterable, chunksize):
+            items = list(iterable)
+            assert -(-len(items) // chunksize) <= opened[-1]  # a chunk each
+            out = [func(x) for x in items]
+            return types.SimpleNamespace(get=lambda: out)
+
+    monkeypatch.setattr(multiprocessing, "Pool", SerialPool)
+    spec = field(3)
+    codes = [random_code(spec, 8, 3, seed=s) for s in range(3)]
+    for algo in ("ceimpg", "cesimpg"):
+        seq = classify(codes, algo=algo, jobs=1)
+        classify(codes[:1], algo=algo, jobs=64)
+        assert opened == []
+        par = classify(codes, algo=algo, jobs=64)
+        assert len(opened) == 1 and opened[0] <= 2
+        assert par.digest == seq.digest
+        assert [c.members for c in par.classes] == [c.members for c in seq.classes]
+        opened.clear()
 
 
 def test_classify_mixed_fields_rejected():
@@ -630,14 +672,20 @@ def test_classify_mixed_fields_rejected():
 
 
 def test_classify_budget_errors_collected_not_raised(monkeypatch):
+    # the forked workers inherit NODE_BUDGET = 0, so at jobs=2 the errors
+    # come from this process's share and from the worker's share alike
     spec = field(3)
     codes = [random_code(spec, 8, 3, seed=s) for s in range(5)]
     monkeypatch.setattr(bmcanon, "NODE_BUDGET", 0)
-    result = classify(codes, algo="ceimpg")
-    assert len(result.errors) == 5
-    assert not result.classes
-    for idx, msg in result.errors:
-        assert "Budget" in msg
+    for algo in ("ceimpg", "cesimpg"):
+        seq = classify(codes, algo=algo, jobs=1)
+        assert [idx for idx, _ in seq.errors] == list(range(5))
+        assert not seq.classes
+        for idx, msg in seq.errors:
+            assert "Budget" in msg
+        par = classify(codes, algo=algo, jobs=2)
+        assert par.errors == seq.errors
+        assert not par.classes
 
 
 def test_classify_classes_ordered_by_first_appearance():

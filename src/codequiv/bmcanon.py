@@ -35,6 +35,22 @@ individualized above it and generate their pointwise stabilizer, so the group
 order is the product over that path of each individualized column's orbit
 length under the generators fixing its predecessors.
 
+Twin columns -- equal columns of equal color, such as the coordinates of a
+code that repeat one projective point -- are interchangeable, so the search
+never branches on them: a matrix with twins is canonicalized through its twin
+quotient, which keeps one column per twin class, colored by the rank of
+(color, class size), so that the quotient's colors order like the original
+ones.  The quotient is searched as above and its result expanded: the
+canonical order lists each class's members in index order where the quotient
+lists the class, the generators are the quotient's (mapping the members of
+one class onto those of another in index order) followed by the adjacent
+transpositions inside each class, and the group order is the quotient's times
+the product of the class sizes' factorials.  Every automorphism permutes the
+twin classes, keeping their colors and sizes, so these are the whole group,
+and the expansion of the canonical quotient by the class sizes is as
+invariant under relabeling as the quotient is.  A matrix without twins is
+searched as itself.  (McKay & Piperno, Practical graph isomorphism II, 2014.)
+
 Bit convention: bit (C-1-j) of a row mask holds column j, so masks compare
 exactly like the row read left to right as a binary string.
 
@@ -53,6 +69,7 @@ leaves the sorted records unchanged.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -237,14 +254,34 @@ class CanonResult:
 
     Invariants: ``permute_columns(input, perm)`` with rows re-sorted by
     (color, bits) equals `matrix`; every generator passes is_automorphism;
-    `group_order` is the exact order of the full automorphism group, the
-    product of the generators' orbit lengths along the first search path.
+    `group_order` is the exact order of the full automorphism group.
+    `twin_classes` lists the twin classes (module docstring) of two or more
+    columns, each in index order, and is empty for a matrix without twins.
+    `generators` are first the `point_generators`, which move whole twin
+    classes onto each other and generate a group of order `point_order`,
+    then the adjacent transpositions inside each twin class, which generate
+    the rest: the group is the product of the two, and `group_order` is
+    `point_order` times the product of the twin class sizes' factorials.
+    `nodes` counts the nodes the search visited (of the twin quotient).
     """
     matrix: ColoredBinaryMatrix
     perm: tuple[int, ...]
     generators: list[tuple[int, ...]]
     group_order: int
     nodes: int
+    twin_classes: tuple[tuple[int, ...], ...] = ()
+
+    @property
+    def point_generators(self) -> list[tuple[int, ...]]:
+        twins = sum(len(cls) - 1 for cls in self.twin_classes)
+        return self.generators[:len(self.generators) - twins]
+
+    @property
+    def point_order(self) -> int:
+        order = self.group_order
+        for cls in self.twin_classes:
+            order //= math.factorial(len(cls))
+        return order
 
 
 def _color_classes(colors) -> list[list[int]]:
@@ -489,21 +526,70 @@ class _Search:
             path.append(v)
 
     def run(self) -> CanonResult:
+        """Canonicalize the matrix, through its twin quotient when it has
+        twins (module docstring)."""
         if self.C == 0:
             mat = ColoredBinaryMatrix.from_masks(
                 [0] * self.R, 0, tuple(sorted(self.mat.row_colors)), ())
             return CanonResult(mat, (), [], 1, 0)
+        classes: dict = {}
+        for j, key in enumerate(zip(self.mat.col_colors, self.cols)):
+            classes.setdefault(key, []).append(j)
+        if len(classes) < self.C:
+            return self._expand(list(classes.values()))
         col_cells, row_cells = self._initial_cells()
         self._dfs(col_cells, row_cells)
-        (col_colors, data), order, _ = self.best
+        (_, data), order, _ = self.best
+        return self._result(order, data, list(self.gens),
+                            self._group_order(), self.nodes)
+
+    def _result(self, order, data, gens, group_order, nodes, twins=()):
+        """The CanonResult whose canonical column order is `order` and whose
+        rows are the sorted records `data` read in that order."""
         row_colors, masks = self.records.decode(data)
-        canon = ColoredBinaryMatrix.from_masks(masks, self.C, row_colors,
-                                               col_colors)
+        canon = ColoredBinaryMatrix.from_masks(
+            masks, self.C, row_colors, [self.mat.col_colors[j] for j in order])
         perm = [0] * self.C
         for t, j in enumerate(order):
             perm[j] = t
-        return CanonResult(canon, tuple(perm), list(self.gens),
-                           self._group_order(), self.nodes)
+        return CanonResult(canon, tuple(perm), gens, group_order, nodes,
+                           twins)
+
+    def _expand(self, classes) -> CanonResult:
+        """Canonicalize the twin quotient of the twin classes `classes` (in
+        order of their first members) with this search's own type, and
+        expand its result to the matrix's columns (module docstring)."""
+        reps = [cls[0] for cls in classes]
+        keys = [(self.mat.col_colors[j], len(cls))
+                for j, cls in zip(reps, classes)]
+        rank = {key: r for r, key in enumerate(sorted(set(keys)))}
+        packed = np.packbits(self.records.bits[:, reps], axis=1)
+        pad = 8 * packed.shape[1] - len(reps)
+        masks = [int.from_bytes(row.tobytes(), "big") >> pad for row in packed]
+        sub = type(self)(ColoredBinaryMatrix.from_masks(
+            masks, len(reps), self.mat.row_colors,
+            [rank[key] for key in keys])).run()
+        at = [0] * len(classes)
+        for c, t in enumerate(sub.perm):
+            at[t] = c
+        order = [j for c in at for j in classes[c]]
+        gens = []
+        for g in sub.generators:
+            gamma = [0] * self.C
+            for cls, image in zip(classes, (classes[c] for c in g)):
+                for j, w in zip(cls, image):
+                    gamma[j] = w
+            gens.append(tuple(gamma))
+        twins = tuple(tuple(cls) for cls in classes if len(cls) > 1)
+        group_order = sub.group_order
+        for cls in twins:
+            group_order *= math.factorial(len(cls))
+            for a, b in zip(cls, cls[1:]):
+                gamma = list(range(self.C))
+                gamma[a], gamma[b] = b, a
+                gens.append(tuple(gamma))
+        return self._result(order, self.records.sorted_bytes(order), gens,
+                            group_order, sub.nodes, twins)
 
 
 def canonical_form(mat: ColoredBinaryMatrix) -> CanonResult:

@@ -18,11 +18,12 @@ Two decision routes are provided:
   (complete invariant; no monomial witness);
 * the shortened route: compare canonical forms of the hyperplane-by-
   coordinate support matrices, then lift each candidate coordinate
-  permutation (an entire automorphism-group coset of them, or only the
-  first one when the group outgrows the coset cap) to an explicit monomial
-  witness against the second code's own reduced row echelon form: the
-  scalings lambda are carried along its bipartite support graph, one free
-  scalar per connected component.
+  permutation (sigma0 composed with the point group of the automorphism
+  group, which leaves out the permutations of repeated points, or only
+  sigma0 when the point group outgrows the coset cap) to an explicit
+  monomial witness against the second code's own reduced row echelon form:
+  the scalings lambda are carried along its bipartite support graph, one
+  free scalar per connected component.
   For prime fields exhausting the coset is conclusive; for composite fields
   every field automorphism is tried as well.  A decision the lift cannot
   finish falls back to the first route, unless the code's side has
@@ -333,19 +334,28 @@ def _find_lift(g1: GeneratorMatrix, red2: RREFResult, r1, r2):
 
     `r1`, `r2` are the canonical forms of the shortened matrices of the
     sides (`_side`) of g1 and G2, each in its code's own coordinates.  The
-    candidates are sigma0 o tau, where sigma0 maps the first matrix onto
-    the second and tau runs over its automorphism group, identity first;
-    they are all of the permutations carrying the first matrix onto the
-    second, so None proves that no monomial map exists.
-    When the group is larger than COSET_CAP, only sigma0 is tried, and
-    BudgetExceededError is raised if it does not lift.
+    permutations carrying the first matrix onto the second are sigma0 o tau,
+    where sigma0 maps the first matrix onto the second and tau runs over its
+    automorphism group H1 = P T: the twin group T permutes the members of
+    each twin class of r1, and the point group P = <r1.point_generators>
+    moves whole classes.  The candidates are sigma0 o pi, pi in P, identity
+    first.  That loses nothing: twin columns of a shortened matrix meet the
+    same hyperplanes, so they are coordinates whose columns in the side are
+    proportional, c_j = a c_i.  Swapping them and scaling by a and a^-1
+    maps the side onto itself, a monomial automorphism of the side, and so
+    of the code (with the inverse scalings when the side is the dual).
+    Every twin permutation t is thus the permutation of a monomial
+    automorphism of g1, and sigma0 o pi o t lifts exactly when sigma0 o pi
+    does, so None proves that no monomial map exists.
+    When the point group is larger than COSET_CAP, only sigma0 is tried,
+    and BudgetExceededError is raised if it does not lift.
     """
     sigma0 = _sigma_from_canons(r1, r2)
     if sigma0 is None:
         return None
-    capped = r1.group_order > COSET_CAP
+    capped = r1.point_order > COSET_CAP
     taus = ([tuple(range(g1.n))] if capped
-            else _iter_group(r1.generators, g1.n))
+            else _iter_group(r1.point_generators, g1.n))
     for tau in taus:
         sigma = _perm_compose(sigma0, tau)
         lift = _lift(g1, red2, sigma)
@@ -353,8 +363,8 @@ def _find_lift(g1: GeneratorMatrix, red2: RREFResult, r1, r2):
             return (sigma, *lift)
     if capped:
         raise BudgetExceededError(
-            f"sigma0 does not lift and the automorphism group "
-            f"({r1.group_order}) exceeds the coset cap ({COSET_CAP})")
+            f"sigma0 does not lift and the point group ({r1.point_order}) "
+            f"exceeds the coset cap ({COSET_CAP})")
     return None
 
 
@@ -403,10 +413,10 @@ def cesimpg_equiv(c1: GeneratorMatrix, c2: GeneratorMatrix) -> Verdict:
     Codes on different sides, or with non-isomorphic shortened matrices,
     are inequivalent outright.
     Otherwise the candidate permutations (one isomorphism sigma0 composed
-    with each element of the automorphism group of the first matrix,
-    sigma0 first) are lifted in turn, trying each field automorphism;
-    exhausting them proves inequivalence.  When the automorphism group
-    outgrows COSET_CAP, only sigma0 is tried.  If it does not lift, or a
+    with each element of the point group of the first matrix, sigma0
+    first; `_find_lift`) are lifted in turn, trying each field automorphism;
+    exhausting them proves inequivalence.  When the point group outgrows
+    COSET_CAP, only sigma0 is tried.  If it does not lift, or a
     canonical search fails, the decision falls back to the canonical-form
     route, losing only the witness; on sides of dimension 2 over q >= 5,
     whose ceimpg key is incomplete, the typed error is raised instead.
@@ -448,7 +458,9 @@ class AutomorphismReport:
 
     `h1_order`/`h1_generators` describe the permutation group fixing the
     shortened matrix of the code's side (`_side`: its dual when 2k > n,
-    whose monomial automorphisms move coordinates the same way); `lifted`
+    whose monomial automorphisms move coordinates the same way), and
+    `h1_generators` ends with the transpositions of the coordinates that
+    repeat a point (`CanonResult.twin_classes`), which always lift; `lifted`
     holds one verified monomial automorphism of the code itself per
     generator that lifts onto the code's rref, and `failed` the others.
     `kernel_order` counts the diagonal-only automorphisms (the scalings
@@ -572,14 +584,15 @@ def classify(codes, algo: str = "ceimpg", jobs: int = 1) -> ClassifyResult:
     "dual:"); lifting stays on the codes themselves.  `jobs` counts the
     processes that key the codes: this one plus `jobs - 1` forked workers,
     one contiguous share each, all reaped before this returns; a fork costs
-    tens of ms, so only batches that key for much longer gain.  Past
-    COSET_CAP only sigma0 is tried, and a pair it does not decide falls back to comparing ceimpg
-    keys, each built at most once, unless the sides have dimension 2 over
-    q >= 5, where those keys are incomplete.  Classes are ordered by first
-    appearance.  Per-item errors, from keying a code (node budget or
-    point-table size) or from comparing it with a class representative
-    (node budget or coset cap), are collected in `errors` (by code index)
-    without aborting the batch.
+    tens of ms, so only batches that key for much longer gain.  When the
+    point group (`_find_lift`) is past COSET_CAP only sigma0 is tried, and a
+    pair it does not decide falls back to comparing ceimpg keys, each built
+    at most once, unless the sides have dimension 2 over q >= 5, where
+    those keys are incomplete.  Classes are ordered by first appearance.
+    Per-item errors, from keying a code (node budget or point-table size)
+    or from comparing it with a class representative (node budget or coset
+    cap), are collected in `errors` (by code index) without aborting the
+    batch.
     """
     start = time.perf_counter()
     codes = list(codes)

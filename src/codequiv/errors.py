@@ -4,7 +4,8 @@
 class BudgetExceededError(RuntimeError):
     """A search hit a fixed bound: a canonical search visited more than
     `bmcanon.NODE_BUDGET` nodes, or a permutation that did not lift left the
-    rest of an automorphism group larger than `equiv.COSET_CAP` untried.
+    rest of a point group (`equiv._find_lift`) larger than `equiv.COSET_CAP`
+    untried.
 
     Raised instead of returning a possibly-wrong answer; a caller may try
     the other decision route.  Distinct from a proven negative result (which

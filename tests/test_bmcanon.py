@@ -1,6 +1,7 @@
 """Canonical labeling of colored binary matrices: invariance, isomorphism
 decisions, and exact automorphism group orders, all against brute force."""
 
+import math
 import os
 import random
 import subprocess
@@ -159,9 +160,10 @@ def test_initial_cells_match_per_color_scan():
 
 
 def test_canonical_invariance_on_uneven_colored_matrices():
+    # uneven matrices, then twin-heavy ones, which go through the quotient
     rng = random.Random(4048)
-    for _ in range(500):
-        m = _uneven_cbm(rng)
+    for t in range(700):
+        m = _uneven_cbm(rng) if t < 500 else _twin_cbm(rng)
         gamma = list(range(m.n_cols))
         rng.shuffle(gamma)
         assert (canonical_form(m).matrix
@@ -283,6 +285,29 @@ def test_group_order_matches_brute_force():
         assert canonical_form(m).group_order == brute_force_cbm_aut_count(m)
 
 
+def test_twin_quotient_group_matches_brute_force():
+    # on twin-heavy matrices the expanded order equals the brute-force count
+    # and the closure of the generators; the point generators close to the
+    # point order, which times the class sizes' factorials is the order
+    rng = random.Random(78)
+    seen_twins = 0
+    for _ in range(60):
+        m = _twin_cbm(rng, max_cols=8)
+        res = canonical_form(m)
+        assert res.group_order == brute_force_cbm_aut_count(m)
+        assert res.group_order == sum(
+            1 for _ in _iter_group(res.generators, m.n_cols))
+        assert res.point_order == sum(
+            1 for _ in _iter_group(res.point_generators, m.n_cols))
+        twins = 1
+        for cls in res.twin_classes:
+            twins *= math.factorial(len(cls))
+            assert len({(m.col_colors[j], _column(m, j)) for j in cls}) == 1
+        assert res.point_order * twins == res.group_order
+        seen_twins += bool(res.twin_classes)
+    assert seen_twins > 40
+
+
 def test_group_order_matches_closure_on_shortened_matrices():
     # orbit-product orders against the size of the generated group, on 13
     # shortened matrices per field whose groups need more than one generator
@@ -381,20 +406,21 @@ def test_budget_exhaustion_raises(monkeypatch):
 
 
 def test_deep_search_ends_at_the_node_budget(monkeypatch):
-    # one all-zero row over 1,100 columns: the first path individualizes
-    # the columns one by one, so the tree is deeper than the interpreter's
-    # recursion limit; only the node budget may stop it
-    wide = ColoredBinaryMatrix.from_masks([0], 1100)
+    # the 1,100 x 1,100 identity, which has no twin columns: the first path
+    # individualizes 1,099 columns one by one, so the tree is deeper than
+    # the interpreter's recursion limit; only the node budget may stop it
+    wide = ColoredBinaryMatrix.from_masks(
+        [1 << (1099 - i) for i in range(1100)], 1100)
     monkeypatch.setattr(bmcanon, "NODE_BUDGET", 1200)
     with pytest.raises(BudgetExceededError):
         canonical_form(wide)
 
 
-def _twin_cbm(rng):
+def _twin_cbm(rng, max_cols=20):
     """Random colored matrix whose columns repeat a few distinct columns,
     so that its automorphism group is a large product of symmetric
     groups."""
-    n_rows, n_cols = rng.randrange(1, 10), rng.randrange(2, 20)
+    n_rows, n_cols = rng.randrange(1, 10), rng.randrange(2, max_cols)
     base = [rng.getrandbits(n_rows) for _ in range(rng.randint(1, 4))]
     cols = [rng.choice(base) for _ in range(n_cols)]
     masks = [sum(((c >> i) & 1) << (n_cols - 1 - j) for j, c in enumerate(cols))
@@ -402,6 +428,10 @@ def _twin_cbm(rng):
     return ColoredBinaryMatrix.from_masks(
         masks, n_cols, [rng.randrange(2) for _ in range(n_rows)],
         [rng.randrange(rng.randint(1, 2)) for _ in range(n_cols)])
+
+
+def _column(mat, j):
+    return tuple(mat.entry(i, j) for i in range(mat.n_rows))
 
 
 def _oracle_cases():

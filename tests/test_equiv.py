@@ -16,7 +16,7 @@ from codequiv import (GFMatrix, GeneratorMatrix, build_ceimpg_matrix,
                       theta, verify_witness)
 from codequiv import bmcanon, equiv, nullspace_basis
 from codequiv.bmcanon import _sigma_from_canons
-from codequiv.equiv import MonomialTransform
+from codequiv.equiv import COSET_CAP, MonomialTransform
 from codequiv.errors import BudgetExceededError, ResourceLimitError
 from conftest import (brute_force_equivalent, brute_force_preserver_count,
                       reference_monomial_from_sigma)
@@ -309,6 +309,28 @@ def test_binary_golay_24_witnessed():
     v = cesimpg_equiv(c1, c2)
     assert v.equivalent and v.method == "cesimpg"
     assert verify_witness(c1, c2, v.witness)
+
+
+def test_repeated_point_past_the_coset_cap_witnessed():
+    # a [6,3]_5 code with its first point repeated 10 more times, scaled:
+    # |H1| >= 10! is past the coset cap, but the twin permutations never
+    # change whether a candidate lifts, so only the point group is streamed
+    # and the pair gets a witness where sigma0 alone does not lift
+    spec = field(5)
+    for seed in (0, 5, 7, 8, 9):
+        rng = random.Random(seed)
+        cols = random_code(spec, 6, 3, seed=seed).mat.columns()
+        for a in [rng.choice(spec.nonzero()) for _ in range(9)]:
+            cols.append([spec.mul(a, x) for x in cols[0]])
+        c1 = GeneratorMatrix.from_columns(spec, cols)
+        t = _random_transform(spec, c1.n, rng, allow_rho=False)
+        c2 = GeneratorMatrix(spec, t.apply(c1.mat).rows)
+        r1 = canonical_form(build_shortened(c1))
+        assert r1.group_order > COSET_CAP >= r1.point_order
+        assert not _sigma0_lifts(c1, c2)
+        v = cesimpg_equiv(c1, c2)
+        assert (v.equivalent, v.method) == (True, "cesimpg")
+        assert verify_witness(c1, c2, v.witness)
 
 
 def test_witness_tampering_detected(worked_pair):
@@ -808,12 +830,13 @@ def test_classify_failed_ceimpg_key_built_once(monkeypatch):
 
 
 def test_dimension_two_fallback_never_guesses():
-    """Past the coset cap an undecided pair of [18,2]_5 codes must not fall
-    back to the ceimpg key: on PG(1,5) the incidence is a matching, so any
-    two sets of 4 points with multiplicities 6,5,4,3 share it.  |H1| is
-    6!5!4!3! = 12,441,600 here.  Every verdict must match GL(2,5) or be a
-    BudgetExceededError, and classify must never merge an inequivalent
-    pair."""
+    """[18,2]_5 codes whose four points carry multiplicities 6,5,4,3: on
+    PG(1,5) the incidence is a matching, so the ceimpg key cannot tell them
+    apart and no decision may fall back to it.  |H1| is 6!5!4!3! =
+    12,441,600, past the coset cap, but all of it is twin permutations, so
+    only the point group is streamed and every pair is decided: each
+    verdict matches GL(2,5), each equivalent one carries a verified
+    witness, and classify places both codes with no errors."""
     spec = field(5)
     points = point_table(2, 5).points
     rng = random.Random(2)
@@ -828,18 +851,20 @@ def test_dimension_two_fallback_never_guesses():
         codes += [c1, c2]
         truth = brute_force_equivalent(c1.mat.rows, c2.mat.rows, 5)
         truths.append(truth)
+        v = decide_equivalence(c1, c2)
+        assert (v.equivalent, v.method) == (truth, "cesimpg")
+        assert (v.witness is not None) == truth
+        assert not truth or verify_witness(c1, c2, v.witness)
         result = classify([c1, c2], algo="cesimpg")
-        try:
-            v = decide_equivalence(c1, c2)
-        except BudgetExceededError:
-            assert [c.members for c in result.classes] == [[0]]
-            assert [i for i, _ in result.errors] == [1]
-            continue
-        assert v.equivalent == truth and v.method == "cesimpg"
-        assert verify_witness(c1, c2, v.witness)
-        assert [c.members for c in result.classes] == [[0, 1]]
+        assert result.errors == []
+        assert [c.members for c in result.classes] == (
+            [[0, 1]] if truth else [[0], [1]])
     assert any(truths) and not all(truths)
-    for cls in classify(codes, algo="cesimpg").classes:
-        rep = codes[cls.representative].mat.rows
+    result = classify(codes, algo="cesimpg")
+    assert result.errors == []
+    reps = [codes[cls.representative].mat.rows for cls in result.classes]
+    for cls, rep in zip(result.classes, reps):
         assert all(brute_force_equivalent(rep, codes[i].mat.rows, 5)
                    for i in cls.members)
+    assert not any(brute_force_equivalent(a, b, 5)
+                   for a, b in itertools.combinations(reps, 2))

@@ -30,6 +30,16 @@ minus the others'.  Sorting by counts against just those fragments, in cell
 order, orders every cell exactly as sorting by the full count vectors would,
 so the tree is the one full recomputation would give.
 
+A refinement step counts the members of every non-singleton cell against
+all its splitters (the fragments, as index lists) at once: it gathers those
+members' rows of the bit matrix (its transpose in a column step) at all
+the splitters' indices with one NumPy index operation and sums each
+splitter's block with np.add.reduceat.  A member's key is its counts as
+big-endian 4-byte words; keys of one step have one width and compare as
+bytes exactly as the count tuples do.  A step with few member-splitter
+pairs popcounts Python ints instead, as NumPy's fixed cost per call would
+outweigh its work.
+
 The generators found below the i-th node of the first path fix the columns
 individualized above it and generate their pointwise stabilizer, so the group
 order is the product over that path of each individualized column's orbit
@@ -291,6 +301,12 @@ def _color_classes(colors) -> list[list[int]]:
     return [classes[color] for color in sorted(classes)]
 
 
+# a refinement step with more pairs of a non-singleton member and a splitter
+# than this counts them with NumPy, a smaller one popcounts ints; over the
+# benchmark workloads' matrices canonical_form CPU was flat for cuts 32-96
+_NUMPY_WORK = 64
+
+
 class _Search:
     """One canonical-form computation; see module docstring for the scheme."""
 
@@ -300,10 +316,12 @@ class _Search:
         self.R = mat.n_rows
         self.rows = mat.row_masks
         self.records = _RowRecords(mat)
-        # column masks over row indices (bit i = row i), for column signatures
-        packed = np.packbits(self.records.bits, axis=0, bitorder="little")
-        step = packed.shape[0]
-        data = packed.T.tobytes()
+        # the columns as rows of the transposed bit matrix, and as masks
+        # over row indices (bit i = row i), for column signatures
+        self.bits_t = np.ascontiguousarray(self.records.bits.T)
+        packed = np.packbits(self.bits_t, axis=1, bitorder="little")
+        step = packed.shape[1]
+        data = packed.tobytes()
         self.cols = [int.from_bytes(data[j * step:(j + 1) * step], "little")
                      for j in range(self.C)]
         self.nodes = 0
@@ -325,7 +343,7 @@ class _Search:
         the refined partition depends only on the abstract structure.
 
         On entry every row cell has equal counts against each column cell
-        except the ones given as `splitters` (column masks), and every column
+        except the ones given as `splitters` (column lists), and every column
         cell has equal counts against each row cell.  Each step then splits
         cells only by their counts against the fragments the other side's
         previous step created, bar the last fragment of each split cell,
@@ -337,16 +355,17 @@ class _Search:
         """
         first = splitters is None
         if first:
-            splitters = [self._col_mask(cell) for cell in col_cells]
+            splitters = col_cells
         while True:
             row_cells, row_frags = self._split(
-                row_cells, self.rows, splitters, self._row_mask)
+                row_cells, self.rows, self.records.bits, splitters,
+                self._col_mask)
             if first:
-                row_frags = [self._row_mask(cell) for cell in row_cells]
+                row_frags = row_cells
             elif not row_frags:
                 return col_cells, row_cells
             col_cells, splitters = self._split(
-                col_cells, self.cols, row_frags, self._col_mask)
+                col_cells, self.cols, self.bits_t, row_frags, self._row_mask)
             if not splitters:
                 return col_cells, row_cells
             first = False
@@ -366,20 +385,50 @@ class _Search:
         return m
 
     @staticmethod
-    def _split(cells, vectors, splitters, mask):
-        """Split each cell by its members' counts against `splitters`,
-        sub-cells in increasing count order.  Returns the new cells and the
-        masks (built by `mask`) of the new fragments bar the last of each
-        split cell."""
+    def _split(cells, vectors, bits, splitters, mask):
+        """Split each cell by its members' counts against `splitters` (index
+        lists), sub-cells in increasing count order.  A member x's count
+        against a splitter is the number of the splitter's indices set in
+        row x of the 0/1 matrix `bits`, which is also the popcount of
+        `vectors[x]` and the splitter's `mask`.  Returns the new cells and
+        the new fragments bar the last of each split cell.
+
+        A step with more than _NUMPY_WORK pairs of a non-singleton member
+        and a splitter gathers those members' rows of `bits` at all the
+        splitters' indices at once and sums each splitter's block with
+        np.add.reduceat; a member's key is its slice of the counts written
+        as big-endian 4-byte words, which compares as bytes exactly as its
+        count tuple does (module docstring).  A smaller step keys each
+        member by its count tuple, popcounting ints."""
+        members = [x for cell in cells if len(cell) > 1 for x in cell]
+        keys = single = None
+        if len(members) * len(splitters) > _NUMPY_WORK:
+            starts = [0]
+            for s in splitters[:-1]:
+                starts.append(starts[-1] + len(s))
+            gathered = bits.take(members, 0).take(
+                [j for s in splitters for j in s], 1)
+            counts = np.add.reduceat(gathered, starts, axis=1,
+                                     dtype=np.uint32).astype(">u4")
+            # each member's row of words as one bytes object
+            keys = iter(counts.view(f"V{4 * len(splitters)}")[:, 0].tolist())
+        elif len(splitters) == 1:
+            single = mask(splitters[0])
+        else:
+            masks = [mask(s) for s in splitters]
         out = []
         frags = []
-        single = splitters[0] if len(splitters) == 1 else None
         for cell in cells:
             if len(cell) == 1:
                 out.append(cell)
                 continue
             buckets: dict = {}
-            if single is not None:
+            if keys is not None:
+                # zip draws from `cell` first, so it ends at the cell's last
+                # member without taking the next cell's first key
+                for x, key in zip(cell, keys):
+                    buckets.setdefault(key, []).append(x)
+            elif single is not None:
                 # an int sorts like the 1-tuple it stands for
                 for x in cell:
                     buckets.setdefault((vectors[x] & single).bit_count(),
@@ -388,7 +437,7 @@ class _Search:
                 for x in cell:
                     v = vectors[x]
                     buckets.setdefault(
-                        tuple((v & s).bit_count() for s in splitters),
+                        tuple([(v & s).bit_count() for s in masks]),
                         []).append(x)
             if len(buckets) == 1:
                 out.append(cell)
@@ -397,7 +446,7 @@ class _Search:
             for key in ordered:
                 out.append(buckets[key])
             for key in ordered[:-1]:
-                frags.append(mask(buckets[key]))
+                frags.append(buckets[key])
         return out, frags
 
     # -- leaves ---------------------------------------------------------------
@@ -480,8 +529,7 @@ class _Search:
             rest = [w for w in target if w != v]
             # the rest of the target cell is its last fragment
             yield v, (col_cells[:target_idx] + [[v], rest]
-                      + col_cells[target_idx + 1:], row_cells,
-                      [1 << (self.C - 1 - v)])
+                      + col_cells[target_idx + 1:], row_cells, [[v]])
 
     def _dfs(self, col_cells, row_cells):
         """Walk the search tree depth first, as a loop over a stack with one

@@ -265,8 +265,7 @@ def recursive_search(mat):
                 new_cells = (col_cells[:target_idx] + [[v], rest]
                              + col_cells[target_idx + 1:])
                 path.append(v)
-                ret = self._dfs(new_cells, row_cells, path,
-                                [1 << (self.C - 1 - v)])
+                ret = self._dfs(new_cells, row_cells, path, [[v]])
                 path.pop()
                 tried.append(v)
                 if ret is not None and ret < depth:

@@ -137,9 +137,63 @@ def test_incremental_refinement_matches_full_recompute():
             col_cells = (col_cells[:t] + [[v], [w for w in col_cells[t] if w != v]]
                          + col_cells[t + 1:])
             want = reference_refine(m, col_cells, row_cells)
-            col_cells, row_cells = search._refine(
-                col_cells, row_cells, [1 << (m.n_cols - 1 - v)])
+            col_cells, row_cells = search._refine(col_cells, row_cells, [[v]])
             assert (col_cells, row_cells) == want
+
+
+# a cut no refinement step reaches: every step popcounts ints
+_NO_NUMPY = 10 ** 12
+
+
+def test_numpy_and_popcount_steps_agree(monkeypatch):
+    # with every step counted by NumPy (cut 0), and with none, refinement
+    # after the root and after individualizations gives exactly the cells
+    # of full recomputation, and the oracle cases canonicalize identically
+    results = []
+    for cut in (0, _NO_NUMPY):
+        monkeypatch.setattr(bmcanon, "_NUMPY_WORK", cut)
+        rng = random.Random(2025)
+        for _ in range(200):
+            m = _uneven_cbm(rng)
+            search = _Search(m)
+            col_cells, row_cells = search._initial_cells()
+            splitters = None
+            for _ in range(4):
+                want = reference_refine(m, col_cells, row_cells)
+                col_cells, row_cells = search._refine(col_cells, row_cells,
+                                                      splitters)
+                assert (col_cells, row_cells) == want
+                wide = [t for t, cell in enumerate(col_cells) if len(cell) > 1]
+                if not wide:
+                    break
+                t = rng.choice(wide)
+                v = rng.choice(col_cells[t])
+                col_cells = (col_cells[:t] + [[v], [w for w in col_cells[t] if w != v]]
+                             + col_cells[t + 1:])
+                splitters = [[v]]
+        results.append([(r.matrix, r.perm, r.generators, r.group_order,
+                         r.nodes, r.twin_classes)
+                        for r in map(canonical_form, _oracle_cases())])
+    assert results[0] == results[1]
+
+
+def test_numpy_count_keys_order_counts_past_one_byte(monkeypatch):
+    # 600 rows, each with a single 1, in columns of 300, 200 and 100 ones:
+    # the root's column step counts the columns against the one row cell,
+    # and the counts' low bytes (44, 200, 100) order them otherwise than
+    # the counts do, as a one-byte key (or a uint8 sum) would
+    weights = (300, 200, 100)
+    rows = [j for j, w in enumerate(weights) for _ in range(w)]
+    random.Random(600).shuffle(rows)
+    m = ColoredBinaryMatrix([[int(j == c) for j in range(3)] for c in rows])
+    assert sorted(weights) != sorted(weights, key=lambda w: w % 256)
+    for cut in (0, _NO_NUMPY):
+        monkeypatch.setattr(bmcanon, "_NUMPY_WORK", cut)
+        search = _Search(m)
+        col_cells, row_cells = search._initial_cells()
+        got = search._refine(col_cells, row_cells)
+        assert got == reference_refine(m, col_cells, row_cells)
+        assert got[0] == [[2], [1], [0]]
 
 
 def test_initial_cells_match_per_color_scan():

@@ -777,7 +777,8 @@ def test_cesimpg_falls_back_to_ceimpg_past_the_coset_cap(monkeypatch):
     monkeypatch.setattr(equiv, "COSET_CAP", 1)
     spec = field(5)
     # a [6,3]_5 pair whose sigma0 does not lift; the ceimpg keys of
-    # _fallback_pair()'s [16,6]_5 codes (3,906 points) are too slow here
+    # _fallback_pair()'s [16,6]_5 codes (3,906 points) take about 3 s of
+    # CPU each on a 2-vCPU machine, too slow here
     c1, c2 = _transformed_pair(spec, 6, 3, seed=4, allow_rho=False)
     v = decide_equivalence(c1, c2)
     assert (v.equivalent, v.method, v.witness) == (True, "ceimpg-fallback", None)

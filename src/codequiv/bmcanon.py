@@ -47,19 +47,21 @@ length under the generators fixing its predecessors.
 
 Twin columns -- equal columns of equal color, such as the coordinates of a
 code that repeat one projective point -- are interchangeable, so the search
-never branches on them: a matrix with twins is canonicalized through its twin
-quotient, which keeps one column per twin class, colored by the rank of
-(color, class size), so that the quotient's colors order like the original
-ones.  The quotient is searched as above and its result expanded: the
-canonical order lists each class's members in index order where the quotient
-lists the class, the generators are the quotient's (mapping the members of
-one class onto those of another in index order) followed by the adjacent
-transpositions inside each class, and the group order is the quotient's times
-the product of the class sizes' factorials.  Every automorphism permutes the
-twin classes, keeping their colors and sizes, so these are the whole group,
-and the expansion of the canonical quotient by the class sizes is as
-invariant under relabeling as the quotient is.  A matrix without twins is
-searched as itself.  (McKay & Piperno, Practical graph isomorphism II, 2014.)
+never branches on them.  It labels each twin class by its first member and
+searches only those columns, starting from the first members grouped by
+(color, class size): a count against a cell of first members is the count
+against that cell of the twin quotient, which keeps one column per class
+colored by the rank of (color, class size), so the tree is the quotient's.
+The best leaf's column order is expanded class by class, each class's members
+in index order where the leaf lists its first member; a generator maps first
+members as the leaves do and the rest of each class onto the rest of its image
+class in index order.  The adjacent transpositions inside each class follow
+the generators the search found, and the group order is the search's times the
+product of the class sizes' factorials.  Every automorphism permutes the twin
+classes, keeping their colors and sizes, so these generate the whole group,
+and the expanded best leaf is as invariant under relabeling as the quotient's.
+A matrix without twins has one-member classes only and is searched as itself.
+(McKay & Piperno, Practical graph isomorphism II, 2014.)
 
 Bit convention: bit (C-1-j) of a row mask holds column j, so masks compare
 exactly like the row read left to right as a binary string.
@@ -272,7 +274,7 @@ class CanonResult:
     then the adjacent transpositions inside each twin class, which generate
     the rest: the group is the product of the two, and `group_order` is
     `point_order` times the product of the twin class sizes' factorials.
-    `nodes` counts the nodes the search visited (of the twin quotient).
+    `nodes` counts the nodes the search visited.
     """
     matrix: ColoredBinaryMatrix
     perm: tuple[int, ...]
@@ -324,6 +326,15 @@ class _Search:
         data = packed.tobytes()
         self.cols = [int.from_bytes(data[j * step:(j + 1) * step], "little")
                      for j in range(self.C)]
+        # the twin classes in index order, and those of two or more columns
+        # by first member (module docstring): none when every column is
+        # its own class
+        classes: dict = {}
+        for j, key in enumerate(zip(mat.col_colors, self.cols)):
+            classes.setdefault(key, []).append(j)
+        self.classes = list(classes.values())
+        self.twins = {} if len(classes) == self.C else {
+            cls[0]: tuple(cls) for cls in self.classes if len(cls) > 1}
         self.nodes = 0
         # (cert, order, path) of the first leaf and of the least one so far
         self.first = None
@@ -333,10 +344,18 @@ class _Search:
     # -- partitions ---------------------------------------------------------
 
     def _initial_cells(self):
-        """Color classes of columns and of rows, in color order, each
-        listing its members in index order."""
-        return (_color_classes(self.mat.col_colors),
-                _color_classes(self.mat.row_colors))
+        """The first members of the twin classes grouped by (color, class
+        size) and the rows grouped by color, in key order, each cell
+        listing its members in index order.  Without twins every class has
+        size 1, so the columns group by color alone."""
+        colors = self.mat.col_colors
+        row_cells = _color_classes(self.mat.row_colors)
+        if not self.twins:
+            return _color_classes(colors), row_cells
+        firsts = [cls[0] for cls in self.classes]
+        cells = _color_classes([(colors[j], len(cls))
+                                for j, cls in zip(firsts, self.classes)])
+        return [[firsts[c] for c in cell] for cell in cells], row_cells
 
     def _refine(self, col_cells, row_cells, splitters=None):
         """Equitable refinement; sub-cells are ordered by signature value so
@@ -457,12 +476,16 @@ class _Search:
                 self.records.sorted_bytes(order))
         return cert, order
 
-    @staticmethod
-    def _perm_between(from_order, to_order):
-        n = len(from_order)
-        gamma = [0] * n
-        for t in range(n):
-            gamma[from_order[t]] = to_order[t]
+    def _perm_between(self, from_order, to_order):
+        """The column permutation carrying leaf order `from_order` onto
+        `to_order`: first members directly, then the rest of each twin
+        class onto the rest of its image class, in index order."""
+        gamma = [0] * self.C
+        for j, w in zip(from_order, to_order):
+            gamma[j] = w
+        for j, cls in self.twins.items():
+            for a, b in zip(cls, self.twins[gamma[j]]):
+                gamma[a] = b
         return tuple(gamma)
 
     def _record_generator(self, gamma):
@@ -574,70 +597,33 @@ class _Search:
             path.append(v)
 
     def run(self) -> CanonResult:
-        """Canonicalize the matrix, through its twin quotient when it has
-        twins (module docstring)."""
+        """Canonicalize the matrix: search its first members, then expand
+        the best leaf and the group class by class (module docstring)."""
         if self.C == 0:
             mat = ColoredBinaryMatrix.from_masks(
                 [0] * self.R, 0, tuple(sorted(self.mat.row_colors)), ())
             return CanonResult(mat, (), [], 1, 0)
-        classes: dict = {}
-        for j, key in enumerate(zip(self.mat.col_colors, self.cols)):
-            classes.setdefault(key, []).append(j)
-        if len(classes) < self.C:
-            return self._expand(list(classes.values()))
-        col_cells, row_cells = self._initial_cells()
-        self._dfs(col_cells, row_cells)
+        self._dfs(*self._initial_cells())
         (_, data), order, _ = self.best
-        return self._result(order, data, list(self.gens),
-                            self._group_order(), self.nodes)
-
-    def _result(self, order, data, gens, group_order, nodes, twins=()):
-        """The CanonResult whose canonical column order is `order` and whose
-        rows are the sorted records `data` read in that order."""
+        gens = list(self.gens)
+        group_order = self._group_order()
+        if self.twins:
+            order = [j for r in order for j in self.twins.get(r, (r,))]
+            data = self.records.sorted_bytes(order)
+            for cls in self.twins.values():
+                group_order *= math.factorial(len(cls))
+                for a, b in zip(cls, cls[1:]):
+                    gamma = list(range(self.C))
+                    gamma[a], gamma[b] = b, a
+                    gens.append(tuple(gamma))
         row_colors, masks = self.records.decode(data)
         canon = ColoredBinaryMatrix.from_masks(
             masks, self.C, row_colors, [self.mat.col_colors[j] for j in order])
         perm = [0] * self.C
         for t, j in enumerate(order):
             perm[j] = t
-        return CanonResult(canon, tuple(perm), gens, group_order, nodes,
-                           twins)
-
-    def _expand(self, classes) -> CanonResult:
-        """Canonicalize the twin quotient of the twin classes `classes` (in
-        order of their first members) with this search's own type, and
-        expand its result to the matrix's columns (module docstring)."""
-        reps = [cls[0] for cls in classes]
-        keys = [(self.mat.col_colors[j], len(cls))
-                for j, cls in zip(reps, classes)]
-        rank = {key: r for r, key in enumerate(sorted(set(keys)))}
-        packed = np.packbits(self.records.bits[:, reps], axis=1)
-        pad = 8 * packed.shape[1] - len(reps)
-        masks = [int.from_bytes(row.tobytes(), "big") >> pad for row in packed]
-        sub = type(self)(ColoredBinaryMatrix.from_masks(
-            masks, len(reps), self.mat.row_colors,
-            [rank[key] for key in keys])).run()
-        at = [0] * len(classes)
-        for c, t in enumerate(sub.perm):
-            at[t] = c
-        order = [j for c in at for j in classes[c]]
-        gens = []
-        for g in sub.generators:
-            gamma = [0] * self.C
-            for cls, image in zip(classes, (classes[c] for c in g)):
-                for j, w in zip(cls, image):
-                    gamma[j] = w
-            gens.append(tuple(gamma))
-        twins = tuple(tuple(cls) for cls in classes if len(cls) > 1)
-        group_order = sub.group_order
-        for cls in twins:
-            group_order *= math.factorial(len(cls))
-            for a, b in zip(cls, cls[1:]):
-                gamma = list(range(self.C))
-                gamma[a], gamma[b] = b, a
-                gens.append(tuple(gamma))
-        return self._result(order, self.records.sorted_bytes(order), gens,
-                            group_order, sub.nodes, twins)
+        return CanonResult(canon, tuple(perm), gens, group_order, self.nodes,
+                           tuple(self.twins.values()))
 
 
 def canonical_form(mat: ColoredBinaryMatrix) -> CanonResult:

@@ -23,7 +23,8 @@ from codequiv.equiv import _iter_group
 from codequiv.errors import BudgetExceededError
 from conftest import (brute_force_cbm_aut_count, brute_force_cbm_isomorphic,
                       recursive_search, reference_is_automorphism,
-                      reference_leaf_cert, reference_refine)
+                      reference_leaf_cert, reference_refine,
+                      reference_twin_quotient)
 
 
 def _random_cbm(rng, rows, cols, n_row_colors=1, n_col_colors=1):
@@ -197,9 +198,12 @@ def test_numpy_count_keys_order_counts_past_one_byte(monkeypatch):
 
 
 def test_initial_cells_match_per_color_scan():
-    # color classes in color order, members in index order, as one scan of
-    # all rows (columns) per distinct color gives them; up to one color per row
+    # the first members of the twin classes grouped by (color, class size)
+    # and the rows grouped by color, in key order, members in index order,
+    # as one scan of the columns (rows) per distinct key gives them; up to
+    # one color per row
     rng = random.Random(5150)
+    seen_twins = 0
     for _ in range(300):
         n_rows, n_cols = rng.randrange(0, 80), rng.randrange(1, 24)
         spread_r, spread_c = rng.randint(1, n_rows + 1), rng.randint(1, n_cols)
@@ -207,10 +211,18 @@ def test_initial_cells_match_per_color_scan():
         m = ColoredBinaryMatrix(
             bits, [rng.randrange(-spread_r, spread_r) for _ in range(n_rows)],
             [rng.randrange(-spread_c, spread_c) for _ in range(n_cols)])
-        want = tuple([[i for i in range(len(colors)) if colors[i] == c]
-                      for c in sorted(set(colors))]
-                     for colors in (m.col_colors, m.row_colors))
-        assert _Search(m)._initial_cells() == want
+        classes = {}
+        for j in range(n_cols):
+            classes.setdefault((m.col_colors[j], _column(m, j)), []).append(j)
+        first_key = {cls[0]: (m.col_colors[cls[0]], len(cls))
+                     for cls in classes.values()}
+        want_cols = [[j for j in range(n_cols) if first_key.get(j) == key]
+                     for key in sorted(set(first_key.values()))]
+        want_rows = [[i for i in range(n_rows) if m.row_colors[i] == c]
+                     for c in sorted(set(m.row_colors))]
+        assert _Search(m)._initial_cells() == (want_cols, want_rows)
+        seen_twins += len(classes) < n_cols
+    assert seen_twins >= 10  # 11 of the 300 have twins
 
 
 def test_canonical_invariance_on_uneven_colored_matrices():
@@ -360,6 +372,61 @@ def test_twin_quotient_group_matches_brute_force():
         assert res.point_order * twins == res.group_order
         seen_twins += bool(res.twin_classes)
     assert seen_twins > 40
+
+
+def _count_calls(monkeypatch, owner, name, counts):
+    """Count the calls of `owner.name` in `counts`, keyed by both names."""
+    orig = getattr(owner, name)
+    key = f"{owner.__name__}.{name}"
+
+    def counted(*args, **kwargs):
+        counts[key] = counts.get(key, 0) + 1
+        return orig(*args, **kwargs)
+
+    monkeypatch.setattr(owner, name, counted)
+
+
+def test_twins_searched_in_place_match_the_quotient_oracle(monkeypatch):
+    # searching the first members gives the explicit twin quotient's tree:
+    # the same node count, its group order as the point order, and its
+    # canonical order and generators expanded class by class as the
+    # matrix's perm and point generators; one call builds one search and
+    # one set of row records, and decodes one canonical matrix
+    counts = {}
+    _count_calls(monkeypatch, _Search, "__init__", counts)
+    _count_calls(monkeypatch, bmcanon._RowRecords, "__init__", counts)
+    _count_calls(monkeypatch, bmcanon._RowRecords, "decode", counts)
+    rng = random.Random(79)
+    seen_twins = 0
+    for _ in range(240):
+        m = _twin_cbm(rng)
+        counts.clear()
+        res = canonical_form(m)
+        assert counts == {"_Search.__init__": 1, "_RowRecords.__init__": 1,
+                          "_RowRecords.decode": 1}
+        quotient, classes = reference_twin_quotient(m)
+        want = canonical_form(quotient)
+        assert res.nodes == want.nodes
+        assert res.point_order == want.group_order
+        assert res.twin_classes == tuple(
+            tuple(cls) for cls in classes if len(cls) > 1)
+        at = [0] * len(classes)
+        for c, t in enumerate(want.perm):
+            at[t] = c
+        perm = [0] * m.n_cols
+        for t, j in enumerate(j for c in at for j in classes[c]):
+            perm[j] = t
+        assert res.perm == tuple(perm)
+        gens = []
+        for g in want.generators:
+            gamma = [0] * m.n_cols
+            for cls, c in zip(classes, g):
+                for j, w in zip(cls, classes[c]):
+                    gamma[j] = w
+            gens.append(tuple(gamma))
+        assert res.point_generators == gens
+        seen_twins += bool(res.twin_classes)
+    assert seen_twins >= 200
 
 
 def test_group_order_matches_closure_on_shortened_matrices():

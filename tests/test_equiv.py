@@ -2,6 +2,7 @@
 and batch classification, cross-checked against GL brute-force oracles."""
 
 import itertools
+import math
 import random
 import types
 
@@ -687,6 +688,29 @@ def test_classify_pool_sized_by_batch(monkeypatch):
         opened.clear()
 
 
+def test_classify_digests_pinned():
+    # canonical serializations, and so the classify digests, change only on
+    # purpose: 40 [10,3]_3 codes, most with repeated points, 10 high-rate
+    # [10,7]_3 codes, most keyed by their duals, and a seeded copy of every
+    # fifth, on both routes
+    spec = field(3)
+    codes = [random_code(spec, 10, 3, seed=s) for s in range(40)]
+    codes += [random_code(spec, 10, 7, seed=s) for s in range(10)]
+    rng = random.Random(17)
+    codes += [GeneratorMatrix(spec, _random_transform(spec, 10, rng).apply(
+        c.mat).rows) for c in codes[::5]]
+    digests = {}
+    for algo in ("ceimpg", "cesimpg"):
+        result = classify(codes, algo=algo)
+        assert result.errors == [] and len(result.classes) == 45
+        digests[algo] = result.digest
+    assert digests == {
+        "ceimpg": "fdaefc211c6a4b162e55cfb6059dd92a"
+                  "672cc7a001db364e4b07321232e88241",
+        "cesimpg": "c8034bf0992f6d1c6f05a63592dc506e"
+                   "80e7242ffa5cb65129edba749ab3b080"}
+
+
 def test_classify_mixed_fields_rejected():
     with pytest.raises(ValueError):
         classify([random_code(field(3), 6, 2, seed=0),
@@ -787,6 +811,60 @@ def test_cesimpg_falls_back_to_ceimpg_past_the_coset_cap(monkeypatch):
         v = decide_equivalence(random_code(spec, 6, 3, seed=s1),
                                random_code(spec, 6, 3, seed=s2))
         assert (v.equivalent, v.method) == (False, "ceimpg-fallback")
+
+
+def _det3(a, b, c, q):
+    return (a[0] * (b[1] * c[2] - b[2] * c[1]) - a[1] * (b[0] * c[2] - b[2] * c[0])
+            + a[2] * (b[0] * c[1] - b[1] * c[0])) % q
+
+
+def _greedy_arc(q, size, seed):
+    """The first `size` points of PG(2, q), in a seeded order, with no three
+    collinear, taken greedily; None when the greedy arc stops short."""
+    points = list(point_table(3, q).points)
+    random.Random(seed).shuffle(points)
+    arc = []
+    for p in points:
+        if all(_det3(a, b, p, q) for a, b in itertools.combinations(arc, 2)):
+            arc.append(p)
+            if len(arc) == size:
+                return arc
+    return None
+
+
+def test_arcs_fall_back_past_the_real_coset_cap():
+    # every line meets a 10-arc of PG(2,11) in at most two points, so the
+    # shortened rows are the same for every 10-arc and are fixed by every
+    # permutation of its points: the point group is Sym(10), past the real
+    # coset cap.  sigma0 does not lift between the conic ([10,3]_11
+    # Reed-Solomon) code and its seeded copies, so each decision falls back
+    # to the ceimpg key, which tells them from a greedy 10-arc on no conic
+    spec = field(11)
+    conic = GeneratorMatrix.from_columns(spec, [(1, t, t * t % 11)
+                                                for t in range(10)])
+    arc = _greedy_arc(11, 10, seed=6)
+    # the conic monomials x^2, y^2, z^2, xy, xz, yz at the arc's points
+    # have rank 6: no conic passes through all ten
+    assert rank(GFMatrix(spec, [[x * x % 11, y * y % 11, z * z % 11,
+                                 x * y % 11, x * z % 11, y * z % 11]
+                                for x, y, z in arc])) == 6
+    other = GeneratorMatrix.from_columns(spec, arc)
+    assert canonical_form(build_shortened(conic)).point_order == (
+        math.factorial(10))
+    assert math.factorial(10) > COSET_CAP
+    rng = random.Random(11)
+    copies = [GeneratorMatrix(spec, _random_transform(spec, 10, rng).apply(
+        conic.mat).rows) for _ in range(3)]
+    assert not any(_sigma0_lifts(conic, c) for c in copies)
+    for c, truth in [(c, True) for c in copies] + [(other, False)]:
+        v = decide_equivalence(conic, c)
+        assert (v.equivalent, v.method, v.witness) == (
+            truth, "ceimpg-fallback", None)
+    for algo in ("ceimpg", "cesimpg"):
+        result = classify([conic] + copies + [other], algo=algo)
+        assert result.errors == []
+        assert [c.members for c in result.classes] == [[0, 1, 2, 3], [4]]
+    assert len({c.key_digest for c in result.classes}) == 1
 
 
 FALLBACK_MSG = "BudgetExceededError: ceimpg key over budget"

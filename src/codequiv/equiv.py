@@ -42,7 +42,6 @@ row echelon forms.
 
 from __future__ import annotations
 
-import functools
 import hashlib
 import time
 from dataclasses import dataclass, field as dc_field
@@ -537,8 +536,8 @@ def _ceimpg_key(side: GeneratorMatrix) -> str:
 
 
 def _code_key(code: GeneratorMatrix, mode: str):
-    """(key, entry, error) of one code.  `entry` is the (RREFResult,
-    CanonResult) pair that cesimpg bucket comparisons lift with, None for
+    """(key, canon, error) of one code.  `canon` is the CanonResult of the
+    shortened matrix that cesimpg bucket comparisons lift with, None for
     ceimpg; a per-item failure sets only `error`.  A key built from the dual
     starts with "dual:", so that a [13,10] code never shares a key with the
     [13,3] code whose matrix is the same."""
@@ -548,29 +547,68 @@ def _code_key(code: GeneratorMatrix, mode: str):
         if mode == "ceimpg":
             return tag + _ceimpg_key(side), None, None
         canon = canonical_form(build_shortened(side))
-        return tag + serialize(canon.matrix), (rref(code.mat), canon), None
+        return tag + serialize(canon.matrix), canon, None
     except (BudgetExceededError, ResourceLimitError) as e:
         return None, None, f"{type(e).__name__}: {e}"
 
 
+def _key_share(conn, codes, mode):
+    """Body of a forked worker: `_code_key` of each of `codes`, sent back as
+    (True, keys) in one message, or (False, exception)."""
+    try:
+        reply = True, [_code_key(code, mode) for code in codes]
+    except Exception as e:
+        reply = False, e
+    conn.send(reply)
+    conn.close()
+
+
 def _batch_keys(codes, mode, jobs):
     """`_code_key` of every code, in order.  `jobs` counts this process plus
-    `jobs - 1` forked workers (never more processes than codes), each keying
-    one contiguous share; this process keys the first share itself, and only
-    the workers' shares travel pickled.  A fork costs tens of ms, so more
-    jobs pay off only on batches whose keying takes much longer than that.
-    The workers are reaped before this returns."""
-    key = functools.partial(_code_key, mode=mode)
+    at most `jobs - 1` workers (never more processes than codes), each keying
+    one contiguous share; this process keys the first share itself.  A
+    worker is forked, so it reads its share, and the module state of the
+    caller, from the memory it inherits, and pipes its keys back in one
+    message.  A worker costs about 10 ms of CPU, so more jobs pay off only
+    on batches whose keying takes much longer than that.  An exception in any
+    share is raised here; the workers are reaped before this returns, on
+    every path, so their CPU counts in RUSAGE_CHILDREN."""
     jobs = min(jobs, len(codes))
     if jobs <= 1:
-        return [key(code) for code in codes]
-    share = -(-len(codes) // jobs)
-    workers = -(-len(codes) // share) - 1  # 4 codes, jobs=3: shares 2 and 2
-    import multiprocessing as mp
-    with mp.Pool(workers) as pool:
-        rest = pool.map_async(key, codes[share:], chunksize=share)
-        mine = [key(code) for code in codes[:share]]
-        return mine + rest.get()
+        return [_code_key(code, mode) for code in codes]
+    share = -(-len(codes) // jobs)  # 4 codes, jobs=3: shares 2 and 2
+    import multiprocessing  # here: importing it costs every start-up ~10 ms
+    ctx = multiprocessing.get_context("fork")
+    workers = []
+    try:
+        for lo in range(share, len(codes), share):
+            recv, send = ctx.Pipe(duplex=False)
+            proc = ctx.Process(target=_key_share,
+                               args=(send, codes[lo:lo + share], mode))
+            proc.start()
+            workers.append((proc, recv))
+            send.close()  # a worker that dies unanswered ends in EOFError
+        keys = [_code_key(code, mode) for code in codes[:share]]
+        for proc, recv in workers:
+            try:
+                ok, payload = recv.recv()
+            except EOFError:
+                proc.join()
+                raise RuntimeError(
+                    f"a keying worker exited with status {proc.exitcode} "
+                    f"before answering") from None
+            if not ok:
+                raise payload
+            keys += payload
+        for proc, _ in workers:
+            proc.join()
+        return keys
+    finally:
+        for proc, recv in workers:
+            recv.close()
+            if proc.exitcode is None:
+                proc.terminate()
+            proc.join()
 
 
 def classify(codes, algo: str = "ceimpg", jobs: int = 1) -> ClassifyResult:
@@ -579,16 +617,20 @@ def classify(codes, algo: str = "ceimpg", jobs: int = 1) -> ClassifyResult:
     algo="ceimpg" groups by the complete canonical key.  algo="cesimpg"
     buckets by the shortened-matrix canonical key and separates bucket
     members with the lifting procedure of cesimpg_equiv, reusing each
-    code's rref and canonical form across pairs.  Both keys are built from
-    each code's side (`_side`: its dual when 2k > n, the key then prefixed
-    "dual:"); lifting stays on the codes themselves.  `jobs` counts the
-    processes that key the codes: this one plus `jobs - 1` forked workers,
-    one contiguous share each, all reaped before this returns; a fork costs
-    tens of ms, so only batches that key for much longer gain.  When the
-    point group (`_find_lift`) is past COSET_CAP only sigma0 is tried, and a
-    pair it does not decide falls back to comparing ceimpg keys, each built
-    at most once, unless the sides have dimension 2 over q >= 5, where
-    those keys are incomplete.  Classes are ordered by first appearance.
+    code's canonical form across pairs; a code's rref is computed the first
+    time it is compared with a class representative.  Both keys are built
+    from each code's side (`_side`: its dual when 2k > n, the key then
+    prefixed "dual:"); lifting stays on the codes themselves.  `jobs`
+    counts the processes that key the codes: this one plus `jobs - 1`
+    forked workers, one contiguous share each, all reaped before this
+    returns; a worker costs about 10 ms of CPU, so only batches that key
+    for much longer gain.  The workers are forked whatever the default
+    start method, so they see this process's module state; jobs > 1 needs
+    POSIX.  When the point group (`_find_lift`) is past COSET_CAP only
+    sigma0 is tried, and a pair it does not decide falls back to comparing
+    ceimpg keys, each built at most once, unless the sides have dimension 2
+    over q >= 5, where those keys are incomplete.  Classes are ordered by
+    first appearance.
     Per-item errors, from keying a code (node budget or point-table size)
     or from comparing it with a class representative (node budget or coset
     cap), are collected in `errors` (by code index) without aborting the
@@ -604,6 +646,7 @@ def classify(codes, algo: str = "ceimpg", jobs: int = 1) -> ClassifyResult:
     keyed = _batch_keys(codes, mode, jobs)
     errors = [(i, msg) for i, (_, _, msg) in enumerate(keyed) if msg]
     ceimpg_keys: dict[int, str | BudgetExceededError] = {}
+    reds: dict[int, RREFResult] = {}
 
     def ceimpg_key(i: int) -> str:
         # a typed failure is kept too and raised anew on every later request
@@ -619,9 +662,11 @@ def classify(codes, algo: str = "ceimpg", jobs: int = 1) -> ClassifyResult:
         return key
 
     def equivalent(a: int, b: int) -> bool:
-        (_, ra), (red_b, rb) = keyed[a][1], keyed[b][1]
+        if b not in reds:
+            reds[b] = rref(codes[b].mat)
         try:
-            return _find_lift(codes[a], red_b, ra, rb) is not None
+            return _find_lift(codes[a], reds[b], keyed[a][1],
+                              keyed[b][1]) is not None
         except BudgetExceededError:
             if not _ceimpg_complete(_side(codes[a])):
                 raise

@@ -1,9 +1,14 @@
 """Equivalence decisions, monomial lifting, witnesses, automorphism groups,
 and batch classification, cross-checked against GL brute-force oracles."""
 
+import contextlib
 import itertools
 import math
+import multiprocessing
+import os
 import random
+import signal
+import time
 import types
 
 import pytest
@@ -650,42 +655,134 @@ def test_classify_jobs_parallel_identical():
                     == [c.members for c in par.classes])
 
 
-def test_classify_pool_sized_by_batch(monkeypatch):
+@pytest.fixture
+def forks(monkeypatch):
+    """The worker processes classify starts, recorded through a stand-in
+    for the fork context that starts real forked processes."""
+    real = multiprocessing.get_context("fork")
+    started = []
+
+    class Process(real.Process):
+        def start(self):
+            started.append(self)
+            super().start()
+
+    def get_context(method):
+        assert method == "fork"
+        return types.SimpleNamespace(Pipe=real.Pipe, Process=Process)
+
+    monkeypatch.setattr(multiprocessing, "get_context", get_context)
+    return started
+
+
+def test_classify_pool_sized_by_batch(forks):
     """jobs counts this process too and never exceeds the batch: 3 codes at
-    jobs=64 ask for at most 2 workers, one code opens no pool."""
-    import multiprocessing
-    opened = []
-
-    class SerialPool:
-        """Records the pool size asked for; maps in this process."""
-
-        def __init__(self, processes):
-            opened.append(processes)
-
-        def __enter__(self):
-            return self
-
-        def __exit__(self, *exc):
-            return False
-
-        def map_async(self, func, iterable, chunksize):
-            items = list(iterable)
-            assert -(-len(items) // chunksize) <= opened[-1]  # a chunk each
-            out = [func(x) for x in items]
-            return types.SimpleNamespace(get=lambda: out)
-
-    monkeypatch.setattr(multiprocessing, "Pool", SerialPool)
+    jobs=64 start 2 workers, one code starts none."""
     spec = field(3)
     codes = [random_code(spec, 8, 3, seed=s) for s in range(3)]
     for algo in ("ceimpg", "cesimpg"):
         seq = classify(codes, algo=algo, jobs=1)
         classify(codes[:1], algo=algo, jobs=64)
-        assert opened == []
+        assert forks == []
         par = classify(codes, algo=algo, jobs=64)
-        assert len(opened) == 1 and opened[0] <= 2
+        assert len(forks) == 2 and all(p.exitcode == 0 for p in forks)
         assert par.digest == seq.digest
         assert [c.members for c in par.classes] == [c.members for c in seq.classes]
-        opened.clear()
+        forks.clear()
+
+
+def _act_on(monkeypatch, *actions):
+    """Make `_code_key` call `action()` when it keys the code `target`, for
+    each (target, action) pair."""
+    real = equiv._code_key
+
+    def code_key(code, mode):
+        for target, action in actions:
+            if code is target:
+                action()
+        return real(code, mode)
+
+    monkeypatch.setattr(equiv, "_code_key", code_key)
+
+
+def _assert_no_child_left():
+    # every worker has been reaped: no child, running or zombie, is left
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
+
+
+def _raise(exc):
+    raise exc
+
+
+@contextlib.contextmanager
+def _deadline(seconds):
+    """Fail a wait that outlasts `seconds` instead of hanging on it."""
+    def expire(signum, frame):
+        raise TimeoutError(f"still waiting after {seconds} s")
+
+    previous = signal.signal(signal.SIGALRM, expire)
+    signal.alarm(seconds)
+    try:
+        yield
+    finally:
+        signal.alarm(0)
+        signal.signal(signal.SIGALRM, previous)
+
+
+def test_classify_worker_exception_reaches_caller(monkeypatch, forks):
+    # 4 codes at jobs=2: the worker keys codes 2 and 3
+    codes = [random_code(field(3), 8, 3, seed=s) for s in range(4)]
+    _act_on(monkeypatch, (codes[3], lambda: _raise(RuntimeError("boom"))))
+    with pytest.raises(RuntimeError, match="^boom$"):
+        classify(codes, algo="cesimpg", jobs=2)
+    assert len(forks) == 1 and forks[0].exitcode == 0
+    _assert_no_child_left()
+
+
+def test_classify_worker_dying_unanswered_is_an_error(monkeypatch, forks):
+    # 6 codes at jobs=3: the second worker keys codes 4 and 5 and exits with
+    # status 3 on code 5; this process holds no copy of the sending end of
+    # its pipe, so it reads EOF there rather than waiting forever
+    codes = [random_code(field(3), 8, 3, seed=s) for s in range(6)]
+    _act_on(monkeypatch, (codes[5], lambda: os._exit(3)))
+    with _deadline(30), pytest.raises(RuntimeError,
+                                      match="exited with status 3"):
+        classify(codes, algo="ceimpg", jobs=3)
+    assert [p.exitcode for p in forks] == [0, 3]
+    _assert_no_child_left()
+
+
+@pytest.mark.parametrize("exc", [RuntimeError, KeyboardInterrupt])
+def test_classify_own_share_failure_terminates_workers(monkeypatch, forks, exc):
+    # this process fails on code 0 while its worker would sleep for a minute
+    # on code 2: the worker is terminated and reaped at once
+    codes = [random_code(field(3), 8, 3, seed=s) for s in range(4)]
+    _act_on(monkeypatch, (codes[0], lambda: _raise(exc("mine"))),
+            (codes[2], lambda: time.sleep(60)))
+    with _deadline(30), pytest.raises(exc, match="mine"):
+        classify(codes, algo="cesimpg", jobs=2)
+    assert len(forks) == 1 and forks[0].exitcode == -signal.SIGTERM
+    _assert_no_child_left()
+
+
+def test_classify_workers_see_module_state_under_spawn_default(monkeypatch):
+    # workers are forked whatever the default start method is, so they run
+    # with this process's NODE_BUDGET = 0 rather than a fresh import's
+    spec = field(3)
+    codes = [random_code(spec, 8, 3, seed=s) for s in range(5)]
+    monkeypatch.setattr(bmcanon, "NODE_BUDGET", 0)
+    default = multiprocessing.get_start_method(allow_none=True)
+    multiprocessing.set_start_method("spawn", force=True)
+    try:
+        for algo in ("ceimpg", "cesimpg"):
+            seq = classify(codes, algo=algo, jobs=1)
+            assert [idx for idx, _ in seq.errors] == list(range(5))
+            par = classify(codes, algo=algo, jobs=2)
+            assert par.errors == seq.errors
+            assert [c.members for c in par.classes] == []
+    finally:
+        multiprocessing.set_start_method(default, force=True)
 
 
 def test_classify_digests_pinned():
@@ -746,15 +843,20 @@ def test_classify_classes_ordered_by_first_appearance():
     assert result.classes[1].representative == 1
 
 
-def test_classify_bucket_with_several_classes():
+def test_classify_bucket_with_several_classes(monkeypatch):
     """Three shortened-key buckets of two inequivalent codes each: the
-    cesimpg route must tell the bucket members apart by lifting."""
+    cesimpg route must tell the bucket members apart by lifting, and takes
+    the rref of the second member of each bucket only."""
     spec = field(5)
     codes = [random_code(spec, 6, 3, seed=s) for s in (0, 1, 4, 32, 12, 38)]
+    reduced = []
+    monkeypatch.setattr(equiv, "rref", lambda m: reduced.append(m) or rref(m))
     for algo in ("ceimpg", "cesimpg"):
         for jobs in (1, 2):
             result = classify(codes, algo=algo, jobs=jobs)
             assert [c.members for c in result.classes] == [[i] for i in range(6)]
+            assert len(reduced) == (3 if algo == "cesimpg" else 0)
+            reduced.clear()
     assert len(set(result._keys)) == 3
 
 

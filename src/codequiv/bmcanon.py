@@ -12,13 +12,15 @@ generating set for the automorphism group (all color-preserving column
 permutations fixing the row multiset), and that group's exact order.
 
 The canonical representative is the lexicographically least certificate --
-first the canonical column-color sequence, then the sorted list of
-(row color, row bits) pairs, colors comparing before bits -- taken over the
-leaves of a deterministic search tree: iterated equitable refinement of the
-column/row partitions, branching on the first largest non-singleton column
-class, with subtrees that discovered automorphisms map onto already-explored
-ones pruned away.  The tree is invariant under relabeling, so the minimum is
-too.
+the sorted list of (row color, row bits) pairs, colors comparing before
+bits, with the columns read in leaf order -- taken over the leaves of a
+deterministic search tree: iterated equitable refinement of the column/row
+partitions, branching on the first largest non-singleton column class, with
+subtrees that discovered automorphisms map onto already-explored ones pruned
+away.  The tree is invariant under relabeling, so the minimum is too.  The
+search starts from the column color classes in increasing color order and
+refinement only splits cells in place, so every leaf lists the column colors
+in the same sorted sequence, and the certificate need not hold them.
 
 Refinement splits a cell by its members' count vectors against the cells of
 the other side, sub-cells in increasing vector order, until the partition is
@@ -45,23 +47,10 @@ individualized above it and generate their pointwise stabilizer, so the group
 order is the product over that path of each individualized column's orbit
 length under the generators fixing its predecessors.
 
-Twin columns -- equal columns of equal color, such as the coordinates of a
-code that repeat one projective point -- are interchangeable, so the search
-never branches on them.  It labels each twin class by its first member and
-searches only those columns, starting from the first members grouped by
-(color, class size): a count against a cell of first members is the count
-against that cell of the twin quotient, which keeps one column per class
-colored by the rank of (color, class size), so the tree is the quotient's.
-The best leaf's column order is expanded class by class, each class's members
-in index order where the leaf lists its first member; a generator maps first
-members as the leaves do and the rest of each class onto the rest of its image
-class in index order.  The adjacent transpositions inside each class follow
-the generators the search found, and the group order is the search's times the
-product of the class sizes' factorials.  Every automorphism permutes the twin
-classes, keeping their colors and sizes, so these generate the whole group,
-and the expanded best leaf is as invariant under relabeling as the quotient's.
-A matrix without twins has one-member classes only and is searched as itself.
-(McKay & Piperno, Practical graph isomorphism II, 2014.)
+Equal columns of equal color get no special treatment: the search
+branches on each of them, so a row of m ones alone takes m(m+1)/2 nodes.
+The matrices the library builds have none, as a hyperplane always separates
+two distinct points and equiv.build_shortened keeps one column per point.
 
 Bit convention: bit (C-1-j) of a row mask holds column j, so masks compare
 exactly like the row read left to right as a binary string.
@@ -81,7 +70,6 @@ leaves the sorted records unchanged.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -266,34 +254,14 @@ class CanonResult:
 
     Invariants: ``permute_columns(input, perm)`` with rows re-sorted by
     (color, bits) equals `matrix`; every generator passes is_automorphism;
-    `group_order` is the exact order of the full automorphism group.
-    `twin_classes` lists the twin classes (module docstring) of two or more
-    columns, each in index order, and is empty for a matrix without twins.
-    `generators` are first the `point_generators`, which move whole twin
-    classes onto each other and generate a group of order `point_order`,
-    then the adjacent transpositions inside each twin class, which generate
-    the rest: the group is the product of the two, and `group_order` is
-    `point_order` times the product of the twin class sizes' factorials.
-    `nodes` counts the nodes the search visited.
+    `group_order` is the exact order of the full automorphism group, which
+    `generators` generate.  `nodes` counts the nodes the search visited.
     """
     matrix: ColoredBinaryMatrix
     perm: tuple[int, ...]
     generators: list[tuple[int, ...]]
     group_order: int
     nodes: int
-    twin_classes: tuple[tuple[int, ...], ...] = ()
-
-    @property
-    def point_generators(self) -> list[tuple[int, ...]]:
-        twins = sum(len(cls) - 1 for cls in self.twin_classes)
-        return self.generators[:len(self.generators) - twins]
-
-    @property
-    def point_order(self) -> int:
-        order = self.group_order
-        for cls in self.twin_classes:
-            order //= math.factorial(len(cls))
-        return order
 
 
 def _color_classes(colors) -> list[list[int]]:
@@ -326,15 +294,6 @@ class _Search:
         data = packed.tobytes()
         self.cols = [int.from_bytes(data[j * step:(j + 1) * step], "little")
                      for j in range(self.C)]
-        # the twin classes in index order, and those of two or more columns
-        # by first member (module docstring): none when every column is
-        # its own class
-        classes: dict = {}
-        for j, key in enumerate(zip(mat.col_colors, self.cols)):
-            classes.setdefault(key, []).append(j)
-        self.classes = list(classes.values())
-        self.twins = {} if len(classes) == self.C else {
-            cls[0]: tuple(cls) for cls in self.classes if len(cls) > 1}
         self.nodes = 0
         # (cert, order, path) of the first leaf and of the least one so far
         self.first = None
@@ -344,18 +303,10 @@ class _Search:
     # -- partitions ---------------------------------------------------------
 
     def _initial_cells(self):
-        """The first members of the twin classes grouped by (color, class
-        size) and the rows grouped by color, in key order, each cell
-        listing its members in index order.  Without twins every class has
-        size 1, so the columns group by color alone."""
-        colors = self.mat.col_colors
-        row_cells = _color_classes(self.mat.row_colors)
-        if not self.twins:
-            return _color_classes(colors), row_cells
-        firsts = [cls[0] for cls in self.classes]
-        cells = _color_classes([(colors[j], len(cls))
-                                for j, cls in zip(firsts, self.classes)])
-        return [[firsts[c] for c in cell] for cell in cells], row_cells
+        """The columns and the rows grouped by color, in color order, each
+        cell listing its members in index order."""
+        return (_color_classes(self.mat.col_colors),
+                _color_classes(self.mat.row_colors))
 
     def _refine(self, col_cells, row_cells, splitters=None):
         """Equitable refinement; sub-cells are ordered by signature value so
@@ -471,21 +422,17 @@ class _Search:
     # -- leaves ---------------------------------------------------------------
 
     def _leaf_cert(self, col_cells):
+        """(certificate, column order) of a leaf: the sorted row records
+        with the columns read in leaf order (module docstring)."""
         order = [cell[0] for cell in col_cells]
-        cert = (tuple(self.mat.col_colors[j] for j in order),
-                self.records.sorted_bytes(order))
-        return cert, order
+        return self.records.sorted_bytes(order), order
 
     def _perm_between(self, from_order, to_order):
         """The column permutation carrying leaf order `from_order` onto
-        `to_order`: first members directly, then the rest of each twin
-        class onto the rest of its image class, in index order."""
+        `to_order`."""
         gamma = [0] * self.C
         for j, w in zip(from_order, to_order):
             gamma[j] = w
-        for j, cls in self.twins.items():
-            for a, b in zip(cls, self.twins[gamma[j]]):
-                gamma[a] = b
         return tuple(gamma)
 
     def _record_generator(self, gamma):
@@ -597,33 +544,20 @@ class _Search:
             path.append(v)
 
     def run(self) -> CanonResult:
-        """Canonicalize the matrix: search its first members, then expand
-        the best leaf and the group class by class (module docstring)."""
         if self.C == 0:
             mat = ColoredBinaryMatrix.from_masks(
                 [0] * self.R, 0, tuple(sorted(self.mat.row_colors)), ())
             return CanonResult(mat, (), [], 1, 0)
         self._dfs(*self._initial_cells())
-        (_, data), order, _ = self.best
-        gens = list(self.gens)
-        group_order = self._group_order()
-        if self.twins:
-            order = [j for r in order for j in self.twins.get(r, (r,))]
-            data = self.records.sorted_bytes(order)
-            for cls in self.twins.values():
-                group_order *= math.factorial(len(cls))
-                for a, b in zip(cls, cls[1:]):
-                    gamma = list(range(self.C))
-                    gamma[a], gamma[b] = b, a
-                    gens.append(tuple(gamma))
+        data, order, _ = self.best
         row_colors, masks = self.records.decode(data)
         canon = ColoredBinaryMatrix.from_masks(
             masks, self.C, row_colors, [self.mat.col_colors[j] for j in order])
         perm = [0] * self.C
         for t, j in enumerate(order):
             perm[j] = t
-        return CanonResult(canon, tuple(perm), gens, group_order, self.nodes,
-                           tuple(self.twins.values()))
+        return CanonResult(canon, tuple(perm), self.gens, self._group_order(),
+                           self.nodes)
 
 
 def canonical_form(mat: ColoredBinaryMatrix) -> CanonResult:

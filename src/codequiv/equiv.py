@@ -13,17 +13,17 @@ library; the CLI prints them 1-based.
 
 Two decision routes are provided:
 
-* the point-multiplicity route: append the multiplicity support row to the
-  full point/hyperplane incidence structure and compare canonical forms
-  (complete invariant; no monomial witness);
-* the shortened route: compare canonical forms of the hyperplane-by-
-  coordinate support matrices, then lift each candidate coordinate
-  permutation (sigma0 composed with the point group of the automorphism
-  group, which leaves out the permutations of repeated points, or only
-  sigma0 when the point group outgrows the coset cap) to an explicit
-  monomial witness against the second code's own reduced row echelon form:
-  the scalings lambda are carried along its bipartite support graph, one
-  free scalar per connected component.
+* the point-multiplicity route: color the columns of the full
+  point/hyperplane incidence structure by the code's point multiplicities
+  and compare canonical forms (complete invariant; no monomial witness);
+* the shortened route: compare canonical forms of the hyperplane-by-point
+  support matrices of the codes' distinct points, colored by multiplicity,
+  then lift each candidate coordinate permutation (sigma0 composed with the
+  point group, the automorphism group of the first matrix, or only sigma0
+  when that group outgrows the coset cap) to an explicit monomial witness
+  against the second code's own reduced row echelon form: the scalings
+  lambda are carried along its bipartite support graph, one free scalar per
+  connected component.
   For prime fields exhausting the coset is conclusive; for composite fields
   every field automorphism is tried as well.  A decision the lift cannot
   finish falls back to the first route, unless the code's side has
@@ -43,6 +43,7 @@ row echelon forms.
 from __future__ import annotations
 
 import hashlib
+import math
 import time
 from dataclasses import dataclass, field as dc_field
 
@@ -177,34 +178,52 @@ def _ceimpg_complete(side: GeneratorMatrix) -> bool:
 
 
 def build_ceimpg_matrix(chi: CharacteristicVector) -> ColoredBinaryMatrix:
-    """Incidence rows (color 0) stacked over the chi support row (color 1),
-    with column j colored by the multiplicity chi[j]."""
+    """The incidence rows, with column j colored by the multiplicity
+    chi[j]; a color-preserving column permutation fixes the support."""
     spec = chi.spec
     inc = incidence(chi.k, spec.q, spec.modulus)
-    support = 0
-    width = inc.n_points
-    for j, c in enumerate(chi.counts):
-        if c:
-            support |= 1 << (width - 1 - j)
-    masks = list(inc.row_masks) + [support]
-    row_colors = [0] * width + [1]
-    return ColoredBinaryMatrix.from_masks(masks, width, row_colors, chi.counts)
+    return ColoredBinaryMatrix.from_masks(inc.row_masks, inc.n_points,
+                                          None, chi.counts)
+
+
+def _point_coordinates(code: GeneratorMatrix) -> list[tuple[int, ...]]:
+    """The coordinates of each distinct point (normalized column) of
+    `code`, in index order, the points in order of first appearance."""
+    points: dict = {}
+    for j, col in enumerate(code.columns()):
+        points.setdefault(col, []).append(j)
+    return [tuple(coords) for coords in points.values()]
 
 
 def build_shortened(code: GeneratorMatrix) -> ColoredBinaryMatrix:
-    """Hyperplane-by-coordinate support of the code: entry (i, j) = 1 iff
-    coordinate j's column has nonzero inner product with hyperplane i.
-
-    Columns are colored by their point multiplicities.
+    """Hyperplane-by-point support of the code: entry (i, p) = 1 iff the
+    p-th distinct point of the code (`_point_coordinates` order) has nonzero
+    inner product with hyperplane i.  Column p is colored by the point's
+    multiplicity.  A hyperplane separates any two distinct points, so no
+    two columns are equal.
     """
     spec = code.spec
     table = point_table(code.k, spec.q, spec.modulus)
     cols = code.columns()
-    masks = nonzero_dot_masks(table, cols)
-    chi = characteristic_vector(code)
-    col_colors = [chi.counts[table.position_of(col)] for col in cols]
-    return ColoredBinaryMatrix.from_masks(masks, code.n, [0] * len(masks),
-                                          col_colors)
+    points = _point_coordinates(code)
+    masks = nonzero_dot_masks(table, [cols[coords[0]] for coords in points])
+    return ColoredBinaryMatrix.from_masks(masks, len(points), [0] * len(masks),
+                                          [len(coords) for coords in points])
+
+
+def _shortened_form(side: GeneratorMatrix):
+    """(canonical form of build_shortened(side), _point_coordinates(side))."""
+    return canonical_form(build_shortened(side)), _point_coordinates(side)
+
+
+def _coordinate_perm(pi, points1, points2) -> tuple[int, ...]:
+    """The coordinate permutation that carries the coordinates of point p
+    of `points1` onto those of point pi[p] of `points2`, in index order."""
+    sigma = [0] * sum(map(len, points1))
+    for coords, t in zip(points1, pi):
+        for a, b in zip(coords, points2[t]):
+            sigma[a] = b
+    return tuple(sigma)
 
 
 # ---------------------------------------------------------------------------
@@ -327,34 +346,35 @@ def _lift(g1: GeneratorMatrix, red2: RREFResult, sigma):
     return None
 
 
-def _find_lift(g1: GeneratorMatrix, red2: RREFResult, r1, r2):
+def _find_lift(g1: GeneratorMatrix, red2: RREFResult, short1, short2):
     """(sigma, rho, Q, lambdas) for the first candidate permutation that
     lifts onto red2 = rref(G2), or None when none does.
 
-    `r1`, `r2` are the canonical forms of the shortened matrices of the
-    sides (`_side`) of g1 and G2, each in its code's own coordinates.  The
-    permutations carrying the first matrix onto the second are sigma0 o tau,
-    where sigma0 maps the first matrix onto the second and tau runs over its
-    automorphism group H1 = P T: the twin group T permutes the members of
-    each twin class of r1, and the point group P = <r1.point_generators>
-    moves whole classes.  The candidates are sigma0 o pi, pi in P, identity
-    first.  That loses nothing: twin columns of a shortened matrix meet the
-    same hyperplanes, so they are coordinates whose columns in the side are
-    proportional, c_j = a c_i.  Swapping them and scaling by a and a^-1
-    maps the side onto itself, a monomial automorphism of the side, and so
-    of the code (with the inverse scalings when the side is the dual).
-    Every twin permutation t is thus the permutation of a monomial
-    automorphism of g1, and sigma0 o pi o t lifts exactly when sigma0 o pi
-    does, so None proves that no monomial map exists.
+    `short1`, `short2` are the `_shortened_form`s of the sides (`_side`) of
+    g1 and G2.  The permutations carrying the first side's point multiset
+    onto the second's are sigma0 o pi o t: sigma0 carries the first matrix
+    of distinct points onto the second and pi runs over the point group P,
+    its automorphism group, both moved to coordinates by `_coordinate_perm`,
+    and t runs over the permutations of each point's own coordinates.  The
+    candidates are sigma0 o pi, pi in P, identity first.  That loses
+    nothing: coordinates of one point have proportional columns in the
+    side, c_j = a c_i.  Swapping them and scaling by a and a^-1 maps the
+    side onto itself, a monomial automorphism of the side, and so of the
+    code (with the inverse scalings when the side is the dual).  Every t is
+    thus the permutation of a monomial automorphism of g1, and sigma0 o pi
+    o t lifts exactly when sigma0 o pi does, so None proves that no
+    monomial map exists.
     When the point group is larger than COSET_CAP, only sigma0 is tried,
     and BudgetExceededError is raised if it does not lift.
     """
-    sigma0 = _sigma_from_canons(r1, r2)
-    if sigma0 is None:
+    (r1, points1), (r2, points2) = short1, short2
+    pi0 = _sigma_from_canons(r1, r2)
+    if pi0 is None:
         return None
-    capped = r1.point_order > COSET_CAP
-    taus = ([tuple(range(g1.n))] if capped
-            else _iter_group(r1.point_generators, g1.n))
+    sigma0 = _coordinate_perm(pi0, points1, points2)
+    capped = r1.group_order > COSET_CAP
+    taus = ([tuple(range(g1.n))] if capped else _iter_group(
+        [_coordinate_perm(g, points1, points1) for g in r1.generators], g1.n))
     for tau in taus:
         sigma = _perm_compose(sigma0, tau)
         lift = _lift(g1, red2, sigma)
@@ -362,7 +382,7 @@ def _find_lift(g1: GeneratorMatrix, red2: RREFResult, r1, r2):
             return (sigma, *lift)
     if capped:
         raise BudgetExceededError(
-            f"sigma0 does not lift and the point group ({r1.point_order}) "
+            f"sigma0 does not lift and the point group ({r1.group_order}) "
             f"exceeds the coset cap ({COSET_CAP})")
     return None
 
@@ -412,13 +432,14 @@ def cesimpg_equiv(c1: GeneratorMatrix, c2: GeneratorMatrix) -> Verdict:
     Codes on different sides, or with non-isomorphic shortened matrices,
     are inequivalent outright.
     Otherwise the candidate permutations (one isomorphism sigma0 composed
-    with each element of the point group of the first matrix, sigma0
-    first; `_find_lift`) are lifted in turn, trying each field automorphism;
-    exhausting them proves inequivalence.  When the point group outgrows
-    COSET_CAP, only sigma0 is tried.  If it does not lift, or a
-    canonical search fails, the decision falls back to the canonical-form
-    route, losing only the witness; on sides of dimension 2 over q >= 5,
-    whose ceimpg key is incomplete, the typed error is raised instead.
+    with each element of the point group, the first matrix's automorphism
+    group, sigma0 first; `_find_lift`) are lifted in turn, trying each
+    field automorphism; exhausting them proves inequivalence.  When the
+    point group outgrows COSET_CAP, only sigma0 is tried.  If it does not
+    lift, or a canonical search fails, the decision falls back to the
+    canonical-form route, losing only the witness; on sides of dimension
+    2 over q >= 5, whose ceimpg key is incomplete, the typed error is
+    raised instead.
     Lifting one candidate onto rref(c2) is a walk over its support graph,
     with no budget of its own.
     """
@@ -426,8 +447,8 @@ def cesimpg_equiv(c1: GeneratorMatrix, c2: GeneratorMatrix) -> Verdict:
     if sides is None:
         return Verdict(False, "cesimpg")
     try:
-        r1, r2 = (canonical_form(build_shortened(s)) for s in sides)
-        found = _find_lift(c1, rref(c2.mat), r1, r2)
+        short1, short2 = (_shortened_form(s) for s in sides)
+        found = _find_lift(c1, rref(c2.mat), short1, short2)
     except BudgetExceededError:
         if not _ceimpg_complete(sides[0]):
             raise
@@ -455,11 +476,13 @@ def decide_equivalence(c1: GeneratorMatrix, c2: GeneratorMatrix,
 class AutomorphismReport:
     """Automorphism group of a code, in the code's own coordinates.
 
-    `h1_order`/`h1_generators` describe the permutation group fixing the
-    shortened matrix of the code's side (`_side`: its dual when 2k > n,
-    whose monomial automorphisms move coordinates the same way), and
-    `h1_generators` ends with the transpositions of the coordinates that
-    repeat a point (`CanonResult.twin_classes`), which always lift; `lifted`
+    `h1_order`/`h1_generators` describe the coordinate permutations that
+    keep the point multiset of the code's side (`_side`: its dual when
+    2k > n, whose monomial automorphisms move coordinates the same way).
+    `h1_generators` are the point group's generators (`_coordinate_perm`),
+    then the adjacent transpositions of the coordinates that share a point,
+    which always lift; `h1_order` is the point group's order times m_p!
+    for each point's multiplicity m_p.  `lifted`
     holds one verified monomial automorphism of the code itself per
     generator that lifts onto the code's rref, and `failed` the others.
     `kernel_order` counts the diagonal-only automorphisms (the scalings
@@ -486,11 +509,19 @@ def code_aut_group(code: GeneratorMatrix) -> AutomorphismReport:
     from the shortened matrix of the code's side (its dual when 2k > n);
     each generator is lifted, and the kernel counted, on the code itself."""
     spec = code.spec
-    r = canonical_form(build_shortened(_side(code)))
+    r, points = _shortened_form(_side(code))
+    gens = [_coordinate_perm(g, points, points) for g in r.generators]
+    h1_order = r.group_order
+    for coords in points:
+        h1_order *= math.factorial(len(coords))
+        for a, b in zip(coords, coords[1:]):
+            gamma = list(range(code.n))
+            gamma[a], gamma[b] = b, a
+            gens.append(tuple(gamma))
     red = rref(code.mat)
     lifted: list[EquivalenceWitness] = []
     failed: list[tuple[int, ...]] = []
-    for tau in r.generators:
+    for tau in gens:
         lift = _lift(code, red, tau)
         if lift is None:
             failed.append(tau)
@@ -499,9 +530,9 @@ def code_aut_group(code: GeneratorMatrix) -> AutomorphismReport:
     forest = _support_forest(red, code.n)
     kernel = (spec.q - 1) ** sum(p is None for _, p in forest)
     complete = spec.m == 1 and not failed
-    order = r.group_order * kernel if complete else None
-    return AutomorphismReport(r.group_order, r.generators, lifted, failed,
-                              kernel, order, complete)
+    order = h1_order * kernel if complete else None
+    return AutomorphismReport(h1_order, gens, lifted, failed, kernel, order,
+                              complete)
 
 
 # ---------------------------------------------------------------------------
@@ -536,8 +567,8 @@ def _ceimpg_key(side: GeneratorMatrix) -> str:
 
 
 def _code_key(code: GeneratorMatrix, mode: str):
-    """(key, canon, error) of one code.  `canon` is the CanonResult of the
-    shortened matrix that cesimpg bucket comparisons lift with, None for
+    """(key, short, error) of one code.  `short` is the `_shortened_form`
+    of its side that cesimpg bucket comparisons lift with, None for
     ceimpg; a per-item failure sets only `error`.  A key built from the dual
     starts with "dual:", so that a [13,10] code never shares a key with the
     [13,3] code whose matrix is the same."""
@@ -546,8 +577,8 @@ def _code_key(code: GeneratorMatrix, mode: str):
         tag = "" if side is code else "dual:"
         if mode == "ceimpg":
             return tag + _ceimpg_key(side), None, None
-        canon = canonical_form(build_shortened(side))
-        return tag + serialize(canon.matrix), canon, None
+        short = _shortened_form(side)
+        return tag + serialize(short[0].matrix), short, None
     except (BudgetExceededError, ResourceLimitError) as e:
         return None, None, f"{type(e).__name__}: {e}"
 

@@ -126,6 +126,9 @@ class FieldSpec:
     def __init__(self, q: int, modulus: int | None = None):
         if q > MAX_ORDER:
             raise ValueError(f"field order {q} exceeds table limit {MAX_ORDER}")
+        if modulus is not None and modulus < 0:
+            # its digits would never end (_poly_digits)
+            raise ValueError(f"modulus must be non-negative, got {modulus}")
         p, m = _factor_prime_power(q)
         self.q = q
         self.p = p

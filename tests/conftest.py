@@ -181,7 +181,8 @@ def reference_leaf_cert(mat, order):
     """A leaf certificate as tuples: the column colors in column order
     `order`, then the sorted (row color, row bits) pairs with the columns
     read in that order.  The canonical search's byte-record certificates
-    must compare exactly like these."""
+    hold the rows alone (every leaf lists the column colors in sorted
+    order), and must compare exactly like the second member."""
     cols = mat.n_cols
     shifts = [cols - 1 - j for j in order]
     rows = []
@@ -222,31 +223,6 @@ def reference_refine(mat, col_cells, row_cells):
         col_cells, col_changed = split(col_cells, cols, row_masks)
         if not (row_changed or col_changed):
             return col_cells, row_cells
-
-
-def reference_twin_quotient(mat):
-    """The twin quotient the canonical search used to build and search
-    with a second, nested search: one column per twin class (equal columns
-    of equal color), classes in order of their first members, each column
-    the class's first member colored by the rank of the class's (color,
-    size).  Returns (quotient, classes), each class in index order.  Its
-    canonical form, expanded class by class, must give the matrix's."""
-    from codequiv import ColoredBinaryMatrix
-    n_cols = mat.n_cols
-    classes = {}
-    for j in range(n_cols):
-        column = tuple(m >> (n_cols - 1 - j) & 1 for m in mat.row_masks)
-        classes.setdefault((mat.col_colors[j], column), []).append(j)
-    classes = list(classes.values())
-    keys = [(mat.col_colors[cls[0]], len(cls)) for cls in classes]
-    rank = {key: r for r, key in enumerate(sorted(set(keys)))}
-    width = len(classes)
-    masks = [sum((m >> (n_cols - 1 - cls[0]) & 1) << (width - 1 - c)
-                 for c, cls in enumerate(classes))
-             for m in mat.row_masks]
-    quotient = ColoredBinaryMatrix.from_masks(
-        masks, width, mat.row_colors, [rank[key] for key in keys])
-    return quotient, classes
 
 
 def recursive_search(mat):

@@ -1,7 +1,6 @@
 """Canonical labeling of colored binary matrices: invariance, isomorphism
 decisions, and exact automorphism group orders, all against brute force."""
 
-import math
 import os
 import random
 import subprocess
@@ -23,8 +22,7 @@ from codequiv.equiv import _iter_group
 from codequiv.errors import BudgetExceededError
 from conftest import (brute_force_cbm_aut_count, brute_force_cbm_isomorphic,
                       recursive_search, reference_is_automorphism,
-                      reference_leaf_cert, reference_refine,
-                      reference_twin_quotient)
+                      reference_leaf_cert, reference_refine)
 
 
 def _random_cbm(rng, rows, cols, n_row_colors=1, n_col_colors=1):
@@ -173,7 +171,7 @@ def test_numpy_and_popcount_steps_agree(monkeypatch):
                              + col_cells[t + 1:])
                 splitters = [[v]]
         results.append([(r.matrix, r.perm, r.generators, r.group_order,
-                         r.nodes, r.twin_classes)
+                         r.nodes)
                         for r in map(canonical_form, _oracle_cases())])
     assert results[0] == results[1]
 
@@ -198,12 +196,10 @@ def test_numpy_count_keys_order_counts_past_one_byte(monkeypatch):
 
 
 def test_initial_cells_match_per_color_scan():
-    # the first members of the twin classes grouped by (color, class size)
-    # and the rows grouped by color, in key order, members in index order,
-    # as one scan of the columns (rows) per distinct key gives them; up to
-    # one color per row
+    # the columns and the rows grouped by color, in color order, members in
+    # index order, as one scan of the columns (rows) per distinct color
+    # gives them; up to one color per row
     rng = random.Random(5150)
-    seen_twins = 0
     for _ in range(300):
         n_rows, n_cols = rng.randrange(0, 80), rng.randrange(1, 24)
         spread_r, spread_c = rng.randint(1, n_rows + 1), rng.randint(1, n_cols)
@@ -211,25 +207,18 @@ def test_initial_cells_match_per_color_scan():
         m = ColoredBinaryMatrix(
             bits, [rng.randrange(-spread_r, spread_r) for _ in range(n_rows)],
             [rng.randrange(-spread_c, spread_c) for _ in range(n_cols)])
-        classes = {}
-        for j in range(n_cols):
-            classes.setdefault((m.col_colors[j], _column(m, j)), []).append(j)
-        first_key = {cls[0]: (m.col_colors[cls[0]], len(cls))
-                     for cls in classes.values()}
-        want_cols = [[j for j in range(n_cols) if first_key.get(j) == key]
-                     for key in sorted(set(first_key.values()))]
+        want_cols = [[j for j in range(n_cols) if m.col_colors[j] == c]
+                     for c in sorted(set(m.col_colors))]
         want_rows = [[i for i in range(n_rows) if m.row_colors[i] == c]
                      for c in sorted(set(m.row_colors))]
         assert _Search(m)._initial_cells() == (want_cols, want_rows)
-        seen_twins += len(classes) < n_cols
-    assert seen_twins >= 10  # 11 of the 300 have twins
 
 
 def test_canonical_invariance_on_uneven_colored_matrices():
-    # uneven matrices, then twin-heavy ones, which go through the quotient
+    # uneven matrices, then ones with many equal columns
     rng = random.Random(4048)
     for t in range(700):
-        m = _uneven_cbm(rng) if t < 500 else _twin_cbm(rng)
+        m = _uneven_cbm(rng) if t < 500 else _equal_columns_cbm(rng)
         gamma = list(range(m.n_cols))
         rng.shuffle(gamma)
         assert (canonical_form(m).matrix
@@ -261,6 +250,10 @@ def _order_cert(search, order):
 
 
 def test_leaf_certificates_compare_like_reference_pairs():
+    # a certificate is the sorted records alone, which decode to the
+    # reference's sorted pairs and compare as they do; the column colors
+    # need no comparing, every leaf listing them in sorted order
+    # (test_canonical_matrix_and_generators_match_reference)
     rng = random.Random(61)
     for m in _cert_cases():
         search = _Search(m)
@@ -276,13 +269,13 @@ def test_leaf_certificates_compare_like_reference_pairs():
         orders.append(swapped)
         certs = [_order_cert(search, o) for o in orders]
         refs = [reference_leaf_cert(m, o) for o in orders]
-        for cert, ref in zip(certs, refs):
-            colors, masks = search.records.decode(cert[1])
-            assert (cert[0], tuple(zip(colors, masks))) == ref
+        for cert, (_, pairs) in zip(certs, refs):
+            colors, masks = search.records.decode(cert)
+            assert tuple(zip(colors, masks)) == pairs
         for a in range(len(orders)):
             for b in range(len(orders)):
-                assert (certs[a] == certs[b]) == (refs[a] == refs[b])
-                assert (certs[a] < certs[b]) == (refs[a] < refs[b])
+                assert (certs[a] == certs[b]) == (refs[a][1] == refs[b][1])
+                assert (certs[a] < certs[b]) == (refs[a][1] < refs[b][1])
 
 
 def test_rank_field_widens_past_65536_row_colors():
@@ -297,10 +290,10 @@ def test_rank_field_widens_past_65536_row_colors():
     certs = [_order_cert(search, o) for o in orders]
     refs = [reference_leaf_cert(m, o) for o in orders]
     for a in range(3):
-        colors_a, masks_a = search.records.decode(certs[a][1])
+        colors_a, masks_a = search.records.decode(certs[a])
         assert tuple(zip(colors_a, masks_a)) == refs[a][1]
         for b in range(3):
-            assert (certs[a] < certs[b]) == (refs[a] < refs[b])
+            assert (certs[a] < certs[b]) == (refs[a][1] < refs[b][1])
 
 
 def test_canonical_matrix_and_generators_match_reference():
@@ -311,6 +304,7 @@ def test_canonical_matrix_and_generators_match_reference():
         for j, t in enumerate(res.perm):
             order[t] = j
         col_colors, pairs = reference_leaf_cert(m, order)
+        assert col_colors == tuple(sorted(m.col_colors))
         assert res.matrix == ColoredBinaryMatrix.from_masks(
             [b for _, b in pairs], m.n_cols, [c for c, _ in pairs], col_colors)
         for g in res.generators:
@@ -351,82 +345,16 @@ def test_group_order_matches_brute_force():
         assert canonical_form(m).group_order == brute_force_cbm_aut_count(m)
 
 
-def test_twin_quotient_group_matches_brute_force():
-    # on twin-heavy matrices the expanded order equals the brute-force count
-    # and the closure of the generators; the point generators close to the
-    # point order, which times the class sizes' factorials is the order
+def test_group_order_matches_brute_force_with_equal_columns():
+    # on matrices with many equal columns the order equals the brute-force
+    # count and the closure of the generators
     rng = random.Random(78)
-    seen_twins = 0
     for _ in range(60):
-        m = _twin_cbm(rng, max_cols=8)
+        m = _equal_columns_cbm(rng, max_cols=8)
         res = canonical_form(m)
         assert res.group_order == brute_force_cbm_aut_count(m)
         assert res.group_order == sum(
             1 for _ in _iter_group(res.generators, m.n_cols))
-        assert res.point_order == sum(
-            1 for _ in _iter_group(res.point_generators, m.n_cols))
-        twins = 1
-        for cls in res.twin_classes:
-            twins *= math.factorial(len(cls))
-            assert len({(m.col_colors[j], _column(m, j)) for j in cls}) == 1
-        assert res.point_order * twins == res.group_order
-        seen_twins += bool(res.twin_classes)
-    assert seen_twins > 40
-
-
-def _count_calls(monkeypatch, owner, name, counts):
-    """Count the calls of `owner.name` in `counts`, keyed by both names."""
-    orig = getattr(owner, name)
-    key = f"{owner.__name__}.{name}"
-
-    def counted(*args, **kwargs):
-        counts[key] = counts.get(key, 0) + 1
-        return orig(*args, **kwargs)
-
-    monkeypatch.setattr(owner, name, counted)
-
-
-def test_twins_searched_in_place_match_the_quotient_oracle(monkeypatch):
-    # searching the first members gives the explicit twin quotient's tree:
-    # the same node count, its group order as the point order, and its
-    # canonical order and generators expanded class by class as the
-    # matrix's perm and point generators; one call builds one search and
-    # one set of row records, and decodes one canonical matrix
-    counts = {}
-    _count_calls(monkeypatch, _Search, "__init__", counts)
-    _count_calls(monkeypatch, bmcanon._RowRecords, "__init__", counts)
-    _count_calls(monkeypatch, bmcanon._RowRecords, "decode", counts)
-    rng = random.Random(79)
-    seen_twins = 0
-    for _ in range(240):
-        m = _twin_cbm(rng)
-        counts.clear()
-        res = canonical_form(m)
-        assert counts == {"_Search.__init__": 1, "_RowRecords.__init__": 1,
-                          "_RowRecords.decode": 1}
-        quotient, classes = reference_twin_quotient(m)
-        want = canonical_form(quotient)
-        assert res.nodes == want.nodes
-        assert res.point_order == want.group_order
-        assert res.twin_classes == tuple(
-            tuple(cls) for cls in classes if len(cls) > 1)
-        at = [0] * len(classes)
-        for c, t in enumerate(want.perm):
-            at[t] = c
-        perm = [0] * m.n_cols
-        for t, j in enumerate(j for c in at for j in classes[c]):
-            perm[j] = t
-        assert res.perm == tuple(perm)
-        gens = []
-        for g in want.generators:
-            gamma = [0] * m.n_cols
-            for cls, c in zip(classes, g):
-                for j, w in zip(cls, classes[c]):
-                    gamma[j] = w
-            gens.append(tuple(gamma))
-        assert res.point_generators == gens
-        seen_twins += bool(res.twin_classes)
-    assert seen_twins >= 200
 
 
 def test_group_order_matches_closure_on_shortened_matrices():
@@ -444,7 +372,8 @@ def test_group_order_matches_closure_on_shortened_matrices():
             res = canonical_form(build_shortened(gs))
             if len(res.generators) < 2:
                 continue
-            closure = sum(1 for _ in _iter_group(res.generators, gs.n))
+            closure = sum(1 for _ in _iter_group(res.generators,
+                                                 res.matrix.n_cols))
             assert res.group_order == closure, (q, seed)
             per_field += 1
 
@@ -527,7 +456,7 @@ def test_budget_exhaustion_raises(monkeypatch):
 
 
 def test_deep_search_ends_at_the_node_budget(monkeypatch):
-    # the 1,100 x 1,100 identity, which has no twin columns: the first path
+    # the 1,100 x 1,100 identity, which has no equal columns: the first path
     # individualizes 1,099 columns one by one, so the tree is deeper than
     # the interpreter's recursion limit; only the node budget may stop it
     wide = ColoredBinaryMatrix.from_masks(
@@ -537,7 +466,7 @@ def test_deep_search_ends_at_the_node_budget(monkeypatch):
         canonical_form(wide)
 
 
-def _twin_cbm(rng, max_cols=20):
+def _equal_columns_cbm(rng, max_cols=20):
     """Random colored matrix whose columns repeat a few distinct columns,
     so that its automorphism group is a large product of symmetric
     groups."""
@@ -551,16 +480,13 @@ def _twin_cbm(rng, max_cols=20):
         [rng.randrange(rng.randint(1, 2)) for _ in range(n_cols)])
 
 
-def _column(mat, j):
-    return tuple(mat.entry(i, j) for i in range(mat.n_rows))
-
-
 def _oracle_cases():
-    """300 seeded matrices, half uneven and half twin-heavy, then shortened
-    and ceimpg matrices of random codes and of simplex codes."""
+    """300 seeded matrices, half uneven and half with many equal columns,
+    then shortened and ceimpg matrices of random codes and of simplex
+    codes."""
     rng = random.Random(1111)
     for t in range(300):
-        yield _uneven_cbm(rng) if t % 2 else _twin_cbm(rng)
+        yield _uneven_cbm(rng) if t % 2 else _equal_columns_cbm(rng)
     for q, n, k, seed in ((2, 9, 4, 1), (3, 8, 3, 2), (4, 7, 3, 3),
                           (5, 9, 2, 4), (2, 12, 3, 5), (3, 6, 3, 6)):
         code = random_code(q, n, k, seed=seed)
@@ -585,7 +511,7 @@ def test_search_tree_matches_recursive_oracle():
 
 
 def test_children_prune_by_orbits_on_the_first_path_only():
-    # columns 2 and 3 are twins, so (0 1 3 2) is an automorphism fixing
+    # columns 2 and 3 are equal, so (0 1 3 2) is an automorphism fixing
     # columns 0 and 1; with it recorded and 2 already tried, column 3 is
     # skipped below the first path's first node and kept elsewhere
     m = ColoredBinaryMatrix([[1, 0, 0, 0], [0, 1, 0, 0], [0, 0, 1, 1]])
@@ -602,7 +528,7 @@ def test_children_prune_by_orbits_on_the_first_path_only():
 
     # no leaf yet: the path being walked is the first path
     assert children([[0], [1, 2, 3]], [0]) == [1, 2]
-    search.first = (((0, 0, 0, 0), b""), [0, 1, 2, 3], [0, 1])
+    search.first = (b"", [0, 1, 2, 3], [0, 1])
     assert children([[0], [1, 2, 3]], [0]) == [1, 2]
     assert children([[1], [0, 2, 3]], [1]) == [0, 2, 3]
 

@@ -216,6 +216,14 @@ def test_bench_small(capsys):
     float(row[5]), float(row[6])  # timings parse
 
 
+@pytest.mark.parametrize("argv", [
+    ["points", "-k", "2", "-q", "9", "--modulus", "-5"],
+    ["gen", "-q", "9", "-k", "2", "-n", "4", "--modulus", "-5"]])
+def test_negative_modulus_exit_2(argv, capsys):
+    assert main(argv) == 2
+    assert "non-negative" in capsys.readouterr().err
+
+
 def test_unknown_subcommand_usage_error():
     with pytest.raises(SystemExit) as exc:
         main(["frobnicate"])

@@ -67,6 +67,12 @@ def test_parse_prime_field_header_has_three_fields():
         parse_codes("3 2 3 7\n1 0 1\n0 1 1\n")
 
 
+def test_parse_negative_modulus_rejected():
+    # a negative modulus has no end of digits: rejected, not looped on
+    with pytest.raises(CodeFileError, match="line 1"):
+        parse_codes("9 2 4 -5\n1 0 1 1\n0 1 1 2\n")
+
+
 @pytest.mark.parametrize("text,lineno", [
     ("x 2 3\n1 0 1\n0 1 1\n", 1),            # non-integer in header
     ("3 2\n1 0 1\n0 1 1\n", 1),               # header too short

@@ -16,7 +16,7 @@ import pytest
 from codequiv import (GFMatrix, GeneratorMatrix, build_ceimpg_matrix,
                       build_shortened, canonical_form, ceimpg_equiv,
                       cesimpg_equiv, characteristic_vector, classify,
-                      code_aut_group, decide_equivalence, field,
+                      code_aut_group, decide_equivalence, field, incidence,
                       monomial_from_sigma, point_table, random_code, rank,
                       rref, serialize, simplex_generator, systematic_form,
                       theta, verify_witness)
@@ -76,23 +76,84 @@ def test_ceimpg_matrix_shape_and_colors():
     chi = characteristic_vector(g1)
     m = build_ceimpg_matrix(chi)
     t = theta(2, 3)
-    assert (m.n_rows, m.n_cols) == (t + 1, t)
-    assert m.row_colors == (0,) * t + (1,)
+    assert (m.n_rows, m.n_cols) == (t, t)
+    assert m.row_masks == incidence(3, 3).row_masks
+    assert m.row_colors == (0,) * t
     assert m.col_colors == chi.counts
-    support = m.row_masks[-1]
-    for j, c in enumerate(chi.counts):
-        assert ((support >> (t - 1 - j)) & 1) == (1 if c else 0)
 
 
 def test_shortened_matrix_hand_row():
-    """For the worked G1, the hyperplane of (1,0,0) (table position 4)
-    meets the columns in pattern 1,0,0,1,1,0."""
+    """For the worked G1, whose coordinates 1 and 5 share a point, the
+    hyperplane of (1,0,0) (table position 4) meets the coordinates in
+    pattern 1,0,0,1,1,0, so its five points in pattern 1,0,0,1,1."""
     g1 = GeneratorMatrix(3, G1_ROWS)
+    assert equiv._point_coordinates(g1) == [(0,), (1, 5), (2,), (3,), (4,)]
     m = build_shortened(g1)
-    assert (m.n_rows, m.n_cols) == (13, 6)
-    assert m.row_masks[4] == 0b100110
-    assert m.col_colors == (1, 2, 1, 1, 1, 2)
+    assert (m.n_rows, m.n_cols) == (13, 5)
+    assert m.row_masks[4] == 0b10011
+    assert m.col_colors == (1, 2, 1, 1, 1)
     assert m.row_colors == (0,) * 13
+
+
+def _dot_nonzero(spec, u, x) -> int:
+    acc = 0
+    for a, b in zip(u, x):
+        acc = spec.add(acc, spec.mul(a, b))
+    return int(acc != 0)
+
+
+def test_shortened_matrix_has_one_column_per_point():
+    # on codes with repeated points, keyed on the code itself (2k <= n) and
+    # on its dual (2k > n): _point_coordinates partitions the coordinates
+    # into distinct points in order of first appearance; column p of the
+    # shortened matrix is the hyperplane support of the p-th point, colored
+    # by its multiplicity, and no two columns are equal
+    sides = set()
+    for q, n, k in ((2, 8, 3), (3, 9, 3), (4, 8, 2), (5, 10, 3),
+                    (2, 8, 6), (3, 8, 6), (4, 7, 5)):
+        spec = field(q)
+        for seed in range(6):
+            side = equiv._side(random_code(spec, n, k, seed=seed))
+            table = point_table(side.k, q)
+            counts = characteristic_vector(side).counts
+            cols = side.columns()
+            points = equiv._point_coordinates(side)
+            assert sorted(j for coords in points
+                          for j in coords) == list(range(n))
+            firsts = [coords[0] for coords in points]
+            assert firsts == sorted(firsts)
+            assert len({cols[j] for j in firsts}) == len(points)
+            m = build_shortened(side)
+            assert (m.n_rows, m.n_cols) == (len(table), len(points))
+            columns = [tuple(m.entry(i, p) for i in range(m.n_rows))
+                       for p in range(m.n_cols)]
+            assert len(set(columns)) == m.n_cols
+            for p, coords in enumerate(points):
+                assert list(coords) == sorted(coords)
+                assert all(cols[j] == cols[coords[0]] for j in coords)
+                assert m.col_colors[p] == len(coords) == counts[
+                    table.position_of(cols[coords[0]])]
+                point = cols[coords[0]]
+                assert columns[p] == tuple(_dot_nonzero(spec, u, point)
+                                           for u in table.points)
+            if len(points) < n:
+                sides.add("code" if side.k == k else "dual")
+    assert sides == {"code", "dual"}
+
+
+def test_aut_group_generators_close_to_h1_order_with_repeated_points():
+    # h1_generators (the point group's generators moved to coordinates, then
+    # the transpositions of coordinates that share a point) generate a group
+    # of order h1_order, on the code's own side and on the dual's
+    repeated = 0
+    for q, n, k in ((2, 7, 2), (3, 7, 3), (4, 6, 2), (3, 6, 4), (5, 6, 2)):
+        for seed in range(5):
+            code = random_code(q, n, k, seed=seed)
+            rep = code_aut_group(code)
+            assert rep.h1_order == sum(
+                1 for _ in equiv._iter_group(rep.h1_generators, n))
+            repeated += len(equiv._point_coordinates(equiv._side(code))) < n
+    assert repeated >= 20
 
 
 # ---------------------------------------------------------------------------
@@ -176,10 +237,9 @@ def test_lift_matches_linear_system_reference(q):
         copy = GeneratorMatrix(spec, _random_transform(spec, n, rng).apply(
             code.mat).rows)
         gs1, gs2 = (systematic_form(c)[0] for c in (code, copy))
-        r1, r2 = (canonical_form(build_shortened(gs)) for gs in (gs1, gs2))
-        sigma0 = _sigma_from_canons(r1, r2)
+        sigma0 = _shortened_sigma0(gs1, gs2)
         sigmas = [tuple(sigma0[t] for t in tau) for tau in itertools.islice(
-            equiv._iter_group(r1.generators, n), 24)]
+            equiv._iter_group(code_aut_group(gs1).h1_generators, n), 24)]
         for _ in range(6):
             perm = list(range(n))
             rng.shuffle(perm)
@@ -319,9 +379,9 @@ def test_binary_golay_24_witnessed():
 
 def test_repeated_point_past_the_coset_cap_witnessed():
     # a [6,3]_5 code with its first point repeated 10 more times, scaled:
-    # |H1| >= 10! is past the coset cap, but the twin permutations never
-    # change whether a candidate lifts, so only the point group is streamed
-    # and the pair gets a witness where sigma0 alone does not lift
+    # |H1| >= 10! is past the coset cap, but permuting a point's coordinates
+    # never changes whether a candidate lifts, so only the point group is
+    # streamed and the pair gets a witness where sigma0 alone does not lift
     spec = field(5)
     for seed in (0, 5, 7, 8, 9):
         rng = random.Random(seed)
@@ -332,7 +392,7 @@ def test_repeated_point_past_the_coset_cap_witnessed():
         t = _random_transform(spec, c1.n, rng, allow_rho=False)
         c2 = GeneratorMatrix(spec, t.apply(c1.mat).rows)
         r1 = canonical_form(build_shortened(c1))
-        assert r1.group_order > COSET_CAP >= r1.point_order
+        assert code_aut_group(c1).h1_order > COSET_CAP >= r1.group_order
         assert not _sigma0_lifts(c1, c2)
         v = cesimpg_equiv(c1, c2)
         assert (v.equivalent, v.method) == (True, "cesimpg")
@@ -802,10 +862,10 @@ def test_classify_digests_pinned():
         assert result.errors == [] and len(result.classes) == 45
         digests[algo] = result.digest
     assert digests == {
-        "ceimpg": "fdaefc211c6a4b162e55cfb6059dd92a"
-                  "672cc7a001db364e4b07321232e88241",
-        "cesimpg": "c8034bf0992f6d1c6f05a63592dc506e"
-                   "80e7242ffa5cb65129edba749ab3b080"}
+        "ceimpg": "41cc267f82066506b7d85bd41f20a670"
+                  "911f30c9bfcc491330c1b967e782c372",
+        "cesimpg": "01eea7d369c5861d334f7ebb9a974d85"
+                   "cde1c6860514e63c5d84fb1ed2f88fa7"}
 
 
 def test_classify_mixed_fields_rejected():
@@ -877,12 +937,18 @@ def test_classify_keeps_code_and_dual_apart():
     assert len(classes) == 4
 
 
+def _shortened_sigma0(c1, c2):
+    """The coordinate permutation of the first isomorphism found between
+    the shortened matrices of the two codes (`equiv._find_lift`'s sigma0)."""
+    (r1, points1), (r2, points2) = (equiv._shortened_form(c) for c in (c1, c2))
+    return equiv._coordinate_perm(_sigma_from_canons(r1, r2), points1, points2)
+
+
 def _sigma0_lifts(c1, c2):
     """Whether the first isomorphism found between the shortened matrices of
     the two codes lifts to a monomial map onto rref(c2) (prime field)."""
-    r1, r2 = (canonical_form(build_shortened(c)) for c in (c1, c2))
     return monomial_from_sigma(c1, rref(c2.mat),
-                               _sigma_from_canons(r1, r2)) is not None
+                               _shortened_sigma0(c1, c2)) is not None
 
 
 def _fallback_pair():
@@ -951,7 +1017,7 @@ def test_arcs_fall_back_past_the_real_coset_cap():
                                  x * y % 11, x * z % 11, y * z % 11]
                                 for x, y, z in arc])) == 6
     other = GeneratorMatrix.from_columns(spec, arc)
-    assert canonical_form(build_shortened(conic)).point_order == (
+    assert canonical_form(build_shortened(conic)).group_order == (
         math.factorial(10))
     assert math.factorial(10) > COSET_CAP
     rng = random.Random(11)
@@ -1014,10 +1080,10 @@ def test_dimension_two_fallback_never_guesses():
     """[18,2]_5 codes whose four points carry multiplicities 6,5,4,3: on
     PG(1,5) the incidence is a matching, so the ceimpg key cannot tell them
     apart and no decision may fall back to it.  |H1| is 6!5!4!3! =
-    12,441,600, past the coset cap, but all of it is twin permutations, so
-    only the point group is streamed and every pair is decided: each
-    verdict matches GL(2,5), each equivalent one carries a verified
-    witness, and classify places both codes with no errors."""
+    12,441,600, past the coset cap, but all of it permutes the coordinates
+    of each point, so only the point group is streamed and every pair is
+    decided: each verdict matches GL(2,5), each equivalent one carries a
+    verified witness, and classify places both codes with no errors."""
     spec = field(5)
     points = point_table(2, 5).points
     rng = random.Random(2)

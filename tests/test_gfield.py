@@ -184,6 +184,9 @@ def test_invalid_fields_rejected():
         field(4, modulus=4)  # x^2 is reducible
     with pytest.raises(ValueError):
         field(5, modulus=7)  # prime fields take no modulus
+    for q in (9, 5):
+        with pytest.raises(ValueError, match="non-negative"):
+            field(q, modulus=-5)  # its digits would never end
     with pytest.raises(ValueError):
         field(MAX_ORDER * 2)
     with pytest.raises(ValueError):

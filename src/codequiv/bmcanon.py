@@ -1,10 +1,9 @@
-"""Canonical forms of colored binary matrices under column permutations.
+"""Canonical forms of column-colored binary matrices under column relabeling.
 
 A ColoredBinaryMatrix is an R x C matrix of 0/1 entries with an integer color
-on every row and column.  Column permutations that preserve column colors act
-on matrices; rows are an unordered multiset tagged by their colors.  Two
-matrices are isomorphic when such a permutation maps the colored row multiset
-of one onto the other.
+on every column.  Column permutations that preserve column colors act on
+matrices; rows are an unordered multiset.  Two matrices are isomorphic when
+such a permutation maps the row multiset of one onto the other.
 
 canonical_form() returns, for any input, a representative that is bit-for-bit
 identical across isomorphic inputs, a column permutation realizing it, a
@@ -12,15 +11,15 @@ generating set for the automorphism group (all color-preserving column
 permutations fixing the row multiset), and that group's exact order.
 
 The canonical representative is the lexicographically least certificate --
-the sorted list of (row color, row bits) pairs, colors comparing before
-bits, with the columns read in leaf order -- taken over the leaves of a
-deterministic search tree: iterated equitable refinement of the column/row
-partitions, branching on the first largest non-singleton column class, with
-subtrees that discovered automorphisms map onto already-explored ones pruned
-away.  The tree is invariant under relabeling, so the minimum is too.  The
-search starts from the column color classes in increasing color order and
-refinement only splits cells in place, so every leaf lists the column colors
-in the same sorted sequence, and the certificate need not hold them.
+the sorted list of row bits, with the columns read in leaf order -- taken
+over the leaves of a deterministic search tree: iterated equitable
+refinement of the column/row partitions, branching on the first largest
+non-singleton column class, with subtrees that discovered automorphisms map
+onto already-explored ones pruned away.  The tree is invariant under
+relabeling, so the minimum is too.  The search starts from the column color
+classes in increasing color order and refinement only splits cells in
+place, so every leaf lists the column colors in the same sorted sequence,
+and the certificate need not hold them.
 
 Refinement splits a cell by its members' count vectors against the cells of
 the other side, sub-cells in increasing vector order, until the partition is
@@ -56,16 +55,14 @@ Bit convention: bit (C-1-j) of a row mask holds column j, so masks compare
 exactly like the row read left to right as a binary string.
 
 The search keeps the rows as one R x C NumPy bit matrix and writes the sorted
-(color, bits) list of a certificate as one byte string of fixed-width
-records: each row's color as its rank in the sorted row-color palette,
-big-endian in a fixed number of bytes, then the row's bits in the given
-column order packed big-endian, zero-padded on the right.  Every record has
-the same width and both fields are big-endian, so records compare as bytes
-exactly as the (color, mask) pairs compare as tuples, their concatenations
-in sorted order compare exactly as the sorted pair lists do, and the search
-tree, its leaves and generators are those the pairs would give.  The same
-records check generators: a relabeling fixes the row multiset exactly when it
-leaves the sorted records unchanged.
+row list of a certificate as one byte string of fixed-width records: each
+row's bits in the given column order packed big-endian, zero-padded on the
+right.  Every record has the same width, so records compare as bytes exactly
+as the masks compare as ints, their concatenations in sorted order compare
+exactly as the sorted mask lists do, and the search tree, its leaves and
+generators are those the masks would give.  The same records check
+generators: a relabeling fixes the row multiset exactly when it leaves the
+sorted records unchanged.
 """
 
 from __future__ import annotations
@@ -81,15 +78,15 @@ NODE_BUDGET = 2_000_000
 
 
 class ColoredBinaryMatrix:
-    """Immutable binary matrix with row/column colors.
+    """Immutable binary matrix with column colors.
 
     Rows are stored as int bitmasks (see module docstring for the bit order).
     Construct from nested 0/1 lists, or from masks via :meth:`from_masks`.
     """
 
-    __slots__ = ("n_rows", "n_cols", "row_masks", "row_colors", "col_colors")
+    __slots__ = ("n_rows", "n_cols", "row_masks", "col_colors")
 
-    def __init__(self, bits, row_colors=None, col_colors=None, n_cols: int | None = None):
+    def __init__(self, bits, col_colors=None, n_cols: int | None = None):
         bits = [list(r) for r in bits]
         if bits:
             width = len(bits[0])
@@ -109,23 +106,20 @@ class ColoredBinaryMatrix:
                     raise ValueError(f"entries must be 0/1, got {e!r}")
                 m = (m << 1) | e
             masks.append(m)
-        self._init(masks, width, row_colors, col_colors)
+        self._init(masks, width, col_colors)
 
-    def _init(self, masks, n_cols, row_colors, col_colors):
+    def _init(self, masks, n_cols, col_colors):
         self.n_rows = len(masks)
         self.n_cols = n_cols
         self.row_masks = tuple(masks)
-        self.row_colors = tuple(row_colors) if row_colors is not None else (0,) * self.n_rows
         self.col_colors = tuple(col_colors) if col_colors is not None else (0,) * n_cols
-        if len(self.row_colors) != self.n_rows:
-            raise ValueError("row_colors length mismatch")
         if len(self.col_colors) != n_cols:
             raise ValueError("col_colors length mismatch")
 
     @classmethod
-    def from_masks(cls, masks, n_cols, row_colors=None, col_colors=None) -> "ColoredBinaryMatrix":
+    def from_masks(cls, masks, n_cols, col_colors=None) -> "ColoredBinaryMatrix":
         self = cls.__new__(cls)
-        self._init(list(masks), n_cols, row_colors, col_colors)
+        self._init(list(masks), n_cols, col_colors)
         return self
 
     def entry(self, i: int, j: int) -> int:
@@ -136,21 +130,20 @@ class ColoredBinaryMatrix:
                 for i in range(self.n_rows)]
 
     def row_multiset(self) -> tuple:
-        return tuple(sorted(zip(self.row_colors, self.row_masks)))
+        return tuple(sorted(self.row_masks))
 
     def __eq__(self, other) -> bool:
         return (isinstance(other, ColoredBinaryMatrix)
                 and self.n_cols == other.n_cols
                 and self.row_masks == other.row_masks
-                and self.row_colors == other.row_colors
                 and self.col_colors == other.col_colors)
 
     def __hash__(self) -> int:
-        return hash((self.n_cols, self.row_masks, self.row_colors, self.col_colors))
+        return hash((self.n_cols, self.row_masks, self.col_colors))
 
     def __repr__(self) -> str:
         return (f"ColoredBinaryMatrix({self.n_rows}x{self.n_cols}, "
-                f"row_colors={self.row_colors}, col_colors={self.col_colors})")
+                f"col_colors={self.col_colors})")
 
 
 def permute_columns(mat: ColoredBinaryMatrix, gamma) -> ColoredBinaryMatrix:
@@ -168,7 +161,7 @@ def permute_columns(mat: ColoredBinaryMatrix, gamma) -> ColoredBinaryMatrix:
     new_cc = [0] * C
     for j in range(C):
         new_cc[gamma[j]] = mat.col_colors[j]
-    return ColoredBinaryMatrix.from_masks(new_masks, C, mat.row_colors, new_cc)
+    return ColoredBinaryMatrix.from_masks(new_masks, C, new_cc)
 
 
 def is_automorphism(mat: ColoredBinaryMatrix, gamma) -> bool:
@@ -179,17 +172,16 @@ def is_automorphism(mat: ColoredBinaryMatrix, gamma) -> bool:
 
 
 def serialize(mat: ColoredBinaryMatrix) -> str:
-    """Frozen text form: column-color header, then sorted color-prefixed rows.
+    """Frozen text form: column-color header, then the sorted rows.
 
-    Line 1 is ``c <col colors space-separated>``; each following line is
-    ``<row color>:<row bits as a 0/1 string>`` with rows sorted by
-    (color, bits).  Serializations of canonical matrices are the dedup keys
-    used by classification.
+    Line 1 is ``c <col colors space-separated>``; each following line is a
+    row's bits as a 0/1 string, rows sorted by their bits (an empty line for
+    each row of a matrix with no columns).  Serializations of canonical
+    matrices are the dedup keys used by classification.
     """
     C = mat.n_cols
     lines = ["c " + " ".join(str(c) for c in mat.col_colors)]
-    for color, m in sorted(zip(mat.row_colors, mat.row_masks)):
-        lines.append(f"{color}:{m:0{C}b}" if C else f"{color}:")
+    lines += [f"{m:0{C}b}" if C else "" for m in sorted(mat.row_masks)]
     return "\n".join(lines)
 
 
@@ -198,26 +190,21 @@ class _RowRecords:
     docstring, built from one R x C uint8 bit matrix."""
 
     def __init__(self, mat: ColoredBinaryMatrix):
-        R, C = mat.n_rows, mat.n_cols
+        C = mat.n_cols
         self.col_colors = mat.col_colors
-        nbytes = -(-C // 8)
-        self.pad = 8 * nbytes - C
-        data = b"".join(m.to_bytes(nbytes, "big") for m in mat.row_masks)
-        packed = np.frombuffer(data, np.uint8).reshape(R, nbytes)
+        self.width = -(-C // 8)
+        self.pad = 8 * self.width - C
+        data = b"".join(m.to_bytes(self.width, "big") for m in mat.row_masks)
+        packed = np.frombuffer(data, np.uint8).reshape(mat.n_rows, self.width)
         self.bits = np.ascontiguousarray(
             np.unpackbits(packed, axis=1)[:, self.pad:])
-        self.palette = sorted(set(mat.row_colors))
-        rank = {c: r for r, c in enumerate(self.palette)}
-        # two bytes of rank, more past 65,536 colors
-        self.rank_bytes = max(2, -(-(len(self.palette) - 1).bit_length() // 8))
-        self.width = self.rank_bytes + nbytes
-        ranks = np.array([rank[c] for c in mat.row_colors], dtype=">u8")
-        self.ranks = ranks.view(np.uint8).reshape(R, 8)[:, 8 - self.rank_bytes:]
         self._identity = None
 
     def sorted_bytes(self, order) -> bytes:
         """The sorted records of the rows read in column order `order`."""
-        recs = np.hstack((self.ranks, np.packbits(self.bits[:, order], axis=1)))
+        if not self.width:
+            return b""  # lexsort needs a key; rows of no columns are empty
+        recs = np.packbits(self.bits[:, order], axis=1)
         return recs[np.lexsort(recs.T[::-1])].tobytes()
 
     def identity(self) -> bytes:
@@ -228,7 +215,7 @@ class _RowRecords:
     def maps_onto(self, sigma, other: "_RowRecords | None" = None) -> bool:
         """True when relabeling columns by the permutation `sigma` carries
         this matrix's column colors and row multiset onto `other`'s (by
-        default its own).  `other` must have the same row-color palette."""
+        default its own)."""
         other = other or self
         inv = [0] * len(sigma)
         for j, t in enumerate(sigma):
@@ -237,15 +224,10 @@ class _RowRecords:
             inv[t] = j
         return self.sorted_bytes(inv) == other.identity()
 
-    def decode(self, data: bytes):
-        """(row colors, row masks) of sorted records `data`."""
-        colors, masks = [], []
-        for o in range(0, len(data), self.width):
-            cut = o + self.rank_bytes
-            colors.append(self.palette[int.from_bytes(data[o:cut], "big")])
-            masks.append(int.from_bytes(data[cut:o + self.width], "big")
-                         >> self.pad)
-        return colors, masks
+    def decode(self, data: bytes) -> list[int]:
+        """The row masks of sorted records `data`."""
+        return [int.from_bytes(data[o:o + self.width], "big") >> self.pad
+                for o in range(0, len(data), self.width)]
 
 
 @dataclass
@@ -253,7 +235,7 @@ class CanonResult:
     """Canonical form plus the search byproducts.
 
     Invariants: ``permute_columns(input, perm)`` with rows re-sorted by
-    (color, bits) equals `matrix`; every generator passes is_automorphism;
+    their bits equals `matrix`; every generator passes is_automorphism;
     `group_order` is the exact order of the full automorphism group, which
     `generators` generate.  `nodes` counts the nodes the search visited.
     """
@@ -303,10 +285,11 @@ class _Search:
     # -- partitions ---------------------------------------------------------
 
     def _initial_cells(self):
-        """The columns and the rows grouped by color, in color order, each
-        cell listing its members in index order."""
+        """The columns grouped by color, in color order, each cell listing
+        its members in index order, and all rows in one cell (none when
+        there are no rows)."""
         return (_color_classes(self.mat.col_colors),
-                _color_classes(self.mat.row_colors))
+                [list(range(self.R))] if self.R else [])
 
     def _refine(self, col_cells, row_cells, splitters=None):
         """Equitable refinement; sub-cells are ordered by signature value so
@@ -319,8 +302,8 @@ class _Search:
         previous step created, bar the last fragment of each split cell,
         which orders them exactly as full signatures would (module
         docstring; McKay & Piperno, Practical graph isomorphism II, 2014).
-        `splitters=None` marks the color-class partition, which is equitable
-        in neither direction: its first row step splits against every column
+        `splitters=None` marks the initial partition, which is equitable in
+        neither direction: its first row step splits against every column
         cell and its first column step against every row cell.
         """
         first = splitters is None
@@ -545,14 +528,13 @@ class _Search:
 
     def run(self) -> CanonResult:
         if self.C == 0:
-            mat = ColoredBinaryMatrix.from_masks(
-                [0] * self.R, 0, tuple(sorted(self.mat.row_colors)), ())
+            mat = ColoredBinaryMatrix.from_masks([0] * self.R, 0)
             return CanonResult(mat, (), [], 1, 0)
         self._dfs(*self._initial_cells())
         data, order, _ = self.best
-        row_colors, masks = self.records.decode(data)
         canon = ColoredBinaryMatrix.from_masks(
-            masks, self.C, row_colors, [self.mat.col_colors[j] for j in order])
+            self.records.decode(data), self.C,
+            [self.mat.col_colors[j] for j in order])
         perm = [0] * self.C
         for t, j in enumerate(order):
             perm[j] = t
@@ -573,7 +555,6 @@ def is_isomorphic(m1: ColoredBinaryMatrix, m2: ColoredBinaryMatrix):
     are canonicalized and compared.
     """
     if (m1.n_rows != m2.n_rows or m1.n_cols != m2.n_cols
-            or sorted(m1.row_colors) != sorted(m2.row_colors)
             or sorted(m1.col_colors) != sorted(m2.col_colors)):
         return None
     sigma = _sigma_from_canons(canonical_form(m1), canonical_form(m2))

@@ -212,7 +212,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("-q", type=int, required=True)
     p.add_argument("-k", type=int, required=True)
     p.add_argument("-n", type=int, required=True)
-    p.add_argument("--count", type=int, default=1)
+    p.add_argument("--count", type=positive_int, default=1)
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--projective", action="store_true")
     p.add_argument("--modulus", type=int, default=None)
@@ -227,7 +227,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("-q", type=int, default=3)
     p.add_argument("-k", type=int, default=3)
     p.add_argument("-n", type=int, default=10)
-    p.add_argument("--count", type=int, default=1000)
+    p.add_argument("--count", type=positive_int, default=1000)
     p.add_argument("--seed", type=int, default=1)
     p.add_argument("--jobs", type=positive_int, default=1, help=JOBS_HELP)
     p.add_argument("--modulus", type=int, default=None)

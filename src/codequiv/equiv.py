@@ -45,7 +45,7 @@ from __future__ import annotations
 import hashlib
 import math
 import time
-from dataclasses import dataclass, field as dc_field
+from dataclasses import dataclass
 
 from . import bmcanon
 from .bmcanon import (ColoredBinaryMatrix, _sigma_from_canons, canonical_form,
@@ -183,7 +183,7 @@ def build_ceimpg_matrix(chi: CharacteristicVector) -> ColoredBinaryMatrix:
     spec = chi.spec
     inc = incidence(chi.k, spec.q, spec.modulus)
     return ColoredBinaryMatrix.from_masks(inc.row_masks, inc.n_points,
-                                          None, chi.counts)
+                                          chi.counts)
 
 
 def _point_coordinates(code: GeneratorMatrix) -> list[tuple[int, ...]]:
@@ -207,7 +207,7 @@ def build_shortened(code: GeneratorMatrix) -> ColoredBinaryMatrix:
     cols = code.columns()
     points = _point_coordinates(code)
     masks = nonzero_dot_masks(table, [cols[coords[0]] for coords in points])
-    return ColoredBinaryMatrix.from_masks(masks, len(points), [0] * len(masks),
+    return ColoredBinaryMatrix.from_masks(masks, len(points),
                                           [len(coords) for coords in points])
 
 
@@ -554,7 +554,6 @@ class ClassifyResult:
     errors: list[tuple[int, str]]
     elapsed: float
     digest: str
-    _keys: list[str] = dc_field(default_factory=list, repr=False)
 
 
 def _short_digest(text: str) -> str:
@@ -600,7 +599,7 @@ def _batch_keys(codes, mode, jobs):
     one contiguous share; this process keys the first share itself.  A
     worker is forked, so it reads its share, and the module state of the
     caller, from the memory it inherits, and pipes its keys back in one
-    message.  A worker costs about 10 ms of CPU, so more jobs pay off only
+    message.  A worker costs about 11 ms of CPU, so more jobs pay off only
     on batches whose keying takes much longer than that.  An exception in any
     share is raised here; the workers are reaped before this returns, on
     every path, so their CPU counts in RUSAGE_CHILDREN."""
@@ -654,7 +653,7 @@ def classify(codes, algo: str = "ceimpg", jobs: int = 1) -> ClassifyResult:
     prefixed "dual:"); lifting stays on the codes themselves.  `jobs`
     counts the processes that key the codes: this one plus `jobs - 1`
     forked workers, one contiguous share each, all reaped before this
-    returns; a worker costs about 10 ms of CPU, so only batches that key
+    returns; a worker costs about 11 ms of CPU, so only batches that key
     for much longer gain.  The workers are forked whatever the default
     start method, so they see this process's module state; jobs > 1 needs
     POSIX.  When the point group (`_find_lift`) is past COSET_CAP only
@@ -727,4 +726,4 @@ def classify(codes, algo: str = "ceimpg", jobs: int = 1) -> ClassifyResult:
     errors.sort()
     digest = hashlib.sha256("\n\n".join(sorted(keys)).encode()).hexdigest()
     elapsed = time.perf_counter() - start
-    return ClassifyResult(mode, len(codes), classes, errors, elapsed, digest, keys)
+    return ClassifyResult(mode, len(codes), classes, errors, elapsed, digest)

@@ -133,22 +133,22 @@ def reference_monomial_from_sigma(g1, g2, sigma, rho=0):
     return None
 
 
-def _moved_pairs(mat, gamma):
-    """Sorted (row color, row bits) pairs after column j moves to gamma[j]."""
+def _moved_rows(mat, gamma):
+    """Sorted row bits after column j moves to gamma[j]."""
     cols = mat.n_cols
     moved = []
-    for color, mask in zip(mat.row_colors, mat.row_masks):
+    for mask in mat.row_masks:
         out = 0
         for j in range(cols):
             if mask & (1 << (cols - 1 - j)):
                 out |= 1 << (cols - 1 - gamma[j])
-        moved.append((color, out))
+        moved.append(out)
     return tuple(sorted(moved))
 
 
 def brute_force_cbm_isomorphic(m1, m2):
     """Colored-binary-matrix isomorphism by trying every column permutation
-    (ok for <= 8 columns).  Only the row/column color and bit data are read."""
+    (ok for <= 8 columns).  Only the column colors and bit data are read."""
     if (m1.n_rows != m2.n_rows or m1.n_cols != m2.n_cols
             or sorted(m1.col_colors) != sorted(m2.col_colors)):
         return None
@@ -157,18 +157,18 @@ def brute_force_cbm_isomorphic(m1, m2):
     for gamma in itertools.permutations(range(cols)):
         if any(m1.col_colors[j] != m2.col_colors[gamma[j]] for j in range(cols)):
             continue
-        if _moved_pairs(m1, gamma) == target:
+        if _moved_rows(m1, gamma) == target:
             return gamma
     return None
 
 
 def reference_is_automorphism(mat, gamma) -> bool:
     """True when the column permutation `gamma` keeps column colors and the
-    multiset of (row color, row bits) pairs."""
+    multiset of row bits."""
     if any(mat.col_colors[gamma[j]] != mat.col_colors[j]
            for j in range(mat.n_cols)):
         return False
-    return _moved_pairs(mat, gamma) == mat.row_multiset()
+    return _moved_rows(mat, gamma) == mat.row_multiset()
 
 
 def brute_force_cbm_aut_count(mat) -> int:
@@ -179,18 +179,18 @@ def brute_force_cbm_aut_count(mat) -> int:
 
 def reference_leaf_cert(mat, order):
     """A leaf certificate as tuples: the column colors in column order
-    `order`, then the sorted (row color, row bits) pairs with the columns
-    read in that order.  The canonical search's byte-record certificates
-    hold the rows alone (every leaf lists the column colors in sorted
-    order), and must compare exactly like the second member."""
+    `order`, then the sorted row bits with the columns read in that order.
+    The canonical search's byte-record certificates hold the rows alone
+    (every leaf lists the column colors in sorted order), and must compare
+    exactly like the second member."""
     cols = mat.n_cols
     shifts = [cols - 1 - j for j in order]
     rows = []
-    for color, mask in zip(mat.row_colors, mat.row_masks):
+    for mask in mat.row_masks:
         bits = 0
         for s in shifts:
             bits = (bits << 1) | ((mask >> s) & 1)
-        rows.append((color, bits))
+        rows.append(bits)
     return tuple(mat.col_colors[j] for j in order), tuple(sorted(rows))
 
 

@@ -162,11 +162,10 @@ def test_acceptance_5_canonical_invariance():
         mat = build_ceimpg_matrix(characteristic_vector(code))
         reference = serialize(canonical_form(mat).matrix)
         for _ in range(25):
-            rows = list(zip(mat.row_masks, mat.row_colors))
+            rows = list(mat.row_masks)
             rng.shuffle(rows)
-            shuffled = ColoredBinaryMatrix.from_masks(
-                [m for m, _ in rows], mat.n_cols,
-                [c for _, c in rows], mat.col_colors)
+            shuffled = ColoredBinaryMatrix.from_masks(rows, mat.n_cols,
+                                                      mat.col_colors)
             gamma = list(range(mat.n_cols))
             rng.shuffle(gamma)
             relabeled = permute_columns(shuffled, gamma)

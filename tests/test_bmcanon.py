@@ -25,27 +25,24 @@ from conftest import (brute_force_cbm_aut_count, brute_force_cbm_isomorphic,
                       reference_leaf_cert, reference_refine)
 
 
-def _random_cbm(rng, rows, cols, n_row_colors=1, n_col_colors=1):
+def _random_cbm(rng, rows, cols, n_col_colors=1):
     bits = [[rng.randrange(2) for _ in range(cols)] for _ in range(rows)]
-    rc = [rng.randrange(n_row_colors) for _ in range(rows)]
     cc = [rng.randrange(n_col_colors) for _ in range(cols)]
-    return ColoredBinaryMatrix(bits, rc, cc)
+    return ColoredBinaryMatrix(bits, cc)
 
 
 def _relabel(mat, rng):
-    """A random column permutation plus row shuffle (colors travel along)."""
+    """A random column permutation (colors travel along) plus row shuffle."""
     gamma = list(range(mat.n_cols))
     rng.shuffle(gamma)
     moved = permute_columns(mat, gamma)
-    order = list(range(mat.n_rows))
-    rng.shuffle(order)
-    return ColoredBinaryMatrix.from_masks(
-        [moved.row_masks[i] for i in order], mat.n_cols,
-        [moved.row_colors[i] for i in order], moved.col_colors)
+    rows = list(moved.row_masks)
+    rng.shuffle(rows)
+    return ColoredBinaryMatrix.from_masks(rows, mat.n_cols, moved.col_colors)
 
 
 def test_construction_and_entry_access():
-    m = ColoredBinaryMatrix([[1, 0, 1], [0, 1, 1]], [5, 7], [1, 2, 3])
+    m = ColoredBinaryMatrix([[1, 0, 1], [0, 1, 1]], [1, 2, 3])
     assert m.row_masks == (0b101, 0b011)
     assert m.entry(0, 0) == 1 and m.entry(0, 1) == 0 and m.entry(1, 2) == 1
     assert m.to_lists() == [[1, 0, 1], [0, 1, 1]]
@@ -66,9 +63,10 @@ def test_permute_columns_hand_case():
 
 
 def test_serialize_format_exact():
-    m = ColoredBinaryMatrix([[1, 0], [0, 1]], [1, 0], [3, 4])
-    # rows are listed sorted by (color, bits); column colors head the text
-    assert serialize(m) == "c 3 4\n0:01\n1:10"
+    m = ColoredBinaryMatrix([[1, 0], [0, 1]], [3, 4])
+    # rows are listed sorted by their bits; column colors head the text
+    assert serialize(m) == "c 3 4\n01\n10"
+    assert serialize(ColoredBinaryMatrix([[], []], n_cols=0)) == "c \n\n"
 
 
 def test_is_automorphism_hand_case():
@@ -81,13 +79,13 @@ def test_is_automorphism_hand_case():
     assert not is_automorphism(mc, [1, 0, 2])
 
 
-@pytest.mark.parametrize("colors", [(1, 1), (2, 2), (3, 2)])
+@pytest.mark.parametrize("colors", [1, 2, 3],
+                         ids=["colors0", "colors1", "colors2"])
 def test_canonical_invariance_under_relabeling(colors):
-    rng = random.Random(hash(colors) & 0xFFFF)
-    nrc, ncc = colors
+    rng = random.Random(colors)
     for trial in range(12):
         base = _random_cbm(rng, rng.randrange(1, 7), rng.randrange(1, 7),
-                           nrc, ncc)
+                           colors)
         want = serialize(canonical_form(base).matrix)
         for _ in range(8):
             assert serialize(canonical_form(_relabel(base, rng)).matrix) == want
@@ -96,7 +94,7 @@ def test_canonical_invariance_under_relabeling(colors):
 def test_canonical_perm_realizes_canonical_matrix():
     rng = random.Random(5)
     for _ in range(25):
-        m = _random_cbm(rng, rng.randrange(1, 6), rng.randrange(1, 7), 2, 2)
+        m = _random_cbm(rng, rng.randrange(1, 6), rng.randrange(1, 7), 2)
         res = canonical_form(m)
         moved = permute_columns(m, res.perm)
         assert moved.row_multiset() == res.matrix.row_multiset()
@@ -111,9 +109,8 @@ def _uneven_cbm(rng):
     n_rows, n_cols = rng.randrange(2, 25), rng.randrange(2, 16)
     density = [rng.random() for _ in range(n_cols)]
     bits = [[int(rng.random() < d) for d in density] for _ in range(n_rows)]
-    n_rc, n_cc = rng.randint(1, 3), rng.randint(1, 3)
-    return ColoredBinaryMatrix(bits, [rng.randrange(n_rc) for _ in range(n_rows)],
-                               [rng.randrange(n_cc) for _ in range(n_cols)])
+    n_cc = rng.randint(1, 3)
+    return ColoredBinaryMatrix(bits, [rng.randrange(n_cc) for _ in range(n_cols)])
 
 
 def test_incremental_refinement_matches_full_recompute():
@@ -196,21 +193,19 @@ def test_numpy_count_keys_order_counts_past_one_byte(monkeypatch):
 
 
 def test_initial_cells_match_per_color_scan():
-    # the columns and the rows grouped by color, in color order, members in
-    # index order, as one scan of the columns (rows) per distinct color
-    # gives them; up to one color per row
+    # the columns grouped by color, in color order, members in index order,
+    # as one scan of the columns per distinct color gives them; the rows in
+    # one cell, or in none when there are no rows
     rng = random.Random(5150)
     for _ in range(300):
         n_rows, n_cols = rng.randrange(0, 80), rng.randrange(1, 24)
-        spread_r, spread_c = rng.randint(1, n_rows + 1), rng.randint(1, n_cols)
+        spread = rng.randint(1, n_cols)
         bits = [[rng.randrange(2) for _ in range(n_cols)] for _ in range(n_rows)]
         m = ColoredBinaryMatrix(
-            bits, [rng.randrange(-spread_r, spread_r) for _ in range(n_rows)],
-            [rng.randrange(-spread_c, spread_c) for _ in range(n_cols)])
+            bits, [rng.randrange(-spread, spread) for _ in range(n_cols)])
         want_cols = [[j for j in range(n_cols) if m.col_colors[j] == c]
                      for c in sorted(set(m.col_colors))]
-        want_rows = [[i for i in range(n_rows) if m.row_colors[i] == c]
-                     for c in sorted(set(m.row_colors))]
+        want_rows = [list(range(n_rows))] if n_rows else []
         assert _Search(m)._initial_cells() == (want_cols, want_rows)
 
 
@@ -226,9 +221,9 @@ def test_canonical_invariance_on_uneven_colored_matrices():
 
 
 def _cert_cases():
-    """514 seeded matrices: widths around byte boundaries, 0 and 1 rows
+    """513 seeded matrices: widths around byte boundaries, 0 and 1 rows
     included (fewer with up to 2 rows, whose large groups make slow
-    searches), mixed-sign row colors, and one with 300 distinct row colors."""
+    searches)."""
     rng = random.Random(5150)
     for n_cols in (1, 7, 8, 9, 16, 17, 63, 64, 65):
         for n_rows in (0, 1, 2, 5, 12, 20, 30):
@@ -238,11 +233,7 @@ def _cert_cases():
                              for j, d in enumerate(density))
                          for _ in range(n_rows)]
                 yield ColoredBinaryMatrix.from_masks(
-                    masks, n_cols, [rng.randrange(-2, 2) for _ in range(n_rows)],
-                    [rng.randrange(2) for _ in range(n_cols)])
-    colors = rng.sample(range(-400, 400), 300)
-    yield ColoredBinaryMatrix.from_masks(
-        [rng.getrandbits(9) for _ in colors], 9, colors, [0] * 9)
+                    masks, n_cols, [rng.randrange(2) for _ in range(n_cols)])
 
 
 def _order_cert(search, order):
@@ -251,7 +242,7 @@ def _order_cert(search, order):
 
 def test_leaf_certificates_compare_like_reference_pairs():
     # a certificate is the sorted records alone, which decode to the
-    # reference's sorted pairs and compare as they do; the column colors
+    # reference's sorted rows and compare as they do; the column colors
     # need no comparing, every leaf listing them in sorted order
     # (test_canonical_matrix_and_generators_match_reference)
     rng = random.Random(61)
@@ -269,31 +260,12 @@ def test_leaf_certificates_compare_like_reference_pairs():
         orders.append(swapped)
         certs = [_order_cert(search, o) for o in orders]
         refs = [reference_leaf_cert(m, o) for o in orders]
-        for cert, (_, pairs) in zip(certs, refs):
-            colors, masks = search.records.decode(cert)
-            assert tuple(zip(colors, masks)) == pairs
+        for cert, (_, rows) in zip(certs, refs):
+            assert tuple(search.records.decode(cert)) == rows
         for a in range(len(orders)):
             for b in range(len(orders)):
                 assert (certs[a] == certs[b]) == (refs[a][1] == refs[b][1])
                 assert (certs[a] < certs[b]) == (refs[a][1] < refs[b][1])
-
-
-def test_rank_field_widens_past_65536_row_colors():
-    rng = random.Random(8)
-    n_rows = 70_000
-    colors = rng.sample(range(-10 ** 6, 10 ** 6), n_rows)
-    m = ColoredBinaryMatrix.from_masks(
-        [rng.getrandbits(3) for _ in range(n_rows)], 3, colors)
-    search = _Search(m)
-    assert search.records.rank_bytes == 3
-    orders = [[0, 1, 2], [2, 0, 1], [1, 2, 0]]
-    certs = [_order_cert(search, o) for o in orders]
-    refs = [reference_leaf_cert(m, o) for o in orders]
-    for a in range(3):
-        colors_a, masks_a = search.records.decode(certs[a])
-        assert tuple(zip(colors_a, masks_a)) == refs[a][1]
-        for b in range(3):
-            assert (certs[a] < certs[b]) == (refs[a][1] < refs[b][1])
 
 
 def test_canonical_matrix_and_generators_match_reference():
@@ -303,10 +275,10 @@ def test_canonical_matrix_and_generators_match_reference():
         order = [0] * m.n_cols
         for j, t in enumerate(res.perm):
             order[t] = j
-        col_colors, pairs = reference_leaf_cert(m, order)
+        col_colors, rows = reference_leaf_cert(m, order)
         assert col_colors == tuple(sorted(m.col_colors))
         assert res.matrix == ColoredBinaryMatrix.from_masks(
-            [b for _, b in pairs], m.n_cols, [c for c, _ in pairs], col_colors)
+            rows, m.n_cols, col_colors)
         for g in res.generators:
             assert reference_is_automorphism(m, g)
             assert is_automorphism(m, g)
@@ -321,11 +293,11 @@ def test_isomorphism_matches_brute_force():
     agree = 0
     for trial in range(60):
         cols = rng.randrange(1, 7)
-        m1 = _random_cbm(rng, rng.randrange(1, 6), cols, 2, 2)
+        m1 = _random_cbm(rng, rng.randrange(1, 6), cols, 2)
         if trial % 2 == 0:
             m2 = _relabel(m1, rng)  # force isomorphic half the time
         else:
-            m2 = _random_cbm(rng, m1.n_rows, cols, 2, 2)
+            m2 = _random_cbm(rng, m1.n_rows, cols, 2)
         want = brute_force_cbm_isomorphic(m1, m2) is not None
         got = is_isomorphic(m1, m2)
         assert (got is not None) == want
@@ -341,7 +313,7 @@ def test_isomorphism_matches_brute_force():
 def test_group_order_matches_brute_force():
     rng = random.Random(77)
     for _ in range(40):
-        m = _random_cbm(rng, rng.randrange(1, 6), rng.randrange(1, 8), 2, 2)
+        m = _random_cbm(rng, rng.randrange(1, 6), rng.randrange(1, 8), 2)
         assert canonical_form(m).group_order == brute_force_cbm_aut_count(m)
 
 
@@ -445,6 +417,9 @@ def test_empty_and_degenerate_shapes():
     assert res.group_order == 6  # S_3: nothing distinguishes the columns
     one_cell = ColoredBinaryMatrix([[1]])
     assert canonical_form(one_cell).group_order == 1
+    no_cols = ColoredBinaryMatrix([[], []], n_cols=0)
+    assert canonical_form(no_cols).matrix == no_cols
+    assert is_automorphism(no_cols, []) and is_isomorphic(no_cols, no_cols) == ()
 
 
 def test_budget_exhaustion_raises(monkeypatch):
@@ -476,8 +451,7 @@ def _equal_columns_cbm(rng, max_cols=20):
     masks = [sum(((c >> i) & 1) << (n_cols - 1 - j) for j, c in enumerate(cols))
              for i in range(n_rows)]
     return ColoredBinaryMatrix.from_masks(
-        masks, n_cols, [rng.randrange(2) for _ in range(n_rows)],
-        [rng.randrange(rng.randint(1, 2)) for _ in range(n_cols)])
+        masks, n_cols, [rng.randrange(rng.randint(1, 2)) for _ in range(n_cols)])
 
 
 def _oracle_cases():

@@ -243,3 +243,14 @@ def test_jobs_below_one_is_a_usage_error(pair_file, argv, capsys):
         main([a.format(pair=pair_file) for a in argv])
     assert exc.value.code == 2
     assert "--jobs: must be at least 1" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("argv", [["gen", "-q", "3", "-k", "2", "-n", "4",
+                                   "--count", "-2"],
+                                  ["bench", "--count", "0"]])
+def test_count_below_one_is_a_usage_error(argv, capsys):
+    # refused, not answered with no codes (gen) or a table for none (bench)
+    with pytest.raises(SystemExit) as exc:
+        main(argv)
+    assert exc.value.code == 2
+    assert "--count: must be at least 1" in capsys.readouterr().err

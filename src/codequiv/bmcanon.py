@@ -90,6 +90,8 @@ class ColoredBinaryMatrix:
         bits = [list(r) for r in bits]
         if bits:
             width = len(bits[0])
+            if n_cols is not None and n_cols != width:
+                raise ValueError(f"n_cols={n_cols} but rows have {width} entries")
         elif n_cols is not None:
             width = n_cols
         elif col_colors is not None:
@@ -118,8 +120,12 @@ class ColoredBinaryMatrix:
 
     @classmethod
     def from_masks(cls, masks, n_cols, col_colors=None) -> "ColoredBinaryMatrix":
+        masks = list(masks)
+        # m >> n_cols is 0 exactly when 0 <= m < 2**n_cols (-1 for m < 0)
+        if any(m >> n_cols for m in masks):
+            raise ValueError(f"a mask is negative or wider than {n_cols} columns")
         self = cls.__new__(cls)
-        self._init(list(masks), n_cols, col_colors)
+        self._init(masks, n_cols, col_colors)
         return self
 
     def entry(self, i: int, j: int) -> int:

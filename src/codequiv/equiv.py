@@ -18,17 +18,13 @@ Two decision routes are provided:
   and compare canonical forms (complete invariant; no monomial witness);
 * the shortened route: compare canonical forms of the hyperplane-by-point
   support matrices of the codes' distinct points, colored by multiplicity,
-  then lift each candidate coordinate permutation (sigma0 composed with the
-  point group, the automorphism group of the first matrix, or only sigma0
-  when that group outgrows the coset cap) to an explicit monomial witness
-  against the second code's own reduced row echelon form: the scalings
-  lambda are carried along its bipartite support graph, one free scalar per
-  connected component.
-  For prime fields exhausting the coset is conclusive; for composite fields
-  every field automorphism is tried as well.  A decision the lift cannot
-  finish falls back to the first route, unless the code's side has
-  dimension 2 over q >= 5, where that route is incomplete
-  (`_ceimpg_complete`); then the typed error stands.
+  then lift a candidate coordinate permutation to an explicit monomial
+  witness against the second code's own reduced row echelon form: the
+  scalings lambda are carried along its bipartite support graph, one free
+  scalar per connected component, under each field automorphism.  The
+  candidates are sigma0 composed with the point group, the automorphism
+  group of the first matrix, or past the coset cap sigma0 and then the
+  isomorphism of the sides' incidence matrices (`_find_lift`).
 
 Both binary matrices have theta(k) = (q^k - 1)/(q - 1) rows or columns, so
 for a high-rate code (2k > n) they are built from its dual instead, which
@@ -88,11 +84,16 @@ class MonomialTransform:
         n = len(self.sigma)
         if sorted(self.sigma) != list(range(n)) or len(self.lambdas) != n:
             raise ValueError("malformed transform")
-        if any(l == 0 for l in self.lambdas):
-            raise ValueError("zero scaling")
+        if not all(0 < l < self.spec.q for l in self.lambdas):
+            raise ValueError("scalings must be nonzero field elements")
+        if not 0 <= self.rho < self.spec.m:
+            raise ValueError(f"rho must be in 0..{self.spec.m - 1}")
 
     def apply(self, x: GFMatrix) -> GFMatrix:
         spec = self.spec
+        if x.ncols != len(self.sigma):
+            raise ValueError(f"expected {len(self.sigma)} columns, "
+                             f"got {x.ncols}")
         inv = _perm_inverse(self.sigma)
         cols = x.columns()
         out = []
@@ -119,8 +120,8 @@ class EquivalenceWitness:
 class Verdict:
     """Outcome of an equivalence decision.
 
-    `witness` is populated only by the lifting route; the canonical-form
-    route proves equivalence without producing a monomial map.
+    `witness` is set on every equivalent verdict of the lifting route; the
+    canonical-form route proves equivalence without producing a monomial map.
     """
     equivalent: bool
     method: str
@@ -134,7 +135,8 @@ def verify_witness(c1: GeneratorMatrix, c2: GeneratorMatrix,
     n = c1.n
     if (c2.spec != spec or (c2.k, c2.n) != (c1.k, n)
             or len(witness.sigma) != n or sorted(witness.sigma) != list(range(n))
-            or len(witness.lambdas) != n or any(l == 0 for l in witness.lambdas)
+            or len(witness.lambdas) != n
+            or not all(0 < l < spec.q for l in witness.lambdas)
             or not 0 <= witness.rho < spec.m):
         return False
     q = witness.q_matrix
@@ -168,13 +170,6 @@ def _side(code: GeneratorMatrix) -> GeneratorMatrix:
     if not basis or not all(any(col) for col in zip(*basis)):
         return code
     return GeneratorMatrix(code.spec, basis)
-
-
-def _ceimpg_complete(side: GeneratorMatrix) -> bool:
-    """Whether the ceimpg key of `side` is a complete invariant.  It is not
-    for dimension 2 over q >= 5, where the incidence of PG(1, q) is a
-    matching and inequivalent point multisets share a key."""
-    return side.k != 2 or side.q <= 4
 
 
 def build_ceimpg_matrix(chi: CharacteristicVector) -> ColoredBinaryMatrix:
@@ -214,6 +209,16 @@ def build_shortened(code: GeneratorMatrix) -> ColoredBinaryMatrix:
 def _shortened_form(side: GeneratorMatrix):
     """(canonical form of build_shortened(side), _point_coordinates(side))."""
     return canonical_form(build_shortened(side)), _point_coordinates(side)
+
+
+def _incidence_form(side: GeneratorMatrix):
+    """(canonical form of build_ceimpg_matrix(side), {point-table position:
+    index p} of the side's `_point_coordinates`, in order of p)."""
+    table = point_table(side.k, side.q, side.spec.modulus)
+    cols = side.columns()
+    return (canonical_form(build_ceimpg_matrix(characteristic_vector(side))),
+            {table.position_of(cols[coords[0]]): p
+             for p, coords in enumerate(_point_coordinates(side))})
 
 
 def _coordinate_perm(pi, points1, points2) -> tuple[int, ...]:
@@ -346,7 +351,8 @@ def _lift(g1: GeneratorMatrix, red2: RREFResult, sigma):
     return None
 
 
-def _find_lift(g1: GeneratorMatrix, red2: RREFResult, short1, short2):
+def _find_lift(g1: GeneratorMatrix, red2: RREFResult, short1, short2,
+               incidence):
     """(sigma, rho, Q, lambdas) for the first candidate permutation that
     lifts onto red2 = rref(G2), or None when none does.
 
@@ -364,8 +370,11 @@ def _find_lift(g1: GeneratorMatrix, red2: RREFResult, short1, short2):
     thus the permutation of a monomial automorphism of g1, and sigma0 o pi
     o t lifts exactly when sigma0 o pi does, so None proves that no
     monomial map exists.
-    When the point group is larger than COSET_CAP, only sigma0 is tried,
-    and BudgetExceededError is raised if it does not lift.
+    When the point group is larger than COSET_CAP, the candidates are sigma0
+    and then the isomorphism of the sides' `_incidence_form`s (`incidence()`)
+    on their points.  For sides of dimension 3 or more it is a collineation,
+    so it lifts; for dimension 2, whose incidence group is all of Sym(q+1),
+    BudgetExceededError is raised instead.
     """
     (r1, points1), (r2, points2) = short1, short2
     pi0 = _sigma_from_canons(r1, r2)
@@ -380,11 +389,22 @@ def _find_lift(g1: GeneratorMatrix, red2: RREFResult, short1, short2):
         lift = _lift(g1, red2, sigma)
         if lift is not None:
             return (sigma, *lift)
-    if capped:
+    if not capped:
+        return None
+    if r1.matrix.n_rows == g1.q + 1:  # theta(k) rows: q + 1 only for k = 2
         raise BudgetExceededError(
             f"sigma0 does not lift and the point group ({r1.group_order}) "
             f"exceeds the coset cap ({COSET_CAP})")
-    return None
+    (f1, index1), (f2, index2) = incidence()
+    gamma = _sigma_from_canons(f1, f2)
+    if gamma is None:
+        return None
+    sigma = _coordinate_perm([index2[gamma[t]] for t in index1],
+                             points1, points2)
+    lift = _lift(g1, red2, sigma)
+    if lift is None:
+        raise RuntimeError("internal error: incidence isomorphism did not lift")
+    return (sigma, *lift)
 
 
 # ---------------------------------------------------------------------------
@@ -435,25 +455,19 @@ def cesimpg_equiv(c1: GeneratorMatrix, c2: GeneratorMatrix) -> Verdict:
     with each element of the point group, the first matrix's automorphism
     group, sigma0 first; `_find_lift`) are lifted in turn, trying each
     field automorphism; exhausting them proves inequivalence.  When the
-    point group outgrows COSET_CAP, only sigma0 is tried.  If it does not
-    lift, or a canonical search fails, the decision falls back to the
-    canonical-form route, losing only the witness; on sides of dimension
-    2 over q >= 5, whose ceimpg key is incomplete, the typed error is
-    raised instead.
+    point group outgrows COSET_CAP, sigma0 and then the isomorphism of the
+    sides' incidence matrices are tried; on sides of dimension 2, and past
+    the node budget (as in `classify`), the typed error stands: no verdict
+    comes without a witness.
     Lifting one candidate onto rref(c2) is a walk over its support graph,
     with no budget of its own.
     """
     sides = _comparable_sides(c1, c2)
     if sides is None:
         return Verdict(False, "cesimpg")
-    try:
-        short1, short2 = (_shortened_form(s) for s in sides)
-        found = _find_lift(c1, rref(c2.mat), short1, short2)
-    except BudgetExceededError:
-        if not _ceimpg_complete(sides[0]):
-            raise
-        verdict = ceimpg_equiv(c1, c2)
-        return Verdict(verdict.equivalent, "ceimpg-fallback")
+    short1, short2 = (_shortened_form(s) for s in sides)
+    found = _find_lift(c1, rref(c2.mat), short1, short2,
+                       lambda: [_incidence_form(s) for s in sides])
     if found is None:
         return Verdict(False, "cesimpg")
     return Verdict(True, "cesimpg", _witness(c1, c2, *found))
@@ -560,11 +574,6 @@ def _short_digest(text: str) -> str:
     return hashlib.sha256(text.encode()).hexdigest()[:12]
 
 
-def _ceimpg_key(side: GeneratorMatrix) -> str:
-    m = build_ceimpg_matrix(characteristic_vector(side))
-    return serialize(canonical_form(m).matrix)
-
-
 def _code_key(code: GeneratorMatrix, mode: str):
     """(key, short, error) of one code.  `short` is the `_shortened_form`
     of its side that cesimpg bucket comparisons lift with, None for
@@ -575,7 +584,8 @@ def _code_key(code: GeneratorMatrix, mode: str):
         side = _side(code)
         tag = "" if side is code else "dual:"
         if mode == "ceimpg":
-            return tag + _ceimpg_key(side), None, None
+            m = build_ceimpg_matrix(characteristic_vector(side))
+            return tag + serialize(canonical_form(m).matrix), None, None
         short = _shortened_form(side)
         return tag + serialize(short[0].matrix), short, None
     except (BudgetExceededError, ResourceLimitError) as e:
@@ -601,8 +611,9 @@ def _batch_keys(codes, mode, jobs):
     caller, from the memory it inherits, and pipes its keys back in one
     message.  A worker costs about 11 ms of CPU, so more jobs pay off only
     on batches whose keying takes much longer than that.  An exception in any
-    share is raised here; the workers are reaped before this returns, on
-    every path, so their CPU counts in RUSAGE_CHILDREN."""
+    share is raised here.  A worker that has answered is joined, and one that
+    has not is terminated, before this returns on every path, so their CPU
+    counts in RUSAGE_CHILDREN."""
     jobs = min(jobs, len(codes))
     if jobs <= 1:
         return [_code_key(code, mode) for code in codes]
@@ -627,11 +638,10 @@ def _batch_keys(codes, mode, jobs):
                 raise RuntimeError(
                     f"a keying worker exited with status {proc.exitcode} "
                     f"before answering") from None
+            proc.join()  # it has answered and exits by itself: never kill it
             if not ok:
                 raise payload
             keys += payload
-        for proc, _ in workers:
-            proc.join()
         return keys
     finally:
         for proc, recv in workers:
@@ -656,11 +666,9 @@ def classify(codes, algo: str = "ceimpg", jobs: int = 1) -> ClassifyResult:
     returns; a worker costs about 11 ms of CPU, so only batches that key
     for much longer gain.  The workers are forked whatever the default
     start method, so they see this process's module state; jobs > 1 needs
-    POSIX.  When the point group (`_find_lift`) is past COSET_CAP only
-    sigma0 is tried, and a pair it does not decide falls back to comparing
-    ceimpg keys, each built at most once, unless the sides have dimension 2
-    over q >= 5, where those keys are incomplete.  Classes are ordered by
-    first appearance.
+    POSIX.  Past COSET_CAP, a comparison that sigma0 does not decide takes
+    the incidence forms of the codes' sides (`_find_lift`), each built (or
+    failed) at most once.  Classes are ordered by first appearance.
     Per-item errors, from keying a code (node budget or point-table size)
     or from comparing it with a class representative (node budget or coset
     cap), are collected in `errors` (by code index) without aborting the
@@ -675,32 +683,26 @@ def classify(codes, algo: str = "ceimpg", jobs: int = 1) -> ClassifyResult:
     mode = "ceimpg" if algo == "ceimpg" else "cesimpg"
     keyed = _batch_keys(codes, mode, jobs)
     errors = [(i, msg) for i, (_, _, msg) in enumerate(keyed) if msg]
-    ceimpg_keys: dict[int, str | BudgetExceededError] = {}
+    forms: dict[int, tuple | BudgetExceededError] = {}
     reds: dict[int, RREFResult] = {}
 
-    def ceimpg_key(i: int) -> str:
+    def incidence_form(i: int):
         # a typed failure is kept too and raised anew on every later request
-        key = ceimpg_keys.get(i)
-        if key is None:
+        if i not in forms:
             try:
-                key = _ceimpg_key(_side(codes[i]))
+                forms[i] = _incidence_form(_side(codes[i]))
             except BudgetExceededError as e:
-                key = e
-            ceimpg_keys[i] = key
-        if isinstance(key, BudgetExceededError):
-            raise type(key)(*key.args)
-        return key
+                forms[i] = e
+        if isinstance(forms[i], BudgetExceededError):
+            raise type(forms[i])(*forms[i].args)
+        return forms[i]
 
     def equivalent(a: int, b: int) -> bool:
         if b not in reds:
             reds[b] = rref(codes[b].mat)
-        try:
-            return _find_lift(codes[a], reds[b], keyed[a][1],
-                              keyed[b][1]) is not None
-        except BudgetExceededError:
-            if not _ceimpg_complete(_side(codes[a])):
-                raise
-            return ceimpg_key(a) == ceimpg_key(b)
+        return _find_lift(codes[a], reds[b], keyed[a][1], keyed[b][1],
+                          lambda: (incidence_form(a), incidence_form(b))
+                          ) is not None
 
     buckets: dict[str, list[CodeClass]] = {}
     classes: list[CodeClass] = []

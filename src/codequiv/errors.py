@@ -3,13 +3,13 @@
 
 class BudgetExceededError(RuntimeError):
     """A search hit a fixed bound: a canonical search visited more than
-    `bmcanon.NODE_BUDGET` nodes, or a permutation that did not lift left the
-    rest of a point group (`equiv._find_lift`) larger than `equiv.COSET_CAP`
-    untried.
+    `bmcanon.NODE_BUDGET` nodes, or, on a side of dimension 2, a permutation
+    that did not lift left the rest of a point group (`equiv._find_lift`)
+    larger than `equiv.COSET_CAP` untried (sides of higher dimension go on
+    to their incidence forms instead).
 
-    Raised instead of returning a possibly-wrong answer; a caller may try
-    the other decision route.  Distinct from a proven negative result (which
-    is reported as a normal return value).
+    Raised instead of returning a possibly-wrong answer.  Distinct from a
+    proven negative result (which is reported as a normal return value).
     """
 
 

@@ -52,6 +52,25 @@ def test_construction_and_entry_access():
         ColoredBinaryMatrix([[1], [0, 1]])
 
 
+def test_from_masks_rejects_a_mask_wider_than_n_cols():
+    with pytest.raises(ValueError):
+        ColoredBinaryMatrix.from_masks([0b100, 0b01], 2)
+    assert ColoredBinaryMatrix.from_masks([0b11, 0b01], 2).to_lists() == [
+        [1, 1], [0, 1]]
+
+
+def test_from_masks_rejects_a_negative_mask():
+    with pytest.raises(ValueError):
+        ColoredBinaryMatrix.from_masks([0b01, -1], 2)
+
+
+def test_list_constructor_rejects_n_cols_unlike_the_rows():
+    with pytest.raises(ValueError):
+        ColoredBinaryMatrix([[1, 0]], n_cols=5)
+    assert ColoredBinaryMatrix([[1, 0]], n_cols=2).n_cols == 2
+    assert ColoredBinaryMatrix([], n_cols=5).n_cols == 5
+
+
 def test_permute_columns_hand_case():
     m = ColoredBinaryMatrix([[1, 1, 0]], col_colors=[9, 8, 7])
     # send column 0 to position 2, 1 to 0, 2 to 1

@@ -67,6 +67,22 @@ def test_transform_validation():
         MonomialTransform(spec, (0, 1), (1, 0), 0)  # zero scaling
 
 
+def test_transform_rejects_scalings_rho_and_widths_out_of_range():
+    spec = field(3)
+    for lambdas in ((1, 3), (-1, 1)):  # not elements of GF(3)*
+        with pytest.raises(ValueError):
+            MonomialTransform(spec, (1, 0), lambdas)
+    with pytest.raises(ValueError):
+        MonomialTransform(spec, (1, 0), (1, 2), rho=1)  # GF(3) has m = 1
+    with pytest.raises(ValueError):
+        MonomialTransform(field(9), (1, 0), (1, 2), rho=-1)
+    assert MonomialTransform(field(9), (1, 0), (1, 8), rho=1).rho == 1
+    t = MonomialTransform(spec, (1, 0), (1, 2))
+    with pytest.raises(ValueError):
+        t.apply(GFMatrix(spec, [[1, 0, 2], [0, 1, 1]]))  # 3 columns, not 2
+    assert t.apply(GFMatrix(spec, [[1, 2]])) == GFMatrix(spec, [[2, 2]])
+
+
 # ---------------------------------------------------------------------------
 # matrices handed to the canonicalizer
 
@@ -952,7 +968,7 @@ def _sigma0_lifts(c1, c2):
 def _fallback_pair():
     # a [16,6]_5 pair (an [8,6]_5 pair with every column doubled, so that
     # 2k <= n keeps it off the dual) whose sigma0 does not lift: with a
-    # coset cap of 1 its comparison falls back to the ceimpg key
+    # coset cap of 1 its comparison goes to the incidence forms
     spec = field(5)
     pair = _transformed_pair(spec, 8, 6, seed=3, allow_rho=False)
     c1, c2 = (GeneratorMatrix(spec, [[x for x in row for _ in range(2)]
@@ -961,22 +977,89 @@ def _fallback_pair():
     return spec, c1, c2
 
 
-def test_cesimpg_falls_back_to_ceimpg_past_the_coset_cap(monkeypatch):
-    # with a coset cap of 1 only sigma0 is tried: where it does not lift,
-    # the ceimpg key decides, both ways, and no witness is given
+def test_cesimpg_witnessed_past_the_coset_cap(monkeypatch):
+    # with a coset cap of 1 sigma0 is tried, then the incidence forms:
+    # where sigma0 does not lift, their isomorphism does, so the verdict
+    # carries a witness, and differing forms deny equivalence
     monkeypatch.setattr(equiv, "COSET_CAP", 1)
     spec = field(5)
-    # a [6,3]_5 pair whose sigma0 does not lift; the ceimpg keys of
+    # a [6,3]_5 pair whose sigma0 does not lift; the incidence forms of
     # _fallback_pair()'s [16,6]_5 codes (3,906 points) take about 3 s of
     # CPU each on a 2-vCPU machine, too slow here
     c1, c2 = _transformed_pair(spec, 6, 3, seed=4, allow_rho=False)
+    assert not _sigma0_lifts(c1, c2)
     v = decide_equivalence(c1, c2)
-    assert (v.equivalent, v.method, v.witness) == (True, "ceimpg-fallback", None)
+    assert (v.equivalent, v.method) == (True, "cesimpg")
+    assert verify_witness(c1, c2, v.witness)
     # same shortened key, inequivalent (test_classify_bucket_with_several_classes)
     for s1, s2 in ((0, 1), (4, 32), (12, 38)):
         v = decide_equivalence(random_code(spec, 6, 3, seed=s1),
                                random_code(spec, 6, 3, seed=s2))
-        assert (v.equivalent, v.method) == (False, "ceimpg-fallback")
+        assert (v.equivalent, v.method, v.witness) == (False, "cesimpg", None)
+
+
+def _counting_incidence_forms(monkeypatch):
+    """Count the sides whose incidence form is built; returns their list."""
+    calls = []
+    real = equiv._incidence_form
+    monkeypatch.setattr(equiv, "_incidence_form",
+                        lambda side: calls.append(side) or real(side))
+    return calls
+
+
+@pytest.mark.parametrize("q,n,k", [(4, 8, 3), (8, 8, 3), (9, 9, 3),
+                                   (5, 10, 4), (2, 12, 4)])
+def test_incidence_lift_past_a_coset_cap_of_one(q, n, k, monkeypatch):
+    """With a coset cap of 1, every pair that sigma0 does not decide goes
+    to the incidence forms: seeded transformed pairs, with a nontrivial
+    field automorphism over GF(4), GF(8) and GF(9), and independent pairs
+    of the same shape.  Every verdict equals ceimpg_equiv's, and every
+    equivalent one carries a witness that verifies."""
+    monkeypatch.setattr(equiv, "COSET_CAP", 1)
+    calls = _counting_incidence_forms(monkeypatch)
+    spec = field(q)
+    pairs = [_transformed_pair(spec, n, k, seed) for seed in range(12)]
+    pairs += [(random_code(spec, n, k, seed=s), random_code(spec, n, k,
+                                                            seed=s + 1))
+              for s in range(100, 106)]
+    verdicts = [cesimpg_equiv(c1, c2) for c1, c2 in pairs]
+    for (c1, c2), v in zip(pairs, verdicts):
+        assert v.method == "cesimpg"
+        assert v.equivalent == ceimpg_equiv(c1, c2).equivalent
+        assert (v.witness is not None) == v.equivalent
+        assert not v.equivalent or verify_witness(c1, c2, v.witness)
+    assert all(v.equivalent for v in verdicts[:12])
+    # over GF(2) sigma0 always lifts (test_binary_sigma0_lifts_past_coset_cap);
+    # over GF(4), GF(8) and GF(9) some of these pairs take the incidence forms
+    if q == 2:
+        assert not calls
+    if q in (4, 8, 9):
+        assert calls
+
+
+def test_classify_past_a_coset_cap_of_one(monkeypatch):
+    # the codes of test_classify_bucket_with_several_classes and transformed
+    # copies of three of them, not all reached by sigma0: at a coset cap of
+    # 1 the partition is the one at the real cap, and each code's incidence
+    # form is built at most once
+    spec = field(5)
+    codes = [random_code(spec, 6, 3, seed=s) for s in (0, 1, 4, 32, 12, 38)]
+    rng = random.Random(5)
+    codes += [GeneratorMatrix(spec, _random_transform(spec, 6, rng).apply(
+        codes[i].mat).rows) for i in (0, 2, 4)]
+    expected = classify(codes, algo="cesimpg")
+    assert [c.members for c in expected.classes] == [
+        [0, 6], [1], [2, 7], [3], [4, 8], [5]]
+    assert not all(_sigma0_lifts(codes[i], c) for i, c in
+                   zip((0, 2, 4), codes[6:]))
+    monkeypatch.setattr(equiv, "COSET_CAP", 1)
+    calls = _counting_incidence_forms(monkeypatch)
+    result = classify(codes, algo="cesimpg")
+    assert result.errors == []
+    assert [c.members for c in result.classes] == [
+        c.members for c in expected.classes]
+    assert result.digest == expected.digest
+    assert calls and len(set(map(id, calls))) == len(calls)
 
 
 def _det3(a, b, c, q):
@@ -998,13 +1081,14 @@ def _greedy_arc(q, size, seed):
     return None
 
 
-def test_arcs_fall_back_past_the_real_coset_cap():
+def test_arcs_witnessed_past_the_real_coset_cap(monkeypatch):
     # every line meets a 10-arc of PG(2,11) in at most two points, so the
     # shortened rows are the same for every 10-arc and are fixed by every
     # permutation of its points: the point group is Sym(10), past the real
     # coset cap.  sigma0 does not lift between the conic ([10,3]_11
-    # Reed-Solomon) code and its seeded copies, so each decision falls back
-    # to the ceimpg key, which tells them from a greedy 10-arc on no conic
+    # Reed-Solomon) code and its seeded copies, so each decision goes to
+    # the incidence forms: their isomorphism lifts to a witness for each
+    # copy, and they tell the conic from a greedy 10-arc on no conic
     spec = field(11)
     conic = GeneratorMatrix.from_columns(spec, [(1, t, t * t % 11)
                                                 for t in range(10)])
@@ -1022,51 +1106,57 @@ def test_arcs_fall_back_past_the_real_coset_cap():
     copies = [GeneratorMatrix(spec, _random_transform(spec, 10, rng).apply(
         conic.mat).rows) for _ in range(3)]
     assert not any(_sigma0_lifts(conic, c) for c in copies)
-    for c, truth in [(c, True) for c in copies] + [(other, False)]:
+    for c in copies:
         v = decide_equivalence(conic, c)
-        assert (v.equivalent, v.method, v.witness) == (
-            truth, "ceimpg-fallback", None)
+        assert (v.equivalent, v.method) == (True, "cesimpg")
+        assert verify_witness(conic, c, v.witness)
+    v = decide_equivalence(conic, other)
+    assert (v.equivalent, v.method, v.witness) == (False, "cesimpg", None)
+    codes = [conic] + copies + [other]
+    calls = _counting_incidence_forms(monkeypatch)
     for algo in ("ceimpg", "cesimpg"):
-        result = classify([conic] + copies + [other], algo=algo)
+        result = classify(codes, algo=algo)
         assert result.errors == []
         assert [c.members for c in result.classes] == [[0, 1, 2, 3], [4]]
     assert len({c.key_digest for c in result.classes}) == 1
+    # past the cap, cesimpg builds the incidence form of each code once
+    assert sorted(map(id, calls)) == sorted(map(id, codes))
 
 
-FALLBACK_MSG = "BudgetExceededError: ceimpg key over budget"
+FALLBACK_MSG = "BudgetExceededError: incidence form over budget"
 
 
-def _failing_ceimpg_keys(monkeypatch):
-    """Cap the coset at 1 and make every ceimpg key fail, as one over the
-    node budget would; returns the list of sides a key was asked for."""
+def _failing_incidence_forms(monkeypatch):
+    """Cap the coset at 1 and make every incidence form fail, as one over
+    the node budget would; returns the list of sides a form was asked for."""
     calls = []
 
     def failing(side):
         calls.append(side)
-        raise BudgetExceededError("ceimpg key over budget")
+        raise BudgetExceededError("incidence form over budget")
 
-    monkeypatch.setattr(equiv, "_ceimpg_key", failing)
+    monkeypatch.setattr(equiv, "_incidence_form", failing)
     monkeypatch.setattr(equiv, "COSET_CAP", 1)
     return calls
 
 
 def test_classify_pair_fallback_errors_collected_not_raised(monkeypatch):
     _, c1, c2 = _fallback_pair()
-    _failing_ceimpg_keys(monkeypatch)
+    _failing_incidence_forms(monkeypatch)
     result = classify([c1, c2], algo="cesimpg")
     assert result.errors == [(1, FALLBACK_MSG)]
     assert [c.members for c in result.classes] == [[0]]
 
 
 def test_classify_failed_ceimpg_key_built_once(monkeypatch):
-    # the representative's failing ceimpg key is kept and raised again for
-    # every later member of its bucket instead of being rebuilt
+    # the representative's failing incidence form is kept and raised again
+    # for every later member of its bucket instead of being rebuilt
     spec, c1, c2 = _fallback_pair()
     copies = [GeneratorMatrix(spec, _random_transform(
         spec, 16, random.Random(seed), allow_rho=False).apply(c1.mat).rows)
         for seed in (7, 8)]
     assert not any(_sigma0_lifts(c1, c) for c in copies)
-    calls = _failing_ceimpg_keys(monkeypatch)
+    calls = _failing_incidence_forms(monkeypatch)
     result = classify([c1, c2] + copies, algo="cesimpg")
     assert result.errors == [(1, FALLBACK_MSG), (2, FALLBACK_MSG),
                              (3, FALLBACK_MSG)]

@@ -147,8 +147,8 @@ def cmd_bench(args) -> int:
         timings[algo] = time.perf_counter() - start
         counts[algo] = len(result.classes)
         if result.errors:
-            print(f"error: {algo}: {len(result.errors)} codes hit the budget",
-                  file=sys.stderr)
+            print(f"error: {algo}: {len(result.errors)} codes failed, the "
+                  f"first with {result.errors[0][1]}", file=sys.stderr)
             return 2
     print(f"{'q':>3} {'k':>3} {'n':>3} {'generated':>9} {'inequivalent':>12} "
           f"{'cesimpg_s':>10} {'ceimpg_s':>10}")
@@ -172,7 +172,9 @@ def positive_int(text: str) -> int:
     return value
 
 
-JOBS_HELP = "processes keying codes, this one included (default 1)"
+JOBS_HELP = ("at most N processes keying codes, this one included; "
+             "workers start only on batches that take long to key "
+             "(default 1)")
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -203,7 +205,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("codefile")
     p.add_argument("--algo", choices=("ceimpg", "cesimpg", "auto"),
                    default="ceimpg")
-    p.add_argument("--jobs", type=positive_int, default=1, help=JOBS_HELP)
+    p.add_argument("--jobs", type=positive_int, default=1, metavar="N",
+                   help=JOBS_HELP)
     p.add_argument("--seed", type=int, default=None,
                    help="echoed into the report footer for provenance")
     p.set_defaults(func=cmd_classify)
@@ -229,7 +232,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("-n", type=int, default=10)
     p.add_argument("--count", type=positive_int, default=1000)
     p.add_argument("--seed", type=int, default=1)
-    p.add_argument("--jobs", type=positive_int, default=1, help=JOBS_HELP)
+    p.add_argument("--jobs", type=positive_int, default=1, metavar="N",
+                   help=JOBS_HELP)
     p.add_argument("--modulus", type=int, default=None)
     p.set_defaults(func=cmd_bench)
 

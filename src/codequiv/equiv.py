@@ -54,6 +54,12 @@ from .lincode import CharacteristicVector, GeneratorMatrix, characteristic_vecto
 from .projgeom import incidence, nonzero_dot_masks, point_table
 
 COSET_CAP = 10 ** 6
+# the typed failures of one code, which a batch collects per item
+_ITEM_ERRORS = (BudgetExceededError, ResourceLimitError)
+# CPU seconds of keying still to do from which forked `--jobs` workers pay
+# off (`_batch_keys`): on 2 vCPUs, the wall time of a batch at jobs=2 drops
+# below jobs=1 between 25 and 48 ms of serial keying (README)
+FORK_PAYS_S = 0.05
 
 
 # ---------------------------------------------------------------------------
@@ -588,7 +594,7 @@ def _code_key(code: GeneratorMatrix, mode: str):
             return tag + serialize(canonical_form(m).matrix), None, None
         short = _shortened_form(side)
         return tag + serialize(short[0].matrix), short, None
-    except (BudgetExceededError, ResourceLimitError) as e:
+    except _ITEM_ERRORS as e:
         return None, None, f"{type(e).__name__}: {e}"
 
 
@@ -604,32 +610,55 @@ def _key_share(conn, codes, mode):
 
 
 def _batch_keys(codes, mode, jobs):
-    """`_code_key` of every code, in order.  `jobs` counts this process plus
-    at most `jobs - 1` workers (never more processes than codes), each keying
-    one contiguous share; this process keys the first share itself.  A
-    worker is forked, so it reads its share, and the module state of the
-    caller, from the memory it inherits, and pipes its keys back in one
-    message.  A worker costs about 11 ms of CPU, so more jobs pay off only
-    on batches whose keying takes much longer than that.  An exception in any
-    share is raised here.  A worker that has answered is joined, and one that
-    has not is terminated, before this returns on every path, so their CPU
-    counts in RUSAGE_CHILDREN."""
-    jobs = min(jobs, len(codes))
-    if jobs <= 1:
-        return [_code_key(code, mode) for code in codes]
+    """`_code_key` of every code, in order, keyed by at most `jobs`
+    processes: this one and up to `jobs - 1` forked workers.  This process
+    keys the codes in order, and before each one projects its own keying CPU
+    so far over the codes left (the mean per code times their number).  Once
+    that CPU has reached a sample of FORK_PAYS_S / 8 and the projection
+    FORK_PAYS_S, the rest goes to `_forked_keys`, which keeps the shares
+    balanced over the whole batch; a batch projected to key in less never
+    forks.  At FORK_PAYS_S = 0 the workers start before the first code."""
+    keys = []
+    start = time.process_time()
+    for done, code in enumerate(codes):
+        left = len(codes) - done
+        spent = time.process_time() - start
+        if (min(jobs, left) > 1 and spent >= FORK_PAYS_S / 8
+                and spent * left >= FORK_PAYS_S * done):
+            return keys + _forked_keys(codes, mode, min(jobs, len(codes)),
+                                       done)
+        keys.append(_code_key(code, mode))
+    return keys
+
+
+def _forked_keys(codes, mode, jobs, done):
+    """`_code_key` of `codes[done:]`, in order, from this process and at
+    most `jobs - 1` workers (2 <= jobs <= the number of codes).  The whole
+    batch is cut into contiguous shares of ceil(len(codes) / jobs) codes, as
+    if the workers had started before the first code: this process keys
+    what is left of the first share after the `done` codes it has keyed,
+    and a worker keys each further share.  When `done` fills the first
+    share, this process keys nothing more and the workers' shares start at
+    `codes[done]`.  A worker is forked, so it reads its share, and the
+    module state of the caller, from the memory it inherits, and pipes its
+    keys back in one message.  An exception in any share is raised here.  A
+    worker that has answered is joined, and one that has not is terminated,
+    before this returns on every path, so their CPU counts in
+    RUSAGE_CHILDREN."""
     share = -(-len(codes) // jobs)  # 4 codes, jobs=3: shares 2 and 2
+    mine = max(share, done)  # this process keys codes[done:mine]
     import multiprocessing  # here: importing it costs every start-up ~10 ms
     ctx = multiprocessing.get_context("fork")
     workers = []
     try:
-        for lo in range(share, len(codes), share):
+        for lo in range(mine, len(codes), share):
             recv, send = ctx.Pipe(duplex=False)
             proc = ctx.Process(target=_key_share,
                                args=(send, codes[lo:lo + share], mode))
             proc.start()
             workers.append((proc, recv))
             send.close()  # a worker that dies unanswered ends in EOFError
-        keys = [_code_key(code, mode) for code in codes[:share]]
+        keys = [_code_key(code, mode) for code in codes[done:mine]]
         for proc, recv in workers:
             try:
                 ok, payload = recv.recv()
@@ -661,17 +690,18 @@ def classify(codes, algo: str = "ceimpg", jobs: int = 1) -> ClassifyResult:
     time it is compared with a class representative.  Both keys are built
     from each code's side (`_side`: its dual when 2k > n, the key then
     prefixed "dual:"); lifting stays on the codes themselves.  `jobs`
-    counts the processes that key the codes: this one plus `jobs - 1`
-    forked workers, one contiguous share each, all reaped before this
-    returns; a worker costs about 11 ms of CPU, so only batches that key
-    for much longer gain.  The workers are forked whatever the default
-    start method, so they see this process's module state; jobs > 1 needs
-    POSIX.  Past COSET_CAP, a comparison that sigma0 does not decide takes
-    the incidence forms of the codes' sides (`_find_lift`), each built (or
-    failed) at most once.  Classes are ordered by first appearance.
-    Per-item errors, from keying a code (node budget or point-table size)
-    or from comparing it with a class representative (node budget or coset
-    cap), are collected in `errors` (by code index) without aborting the
+    bounds the processes that key the codes: this one keys them in order
+    until its own keying time projects at least FORK_PAYS_S of CPU for the
+    rest, and only then forks up to `jobs - 1` workers for it, one
+    contiguous share each, all reaped before this returns (`_batch_keys`).
+    The workers are forked whatever the default start method, so they see
+    this process's module state; jobs > 1 needs POSIX.  Past COSET_CAP, a
+    comparison that sigma0 does not decide takes the incidence forms of the
+    codes' sides (`_find_lift`), each built (or failed) at most once.
+    Classes are ordered by first appearance.  Per-item errors, from keying
+    a code (node budget, point-table or incidence size) or from comparing
+    it with a class representative (node budget, coset cap or incidence
+    size), are collected in `errors` (by code index) without aborting the
     batch.
     """
     start = time.perf_counter()
@@ -683,7 +713,7 @@ def classify(codes, algo: str = "ceimpg", jobs: int = 1) -> ClassifyResult:
     mode = "ceimpg" if algo == "ceimpg" else "cesimpg"
     keyed = _batch_keys(codes, mode, jobs)
     errors = [(i, msg) for i, (_, _, msg) in enumerate(keyed) if msg]
-    forms: dict[int, tuple | BudgetExceededError] = {}
+    forms: dict[int, tuple | Exception] = {}
     reds: dict[int, RREFResult] = {}
 
     def incidence_form(i: int):
@@ -691,9 +721,9 @@ def classify(codes, algo: str = "ceimpg", jobs: int = 1) -> ClassifyResult:
         if i not in forms:
             try:
                 forms[i] = _incidence_form(_side(codes[i]))
-            except BudgetExceededError as e:
+            except _ITEM_ERRORS as e:
                 forms[i] = e
-        if isinstance(forms[i], BudgetExceededError):
+        if isinstance(forms[i], _ITEM_ERRORS):
             raise type(forms[i])(*forms[i].args)
         return forms[i]
 
@@ -715,7 +745,7 @@ def classify(codes, algo: str = "ceimpg", jobs: int = 1) -> ClassifyResult:
             # the ceimpg route takes its key as complete: one class per bucket
             joined = next((cls for cls in bucket if mode == "ceimpg"
                            or equivalent(cls.representative, i)), None)
-        except BudgetExceededError as e:
+        except _ITEM_ERRORS as e:
             # the pair's comparison failed: code i stays unplaced
             errors.append((i, f"{type(e).__name__}: {e}"))
             continue

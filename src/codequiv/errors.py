@@ -15,4 +15,5 @@ class BudgetExceededError(RuntimeError):
 
 class ResourceLimitError(RuntimeError):
     """A point table of PG(k-1, q) would exceed `projgeom.MAX_POINTS`
-    points; raised before any table is built or any search runs."""
+    points, or its incidence matrix `projgeom.MAX_INCIDENCE_CELLS` cells;
+    raised before the table or the matrix is built."""

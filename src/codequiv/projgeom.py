@@ -21,6 +21,10 @@ from .gfield import FieldSpec, field
 from .gfmatrix import GFMatrix
 
 MAX_POINTS = 2_000_000
+# An incidence matrix and its canonical search peak at about 11 bytes of
+# memory per cell: PG(12,2), 8,191 points and about 0.8 GB, is allowed, and
+# PG(13,2), 16,383 points and about 2.9 GB, is refused
+MAX_INCIDENCE_CELLS = 10 ** 8
 
 
 def theta(r: int, q: int) -> int:
@@ -228,6 +232,11 @@ def nonzero_dot_masks(table: PointTable, vectors) -> list[int]:
 
 def incidence(k: int, q: int, modulus: int | None = None) -> IncidenceMatrix:
     table = point_table(k, q, modulus)
+    cells = len(table) ** 2
+    if cells > MAX_INCIDENCE_CELLS:
+        raise ResourceLimitError(
+            f"the incidence matrix of PG({k - 1},{q}) has {cells} cells, "
+            f"over the {MAX_INCIDENCE_CELLS} limit")
     key = (k, q, table.spec.modulus)
     cached = _INCIDENCE_CACHE.get(key)
     if cached is not None:

@@ -9,6 +9,7 @@ import os
 import random
 import signal
 import time
+import tracemalloc
 import types
 
 import pytest
@@ -20,7 +21,7 @@ from codequiv import (GFMatrix, GeneratorMatrix, build_ceimpg_matrix,
                       monomial_from_sigma, point_table, random_code, rank,
                       rref, serialize, simplex_generator, systematic_form,
                       theta, verify_witness)
-from codequiv import bmcanon, equiv, nullspace_basis
+from codequiv import bmcanon, equiv, nullspace_basis, projgeom
 from codequiv.bmcanon import _sigma_from_canons
 from codequiv.equiv import COSET_CAP, MonomialTransform
 from codequiv.errors import BudgetExceededError, ResourceLimitError
@@ -662,6 +663,24 @@ def test_high_rate_beyond_the_point_table_gets_a_witness():
     assert verify_witness(c1, c2, v.witness)
 
 
+def test_incidence_beyond_the_cell_bound_is_a_per_item_error():
+    """[32,15]_2 codes are keyed on PG(14,2): 32,767 points, whose point
+    table is allowed but whose incidence matrix (about 1.1e9 cells) is
+    refused before any of it is allocated."""
+    codes = [random_code(field(2), 32, 15, seed=s) for s in range(2)]
+    tracemalloc.start()
+    try:
+        result = classify(codes, algo="ceimpg")
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 64 * 2 ** 20
+    assert [i for i, _ in result.errors] == [0, 1]
+    assert all(msg.startswith("ResourceLimitError: the incidence matrix of "
+                              "PG(14,2)") for _, msg in result.errors)
+    assert result.classes == []
+
+
 def test_incidence_route_on_1023_points():
     """A [20,10]_2 code keeps its own side, so its ceimpg matrix is the
     incidence of PG(9,2): 1,023 columns, searched by the node budget
@@ -715,30 +734,16 @@ def test_classify_agreement_and_determinism():
     assert [c.members for c in again.classes] == [c.members for c in r_ce.classes]
 
 
-def test_classify_jobs_parallel_identical():
-    # 41 codes: neither 2 nor 3 divides the batch, so the shares are uneven
-    spec = field(3)
-    codes = [random_code(spec, 9, 3, seed=s) for s in range(41)]
-    for algo in ("ceimpg", "cesimpg"):
-        seq = classify(codes, algo=algo, jobs=1)
-        for jobs in (2, 3):
-            par = classify(codes, algo=algo, jobs=jobs)
-            assert seq.digest == par.digest
-            assert seq.errors == par.errors
-            assert ([c.members for c in seq.classes]
-                    == [c.members for c in par.classes])
-
-
 @pytest.fixture
-def forks(monkeypatch):
+def started(monkeypatch):
     """The worker processes classify starts, recorded through a stand-in
     for the fork context that starts real forked processes."""
     real = multiprocessing.get_context("fork")
-    started = []
+    procs = []
 
     class Process(real.Process):
         def start(self):
-            started.append(self)
+            procs.append(self)
             super().start()
 
     def get_context(method):
@@ -746,7 +751,82 @@ def forks(monkeypatch):
         return types.SimpleNamespace(Pipe=real.Pipe, Process=Process)
 
     monkeypatch.setattr(multiprocessing, "get_context", get_context)
+    return procs
+
+
+@pytest.fixture
+def forks(started, monkeypatch):
+    """`started`, with FORK_PAYS_S = 0: every classify at jobs > 1 forks its
+    workers before it keys the first code, one contiguous share each."""
+    monkeypatch.setattr(equiv, "FORK_PAYS_S", 0)
     return started
+
+
+def test_classify_jobs_parallel_identical(forks):
+    # 41 codes: neither 2 nor 3 divides the batch, so the shares are uneven
+    spec = field(3)
+    codes = [random_code(spec, 9, 3, seed=s) for s in range(41)]
+    for algo in ("ceimpg", "cesimpg"):
+        seq = classify(codes, algo=algo, jobs=1)
+        for jobs in (2, 3):
+            par = classify(codes, algo=algo, jobs=jobs)
+            assert len(forks) == jobs - 1
+            assert all(p.exitcode == 0 for p in forks)
+            forks.clear()
+            assert seq.digest == par.digest
+            assert seq.errors == par.errors
+            assert ([c.members for c in seq.classes]
+                    == [c.members for c in par.classes])
+
+
+def test_classify_short_batch_starts_no_worker(started):
+    # 5 codes key in a few ms, far below FORK_PAYS_S: this process keys them
+    spec = field(3)
+    codes = [random_code(spec, 8, 3, seed=s) for s in range(5)]
+    for algo in ("ceimpg", "cesimpg"):
+        seq = classify(codes, algo=algo, jobs=1)
+        par = classify(codes, algo=algo, jobs=64)
+        assert started == []
+        assert par.digest == seq.digest
+        assert [c.members for c in par.classes] == [c.members for c in seq.classes]
+
+
+@pytest.mark.parametrize("burn, keyed_here", [
+    # each code burns 10 ms of CPU: after the first, this process has its
+    # sample (FORK_PAYS_S / 8) and projects 110 ms for the other 11; the
+    # shares are those of the whole batch, 4 codes each, so this process
+    # keys codes 0 to 3, the workers 4 to 7 and 8 to 11
+    (lambda i: 0.01, 4),
+    # codes 0 to 4 key at once and code 5 burns 60 ms: the projection
+    # reaches FORK_PAYS_S only after 6 codes, past the first share, so this
+    # process keys nothing more and the workers key 6 to 9 and 10 to 11
+    (lambda i: 0.06 if i == 5 else 0, 6),
+])
+def test_classify_forks_for_the_rest_once_keying_pays(monkeypatch, started,
+                                                       burn, keyed_here):
+    """`_code_key` burns `burn(i)` seconds of CPU on the i-th code: this
+    process keys the first `keyed_here` of 12 codes, then two workers at
+    jobs=3 key the rest, with the answers of jobs=1."""
+    real = equiv._code_key
+    mine = []
+
+    def code_key(code, mode):
+        end = time.process_time() + burn(len(mine))
+        mine.append(id(code))  # a worker appends to its own copy
+        while time.process_time() < end:
+            pass
+        return real(code, mode)
+
+    spec = field(3)
+    codes = [random_code(spec, 8, 3, seed=s) for s in range(12)]
+    seq = classify(codes, algo="cesimpg", jobs=1)
+    monkeypatch.setattr(equiv, "_code_key", code_key)
+    par = classify(codes, algo="cesimpg", jobs=3)
+    assert mine == [id(code) for code in codes[:keyed_here]]
+    assert len(started) == 2 and all(p.exitcode == 0 for p in started)
+    assert par.digest == seq.digest
+    assert par.errors == seq.errors
+    assert [c.members for c in par.classes] == [c.members for c in seq.classes]
 
 
 def test_classify_pool_sized_by_batch(forks):
@@ -840,7 +920,8 @@ def test_classify_own_share_failure_terminates_workers(monkeypatch, forks, exc):
     _assert_no_child_left()
 
 
-def test_classify_workers_see_module_state_under_spawn_default(monkeypatch):
+def test_classify_workers_see_module_state_under_spawn_default(monkeypatch,
+                                                               forks):
     # workers are forked whatever the default start method is, so they run
     # with this process's NODE_BUDGET = 0 rather than a fresh import's
     spec = field(3)
@@ -853,6 +934,8 @@ def test_classify_workers_see_module_state_under_spawn_default(monkeypatch):
             seq = classify(codes, algo=algo, jobs=1)
             assert [idx for idx, _ in seq.errors] == list(range(5))
             par = classify(codes, algo=algo, jobs=2)
+            assert len(forks) == 1 and forks[0].exitcode == 0
+            forks.clear()
             assert par.errors == seq.errors
             assert [c.members for c in par.classes] == []
     finally:
@@ -888,7 +971,7 @@ def test_classify_mixed_fields_rejected():
                   random_code(field(5), 6, 2, seed=0)])
 
 
-def test_classify_budget_errors_collected_not_raised(monkeypatch):
+def test_classify_budget_errors_collected_not_raised(monkeypatch, forks):
     # the forked workers inherit NODE_BUDGET = 0, so at jobs=2 the errors
     # come from this process's share and from the worker's share alike
     spec = field(3)
@@ -901,6 +984,8 @@ def test_classify_budget_errors_collected_not_raised(monkeypatch):
         for idx, msg in seq.errors:
             assert "Budget" in msg
         par = classify(codes, algo=algo, jobs=2)
+        assert len(forks) == 1 and forks[0].exitcode == 0
+        forks.clear()
         assert par.errors == seq.errors
         assert not par.classes
 
@@ -917,10 +1002,11 @@ def test_classify_classes_ordered_by_first_appearance():
     assert result.classes[1].representative == 1
 
 
-def test_classify_bucket_with_several_classes(monkeypatch):
+def test_classify_bucket_with_several_classes(monkeypatch, forks):
     """Three shortened-key buckets of two inequivalent codes each: the
     cesimpg route must tell the bucket members apart by lifting, and takes
-    the rref of the second member of each bucket only."""
+    the rref of the second member of each bucket only.  At jobs=2 a worker
+    keys codes 3 to 5 and pipes back their shortened forms."""
     spec = field(5)
     codes = [random_code(spec, 6, 3, seed=s) for s in (0, 1, 4, 32, 12, 38)]
     reduced = []
@@ -928,23 +1014,30 @@ def test_classify_bucket_with_several_classes(monkeypatch):
     for algo in ("ceimpg", "cesimpg"):
         for jobs in (1, 2):
             result = classify(codes, algo=algo, jobs=jobs)
+            assert len(forks) == jobs - 1
+            assert all(p.exitcode == 0 for p in forks)
+            forks.clear()
             assert [c.members for c in result.classes] == [[i] for i in range(6)]
             assert len(reduced) == (3 if algo == "cesimpg" else 0)
             reduced.clear()
     assert len({c.key_digest for c in result.classes}) == 3
 
 
-def test_classify_keeps_code_and_dual_apart():
+def test_classify_keeps_code_and_dual_apart(forks):
     """A code and its dual have the same binary matrices when one of them is
     keyed through its dual: [13,3]_3 simplex beside the [13,10]_3 Hamming
     code, and a random [10,3]_5 code beside its [10,7]_5 dual (classify
-    takes one field per batch)."""
+    takes one field per batch).  At jobs=2 a worker keys the second code of
+    each pair, so its "dual:" key comes back through the pipe."""
     simplex = GeneratorMatrix(3, simplex_generator(3, 3).rows)
     low = random_code(field(5), 10, 3, seed=2)
     classes = []
     for batch in ([simplex, _dual(simplex)], [low, _dual(low)]):
         for algo, jobs in itertools.product(("ceimpg", "cesimpg"), (1, 2)):
             result = classify(batch, algo=algo, jobs=jobs)
+            assert len(forks) == jobs - 1
+            assert all(p.exitcode == 0 for p in forks)
+            forks.clear()
             assert not result.errors
             assert [c.members for c in result.classes] == [[0], [1]]
         classes += result.classes
@@ -1162,6 +1255,24 @@ def test_classify_failed_ceimpg_key_built_once(monkeypatch):
                              (3, FALLBACK_MSG)]
     assert [c.members for c in result.classes] == [[0]]
     assert len(calls) == 1
+
+
+def test_classify_comparison_over_the_incidence_bound_collected(monkeypatch):
+    # past a coset cap of 1 the pair's comparison asks for the incidence
+    # forms on PG(2,5), 961 cells: over a bound of 960 it fails for code 1
+    # alone, as a typed per-item error, and decide_equivalence raises it
+    spec = field(5)
+    c1, c2 = _transformed_pair(spec, 6, 3, seed=4, allow_rho=False)
+    assert not _sigma0_lifts(c1, c2)
+    monkeypatch.setattr(equiv, "COSET_CAP", 1)
+    monkeypatch.setattr(projgeom, "MAX_INCIDENCE_CELLS", 960)
+    result = classify([c1, c2], algo="cesimpg")
+    assert result.errors == [(1, "ResourceLimitError: the incidence matrix "
+                                 "of PG(2,5) has 961 cells, over the 960 "
+                                 "limit")]
+    assert [c.members for c in result.classes] == [[0]]
+    with pytest.raises(ResourceLimitError):
+        decide_equivalence(c1, c2)
 
 
 def test_dimension_two_fallback_never_guesses():

@@ -6,7 +6,8 @@ import pytest
 
 from codequiv import field, incidence, point_table, simplex_generator, theta
 from codequiv import projgeom
-from codequiv.projgeom import MAX_POINTS, nonzero_dot_masks
+from codequiv.errors import ResourceLimitError
+from codequiv.projgeom import MAX_INCIDENCE_CELLS, MAX_POINTS, nonzero_dot_masks
 
 
 def test_theta_values():
@@ -52,6 +53,15 @@ def test_point_table_indexing():
         t.index_of((0, 0, 0))
     with pytest.raises(ValueError):
         t.index_of((0, 0, 2))  # not normalized, so not a table entry
+
+
+def test_incidence_resource_guard(monkeypatch):
+    # PG(12,2) (8,191 points) is allowed, PG(13,2) (16,383) is refused
+    # before any mask is computed; its point table is within MAX_POINTS
+    assert theta(12, 2) ** 2 <= MAX_INCIDENCE_CELLS < theta(13, 2) ** 2
+    monkeypatch.setattr(projgeom, "nonzero_dot_masks", None)
+    with pytest.raises(ResourceLimitError, match="over the 100000000 limit"):
+        incidence(14, 2)
 
 
 def test_point_table_resource_guard():

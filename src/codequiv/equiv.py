@@ -16,15 +16,23 @@ Two decision routes are provided:
 * the point-multiplicity route: color the columns of the full
   point/hyperplane incidence structure by the code's point multiplicities
   and compare canonical forms (complete invariant; no monomial witness);
-* the shortened route: compare canonical forms of the hyperplane-by-point
-  support matrices of the codes' distinct points, colored by multiplicity,
-  then lift a candidate coordinate permutation to an explicit monomial
-  witness against the second code's own reduced row echelon form: the
+* the shortened route: compare the weight distributions of the codes'
+  sides first, then canonical forms of the hyperplane-by-point support
+  matrices of their distinct points, colored by multiplicity, then lift a
+  candidate coordinate permutation to an explicit monomial witness
+  against the second code's own reduced row echelon form: the
   scalings lambda are carried along its bipartite support graph, one free
   scalar per connected component, under each field automorphism.  The
   candidates are sigma0 composed with the point group, the automorphism
   group of the first matrix, or past the coset cap sigma0 and then the
-  isomorphism of the sides' incidence matrices (`_find_lift`).
+  isomorphism of the sides' incidence matrices (`_find_lift`).  The
+  weight distribution is read off the support matrix already built for
+  the search (`_weight_profile`: a row's weight, each column counted by
+  its multiplicity, is the weight of that hyperplane's codeword);
+  monomial maps and field automorphisms keep it, so differing
+  distributions prove inequivalence with no canonical search.  The
+  point-multiplicity route takes no such shortcut: it stays an
+  independent check of every inequivalent verdict.
 
 Both binary matrices have theta(k) = (q^k - 1)/(q - 1) rows or columns, so
 for a high-rate code (2k > n) they are built from its dual instead, which
@@ -196,25 +204,53 @@ def _point_coordinates(code: GeneratorMatrix) -> list[tuple[int, ...]]:
     return [tuple(coords) for coords in points.values()]
 
 
-def build_shortened(code: GeneratorMatrix) -> ColoredBinaryMatrix:
+def build_shortened(code: GeneratorMatrix,
+                    points=None) -> ColoredBinaryMatrix:
     """Hyperplane-by-point support of the code: entry (i, p) = 1 iff the
-    p-th distinct point of the code (`_point_coordinates` order) has nonzero
-    inner product with hyperplane i.  Column p is colored by the point's
-    multiplicity.  A hyperplane separates any two distinct points, so no
-    two columns are equal.
+    p-th distinct point of the code (`_point_coordinates` order, or
+    `points` when the caller already has them) has nonzero inner product
+    with hyperplane i.  Column p is colored by the point's multiplicity.  A
+    hyperplane separates any two distinct points, so no two columns are
+    equal.
     """
     spec = code.spec
     table = point_table(code.k, spec.q, spec.modulus)
     cols = code.columns()
-    points = _point_coordinates(code)
+    if points is None:
+        points = _point_coordinates(code)
     masks = nonzero_dot_masks(table, [cols[coords[0]] for coords in points])
     return ColoredBinaryMatrix.from_masks(masks, len(points),
                                           [len(coords) for coords in points])
 
 
+def _shortened(side: GeneratorMatrix):
+    """(build_shortened(side), _point_coordinates(side)), the points found
+    once."""
+    points = _point_coordinates(side)
+    return build_shortened(side, points), points
+
+
 def _shortened_form(side: GeneratorMatrix):
     """(canonical form of build_shortened(side), _point_coordinates(side))."""
-    return canonical_form(build_shortened(side)), _point_coordinates(side)
+    m, points = _shortened(side)
+    return canonical_form(m), points
+
+
+def _weight_profile(m: ColoredBinaryMatrix) -> list[int]:
+    """The sorted row weights of a shortened matrix, each column counted by
+    its color.  Row i counts the coordinates whose point lies off
+    hyperplane i, so this is the weight of every projective codeword of
+    the side: its weight distribution, which every monomial map and field
+    automorphism keeps."""
+    by_color: dict[int, int] = {}
+    for p, color in enumerate(m.col_colors):
+        by_color[color] = by_color.get(color, 0) | 1 << (m.n_cols - 1 - p)
+    weights = [0] * m.n_rows
+    for color, mask in by_color.items():
+        weights = [w + color * (row & mask).bit_count()
+                   for w, row in zip(weights, m.row_masks)]
+    weights.sort()
+    return weights
 
 
 def _incidence_form(side: GeneratorMatrix):
@@ -455,8 +491,14 @@ def cesimpg_equiv(c1: GeneratorMatrix, c2: GeneratorMatrix) -> Verdict:
 
     The shortened matrices are those of the codes' sides (`_side`: the
     duals when 2k > n); lifting and the witness are on c1 and c2 themselves.
-    Codes on different sides, or with non-isomorphic shortened matrices,
-    are inequivalent outright.
+    Codes on different sides, with different weight profiles, or with
+    non-isomorphic shortened matrices, are inequivalent outright.  The
+    weight profiles (`_weight_profile`) of the two shortened matrices are
+    compared before either is canonicalized: they are the weight
+    distributions of the sides, which every monomial map and field
+    automorphism keeps, and both sides are primal or both dual.
+    ceimpg_equiv does not take this shortcut, so that it stays an
+    independent check of an inequivalent verdict.
     Otherwise the candidate permutations (one isomorphism sigma0 composed
     with each element of the point group, the first matrix's automorphism
     group, sigma0 first; `_find_lift`) are lifted in turn, trying each
@@ -471,7 +513,11 @@ def cesimpg_equiv(c1: GeneratorMatrix, c2: GeneratorMatrix) -> Verdict:
     sides = _comparable_sides(c1, c2)
     if sides is None:
         return Verdict(False, "cesimpg")
-    short1, short2 = (_shortened_form(s) for s in sides)
+    (m1, points1), (m2, points2) = (_shortened(s) for s in sides)
+    if _weight_profile(m1) != _weight_profile(m2):
+        return Verdict(False, "cesimpg")
+    short1 = canonical_form(m1), points1
+    short2 = canonical_form(m2), points2
     found = _find_lift(c1, rref(c2.mat), short1, short2,
                        lambda: [_incidence_form(s) for s in sides])
     if found is None:

@@ -16,8 +16,10 @@ from codequiv import (GeneratorMatrix, canonical_form, ceimpg_equiv,
                       random_code, serialize, simplex_generator,
                       verify_witness)
 from codequiv.bmcanon import ColoredBinaryMatrix, permute_columns
+from codequiv import equiv
 from codequiv.cli import main
-from codequiv.equiv import MonomialTransform, build_ceimpg_matrix
+from codequiv.equiv import (MonomialTransform, build_ceimpg_matrix,
+                            build_shortened)
 
 
 def _criterion(number):
@@ -44,6 +46,12 @@ def _random_transform(spec, n, rng, allow_rho=True):
     return MonomialTransform(spec, tuple(sigma), lambdas, rho)
 
 
+def _profile(code):
+    """The weight profile cesimpg_equiv compares before any canonical
+    search: that of the shortened matrix of the code's side."""
+    return equiv._weight_profile(build_shortened(equiv._side(code)))
+
+
 # ---------------------------------------------------------------------------
 
 
@@ -68,10 +76,13 @@ def test_acceptance_1_worked_example(worked_pair):
 @_criterion(2)
 def test_acceptance_2_route_agreement():
     """Both decision routes agree on 1,000 seeded pairs of [10,3] and [10,4]
-    ternary codes (plus transformed-copy spot checks)."""
+    ternary codes (plus transformed-copy spot checks).  cesimpg rejects most
+    inequivalent pairs on their weight profiles alone; the ones that share
+    a profile are counted, and must occur, so that the two canonical
+    searches are compared too."""
     spec = field(3)
     rng = random.Random(424242)
-    agree = lo = hi = equal_seen = inequal_seen = 0
+    agree = lo = hi = equal_seen = inequal_seen = searched = 0
     for k, n_pairs in ((3, 500), (4, 500)):
         pool = [random_code(spec, 10, k, seed=s + 1000 * k) for s in range(60)]
         for _ in range(n_pairs):
@@ -83,6 +94,7 @@ def test_acceptance_2_route_agreement():
             agree += a == b
             equal_seen += b
             inequal_seen += not b
+            searched += not b and _profile(pool[i]) == _profile(pool[j])
     for seed in range(20):  # guaranteed-equivalent extras
         base = random_code(spec, 10, 3, seed=seed)
         t = _random_transform(spec, 10, rng)
@@ -91,14 +103,18 @@ def test_acceptance_2_route_agreement():
         assert cesimpg_equiv(base, copy).equivalent
     assert agree == 1000, f"only {agree}/1000 verdicts agree"
     assert equal_seen and inequal_seen, "pair sample never hit one verdict"
+    assert searched, "no inequivalent pair shares a weight profile"
     return (f"1000/1000 verdicts agree across both routes "
-            f"({equal_seen} equivalent, {inequal_seen} not)")
+            f"({equal_seen} equivalent, {inequal_seen} not, {searched} of "
+            f"those past the weight profile)")
 
 
 @_criterion(3)
 def test_acceptance_3_small_instance_oracle():
     """200 random small pairs (n <= 6, k <= 3, q in {2,3}) match the GL
-    brute-force oracle exactly."""
+    brute-force oracle exactly.  None of their inequivalent pairs shares a
+    weight profile, so three seeded [6,3]_2 pairs that do are added: they
+    reach the canonical searches."""
     rng = random.Random(77)
     cells = [(q, k, n) for q in (2, 3) for k in (1, 2, 3)
              for n in range(k, 7) if n <= 6]
@@ -121,7 +137,16 @@ def test_acceptance_3_small_instance_oracle():
             assert verify_witness(c1, c2, got.witness)
         checked += 1
         matched += 1
-    return f"{matched}/200 small-instance verdicts match the GL oracle"
+    spec = field(2)
+    for a, b in ((13, 25), (13, 29), (13, 30)):
+        c1, c2 = (random_code(spec, 6, 3, seed=s) for s in (a, b))
+        assert _profile(c1) == _profile(c2)
+        assert not brute_force_equivalent(c1.mat.rows, c2.mat.rows, 2)
+        assert not decide_equivalence(c1, c2, "auto").equivalent
+        assert not ceimpg_equiv(c1, c2).equivalent
+        matched += 1
+    return (f"{matched}/203 small-instance verdicts match the GL oracle, 3 "
+            f"of them inequivalent pairs that share a weight profile")
 
 
 @_criterion(4)

@@ -362,6 +362,128 @@ def test_self_equivalence():
     assert v.equivalent and verify_witness(c, c, v.witness)
 
 
+# ---------------------------------------------------------------------------
+# weight profiles: the rejection before any canonical search
+
+
+def _profile(code):
+    """The weight profile that cesimpg_equiv compares for `code`: that of
+    its side's shortened matrix."""
+    return equiv._weight_profile(build_shortened(equiv._side(code)))
+
+
+def _counting_canonical_forms(monkeypatch):
+    """Count the canonical searches cesimpg_equiv starts; returns their
+    list of matrices."""
+    searched = []
+    real = equiv.canonical_form
+    monkeypatch.setattr(equiv, "canonical_form",
+                        lambda m: searched.append(m) or real(m))
+    return searched
+
+
+def test_weight_profile_kept_by_monomial_and_field_maps():
+    """The profile is the weight distribution of the side's projective
+    codewords, so equivalent codes share it: seeded semilinear copies with
+    rho != 0 over GF(4), GF(8) and GF(9), high-rate pairs keyed on their
+    duals, and codes with repeated points.  Each pair still gets a witness
+    that verifies."""
+    rng = random.Random(24)
+    seen = set()
+    for q, n, k in ((4, 8, 3), (8, 8, 3), (9, 9, 3), (2, 9, 6), (3, 7, 4),
+                    (5, 7, 4), (5, 12, 2), (3, 14, 3), (4, 10, 2)):
+        spec = field(q)
+        for seed in range(4):
+            c1 = random_code(spec, n, k, seed=seed)
+            t = _random_transform(spec, n, rng)
+            if spec.m > 1:
+                t = MonomialTransform(spec, t.sigma, t.lambdas,
+                                      rng.randrange(1, spec.m))
+                seen.add("semilinear")
+            c2 = GeneratorMatrix(spec, t.apply(c1.mat).rows)
+            side = equiv._side(c1)
+            if side.k == n - k < k:
+                seen.add("dual")
+            if len(equiv._point_coordinates(side)) < n:
+                seen.add("repeated")
+            cols = side.columns()
+            assert _profile(c1) == sorted(
+                sum(_dot_nonzero(spec, u, col) for col in cols)
+                for u in point_table(side.k, q).points)
+            assert _profile(c1) == _profile(c2)
+            v = cesimpg_equiv(c1, c2)
+            assert v.equivalent and verify_witness(c1, c2, v.witness)
+    assert seen == {"semilinear", "dual", "repeated"}
+
+
+def test_differing_profiles_skip_the_canonical_search(monkeypatch):
+    """Independent pairs of the benchmark's equivalence shapes: every pair
+    whose profiles differ is inequivalent without a single canonical_form
+    call, and ceimpg_equiv agrees.  A transformed copy still takes both
+    canonical searches."""
+    searched = _counting_canonical_forms(monkeypatch)
+    rejected = 0
+    for q, n, k in ((2, 15, 4), (3, 10, 3), (4, 12, 3), (5, 10, 3),
+                    (7, 10, 3), (8, 10, 3), (9, 10, 3)):
+        spec = field(q)
+        for seed in range(4):
+            c1, c2 = (random_code(spec, n, k, seed=s)
+                      for s in (seed, seed + 100))
+            if _profile(c1) == _profile(c2):
+                continue
+            v = cesimpg_equiv(c1, c2)
+            assert (v.equivalent, v.method, v.witness) == (
+                False, "cesimpg", None)
+            assert searched == []
+            assert not ceimpg_equiv(c1, c2).equivalent
+            rejected += 1
+    assert rejected == 27  # of 28 pairs
+    c1, c2 = _transformed_pair(field(9), 10, 3, seed=1)
+    assert cesimpg_equiv(c1, c2).equivalent
+    assert len(searched) == 2
+
+
+def _cross_ratio_code(lam):
+    """The [4,2]_7 code of the points 0, infinity, 1 and lam of PG(1,7).  A
+    hyperplane of PG(1,7) is a point, so it misses all four columns or
+    three; the codes of a cross ratio of -1 (harmonic) and of 3 (a root of
+    x^2 - x + 1) share their profile and their point group, Sym(4), but
+    PGL(2,7) keeps cross ratios up to the six values of one orbit, so they
+    are inequivalent."""
+    return GeneratorMatrix(7, [[1, 0, 1, 1], [0, 1, 1, lam]])
+
+
+def test_equal_profile_inequivalent_pairs_reach_the_search(monkeypatch):
+    """Seeded inequivalent pairs that share a profile take both canonical
+    searches and come out inequivalent, as ceimpg_equiv says on sides of
+    dimension 3 or more, and as the GL oracle says where n <= 6 (GL(3,5),
+    1.5 million matrices, is left to ceimpg_equiv).  The [6,3]_5 pairs and
+    the cross-ratio pair share their shortened key too, so every candidate
+    lift is tried and fails; the others differ in it."""
+    searched = _counting_canonical_forms(monkeypatch)
+    pairs = [(random_code(field(q), n, k, seed=a),
+              random_code(field(q), n, k, seed=b))
+             for q, n, k, a, b in ((2, 6, 3, 13, 25), (2, 6, 3, 13, 29),
+                                   (5, 6, 3, 0, 1), (5, 6, 3, 4, 32),
+                                   (5, 6, 3, 12, 38), (4, 8, 3, 2, 59),
+                                   (8, 8, 3, 0, 4), (9, 9, 3, 1, 39),
+                                   (2, 12, 4, 4, 25))]
+    pairs.append((_cross_ratio_code(6), _cross_ratio_code(3)))
+    oracle = 0
+    for c1, c2 in pairs:
+        assert _profile(c1) == _profile(c2)
+        searched.clear()
+        v = cesimpg_equiv(c1, c2)
+        assert (v.equivalent, v.method, v.witness) == (False, "cesimpg", None)
+        assert len(searched) == 2
+        # on PG(1,7) the ceimpg key is a matching, blind to cross ratios
+        assert ceimpg_equiv(c1, c2).equivalent == (c1.k == 2)
+        if c1.n <= 6 and c1.q ** (c1.k * c1.k) < 10 ** 5:
+            assert not brute_force_equivalent(c1.mat.rows, c2.mat.rows, c1.q)
+            oracle += 1
+    assert oracle == 3
+
+
 @pytest.mark.parametrize("n,k", [(6, 2), (8, 3), (10, 4), (12, 5), (12, 8)])
 def test_binary_sigma0_lifts_past_coset_cap(n, k, monkeypatch):
     """For q = 2 the shortened rows are the codeword supports, so the first
@@ -571,15 +693,23 @@ HIGH_RATE_SHAPES = {2: [(9, 6), (8, 5), (5, 3)], 3: [(7, 4), (6, 4), (5, 4)],
                     9: [(5, 3), (4, 3)]}
 
 
+# q -> (n, k, seed, seed) of inequivalent codes, keyed on their duals except
+# over GF(7) and GF(9) (n - k = 2), that share their weight profile
+HIGH_RATE_SHARED_PROFILE = {2: [(9, 6, 3, 8)], 3: [(7, 4, 6, 8)],
+                            4: [(7, 4, 5, 25)], 5: [(7, 4, 10, 14)],
+                            7: [(5, 3, 0, 3)], 9: [(5, 3, 0, 5)]}
+
+
 @pytest.mark.parametrize("q", sorted(HIGH_RATE_SHAPES))
 def test_high_rate_pairs_agree_with_ceimpg_and_primal(q):
     """Seeded high-rate pairs, half of them transformed copies (with a
-    nontrivial field automorphism over GF(4/8/9)), half independent: the
-    verdict agrees with ceimpg_equiv and with the primal incidence
-    structures, and every witness verifies."""
+    nontrivial field automorphism over GF(4/8/9)), half independent, and
+    inequivalent pairs that share their weight profile: the verdict agrees
+    with ceimpg_equiv and with the primal incidence structures, and every
+    witness verifies."""
     spec = field(q)
     rng = random.Random(900 + q)
-    duals = 0
+    pairs = []
     for n, k in HIGH_RATE_SHAPES[q]:
         for j in range(6):
             c1 = random_code(spec, n, k, seed=rng.randrange(10 ** 6))
@@ -591,17 +721,28 @@ def test_high_rate_pairs_agree_with_ceimpg_and_primal(q):
                 c2 = GeneratorMatrix(spec, t.apply(c1.mat).rows)
             else:
                 c2 = random_code(spec, n, k, seed=rng.randrange(10 ** 6))
-            duals += equiv._side(c1).k == n - k
-            v = cesimpg_equiv(c1, c2)
-            assert v.method == "cesimpg"
-            assert v.equivalent == ceimpg_equiv(c1, c2).equivalent
-            primal = bmcanon.is_isomorphic(
-                *(build_ceimpg_matrix(characteristic_vector(c)) for c in (c1, c2)))
-            assert v.equivalent == (primal is not None)
-            if j % 2 == 0:
-                assert v.equivalent
-            if v.equivalent:
-                assert verify_witness(c1, c2, v.witness)
+            # a transformed copy is equivalent; an independent code unknown
+            pairs.append((c1, c2, True if j % 2 == 0 else None))
+    # most independent pairs differ in their weight profile, and so never
+    # reach a canonical search; these share it
+    for n, k, a, b in HIGH_RATE_SHARED_PROFILE.get(q, ()):
+        c1, c2 = (random_code(spec, n, k, seed=s) for s in (a, b))
+        assert _profile(c1) == _profile(c2)
+        pairs.append((c1, c2, False))
+    duals = 0
+    for c1, c2, expected in pairs:
+        n, k = c1.n, c1.k
+        duals += equiv._side(c1).k == n - k
+        v = cesimpg_equiv(c1, c2)
+        assert v.method == "cesimpg"
+        assert v.equivalent == ceimpg_equiv(c1, c2).equivalent
+        primal = bmcanon.is_isomorphic(
+            *(build_ceimpg_matrix(characteristic_vector(c)) for c in (c1, c2)))
+        assert v.equivalent == (primal is not None)
+        if expected is not None:
+            assert v.equivalent == expected
+        if v.equivalent:
+            assert verify_witness(c1, c2, v.witness)
     assert duals > 0
 
 
@@ -1084,10 +1225,12 @@ def test_cesimpg_witnessed_past_the_coset_cap(monkeypatch):
     v = decide_equivalence(c1, c2)
     assert (v.equivalent, v.method) == (True, "cesimpg")
     assert verify_witness(c1, c2, v.witness)
-    # same shortened key, inequivalent (test_classify_bucket_with_several_classes)
+    # same shortened key, and so the same weight profile, but inequivalent
+    # (test_classify_bucket_with_several_classes)
     for s1, s2 in ((0, 1), (4, 32), (12, 38)):
-        v = decide_equivalence(random_code(spec, 6, 3, seed=s1),
-                               random_code(spec, 6, 3, seed=s2))
+        a, b = (random_code(spec, 6, 3, seed=s) for s in (s1, s2))
+        assert _profile(a) == _profile(b)
+        v = decide_equivalence(a, b)
         assert (v.equivalent, v.method, v.witness) == (False, "cesimpg", None)
 
 
@@ -1100,14 +1243,27 @@ def _counting_incidence_forms(monkeypatch):
     return calls
 
 
-@pytest.mark.parametrize("q,n,k", [(4, 8, 3), (8, 8, 3), (9, 9, 3),
-                                   (5, 10, 4), (2, 12, 4)])
+# seeds of independent codes of each shape below that share their weight
+# profile, so that the pair reaches the canonical searches; over GF(8) and
+# GF(9) they also share the shortened key, whose point group is not
+# trivial, so past a coset cap of 1 the incidence forms decide them
+SHARED_PROFILE_SEEDS = {(4, 8, 3): [(2, 59), (8, 59)],
+                        (8, 8, 3): [(0, 7), (12, 23)],
+                        (9, 9, 3): [(27, 52), (6, 30)],
+                        (5, 10, 4): [(8, 40), (11, 46)],
+                        (2, 12, 4): [(4, 25), (5, 21)]}
+
+
+@pytest.mark.parametrize("q,n,k", sorted(SHARED_PROFILE_SEEDS))
 def test_incidence_lift_past_a_coset_cap_of_one(q, n, k, monkeypatch):
     """With a coset cap of 1, every pair that sigma0 does not decide goes
     to the incidence forms: seeded transformed pairs, with a nontrivial
     field automorphism over GF(4), GF(8) and GF(9), and independent pairs
-    of the same shape.  Every verdict equals ceimpg_equiv's, and every
-    equivalent one carries a witness that verifies."""
+    of the same shape.  Most independent pairs differ in their weight
+    profile and never reach a search, so pairs that share it are added;
+    over GF(8) and GF(9) they also share the shortened key, and the
+    incidence forms tell them apart.  Every verdict equals ceimpg_equiv's,
+    and every equivalent one carries a witness that verifies."""
     monkeypatch.setattr(equiv, "COSET_CAP", 1)
     calls = _counting_incidence_forms(monkeypatch)
     spec = field(q)
@@ -1115,13 +1271,25 @@ def test_incidence_lift_past_a_coset_cap_of_one(q, n, k, monkeypatch):
     pairs += [(random_code(spec, n, k, seed=s), random_code(spec, n, k,
                                                             seed=s + 1))
               for s in range(100, 106)]
-    verdicts = [cesimpg_equiv(c1, c2) for c1, c2 in pairs]
+    shared = [(random_code(spec, n, k, seed=a), random_code(spec, n, k,
+                                                            seed=b))
+              for a, b in SHARED_PROFILE_SEEDS[q, n, k]]
+    assert all(_profile(c1) == _profile(c2) for c1, c2 in shared)
+    pairs += shared
+    verdicts, lifted_incidence = [], []
+    for c1, c2 in pairs:
+        before = len(calls)
+        verdicts.append(cesimpg_equiv(c1, c2))
+        lifted_incidence.append(len(calls) > before)
     for (c1, c2), v in zip(pairs, verdicts):
         assert v.method == "cesimpg"
         assert v.equivalent == ceimpg_equiv(c1, c2).equivalent
         assert (v.witness is not None) == v.equivalent
         assert not v.equivalent or verify_witness(c1, c2, v.witness)
     assert all(v.equivalent for v in verdicts[:12])
+    assert not any(v.equivalent for v in verdicts[18:])
+    if q in (8, 9):
+        assert all(lifted_incidence[18:])
     # over GF(2) sigma0 always lifts (test_binary_sigma0_lifts_past_coset_cap);
     # over GF(4), GF(8) and GF(9) some of these pairs take the incidence forms
     if q == 2:
@@ -1187,11 +1355,15 @@ def test_arcs_witnessed_past_the_real_coset_cap(monkeypatch):
                                                 for t in range(10)])
     arc = _greedy_arc(11, 10, seed=6)
     # the conic monomials x^2, y^2, z^2, xy, xz, yz at the arc's points
-    # have rank 6: no conic passes through all ten
+    # have rank 6: no conic passes through all ten.  Every 10-arc of
+    # PG(2,11) has 45 secants, 30 tangents and 58 passants, so the two
+    # codes share their weight profile and the pair reaches the searches
     assert rank(GFMatrix(spec, [[x * x % 11, y * y % 11, z * z % 11,
                                  x * y % 11, x * z % 11, y * z % 11]
                                 for x, y, z in arc])) == 6
     other = GeneratorMatrix.from_columns(spec, arc)
+    assert _profile(conic) == _profile(other) == (
+        [8] * 45 + [9] * 30 + [10] * 58)
     assert canonical_form(build_shortened(conic)).group_order == (
         math.factorial(10))
     assert math.factorial(10) > COSET_CAP

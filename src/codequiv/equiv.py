@@ -27,8 +27,9 @@ Two decision routes are provided:
   group of the first matrix, or past the coset cap sigma0 and then the
   isomorphism of the sides' incidence matrices (`_find_lift`).  The
   weight distribution is read off the support matrix already built for
-  the search (`_weight_profile`: a row's weight, each column counted by
-  its multiplicity, is the weight of that hyperplane's codeword);
+  the search (`projgeom.codeword_weights`: a row's weight, each column
+  counted by its multiplicity, is the weight of that hyperplane's
+  codeword);
   monomial maps and field automorphisms keep it, so differing
   distributions prove inequivalence with no canonical search.  The
   point-multiplicity route takes no such shortcut: it stays an
@@ -59,7 +60,8 @@ from .gfield import FieldSpec
 from .gfmatrix import (GFMatrix, RREFResult, _eliminate, mat_mul,
                        nullspace_basis, rank, rref)
 from .lincode import CharacteristicVector, GeneratorMatrix, characteristic_vector
-from .projgeom import incidence, nonzero_dot_masks, point_table
+from .projgeom import (codeword_weights, incidence, nonzero_dot_masks,
+                       point_table)
 
 COSET_CAP = 10 ** 6
 # the typed failures of one code, which a batch collects per item
@@ -234,23 +236,6 @@ def _shortened_form(side: GeneratorMatrix):
     """(canonical form of build_shortened(side), _point_coordinates(side))."""
     m, points = _shortened(side)
     return canonical_form(m), points
-
-
-def _weight_profile(m: ColoredBinaryMatrix) -> list[int]:
-    """The sorted row weights of a shortened matrix, each column counted by
-    its color.  Row i counts the coordinates whose point lies off
-    hyperplane i, so this is the weight of every projective codeword of
-    the side: its weight distribution, which every monomial map and field
-    automorphism keeps."""
-    by_color: dict[int, int] = {}
-    for p, color in enumerate(m.col_colors):
-        by_color[color] = by_color.get(color, 0) | 1 << (m.n_cols - 1 - p)
-    weights = [0] * m.n_rows
-    for color, mask in by_color.items():
-        weights = [w + color * (row & mask).bit_count()
-                   for w, row in zip(weights, m.row_masks)]
-    weights.sort()
-    return weights
 
 
 def _incidence_form(side: GeneratorMatrix):
@@ -493,10 +478,10 @@ def cesimpg_equiv(c1: GeneratorMatrix, c2: GeneratorMatrix) -> Verdict:
     duals when 2k > n); lifting and the witness are on c1 and c2 themselves.
     Codes on different sides, with different weight profiles, or with
     non-isomorphic shortened matrices, are inequivalent outright.  The
-    weight profiles (`_weight_profile`) of the two shortened matrices are
-    compared before either is canonicalized: they are the weight
-    distributions of the sides, which every monomial map and field
-    automorphism keeps, and both sides are primal or both dual.
+    weight profiles of the two shortened matrices (their sorted
+    `codeword_weights`) are compared before either is canonicalized: they
+    are the weight distributions of the sides, which every monomial map
+    and field automorphism keeps, and both sides are primal or both dual.
     ceimpg_equiv does not take this shortcut, so that it stays an
     independent check of an inequivalent verdict.
     Otherwise the candidate permutations (one isomorphism sigma0 composed
@@ -514,7 +499,8 @@ def cesimpg_equiv(c1: GeneratorMatrix, c2: GeneratorMatrix) -> Verdict:
     if sides is None:
         return Verdict(False, "cesimpg")
     (m1, points1), (m2, points2) = (_shortened(s) for s in sides)
-    if _weight_profile(m1) != _weight_profile(m2):
+    if (sorted(codeword_weights(m1.row_masks, m1.col_colors))
+            != sorted(codeword_weights(m2.row_masks, m2.col_colors))):
         return Verdict(False, "cesimpg")
     short1 = canonical_form(m1), points1
     short2 = canonical_form(m2), points2

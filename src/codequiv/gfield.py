@@ -120,7 +120,8 @@ class FieldSpec:
         ``log[a]`` inverts it for a != 0 (log[0] is unused, set to -1).
     zech : list[int]
         Odd-characteristic composite fields only: ``zech[i]`` is the log of
-        1 + g**i, or -1 where that sum is 0 (length q-1).
+        1 + g**i, or -1 where that sum is 0 (length q-1).  Only `add`
+        reads it.
     """
 
     def __init__(self, q: int, modulus: int | None = None):
@@ -213,9 +214,6 @@ class FieldSpec:
         # -1 = g^((q-1)/2) in odd characteristic
         n = self.q - 1
         return self.exp[(self.log[a] + n // 2) % n]
-
-    def sub(self, a: int, b: int) -> int:
-        return self.add(a, self.neg(b))
 
     def mul(self, a: int, b: int) -> int:
         if a == 0 or b == 0:

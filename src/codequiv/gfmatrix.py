@@ -35,10 +35,7 @@ class GFMatrix:
 
     @classmethod
     def from_columns(cls, spec: FieldSpec, cols) -> "GFMatrix":
-        cols = [list(c) for c in cols]
-        if not cols:
-            return cls(spec, [])
-        return cls(spec, [[c[i] for c in cols] for i in range(len(cols[0]))])
+        return cls(spec, zip(*cols, strict=True))
 
     @property
     def nrows(self) -> int:
@@ -52,13 +49,10 @@ class GFMatrix:
         return tuple(r[j] for r in self.rows)
 
     def columns(self) -> list[tuple[int, ...]]:
-        return [self.col(j) for j in range(self.ncols)]
+        return list(zip(*self.rows))
 
     def transpose(self) -> "GFMatrix":
-        return GFMatrix(self.spec, [list(c) for c in self.columns()])
-
-    def copy(self) -> "GFMatrix":
-        return GFMatrix(self.spec, self.rows)
+        return GFMatrix(self.spec, self.columns())
 
     def map_entries(self, fn) -> "GFMatrix":
         return GFMatrix(self.spec, [[fn(e) for e in r] for r in self.rows])

@@ -13,7 +13,7 @@ from dataclasses import dataclass
 
 from .gfield import FieldSpec, field, normalize_vector
 from .gfmatrix import GFMatrix, rank, rref
-from .projgeom import IncidenceMatrix, incidence, point_table, theta
+from .projgeom import codeword_weights, nonzero_dot_masks, point_table
 
 
 class GeneratorMatrix:
@@ -123,25 +123,18 @@ def systematic_form(code: GeneratorMatrix) -> tuple[GeneratorMatrix, tuple[int, 
     return sys_code, tuple(perm), res.transform
 
 
-def min_distance_hyperplane(chi: CharacteristicVector,
-                            inc: IncidenceMatrix | None = None) -> int:
-    """Minimum weight via hyperplanes: n minus the best hyperplane coverage.
+def min_distance_hyperplane(chi: CharacteristicVector) -> int:
+    """Minimum weight via hyperplanes: the least codeword weight
+    (`codeword_weights`) over the masks of chi's support points.
 
-    Every nonzero codeword vanishes exactly on the columns whose points lie
-    on some hyperplane, so d = n - max_u sum(chi[j] for j on hyperplane u).
+    Codeword u . G is nonzero exactly at the coordinates whose points lie
+    off hyperplane u, so d = min_u sum(chi[j] for j off hyperplane u).
     Returns 0 only for degenerate (non-spanning) multiplicity vectors.
     """
-    spec = chi.spec
-    if inc is None:
-        inc = incidence(chi.k, spec.q, spec.modulus)
-    n = chi.n
+    table = point_table(chi.k, chi.spec.q, chi.spec.modulus)
     support = [j for j, c in enumerate(chi.counts) if c]
-    best = 0
-    for i in range(inc.n_points):
-        covered = sum(chi.counts[j] for j in support if not inc.entry(i, j))
-        if covered > best:
-            best = covered
-    return n - best
+    masks = nonzero_dot_masks(table, [table.points[j] for j in support])
+    return min(codeword_weights(masks, [chi.counts[j] for j in support]))
 
 
 def random_code(spec_or_q, n: int, k: int, seed: int,

@@ -142,66 +142,51 @@ def _uint_for(top: int):
 
 @cache
 def _dot_kernel(spec: FieldSpec, k: int):
-    """The inner-product kernel of one field, as ``(code, zero, step,
-    nonzero)``.  `code` maps field elements to the kernel's working codes;
-    an accumulator starts filled with `zero`, a NumPy scalar of the
-    accumulator's dtype (picked by q, and by k too for the exact sums of
-    odd primes); ``step(acc, a, b)`` returns acc + a*b for coordinate codes
-    `a` (a column) and `b` (a row); and ``nonzero(acc)`` is nonzero exactly
-    where the sum is.  Every table has O(q) entries."""
-    q, p, n = spec.q, spec.p, spec.q - 1
-    if q == 2:
-        def step(acc, a, b):
-            acc ^= a & b
-            return acc
-        return np.arange(2, dtype=np.uint8), np.uint8(0), step, lambda acc: acc
-    if spec.m == 1:
-        # small products summed exactly, reduced mod p once at the end
-        dtype = _uint_for(k * (p - 1) ** 2)
+    """The inner-product kernel of one field, as ``(code, product, add,
+    nonzero)``.  `code` maps field elements to the kernel's coordinate
+    codes; ``product(a, b)`` holds the products of coordinate codes `a` (a
+    column) and `b` (a row); ``add(acc, x, out=acc)`` sums them exactly; and
+    ``nonzero(acc)`` is nonzero exactly where the field sum is.
 
-        def step(acc, a, b):
-            acc += a * b
-            return acc
-        return np.arange(q, dtype=dtype), dtype(0), step, lambda acc: acc % p
-    # composite fields work with discrete logs: 0 <= log < n, and zero is the
-    # sentinel 2n, so a sum of two logs is a product's log (mod n) when both
-    # are below n and is at least 2n when either factor is zero
-    zero = 2 * n
-    logs = np.array(spec.log, dtype=np.int64)
-    logs[0] = zero
-    wrap = np.arange(4 * n + 1) % n
+    A product is held as its m base-p digits, each in a field of `width`
+    bits, wide enough for the exact sum of k digits, so a sum is reduced
+    once, digit by digit, at the end.  Prime fields multiply exactly: one
+    digit, of up to (p-1)^2.  Composite fields gather the digits of a
+    product from a table indexed by log sums.  Every table has O(q)
+    entries."""
+    q, p, m, n = spec.q, spec.p, spec.m, spec.q - 1
     if p == 2:
-        # characteristic 2 adds by XOR: the accumulator holds elements, and
-        # a product is exp of the log sum, or 0
-        elem = np.uint8 if q <= 256 else np.uint16
-        prod = np.array(spec.exp, dtype=elem)[wrap]
-        prod[2 * n - 1:] = 0
+        # XOR adds each bit mod 2 and never carries: a digit needs one bit,
+        # and a sum no reduction
+        width, add, nonzero = 1, np.bitwise_xor, lambda acc: acc
+    else:
+        width = (k * ((p - 1) ** 2 if m == 1 else p - 1)).bit_length()
+        add, mask = np.add, (1 << width) - 1
 
-        def step(acc, a, b):
-            acc ^= prod[a + b]
-            return acc
-        return logs.astype(_uint_for(4 * n)), elem(0), step, lambda acc: acc
-    # odd p^m: the accumulator holds logs and adds through the Zech logs,
-    # acc + x = acc * (1 + x/acc); shift[x - acc + 2n] is what to add to acc:
-    # the Zech log of x - acc when both are nonzero, 2n when that sum
-    # vanishes, x - acc when acc is zero and 0 when x is; fold[] then
-    # reduces the result mod n, or to the zero sentinel from 2n up
-    dtype = np.int16 if 4 * n < 1 << 15 else np.int32
-    prod = wrap.astype(dtype)
-    prod[2 * n - 1:] = zero
-    zech = np.array(spec.zech, dtype=dtype)
-    diff = np.arange(-2 * n, 2 * n + 1, dtype=dtype)
-    shift = np.where(diff < -n, diff, 0).astype(dtype)
-    middle = np.abs(diff) < n
-    shift[middle] = np.where(zech[diff[middle] % n] < 0, zero,
-                             zech[diff[middle] % n])
-    fold = np.arange(3 * n, dtype=dtype) % n
-    fold[2 * n:] = zero
-
-    def step(acc, a, b):
-        x = prod[a + b]
-        return fold[acc + shift[x + (2 * n - acc)]]
-    return logs.astype(dtype), dtype(zero), step, lambda acc: acc != zero
+        def nonzero(acc):
+            # zero exactly where every digit's sum is 0 mod p, that is,
+            # equals p times its quotient: NumPy divides by a scalar several
+            # times faster than it takes a remainder
+            out = np.zeros(acc.shape, dtype=bool)
+            for d in range(m):
+                digit = (acc >> (width * d)) & mask
+                out |= digit // p * p != digit
+            return out
+    dtype = _uint_for((1 << m * width) - 1)
+    if m == 1:
+        return (np.arange(q, dtype=dtype),
+                np.bitwise_and if p == 2 else np.multiply, add, nonzero)
+    # discrete logs, with zero as the sentinel 2n: a sum of two logs is a
+    # product's log (mod n) when both are below n, and at least 2n when
+    # either factor is zero
+    logs = np.array(spec.log)
+    logs[0] = 2 * n
+    exp = np.array(spec.exp)
+    digits = sum((exp // p ** d % p) << (width * d) for d in range(m))
+    prod = digits[np.arange(4 * n + 1) % n].astype(dtype)
+    prod[2 * n - 1:] = 0
+    return (logs.astype(_uint_for(4 * n)), lambda a, b: prod[a + b], add,
+            nonzero)
 
 
 def nonzero_dot_masks(table: PointTable, vectors) -> list[int]:
@@ -210,11 +195,11 @@ def nonzero_dot_masks(table: PointTable, vectors) -> list[int]:
 
     One NumPy kernel serves every field: points are taken in blocks sized
     so the points x vectors accumulator has about _BLOCK_CELLS cells, and
-    u . v is accumulated one coordinate at a time, with the field's addition
-    (see _dot_kernel)."""
+    the products of u . v are summed exactly one coordinate at a time and
+    reduced once (see _dot_kernel)."""
     if not vectors:
         return [0] * len(table)
-    code, zero, step, nonzero = _dot_kernel(table.spec, table.k)
+    code, product, add, nonzero = _dot_kernel(table.spec, table.k)
     # one contiguous row per coordinate, for points and vectors alike
     pts = code[table.coords]
     vecs = np.ascontiguousarray(code[np.array(vectors, dtype=np.intp)].T)
@@ -223,11 +208,28 @@ def nonzero_dot_masks(table: PointTable, vectors) -> list[int]:
     masks = []
     for lo in range(0, pts.shape[1], rows):
         block = pts[:, lo:lo + rows, None]
-        acc = np.full((block.shape[1], n_vecs), zero, dtype=zero.dtype)
-        for c in range(table.k):
-            acc = step(acc, block[c], vecs[c])
+        acc = product(block[0], vecs[0])
+        for c in range(1, table.k):
+            add(acc, product(block[c], vecs[c]), out=acc)
         masks += _pack_rows(nonzero(acc))
     return masks
+
+
+def codeword_weights(masks, colors) -> list[int]:
+    """The weight of each mask's codeword, bit (len(colors)-1-j) counted
+    colors[j] times.  For the masks of nonzero_dot_masks(table, points),
+    colored by the points' multiplicities in a code, this is the weight of
+    the codeword u . G of each point u of `table`: it is nonzero exactly at
+    the coordinates whose point lies off hyperplane u."""
+    n = len(colors)
+    by_color: dict[int, int] = {}
+    for j, color in enumerate(colors):
+        by_color[color] = by_color.get(color, 0) | 1 << (n - 1 - j)
+    weights = [0] * len(masks)
+    for color, bits in by_color.items():
+        weights = [w + color * (mask & bits).bit_count()
+                   for w, mask in zip(weights, masks)]
+    return weights
 
 
 def incidence(k: int, q: int, modulus: int | None = None) -> IncidenceMatrix:

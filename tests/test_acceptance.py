@@ -20,6 +20,7 @@ from codequiv import equiv
 from codequiv.cli import main
 from codequiv.equiv import (MonomialTransform, build_ceimpg_matrix,
                             build_shortened)
+from codequiv.projgeom import codeword_weights
 
 
 def _criterion(number):
@@ -49,7 +50,8 @@ def _random_transform(spec, n, rng, allow_rho=True):
 def _profile(code):
     """The weight profile cesimpg_equiv compares before any canonical
     search: that of the shortened matrix of the code's side."""
-    return equiv._weight_profile(build_shortened(equiv._side(code)))
+    m = build_shortened(equiv._side(code))
+    return sorted(codeword_weights(m.row_masks, m.col_colors))
 
 
 # ---------------------------------------------------------------------------

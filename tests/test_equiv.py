@@ -24,6 +24,7 @@ from codequiv import (GFMatrix, GeneratorMatrix, build_ceimpg_matrix,
 from codequiv import bmcanon, equiv, nullspace_basis, projgeom
 from codequiv.bmcanon import _sigma_from_canons
 from codequiv.equiv import COSET_CAP, MonomialTransform
+from codequiv.projgeom import codeword_weights
 from codequiv.errors import BudgetExceededError, ResourceLimitError
 from conftest import (brute_force_equivalent, brute_force_preserver_count,
                       reference_monomial_from_sigma)
@@ -369,7 +370,8 @@ def test_self_equivalence():
 def _profile(code):
     """The weight profile that cesimpg_equiv compares for `code`: that of
     its side's shortened matrix."""
-    return equiv._weight_profile(build_shortened(equiv._side(code)))
+    m = build_shortened(equiv._side(code))
+    return sorted(codeword_weights(m.row_masks, m.col_colors))
 
 
 def _counting_canonical_forms(monkeypatch):

@@ -7,6 +7,7 @@ import pytest
 from codequiv import (GeneratorMatrix, characteristic_vector, code_from_chi,
                       field, min_distance_hyperplane, point_table, random_code,
                       simplex_generator, systematic_form, theta)
+from codequiv.projgeom import MAX_INCIDENCE_CELLS
 from conftest import min_weight_exhaustive
 
 
@@ -112,6 +113,16 @@ def test_min_distance_matches_exhaustive_search(q, n, k):
         chi = characteristic_vector(code)
         assert min_distance_hyperplane(chi) == min_weight_exhaustive(
             code.mat.rows, q)
+
+
+def test_min_distance_beyond_the_incidence_bound():
+    """A [30,14]_2 code: PG(13,2) has 16,383 points, so its incidence
+    matrix (268,402,689 cells) is over the bound, but the masks of the
+    code's 30 points are all min_distance_hyperplane needs."""
+    code = random_code(field(2), 30, 14, seed=5)
+    assert len(point_table(14, 2)) ** 2 > MAX_INCIDENCE_CELLS
+    assert min_distance_hyperplane(characteristic_vector(code)) == (
+        min_weight_exhaustive(code.mat.rows, 2))
 
 
 def test_min_distance_simplex_values():

@@ -129,13 +129,15 @@ def test_nonzero_dot_masks_across_blocks(k, q, monkeypatch):
         spec, table.points, vectors)
 
 
-# (k, q, modulus): every branch of the mask kernel, GF(2), odd prime,
-# characteristic 2 and odd composite, with accumulators wider than uint8
-# past q = 256 (515 is x^9 + x + 1 over GF(2), 734 is x^6 + x + 2 over GF(3))
+# (k, q, modulus): both bodies of the mask kernel, prime (GF(2) and odd)
+# and composite (characteristic 2 and odd), with accumulators wider than
+# uint8 past q = 256 (515 is x^9 + x + 1 over GF(2), 734 is x^6 + x + 2
+# over GF(3)); in (4, 9) and (2, 25) the exact digit sum k(p-1) is 8, a
+# power of two, so a digit field one bit too narrow would carry
 KERNEL_FIELDS = [(5, 2, None), (4, 3, None), (3, 7, None), (2, 257, None),
                  (3, 4, None), (3, 8, None), (3, 16, None), (2, 512, 515),
                  (3, 9, None), (3, 25, None), (2, 27, None), (2, 49, 50),
-                 (2, 729, 734)]
+                 (2, 729, 734), (4, 9, None), (2, 25, None)]
 
 
 @pytest.mark.parametrize("k,q,modulus", KERNEL_FIELDS)

@@ -1,10 +1,15 @@
-"""Command-line interface: output formats, exit codes and round-trips."""
+"""Command-line interface: output formats, exit codes and round-trips, and
+the CLI as a real process where the process is what is checked."""
 
 import io
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
-from codequiv import (GeneratorMatrix, bmcanon, emit_codes, field,
+from codequiv import (GeneratorMatrix, bmcanon, emit_codes, equiv, field,
                       parse_codes, random_code, simplex_generator)
 from codequiv.cli import main
 from codequiv.equiv import MonomialTransform
@@ -254,3 +259,144 @@ def test_count_below_one_is_a_usage_error(argv, capsys):
         main(argv)
     assert exc.value.code == 2
     assert "--count: must be at least 1" in capsys.readouterr().err
+
+
+# ---------------------------------------------------------------------------
+# seeded batches, and the CLI as a process
+
+
+def _gen(tmp_path, q, k, n, count=1, seed=1):
+    """The file `gen -q q -k k -n n --count count --seed seed` writes."""
+    path = tmp_path / f"gen-{q}-{k}-{n}-{count}-{seed}.txt"
+    args = ("-q", q, "-k", k, "-n", n, "--count", count, "--seed", seed)
+    assert main(["gen", *map(str, args), "-o", str(path)]) == 0
+    return str(path)
+
+
+def _classify_report(path, algo, jobs, capsys):
+    """The digest and the members column of each class that `classify`
+    prints for `path`."""
+    assert main(["classify", path, "--algo", algo, "--jobs", str(jobs)]) == 0
+    lines = capsys.readouterr().out.splitlines()
+    (digest,) = [l for l in lines if l.startswith("digest ")]
+    members = [l.split(" members ", 1)[1] for l in lines
+               if l.startswith("class ")]
+    return digest, members
+
+
+@pytest.mark.parametrize("q, k, n, count, jobs, forks", [
+    (3, 3, 8, 20, (1, 2, 3), False),
+    # 8 of the 20 codes are keyed on their duals
+    (3, 6, 8, 20, (1, 2), False),
+    # both bodies of the mask kernel's composite half: odd p, then p = 2
+    (9, 3, 10, 20, (1, 2), False),
+    (4, 3, 9, 20, (1, 2), False),
+    # 0.37-0.49 s of serial keying on 2 vCPUs, some 10x FORK_PAYS_S
+    (7, 3, 20, 600, (1, 2, 3), True),
+], ids=["8-3-3", "8-6-3", "10-3-9", "9-3-4", "20-3-7x600"])
+def test_classify_batch_same_answer_at_every_jobs_and_route(
+        tmp_path, monkeypatch, capsys, q, k, n, count, jobs, forks):
+    """The digest of a seeded batch is the same at every `--jobs`, and both
+    routes place every code in the same classes.  `forks`: `--jobs` above 1
+    hands the rest of the batch to forked workers with the real
+    FORK_PAYS_S; a batch without it may be keyed here alone (short batches
+    never fork: tests/test_equiv.py)."""
+    path = _gen(tmp_path, q, k, n, count)
+    forked = []
+    real = equiv._forked_keys
+
+    def spy(codes, mode, procs, done):
+        forked.append(procs)
+        return real(codes, mode, procs, done)
+
+    monkeypatch.setattr(equiv, "_forked_keys", spy)
+    members = {}
+    for algo in ("ceimpg", "cesimpg"):
+        reports = []
+        for j in jobs:
+            forked.clear()
+            reports.append(_classify_report(path, algo, j, capsys))
+            if forks:
+                assert forked == ([j] if j > 1 else [])
+        digest, members[algo] = reports[0]
+        assert digest != "digest " and members[algo]
+        assert all(r == reports[0] for r in reports)
+    assert members["ceimpg"] == members["cesimpg"]
+
+
+SRC = str(Path(__file__).resolve().parents[1] / "src")
+
+
+def _run_cli(*args):
+    """`python -m codequiv.cli *args` as a process on this checkout's
+    sources, with this run's -W options; a hung CLI fails at the timeout."""
+    return subprocess.run(
+        [sys.executable, *(f"-W{w}" for w in sys.warnoptions),
+         "-m", "codequiv.cli", *args],
+        env={**os.environ, "PYTHONPATH": SRC}, capture_output=True,
+        text=True, timeout=120)
+
+
+@pytest.mark.parametrize("argv", [
+    ["chi", "."],
+    ["classify", "{codes}", "--jobs", "0"],
+    ["gen", "-q", "3", "-k", "3", "-n", "8", "--count", "0"],
+    ["points", "-k", "2", "-q", "9", "--modulus", "-5"]],
+    ids=["chi-dir", "jobs-0", "count-0", "negative-modulus"])
+def test_process_exits_2(tmp_path, argv):
+    codes = _gen(tmp_path, 3, 3, 8, 20)
+    assert _run_cli(*(a.format(codes=codes) for a in argv)).returncode == 2
+
+
+def test_process_equiv_exit_statuses(tmp_path):
+    seed1, seed2 = (_gen(tmp_path, 3, 3, 8, seed=s) for s in (1, 2))
+    twice = tmp_path / "twice.txt"
+    twice.write_text(Path(seed1).read_text() * 2)
+    same = _run_cli("equiv", str(twice))
+    assert same.returncode == 0
+    assert "witness: re-verified OK" in same.stdout.splitlines()
+    # their weight profiles differ: rejected before any canonical search
+    assert _run_cli("equiv", seed1, seed2).returncode == 1
+
+
+def test_process_autgroup(tmp_path):
+    assert _run_cli("autgroup", _gen(tmp_path, 3, 3, 8, 20)).returncode == 0
+
+
+# a conic [10,3]_11 code and a monomial copy: the point group is Sym(10),
+# past the real coset cap, and sigma0 does not lift
+CONIC_PAIR = """\
+11 3 10
+1 1 1 1 1 1 1 1 1 1
+0 1 2 3 4 5 6 7 8 9
+0 1 4 9 5 3 3 5 9 4
+
+11 3 10
+10 3 2 8 5 3 2 9 1 10
+9 9 0 4 3 1 2 4 8 4
+7 5 0 2 4 4 2 3 9 6
+"""
+# a 10-arc on no conic: every 10-arc of PG(2,11) has the conic's weight
+# profile, so this pair still reaches the canonical searches
+ARC = """\
+11 3 10
+1 1 1 1 0 1 1 1 1 1
+4 0 7 3 1 2 0 4 7 6
+7 5 2 3 5 2 4 5 10 10
+"""
+
+
+@pytest.mark.parametrize("algo, lines", [
+    # the incidence forms give a witness
+    ([], ["EQUIVALENT method=cesimpg", "witness: re-verified OK"]),
+    # no weight-profile shortcut on this route
+    (["--algo", "ceimpg"], ["witness: none (canonical-form route)"])],
+    ids=["auto", "ceimpg"])
+def test_process_equiv_past_the_coset_cap(tmp_path, algo, lines):
+    conic, arc = tmp_path / "conic.txt", tmp_path / "arc.txt"
+    conic.write_text(CONIC_PAIR)
+    arc.write_text(ARC)
+    same = _run_cli("equiv", str(conic), *algo)
+    assert same.returncode == 0
+    assert set(lines) <= set(same.stdout.splitlines())
+    assert _run_cli("equiv", str(conic), str(arc), *algo).returncode == 1

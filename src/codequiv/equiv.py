@@ -43,6 +43,15 @@ automorphism, so the dual's canonical forms yield the same candidate
 permutations and the same permutation group.  Lifting, witnesses and the
 diagonal kernel always stay on the codes themselves and their own reduced
 row echelon forms.
+
+Over GF(2) the shortened matrix of a side whose minimum-weight words span it
+is cut to the rows of those words (`_min_weight_rows`): a row is the support
+of its codeword, and a codeword is its support, so these rows have the same
+automorphism group and the same isomorphisms as all theta(k) rows.  The
+gate reads only the weight distribution, so equivalent codes take the same
+branch, and the keys of such sides start with "min:".  Over q > 2 a support
+is no codeword, so every other field keeps all rows, as does the
+point-multiplicity route.
 """
 
 from __future__ import annotations
@@ -53,8 +62,8 @@ import time
 from dataclasses import dataclass
 
 from . import bmcanon
-from .bmcanon import (ColoredBinaryMatrix, _sigma_from_canons, canonical_form,
-                      serialize)
+from .bmcanon import (CanonResult, ColoredBinaryMatrix, _sigma_from_canons,
+                      canonical_form, serialize)
 from .errors import BudgetExceededError, ResourceLimitError
 from .gfield import FieldSpec
 from .gfmatrix import (GFMatrix, RREFResult, _eliminate, mat_mul,
@@ -231,10 +240,64 @@ def _shortened(side: GeneratorMatrix):
     return build_shortened(side, points), points
 
 
-def _shortened_form(side: GeneratorMatrix):
-    """(canonical form of build_shortened(side), _point_coordinates(side))."""
-    m, points = _shortened(side)
-    return canonical_form(m), points
+def _min_weight_rows(k: int, m: ColoredBinaryMatrix, weights):
+    """The rows of m = build_shortened(side), for a binary side of dimension
+    k, whose codewords have the least of their `weights`
+    (`codeword_weights`), when the hyperplanes of those rows span GF(2)^k;
+    else None.
+
+    Over GF(2) a row is the support of its codeword, and a codeword is its
+    support.  When the minimum-weight words span the side, a point
+    permutation that keeps their supports is linear on a spanning set, so
+    it keeps the whole side; and every one that keeps the side keeps its
+    weights.  So these rows alone have the automorphism group of all rows,
+    and an isomorphism of two such matrices is one of the full matrices.
+    A point on every one of these hyperplanes would be orthogonal to all of
+    GF(2)^k, so the reduced matrix still has no zero and no equal columns.
+    The gate depends only on the weight distribution, so equivalent sides
+    take the same branch.  Over q > 2 a support is no codeword and the
+    point group can grow, so the reduction is binary only."""
+    low = min(weights)
+    rows = [i for i, w in enumerate(weights) if w == low]
+    points = point_table(k, 2).points
+    basis: dict[int, int] = {}  # an XOR basis of the hyperplanes so far
+    for i in rows:
+        v = int("".join(map(str, points[i])), 2)
+        while v and v.bit_length() in basis:
+            v ^= basis[v.bit_length()]
+        if v:
+            basis[v.bit_length()] = v
+            if len(basis) == k:
+                return ColoredBinaryMatrix.from_masks(
+                    [m.row_masks[i] for i in rows], m.n_cols, m.col_colors)
+    return None
+
+
+@dataclass
+class _Shortened:
+    """The canonical form a side is keyed and lifted on (`_shortened_form`):
+    that of its minimum-weight rows when `reduced` (`_min_weight_rows`),
+    else of build_shortened(side); its `_point_coordinates`; and its
+    dimension `dim`."""
+    form: CanonResult
+    points: list[tuple[int, ...]]
+    dim: int
+    reduced: bool
+
+
+def _shortened_form(side: GeneratorMatrix, built=None,
+                    weights=None) -> _Shortened:
+    """The `_Shortened` of a side.  `built` and `weights` are its
+    `_shortened` and that matrix's `codeword_weights` when the caller has
+    them; the weights are read only over GF(2)."""
+    m, points = built if built is not None else _shortened(side)
+    low = None
+    if side.q == 2:
+        if weights is None:
+            weights = codeword_weights(m.row_masks, m.col_colors)
+        low = _min_weight_rows(side.k, m, weights)
+    return _Shortened(canonical_form(m if low is None else low), points,
+                      side.k, low is not None)
 
 
 def _incidence_form(side: GeneratorMatrix):
@@ -383,10 +446,11 @@ def _find_lift(g1: GeneratorMatrix, red2: RREFResult, short1, short2,
     lifts onto red2 = rref(G2), or None when none does.
 
     `short1`, `short2` are the `_shortened_form`s of the sides (`_side`) of
-    g1 and G2.  The permutations carrying the first side's point multiset
-    onto the second's are sigma0 o pi o t: sigma0 carries the first matrix
-    of distinct points onto the second and pi runs over the point group P,
-    its automorphism group, both moved to coordinates by `_coordinate_perm`,
+    g1 and G2, both reduced or neither.  The permutations carrying the first
+    side's point multiset onto the second's are sigma0 o pi o t: sigma0
+    carries the first matrix of distinct points onto the second and pi runs
+    over the point group P, its automorphism group (the same for the
+    minimum-weight rows alone), both moved to coordinates by `_coordinate_perm`,
     and t runs over the permutations of each point's own coordinates.  The
     candidates are sigma0 o pi, pi in P, identity first.  That loses
     nothing: coordinates of one point have proportional columns in the
@@ -402,8 +466,8 @@ def _find_lift(g1: GeneratorMatrix, red2: RREFResult, short1, short2,
     so it lifts; for dimension 2, whose incidence group is all of Sym(q+1),
     BudgetExceededError is raised instead.
     """
-    (r1, points1), (r2, points2) = short1, short2
-    pi0 = _sigma_from_canons(r1, r2)
+    r1, points1, points2 = short1.form, short1.points, short2.points
+    pi0 = _sigma_from_canons(r1, short2.form)
     if pi0 is None:
         return None
     sigma0 = _coordinate_perm(pi0, points1, points2)
@@ -417,7 +481,7 @@ def _find_lift(g1: GeneratorMatrix, red2: RREFResult, short1, short2,
             return (sigma, *lift)
     if not capped:
         return None
-    if r1.matrix.n_rows == g1.q + 1:  # theta(k) rows: q + 1 only for k = 2
+    if short1.dim == 2:
         raise BudgetExceededError(
             f"sigma0 does not lift and the point group ({r1.group_order}) "
             f"exceeds the coset cap ({COSET_CAP})")
@@ -481,6 +545,10 @@ def cesimpg_equiv(c1: GeneratorMatrix, c2: GeneratorMatrix) -> Verdict:
     `codeword_weights`) are compared before either is canonicalized: they
     are the weight distributions of the sides, which every monomial map
     and field automorphism keeps, and both sides are primal or both dual.
+    The same weights then gate the binary reduction: over GF(2), when the
+    minimum-weight words span a side, only their rows are canonicalized
+    (`_min_weight_rows`), with the same point group and isomorphisms; equal
+    profiles put both sides on the same branch.
     ceimpg_equiv does not take this shortcut, so that it stays an
     independent check of an inequivalent verdict.
     Otherwise the candidate permutations (one isomorphism sigma0 composed
@@ -497,12 +565,11 @@ def cesimpg_equiv(c1: GeneratorMatrix, c2: GeneratorMatrix) -> Verdict:
     sides = _comparable_sides(c1, c2)
     if sides is None:
         return Verdict(False, "cesimpg")
-    (m1, points1), (m2, points2) = (_shortened(s) for s in sides)
-    if (sorted(codeword_weights(m1.row_masks, m1.col_colors))
-            != sorted(codeword_weights(m2.row_masks, m2.col_colors))):
+    built = [_shortened(s) for s in sides]
+    weights = [codeword_weights(m.row_masks, m.col_colors) for m, _ in built]
+    if sorted(weights[0]) != sorted(weights[1]):
         return Verdict(False, "cesimpg")
-    short1 = canonical_form(m1), points1
-    short2 = canonical_form(m2), points2
+    short1, short2 = map(_shortened_form, sides, built, weights)
     found = _find_lift(c1, rref(c2.mat), short1, short2,
                        lambda: [_incidence_form(s) for s in sides])
     if found is None:
@@ -557,10 +624,13 @@ class AutomorphismReport:
 
 def code_aut_group(code: GeneratorMatrix) -> AutomorphismReport:
     """The automorphism group of `code` (see AutomorphismReport).  H1 comes
-    from the shortened matrix of the code's side (its dual when 2k > n);
-    each generator is lifted, and the kernel counted, on the code itself."""
+    from the shortened matrix of the code's side (its dual when 2k > n),
+    over GF(2) from its minimum-weight rows alone when those words span the
+    side (`_min_weight_rows`: the same group); each generator is lifted, and
+    the kernel counted, on the code itself."""
     spec = code.spec
-    r, points = _shortened_form(_side(code))
+    short = _shortened_form(_side(code))
+    r, points = short.form, short.points
     gens = [_coordinate_perm(g, points, points) for g in r.generators]
     h1_order = r.group_order
     for coords in points:
@@ -616,7 +686,9 @@ def _code_key(code: GeneratorMatrix, mode: str):
     of its side that cesimpg bucket comparisons lift with, None for
     ceimpg; a per-item failure sets only `error`.  A key built from the dual
     starts with "dual:", so that a [13,10] code never shares a key with the
-    [13,3] code whose matrix is the same."""
+    [13,3] code whose matrix is the same.  A cesimpg key built from the
+    minimum-weight rows alone starts with "min:", since such a matrix can
+    have the shape of a full one of another dimension."""
     try:
         side = _side(code)
         tag = "" if side is code else "dual:"
@@ -624,7 +696,9 @@ def _code_key(code: GeneratorMatrix, mode: str):
             m = build_ceimpg_matrix(characteristic_vector(side))
             return tag + serialize(canonical_form(m).matrix), None, None
         short = _shortened_form(side)
-        return tag + serialize(short[0].matrix), short, None
+        if short.reduced:
+            tag = "min:" + tag
+        return tag + serialize(short.form.matrix), short, None
     except _ITEM_ERRORS as e:
         return None, None, f"{type(e).__name__}: {e}"
 
@@ -720,7 +794,8 @@ def classify(codes, algo: str = "ceimpg", jobs: int = 1) -> ClassifyResult:
     code's canonical form across pairs; a code's rref is computed the first
     time it is compared with a class representative.  Both keys are built
     from each code's side (`_side`: its dual when 2k > n, the key then
-    prefixed "dual:"); lifting stays on the codes themselves.  `jobs`
+    prefixed "dual:"; a cesimpg key over GF(2) built from the minimum-weight
+    rows is prefixed "min:"); lifting stays on the codes themselves.  `jobs`
     bounds the processes that key the codes: this one keys them in order
     until its own keying time projects at least FORK_PAYS_S of CPU for the
     rest, and only then forks up to `jobs - 1` workers for it, one

@@ -25,9 +25,9 @@ class GFMatrix:
         for r in self.rows:
             if len(r) != width:
                 raise ValueError("ragged rows")
-            for e in r:
-                if not 0 <= e < q:
-                    raise ValueError(f"entry {e} out of range for GF({q})")
+            if r and not (0 <= min(r) and max(r) < q):
+                e = next(e for e in r if not 0 <= e < q)
+                raise ValueError(f"entry {e} out of range for GF({q})")
 
     @classmethod
     def identity(cls, spec: FieldSpec, n: int) -> "GFMatrix":

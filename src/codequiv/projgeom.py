@@ -166,11 +166,18 @@ def _dot_kernel(spec: FieldSpec, k: int):
         def nonzero(acc):
             # zero exactly where every digit's sum is 0 mod p, that is,
             # equals p times its quotient: NumPy divides by a scalar several
-            # times faster than it takes a remainder
+            # times faster than it takes a remainder.  Every digit is
+            # reduced into the same buffers
+            digit, quot = np.empty_like(acc), np.empty_like(acc)
+            differs = np.empty(acc.shape, dtype=bool)
             out = np.zeros(acc.shape, dtype=bool)
             for d in range(m):
-                digit = (acc >> (width * d)) & mask
-                out |= digit // p * p != digit
+                np.right_shift(acc, width * d, out=digit)
+                np.bitwise_and(digit, mask, out=digit)
+                np.floor_divide(digit, p, out=quot)
+                np.multiply(quot, p, out=quot)
+                np.not_equal(quot, digit, out=differs)
+                out |= differs
             return out
     dtype = _uint_for((1 << m * width) - 1)
     if m == 1:

@@ -500,20 +500,117 @@ def test_binary_sigma0_lifts_past_coset_cap(n, k, monkeypatch):
         assert verify_witness(c1, c2, v.witness)
 
 
-def test_binary_golay_24_witnessed():
-    # [23,12]_2 cyclic code of g = 1 + x^2 + x^4 + x^5 + x^6 + x^10 + x^11,
-    # with the parity bit appended to the raw rows; |Aut| = |M24| exceeds
-    # the coset cap, so only sigma0 is tried
+def _binary_golay(n):
+    """The [23,12]_2 cyclic code of g = 1 + x^2 + x^4 + x^5 + x^6 + x^10 +
+    x^11, or for n = 24 the same with the parity bit appended to the raw
+    rows."""
     g = [1, 0, 1, 0, 1, 1, 1, 0, 0, 0, 1, 1]
     rows = [[0] * s + g + [0] * (23 - len(g) - s) for s in range(12)]
-    rows = [r + [sum(r) % 2] for r in rows]
+    if n == 24:
+        rows = [r + [sum(r) % 2] for r in rows]
+    return GeneratorMatrix(field(2), rows)
+
+
+def test_binary_golay_24_witnessed():
+    # |Aut| = |M24| exceeds the coset cap, so only sigma0 is tried
     spec = field(2)
-    c1 = GeneratorMatrix(spec, rows)
+    c1 = _binary_golay(24)
     t = _random_transform(spec, 24, random.Random(24), allow_rho=False)
     c2 = GeneratorMatrix(spec, t.apply(c1.mat).rows)
     v = cesimpg_equiv(c1, c2)
     assert v.equivalent and v.method == "cesimpg"
     assert verify_witness(c1, c2, v.witness)
+
+
+# ---------------------------------------------------------------------------
+# binary sides canonicalized on their minimum-weight rows
+
+
+@pytest.mark.parametrize("n,rows,order", [(24, 759, 244_823_040),
+                                          (23, 506, 10_200_960)])
+def test_binary_golay_keyed_on_minimum_weight_rows(n, rows, order):
+    """[24,12] keeps its 759 words of weight 8 out of 4,095 rows; [23,12]
+    is keyed by its dual, whose 506 words of weight 8 remain of 2,047.  The
+    point group is that of the full matrix, and the orders are |M24| and
+    |M23|."""
+    code = _binary_golay(n)
+    side = equiv._side(code)
+    short = equiv._shortened_form(side)
+    assert short.reduced and short.form.matrix.n_rows == rows
+    assert short.form.group_order == canonical_form(
+        build_shortened(side)).group_order
+    report = code_aut_group(code)
+    assert report.complete and report.order == order
+    key, _, error = equiv._code_key(code, "cesimpg")
+    assert error is None
+    assert key.startswith("min:" if side is code else "min:dual:")
+
+
+# binary shapes where a fair share of random codes pass the gate; [7,4]
+# codes are keyed by their [7,3] duals
+MIN_WEIGHT_SHAPES = [(6, 2), (7, 3), (7, 4), (8, 4)]
+
+
+def test_binary_min_weight_rows_keep_point_groups_and_partitions():
+    """On seeded random binary codes, those whose minimum-weight words span
+    get the point group of the full matrix from their minimum-weight rows
+    and a "min:" key, and the cesimpg partition, with seeded monomial
+    copies, is the ceimpg one."""
+    spec = field(2)
+    rng = random.Random(27)
+    reduced = 0
+    for n, k in MIN_WEIGHT_SHAPES:
+        codes = [random_code(spec, n, k, seed=s) for s in range(40)]
+        for code in codes:
+            side = equiv._side(code)
+            short = equiv._shortened_form(side)
+            assert short.form.group_order == canonical_form(
+                build_shortened(side)).group_order
+            assert [equiv._code_key(code, mode)[0].startswith("min:")
+                    for mode in ("cesimpg", "ceimpg")] == [short.reduced, False]
+            reduced += short.reduced
+        codes += [GeneratorMatrix(spec, _random_transform(
+            spec, n, rng, allow_rho=False).apply(c.mat).rows)
+            for c in codes[::3]]
+        partitions = [[c.members for c in classify(codes, algo=algo).classes]
+                      for algo in ("ceimpg", "cesimpg")]
+        assert partitions[0] == partitions[1]
+    assert reduced >= 20
+
+
+def test_min_weight_gate_refuses():
+    """The gate is binary: the ternary Golay code keeps all 364 rows.  A
+    binary code whose one minimum-weight word spans only a line keeps all
+    3 rows too."""
+    g = [2, 0, 1, 2, 1, 1]
+    rows = [[0] * s + g + [0] * (11 - len(g) - s) for s in range(6)]
+    golay12_3 = GeneratorMatrix(3, [r + [-sum(r) % 3] for r in rows])
+    line = GeneratorMatrix(2, [[1, 1, 0, 0, 0], [0, 0, 1, 1, 1]])
+    for code, n_rows in ((golay12_3, 364), (line, 3)):
+        assert equiv._side(code) is code
+        short = equiv._shortened_form(code)
+        assert not short.reduced and short.form.matrix.n_rows == n_rows
+        assert not equiv._code_key(code, "cesimpg")[0].startswith("min:")
+
+
+def test_dimension_two_past_the_coset_cap_is_a_budget_error(monkeypatch):
+    """On a side of dimension 2 a sigma0 that does not lift past the coset
+    cap ends in the typed error, and no incidence form is built."""
+    monkeypatch.setattr(equiv, "COSET_CAP", 1)
+    calls = _counting_incidence_forms(monkeypatch)
+    spec = field(5)
+    for seed in range(10):
+        c1, c2 = _transformed_pair(spec, 6, 2, seed, allow_rho=False)
+        if canonical_form(build_shortened(c1)).group_order == 1 or (
+                _sigma0_lifts(c1, c2)):
+            continue
+        with pytest.raises(BudgetExceededError,
+                           match="sigma0 does not lift and the point group"):
+            cesimpg_equiv(c1, c2)
+        break
+    else:
+        pytest.fail("no [6,2]_5 pair reaches the coset cap")
+    assert calls == []
 
 
 def test_repeated_point_past_the_coset_cap_witnessed():
@@ -1190,8 +1287,9 @@ def test_classify_keeps_code_and_dual_apart(forks):
 def _shortened_sigma0(c1, c2):
     """The coordinate permutation of the first isomorphism found between
     the shortened matrices of the two codes (`equiv._find_lift`'s sigma0)."""
-    (r1, points1), (r2, points2) = (equiv._shortened_form(c) for c in (c1, c2))
-    return equiv._coordinate_perm(_sigma_from_canons(r1, r2), points1, points2)
+    s1, s2 = (equiv._shortened_form(c) for c in (c1, c2))
+    return equiv._coordinate_perm(_sigma_from_canons(s1.form, s2.form),
+                                  s1.points, s2.points)
 
 
 def _sigma0_lifts(c1, c2):

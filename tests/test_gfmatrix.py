@@ -105,6 +105,17 @@ def test_matrix_shape_validation():
         mat_mul(b, a)  # inner dimensions disagree
 
 
+def test_out_of_range_entry_is_named():
+    # rows are range-checked whole; the message names the first bad entry
+    spec = field(3)
+    for rows, bad in (([[1, 3]], 3), ([[0, 1, 2], [2, 5, -1]], 5),
+                      ([[1, -1, 7]], -1), ([[2, 2], [0, 1], [1, 9]], 9)):
+        with pytest.raises(ValueError,
+                           match=rf"^entry {bad} out of range for GF\(3\)$"):
+            GFMatrix(spec, rows)
+    assert GFMatrix(spec, [[], []]).ncols == 0
+
+
 def test_from_columns_and_transpose():
     spec = field(5)
     cols = [[1, 2], [3, 4], [0, 1]]

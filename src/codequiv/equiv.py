@@ -45,13 +45,17 @@ diagonal kernel always stay on the codes themselves and their own reduced
 row echelon forms.
 
 Over GF(2) the shortened matrix of a side whose minimum-weight words span it
-is cut to the rows of those words (`_min_weight_rows`): a row is the support
+is cut to the rows of those words (`_Side.rows`): a row is the support
 of its codeword, and a codeword is its support, so these rows have the same
 automorphism group and the same isomorphisms as all theta(k) rows.  The
 gate reads only the weight distribution, so equivalent codes take the same
 branch, and the keys of such sides start with "min:".  Over q > 2 a support
 is no codeword, so every other field keeps all rows, as does the
 point-multiplicity route.
+
+All that the shortened route derives from a code is built once, on first
+use, in the code's one `_Side` record: `cesimpg_equiv`, `code_aut_group`
+and the `classify` keys read it, and `_find_lift` takes two.
 """
 
 from __future__ import annotations
@@ -60,6 +64,7 @@ import hashlib
 import math
 import time
 from dataclasses import dataclass
+from functools import cached_property
 
 from . import bmcanon
 from .bmcanon import (CanonResult, ColoredBinaryMatrix, _sigma_from_canons,
@@ -233,81 +238,102 @@ def build_shortened(code: GeneratorMatrix,
                                           [len(coords) for coords in points])
 
 
-def _shortened(side: GeneratorMatrix):
-    """(build_shortened(side), _point_coordinates(side)), the points found
-    once."""
-    points = _point_coordinates(side)
-    return build_shortened(side, points), points
-
-
-def _min_weight_rows(k: int, m: ColoredBinaryMatrix, weights):
-    """The rows of m = build_shortened(side), for a binary side of dimension
-    k, whose codewords have the least of their `weights`
-    (`codeword_weights`), when the hyperplanes of those rows span GF(2)^k;
-    else None.
-
-    Over GF(2) a row is the support of its codeword, and a codeword is its
-    support.  When the minimum-weight words span the side, a point
-    permutation that keeps their supports is linear on a spanning set, so
-    it keeps the whole side; and every one that keeps the side keeps its
-    weights.  So these rows alone have the automorphism group of all rows,
-    and an isomorphism of two such matrices is one of the full matrices.
-    A point on every one of these hyperplanes would be orthogonal to all of
-    GF(2)^k, so the reduced matrix still has no zero and no equal columns.
-    The gate depends only on the weight distribution, so equivalent sides
-    take the same branch.  Over q > 2 a support is no codeword and the
-    point group can grow, so the reduction is binary only."""
-    low = min(weights)
-    rows = [i for i, w in enumerate(weights) if w == low]
-    points = point_table(k, 2).points
-    basis: dict[int, int] = {}  # an XOR basis of the hyperplanes so far
-    for i in rows:
-        v = int("".join(map(str, points[i])), 2)
-        while v and v.bit_length() in basis:
-            v ^= basis[v.bit_length()]
-        if v:
-            basis[v.bit_length()] = v
-            if len(basis) == k:
-                return ColoredBinaryMatrix.from_masks(
-                    [m.row_masks[i] for i in rows], m.n_cols, m.col_colors)
-    return None
-
-
-@dataclass
-class _Shortened:
-    """The canonical form a side is keyed and lifted on (`_shortened_form`):
-    that of its minimum-weight rows when `reduced` (`_min_weight_rows`),
-    else of build_shortened(side); its `_point_coordinates`; and its
-    dimension `dim`."""
-    form: CanonResult
-    points: list[tuple[int, ...]]
-    dim: int
-    reduced: bool
-
-
-def _shortened_form(side: GeneratorMatrix, built=None,
-                    weights=None) -> _Shortened:
-    """The `_Shortened` of a side.  `built` and `weights` are its
-    `_shortened` and that matrix's `codeword_weights` when the caller has
-    them; the weights are read only over GF(2)."""
-    m, points = built if built is not None else _shortened(side)
-    low = None
-    if side.q == 2:
-        if weights is None:
-            weights = codeword_weights(m.row_masks, m.col_colors)
-        low = _min_weight_rows(side.k, m, weights)
-    return _Shortened(canonical_form(m if low is None else low), points,
-                      side.k, low is not None)
-
-
-def _incidence_form(side: GeneratorMatrix):
+def _incidence_form(side: GeneratorMatrix, points):
     """(canonical form of build_ceimpg_matrix(side), {point-table position:
-    index p} of the side's `_point_coordinates`, in order of p)."""
+    index p} of the side's `points` (`_point_coordinates`), in order of p)."""
     table = point_table(side.k, side.q, side.spec.modulus)
     cols = side.columns()
     return (canonical_form(build_ceimpg_matrix(characteristic_vector(side))),
             {table.position_of(cols[coords[0]]): p
-             for p, coords in enumerate(_point_coordinates(side))})
+             for p, coords in enumerate(points)})
+
+
+class _Side:
+    """A code, its `side` (`_side`), and, each built on first use, the
+    side's distinct `points` (`_point_coordinates`), shortened `matrix` and
+    codeword `weights`, the minimum-weight `rows` of a binary side (None
+    when all rows are kept), the canonical `form` of the rows kept, the
+    code's own `red` = rref(code), and its `incidence()` form."""
+
+    def __init__(self, code: GeneratorMatrix):
+        self.code = code
+        self.side = _side(code)
+        self._incidence = None
+
+    @cached_property
+    def points(self) -> list[tuple[int, ...]]:
+        return _point_coordinates(self.side)
+
+    @cached_property
+    def matrix(self) -> ColoredBinaryMatrix:
+        return build_shortened(self.side, self.points)
+
+    @cached_property
+    def weights(self) -> list[int]:
+        return codeword_weights(self.matrix.row_masks, self.matrix.col_colors)
+
+    @cached_property
+    def rows(self) -> ColoredBinaryMatrix | None:
+        """Over GF(2), the rows of `matrix` whose codewords have the least
+        weight, when their hyperplanes span GF(2)^k; else None.
+
+        Over GF(2) a row is the support of its codeword, and a codeword is
+        its support.  When the minimum-weight words span the side, a point
+        permutation that keeps their supports is linear on a spanning set,
+        so it keeps the whole side; and every one that keeps the side keeps
+        its weights.  So these rows alone have the automorphism group of all
+        rows, and an isomorphism of two such matrices is one of the full
+        matrices.  A point on every one of these hyperplanes would be
+        orthogonal to all of GF(2)^k, so the reduced matrix still has no
+        zero and no equal columns.  The gate depends only on the weight
+        distribution, so equivalent sides take the same branch.  Over q > 2
+        a support is no codeword and the point group can grow, so the
+        reduction is binary only."""
+        if self.side.q != 2:
+            return None
+        m, k, low = self.matrix, self.side.k, min(self.weights)
+        rows = [i for i, w in enumerate(self.weights) if w == low]
+        points = point_table(k, 2).points
+        basis: dict[int, int] = {}  # an XOR basis of the hyperplanes so far
+        for i in rows:
+            v = int("".join(map(str, points[i])), 2)
+            while v and v.bit_length() in basis:
+                v ^= basis[v.bit_length()]
+            if v:
+                basis[v.bit_length()] = v
+                if len(basis) == k:
+                    return ColoredBinaryMatrix.from_masks(
+                        [m.row_masks[i] for i in rows], m.n_cols, m.col_colors)
+        return None
+
+    @cached_property
+    def form(self) -> CanonResult:
+        return canonical_form(self.matrix if self.rows is None else self.rows)
+
+    @cached_property
+    def red(self) -> RREFResult:
+        return rref(self.code.mat)
+
+    def incidence(self):
+        """The side's `_incidence_form`.  A typed failure is kept and raised
+        anew on every later call."""
+        if self._incidence is None:
+            try:
+                self._incidence = _incidence_form(self.side, self.points)
+            except _ITEM_ERRORS as e:
+                self._incidence = e
+        if isinstance(self._incidence, Exception):
+            raise type(self._incidence)(*self._incidence.args)
+        return self._incidence
+
+    def __getstate__(self):
+        # a forked worker pipes back neither the code, which `_forked_keys`
+        # puts back, nor the matrices `form` was built from
+        state = dict(vars(self), side=None if self.side is self.code
+                     else self.side)
+        for key in ("code", "matrix", "weights", "rows"):
+            state.pop(key, None)
+        return state
 
 
 def _coordinate_perm(pi, points1, points2) -> tuple[int, ...]:
@@ -440,34 +466,32 @@ def _lift(g1: GeneratorMatrix, red2: RREFResult, sigma):
     return None
 
 
-def _find_lift(g1: GeneratorMatrix, red2: RREFResult, short1, short2,
-               incidence):
+def _find_lift(s1: _Side, s2: _Side):
     """(sigma, rho, Q, lambdas) for the first candidate permutation that
-    lifts onto red2 = rref(G2), or None when none does.
+    lifts code s1 onto the rref of code s2, or None when none does.
 
-    `short1`, `short2` are the `_shortened_form`s of the sides (`_side`) of
-    g1 and G2, both reduced or neither.  The permutations carrying the first
-    side's point multiset onto the second's are sigma0 o pi o t: sigma0
-    carries the first matrix of distinct points onto the second and pi runs
-    over the point group P, its automorphism group (the same for the
-    minimum-weight rows alone), both moved to coordinates by `_coordinate_perm`,
-    and t runs over the permutations of each point's own coordinates.  The
-    candidates are sigma0 o pi, pi in P, identity first.  That loses
-    nothing: coordinates of one point have proportional columns in the
-    side, c_j = a c_i.  Swapping them and scaling by a and a^-1 maps the
-    side onto itself, a monomial automorphism of the side, and so of the
-    code (with the inverse scalings when the side is the dual).  Every t is
-    thus the permutation of a monomial automorphism of g1, and sigma0 o pi
-    o t lifts exactly when sigma0 o pi does, so None proves that no
-    monomial map exists.
+    Both sides' forms are of reduced matrices or neither.  The permutations
+    carrying the first side's point multiset onto the second's are sigma0 o
+    pi o t: sigma0 carries the first matrix of distinct points onto the
+    second and pi runs over the point group P, its automorphism group (the
+    same for the minimum-weight rows alone), both moved to coordinates by
+    `_coordinate_perm`, and t runs over the permutations of each point's own
+    coordinates.  The candidates are sigma0 o pi, pi in P, identity first.
+    That loses nothing: coordinates of one point have proportional columns
+    in the side, c_j = a c_i.  Swapping them and scaling by a and a^-1 maps
+    the side onto itself, a monomial automorphism of the side, and so of
+    the code (with the inverse scalings when the side is the dual).  Every
+    t is thus the permutation of a monomial automorphism of the first code,
+    and sigma0 o pi o t lifts exactly when sigma0 o pi does, so None proves
+    that no monomial map exists.
     When the point group is larger than COSET_CAP, the candidates are sigma0
-    and then the isomorphism of the sides' `_incidence_form`s (`incidence()`)
-    on their points.  For sides of dimension 3 or more it is a collineation,
-    so it lifts; for dimension 2, whose incidence group is all of Sym(q+1),
-    BudgetExceededError is raised instead.
+    and then the isomorphism of the sides' incidence forms on their points.
+    For sides of dimension 3 or more it is a collineation, so it lifts; for
+    dimension 2, whose incidence group is Sym(q+1), BudgetExceededError is
+    raised instead.
     """
-    r1, points1, points2 = short1.form, short1.points, short2.points
-    pi0 = _sigma_from_canons(r1, short2.form)
+    g1, r1, points1, points2 = s1.code, s1.form, s1.points, s2.points
+    pi0 = _sigma_from_canons(r1, s2.form)
     if pi0 is None:
         return None
     sigma0 = _coordinate_perm(pi0, points1, points2)
@@ -476,22 +500,22 @@ def _find_lift(g1: GeneratorMatrix, red2: RREFResult, short1, short2,
         [_coordinate_perm(g, points1, points1) for g in r1.generators], g1.n))
     for tau in taus:
         sigma = _perm_compose(sigma0, tau)
-        lift = _lift(g1, red2, sigma)
+        lift = _lift(g1, s2.red, sigma)
         if lift is not None:
             return (sigma, *lift)
     if not capped:
         return None
-    if short1.dim == 2:
+    if s1.side.k == 2:
         raise BudgetExceededError(
             f"sigma0 does not lift and the point group ({r1.group_order}) "
             f"exceeds the coset cap ({COSET_CAP})")
-    (f1, index1), (f2, index2) = incidence()
+    (f1, index1), (f2, index2) = s1.incidence(), s2.incidence()
     gamma = _sigma_from_canons(f1, f2)
     if gamma is None:
         return None
     sigma = _coordinate_perm([index2[gamma[t]] for t in index1],
                              points1, points2)
-    lift = _lift(g1, red2, sigma)
+    lift = _lift(g1, s2.red, sigma)
     if lift is None:
         raise RuntimeError("internal error: incidence isomorphism did not lift")
     return (sigma, *lift)
@@ -502,14 +526,14 @@ def _find_lift(g1: GeneratorMatrix, red2: RREFResult, short1, short2,
 
 
 def _comparable_sides(c1: GeneratorMatrix, c2: GeneratorMatrix):
-    """The sides (`_side`) of two codes whose shapes and sides allow
+    """The `_Side` records of two codes whose shapes and sides allow
     equivalence, else None; raises on mismatched fields."""
     if c1.spec != c2.spec:
         raise ValueError("codes live over different fields")
     if (c1.n, c1.k) != (c2.n, c2.k):
         return None
-    s1, s2 = _side(c1), _side(c2)
-    return (s1, s2) if s1.k == s2.k else None
+    s1, s2 = _Side(c1), _Side(c2)
+    return (s1, s2) if s1.side.k == s2.side.k else None
 
 
 def ceimpg_equiv(c1: GeneratorMatrix, c2: GeneratorMatrix) -> Verdict:
@@ -520,7 +544,8 @@ def ceimpg_equiv(c1: GeneratorMatrix, c2: GeneratorMatrix) -> Verdict:
     sides = _comparable_sides(c1, c2)
     if sides is None:
         return Verdict(False, "ceimpg")
-    m1, m2 = (build_ceimpg_matrix(characteristic_vector(s)) for s in sides)
+    m1, m2 = (build_ceimpg_matrix(characteristic_vector(s.side))
+              for s in sides)
     sigma = bmcanon.is_isomorphic(m1, m2)
     return Verdict(sigma is not None, "ceimpg")
 
@@ -545,10 +570,9 @@ def cesimpg_equiv(c1: GeneratorMatrix, c2: GeneratorMatrix) -> Verdict:
     `codeword_weights`) are compared before either is canonicalized: they
     are the weight distributions of the sides, which every monomial map
     and field automorphism keeps, and both sides are primal or both dual.
-    The same weights then gate the binary reduction: over GF(2), when the
-    minimum-weight words span a side, only their rows are canonicalized
-    (`_min_weight_rows`), with the same point group and isomorphisms; equal
-    profiles put both sides on the same branch.
+    Over GF(2), when the minimum-weight words span a side, only their rows
+    are canonicalized (`_Side.rows`), with the same point group and
+    isomorphisms; equal profiles put both sides on the same branch.
     ceimpg_equiv does not take this shortcut, so that it stays an
     independent check of an inequivalent verdict.
     Otherwise the candidate permutations (one isomorphism sigma0 composed
@@ -565,13 +589,9 @@ def cesimpg_equiv(c1: GeneratorMatrix, c2: GeneratorMatrix) -> Verdict:
     sides = _comparable_sides(c1, c2)
     if sides is None:
         return Verdict(False, "cesimpg")
-    built = [_shortened(s) for s in sides]
-    weights = [codeword_weights(m.row_masks, m.col_colors) for m, _ in built]
-    if sorted(weights[0]) != sorted(weights[1]):
+    if sorted(sides[0].weights) != sorted(sides[1].weights):
         return Verdict(False, "cesimpg")
-    short1, short2 = map(_shortened_form, sides, built, weights)
-    found = _find_lift(c1, rref(c2.mat), short1, short2,
-                       lambda: [_incidence_form(s) for s in sides])
+    found = _find_lift(*sides)
     if found is None:
         return Verdict(False, "cesimpg")
     return Verdict(True, "cesimpg", _witness(c1, c2, *found))
@@ -626,11 +646,11 @@ def code_aut_group(code: GeneratorMatrix) -> AutomorphismReport:
     """The automorphism group of `code` (see AutomorphismReport).  H1 comes
     from the shortened matrix of the code's side (its dual when 2k > n),
     over GF(2) from its minimum-weight rows alone when those words span the
-    side (`_min_weight_rows`: the same group); each generator is lifted, and
+    side (`_Side.rows`: the same group); each generator is lifted, and
     the kernel counted, on the code itself."""
     spec = code.spec
-    short = _shortened_form(_side(code))
-    r, points = short.form, short.points
+    rec = _Side(code)
+    r, points = rec.form, rec.points
     gens = [_coordinate_perm(g, points, points) for g in r.generators]
     h1_order = r.group_order
     for coords in points:
@@ -639,16 +659,15 @@ def code_aut_group(code: GeneratorMatrix) -> AutomorphismReport:
             gamma = list(range(code.n))
             gamma[a], gamma[b] = b, a
             gens.append(tuple(gamma))
-    red = rref(code.mat)
     lifted: list[EquivalenceWitness] = []
     failed: list[tuple[int, ...]] = []
     for tau in gens:
-        lift = _lift(code, red, tau)
+        lift = _lift(code, rec.red, tau)
         if lift is None:
             failed.append(tau)
         else:
             lifted.append(_witness(code, code, tau, *lift))
-    forest = _support_forest(red, code.n)
+    forest = _support_forest(rec.red, code.n)
     kernel = (spec.q - 1) ** sum(p is None for _, p in forest)
     complete = spec.m == 1 and not failed
     order = h1_order * kernel if complete else None
@@ -682,23 +701,22 @@ def _short_digest(text: str) -> str:
 
 
 def _code_key(code: GeneratorMatrix, mode: str):
-    """(key, short, error) of one code.  `short` is the `_shortened_form`
-    of its side that cesimpg bucket comparisons lift with, None for
-    ceimpg; a per-item failure sets only `error`.  A key built from the dual
+    """(key, record, error) of one code.  `record` is its `_Side`, which
+    cesimpg bucket comparisons lift with, None for ceimpg; a per-item
+    failure sets only `error`.  A key built from the dual
     starts with "dual:", so that a [13,10] code never shares a key with the
     [13,3] code whose matrix is the same.  A cesimpg key built from the
     minimum-weight rows alone starts with "min:", since such a matrix can
     have the shape of a full one of another dimension."""
     try:
-        side = _side(code)
-        tag = "" if side is code else "dual:"
+        rec = _Side(code)
+        tag = "" if rec.side is code else "dual:"
         if mode == "ceimpg":
-            m = build_ceimpg_matrix(characteristic_vector(side))
+            m = build_ceimpg_matrix(characteristic_vector(rec.side))
             return tag + serialize(canonical_form(m).matrix), None, None
-        short = _shortened_form(side)
-        if short.reduced:
+        if rec.rows is not None:
             tag = "min:" + tag
-        return tag + serialize(short.form.matrix), short, None
+        return tag + serialize(rec.form.matrix), rec, None
     except _ITEM_ERRORS as e:
         return None, None, f"{type(e).__name__}: {e}"
 
@@ -745,11 +763,11 @@ def _forked_keys(codes, mode, jobs, done):
     and a worker keys each further share.  When `done` fills the first
     share, this process keys nothing more and the workers' shares start at
     `codes[done]`.  A worker is forked, so it reads its share, and the
-    module state of the caller, from the memory it inherits, and pipes its
-    keys back in one message.  An exception in any share is raised here.  A
-    worker that has answered is joined, and one that has not is terminated,
-    before this returns on every path, so their CPU counts in
-    RUSAGE_CHILDREN."""
+    module state of the caller, from the memory it inherits; it pipes its
+    keys back in one message, the records without their codes, which are
+    put back here.  An exception in any share is raised here.  A worker
+    that has answered is joined, and one that has not is terminated, before
+    this returns on every path, so their CPU counts in RUSAGE_CHILDREN."""
     share = -(-len(codes) // jobs)  # 4 codes, jobs=3: shares 2 and 2
     mine = max(share, done)  # this process keys codes[done:mine]
     import multiprocessing  # here: importing it costs every start-up ~10 ms
@@ -761,10 +779,10 @@ def _forked_keys(codes, mode, jobs, done):
             proc = ctx.Process(target=_key_share,
                                args=(send, codes[lo:lo + share], mode))
             proc.start()
-            workers.append((proc, recv))
+            workers.append((proc, recv, lo))
             send.close()  # a worker that dies unanswered ends in EOFError
         keys = [_code_key(code, mode) for code in codes[done:mine]]
-        for proc, recv in workers:
+        for proc, recv, lo in workers:
             try:
                 ok, payload = recv.recv()
             except EOFError:
@@ -775,10 +793,13 @@ def _forked_keys(codes, mode, jobs, done):
             proc.join()  # it has answered and exits by itself: never kill it
             if not ok:
                 raise payload
+            for code, (_, rec, _) in zip(codes[lo:], payload):
+                if rec is not None:
+                    rec.code, rec.side = code, rec.side or code
             keys += payload
         return keys
     finally:
-        for proc, recv in workers:
+        for proc, recv, _ in workers:
             recv.close()
             if proc.exitcode is None:
                 proc.terminate()
@@ -790,56 +811,33 @@ def classify(codes, algo: str = "ceimpg", jobs: int = 1) -> ClassifyResult:
 
     algo="ceimpg" groups by the complete canonical key.  algo="cesimpg"
     buckets by the shortened-matrix canonical key and separates bucket
-    members with the lifting procedure of cesimpg_equiv, reusing each
-    code's canonical form across pairs; a code's rref is computed the first
-    time it is compared with a class representative.  Both keys are built
-    from each code's side (`_side`: its dual when 2k > n, the key then
-    prefixed "dual:"; a cesimpg key over GF(2) built from the minimum-weight
-    rows is prefixed "min:"); lifting stays on the codes themselves.  `jobs`
-    bounds the processes that key the codes: this one keys them in order
-    until its own keying time projects at least FORK_PAYS_S of CPU for the
-    rest, and only then forks up to `jobs - 1` workers for it, one
-    contiguous share each, all reaped before this returns (`_batch_keys`).
-    The workers are forked whatever the default start method, so they see
-    this process's module state; jobs > 1 needs POSIX.  Past COSET_CAP, a
-    comparison that sigma0 does not decide takes the incidence forms of the
-    codes' sides (`_find_lift`), each built (or failed) at most once.
-    Classes are ordered by first appearance.  Per-item errors, from keying
-    a code (node budget, point-table or incidence size) or from comparing
-    it with a class representative (node budget, coset cap or incidence
-    size), are collected in `errors` (by code index) without aborting the
-    batch.
+    members with the lifting procedure of cesimpg_equiv (`_find_lift`).
+    Both keys are built from each code's side (`_side`: its dual when
+    2k > n, the key then prefixed "dual:"; a cesimpg key over GF(2) built
+    from the minimum-weight rows is prefixed "min:"); lifting stays on the
+    codes themselves.  `jobs`, an int >= 1, bounds the processes that key
+    the codes: this one keys them in order until its own keying time
+    projects at least FORK_PAYS_S of CPU for the rest, and only then forks
+    up to `jobs - 1` workers for it, one contiguous share each, all reaped
+    before this returns (`_batch_keys`).  The workers are forked whatever
+    the default start method, so they see this process's module state;
+    jobs > 1 needs POSIX.  Classes are ordered by first appearance.
+    Per-item errors, from keying a code (node budget, point-table or
+    incidence size) or from comparing it with a class representative (node
+    budget, coset cap or incidence size), are collected in `errors` (by code
+    index) without aborting the batch.
     """
     start = time.perf_counter()
     codes = list(codes)
     if algo not in ("ceimpg", "cesimpg", "auto"):
         raise ValueError(f"unknown algorithm {algo!r}")
+    if not isinstance(jobs, int) or jobs < 1:
+        raise ValueError(f"jobs must be an int >= 1, got {jobs!r}")
     if codes and any(c.spec != codes[0].spec for c in codes):
         raise ValueError("classification requires a single ambient field")
     mode = "ceimpg" if algo == "ceimpg" else "cesimpg"
     keyed = _batch_keys(codes, mode, jobs)
     errors = [(i, msg) for i, (_, _, msg) in enumerate(keyed) if msg]
-    forms: dict[int, tuple | Exception] = {}
-    reds: dict[int, RREFResult] = {}
-
-    def incidence_form(i: int):
-        # a typed failure is kept too and raised anew on every later request
-        if i not in forms:
-            try:
-                forms[i] = _incidence_form(_side(codes[i]))
-            except _ITEM_ERRORS as e:
-                forms[i] = e
-        if isinstance(forms[i], _ITEM_ERRORS):
-            raise type(forms[i])(*forms[i].args)
-        return forms[i]
-
-    def equivalent(a: int, b: int) -> bool:
-        if b not in reds:
-            reds[b] = rref(codes[b].mat)
-        return _find_lift(codes[a], reds[b], keyed[a][1], keyed[b][1],
-                          lambda: (incidence_form(a), incidence_form(b))
-                          ) is not None
-
     buckets: dict[str, list[CodeClass]] = {}
     classes: list[CodeClass] = []
     keys: list[str] = []
@@ -850,7 +848,8 @@ def classify(codes, algo: str = "ceimpg", jobs: int = 1) -> ClassifyResult:
         try:
             # the ceimpg route takes its key as complete: one class per bucket
             joined = next((cls for cls in bucket if mode == "ceimpg"
-                           or equivalent(cls.representative, i)), None)
+                           or _find_lift(keyed[cls.representative][1],
+                                         keyed[i][1]) is not None), None)
         except _ITEM_ERRORS as e:
             # the pair's comparison failed: code i stays unplaced
             errors.append((i, f"{type(e).__name__}: {e}"))

@@ -534,10 +534,10 @@ def test_binary_golay_keyed_on_minimum_weight_rows(n, rows, order):
     point group is that of the full matrix, and the orders are |M24| and
     |M23|."""
     code = _binary_golay(n)
-    side = equiv._side(code)
-    short = equiv._shortened_form(side)
-    assert short.reduced and short.form.matrix.n_rows == rows
-    assert short.form.group_order == canonical_form(
+    rec = equiv._Side(code)
+    side = rec.side
+    assert rec.rows is not None and rec.form.matrix.n_rows == rows
+    assert rec.form.group_order == canonical_form(
         build_shortened(side)).group_order
     report = code_aut_group(code)
     assert report.complete and report.order == order
@@ -562,13 +562,13 @@ def test_binary_min_weight_rows_keep_point_groups_and_partitions():
     for n, k in MIN_WEIGHT_SHAPES:
         codes = [random_code(spec, n, k, seed=s) for s in range(40)]
         for code in codes:
-            side = equiv._side(code)
-            short = equiv._shortened_form(side)
-            assert short.form.group_order == canonical_form(
-                build_shortened(side)).group_order
+            rec = equiv._Side(code)
+            reduced_here = rec.rows is not None
+            assert rec.form.group_order == canonical_form(
+                build_shortened(rec.side)).group_order
             assert [equiv._code_key(code, mode)[0].startswith("min:")
-                    for mode in ("cesimpg", "ceimpg")] == [short.reduced, False]
-            reduced += short.reduced
+                    for mode in ("cesimpg", "ceimpg")] == [reduced_here, False]
+            reduced += reduced_here
         codes += [GeneratorMatrix(spec, _random_transform(
             spec, n, rng, allow_rho=False).apply(c.mat).rows)
             for c in codes[::3]]
@@ -587,9 +587,9 @@ def test_min_weight_gate_refuses():
     golay12_3 = GeneratorMatrix(3, [r + [-sum(r) % 3] for r in rows])
     line = GeneratorMatrix(2, [[1, 1, 0, 0, 0], [0, 0, 1, 1, 1]])
     for code, n_rows in ((golay12_3, 364), (line, 3)):
-        assert equiv._side(code) is code
-        short = equiv._shortened_form(code)
-        assert not short.reduced and short.form.matrix.n_rows == n_rows
+        rec = equiv._Side(code)
+        assert rec.side is code
+        assert rec.rows is None and rec.form.matrix.n_rows == n_rows
         assert not equiv._code_key(code, "cesimpg")[0].startswith("min:")
 
 
@@ -1211,6 +1211,13 @@ def test_classify_mixed_fields_rejected():
                   random_code(field(5), 6, 2, seed=0)])
 
 
+@pytest.mark.parametrize("jobs", [0, -3, 2.5, "2", None])
+def test_classify_rejects_jobs_below_one_or_not_int(jobs):
+    codes = [random_code(field(3), 6, 2, seed=s) for s in range(3)]
+    with pytest.raises(ValueError, match="jobs must be an int >= 1"):
+        classify(codes, jobs=jobs)
+
+
 def test_classify_budget_errors_collected_not_raised(monkeypatch, forks):
     # the forked workers inherit NODE_BUDGET = 0, so at jobs=2 the errors
     # come from this process's share and from the worker's share alike
@@ -1287,7 +1294,7 @@ def test_classify_keeps_code_and_dual_apart(forks):
 def _shortened_sigma0(c1, c2):
     """The coordinate permutation of the first isomorphism found between
     the shortened matrices of the two codes (`equiv._find_lift`'s sigma0)."""
-    s1, s2 = (equiv._shortened_form(c) for c in (c1, c2))
+    s1, s2 = (equiv._Side(c) for c in (c1, c2))
     return equiv._coordinate_perm(_sigma_from_canons(s1.form, s2.form),
                                   s1.points, s2.points)
 
@@ -1338,8 +1345,8 @@ def _counting_incidence_forms(monkeypatch):
     """Count the sides whose incidence form is built; returns their list."""
     calls = []
     real = equiv._incidence_form
-    monkeypatch.setattr(equiv, "_incidence_form",
-                        lambda side: calls.append(side) or real(side))
+    monkeypatch.setattr(equiv, "_incidence_form", lambda side, points:
+                        calls.append(side) or real(side, points))
     return calls
 
 
@@ -1496,7 +1503,7 @@ def _failing_incidence_forms(monkeypatch):
     the node budget would; returns the list of sides a form was asked for."""
     calls = []
 
-    def failing(side):
+    def failing(side, points):
         calls.append(side)
         raise BudgetExceededError("incidence form over budget")
 
@@ -1527,6 +1534,70 @@ def test_classify_failed_ceimpg_key_built_once(monkeypatch):
                              (3, FALLBACK_MSG)]
     assert [c.members for c in result.classes] == [[0]]
     assert len(calls) == 1
+
+
+def _counting(monkeypatch, *names):
+    """Record the first argument of every call of each of `names` in
+    `equiv`; returns {name: list}."""
+    calls = {}
+    for name in names:
+        real, seen = getattr(equiv, name), calls.setdefault(name, [])
+        monkeypatch.setattr(equiv, name, lambda *a, real=real, seen=seen:
+                            seen.append(a[0]) or real(*a))
+    return calls
+
+
+def test_side_structures_built_once_per_code(monkeypatch):
+    """One cesimpg_equiv decision past a coset cap of 1, on a GF(8) pair
+    that shares its shortened key and takes the incidence forms, finds each
+    code's side and each side's points, shortened matrix and codeword
+    weights once.  A pair that differs in its weight profile starts no
+    canonical search and no rref."""
+    monkeypatch.setattr(equiv, "COSET_CAP", 1)
+    calls = _counting(monkeypatch, "_side", "_point_coordinates",
+                      "build_shortened", "codeword_weights", "_incidence_form",
+                      "canonical_form", "rref")
+    spec = field(8)
+    a, b = SHARED_PROFILE_SEEDS[8, 8, 3][0]
+    c1, c2 = (random_code(spec, 8, 3, seed=s) for s in (a, b))
+    assert not cesimpg_equiv(c1, c2).equivalent
+    sides = [id(c1), id(c2)]
+    for name in ("_side", "_incidence_form", "_point_coordinates",
+                 "build_shortened"):
+        assert list(map(id, calls[name])) == sides
+    assert len(calls["codeword_weights"]) == 2
+    for q, n, k, seed in ((3, 10, 3, 0), (2, 9, 6, 0)):
+        c1, c2 = (random_code(field(q), n, k, seed=s)
+                  for s in (seed, seed + 100))
+        assert _profile(c1) != _profile(c2)
+        for seen in calls.values():
+            seen.clear()
+        assert not cesimpg_equiv(c1, c2).equivalent
+        assert calls["canonical_form"] == calls["rref"] == []
+        assert len(calls["_side"]) == 2
+        # the [9,6]_2 pair is keyed on its duals
+        assert [m.k for m in calls["build_shortened"]] == [min(k, n - k)] * 2
+
+
+def test_forked_keys_pipe_back_records_without_code_or_matrices(forks):
+    """A `--jobs` worker pipes back each code's record without the code,
+    which this process puts back, and without the shortened matrix,
+    weights and minimum-weight rows.  The [8,6]_2 code keeps its dual side;
+    each record gives the key this process gives, and still lifts."""
+    c1, c2 = _transformed_pair(field(2), 8, 4, seed=7, allow_rho=False)
+    codes = [c2, random_code(field(2), 8, 6, seed=0), c1]
+    keyed = equiv._forked_keys(codes, "cesimpg", 3, 0)
+    assert len(forks) == 2
+    for code, (key, rec, error), mine in zip(codes, keyed,
+                                             map(equiv._Side, codes)):
+        assert error is None and rec.code is code
+        assert (rec.side is code) == (mine.side is code)
+        assert rec.side == mine.side and rec.form.matrix == mine.form.matrix
+        assert key == equiv._code_key(code, "cesimpg")[0]
+    assert [key[:4] for key, _, _ in keyed] == ["min:", "dual", "min:"]
+    assert all(not {"matrix", "weights", "rows"} & set(vars(rec))
+               for _, rec, _ in keyed[1:])
+    assert equiv._find_lift(keyed[2][1], keyed[0][1]) is not None
 
 
 def test_classify_comparison_over_the_incidence_bound_collected(monkeypatch):

@@ -26,8 +26,8 @@ from .gfmatrix import (GFMatrix, RREFResult, inverse, mat_mul, nullspace_basis,
 from .lincode import (CharacteristicVector, GeneratorMatrix,
                       characteristic_vector, code_from_chi,
                       min_distance_hyperplane, random_code, systematic_form)
-from .projgeom import (IncidenceMatrix, PointTable, incidence, point_table,
-                       simplex_generator, theta)
+from .projgeom import (PointTable, incidence, point_table, simplex_generator,
+                       theta)
 
 __version__ = "0.1.0"
 
@@ -35,7 +35,7 @@ __all__ = [
     "AutomorphismReport", "BudgetExceededError", "CanonResult",
     "CharacteristicVector", "ClassifyResult", "CodeClass", "CodeFileError",
     "ColoredBinaryMatrix", "EquivalenceWitness", "FieldSpec", "GFMatrix",
-    "GeneratorMatrix", "IncidenceMatrix", "MonomialTransform", "PointTable",
+    "GeneratorMatrix", "MonomialTransform", "PointTable",
     "RREFResult", "ResourceLimitError", "Verdict", "build_ceimpg_matrix",
     "build_shortened", "canonical_form", "ceimpg_equiv", "cesimpg_equiv",
     "characteristic_vector", "classify", "code_aut_group", "code_from_chi",

@@ -52,7 +52,9 @@ The matrices the library builds have none, as a hyperplane always separates
 two distinct points and equiv.build_shortened keeps one column per point.
 
 Bit convention: bit (C-1-j) of a row mask holds column j, so masks compare
-exactly like the row read left to right as a binary string.
+exactly like the row read left to right as a binary string.  It is the
+package's one bit order: _pack_rows packs every mask in it, projgeom's
+incidence rows and the search's column masks (bit R-1-i holds row i) alike.
 
 The search keeps the rows as one R x C NumPy bit matrix and writes the sorted
 row list of a certificate as one byte string of fixed-width records: each
@@ -259,6 +261,27 @@ def _color_classes(colors) -> list[list[int]]:
     return [classes[color] for color in sorted(classes)]
 
 
+def _pack_rows(bits: np.ndarray) -> list[int]:
+    """One mask per row of a 2-D array, in the module's bit order (bit
+    C-1-j holds column j); any nonzero entry is a set bit."""
+    n_rows, n_cols = bits.shape
+    packed = np.packbits(bits, axis=1)
+    step = packed.shape[1]
+    pad = 8 * step - n_cols
+    data = packed.tobytes()
+    return [int.from_bytes(data[i * step:(i + 1) * step], "big") >> pad
+            for i in range(n_rows)]
+
+
+def _index_mask(indices, width: int) -> int:
+    """The mask, in the module's bit order, of `indices` out of `width`."""
+    top = width - 1
+    m = 0
+    for j in indices:
+        m |= 1 << (top - j)
+    return m
+
+
 # a refinement step with more pairs of a non-singleton member and a splitter
 # than this counts them with NumPy, a smaller one popcounts ints; over the
 # benchmark workloads' matrices canonical_form CPU was flat for cuts 32-96
@@ -275,13 +298,9 @@ class _Search:
         self.rows = mat.row_masks
         self.records = _RowRecords(mat)
         # the columns as rows of the transposed bit matrix, and as masks
-        # over row indices (bit i = row i), for column signatures
+        # over row indices (bit R-1-i holds row i), for column signatures
         self.bits_t = np.ascontiguousarray(self.records.bits.T)
-        packed = np.packbits(self.bits_t, axis=1, bitorder="little")
-        step = packed.shape[1]
-        data = packed.tobytes()
-        self.cols = [int.from_bytes(data[j * step:(j + 1) * step], "little")
-                     for j in range(self.C)]
+        self.cols = _pack_rows(self.bits_t)
         self.nodes = 0
         # (cert, order, path) of the first leaf and of the least one so far
         self.first = None
@@ -317,40 +336,26 @@ class _Search:
             splitters = col_cells
         while True:
             row_cells, row_frags = self._split(
-                row_cells, self.rows, self.records.bits, splitters,
-                self._col_mask)
+                row_cells, self.rows, self.records.bits, splitters)
             if first:
                 row_frags = row_cells
             elif not row_frags:
                 return col_cells, row_cells
             col_cells, splitters = self._split(
-                col_cells, self.cols, self.bits_t, row_frags, self._row_mask)
+                col_cells, self.cols, self.bits_t, row_frags)
             if not splitters:
                 return col_cells, row_cells
             first = False
 
-    def _col_mask(self, cell) -> int:
-        C = self.C
-        m = 0
-        for j in cell:
-            m |= 1 << (C - 1 - j)
-        return m
-
     @staticmethod
-    def _row_mask(cell) -> int:
-        m = 0
-        for i in cell:
-            m |= 1 << i
-        return m
-
-    @staticmethod
-    def _split(cells, vectors, bits, splitters, mask):
+    def _split(cells, vectors, bits, splitters):
         """Split each cell by its members' counts against `splitters` (index
         lists), sub-cells in increasing count order.  A member x's count
         against a splitter is the number of the splitter's indices set in
         row x of the 0/1 matrix `bits`, which is also the popcount of
-        `vectors[x]` and the splitter's `mask`.  Returns the new cells and
-        the new fragments bar the last of each split cell.
+        `vectors[x]`, row x's mask, and the splitter's mask (module bit
+        order).  Returns the new cells and the new fragments bar the last of
+        each split cell.
 
         A step with more than _NUMPY_WORK pairs of a non-singleton member
         and a splitter gathers those members' rows of `bits` at all the
@@ -372,9 +377,9 @@ class _Search:
             # each member's row of words as one bytes object
             keys = iter(counts.view(f"V{4 * len(splitters)}")[:, 0].tolist())
         elif len(splitters) == 1:
-            single = mask(splitters[0])
+            single = _index_mask(splitters[0], bits.shape[1])
         else:
-            masks = [mask(s) for s in splitters]
+            masks = [_index_mask(s, bits.shape[1]) for s in splitters]
         out = []
         frags = []
         for cell in cells:

@@ -11,7 +11,6 @@ from __future__ import annotations
 
 import argparse
 import sys
-import time
 
 from .codefile import CodeFileError, emit_codes, parse_codes
 from .equiv import (EquivalenceWitness, classify, code_aut_group,
@@ -142,9 +141,8 @@ def cmd_bench(args) -> int:
     timings = {}
     counts = {}
     for algo in ("cesimpg", "ceimpg"):
-        start = time.perf_counter()
         result = classify(codes, algo=algo, jobs=args.jobs)
-        timings[algo] = time.perf_counter() - start
+        timings[algo] = result.elapsed
         counts[algo] = len(result.classes)
         if result.errors:
             print(f"error: {algo}: {len(result.errors)} codes failed, the "

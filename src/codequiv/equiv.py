@@ -62,6 +62,7 @@ from __future__ import annotations
 
 import hashlib
 import math
+import numbers
 import time
 from dataclasses import dataclass
 from functools import cached_property
@@ -202,11 +203,11 @@ def _side(code: GeneratorMatrix) -> GeneratorMatrix:
 
 
 def build_ceimpg_matrix(chi: CharacteristicVector) -> ColoredBinaryMatrix:
-    """The incidence rows, with column j colored by the multiplicity
-    chi[j]; a color-preserving column permutation fixes the support."""
+    """`incidence()`, with column j recolored by the multiplicity chi[j];
+    a color-preserving column permutation fixes the support."""
     spec = chi.spec
     inc = incidence(chi.k, spec.q, spec.modulus)
-    return ColoredBinaryMatrix.from_masks(inc.row_masks, inc.n_points,
+    return ColoredBinaryMatrix.from_masks(inc.row_masks, inc.n_cols,
                                           chi.counts)
 
 
@@ -815,8 +816,8 @@ def classify(codes, algo: str = "ceimpg", jobs: int = 1) -> ClassifyResult:
     Both keys are built from each code's side (`_side`: its dual when
     2k > n, the key then prefixed "dual:"; a cesimpg key over GF(2) built
     from the minimum-weight rows is prefixed "min:"); lifting stays on the
-    codes themselves.  `jobs`, an int >= 1, bounds the processes that key
-    the codes: this one keys them in order until its own keying time
+    codes themselves.  `jobs`, an integer >= 1, bounds the processes that
+    key the codes: this one keys them in order until its own keying time
     projects at least FORK_PAYS_S of CPU for the rest, and only then forks
     up to `jobs - 1` workers for it, one contiguous share each, all reaped
     before this returns (`_batch_keys`).  The workers are forked whatever
@@ -831,8 +832,9 @@ def classify(codes, algo: str = "ceimpg", jobs: int = 1) -> ClassifyResult:
     codes = list(codes)
     if algo not in ("ceimpg", "cesimpg", "auto"):
         raise ValueError(f"unknown algorithm {algo!r}")
-    if not isinstance(jobs, int) or jobs < 1:
+    if not isinstance(jobs, numbers.Integral) or jobs < 1:
         raise ValueError(f"jobs must be an int >= 1, got {jobs!r}")
+    jobs = int(jobs)
     if codes and any(c.spec != codes[0].spec for c in codes):
         raise ValueError("classification requires a single ambient field")
     mode = "ceimpg" if algo == "ceimpg" else "cesimpg"

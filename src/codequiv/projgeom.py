@@ -5,7 +5,8 @@ coordinate 1), listed in lexicographic coordinate order; the table index of a
 point is 1-based in every public interface.  Hyperplanes are indexed by the
 same table: hyperplane u is {x : u . x = 0}, and the incidence matrix records
 the complement (the nonzero inner products), which is what the equivalence
-algorithms consume.
+algorithms consume.  Masks are built in bmcanon's bit order, with its
+_pack_rows.
 """
 
 from __future__ import annotations
@@ -16,6 +17,7 @@ from itertools import product
 
 import numpy as np
 
+from .bmcanon import ColoredBinaryMatrix, _pack_rows
 from .errors import ResourceLimitError
 from .gfield import FieldSpec, field
 from .gfmatrix import GFMatrix
@@ -65,7 +67,7 @@ class PointTable:
 
 
 _TABLE_CACHE: dict[tuple[int, int, int], PointTable] = {}
-_INCIDENCE_CACHE: dict[tuple[int, int, int], "IncidenceMatrix"] = {}
+_INCIDENCE_CACHE: dict[tuple[int, int, int], ColoredBinaryMatrix] = {}
 
 
 def point_table(k: int, q: int, modulus: int | None = None) -> PointTable:
@@ -93,37 +95,6 @@ def simplex_generator(k: int, q: int, modulus: int | None = None) -> GFMatrix:
     """k x theta(k-1,q) matrix whose columns are all points, in table order."""
     table = point_table(k, q, modulus)
     return GFMatrix.from_columns(table.spec, [list(p) for p in table.points])
-
-
-@dataclass(frozen=True)
-class IncidenceMatrix:
-    """Binary support of the simplex Gram matrix.
-
-    ``entry(i, j) = 1`` iff point j is *not* on hyperplane i (their inner
-    product is nonzero); both indices are 0-based positions into the point
-    table.  Row masks follow the bit convention of the canonicalization
-    module: bit (theta-1-j) holds column j.
-    """
-    k: int
-    q: int
-    n_points: int
-    row_masks: tuple[int, ...]
-
-    def entry(self, i: int, j: int) -> int:
-        return (self.row_masks[i] >> (self.n_points - 1 - j)) & 1
-
-    def row_weight(self, i: int) -> int:
-        return self.row_masks[i].bit_count()
-
-
-def _pack_rows(bits: np.ndarray) -> list[int]:
-    """Pack a 2-D array into per-row column masks (module bit order); any
-    nonzero entry is a set bit."""
-    n_rows, n_cols = bits.shape
-    packed = np.packbits(bits, axis=1, bitorder="big")
-    pad = 8 * packed.shape[1] - n_cols
-    return [int.from_bytes(packed[i].tobytes(), "big") >> pad
-            for i in range(n_rows)]
 
 
 # Cells (points x vectors) of one accumulator block of the mask kernel:
@@ -197,8 +168,8 @@ def _dot_kernel(spec: FieldSpec, k: int):
 
 
 def nonzero_dot_masks(table: PointTable, vectors) -> list[int]:
-    """One mask per point u of `table`: bit (len(vectors)-1-j) is set iff
-    u . vectors[j] != 0 (the canonicalization module's bit order).
+    """One mask per point u of `table`, column j set iff u . vectors[j] != 0
+    (bmcanon's bit order).
 
     One NumPy kernel serves every field: points are taken in blocks sized
     so the points x vectors accumulator has about _BLOCK_CELLS cells, and
@@ -239,7 +210,11 @@ def codeword_weights(masks, colors) -> list[int]:
     return weights
 
 
-def incidence(k: int, q: int, modulus: int | None = None) -> IncidenceMatrix:
+def incidence(k: int, q: int,
+              modulus: int | None = None) -> ColoredBinaryMatrix:
+    """The binary support of the simplex Gram matrix, every column colored
+    0: entry (i, j) is 1 iff point j is *not* on hyperplane i (their inner
+    product is nonzero), both 0-based positions into the point table."""
     table = point_table(k, q, modulus)
     cells = len(table) ** 2
     if cells > MAX_INCIDENCE_CELLS:
@@ -250,7 +225,7 @@ def incidence(k: int, q: int, modulus: int | None = None) -> IncidenceMatrix:
     cached = _INCIDENCE_CACHE.get(key)
     if cached is not None:
         return cached
-    masks = nonzero_dot_masks(table, table.points)
-    result = IncidenceMatrix(k, q, len(table), tuple(masks))
+    result = ColoredBinaryMatrix.from_masks(
+        nonzero_dot_masks(table, table.points), len(table))
     _INCIDENCE_CACHE[key] = result
     return result

@@ -158,7 +158,7 @@ def test_acceptance_4_collineation_group_orders():
     details = []
     for (k, q, want) in ((3, 2, 168), (3, 3, 5616), (4, 2, 20160)):
         inc = incidence(k, q)
-        mat = ColoredBinaryMatrix.from_masks(inc.row_masks, inc.n_points)
+        mat = ColoredBinaryMatrix.from_masks(inc.row_masks, inc.n_cols)
         got = canonical_form(mat).group_order
         formula = 1  # m * (1/(q-1)) * prod(q^k - q^i), with m = 1 here
         for i in range(k):

@@ -7,6 +7,7 @@ import subprocess
 import sys
 import textwrap
 
+import numpy as np
 import pytest
 
 import codequiv
@@ -17,7 +18,7 @@ from codequiv import (ColoredBinaryMatrix, GeneratorMatrix,
                       random_code, serialize, simplex_generator,
                       systematic_form)
 from codequiv import bmcanon
-from codequiv.bmcanon import _Search
+from codequiv.bmcanon import _pack_rows, _Search
 from codequiv.equiv import _iter_group
 from codequiv.errors import BudgetExceededError
 from conftest import (brute_force_cbm_aut_count, brute_force_cbm_isomorphic,
@@ -62,6 +63,21 @@ def test_from_masks_rejects_a_mask_wider_than_n_cols():
 def test_from_masks_rejects_a_negative_mask():
     with pytest.raises(ValueError):
         ColoredBinaryMatrix.from_masks([0b01, -1], 2)
+
+
+@pytest.mark.parametrize("rows,cols", [(5, 3), (9, 17), (1, 8), (0, 4), (4, 0)])
+def test_pack_rows_and_column_masks_in_the_module_bit_order(rows, cols):
+    """_pack_rows packs any nonzero entry as a set bit, column j at bit
+    cols-1-j, as the list constructor does; the search's column masks are
+    its rows of the transpose, row i at bit rows-1-i."""
+    rng = random.Random(31 * rows + cols)
+    values = np.array([rng.randrange(3) for _ in range(rows * cols)],
+                      dtype=np.uint8).reshape(rows, cols)
+    bits = (values != 0).astype(int)
+    mat = ColoredBinaryMatrix(bits.tolist(), n_cols=cols)
+    assert _pack_rows(values) == list(mat.row_masks)
+    assert _Search(mat).cols == list(
+        ColoredBinaryMatrix(bits.T.tolist(), n_cols=rows).row_masks)
 
 
 def test_list_constructor_rejects_n_cols_unlike_the_rows():
@@ -405,7 +421,7 @@ def test_group_order_on_point_hyperplane_structures():
     # collineation group orders: m * (1/(q-1)) * prod(q^k - q^i)
     for (k, q, expect) in [(3, 2, 168), (3, 3, 5616), (4, 2, 20160)]:
         inc = incidence(k, q)
-        t = inc.n_points
+        t = inc.n_cols
         m = ColoredBinaryMatrix.from_masks(list(inc.row_masks), t)
         assert canonical_form(m).group_order == expect
 

@@ -12,6 +12,7 @@ import time
 import tracemalloc
 import types
 
+import numpy as np
 import pytest
 
 from codequiv import (GFMatrix, GeneratorMatrix, build_ceimpg_matrix,
@@ -343,6 +344,43 @@ def test_both_routes_agree_on_random_pairs():
         c1 = random_code(spec, 10, 3, seed=seed)
         c2 = random_code(spec, 10, 3, seed=seed + 10 ** 4)
         assert cesimpg_equiv(c1, c2).equivalent == ceimpg_equiv(c1, c2).equivalent
+
+
+# (q, n, k): prime and composite fields, one high-rate shape (2k > n, keyed
+# on the dual) and one with repeated points (n > theta(k-1, q))
+PAIR_BATCH_SHAPES = [(3, 8, 3), (5, 7, 2), (4, 8, 3), (9, 9, 3), (3, 7, 4),
+                     (2, 12, 3)]
+
+
+@pytest.mark.parametrize("q,n,k", PAIR_BATCH_SHAPES)
+def test_pair_decision_equals_batch_decision(q, n, k):
+    """A pair decides through bmcanon.is_isomorphic (ceimpg) or a lift
+    (cesimpg), a batch through key equality and lifts between bucket
+    members: on seeded pairs, half of them transformed copies, and on
+    inequivalent pairs sharing their weight profile, both agree, route by
+    route."""
+    spec = field(q)
+    rng = random.Random(1700 + 100 * q + n)
+    pairs = []
+    for j in range(6):
+        c1 = random_code(spec, n, k, seed=rng.randrange(10 ** 6))
+        if j % 2 == 0:
+            t = _random_transform(spec, n, rng)
+            c2 = GeneratorMatrix(spec, t.apply(c1.mat).rows)
+        else:
+            c2 = random_code(spec, n, k, seed=rng.randrange(10 ** 6))
+        pairs.append((c1, c2))
+    pairs += [tuple(random_code(spec, n, k, seed=s) for s in seeds)
+              for seeds in SHARED_PROFILE_SEEDS.get((q, n, k), ())]
+    verdicts = set()
+    for c1, c2 in pairs:
+        for decide, algo in ((ceimpg_equiv, "ceimpg"),
+                             (cesimpg_equiv, "cesimpg")):
+            pair = decide(c1, c2).equivalent
+            batch = len(classify([c1, c2], algo=algo).classes) == 1
+            assert pair == batch, (algo, c1, c2)
+            verdicts.add(pair)
+    assert verdicts == {True, False}
 
 
 def test_shape_mismatches_are_inequivalent():
@@ -1216,6 +1254,13 @@ def test_classify_rejects_jobs_below_one_or_not_int(jobs):
     codes = [random_code(field(3), 6, 2, seed=s) for s in range(3)]
     with pytest.raises(ValueError, match="jobs must be an int >= 1"):
         classify(codes, jobs=jobs)
+
+
+def test_classify_takes_any_integral_jobs(forks):
+    codes = [random_code(field(3), 6, 2, seed=s) for s in range(3)]
+    assert (classify(codes, jobs=np.int64(2)).digest
+            == classify(codes, jobs=1).digest)
+    assert len(forks) == 1
 
 
 def test_classify_budget_errors_collected_not_raised(monkeypatch, forks):

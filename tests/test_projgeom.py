@@ -4,7 +4,9 @@ import random
 
 import pytest
 
-from codequiv import field, incidence, point_table, simplex_generator, theta
+import codequiv
+from codequiv import (ColoredBinaryMatrix, field, incidence, point_table,
+                      simplex_generator, theta)
 from codequiv import projgeom
 from codequiv.errors import ResourceLimitError
 from codequiv.projgeom import MAX_INCIDENCE_CELLS, MAX_POINTS, nonzero_dot_masks
@@ -55,6 +57,18 @@ def test_point_table_indexing():
         t.index_of((0, 0, 2))  # not normalized, so not a table entry
 
 
+def test_exports_resolve_and_incidence_is_an_uncolored_matrix():
+    # a name left in __all__ after its object is gone breaks import *
+    missing = [name for name in codequiv.__all__
+               if not hasattr(codequiv, name)]
+    assert not missing
+    inc = incidence(3, 2)
+    assert type(inc) is ColoredBinaryMatrix
+    assert (inc.n_rows, inc.n_cols) == (7, 7)
+    assert inc.col_colors == (0,) * 7
+    assert incidence(3, 2) is inc  # cached
+
+
 def test_incidence_resource_guard(monkeypatch):
     # PG(12,2) (8,191 points) is allowed, PG(13,2) (16,383) is refused
     # before any mask is computed; its point table is within MAX_POINTS
@@ -85,10 +99,10 @@ def test_incidence_row_weights_and_symmetry(k, q):
     exactly q^(k-1) of the theta(k-1) points, and u.v = v.u."""
     inc = incidence(k, q)
     t = point_table(k, q)
-    n = inc.n_points
+    n = inc.n_cols
     assert n == len(t.points)
     for i in range(n):
-        assert inc.row_weight(i) == q ** (k - 1)
+        assert inc.row_masks[i].bit_count() == q ** (k - 1)
     for i in range(n):
         for j in range(i, n):
             assert inc.entry(i, j) == inc.entry(j, i)

@@ -21,6 +21,14 @@ classes in increasing color order and refinement only splits cells in
 place, so every leaf lists the column colors in the same sorted sequence,
 and the certificate need not hold them.
 
+is_isomorphic() builds no canonical form: it walks the first matrix's tree
+to its first leaf, then the second's until a leaf of the same certificate
+turns up.  The walk prunes only subtrees that a found automorphism maps onto
+explored ones, and those hold leaves of the same certificates, so the
+visited leaves show every certificate of the tree: a second walk that ends
+with no hit proves the two non-isomorphic.  At worst it costs one first path
+and one full search, against two full searches for two canonical forms.
+
 Refinement splits a cell by its members' count vectors against the cells of
 the other side, sub-cells in increasing vector order, until the partition is
 equitable.  It is incremental: members of a cell already have equal counts
@@ -289,9 +297,11 @@ _NUMPY_WORK = 64
 
 
 class _Search:
-    """One canonical-form computation; see module docstring for the scheme."""
+    """One walk of a matrix's search tree; see module docstring for the
+    scheme.  With `stop` given, the first leaf whose certificate makes
+    `stop` true ends the walk, kept in `hit` as (certificate, leaf order)."""
 
-    def __init__(self, mat: ColoredBinaryMatrix):
+    def __init__(self, mat: ColoredBinaryMatrix, stop=None):
         self.mat = mat
         self.C = mat.n_cols
         self.R = mat.n_rows
@@ -306,6 +316,8 @@ class _Search:
         self.first = None
         self.best = None
         self.gens: list[tuple[int, ...]] = []
+        self.stop = stop
+        self.hit = None
 
     # -- partitions ---------------------------------------------------------
 
@@ -436,6 +448,9 @@ class _Search:
 
     def _handle_leaf(self, col_cells, path):
         cert, order = self._leaf_cert(col_cells)
+        if self.stop is not None and self.stop(cert):
+            self.hit = cert, order
+            return -1
         if self.first is None:
             self.first = self.best = (cert, order, list(path))
             return None
@@ -500,7 +515,8 @@ class _Search:
         (tried, children) frame per open node, so that only the node budget
         bounds its depth.  A leaf that yields a generator returns the depth
         at which its path leaves the first or best path, and every open
-        node below that depth is closed."""
+        node below that depth is closed; a leaf that ends the walk (`stop`)
+        returns -1, which closes them all."""
         path: list[int] = []
         stack: list[tuple] = []
         node = (col_cells, row_cells, None)
@@ -537,11 +553,16 @@ class _Search:
                 return
             path.append(v)
 
+    def walk(self):
+        """Walk the tree from the root; returns `hit`."""
+        self._dfs(*self._initial_cells())
+        return self.hit
+
     def run(self) -> CanonResult:
         if self.C == 0:
             mat = ColoredBinaryMatrix.from_masks([0] * self.R, 0)
             return CanonResult(mat, (), [], 1, 0)
-        self._dfs(*self._initial_cells())
+        self.walk()
         data, order, _ = self.best
         canon = ColoredBinaryMatrix.from_masks(
             self.records.decode(data), self.C,
@@ -562,17 +583,35 @@ def canonical_form(mat: ColoredBinaryMatrix) -> CanonResult:
 def is_isomorphic(m1: ColoredBinaryMatrix, m2: ColoredBinaryMatrix):
     """Column permutation sigma mapping m1 onto m2 (j -> sigma[j]), or None.
 
-    Quick shape/color-multiset rejections come first; otherwise both inputs
-    are canonicalized and compared.
+    Quick shape/color-multiset rejections come first.  Then m1's search
+    walks to its first leaf alone, and m2's searches its whole tree for a
+    leaf of the same certificate, stopping at the first (McKay & Piperno,
+    Practical graph isomorphism II, 2014, as nauty's isomorphism mode does);
+    sigma carries m1's leaf order onto that leaf's.  The trees are
+    invariant under relabeling, so when m1 and m2 are isomorphic m2's tree
+    holds a leaf of that certificate.  The walk prunes only subtrees that a
+    found automorphism maps onto ones it has explored (the orbits on the
+    first path, the jump back at a leaf equal to the first or least one),
+    and such an image holds leaves of the same certificates, so every
+    certificate of the tree shows at a visited leaf: a walk that ends with
+    no hit proves m1 and m2 non-isomorphic.  At worst this costs m1's first
+    path plus m2's full search, never more than canonical_form of both.
     """
     if (m1.n_rows != m2.n_rows or m1.n_cols != m2.n_cols
             or sorted(m1.col_colors) != sorted(m2.col_colors)):
         return None
-    sigma = _sigma_from_canons(canonical_form(m1), canonical_form(m2))
-    if sigma is not None and not _RowRecords(m1).maps_onto(
-            sigma, _RowRecords(m2)):
-        raise RuntimeError("internal error: canonical forms matched "
-                           "but the derived map is not an isomorphism")
+    if not m1.n_cols:
+        return ()
+    s1 = _Search(m1, stop=lambda cert: True)
+    cert, order1 = s1.walk()
+    s2 = _Search(m2, stop=cert.__eq__)
+    hit = s2.walk()
+    if hit is None:
+        return None
+    sigma = s1._perm_between(order1, hit[1])
+    if not s1.records.maps_onto(sigma, s2.records):
+        raise RuntimeError("internal error: equal certificates gave a map "
+                           "that is not an isomorphism")
     return sigma
 
 

@@ -15,23 +15,27 @@ Two decision routes are provided:
 
 * the point-multiplicity route: color the columns of the full
   point/hyperplane incidence structure by the code's point multiplicities
-  and compare canonical forms (complete invariant; no monomial witness);
+  and decide whether the two are isomorphic, a batch by their canonical
+  forms (complete invariant; no monomial witness);
 * the shortened route: compare the weight distributions of the codes'
-  sides first, then canonical forms of the hyperplane-by-point support
-  matrices of their distinct points, colored by multiplicity, then lift a
+  sides first, then search for one isomorphism sigma0 between the
+  hyperplane-by-point support matrices of their distinct points, colored
+  by multiplicity (`bmcanon.is_isomorphic`: the first leaf of one search
+  tree, looked for in the other; no canonical form), then lift a
   candidate coordinate permutation to an explicit monomial witness
   against the second code's own reduced row echelon form: the
   scalings lambda are carried along its bipartite support graph, one free
   scalar per connected component, under each field automorphism.  The
-  candidates are sigma0 composed with the point group, the automorphism
-  group of the first matrix, or past the coset cap sigma0 and then the
+  candidates are sigma0, then, only when it does not lift, sigma0
+  composed with the rest of the point group, the automorphism group of
+  the first matrix (its canonical form), or past the coset cap the
   isomorphism of the sides' incidence matrices (`_find_lift`).  The
   weight distribution is read off the support matrix already built for
   the search (`projgeom.codeword_weights`: a row's weight, each column
   counted by its multiplicity, is the weight of that hyperplane's
   codeword);
   monomial maps and field automorphisms keep it, so differing
-  distributions prove inequivalence with no canonical search.  The
+  distributions prove inequivalence with no search at all.  The
   point-multiplicity route takes no such shortcut: it stays an
   independent check of every inequivalent verdict.
 
@@ -47,15 +51,17 @@ row echelon forms.
 Over GF(2) the shortened matrix of a side whose minimum-weight words span it
 is cut to the rows of those words (`_Side.rows`): a row is the support
 of its codeword, and a codeword is its support, so these rows have the same
-automorphism group and the same isomorphisms as all theta(k) rows.  The
-gate reads only the weight distribution, so equivalent codes take the same
-branch, and the keys of such sides start with "min:".  Over q > 2 a support
-is no codeword, so every other field keeps all rows, as does the
-point-multiplicity route.
+automorphism group and the same isomorphisms as all theta(k) rows.  Every
+monomial map keeps the gate (whether those words span), so equivalent codes
+take the same branch, and the keys of such sides start with "min:".  Over
+q > 2 a support is no codeword, so every other field keeps all rows, as
+does the point-multiplicity route.
 
 All that the shortened route derives from a code is built once, on first
 use, in the code's one `_Side` record: `cesimpg_equiv`, `code_aut_group`
-and the `classify` keys read it, and `_find_lift` takes two.
+and the `classify` keys read it, and `_find_lift` takes two.  A pair
+decision canonicalizes a side only when sigma0 does not lift; `classify`
+has the forms of its keys already and reads sigma0 off them.
 """
 
 from __future__ import annotations
@@ -253,7 +259,7 @@ class _Side:
     """A code, its `side` (`_side`), and, each built on first use, the
     side's distinct `points` (`_point_coordinates`), shortened `matrix` and
     codeword `weights`, the minimum-weight `rows` of a binary side (None
-    when all rows are kept), the canonical `form` of the rows kept, the
+    when all rows are kept), the canonical `form` of the rows `kept`, the
     code's own `red` = rref(code), and its `incidence()` form."""
 
     def __init__(self, code: GeneratorMatrix):
@@ -286,8 +292,9 @@ class _Side:
         rows, and an isomorphism of two such matrices is one of the full
         matrices.  A point on every one of these hyperplanes would be
         orthogonal to all of GF(2)^k, so the reduced matrix still has no
-        zero and no equal columns.  The gate depends only on the weight
-        distribution, so equivalent sides take the same branch.  Over q > 2
+        zero and no equal columns.  Every monomial map keeps whether the
+        minimum-weight words span, so equivalent sides take the same branch
+        (inequivalent ones of one weight distribution need not).  Over q > 2
         a support is no codeword and the point group can grow, so the
         reduction is binary only."""
         if self.side.q != 2:
@@ -307,9 +314,15 @@ class _Side:
                         [m.row_masks[i] for i in rows], m.n_cols, m.col_colors)
         return None
 
+    @property
+    def kept(self) -> ColoredBinaryMatrix:
+        """The rows searched: `rows` when the binary gate holds, else all
+        of `matrix`."""
+        return self.matrix if self.rows is None else self.rows
+
     @cached_property
     def form(self) -> CanonResult:
-        return canonical_form(self.matrix if self.rows is None else self.rows)
+        return canonical_form(self.kept)
 
     @cached_property
     def red(self) -> RREFResult:
@@ -467,21 +480,25 @@ def _lift(g1: GeneratorMatrix, red2: RREFResult, sigma):
     return None
 
 
-def _find_lift(s1: _Side, s2: _Side):
+def _find_lift(s1: _Side, s2: _Side, pi0):
     """(sigma, rho, Q, lambdas) for the first candidate permutation that
     lifts code s1 onto the rref of code s2, or None when none does.
 
-    Both sides' forms are of reduced matrices or neither.  The permutations
+    `pi0` is an isomorphism of the sides' kept matrices (`_Side.kept`, both
+    reduced or neither), as a map of their points.  The permutations
     carrying the first side's point multiset onto the second's are sigma0 o
-    pi o t: sigma0 carries the first matrix of distinct points onto the
-    second and pi runs over the point group P, its automorphism group (the
-    same for the minimum-weight rows alone), both moved to coordinates by
-    `_coordinate_perm`, and t runs over the permutations of each point's own
-    coordinates.  The candidates are sigma0 o pi, pi in P, identity first.
-    That loses nothing: coordinates of one point have proportional columns
-    in the side, c_j = a c_i.  Swapping them and scaling by a and a^-1 maps
-    the side onto itself, a monomial automorphism of the side, and so of
-    the code (with the inverse scalings when the side is the dual).  Every
+    pi o t: sigma0 is pi0 moved to coordinates by `_coordinate_perm`, pi
+    runs over the point group P, the automorphism group of the first kept
+    matrix (the same for the minimum-weight rows alone), moved likewise,
+    and t runs over the permutations of each point's own coordinates.  The
+    candidates are sigma0 o pi, pi in P, sigma0 first; only when sigma0
+    does not lift is the first side's `form` read, for P, its order and the
+    coset cap, and P's other elements streamed.  Any isomorphism serves as
+    pi0: every one spans the same coset.  Nor do the t lose anything:
+    coordinates of one point have proportional columns in the side,
+    c_j = a c_i.  Swapping them and scaling by a and a^-1 maps the side
+    onto itself, a monomial automorphism of the side, and so of the code
+    (with the inverse scalings when the side is the dual).  Every
     t is thus the permutation of a monomial automorphism of the first code,
     and sigma0 o pi o t lifts exactly when sigma0 o pi does, so None proves
     that no monomial map exists.
@@ -491,20 +508,21 @@ def _find_lift(s1: _Side, s2: _Side):
     dimension 2, whose incidence group is Sym(q+1), BudgetExceededError is
     raised instead.
     """
-    g1, r1, points1, points2 = s1.code, s1.form, s1.points, s2.points
-    pi0 = _sigma_from_canons(r1, s2.form)
-    if pi0 is None:
-        return None
+    g1, points1, points2 = s1.code, s1.points, s2.points
     sigma0 = _coordinate_perm(pi0, points1, points2)
-    capped = r1.group_order > COSET_CAP
-    taus = ([tuple(range(g1.n))] if capped else _iter_group(
-        [_coordinate_perm(g, points1, points1) for g in r1.generators], g1.n))
-    for tau in taus:
-        sigma = _perm_compose(sigma0, tau)
-        lift = _lift(g1, s2.red, sigma)
-        if lift is not None:
-            return (sigma, *lift)
-    if not capped:
+    lift = _lift(g1, s2.red, sigma0)
+    if lift is not None:
+        return (sigma0, *lift)
+    r1 = s1.form
+    if r1.group_order <= COSET_CAP:
+        taus = _iter_group([_coordinate_perm(g, points1, points1)
+                            for g in r1.generators], g1.n)
+        next(taus)  # the identity: sigma0 itself
+        for tau in taus:
+            sigma = _perm_compose(sigma0, tau)
+            lift = _lift(g1, s2.red, sigma)
+            if lift is not None:
+                return (sigma, *lift)
         return None
     if s1.side.k == 2:
         raise BudgetExceededError(
@@ -538,8 +556,9 @@ def _comparable_sides(c1: GeneratorMatrix, c2: GeneratorMatrix):
 
 
 def ceimpg_equiv(c1: GeneratorMatrix, c2: GeneratorMatrix) -> Verdict:
-    """Decide equivalence by canonical forms of the multiplicity-extended
-    incidence matrices of the codes' sides (their duals when 2k > n).
+    """Decide equivalence by an isomorphism search (`bmcanon.is_isomorphic`)
+    between the multiplicity-extended incidence matrices of the codes'
+    sides (their duals when 2k > n).
     Complete invariant, except on sides of dimension 2 over q >= 5, whose
     incidence is a matching; produces no monomial witness."""
     sides = _comparable_sides(c1, c2)
@@ -568,31 +587,39 @@ def cesimpg_equiv(c1: GeneratorMatrix, c2: GeneratorMatrix) -> Verdict:
     Codes on different sides, with different weight profiles, or with
     non-isomorphic shortened matrices, are inequivalent outright.  The
     weight profiles of the two shortened matrices (their sorted
-    `codeword_weights`) are compared before either is canonicalized: they
+    `codeword_weights`) are compared before any search: they
     are the weight distributions of the sides, which every monomial map
     and field automorphism keeps, and both sides are primal or both dual.
     Over GF(2), when the minimum-weight words span a side, only their rows
-    are canonicalized (`_Side.rows`), with the same point group and
-    isomorphisms; equal profiles put both sides on the same branch.
+    are searched (`_Side.rows`), with the same point group and
+    isomorphisms; equivalent sides take the same branch, and two sides of
+    one profile on two branches keep different numbers of rows, which
+    `bmcanon.is_isomorphic` refuses before any search.
     ceimpg_equiv does not take this shortcut, so that it stays an
     independent check of an inequivalent verdict.
-    Otherwise the candidate permutations (one isomorphism sigma0 composed
-    with each element of the point group, the first matrix's automorphism
-    group, sigma0 first; `_find_lift`) are lifted in turn, trying each
-    field automorphism; exhausting them proves inequivalence.  When the
-    point group outgrows COSET_CAP, sigma0 and then the isomorphism of the
-    sides' incidence matrices are tried; on sides of dimension 2, and past
-    the node budget (as in `classify`), the typed error stands: no verdict
-    comes without a witness.
+    Otherwise one isomorphism pi0 of the sides' kept matrices comes from
+    `bmcanon.is_isomorphic`, with no canonical form; None proves
+    inequivalence.  Its coordinate map sigma0 is lifted first, trying each
+    field automorphism; only when it fails is the first side canonicalized
+    and sigma0 composed with each other element of its point group, the
+    first matrix's automorphism group (`_find_lift`); exhausting them
+    proves inequivalence.  When the point group outgrows COSET_CAP, the
+    isomorphism of the sides' incidence matrices is tried instead; on sides
+    of dimension 2, and past the node budget (as in `classify`), the typed
+    error stands: no verdict comes without a witness.
     Lifting one candidate onto rref(c2) is a walk over its support graph,
     with no budget of its own.
     """
     sides = _comparable_sides(c1, c2)
     if sides is None:
         return Verdict(False, "cesimpg")
-    if sorted(sides[0].weights) != sorted(sides[1].weights):
+    s1, s2 = sides
+    if sorted(s1.weights) != sorted(s2.weights):
         return Verdict(False, "cesimpg")
-    found = _find_lift(*sides)
+    pi0 = bmcanon.is_isomorphic(s1.kept, s2.kept)
+    if pi0 is None:
+        return Verdict(False, "cesimpg")
+    found = _find_lift(s1, s2, pi0)
     if found is None:
         return Verdict(False, "cesimpg")
     return Verdict(True, "cesimpg", _witness(c1, c2, *found))
@@ -600,6 +627,14 @@ def cesimpg_equiv(c1: GeneratorMatrix, c2: GeneratorMatrix) -> Verdict:
 
 def decide_equivalence(c1: GeneratorMatrix, c2: GeneratorMatrix,
                        algo: str = "auto") -> Verdict:
+    """Decide whether c1 and c2 are equivalent, by the route `algo` names.
+
+    "cesimpg" is `cesimpg_equiv`: weight profiles, one isomorphism search
+    and lifting, and a verified witness on every equivalent verdict.
+    "ceimpg" is `ceimpg_equiv`: the incidence matrices, with no witness.
+    "auto", the default, takes the cesimpg route, the one that gives a
+    witness.  Any other name raises ValueError.
+    """
     if algo == "ceimpg":
         return ceimpg_equiv(c1, c2)
     if algo in ("auto", "cesimpg"):
@@ -843,15 +878,21 @@ def classify(codes, algo: str = "ceimpg", jobs: int = 1) -> ClassifyResult:
     buckets: dict[str, list[CodeClass]] = {}
     classes: list[CodeClass] = []
     keys: list[str] = []
-    for i, (key, _, msg) in enumerate(keyed):
+    for i, (key, rec, msg) in enumerate(keyed):
         if msg:
             continue
         bucket = buckets.setdefault(key, [])
+        joined = None
         try:
-            # the ceimpg route takes its key as complete: one class per bucket
-            joined = next((cls for cls in bucket if mode == "ceimpg"
-                           or _find_lift(keyed[cls.representative][1],
-                                         keyed[i][1]) is not None), None)
+            for cls in bucket:
+                # the ceimpg route takes its key as complete: one class per
+                # bucket; cesimpg members of a bucket share their canonical
+                # matrix, so pi0 is read off the forms the keys came from
+                rep = keyed[cls.representative][1]
+                if mode == "ceimpg" or _find_lift(rep, rec, _sigma_from_canons(
+                        rep.form, rec.form)) is not None:
+                    joined = cls
+                    break
         except _ITEM_ERRORS as e:
             # the pair's comparison failed: code i stays unplaced
             errors.append((i, f"{type(e).__name__}: {e}"))

@@ -254,7 +254,7 @@ def test_lift_matches_linear_system_reference(q):
         copy = GeneratorMatrix(spec, _random_transform(spec, n, rng).apply(
             code.mat).rows)
         gs1, gs2 = (systematic_form(c)[0] for c in (code, copy))
-        sigma0 = _shortened_sigma0(gs1, gs2)
+        sigma0 = _shortened_sigma0(gs1, gs2, "pair")
         sigmas = [tuple(sigma0[t] for t in tau) for tau in itertools.islice(
             equiv._iter_group(code_aut_group(gs1).h1_generators, n), 24)]
         for _ in range(6):
@@ -412,14 +412,19 @@ def _profile(code):
     return sorted(codeword_weights(m.row_masks, m.col_colors))
 
 
-def _counting_canonical_forms(monkeypatch):
-    """Count the canonical searches cesimpg_equiv starts; returns their
-    list of matrices."""
-    searched = []
-    real = equiv.canonical_form
-    monkeypatch.setattr(equiv, "canonical_form",
-                        lambda m: searched.append(m) or real(m))
-    return searched
+@pytest.fixture
+def searches(monkeypatch):
+    """The list of bmcanon._Search walks started during the test, those of
+    canonical_form and of is_isomorphic alike; each keeps its `nodes`."""
+    walked = []
+    real = bmcanon._Search.walk
+
+    def walk(search):
+        walked.append(search)
+        return real(search)
+
+    monkeypatch.setattr(bmcanon._Search, "walk", walk)
+    return walked
 
 
 def test_weight_profile_kept_by_monomial_and_field_maps():
@@ -456,12 +461,13 @@ def test_weight_profile_kept_by_monomial_and_field_maps():
     assert seen == {"semilinear", "dual", "repeated"}
 
 
-def test_differing_profiles_skip_the_canonical_search(monkeypatch):
+def test_differing_profiles_skip_the_canonical_search(monkeypatch,
+                                                      searches):
     """Independent pairs of the benchmark's equivalence shapes: every pair
-    whose profiles differ is inequivalent without a single canonical_form
-    call, and ceimpg_equiv agrees.  A transformed copy still takes both
-    canonical searches."""
-    searched = _counting_canonical_forms(monkeypatch)
+    whose profiles differ is inequivalent without starting a single search,
+    and ceimpg_equiv agrees.  A transformed copy takes the two searches of
+    bmcanon.is_isomorphic, and no canonical_form, as its sigma0 lifts."""
+    forms = _counting(monkeypatch, "canonical_form")["canonical_form"]
     rejected = 0
     for q, n, k in ((2, 15, 4), (3, 10, 3), (4, 12, 3), (5, 10, 3),
                     (7, 10, 3), (8, 10, 3), (9, 10, 3)):
@@ -474,13 +480,15 @@ def test_differing_profiles_skip_the_canonical_search(monkeypatch):
             v = cesimpg_equiv(c1, c2)
             assert (v.equivalent, v.method, v.witness) == (
                 False, "cesimpg", None)
-            assert searched == []
+            assert searches == []
             assert not ceimpg_equiv(c1, c2).equivalent
+            searches.clear()
             rejected += 1
     assert rejected == 27  # of 28 pairs
+    assert forms == []
     c1, c2 = _transformed_pair(field(9), 10, 3, seed=1)
     assert cesimpg_equiv(c1, c2).equivalent
-    assert len(searched) == 2
+    assert len(searches) == 2 and forms == []
 
 
 def _cross_ratio_code(lam):
@@ -493,14 +501,19 @@ def _cross_ratio_code(lam):
     return GeneratorMatrix(7, [[1, 0, 1, 1], [0, 1, 1, lam]])
 
 
-def test_equal_profile_inequivalent_pairs_reach_the_search(monkeypatch):
-    """Seeded inequivalent pairs that share a profile take both canonical
-    searches and come out inequivalent, as ceimpg_equiv says on sides of
+def test_equal_profile_inequivalent_pairs_reach_the_search(monkeypatch,
+                                                           searches):
+    """Seeded inequivalent pairs that share a profile reach the isomorphism
+    search and come out inequivalent, as ceimpg_equiv says on sides of
     dimension 3 or more, and as the GL oracle says where n <= 6 (GL(3,5),
-    1.5 million matrices, is left to ceimpg_equiv).  The [6,3]_5 pairs and
-    the cross-ratio pair share their shortened key too, so every candidate
-    lift is tried and fails; the others differ in it."""
-    searched = _counting_canonical_forms(monkeypatch)
+    1.5 million matrices, is left to ceimpg_equiv).  The exceptions are the
+    two [6,3]_2 pairs: one code's minimum-weight words span it and the
+    other's do not, so their kept matrices differ in shape and
+    bmcanon.is_isomorphic refuses them before any search.  The [6,3]_5
+    pairs and the cross-ratio pair share their shortened key too, so sigma0
+    fails, the first side's form is built once, and every candidate lift is
+    tried and fails; the others differ in it, and build no form."""
+    forms = _counting(monkeypatch, "canonical_form")["canonical_form"]
     pairs = [(random_code(field(q), n, k, seed=a),
               random_code(field(q), n, k, seed=b))
              for q, n, k, a, b in ((2, 6, 3, 13, 25), (2, 6, 3, 13, 29),
@@ -512,10 +525,16 @@ def test_equal_profile_inequivalent_pairs_reach_the_search(monkeypatch):
     oracle = 0
     for c1, c2 in pairs:
         assert _profile(c1) == _profile(c2)
-        searched.clear()
+        searches.clear()
+        forms.clear()
         v = cesimpg_equiv(c1, c2)
         assert (v.equivalent, v.method, v.witness) == (False, "cesimpg", None)
-        assert len(searched) == 2
+        kept = [equiv._Side(c).kept for c in (c1, c2)]
+        same_shape = len({(m.n_rows, m.n_cols) for m in kept}) == 1
+        assert same_shape == ((c1.q, c1.n) != (2, 6))
+        assert bool(searches) == same_shape
+        shared_key = c1.q == 5 or c1.k == 2
+        assert forms == (kept[:1] if shared_key else [])
         # on PG(1,7) the ceimpg key is a matching, blind to cross ratios
         assert ceimpg_equiv(c1, c2).equivalent == (c1.k == 2)
         if c1.n <= 6 and c1.q ** (c1.k * c1.k) < 10 ** 5:
@@ -549,15 +568,53 @@ def _binary_golay(n):
     return GeneratorMatrix(field(2), rows)
 
 
-def test_binary_golay_24_witnessed():
-    # |Aut| = |M24| exceeds the coset cap, so only sigma0 is tried
+def _golay_24_pair():
+    """The binary Golay [24,12] code and a seeded monomial copy."""
     spec = field(2)
     c1 = _binary_golay(24)
     t = _random_transform(spec, 24, random.Random(24), allow_rho=False)
-    c2 = GeneratorMatrix(spec, t.apply(c1.mat).rows)
+    return c1, GeneratorMatrix(spec, t.apply(c1.mat).rows)
+
+
+def test_binary_golay_24_witnessed(monkeypatch):
+    # over GF(2) sigma0 lifts, so no side is canonicalized and the point
+    # group, |M24|, past the coset cap, is never read
+    forms = _counting(monkeypatch, "canonical_form")["canonical_form"]
+    c1, c2 = _golay_24_pair()
     v = cesimpg_equiv(c1, c2)
     assert v.equivalent and v.method == "cesimpg"
     assert verify_witness(c1, c2, v.witness)
+    assert forms == []
+
+
+def test_is_isomorphic_on_golay_rows_beats_one_canonical_form(searches):
+    """On the Golay [24,12] code's 759 minimum-weight rows against those of
+    a seeded copy, the first path of one tree and the walk of the other to
+    the same certificate visit fewer nodes together than canonical_form of
+    the copy alone."""
+    m1, m2 = (equiv._Side(c).kept for c in _golay_24_pair())
+    assert m1.n_rows == m2.n_rows == 759
+    sigma = bmcanon.is_isomorphic(m1, m2)
+    assert sigma is not None
+    assert bmcanon.permute_columns(m1, sigma).row_multiset() == (
+        m2.row_multiset())
+    targeted = sum(s.nodes for s in searches)
+    assert len(searches) == 2
+    assert targeted < canonical_form(m2).nodes
+
+
+def test_pair_decision_canonicalizes_only_when_sigma0_fails(monkeypatch):
+    """cesimpg_equiv builds no canonical form where sigma0 lifts; on a
+    [6,3]_5 pair whose sigma0 does not lift it builds the first side's form
+    once, for its point group, and still gets a verified witness."""
+    forms = _counting(monkeypatch, "canonical_form")["canonical_form"]
+    c1, c2 = _transformed_pair(field(5), 6, 3, seed=4)
+    assert not _sigma0_lifts(c1, c2, ["pair"])
+    assert forms == []
+    v = cesimpg_equiv(c1, c2)
+    assert (v.equivalent, v.method) == (True, "cesimpg")
+    assert verify_witness(c1, c2, v.witness)
+    assert forms == [equiv._Side(c1).kept]
 
 
 # ---------------------------------------------------------------------------
@@ -640,7 +697,7 @@ def test_dimension_two_past_the_coset_cap_is_a_budget_error(monkeypatch):
     for seed in range(10):
         c1, c2 = _transformed_pair(spec, 6, 2, seed, allow_rho=False)
         if canonical_form(build_shortened(c1)).group_order == 1 or (
-                _sigma0_lifts(c1, c2)):
+                _sigma0_lifts(c1, c2, ["pair"])):
             continue
         with pytest.raises(BudgetExceededError,
                            match="sigma0 does not lift and the point group"):
@@ -1336,19 +1393,23 @@ def test_classify_keeps_code_and_dual_apart(forks):
     assert len(classes) == 4
 
 
-def _shortened_sigma0(c1, c2):
-    """The coordinate permutation of the first isomorphism found between
-    the shortened matrices of the two codes (`equiv._find_lift`'s sigma0)."""
+def _shortened_sigma0(c1, c2, route):
+    """The coordinate permutation sigma0 that `equiv._find_lift` tries
+    first between the two codes on `route`: "pair" (cesimpg_equiv and
+    decide_equivalence) finds it with bmcanon.is_isomorphic on the kept
+    shortened matrices, "classify" reads it off their canonical forms."""
     s1, s2 = (equiv._Side(c) for c in (c1, c2))
-    return equiv._coordinate_perm(_sigma_from_canons(s1.form, s2.form),
-                                  s1.points, s2.points)
+    pi0 = (bmcanon.is_isomorphic(s1.kept, s2.kept) if route == "pair"
+           else _sigma_from_canons(s1.form, s2.form))
+    return equiv._coordinate_perm(pi0, s1.points, s2.points)
 
 
-def _sigma0_lifts(c1, c2):
-    """Whether the first isomorphism found between the shortened matrices of
-    the two codes lifts to a monomial map onto rref(c2) (prime field)."""
-    return monomial_from_sigma(c1, rref(c2.mat),
-                               _shortened_sigma0(c1, c2)) is not None
+def _sigma0_lifts(c1, c2, routes=("pair", "classify")):
+    """Whether the sigma0 of any of `routes` lifts to a monomial map onto
+    rref(c2) (prime field)."""
+    red = rref(c2.mat)
+    return any(monomial_from_sigma(c1, red, _shortened_sigma0(c1, c2, route))
+               is not None for route in routes)
 
 
 def _fallback_pair():
@@ -1373,7 +1434,7 @@ def test_cesimpg_witnessed_past_the_coset_cap(monkeypatch):
     # _fallback_pair()'s [16,6]_5 codes (3,906 points) take about 3 s of
     # CPU each on a 2-vCPU machine, too slow here
     c1, c2 = _transformed_pair(spec, 6, 3, seed=4, allow_rho=False)
-    assert not _sigma0_lifts(c1, c2)
+    assert not _sigma0_lifts(c1, c2, ["pair"])
     v = decide_equivalence(c1, c2)
     assert (v.equivalent, v.method) == (True, "cesimpg")
     assert verify_witness(c1, c2, v.witness)
@@ -1463,7 +1524,7 @@ def test_classify_past_a_coset_cap_of_one(monkeypatch):
     expected = classify(codes, algo="cesimpg")
     assert [c.members for c in expected.classes] == [
         [0, 6], [1], [2, 7], [3], [4, 8], [5]]
-    assert not all(_sigma0_lifts(codes[i], c) for i, c in
+    assert not all(_sigma0_lifts(codes[i], c, ["classify"]) for i, c in
                    zip((0, 2, 4), codes[6:]))
     monkeypatch.setattr(equiv, "COSET_CAP", 1)
     calls = _counting_incidence_forms(monkeypatch)
@@ -1572,7 +1633,7 @@ def test_classify_failed_ceimpg_key_built_once(monkeypatch):
     copies = [GeneratorMatrix(spec, _random_transform(
         spec, 16, random.Random(seed), allow_rho=False).apply(c1.mat).rows)
         for seed in (7, 8)]
-    assert not any(_sigma0_lifts(c1, c) for c in copies)
+    assert not any(_sigma0_lifts(c1, c, ["classify"]) for c in copies)
     calls = _failing_incidence_forms(monkeypatch)
     result = classify([c1, c2] + copies, algo="cesimpg")
     assert result.errors == [(1, FALLBACK_MSG), (2, FALLBACK_MSG),
@@ -1642,7 +1703,9 @@ def test_forked_keys_pipe_back_records_without_code_or_matrices(forks):
     assert [key[:4] for key, _, _ in keyed] == ["min:", "dual", "min:"]
     assert all(not {"matrix", "weights", "rows"} & set(vars(rec))
                for _, rec, _ in keyed[1:])
-    assert equiv._find_lift(keyed[2][1], keyed[0][1]) is not None
+    rep, rec = keyed[2][1], keyed[0][1]
+    pi0 = _sigma_from_canons(rep.form, rec.form)
+    assert equiv._find_lift(rep, rec, pi0) is not None
 
 
 def test_classify_comparison_over_the_incidence_bound_collected(monkeypatch):

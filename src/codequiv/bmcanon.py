@@ -37,7 +37,9 @@ only the fragments split off since then can tell them apart, and the last
 fragment of a split cell can be left out, its count being the old total
 minus the others'.  Sorting by counts against just those fragments, in cell
 order, orders every cell exactly as sorting by the full count vectors would,
-so the tree is the one full recomputation would give.
+so the tree is the one full recomputation would give.  The search stops
+refining a node once its columns are discrete: the node is then a leaf, and
+its certificate reads the column order alone, not the row cells.
 
 A refinement step counts the members of every non-singleton cell against
 all its splitters (the fragments, as index lists) at once: it gathers those
@@ -343,6 +345,15 @@ class _Search:
         neither direction: its first row step splits against every column
         cell and its first column step against every row cell.
         """
+        for col_cells, row_cells in self._steps(col_cells, row_cells,
+                                                splitters):
+            pass
+        return col_cells, row_cells
+
+    def _steps(self, col_cells, row_cells, splitters):
+        """The refinement of `_refine`, yielding (col_cells, row_cells)
+        after each column step and once more at the end, when the partition
+        is equitable.  `_dfs` stops drawing once the columns are discrete."""
         first = splitters is None
         if first:
             splitters = col_cells
@@ -352,11 +363,13 @@ class _Search:
             if first:
                 row_frags = row_cells
             elif not row_frags:
-                return col_cells, row_cells
+                yield col_cells, row_cells
+                return
             col_cells, splitters = self._split(
                 col_cells, self.cols, self.bits_t, row_frags)
+            yield col_cells, row_cells
             if not splitters:
-                return col_cells, row_cells
+                return
             first = False
 
     @staticmethod
@@ -375,8 +388,11 @@ class _Search:
         np.add.reduceat; a member's key is its slice of the counts written
         as big-endian 4-byte words, which compares as bytes exactly as its
         count tuple does (module docstring).  A smaller step keys each
-        member by its count tuple, popcounting ints."""
+        member by its count tuple, popcounting ints.  A step in which no
+        cell has two members splits nothing and returns at once."""
         members = [x for cell in cells if len(cell) > 1 for x in cell]
+        if not members:
+            return cells, []
         keys = single = None
         if len(members) * len(splitters) > _NUMPY_WORK:
             starts = [0]
@@ -479,11 +495,6 @@ class _Search:
                     frontier.append(x)
         return orbit
 
-    def _orbit_joined(self, v, tried, path):
-        gens = [g for g in self.gens if all(g[p] == p for p in path)]
-        orbit = self._orbit(v, gens)
-        return any(w in orbit for w in tried)
-
     def _group_order(self) -> int:
         """Orbit-length product along the first path (module docstring;
         McKay & Piperno, Practical graph isomorphism II, 2014)."""
@@ -498,13 +509,33 @@ class _Search:
         """(column, unrefined cells and splitters) of each child of the node
         at `path`, columns of its target cell in increasing order.  On the
         first path a column is skipped when the generators fixing `path`
-        join it to one in `tried`, the columns explored so far."""
+        join it to one in `tried`, the columns explored so far; their orbits
+        are computed once per node, and again only after a new generator."""
         on_first_path = (self.first is None
                          or path == self.first[2][:len(path)])
         target = col_cells[target_idx]
+        # {column: a label of its orbit} under `gens`, the generators fixing
+        # `path`, filled as columns are asked for; both are built anew only
+        # when a generator has been found since
+        gens: list[tuple[int, ...]] = []
+        known = 0
+        orbit_of: dict[int, int] = {}
+
+        def orbit(w):
+            if w not in orbit_of:
+                for x in self._orbit(w, gens):
+                    orbit_of[x] = w
+            return orbit_of[w]
+
         for v in sorted(target):
-            if tried and on_first_path and self._orbit_joined(v, tried, path):
-                continue
+            if tried and on_first_path:
+                if known != len(self.gens):
+                    known = len(self.gens)
+                    gens = [g for g in self.gens
+                            if all(g[p] == p for p in path)]
+                    orbit_of.clear()
+                if orbit(v) in {orbit(w) for w in tried}:
+                    continue
             rest = [w for w in target if w != v]
             # the rest of the target cell is its last fragment
             yield v, (col_cells[:target_idx] + [[v], rest]
@@ -525,7 +556,14 @@ class _Search:
             if self.nodes > NODE_BUDGET:
                 raise BudgetExceededError(
                     f"canonical-form search exceeded {NODE_BUDGET} nodes")
-            col_cells, row_cells = self._refine(*node)
+            col_cells, row_cells, splitters = node
+            if len(col_cells) < self.C:
+                # at discrete columns the node is a leaf, whose certificate
+                # reads the column order alone: refinement stops there
+                for col_cells, row_cells in self._steps(
+                        col_cells, row_cells, splitters):
+                    if len(col_cells) == self.C:
+                        break
             # the first largest cell
             target_idx = max(range(len(col_cells)),
                              key=lambda t: len(col_cells[t]))

@@ -131,14 +131,14 @@ class MonomialTransform:
         if x.ncols != len(self.sigma):
             raise ValueError(f"expected {len(self.sigma)} columns, "
                              f"got {x.ncols}")
-        inv = _perm_inverse(self.sigma)
+        t = spec.tables
         cols = x.columns()
-        out = []
-        for t in range(len(self.sigma)):
-            lam = self.lambdas[t]
-            col = cols[inv[t]]
-            out.append([spec.frobenius(spec.mul(lam, e), self.rho) for e in col])
-        return GFMatrix.from_columns(spec, out)
+        out = [t.scale(lam, cols[j])
+               for lam, j in zip(self.lambdas, _perm_inverse(self.sigma))]
+        if self.rho:
+            frob = t.frobenius(self.rho)
+            out = [[frob[e] for e in col] for col in out]
+        return GFMatrix._wrap(spec, [list(row) for row in zip(*out)])
 
 
 @dataclass
@@ -409,41 +409,47 @@ def monomial_from_sigma(g1: GeneratorMatrix, red2: RREFResult, sigma,
     when no lift exists.
     """
     spec = g1.spec
+    t = spec.tables
     k, n = g1.k, g1.n
     r2, pivots = red2.rref.rows, red2.pivots
     if red2.rref.nrows != k or red2.rref.ncols != n:
         raise ValueError("shape mismatch")
     rho %= spec.m
-    g1p = g1.mat.map_entries(lambda e: spec.frobenius(e, rho)) if rho else g1.mat
+    frob = t.frobenius(rho)
     sigma_inv = _perm_inverse(sigma)
-    moved = [[row[i] for i in sigma_inv] for row in g1p.rows]
+    moved = [[frob[row[i]] for i in sigma_inv] for row in g1.mat.rows]
     e1 = [list(row) for row in moved]
     if _eliminate(spec, e1, pivots) != list(pivots):
         return None
     if any([x != 0 for x in a] != [x != 0 for x in b] for a, b in zip(e1, r2)):
         return None
-    mul, div = spec.mul, spec.div
+    # the scalings as discrete logs: every one is nonzero, and E1 and R2
+    # share their support, so each ratio below is of nonzero entries
+    log, exp, order = t.log, t.exp, spec.q - 1
     row_of = {p: s for s, p in enumerate(pivots)}
-    mu = [1] * n
+    lmu = [0] * n
     for v, p in _support_forest(red2, n):
         if p is None:
             continue
         s = row_of.get(v)
         if s is not None:
-            mu[v] = div(mul(mu[p], e1[s][p]), r2[s][p])
+            lmu[v] = (lmu[p] + log[e1[s][p]] - log[r2[s][p]]) % order
         else:
             s = row_of[p]
-            mu[v] = div(mul(mu[p], r2[s][v]), e1[s][v])
+            lmu[v] = (lmu[p] + log[r2[s][v]] - log[e1[s][v]]) % order
     for s, p in enumerate(pivots):
         for c in range(n):
-            if r2[s][c] and mul(mu[p], r2[s][c]) != mul(mu[c], e1[s][c]):
+            if r2[s][c] and (lmu[p] + log[r2[s][c]]
+                             - lmu[c] - log[e1[s][c]]) % order:
                 return None
-    a = GFMatrix(spec, [[mul(row[p], mu[p]) for p in pivots] for row in moved])
+    a = GFMatrix._wrap(spec, [[exp[log[row[p]] + lmu[p]] for p in pivots]
+                              for row in moved])
     q = mat_mul(a, red2.transform)
     if rank(q) != k:
         raise RuntimeError("internal error: lifted Q is singular")
-    back = (spec.m - rho) % spec.m
-    lambdas = tuple(spec.frobenius(v, back) for v in mu)
+    # rho^-1(g^l) = g^(l p^(m - rho))
+    back = spec.p ** ((spec.m - rho) % spec.m)
+    lambdas = tuple(exp[l * back % order] for l in lmu)
     return q, lambdas
 
 

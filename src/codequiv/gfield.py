@@ -11,9 +11,18 @@ Multiplication and inversion go through exponential/logarithm tables built
 from a primitive element, so fields are limited to q <= 2**16.  Addition is
 XOR of the digit encodings in characteristic 2 and goes through a Zech
 logarithm table (log(1 + g^i) for each i) in the other composite fields.
+
+`FieldSpec`'s methods act on one or two elements.  Loops that do arithmetic
+per matrix entry read the field's `FieldTables` instead (`FieldSpec.tables`,
+built on first use, every table O(q)), whose row kernels `scale` and
+`add_scaled` keep the split of `FieldSpec.add`: XOR when p = 2, a sum mod p
+in the other prime fields, and the Zech table inline in the odd composite
+ones.
 """
 
 from __future__ import annotations
+
+from functools import cached_property
 
 # Default irreducible moduli for the composite orders small enough to want
 # one out of the box (base-p digit encoding, constant term first).
@@ -120,8 +129,10 @@ class FieldSpec:
         ``log[a]`` inverts it for a != 0 (log[0] is unused, set to -1).
     zech : list[int]
         Odd-characteristic composite fields only: ``zech[i]`` is the log of
-        1 + g**i, or -1 where that sum is 0 (length q-1).  Only `add`
-        reads it.
+        1 + g**i, or -1 where that sum is 0 (length q-1).  `add` reads
+        it, and `FieldTables` builds its own from it.
+    tables : FieldTables
+        The lookup tables of per-entry loops, built on first use.
     """
 
     def __init__(self, q: int, modulus: int | None = None):
@@ -242,6 +253,11 @@ class FieldSpec:
             return a
         return self.exp[(self.log[a] * pow(self.p, i)) % (self.q - 1)]
 
+    @cached_property
+    def tables(self) -> "FieldTables":
+        """The field's per-entry lookup tables, built on first use."""
+        return FieldTables(self)
+
     # -- helpers -----------------------------------------------------------
 
     def elements(self) -> range:
@@ -274,6 +290,94 @@ class FieldSpec:
         return field, (self.q, self.modulus or None)
 
 
+class FieldTables:
+    """Lookup tables of one field for loops that do arithmetic per matrix
+    entry, with no `FieldSpec` method call per entry.  Each table has O(q)
+    entries; `FieldSpec.tables` builds them once per field, on first use.
+
+    Attributes
+    ----------
+    q, p, m : int
+        As in `FieldSpec`.
+    log : list[int]
+        ``log[a]`` is the discrete log of a != 0, and ``log[0]`` the
+        sentinel 2(q-1).
+    exp : list[int]
+        Length 4(q-1)+1: ``exp[log[a] + log[b]]`` is a*b for all a, b, as a
+        sum of two logs is below 2(q-1)-1 and one with a sentinel in it at
+        least 2(q-1), where `exp` holds 0.  `projgeom._dot_kernel` gathers
+        its products through the same two tables.
+    inv, neg : list[int]
+        ``inv[a]`` is 1/a (``inv[0]`` is 0, never an inverse), ``neg[a]``
+        is -a.
+    zech : list[int] | None
+        Odd-characteristic composite fields only, length 3(q-1):
+        ``zech[d + q-1]`` is the log of 1 + g**d for -(q-1) <= d < 2(q-1),
+        and the sentinel 2(q-1) where that sum is 0.
+    """
+
+    def __init__(self, spec: FieldSpec):
+        q, p, m = spec.q, spec.p, spec.m
+        n = q - 1
+        self.q, self.p, self.m = q, p, m
+        self.log = [2 * n] + spec.log[1:]
+        self.exp = [spec.exp[i % n] for i in range(2 * n - 1)] + [0] * (2 * n + 2)
+        self.inv = [0] + [spec.inv(a) for a in range(1, q)]
+        self.neg = [spec.neg(a) for a in range(q)]
+        self.zech = None
+        if p > 2 and m > 1:
+            self.zech = [2 * n if z < 0 else z
+                         for z in (spec.zech[d % n] for d in range(-n, 2 * n))]
+        self._frobenius: dict[int, list[int]] = {}
+
+    def frobenius(self, i: int) -> list[int]:
+        """The table of a -> a ** (p**i), built on first use."""
+        i %= self.m
+        table = self._frobenius.get(i)
+        if table is None:
+            # (g^l)^(p^i) = g^(l p^i); zero's sentinel log maps to 0
+            e, n, exp = self.p ** i, self.q - 1, self.exp
+            table = self._frobenius[i] = [exp[la * e % n] if la < n else 0
+                                          for la in self.log]
+        return table
+
+    def scale(self, f: int, ys) -> list[int]:
+        """[f * y for y in ys]."""
+        if self.m == 1:
+            p = self.p
+            return [f * y % p for y in ys]
+        exp, log = self.exp, self.log
+        lf = log[f]
+        return [exp[lf + log[y]] for y in ys]
+
+    def add_scaled(self, xs, f: int, ys) -> list[int]:
+        """[x + f * y for x, y in zip(xs, ys)], for a nonzero f.  The sum is
+        split as `FieldSpec.add` splits it: XOR when p = 2, mod p in the
+        other prime fields, and x + t = x (1 + t/x) through `zech` in the
+        odd composite ones."""
+        if self.q == 2:
+            return [x ^ y for x, y in zip(xs, ys)]
+        if self.m == 1:
+            p = self.p
+            return [(x + f * y) % p for x, y in zip(xs, ys)]
+        exp, log = self.exp, self.log
+        lf = log[f]
+        if self.p == 2:
+            return [x ^ exp[lf + log[y]] for x, y in zip(xs, ys)]
+        zech = self.zech
+        shift = lf + self.q - 1  # the log of t/x, offset into `zech`
+        out = []
+        for x, y in zip(xs, ys):
+            if not y:
+                out.append(x)
+            elif not x:
+                out.append(exp[lf + log[y]])
+            else:
+                lx = log[x]
+                out.append(exp[lx + zech[shift + log[y] - lx]])
+        return out
+
+
 _CACHE: dict[tuple[int, int], FieldSpec] = {}
 
 
@@ -300,5 +404,5 @@ def normalize_vector(spec: FieldSpec, vec) -> tuple[tuple[int, ...], int]:
             break
     else:
         raise ValueError("cannot normalize the zero vector")
-    inv = spec.inv(lam)
-    return tuple(spec.mul(inv, c) for c in vec), lam
+    t = spec.tables
+    return tuple(t.scale(t.inv[lam], vec)), lam

@@ -1,13 +1,19 @@
 """Dense matrices over GF(q): elimination, ranks, inverses and nullspaces.
 
-Matrices are small (dozens of rows/columns), so everything is plain-int
-arithmetic through a FieldSpec; no external linear-algebra package understands
-the table-backed extension fields anyway.
+Matrices are small (dozens of rows/columns) and hold plain-int entries.
+Their per-entry loops read the field's lookup tables (`FieldTables`): each
+row operation is one `scale` or `add_scaled` call on whole rows, with no
+`FieldSpec` method call per entry.  Over a prime field `mat_mul` is one
+exact int64 NumPy product reduced mod p; no linear-algebra package
+understands the table-backed extension fields, whose products stay row
+operations.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+
+import numpy as np
 
 from .gfield import FieldSpec
 
@@ -28,6 +34,16 @@ class GFMatrix:
             if r and not (0 <= min(r) and max(r) < q):
                 e = next(e for e in r if not 0 <= e < q)
                 raise ValueError(f"entry {e} out of range for GF({q})")
+
+    @classmethod
+    def _wrap(cls, spec: FieldSpec, rows: list[list[int]]) -> "GFMatrix":
+        """A matrix that takes `rows` as they are: lists of equal length,
+        entries in range(q), owned by the matrix from now on.  For results
+        of field arithmetic, which need no range check."""
+        self = cls.__new__(cls)
+        self.spec = spec
+        self.rows = rows
+        return self
 
     @classmethod
     def identity(cls, spec: FieldSpec, n: int) -> "GFMatrix":
@@ -54,9 +70,6 @@ class GFMatrix:
     def transpose(self) -> "GFMatrix":
         return GFMatrix(self.spec, self.columns())
 
-    def map_entries(self, fn) -> "GFMatrix":
-        return GFMatrix(self.spec, [[fn(e) for e in r] for r in self.rows])
-
     def __eq__(self, other) -> bool:
         return (isinstance(other, GFMatrix) and self.spec == other.spec
                 and self.rows == other.rows)
@@ -67,24 +80,28 @@ class GFMatrix:
 
 
 def mat_mul(a: GFMatrix, b: GFMatrix) -> GFMatrix:
+    """The product a @ b.  Over a prime field it is one int64 NumPy product
+    reduced mod p, exact while a.ncols * (p-1)**2 < 2**63; over a composite
+    field each row of the product sums the rows of `b` scaled by that row
+    of `a` (`FieldTables.add_scaled`)."""
     if a.spec != b.spec:
         raise ValueError("field mismatch")
     if a.ncols != b.nrows:
         raise ValueError(f"shape mismatch: {a.nrows}x{a.ncols} @ {b.nrows}x{b.ncols}")
     spec = a.spec
-    add, mul = spec.add, spec.mul
-    bt = b.columns()
+    if spec.m == 1:
+        x = np.array(a.rows, dtype=np.int64).reshape(a.nrows, a.ncols)
+        y = np.array(b.rows, dtype=np.int64).reshape(b.nrows, b.ncols)
+        return GFMatrix._wrap(spec, ((x @ y) % spec.p).tolist())
+    t = spec.tables
     out = []
     for row in a.rows:
-        out_row = []
-        for col in bt:
-            acc = 0
-            for x, y in zip(row, col):
-                if x and y:
-                    acc = add(acc, mul(x, y))
-            out_row.append(acc)
-        out.append(out_row)
-    return GFMatrix(spec, out)
+        acc = [0] * b.ncols
+        for f, b_row in zip(row, b.rows):
+            if f:
+                acc = t.add_scaled(acc, f, b_row)
+        out.append(acc)
+    return GFMatrix._wrap(spec, out)
 
 
 @dataclass
@@ -102,7 +119,8 @@ class RREFResult:
 def _eliminate(spec: FieldSpec, rows: list[list[int]], cols) -> list[int]:
     """Gauss-Jordan on `rows` in place, trying the candidate pivot columns
     `cols` in order; returns the pivot columns."""
-    add, mul, neg, inv = spec.add, spec.mul, spec.neg, spec.inv
+    t = spec.tables
+    inv, neg = t.inv, t.neg
     n = len(rows)
     pivots = []
     r = 0
@@ -113,14 +131,13 @@ def _eliminate(spec: FieldSpec, rows: list[list[int]], cols) -> list[int]:
         if pivot is None:
             continue
         rows[r], rows[pivot] = rows[pivot], rows[r]
-        scale = inv(rows[r][c])
-        if scale != 1:
-            rows[r] = [mul(scale, e) for e in rows[r]]
+        lead = rows[r][c]
+        if lead != 1:
+            rows[r] = t.scale(inv[lead], rows[r])
         pivot_row = rows[r]
         for i in range(n):
             if i != r and rows[i][c]:
-                f = neg(rows[i][c])
-                rows[i] = [add(x, mul(f, y)) for x, y in zip(rows[i], pivot_row)]
+                rows[i] = t.add_scaled(rows[i], neg[rows[i][c]], pivot_row)
         pivots.append(c)
         r += 1
     return pivots
@@ -131,8 +148,9 @@ def rref(a: GFMatrix) -> RREFResult:
     rows = [list(row) + [1 if i == j else 0 for j in range(n)]
             for i, row in enumerate(a.rows)]
     pivots = _eliminate(a.spec, rows, range(m))
-    return RREFResult(GFMatrix(a.spec, [row[:m] for row in rows]), len(pivots),
-                      tuple(pivots), GFMatrix(a.spec, [row[m:] for row in rows]))
+    return RREFResult(GFMatrix._wrap(a.spec, [row[:m] for row in rows]),
+                      len(pivots), tuple(pivots),
+                      GFMatrix._wrap(a.spec, [row[m:] for row in rows]))
 
 
 def rank(a: GFMatrix) -> int:
@@ -150,9 +168,9 @@ def inverse(a: GFMatrix) -> GFMatrix:
 
 def nullspace_basis(a: GFMatrix) -> list[tuple[int, ...]]:
     """Basis of the right nullspace {x : A x = 0}, one vector per free column."""
-    spec = a.spec
     rows = [list(row) for row in a.rows]
-    pivots = _eliminate(spec, rows, range(a.ncols))
+    pivots = _eliminate(a.spec, rows, range(a.ncols))
+    neg = a.spec.tables.neg
     pivot_set = set(pivots)
     basis = []
     for f in range(a.ncols):
@@ -161,7 +179,7 @@ def nullspace_basis(a: GFMatrix) -> list[tuple[int, ...]]:
         vec = [0] * a.ncols
         vec[f] = 1
         for t, pc in enumerate(pivots):
-            vec[pc] = spec.neg(rows[t][f])
+            vec[pc] = neg[rows[t][f]]
         basis.append(tuple(vec))
     return basis
 

@@ -23,7 +23,7 @@ class GeneratorMatrix:
 
     def __init__(self, spec_or_q, rows, modulus: int | None = None):
         spec = spec_or_q if isinstance(spec_or_q, FieldSpec) else field(spec_or_q, modulus)
-        raw = GFMatrix(spec, rows)
+        raw = GFMatrix(spec, rows)  # range-checks the caller's rows
         if raw.nrows == 0 or raw.ncols == 0:
             raise ValueError("generator matrix must be non-empty")
         cols = []
@@ -32,7 +32,8 @@ class GeneratorMatrix:
                 raise ValueError(f"column {j + 1} is zero")
             cols.append(normalize_vector(spec, col)[0])
         self.spec = spec
-        self.mat = GFMatrix.from_columns(spec, cols)
+        # normalized columns hold field elements: no second range check
+        self.mat = GFMatrix._wrap(spec, [list(row) for row in zip(*cols)])
         self.k = raw.nrows
         self.n = raw.ncols
         if rank(self.mat) != self.k:
@@ -40,7 +41,7 @@ class GeneratorMatrix:
 
     @classmethod
     def from_columns(cls, spec: FieldSpec, cols) -> "GeneratorMatrix":
-        return cls(spec, GFMatrix.from_columns(spec, cols).rows)
+        return cls(spec, zip(*cols, strict=True))
 
     @property
     def q(self) -> int:

@@ -154,17 +154,15 @@ def _dot_kernel(spec: FieldSpec, k: int):
     if m == 1:
         return (np.arange(q, dtype=dtype),
                 np.bitwise_and if p == 2 else np.multiply, add, nonzero)
-    # discrete logs, with zero as the sentinel 2n: a sum of two logs is a
-    # product's log (mod n) when both are below n, and at least 2n when
+    # the field's log and product tables (`FieldTables`): zero's log is
+    # the sentinel 2n, and a sum of two logs indexes the product, 0 when
     # either factor is zero
-    logs = np.array(spec.log)
-    logs[0] = 2 * n
-    exp = np.array(spec.exp)
-    digits = sum((exp // p ** d % p) << (width * d) for d in range(m))
-    prod = digits[np.arange(4 * n + 1) % n].astype(dtype)
-    prod[2 * n - 1:] = 0
-    return (logs.astype(_uint_for(4 * n)), lambda a, b: prod[a + b], add,
-            nonzero)
+    tables = spec.tables
+    exp = np.array(tables.exp)
+    prod = sum((exp // p ** d % p) << (width * d)
+               for d in range(m)).astype(dtype)
+    return (np.array(tables.log, dtype=_uint_for(4 * n)),
+            lambda a, b: prod[a + b], add, nonzero)
 
 
 def nonzero_dot_masks(table: PointTable, vectors) -> list[int]:

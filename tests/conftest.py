@@ -2,12 +2,15 @@
 
 Everything here works over prime fields with plain integer arithmetic mod q
 (no codequiv field tables), so oracle results cannot inherit library bugs;
-the one exception, `reference_monomial_from_sigma`, covers extension fields
-and borrows the library's field tables and `nullspace_basis`.
+the exceptions cover extension fields too: `reference_monomial_from_sigma`
+borrows the library's field tables and `nullspace_basis`, and the
+per-entry matrix references (`reference_mat_mul`, `reference_rref`) call
+FieldSpec's scalar methods once per entry, never its `FieldTables`.
 """
 
 from __future__ import annotations
 
+import functools
 import itertools
 from functools import lru_cache
 
@@ -131,6 +134,34 @@ def reference_monomial_from_sigma(g1, g2, sigma, rho=0):
             back = (spec.m - rho) % spec.m
             return q_rows, tuple(spec.frobenius(v, back) for v in mu)
     return None
+
+
+def reference_mat_mul(spec, a_rows, b_rows):
+    """a @ b, one FieldSpec `mul` and `add` per term."""
+    return [[functools.reduce(spec.add, map(spec.mul, row, col), 0)
+             for col in zip(*b_rows)] if b_rows else [] for row in a_rows]
+
+
+def reference_rref(spec, rows, ncols):
+    """(reduced row echelon form, pivot columns) of `rows`, by Gauss-Jordan
+    one entry at a time through FieldSpec's scalar methods."""
+    rows = [list(r) for r in rows]
+    pivots = []
+    for c in range(ncols):
+        r = len(pivots)
+        pivot = next((i for i in range(r, len(rows)) if rows[i][c]), None)
+        if pivot is None:
+            continue
+        rows[r], rows[pivot] = rows[pivot], rows[r]
+        scale = spec.inv(rows[r][c])
+        rows[r] = [spec.mul(scale, e) for e in rows[r]]
+        for i, row in enumerate(rows):
+            if i != r and row[c]:
+                f = row[c]
+                rows[i] = [spec.add(x, spec.neg(spec.mul(f, y)))
+                           for x, y in zip(row, rows[r])]
+        pivots.append(c)
+    return rows, pivots
 
 
 def _moved_rows(mat, gamma):
@@ -259,9 +290,12 @@ def recursive_search(mat):
             target = col_cells[target_idx]
             tried: list[int] = []
             for v in sorted(target):
-                if (tried and on_first_path
-                        and self._orbit_joined(v, tried, path)):
-                    continue
+                if tried and on_first_path:
+                    # the orbit of v under the generators fixing the path
+                    orbit = self._orbit(v, [g for g in self.gens
+                                            if all(g[p] == p for p in path)])
+                    if any(w in orbit for w in tried):
+                        continue
                 rest = [w for w in target if w != v]
                 new_cells = (col_cells[:target_idx] + [[v], rest]
                              + col_cells[target_idx + 1:])

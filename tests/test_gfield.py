@@ -2,6 +2,7 @@
 
 import itertools
 import pickle
+import random
 
 import pytest
 
@@ -219,3 +220,58 @@ def test_normalize_vector_idempotent_and_projective():
         for c in f.nonzero():
             scaled = tuple(f.mul(c, v) for v in vec)
             assert normalize_vector(f, scaled)[0] == unit
+
+
+# every field with a default modulus, the primes up to 31, a prime above
+# 256, and composite fields above 256 of characteristic 2 and odd
+# characteristic with explicit moduli (x^9 + x + 1 over GF(2), x^6 + x + 2
+# over GF(3))
+TABLE_FIELDS = ([(q, None) for q in DEFAULT_MODULI]
+                + [(p, None) for p in (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31)]
+                + [(257, None), (512, 515), (729, 734)])
+
+
+def _table_sample(f):
+    """Every element up to q = 32, else 0, 1, q-1 and 24 seeded others."""
+    if f.q <= 32:
+        return list(f.elements())
+    return [0, 1, f.q - 1] + random.Random(f.q).sample(range(2, f.q - 1), 24)
+
+
+@pytest.mark.parametrize("q,modulus", TABLE_FIELDS)
+def test_tables_agree_with_field_methods(q, modulus):
+    """Each table, and each row kernel, against FieldSpec's scalar methods:
+    on every element, and on every pair of elements (past q = 32, every
+    element paired with a sample)."""
+    f = field(q, modulus)
+    t = f.tables
+    els = list(f.elements())
+    assert len(t.log) == len(t.inv) == len(t.neg) == q
+    for a in els:
+        assert t.neg[a] == f.neg(a)
+        if a:
+            assert t.inv[a] == f.inv(a)
+            assert t.exp[t.log[a]] == a
+        for i in range(f.m):
+            assert t.frobenius(i)[a] == f.frobenius(a, i)
+    sample = _table_sample(f)
+    for a in sample:
+        # a times every element, as one row and through the log sums
+        prods = [f.mul(a, b) for b in els]
+        assert t.scale(a, els) == prods
+        assert [t.exp[t.log[a] + t.log[b]] for b in els] == prods
+        if not a:
+            continue
+        # x + a*y for every x against rotations of y, so that every pair
+        # (x, y) meets: every sum that is 0 among them
+        for r in sample:
+            ys = els[r:] + els[:r]
+            assert t.add_scaled(els, a, ys) == [
+                f.add(x, f.mul(a, y)) for x, y in zip(els, ys)]
+
+
+def test_tables_are_built_once_on_first_use():
+    f = FieldSpec(25)  # a fresh spec, not the cached one
+    assert "tables" not in vars(f)
+    assert f.tables is f.tables
+    assert pickle.loads(pickle.dumps(field(25))).tables is field(25).tables

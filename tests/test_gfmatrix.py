@@ -7,6 +7,8 @@ import pytest
 from codequiv import (GFMatrix, field, inverse, mat_mul, nullspace_basis, rank,
                       rref)
 
+from conftest import reference_mat_mul, reference_rref
+
 
 def _random_matrix(spec, rows, cols, rng):
     return GFMatrix(spec, [[rng.randrange(spec.q) for _ in range(cols)]
@@ -123,3 +125,53 @@ def test_from_columns_and_transpose():
     assert a.nrows == 2 and a.ncols == 3
     assert [list(c) for c in a.columns()] == cols
     assert a.transpose().rows == cols
+
+
+# GF(2) to GF(27), and fields above 256: a prime, where an int64 product
+# reduced mod p must stay exact, and composite fields of characteristic 2
+# and odd characteristic (explicit moduli, as in test_gfield)
+KERNEL_FIELDS = [(2, None), (3, None), (4, None), (5, None), (7, None),
+                 (8, None), (9, None), (11, None), (13, None), (16, None),
+                 (25, None), (27, None), (257, None), (512, 515), (729, 734),
+                 (65521, None)]
+
+
+def _random_rows(spec, rows, cols, rng):
+    # a third of the entries 0, so that pivots are often missing
+    return [[rng.randrange(spec.q) if rng.random() < 2 / 3 else 0
+             for _ in range(cols)] for _ in range(rows)]
+
+
+@pytest.mark.parametrize("q,modulus", KERNEL_FIELDS)
+def test_kernels_match_per_entry_reference(q, modulus):
+    """mat_mul, rank, rref and nullspace_basis against the per-entry
+    references of conftest, on seeded matrices of 1-7 rows and 0-7
+    columns, an empty one and a wide one."""
+    spec = field(q, modulus)
+    rng = random.Random(q)
+    shapes = [(rng.randrange(1, 8), rng.randrange(0, 8)) for _ in range(30)]
+    shapes += [(12, 24), (0, 0), (5, 0)]
+    for nrows, ncols in shapes:
+        a_rows = _random_rows(spec, nrows, ncols, rng)
+        if nrows > 2 and rng.random() < 0.5:
+            # a row that is a combination of two others
+            f = rng.randrange(1, q)
+            a_rows[-1] = reference_mat_mul(spec, [[1, f]], a_rows[:2])[0]
+        a = GFMatrix(spec, a_rows)
+        b_rows = _random_rows(spec, ncols, rng.randrange(0, 8), rng)
+        b = GFMatrix(spec, b_rows)
+        assert mat_mul(a, b).rows == reference_mat_mul(spec, a_rows, b_rows)
+
+        want_rref, want_pivots = reference_rref(spec, a_rows, ncols)
+        res = rref(a)
+        assert res.rref.rows == want_rref
+        assert list(res.pivots) == want_pivots
+        assert rank(a) == res.rank == len(want_pivots)
+        assert reference_mat_mul(spec, res.transform.rows, a_rows) == want_rref
+        assert rank(res.transform) == nrows
+
+        basis = nullspace_basis(a)
+        assert len(basis) == ncols - len(want_pivots)
+        for v in basis:
+            assert reference_mat_mul(spec, a_rows, [[x] for x in v]) == [
+                [0]] * nrows

@@ -80,6 +80,7 @@ sorted records unchanged.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from numbers import Integral
 
 import numpy as np
 
@@ -116,9 +117,9 @@ class ColoredBinaryMatrix:
                 raise ValueError("ragged rows")
             m = 0
             for e in r:
-                if e not in (0, 1):
+                if e not in (0, 1) or not isinstance(e, Integral):
                     raise ValueError(f"entries must be 0/1, got {e!r}")
-                m = (m << 1) | e
+                m = (m << 1) | int(e)
             masks.append(m)
         self._init(masks, width, col_colors)
 

@@ -20,6 +20,7 @@ from .gfield import field
 from .lincode import characteristic_vector, random_code
 from .projgeom import point_table
 
+
 def _read_codes(path: str):
     if path == "-":
         text = sys.stdin.read()

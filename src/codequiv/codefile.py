@@ -65,13 +65,13 @@ def parse_codes(text: str) -> list[GeneratorMatrix]:
                 _fail(lineno, f"code needs {k} rows, file ends after {r}")
             row_lineno, row_line = stripped[pos + 1 + r]
             try:
-                row = [int(v) for v in row_line.split()]
+                row = list(map(int, row_line.split()))
             except ValueError:
                 _fail(row_lineno, f"non-integer entry in {row_line!r}")
             if len(row) != n:
                 _fail(row_lineno, f"expected {n} entries, got {len(row)}")
-            bad = next((v for v in row if not 0 <= v < q), None)
-            if bad is not None:
+            if not (0 <= min(row) and max(row) < q):
+                bad = next(v for v in row if not 0 <= v < q)
                 _fail(row_lineno, f"entry {bad} outside field range 0..{q - 1}")
             rows.append(row)
         try:

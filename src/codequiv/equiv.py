@@ -77,7 +77,7 @@ from . import bmcanon
 from .bmcanon import (CanonResult, ColoredBinaryMatrix, _sigma_from_canons,
                       canonical_form, serialize)
 from .errors import BudgetExceededError, ResourceLimitError
-from .gfield import FieldSpec
+from .gfield import FieldSpec, as_ints
 from .gfmatrix import (GFMatrix, RREFResult, _eliminate, mat_mul,
                        nullspace_basis, rank, rref)
 from .lincode import CharacteristicVector, GeneratorMatrix, characteristic_vector
@@ -118,6 +118,8 @@ class MonomialTransform:
     rho: int = 0
 
     def __post_init__(self):
+        # refuses non-integers: 0.5, and 1.0 too
+        as_ints((*self.sigma, *self.lambdas, self.rho))
         n = len(self.sigma)
         if sorted(self.sigma) != list(range(n)) or len(self.lambdas) != n:
             raise ValueError("malformed transform")
@@ -131,12 +133,11 @@ class MonomialTransform:
         if x.ncols != len(self.sigma):
             raise ValueError(f"expected {len(self.sigma)} columns, "
                              f"got {x.ncols}")
-        t = spec.tables
         cols = x.columns()
-        out = [t.scale(lam, cols[j])
+        out = [spec.scale(lam, cols[j])
                for lam, j in zip(self.lambdas, _perm_inverse(self.sigma))]
         if self.rho:
-            frob = t.frobenius(self.rho)
+            frob = spec.frobenius_table(self.rho)
             out = [[frob[e] for e in col] for col in out]
         return GFMatrix._wrap(spec, [list(row) for row in zip(*out)])
 
@@ -409,13 +410,12 @@ def monomial_from_sigma(g1: GeneratorMatrix, red2: RREFResult, sigma,
     when no lift exists.
     """
     spec = g1.spec
-    t = spec.tables
     k, n = g1.k, g1.n
     r2, pivots = red2.rref.rows, red2.pivots
     if red2.rref.nrows != k or red2.rref.ncols != n:
         raise ValueError("shape mismatch")
     rho %= spec.m
-    frob = t.frobenius(rho)
+    frob = spec.frobenius_table(rho)
     sigma_inv = _perm_inverse(sigma)
     moved = [[frob[row[i]] for i in sigma_inv] for row in g1.mat.rows]
     e1 = [list(row) for row in moved]
@@ -425,7 +425,7 @@ def monomial_from_sigma(g1: GeneratorMatrix, red2: RREFResult, sigma,
         return None
     # the scalings as discrete logs: every one is nonzero, and E1 and R2
     # share their support, so each ratio below is of nonzero entries
-    log, exp, order = t.log, t.exp, spec.q - 1
+    log, exp, order = spec.log, spec.exp, spec.q - 1
     row_of = {p: s for s, p in enumerate(pivots)}
     lmu = [0] * n
     for v, p in _support_forest(red2, n):

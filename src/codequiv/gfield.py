@@ -12,17 +12,17 @@ from a primitive element, so fields are limited to q <= 2**16.  Addition is
 XOR of the digit encodings in characteristic 2 and goes through a Zech
 logarithm table (log(1 + g^i) for each i) in the other composite fields.
 
-`FieldSpec`'s methods act on one or two elements.  Loops that do arithmetic
-per matrix entry read the field's `FieldTables` instead (`FieldSpec.tables`,
-built on first use, every table O(q)), whose row kernels `scale` and
-`add_scaled` keep the split of `FieldSpec.add`: XOR when p = 2, a sum mod p
-in the other prime fields, and the Zech table inline in the odd composite
-ones.
+A `FieldSpec` builds one set of tables with the field, every table O(q).
+Its scalar methods act on one or two elements.  Loops that do arithmetic
+per matrix entry read the same tables, or call the row kernels `scale` and
+`add_scaled`, which split a sum as `FieldSpec.add` does: XOR when p = 2, a
+sum mod p in the other prime fields, and the Zech table inline in the odd
+composite ones.
 """
 
 from __future__ import annotations
 
-from functools import cached_property
+import operator
 
 # Default irreducible moduli for the composite orders small enough to want
 # one out of the box (base-p digit encoding, constant term first).
@@ -116,7 +116,10 @@ def _poly_rem(a: int, b: int, p: int) -> int:
 
 
 class FieldSpec:
-    """A concrete GF(p^m) with precomputed multiplication tables.
+    """A concrete GF(p^m) with its lookup tables, built with the field.
+
+    Every table has O(q) entries, and per-entry loops read them in place
+    of calling a method per entry.
 
     Attributes
     ----------
@@ -124,15 +127,23 @@ class FieldSpec:
         Field order, characteristic, extension degree.
     modulus : int
         Digit-encoded irreducible polynomial (0 for prime fields).
-    exp, log : list[int]
-        ``exp[i]`` is g**i for a primitive element g (length q-1);
-        ``log[a]`` inverts it for a != 0 (log[0] is unused, set to -1).
-    zech : list[int]
-        Odd-characteristic composite fields only: ``zech[i]`` is the log of
-        1 + g**i, or -1 where that sum is 0 (length q-1).  `add` reads
-        it, and `FieldTables` builds its own from it.
-    tables : FieldTables
-        The lookup tables of per-entry loops, built on first use.
+    log : list[int]
+        ``log[a]`` is the discrete log of a != 0 to the primitive element
+        g, the first of 2..q-1 of order q-1 (1 for q = 2), and ``log[0]``
+        the sentinel 2(q-1).
+    exp : list[int]
+        Length 4(q-1)+1: ``exp[i]`` is g**i below 2(q-1)-1 and 0 from
+        there on, so ``exp[log[a] + log[b]]`` is a*b for all a, b, as a sum
+        of two logs is below 2(q-1)-1 and one with a sentinel in it at
+        least 2(q-1).  `projgeom._dot_kernel` gathers its products through
+        the same two tables.
+    invs, negs : list[int]
+        ``invs[a]`` is 1/a (``invs[0]`` is 0, never an inverse), ``negs[a]``
+        is -a.
+    zech : list[int] | None
+        Odd-characteristic composite fields only, length 3(q-1):
+        ``zech[d + q-1]`` is the log of 1 + g**d for -(q-1) <= d < 2(q-1),
+        and the sentinel 2(q-1) where that sum is 0.
     """
 
     def __init__(self, q: int, modulus: int | None = None):
@@ -164,41 +175,41 @@ class FieldSpec:
     # -- construction -----------------------------------------------------
 
     def _mul_raw(self, a: int, b: int) -> int:
-        """Table-free product, used only while bootstrapping the tables."""
+        """Table-free product, for bootstrapping the tables."""
         if self.m == 1:
             return (a * b) % self.p
         return _poly_mul_mod(a, b, self.modulus, self.p)
 
     def _init_tables(self) -> None:
-        q = self.q
-        if q == 2:
-            self.exp = [1]
-            self.log = [-1, 0]
-            return
-        for g in range(2, q):
+        q, p, n = self.q, self.p, self.q - 1
+        for g in range(1, q):  # g = 1 has order 1: primitive in GF(2) only
             seen = [False] * q
             x = 1
-            order = 0
-            exp = []
+            powers = []
             while not seen[x]:
                 seen[x] = True
-                exp.append(x)
+                powers.append(x)
                 x = self._mul_raw(x, g)
-                order += 1
-            if order == q - 1:
+            if len(powers) == n:
                 break
         else:
             raise ValueError(f"no primitive element found for q={q}")
-        log = [-1] * q
-        for i, v in enumerate(exp):
+        log = [2 * n] * q
+        for i, v in enumerate(powers):
             log[v] = i
-        self.exp = exp
-        self.log = log
-        if self.p > 2 and self.m > 1:
-            # zech[i] = log(1 + g^i), -1 where 1 + g^i = 0; adding 1 bumps
-            # only the constant base-p digit
-            p = self.p
-            self.zech = [log[x - x % p + (x % p + 1) % p] for x in exp]
+        exp = (powers * 2)[:2 * n - 1] + [0] * (2 * n + 2)
+        self.log, self.exp = log, exp
+        self.invs = [0] + [exp[-log[a] % n] for a in range(1, q)]
+        # -1 = g^((q-1)/2) in odd characteristic, and 1 when p = 2
+        half = n // 2 if p > 2 else 0
+        self.negs = [exp[la + half] for la in log]
+        self.zech = None
+        if p > 2 and self.m > 1:
+            # log(1 + g^d) repeats with period q-1; adding 1 bumps only the
+            # constant base-p digit
+            self.zech = [log[x - x % p + (x % p + 1) % p]
+                         for x in powers] * 3
+        self._frobenius: dict[int, list[int]] = {}
 
     # -- arithmetic --------------------------------------------------------
 
@@ -212,32 +223,19 @@ class FieldSpec:
         if b == 0:
             return a
         # a + b = a * (1 + b/a) via the Zech logarithm of b/a
-        n = self.q - 1
         la = self.log[a]
-        z = self.zech[(self.log[b] - la) % n]
-        return 0 if z < 0 else self.exp[(la + z) % n]
+        return self.exp[la + self.zech[self.q - 1 + self.log[b] - la]]
 
     def neg(self, a: int) -> int:
-        if self.m == 1:
-            return (-a) % self.p
-        if self.p == 2 or a == 0:
-            return a
-        # -1 = g^((q-1)/2) in odd characteristic
-        n = self.q - 1
-        return self.exp[(self.log[a] + n // 2) % n]
+        return self.negs[a]
 
     def mul(self, a: int, b: int) -> int:
-        if a == 0 or b == 0:
-            return 0
-        return self.exp[(self.log[a] + self.log[b]) % (self.q - 1)]
+        return self.exp[self.log[a] + self.log[b]]
 
     def inv(self, a: int) -> int:
         if a == 0:
             raise ZeroDivisionError("inversion of zero field element")
-        return self.exp[(-self.log[a]) % (self.q - 1)]
-
-    def div(self, a: int, b: int) -> int:
-        return self.mul(a, self.inv(b))
+        return self.invs[a]
 
     def pow(self, a: int, e: int) -> int:
         if a == 0:
@@ -248,15 +246,56 @@ class FieldSpec:
 
     def frobenius(self, a: int, i: int = 1) -> int:
         """a ** (p**i), the i-th power of the Frobenius automorphism."""
-        i %= self.m
-        if a == 0 or i == 0:
-            return a
-        return self.exp[(self.log[a] * pow(self.p, i)) % (self.q - 1)]
+        return self.frobenius_table(i)[a]
 
-    @cached_property
-    def tables(self) -> "FieldTables":
-        """The field's per-entry lookup tables, built on first use."""
-        return FieldTables(self)
+    def frobenius_table(self, i: int) -> list[int]:
+        """The table of a -> a ** (p**i), built on first use."""
+        i %= self.m
+        table = self._frobenius.get(i)
+        if table is None:
+            # (g^l)^(p^i) = g^(l p^i); zero's sentinel log maps to 0
+            e, n, exp = self.p ** i, self.q - 1, self.exp
+            table = self._frobenius[i] = [exp[la * e % n] if la < n else 0
+                                          for la in self.log]
+        return table
+
+    # -- row kernels -------------------------------------------------------
+
+    def scale(self, f: int, ys) -> list[int]:
+        """[f * y for y in ys]."""
+        if self.m == 1:
+            p = self.p
+            return [f * y % p for y in ys]
+        exp, log = self.exp, self.log
+        lf = log[f]
+        return [exp[lf + log[y]] for y in ys]
+
+    def add_scaled(self, xs, f: int, ys) -> list[int]:
+        """[x + f * y for x, y in zip(xs, ys)], for a nonzero f.  The sum is
+        split as `add` splits it: XOR when p = 2, mod p in the other prime
+        fields, and x + t = x (1 + t/x) through `zech` in the odd composite
+        ones."""
+        if self.q == 2:
+            return [x ^ y for x, y in zip(xs, ys)]
+        if self.m == 1:
+            p = self.p
+            return [(x + f * y) % p for x, y in zip(xs, ys)]
+        exp, log = self.exp, self.log
+        lf = log[f]
+        if self.p == 2:
+            return [x ^ exp[lf + log[y]] for x, y in zip(xs, ys)]
+        zech = self.zech
+        shift = lf + self.q - 1  # the log of t/x, offset into `zech`
+        out = []
+        for x, y in zip(xs, ys):
+            if not y:
+                out.append(x)
+            elif not x:
+                out.append(exp[lf + log[y]])
+            else:
+                lx = log[x]
+                out.append(exp[lx + zech[shift + log[y] - lx]])
+        return out
 
     # -- helpers -----------------------------------------------------------
 
@@ -290,94 +329,6 @@ class FieldSpec:
         return field, (self.q, self.modulus or None)
 
 
-class FieldTables:
-    """Lookup tables of one field for loops that do arithmetic per matrix
-    entry, with no `FieldSpec` method call per entry.  Each table has O(q)
-    entries; `FieldSpec.tables` builds them once per field, on first use.
-
-    Attributes
-    ----------
-    q, p, m : int
-        As in `FieldSpec`.
-    log : list[int]
-        ``log[a]`` is the discrete log of a != 0, and ``log[0]`` the
-        sentinel 2(q-1).
-    exp : list[int]
-        Length 4(q-1)+1: ``exp[log[a] + log[b]]`` is a*b for all a, b, as a
-        sum of two logs is below 2(q-1)-1 and one with a sentinel in it at
-        least 2(q-1), where `exp` holds 0.  `projgeom._dot_kernel` gathers
-        its products through the same two tables.
-    inv, neg : list[int]
-        ``inv[a]`` is 1/a (``inv[0]`` is 0, never an inverse), ``neg[a]``
-        is -a.
-    zech : list[int] | None
-        Odd-characteristic composite fields only, length 3(q-1):
-        ``zech[d + q-1]`` is the log of 1 + g**d for -(q-1) <= d < 2(q-1),
-        and the sentinel 2(q-1) where that sum is 0.
-    """
-
-    def __init__(self, spec: FieldSpec):
-        q, p, m = spec.q, spec.p, spec.m
-        n = q - 1
-        self.q, self.p, self.m = q, p, m
-        self.log = [2 * n] + spec.log[1:]
-        self.exp = [spec.exp[i % n] for i in range(2 * n - 1)] + [0] * (2 * n + 2)
-        self.inv = [0] + [spec.inv(a) for a in range(1, q)]
-        self.neg = [spec.neg(a) for a in range(q)]
-        self.zech = None
-        if p > 2 and m > 1:
-            self.zech = [2 * n if z < 0 else z
-                         for z in (spec.zech[d % n] for d in range(-n, 2 * n))]
-        self._frobenius: dict[int, list[int]] = {}
-
-    def frobenius(self, i: int) -> list[int]:
-        """The table of a -> a ** (p**i), built on first use."""
-        i %= self.m
-        table = self._frobenius.get(i)
-        if table is None:
-            # (g^l)^(p^i) = g^(l p^i); zero's sentinel log maps to 0
-            e, n, exp = self.p ** i, self.q - 1, self.exp
-            table = self._frobenius[i] = [exp[la * e % n] if la < n else 0
-                                          for la in self.log]
-        return table
-
-    def scale(self, f: int, ys) -> list[int]:
-        """[f * y for y in ys]."""
-        if self.m == 1:
-            p = self.p
-            return [f * y % p for y in ys]
-        exp, log = self.exp, self.log
-        lf = log[f]
-        return [exp[lf + log[y]] for y in ys]
-
-    def add_scaled(self, xs, f: int, ys) -> list[int]:
-        """[x + f * y for x, y in zip(xs, ys)], for a nonzero f.  The sum is
-        split as `FieldSpec.add` splits it: XOR when p = 2, mod p in the
-        other prime fields, and x + t = x (1 + t/x) through `zech` in the
-        odd composite ones."""
-        if self.q == 2:
-            return [x ^ y for x, y in zip(xs, ys)]
-        if self.m == 1:
-            p = self.p
-            return [(x + f * y) % p for x, y in zip(xs, ys)]
-        exp, log = self.exp, self.log
-        lf = log[f]
-        if self.p == 2:
-            return [x ^ exp[lf + log[y]] for x, y in zip(xs, ys)]
-        zech = self.zech
-        shift = lf + self.q - 1  # the log of t/x, offset into `zech`
-        out = []
-        for x, y in zip(xs, ys):
-            if not y:
-                out.append(x)
-            elif not x:
-                out.append(exp[lf + log[y]])
-            else:
-                lx = log[x]
-                out.append(exp[lx + zech[shift + log[y] - lx]])
-        return out
-
-
 _CACHE: dict[tuple[int, int], FieldSpec] = {}
 
 
@@ -404,5 +355,14 @@ def normalize_vector(spec: FieldSpec, vec) -> tuple[tuple[int, ...], int]:
             break
     else:
         raise ValueError("cannot normalize the zero vector")
-    t = spec.tables
-    return tuple(t.scale(t.inv[lam], vec)), lam
+    return tuple(spec.scale(spec.invs[lam], vec)), lam
+
+
+def as_ints(values) -> list[int]:
+    """`values` as a list of ints.  Python ints, bools and NumPy integers
+    pass; any other entry raises ValueError."""
+    values = iter(values)  # a non-iterable stays a TypeError
+    try:
+        return list(map(operator.index, values))
+    except TypeError as e:
+        raise ValueError(f"entries must be integers: {e}") from None

@@ -1,9 +1,9 @@
 """Dense matrices over GF(q): elimination, ranks, inverses and nullspaces.
 
 Matrices are small (dozens of rows/columns) and hold plain-int entries.
-Their per-entry loops read the field's lookup tables (`FieldTables`): each
-row operation is one `scale` or `add_scaled` call on whole rows, with no
-`FieldSpec` method call per entry.  Over a prime field `mat_mul` is one
+Their per-entry loops read the field's tables: each row operation is one
+`FieldSpec.scale` or `FieldSpec.add_scaled` call on whole rows, with no
+scalar method call per entry.  Over a prime field `mat_mul` is one
 exact int64 NumPy product reduced mod p; no linear-algebra package
 understands the table-backed extension fields, whose products stay row
 operations.
@@ -15,7 +15,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .gfield import FieldSpec
+from .gfield import FieldSpec, as_ints
 
 
 class GFMatrix:
@@ -25,7 +25,7 @@ class GFMatrix:
 
     def __init__(self, spec: FieldSpec, rows):
         self.spec = spec
-        self.rows = [list(r) for r in rows]
+        self.rows = [as_ints(r) for r in rows]
         q = spec.q
         width = len(self.rows[0]) if self.rows else 0
         for r in self.rows:
@@ -83,7 +83,7 @@ def mat_mul(a: GFMatrix, b: GFMatrix) -> GFMatrix:
     """The product a @ b.  Over a prime field it is one int64 NumPy product
     reduced mod p, exact while a.ncols * (p-1)**2 < 2**63; over a composite
     field each row of the product sums the rows of `b` scaled by that row
-    of `a` (`FieldTables.add_scaled`)."""
+    of `a` (`FieldSpec.add_scaled`)."""
     if a.spec != b.spec:
         raise ValueError("field mismatch")
     if a.ncols != b.nrows:
@@ -93,13 +93,12 @@ def mat_mul(a: GFMatrix, b: GFMatrix) -> GFMatrix:
         x = np.array(a.rows, dtype=np.int64).reshape(a.nrows, a.ncols)
         y = np.array(b.rows, dtype=np.int64).reshape(b.nrows, b.ncols)
         return GFMatrix._wrap(spec, ((x @ y) % spec.p).tolist())
-    t = spec.tables
     out = []
     for row in a.rows:
         acc = [0] * b.ncols
         for f, b_row in zip(row, b.rows):
             if f:
-                acc = t.add_scaled(acc, f, b_row)
+                acc = spec.add_scaled(acc, f, b_row)
         out.append(acc)
     return GFMatrix._wrap(spec, out)
 
@@ -119,8 +118,7 @@ class RREFResult:
 def _eliminate(spec: FieldSpec, rows: list[list[int]], cols) -> list[int]:
     """Gauss-Jordan on `rows` in place, trying the candidate pivot columns
     `cols` in order; returns the pivot columns."""
-    t = spec.tables
-    inv, neg = t.inv, t.neg
+    invs, negs = spec.invs, spec.negs
     n = len(rows)
     pivots = []
     r = 0
@@ -133,11 +131,12 @@ def _eliminate(spec: FieldSpec, rows: list[list[int]], cols) -> list[int]:
         rows[r], rows[pivot] = rows[pivot], rows[r]
         lead = rows[r][c]
         if lead != 1:
-            rows[r] = t.scale(inv[lead], rows[r])
+            rows[r] = spec.scale(invs[lead], rows[r])
         pivot_row = rows[r]
         for i in range(n):
             if i != r and rows[i][c]:
-                rows[i] = t.add_scaled(rows[i], neg[rows[i][c]], pivot_row)
+                rows[i] = spec.add_scaled(rows[i], negs[rows[i][c]],
+                                          pivot_row)
         pivots.append(c)
         r += 1
     return pivots
@@ -170,7 +169,7 @@ def nullspace_basis(a: GFMatrix) -> list[tuple[int, ...]]:
     """Basis of the right nullspace {x : A x = 0}, one vector per free column."""
     rows = [list(row) for row in a.rows]
     pivots = _eliminate(a.spec, rows, range(a.ncols))
-    neg = a.spec.tables.neg
+    negs = a.spec.negs
     pivot_set = set(pivots)
     basis = []
     for f in range(a.ncols):
@@ -179,7 +178,7 @@ def nullspace_basis(a: GFMatrix) -> list[tuple[int, ...]]:
         vec = [0] * a.ncols
         vec[f] = 1
         for t, pc in enumerate(pivots):
-            vec[pc] = neg[rows[t][f]]
+            vec[pc] = negs[rows[t][f]]
         basis.append(tuple(vec))
     return basis
 

@@ -154,14 +154,13 @@ def _dot_kernel(spec: FieldSpec, k: int):
     if m == 1:
         return (np.arange(q, dtype=dtype),
                 np.bitwise_and if p == 2 else np.multiply, add, nonzero)
-    # the field's log and product tables (`FieldTables`): zero's log is
-    # the sentinel 2n, and a sum of two logs indexes the product, 0 when
-    # either factor is zero
-    tables = spec.tables
-    exp = np.array(tables.exp)
+    # the field's log and product tables (`FieldSpec.log`, `FieldSpec.exp`):
+    # zero's log is the sentinel 2n, and a sum of two logs indexes the
+    # product, 0 when either factor is zero
+    exp = np.array(spec.exp)
     prod = sum((exp // p ** d % p) << (width * d)
                for d in range(m)).astype(dtype)
-    return (np.array(tables.log, dtype=_uint_for(4 * n)),
+    return (np.array(spec.log, dtype=_uint_for(4 * n)),
             lambda a, b: prod[a + b], add, nonzero)
 
 

@@ -5,7 +5,8 @@ Everything here works over prime fields with plain integer arithmetic mod q
 the exceptions cover extension fields too: `reference_monomial_from_sigma`
 borrows the library's field tables and `nullspace_basis`, and the
 per-entry matrix references (`reference_mat_mul`, `reference_rref`) call
-FieldSpec's scalar methods once per entry, never its `FieldTables`.
+FieldSpec's scalar methods once per entry, never its row kernels `scale`
+and `add_scaled`.
 """
 
 from __future__ import annotations

@@ -53,6 +53,14 @@ def test_construction_and_entry_access():
         ColoredBinaryMatrix([[1], [0, 1]])
 
 
+def test_non_integer_entries_refused():
+    for bad in (1.0, 0.0, 0.5):
+        with pytest.raises(ValueError, match="0/1"):
+            ColoredBinaryMatrix([[bad, 0]])
+    m = ColoredBinaryMatrix([[True, np.int64(0), np.uint8(1)]])
+    assert m.row_masks == (0b101,) and type(m.row_masks[0]) is int
+
+
 def test_from_masks_rejects_a_mask_wider_than_n_cols():
     with pytest.raises(ValueError):
         ColoredBinaryMatrix.from_masks([0b100, 0b01], 2)

@@ -86,6 +86,21 @@ def test_transform_rejects_scalings_rho_and_widths_out_of_range():
     assert t.apply(GFMatrix(spec, [[1, 2]])) == GFMatrix(spec, [[2, 2]])
 
 
+def test_transform_refuses_non_integers_and_verify_witness_says_false():
+    spec = field(9)
+    for sigma, lambdas, rho in (((1, 0), (1, 2.0), 0), ((1, 0), (1, 2), 0.5),
+                                ((1.0, 0), (1, 2), 0)):
+        with pytest.raises(ValueError, match="integers"):
+            MonomialTransform(spec, sigma, lambdas, rho)
+    assert MonomialTransform(spec, (np.int64(1), 0), (True, np.uint8(8)),
+                             np.int32(1)).rho == 1
+    c = random_code(spec, 6, 2, seed=5)
+    v = cesimpg_equiv(c, c)
+    assert v.equivalent and verify_witness(c, c, v.witness)
+    v.witness.rho = 0.5
+    assert not verify_witness(c, c, v.witness)
+
+
 # ---------------------------------------------------------------------------
 # matrices handed to the canonicalizer
 

@@ -238,40 +238,80 @@ def _table_sample(f):
     return [0, 1, f.q - 1] + random.Random(f.q).sample(range(2, f.q - 1), 24)
 
 
+def _raw_pow(f, a, e):
+    """a**e for e >= 0 by square-and-multiply on `FieldSpec._mul_raw`,
+    which multiplies polynomials modulo the modulus and reads no table."""
+    out = 1
+    while e:
+        if e & 1:
+            out = f._mul_raw(out, a)
+        a = f._mul_raw(a, a)
+        e >>= 1
+    return out
+
+
+@pytest.mark.parametrize("q,modulus", TABLE_FIELDS)
+def test_tables_agree_with_polynomial_arithmetic(q, modulus):
+    """The scalar methods against arithmetic built from no table: products,
+    inverses, powers and Frobenius images by `_mul_raw`, sums and negations
+    digit by digit; and the sentinel conventions the per-entry loops rely
+    on."""
+    f = field(q, modulus)
+    n = q - 1
+    assert len(f.log) == q and f.log[0] == 2 * n
+    assert len(f.exp) == 4 * n + 1
+    assert f.exp[2 * n - 1:] == [0] * (2 * n + 2)
+    if f.p > 2 and f.m > 1:
+        # 1 + g^d = 0 exactly where g^d = -1, that is d = (q-1)/2 mod q-1
+        assert len(f.zech) == 3 * n
+        assert [i for i, z in enumerate(f.zech) if z == 2 * n] == [
+            n // 2, n + n // 2, 2 * n + n // 2]
+        assert max(z for z in f.zech if z != 2 * n) < n
+    else:
+        assert f.zech is None
+    sample = _table_sample(f)
+    for a in sample:
+        assert f.exp[f.log[a] + f.log[0]] == 0
+        assert f.neg(a) == _digitwise_neg(f.p, a)
+        if a:
+            assert f._mul_raw(a, f.inv(a)) == 1
+            assert f.pow(a, -1) == f.inv(a)
+        for e in (0, 1, 2, n - 1, q, 3 * q + 1):
+            assert f.pow(a, e) == _raw_pow(f, a, e)
+        for i in range(f.m):
+            assert f.frobenius(a, i) == _raw_pow(f, a, f.p ** i)
+        for b in sample:
+            assert f.mul(a, b) == f._mul_raw(a, b)
+            assert f.add(a, b) == _digitwise_add(f.p, a, b)
+
+
 @pytest.mark.parametrize("q,modulus", TABLE_FIELDS)
 def test_tables_agree_with_field_methods(q, modulus):
     """Each table, and each row kernel, against FieldSpec's scalar methods:
     on every element, and on every pair of elements (past q = 32, every
     element paired with a sample)."""
     f = field(q, modulus)
-    t = f.tables
     els = list(f.elements())
-    assert len(t.log) == len(t.inv) == len(t.neg) == q
+    assert len(f.log) == len(f.invs) == len(f.negs) == q
     for a in els:
-        assert t.neg[a] == f.neg(a)
+        assert f.negs[a] == f.neg(a)
         if a:
-            assert t.inv[a] == f.inv(a)
-            assert t.exp[t.log[a]] == a
+            assert f.invs[a] == f.inv(a)
+            assert f.exp[f.log[a]] == a
         for i in range(f.m):
-            assert t.frobenius(i)[a] == f.frobenius(a, i)
+            assert f.frobenius_table(i)[a] == f.frobenius(a, i)
     sample = _table_sample(f)
     for a in sample:
         # a times every element, as one row and through the log sums
         prods = [f.mul(a, b) for b in els]
-        assert t.scale(a, els) == prods
-        assert [t.exp[t.log[a] + t.log[b]] for b in els] == prods
+        assert f.scale(a, els) == prods
+        assert [f.exp[f.log[a] + f.log[b]] for b in els] == prods
         if not a:
             continue
         # x + a*y for every x against rotations of y, so that every pair
         # (x, y) meets: every sum that is 0 among them
         for r in sample:
             ys = els[r:] + els[:r]
-            assert t.add_scaled(els, a, ys) == [
+            assert f.add_scaled(els, a, ys) == [
                 f.add(x, f.mul(a, y)) for x, y in zip(els, ys)]
 
-
-def test_tables_are_built_once_on_first_use():
-    f = FieldSpec(25)  # a fresh spec, not the cached one
-    assert "tables" not in vars(f)
-    assert f.tables is f.tables
-    assert pickle.loads(pickle.dumps(field(25))).tables is field(25).tables

@@ -2,6 +2,7 @@
 
 import random
 
+import numpy as np
 import pytest
 
 from codequiv import (GFMatrix, field, inverse, mat_mul, nullspace_basis, rank,
@@ -116,6 +117,18 @@ def test_out_of_range_entry_is_named():
                            match=rf"^entry {bad} out of range for GF\(3\)$"):
             GFMatrix(spec, rows)
     assert GFMatrix(spec, [[], []]).ncols == 0
+
+
+def test_non_integer_entries_refused():
+    spec = field(3)
+    with pytest.raises(ValueError, match="integers"):
+        GFMatrix(spec, [[1.5, 0], [0, 1]])
+    with pytest.raises(ValueError, match="integers"):
+        GFMatrix(spec, [[1, 0], [0, 1.0]])
+    # bools and NumPy integers are integers, stored as Python ints
+    a = GFMatrix(spec, [[True, np.int64(2)], np.array([0, 1], dtype=np.uint8)])
+    assert a.rows == [[1, 2], [0, 1]]
+    assert all(type(e) is int for row in a.rows for e in row)
 
 
 def test_from_columns_and_transpose():

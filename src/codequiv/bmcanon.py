@@ -42,14 +42,18 @@ refining a node once its columns are discrete: the node is then a leaf, and
 its certificate reads the column order alone, not the row cells.
 
 A refinement step counts the members of every non-singleton cell against
-all its splitters (the fragments, as index lists) at once: it gathers those
-members' rows of the bit matrix (its transpose in a column step) at all
-the splitters' indices with one NumPy index operation and sums each
-splitter's block with np.add.reduceat.  A member's key is its counts as
-big-endian 4-byte words; keys of one step have one width and compare as
-bytes exactly as the count tuples do.  A step with few member-splitter
-pairs popcounts Python ints instead, as NumPy's fixed cost per call would
-outweigh its work.
+all its splitters (the fragments, as index lists) at once, with NumPy,
+each count at its width.  A step whose only splitter is one index splits
+each cell in two by that index's column of the bit matrix (its transpose
+in a column step).  Any other step gathers those members' rows of the bit
+matrix at all the splitters' indices with one NumPy index operation, and
+a member's key is its row of counts as one bytes object: the gathered
+bits themselves when every splitter is one index, else each splitter's
+block summed with np.add.reduceat, one byte per count when every splitter
+has fewer than 256 indices and big-endian 4-byte words past that.  Keys of
+one step have one width and compare as bytes exactly as the count tuples
+do.  A step with few member-splitter pairs popcounts Python ints instead,
+as NumPy's fixed cost per call would outweigh its work.
 
 The generators found below the i-th node of the first path fix the columns
 individualized above it and generate their pointwise stabilizer, so the group
@@ -66,20 +70,29 @@ exactly like the row read left to right as a binary string.  It is the
 package's one bit order: _pack_rows packs every mask in it, projgeom's
 incidence rows and the search's column masks (bit R-1-i holds row i) alike.
 
-The search keeps the rows as one R x C NumPy bit matrix and writes the sorted
-row list of a certificate as one byte string of fixed-width records: each
-row's bits in the given column order packed big-endian, zero-padded on the
-right.  Every record has the same width, so records compare as bytes exactly
-as the masks compare as ints, their concatenations in sorted order compare
-exactly as the sorted mask lists do, and the search tree, its leaves and
-generators are those the masks would give.  The same records check
-generators: a relabeling fixes the row multiset exactly when it leaves the
-sorted records unchanged.
+The search reads the rows as the matrix's R x C uint8 bit matrix
+(ColoredBinaryMatrix.bits): the array the matrix was made from, as equiv's
+shortened matrices keep the dot kernel's output, else one unpacked from the
+masks on first use and kept.  The columns are its transpose, except that a
+symmetric matrix (projgeom's incidence) serves as its own.  The search
+writes the sorted row list of a certificate as one byte string of
+fixed-width records: each row's bits in the given column order packed
+big-endian, zero-padded on the right.  Every record has the same width, so
+records compare as bytes exactly as the masks compare as ints, their
+concatenations in sorted order compare exactly as the sorted mask lists
+do, and the search tree, its leaves and generators are those the masks
+would give.  The same records check generators: a relabeling fixes the row
+multiset exactly when it leaves the sorted records unchanged.  The
+canonical form keeps its certificate: CanonResult.serialize() renders the
+text key from those records with one NumPy unpack, and the canonical
+matrix is decoded from them only when read.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
+from itertools import compress
 from numbers import Integral
 
 import numpy as np
@@ -94,10 +107,13 @@ class ColoredBinaryMatrix:
     """Immutable binary matrix with column colors.
 
     Rows are stored as int bitmasks (see module docstring for the bit order).
-    Construct from nested 0/1 lists, or from masks via :meth:`from_masks`.
+    Construct from nested 0/1 lists, from masks via :meth:`from_masks`, or
+    from a 0/1 array via :meth:`from_bits`.  `bits` holds the same rows as
+    an array, built on first use unless the matrix was made from one.
     """
 
-    __slots__ = ("n_rows", "n_cols", "row_masks", "col_colors")
+    __slots__ = ("n_rows", "n_cols", "row_masks", "col_colors", "_bits",
+                 "_symmetric")
 
     def __init__(self, bits, col_colors=None, n_cols: int | None = None):
         bits = [list(r) for r in bits]
@@ -130,6 +146,10 @@ class ColoredBinaryMatrix:
         self.col_colors = tuple(col_colors) if col_colors is not None else (0,) * n_cols
         if len(self.col_colors) != n_cols:
             raise ValueError("col_colors length mismatch")
+        self._bits = None
+        # set where bits equal their transpose (projgeom.incidence), so the
+        # search reads the rows as the columns too
+        self._symmetric = False
 
     @classmethod
     def from_masks(cls, masks, n_cols, col_colors=None) -> "ColoredBinaryMatrix":
@@ -140,6 +160,43 @@ class ColoredBinaryMatrix:
         self = cls.__new__(cls)
         self._init(masks, n_cols, col_colors)
         return self
+
+    @classmethod
+    def from_bits(cls, bits: np.ndarray,
+                  col_colors=None) -> "ColoredBinaryMatrix":
+        """The matrix of an R x C uint8 array of 0/1 entries, kept as its
+        `bits` (made read-only) and packed into its masks."""
+        if bits.dtype != np.uint8 or bits.ndim != 2:
+            raise ValueError("bits must be a 2-D uint8 array")
+        if bits.size and bits.max() > 1:
+            raise ValueError("entries must be 0/1")
+        self = cls.__new__(cls)
+        self._init(_pack_rows(bits), bits.shape[1], col_colors)
+        bits.flags.writeable = False
+        self._bits = bits
+        return self
+
+    @property
+    def bits(self) -> np.ndarray:
+        """The rows as a read-only R x C uint8 array of 0/1, unpacked from
+        the masks on first use and kept."""
+        if self._bits is None:
+            width = -(-self.n_cols // 8)
+            data = b"".join(m.to_bytes(width, "big") for m in self.row_masks)
+            packed = np.frombuffer(data, np.uint8).reshape(self.n_rows, width)
+            bits = np.ascontiguousarray(
+                np.unpackbits(packed, axis=1)[:, 8 * width - self.n_cols:])
+            bits.flags.writeable = False
+            self._bits = bits
+        return self._bits
+
+    def recolored(self, col_colors) -> "ColoredBinaryMatrix":
+        """The same rows with column colors `col_colors`, sharing this
+        matrix's masks and `bits` (built here if need be)."""
+        new = ColoredBinaryMatrix.__new__(ColoredBinaryMatrix)
+        new._init(self.row_masks, self.n_cols, col_colors)
+        new._bits, new._symmetric = self.bits, self._symmetric
+        return new
 
     def entry(self, i: int, j: int) -> int:
         return (self.row_masks[i] >> (self.n_cols - 1 - j)) & 1
@@ -206,17 +263,13 @@ def serialize(mat: ColoredBinaryMatrix) -> str:
 
 class _RowRecords:
     """A matrix's rows as the fixed-width byte records of the module
-    docstring, built from one R x C uint8 bit matrix."""
+    docstring, built from its R x C uint8 bit matrix (`bits`)."""
 
     def __init__(self, mat: ColoredBinaryMatrix):
-        C = mat.n_cols
         self.col_colors = mat.col_colors
-        self.width = -(-C // 8)
-        self.pad = 8 * self.width - C
-        data = b"".join(m.to_bytes(self.width, "big") for m in mat.row_masks)
-        packed = np.frombuffer(data, np.uint8).reshape(mat.n_rows, self.width)
-        self.bits = np.ascontiguousarray(
-            np.unpackbits(packed, axis=1)[:, self.pad:])
+        self.n_cols = mat.n_cols
+        self.width = -(-mat.n_cols // 8)
+        self.bits = mat.bits
         self._identity = None
 
     def sorted_bytes(self, order) -> bytes:
@@ -245,24 +298,62 @@ class _RowRecords:
 
     def decode(self, data: bytes) -> list[int]:
         """The row masks of sorted records `data`."""
-        return [int.from_bytes(data[o:o + self.width], "big") >> self.pad
-                for o in range(0, len(data), self.width)]
+        return _decode_records(data, self.n_cols)
+
+
+def _decode_records(data: bytes, n_cols: int) -> list[int]:
+    """The row masks of the records `data` of rows of `n_cols` columns
+    (at least one)."""
+    width = -(-n_cols // 8)
+    pad = 8 * width - n_cols
+    return [int.from_bytes(data[o:o + width], "big") >> pad
+            for o in range(0, len(data), width)]
 
 
 @dataclass
 class CanonResult:
     """Canonical form plus the search byproducts.
 
+    `cert` holds the canonical matrix's n_rows rows as the sorted byte
+    records of the module docstring, and `col_colors` its column colors in
+    canonical order; `matrix` is decoded from them when first read, and
+    `serialize()` renders its text from them directly.
     Invariants: ``permute_columns(input, perm)`` with rows re-sorted by
     their bits equals `matrix`; every generator passes is_automorphism;
     `group_order` is the exact order of the full automorphism group, which
     `generators` generate.  `nodes` counts the nodes the search visited.
     """
-    matrix: ColoredBinaryMatrix
+    cert: bytes
+    n_rows: int
+    col_colors: tuple[int, ...]
     perm: tuple[int, ...]
     generators: list[tuple[int, ...]]
     group_order: int
     nodes: int
+
+    @cached_property
+    def matrix(self) -> ColoredBinaryMatrix:
+        C = len(self.col_colors)
+        masks = _decode_records(self.cert, C) if C else [0] * self.n_rows
+        mat = ColoredBinaryMatrix.__new__(ColoredBinaryMatrix)
+        mat._init(masks, C, self.col_colors)
+        return mat
+
+    def serialize(self) -> str:
+        """``serialize(self.matrix)``, rendered from `cert`: its records
+        unpacked at once into rows of "0"/"1" bytes, each ended by a
+        newline."""
+        C, R = len(self.col_colors), self.n_rows
+        head = "c " + " ".join(map(str, self.col_colors))
+        if not R:
+            return head
+        text = np.empty((R, C + 1), np.uint8)
+        text[:, C] = ord("\n")
+        if C:
+            records = np.frombuffer(self.cert, np.uint8).reshape(R, -1)
+            np.add(np.unpackbits(records, axis=1)[:, :C], ord("0"),
+                   out=text[:, :C])
+        return head + "\n" + text.tobytes()[:-1].decode()
 
 
 def _color_classes(colors) -> list[list[int]]:
@@ -274,11 +365,17 @@ def _color_classes(colors) -> list[list[int]]:
 
 def _pack_rows(bits: np.ndarray) -> list[int]:
     """One mask per row of a 2-D array, in the module's bit order (bit
-    C-1-j holds column j); any nonzero entry is a set bit."""
+    C-1-j holds column j); any nonzero entry is a set bit.  Rows of at most
+    64 columns are read all at once, their packed bytes as the low end of
+    big-endian 8-byte words; wider ones one int.from_bytes each."""
     n_rows, n_cols = bits.shape
     packed = np.packbits(bits, axis=1)
     step = packed.shape[1]
     pad = 8 * step - n_cols
+    if step <= 8:
+        words = np.zeros((n_rows, 8), np.uint8)
+        words[:, 8 - step:] = packed
+        return (words.view(">u8")[:, 0] >> pad).tolist()
     data = packed.tobytes()
     return [int.from_bytes(data[i * step:(i + 1) * step], "big") >> pad
             for i in range(n_rows)]
@@ -311,9 +408,13 @@ class _Search:
         self.rows = mat.row_masks
         self.records = _RowRecords(mat)
         # the columns as rows of the transposed bit matrix, and as masks
-        # over row indices (bit R-1-i holds row i), for column signatures
-        self.bits_t = np.ascontiguousarray(self.records.bits.T)
-        self.cols = _pack_rows(self.bits_t)
+        # over row indices (bit R-1-i holds row i), for column signatures:
+        # a symmetric matrix's rows, as they are
+        if mat._symmetric:
+            self.bits_t, self.cols = mat.bits, self.rows
+        else:
+            self.bits_t = np.ascontiguousarray(mat.bits.T)
+            self.cols = _pack_rows(self.bits_t)
         self.nodes = 0
         # (cert, order, path) of the first leaf and of the least one so far
         self.first = None
@@ -384,27 +485,44 @@ class _Search:
         each split cell.
 
         A step with more than _NUMPY_WORK pairs of a non-singleton member
-        and a splitter gathers those members' rows of `bits` at all the
-        splitters' indices at once and sums each splitter's block with
-        np.add.reduceat; a member's key is its slice of the counts written
-        as big-endian 4-byte words, which compares as bytes exactly as its
-        count tuple does (module docstring).  A smaller step keys each
-        member by its count tuple, popcounting ints.  A step in which no
-        cell has two members splits nothing and returns at once."""
+        and a splitter counts with NumPy, each count at its width.  When
+        the only splitter is one index, each cell splits in two by its
+        members' bits there, read off that column of `bits`.  Otherwise
+        the step gathers those members' rows of `bits` at all the
+        splitters' indices at once; a member's key is its row of counts as
+        one bytes object, which compares exactly as its count tuple does
+        (module docstring): the gathered bits themselves when every
+        splitter is one index, else each splitter's block summed with
+        np.add.reduceat, into one byte when every splitter has fewer than
+        256 indices and into big-endian 4-byte words otherwise.  A smaller
+        step keys each member by its count tuple, popcounting ints.  A
+        step in which no cell has two members splits nothing and returns
+        at once."""
         members = [x for cell in cells if len(cell) > 1 for x in cell]
         if not members:
             return cells, []
-        keys = single = None
+        keys = single = on = None
         if len(members) * len(splitters) > _NUMPY_WORK:
-            starts = [0]
-            for s in splitters[:-1]:
-                starts.append(starts[-1] + len(s))
-            gathered = bits.take(members, 0).take(
-                [j for s in splitters for j in s], 1)
-            counts = np.add.reduceat(gathered, starts, axis=1,
-                                     dtype=np.uint32).astype(">u4")
-            # each member's row of words as one bytes object
-            keys = iter(counts.view(f"V{4 * len(splitters)}")[:, 0].tolist())
+            widest = max(map(len, splitters))
+            if len(splitters) == 1 == widest:
+                # each member's bit in that column, and its complement
+                hits = bits[:, splitters[0][0]].take(members)
+                on, off, at = hits.tolist(), (hits ^ 1).tolist(), 0
+            else:
+                counts = bits.take(members, 0).take(
+                    [j for s in splitters for j in s], 1)
+                if widest > 1:
+                    starts = [0]
+                    for s in splitters[:-1]:
+                        starts.append(starts[-1] + len(s))
+                    counts = np.add.reduceat(
+                        counts, starts, axis=1,
+                        dtype=np.uint8 if widest < 256 else np.uint32)
+                    if widest >= 256:
+                        counts = counts.astype(">u4")
+                # each member's row of counts as one bytes object
+                width = counts.shape[1] * counts.itemsize
+                keys = iter(counts.view(f"V{width}")[:, 0].tolist())
         elif len(splitters) == 1:
             single = _index_mask(splitters[0], bits.shape[1])
         else:
@@ -414,6 +532,18 @@ class _Search:
         for cell in cells:
             if len(cell) == 1:
                 out.append(cell)
+                continue
+            if on is not None:
+                # counts 0 and 1: the members with the bit clear come first
+                end = at + len(cell)
+                ones = list(compress(cell, on[at:end]))
+                if 0 < len(ones) < len(cell):
+                    zeros = list(compress(cell, off[at:end]))
+                    out += (zeros, ones)
+                    frags.append(zeros)
+                else:
+                    out.append(cell)
+                at = end
                 continue
             buckets: dict = {}
             if keys is not None:
@@ -599,17 +729,15 @@ class _Search:
 
     def run(self) -> CanonResult:
         if self.C == 0:
-            mat = ColoredBinaryMatrix.from_masks([0] * self.R, 0)
-            return CanonResult(mat, (), [], 1, 0)
+            return CanonResult(b"", self.R, (), (), [], 1, 0)
         self.walk()
-        data, order, _ = self.best
-        canon = ColoredBinaryMatrix.from_masks(
-            self.records.decode(data), self.C,
-            [self.mat.col_colors[j] for j in order])
+        cert, order, _ = self.best
         perm = [0] * self.C
         for t, j in enumerate(order):
             perm[j] = t
-        return CanonResult(canon, tuple(perm), self.gens, self._group_order(),
+        colors = self.mat.col_colors
+        return CanonResult(cert, self.R, tuple([colors[j] for j in order]),
+                           tuple(perm), self.gens, self._group_order(),
                            self.nodes)
 
 
@@ -656,8 +784,10 @@ def is_isomorphic(m1: ColoredBinaryMatrix, m2: ColoredBinaryMatrix):
 
 def _sigma_from_canons(r1: CanonResult, r2: CanonResult):
     """The column map j -> sigma[j] carrying the input of `r1` onto that of
-    `r2`, or None when their canonical matrices differ."""
-    if r1.matrix != r2.matrix:
+    `r2`, or None when their canonical matrices differ: their records,
+    rows or column colors."""
+    if (r1.cert, r1.n_rows, r1.col_colors) != (r2.cert, r2.n_rows,
+                                               r2.col_colors):
         return None
     inv2 = [0] * len(r2.perm)
     for j, t in enumerate(r2.perm):

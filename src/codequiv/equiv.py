@@ -30,8 +30,8 @@ Two decision routes are provided:
   composed with the rest of the point group, the automorphism group of
   the first matrix (its canonical form), or past the coset cap the
   isomorphism of the sides' incidence matrices (`_find_lift`).  The
-  weight distribution is read off the support matrix already built for
-  the search (`projgeom.codeword_weights`: a row's weight, each column
+  weight distribution is read off the bits of the support matrix already
+  built for the search (`_Side.weights`: a row's weight, each column
   counted by its multiplicity, is the weight of that hyperplane's
   codeword);
   monomial maps and field automorphisms keep it, so differing
@@ -73,16 +73,17 @@ import time
 from dataclasses import dataclass
 from functools import cached_property
 
+import numpy as np
+
 from . import bmcanon
 from .bmcanon import (CanonResult, ColoredBinaryMatrix, _sigma_from_canons,
-                      canonical_form, serialize)
+                      canonical_form)
 from .errors import BudgetExceededError, ResourceLimitError
 from .gfield import FieldSpec, as_ints
 from .gfmatrix import (GFMatrix, RREFResult, _eliminate, mat_mul,
                        nullspace_basis, rank, rref)
 from .lincode import CharacteristicVector, GeneratorMatrix, characteristic_vector
-from .projgeom import (codeword_weights, incidence, nonzero_dot_masks,
-                       point_table)
+from .projgeom import incidence, nonzero_dot_bits, point_table
 
 COSET_CAP = 10 ** 6
 # the typed failures of one code, which a batch collects per item
@@ -211,11 +212,11 @@ def _side(code: GeneratorMatrix) -> GeneratorMatrix:
 
 def build_ceimpg_matrix(chi: CharacteristicVector) -> ColoredBinaryMatrix:
     """`incidence()`, with column j recolored by the multiplicity chi[j];
-    a color-preserving column permutation fixes the support."""
+    a color-preserving column permutation fixes the support.  It shares the
+    cached incidence's masks and bit matrix (`ColoredBinaryMatrix.recolored`),
+    and so its symmetry."""
     spec = chi.spec
-    inc = incidence(chi.k, spec.q, spec.modulus)
-    return ColoredBinaryMatrix.from_masks(inc.row_masks, inc.n_cols,
-                                          chi.counts)
+    return incidence(chi.k, spec.q, spec.modulus).recolored(chi.counts)
 
 
 def _point_coordinates(code: GeneratorMatrix) -> list[tuple[int, ...]]:
@@ -241,9 +242,9 @@ def build_shortened(code: GeneratorMatrix,
     cols = code.columns()
     if points is None:
         points = _point_coordinates(code)
-    masks = nonzero_dot_masks(table, [cols[coords[0]] for coords in points])
-    return ColoredBinaryMatrix.from_masks(masks, len(points),
-                                          [len(coords) for coords in points])
+    bits = nonzero_dot_bits(table, [cols[coords[0]] for coords in points])
+    return ColoredBinaryMatrix.from_bits(bits,
+                                         [len(coords) for coords in points])
 
 
 def _incidence_form(side: GeneratorMatrix, points):
@@ -258,10 +259,11 @@ def _incidence_form(side: GeneratorMatrix, points):
 
 class _Side:
     """A code, its `side` (`_side`), and, each built on first use, the
-    side's distinct `points` (`_point_coordinates`), shortened `matrix` and
-    codeword `weights`, the minimum-weight `rows` of a binary side (None
-    when all rows are kept), the canonical `form` of the rows `kept`, the
-    code's own `red` = rref(code), and its `incidence()` form."""
+    side's distinct `points` (`_point_coordinates`), shortened `matrix`
+    (which keeps the dot kernel's 0/1 array as its `bits`) and codeword
+    `weights`, the minimum-weight `rows` of a binary side (None when all
+    rows are kept), the canonical `form` of the rows `kept`, the code's own
+    `red` = rref(code), and its `incidence()` form."""
 
     def __init__(self, code: GeneratorMatrix):
         self.code = code
@@ -278,7 +280,12 @@ class _Side:
 
     @cached_property
     def weights(self) -> list[int]:
-        return codeword_weights(self.matrix.row_masks, self.matrix.col_colors)
+        """Each row's weight, a column counted by its multiplicity: the
+        weight of that hyperplane's codeword (`projgeom.codeword_weights`)."""
+        m = self.matrix
+        # einsum casts the bits in chunks, where @ would copy them as int64
+        return np.einsum("ij,j->i", m.bits,
+                         np.array(m.col_colors, dtype=np.int64)).tolist()
 
     @cached_property
     def rows(self) -> ColoredBinaryMatrix | None:
@@ -311,8 +318,8 @@ class _Side:
             if v:
                 basis[v.bit_length()] = v
                 if len(basis) == k:
-                    return ColoredBinaryMatrix.from_masks(
-                        [m.row_masks[i] for i in rows], m.n_cols, m.col_colors)
+                    return ColoredBinaryMatrix.from_bits(m.bits[rows],
+                                                         m.col_colors)
         return None
 
     @property
@@ -593,7 +600,7 @@ def cesimpg_equiv(c1: GeneratorMatrix, c2: GeneratorMatrix) -> Verdict:
     Codes on different sides, with different weight profiles, or with
     non-isomorphic shortened matrices, are inequivalent outright.  The
     weight profiles of the two shortened matrices (their sorted
-    `codeword_weights`) are compared before any search: they
+    `_Side.weights`) are compared before any search: they
     are the weight distributions of the sides, which every monomial map
     and field automorphism keeps, and both sides are primal or both dual.
     Over GF(2), when the minimum-weight words span a side, only their rows
@@ -755,10 +762,10 @@ def _code_key(code: GeneratorMatrix, mode: str):
         tag = "" if rec.side is code else "dual:"
         if mode == "ceimpg":
             m = build_ceimpg_matrix(characteristic_vector(rec.side))
-            return tag + serialize(canonical_form(m).matrix), None, None
+            return tag + canonical_form(m).serialize(), None, None
         if rec.rows is not None:
             tag = "min:" + tag
-        return tag + serialize(rec.form.matrix), rec, None
+        return tag + rec.form.serialize(), rec, None
     except _ITEM_ERRORS as e:
         return None, None, f"{type(e).__name__}: {e}"
 

@@ -86,6 +86,21 @@ def _poly_mul_mod(a: int, b: int, modulus: int, p: int) -> int:
     return _poly_rem(_poly_encode(prod, p), modulus, p)
 
 
+def _gf2_mul_mod(a: int, b: int, modulus: int, m: int) -> int:
+    """Multiply two GF(2)[x] polynomials of degree below m (bit-encoded)
+    modulo `modulus` of degree m: a carry-less product by shift and XOR,
+    `a` reduced each time its degree reaches m."""
+    out = 0
+    while b:
+        if b & 1:
+            out ^= a
+        b >>= 1
+        a <<= 1
+        if a >> m:
+            a ^= modulus
+    return out
+
+
 def _is_irreducible(modulus: int, p: int, m: int) -> bool:
     """Trial-divide by all monic polynomials of degree 1..m//2."""
     dm = _poly_digits(modulus, p)
@@ -178,6 +193,8 @@ class FieldSpec:
         """Table-free product, for bootstrapping the tables."""
         if self.m == 1:
             return (a * b) % self.p
+        if self.p == 2:
+            return _gf2_mul_mod(a, b, self.modulus, self.m)
         return _poly_mul_mod(a, b, self.modulus, self.p)
 
     def _init_tables(self) -> None:

@@ -6,7 +6,9 @@ point is 1-based in every public interface.  Hyperplanes are indexed by the
 same table: hyperplane u is {x : u . x = 0}, and the incidence matrix records
 the complement (the nonzero inner products), which is what the equivalence
 algorithms consume.  Masks are built in bmcanon's bit order, with its
-_pack_rows.
+_pack_rows; nonzero_dot_bits gives the same entries as a 0/1 array, which
+a shortened matrix keeps for its search.  The incidence matrix is
+symmetric, and keeps its bit array from its first search on.
 """
 
 from __future__ import annotations
@@ -164,30 +166,47 @@ def _dot_kernel(spec: FieldSpec, k: int):
             lambda a, b: prod[a + b], add, nonzero)
 
 
-def nonzero_dot_masks(table: PointTable, vectors) -> list[int]:
-    """One mask per point u of `table`, column j set iff u . vectors[j] != 0
-    (bmcanon's bit order).
+def _nonzero_dot_blocks(table: PointTable, vectors):
+    """Yields, for consecutive blocks of the points u of `table`, an array
+    of points x `vectors` that is nonzero exactly where u . v != 0; over
+    GF(2^m), m > 1, it holds the sums' packed digits, not 0/1.
 
     One NumPy kernel serves every field: points are taken in blocks sized
     so the points x vectors accumulator has about _BLOCK_CELLS cells, and
     the products of u . v are summed exactly one coordinate at a time and
     reduced once (see _dot_kernel)."""
-    if not vectors:
-        return [0] * len(table)
     code, product, add, nonzero = _dot_kernel(table.spec, table.k)
     # one contiguous row per coordinate, for points and vectors alike
     pts = code[table.coords]
     vecs = np.ascontiguousarray(code[np.array(vectors, dtype=np.intp)].T)
     n_vecs = vecs.shape[1]
     rows = max(1, _BLOCK_CELLS // n_vecs)
-    masks = []
     for lo in range(0, pts.shape[1], rows):
         block = pts[:, lo:lo + rows, None]
         acc = product(block[0], vecs[0])
         for c in range(1, table.k):
             add(acc, product(block[c], vecs[c]), out=acc)
-        masks += _pack_rows(nonzero(acc))
+        yield nonzero(acc)
+
+
+def nonzero_dot_masks(table: PointTable, vectors) -> list[int]:
+    """One mask per point u of `table`, column j set iff u . vectors[j] != 0
+    (bmcanon's bit order), packed block by block."""
+    if not vectors:
+        return [0] * len(table)
+    masks = []
+    for block in _nonzero_dot_blocks(table, vectors):
+        masks += _pack_rows(block)
     return masks
+
+
+def nonzero_dot_bits(table: PointTable, vectors) -> np.ndarray:
+    """The entries of nonzero_dot_masks(table, vectors) as a len(table) x
+    len(vectors) uint8 array of 0/1."""
+    if not vectors:
+        return np.zeros((len(table), 0), np.uint8)
+    return np.concatenate(list(_nonzero_dot_blocks(table, vectors)),
+                          dtype=bool, casting="unsafe").view(np.uint8)
 
 
 def codeword_weights(masks, colors) -> list[int]:
@@ -195,7 +214,9 @@ def codeword_weights(masks, colors) -> list[int]:
     colors[j] times.  For the masks of nonzero_dot_masks(table, points),
     colored by the points' multiplicities in a code, this is the weight of
     the codeword u . G of each point u of `table`: it is nonzero exactly at
-    the coordinates whose point lies off hyperplane u."""
+    the coordinates whose point lies off hyperplane u.  (A side's weights
+    are the product of its nonzero_dot_bits and the multiplicities,
+    `equiv._Side.weights`; this loop serves min_distance_hyperplane.)"""
     n = len(colors)
     by_color: dict[int, int] = {}
     for j, color in enumerate(colors):
@@ -211,7 +232,12 @@ def incidence(k: int, q: int,
               modulus: int | None = None) -> ColoredBinaryMatrix:
     """The binary support of the simplex Gram matrix, every column colored
     0: entry (i, j) is 1 iff point j is *not* on hyperplane i (their inner
-    product is nonzero), both 0-based positions into the point table."""
+    product is nonzero), both 0-based positions into the point table.
+
+    The masks are packed block by block, with no theta x theta array.  The
+    matrix is cached, and is symmetric: its `bits`, built on the first
+    search (`equiv.build_ceimpg_matrix`), stay with it and serve as their
+    own transpose."""
     table = point_table(k, q, modulus)
     cells = len(table) ** 2
     if cells > MAX_INCIDENCE_CELLS:
@@ -224,5 +250,6 @@ def incidence(k: int, q: int,
         return cached
     result = ColoredBinaryMatrix.from_masks(
         nonzero_dot_masks(table, table.points), len(table))
+    result._symmetric = True
     _INCIDENCE_CACHE[key] = result
     return result

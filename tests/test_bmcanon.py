@@ -68,6 +68,25 @@ def test_from_masks_rejects_a_mask_wider_than_n_cols():
         [1, 1], [0, 1]]
 
 
+def test_bits_hold_the_masks_rows():
+    """`bits` unpacks the masks once, read-only; from_bits keeps the array
+    it packs, and refuses anything but a 2-D uint8 array of 0/1;
+    recolored shares masks and bits."""
+    m = ColoredBinaryMatrix([[1, 0, 1], [0, 1, 1]], [1, 2, 3])
+    assert m.bits.tolist() == [[1, 0, 1], [0, 1, 1]]
+    assert m.bits is m.bits and not m.bits.flags.writeable
+    bits = np.array([[1, 0, 1], [0, 1, 1]], np.uint8)
+    again = ColoredBinaryMatrix.from_bits(bits, [1, 2, 3])
+    assert again == m and again.bits is bits
+    for bad in (np.array([[2, 0]], np.uint8), np.array([[1, 0]]),
+                np.array([1, 0], np.uint8)):
+        with pytest.raises(ValueError):
+            ColoredBinaryMatrix.from_bits(bad)
+    other = m.recolored([0, 0, 0])
+    assert other.row_masks == m.row_masks and other.bits is m.bits
+    assert other.col_colors == (0, 0, 0)
+
+
 def test_from_masks_rejects_a_negative_mask():
     with pytest.raises(ValueError):
         ColoredBinaryMatrix.from_masks([0b01, -1], 2)
@@ -110,6 +129,79 @@ def test_serialize_format_exact():
     # rows are listed sorted by their bits; column colors head the text
     assert serialize(m) == "c 3 4\n01\n10"
     assert serialize(ColoredBinaryMatrix([[], []], n_cols=0)) == "c \n\n"
+
+
+def _shaped_cbm(rng, rows, cols, repeat):
+    """A seeded `rows` x `cols` matrix of up to three column colors; with
+    `repeat`, its first row recurs at random places."""
+    masks = [rng.getrandbits(cols) for _ in range(rows)]
+    if repeat:
+        for i in rng.sample(range(1, rows), rows // 3):
+            masks[i] = masks[0]
+    return ColoredBinaryMatrix.from_masks(
+        masks, cols, [rng.randrange(3) for _ in range(cols)])
+
+
+@pytest.mark.parametrize("cols", [1, 7, 8, 9, 16, 17, 64])
+def test_keys_render_from_certificate_bytes(cols):
+    """A CanonResult's key text, rendered from its certificate bytes,
+    equals serialize() of its canonical matrix, and reading it decodes no
+    matrix; the matrix decoded when first read equals the input relabeled
+    by `perm` with its rows sorted, at record widths of 1 to 8 bytes with
+    and without padding, for no rows, one row and repeated rows."""
+    rng = random.Random(cols)
+    for rows, repeat in ((0, False), (1, False), (9, True), (20, True)):
+        for _ in range(4):
+            m = _shaped_cbm(rng, rows, cols, repeat)
+            res = canonical_form(m)
+            key = res.serialize()
+            assert "matrix" not in vars(res)
+            moved = permute_columns(m, res.perm)
+            eager = ColoredBinaryMatrix.from_masks(
+                sorted(moved.row_masks), cols, moved.col_colors)
+            assert res.matrix == eager
+            assert key == serialize(res.matrix) == serialize(eager)
+    for rows in (0, 1, 3):
+        res = canonical_form(ColoredBinaryMatrix([[]] * rows, n_cols=0))
+        assert res.serialize() == serialize(res.matrix) == "c " + "\n" * rows
+
+
+def test_sigma_from_canons_agrees_with_matrix_equality():
+    """_sigma_from_canons compares certificate bytes, row counts and colors:
+    it maps exactly when the canonical matrices are equal, over relabeled
+    copies, same-shape pairs that differ only in colors or only in bits,
+    widths one column apart, and column-less matrices of other row
+    counts; a map it gives carries the first input onto the second."""
+    rng = random.Random(8)
+    pairs = []
+    for cols in (1, 7, 8, 9, 16, 17, 64):
+        for rows, repeat in ((1, False), (9, True), (20, True)):
+            m = _shaped_cbm(rng, rows, cols, repeat)
+            recolored = ColoredBinaryMatrix.from_masks(
+                m.row_masks, cols, [(c + 1) % 3 for c in m.col_colors])
+            flipped = ColoredBinaryMatrix.from_masks(
+                [m.row_masks[0] ^ 1] + list(m.row_masks[1:]), cols,
+                m.col_colors)
+            # the same records, with one more all-zero column
+            wider = ColoredBinaryMatrix.from_masks(
+                [r << 1 for r in m.row_masks], cols + 1, m.col_colors + (0,))
+            pairs += [(m, _relabel(m, rng)), (m, recolored), (m, flipped),
+                      (m, wider), (m, _shaped_cbm(rng, rows, cols, repeat))]
+    for rows in (1, 2):
+        pairs.append((ColoredBinaryMatrix([[]] * rows, n_cols=0),
+                      ColoredBinaryMatrix([[]] * 2, n_cols=0)))
+    seen = set()
+    for m1, m2 in pairs:
+        r1, r2 = canonical_form(m1), canonical_form(m2)
+        sigma = bmcanon._sigma_from_canons(r1, r2)
+        same = r1.matrix == r2.matrix
+        seen.add(same)
+        assert (sigma is not None) == same
+        if same:
+            moved = permute_columns(m1, sigma)
+            assert moved.row_multiset() == m2.row_multiset()
+            assert moved.col_colors == m2.col_colors
+    assert seen == {True, False}
 
 
 def test_is_automorphism_hand_case():

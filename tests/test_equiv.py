@@ -632,6 +632,46 @@ def test_pair_decision_canonicalizes_only_when_sigma0_fails(monkeypatch):
     assert forms == [equiv._Side(c1).kept]
 
 
+@pytest.mark.parametrize("q", [2, 3, 4, 5, 7, 8, 9, 16, 25, 27])
+def test_searches_get_the_bits_of_their_masks(q):
+    """The 0/1 arrays the searches read pack to exactly their matrices' row
+    masks: a side's shortened matrix (the dot kernel's output converted to
+    0/1, where over GF(2^m) it holds packed digits), its minimum-weight
+    rows, and its ceimpg matrix, which shares the incidence's symmetric
+    bits.  The shortened masks are the mask kernel's, and the weights read
+    off the bits are `codeword_weights` of the masks.  Each field gives a
+    primal [8,3] side and a dual [7,4] one, GF(2) also minimum-weight
+    rows."""
+    spec = field(q)
+    codes = [random_code(spec, n, k, seed=s) for n, k in ((8, 3), (7, 4))
+             for s in range(10 if q == 2 else 1)]
+    seen = set()
+    for code in codes:
+        rec = equiv._Side(code)
+        m, side = rec.matrix, rec.side
+        seen |= {"dual" if side is not code else "primal",
+                 "rows" if rec.rows is not None else "all"}
+        cols = side.columns()
+        assert list(m.row_masks) == projgeom.nonzero_dot_masks(
+            point_table(side.k, q), [cols[c[0]] for c in rec.points])
+        assert rec.weights == codeword_weights(m.row_masks, m.col_colors)
+        ceimpg = build_ceimpg_matrix(characteristic_vector(side))
+        assert ceimpg.bits is incidence(side.k, q).bits
+        assert np.array_equal(ceimpg.bits, ceimpg.bits.T)
+        for mat in (m, rec.rows, ceimpg):
+            if mat is None:
+                continue
+            assert mat.bits.dtype == np.uint8 and mat.bits.max() <= 1
+            assert mat.bits.shape == (mat.n_rows, mat.n_cols)
+            assert bmcanon._pack_rows(mat.bits) == list(mat.row_masks)
+        if rec.rows is not None:
+            low = min(rec.weights)
+            assert rec.rows.row_masks == tuple(
+                r for r, w in zip(m.row_masks, rec.weights) if w == low)
+    assert {"dual", "primal", "all"} <= seen
+    assert ("rows" in seen) == (q == 2)
+
+
 # ---------------------------------------------------------------------------
 # binary sides canonicalized on their minimum-weight rows
 
@@ -1671,12 +1711,13 @@ def _counting(monkeypatch, *names):
 def test_side_structures_built_once_per_code(monkeypatch):
     """One cesimpg_equiv decision past a coset cap of 1, on a GF(8) pair
     that shares its shortened key and takes the incidence forms, finds each
-    code's side and each side's points, shortened matrix and codeword
-    weights once.  A pair that differs in its weight profile starts no
-    canonical search and no rref."""
+    code's side and each side's points and shortened matrix once, and runs
+    each side's dot kernel once: the codeword weights are read off its
+    bits.  A pair that differs in its weight profile starts no canonical
+    search and no rref."""
     monkeypatch.setattr(equiv, "COSET_CAP", 1)
     calls = _counting(monkeypatch, "_side", "_point_coordinates",
-                      "build_shortened", "codeword_weights", "_incidence_form",
+                      "build_shortened", "nonzero_dot_bits", "_incidence_form",
                       "canonical_form", "rref")
     spec = field(8)
     a, b = SHARED_PROFILE_SEEDS[8, 8, 3][0]
@@ -1686,7 +1727,7 @@ def test_side_structures_built_once_per_code(monkeypatch):
     for name in ("_side", "_incidence_form", "_point_coordinates",
                  "build_shortened"):
         assert list(map(id, calls[name])) == sides
-    assert len(calls["codeword_weights"]) == 2
+    assert len(calls["nonzero_dot_bits"]) == 2
     for q, n, k, seed in ((3, 10, 3, 0), (2, 9, 6, 0)):
         c1, c2 = (random_code(field(q), n, k, seed=s)
                   for s in (seed, seed + 100))
@@ -1695,7 +1736,7 @@ def test_side_structures_built_once_per_code(monkeypatch):
             seen.clear()
         assert not cesimpg_equiv(c1, c2).equivalent
         assert calls["canonical_form"] == calls["rref"] == []
-        assert len(calls["_side"]) == 2
+        assert len(calls["_side"]) == len(calls["nonzero_dot_bits"]) == 2
         # the [9,6]_2 pair is keyed on its duals
         assert [m.k for m in calls["build_shortened"]] == [min(k, n - k)] * 2
 

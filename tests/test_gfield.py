@@ -7,7 +7,7 @@ import random
 import pytest
 
 from codequiv import field, normalize_vector
-from codequiv.gfield import DEFAULT_MODULI, MAX_ORDER, FieldSpec
+from codequiv.gfield import DEFAULT_MODULI, MAX_ORDER, FieldSpec, _poly_mul_mod
 
 
 # Hand-computed GF(4) with modulus x^2 + x + 1, elements 0, 1, x=2, x+1=3:
@@ -240,7 +240,8 @@ def _table_sample(f):
 
 def _raw_pow(f, a, e):
     """a**e for e >= 0 by square-and-multiply on `FieldSpec._mul_raw`,
-    which multiplies polynomials modulo the modulus and reads no table."""
+    which multiplies polynomials modulo the modulus and reads no table (in
+    characteristic 2 by shift and XOR)."""
     out = 1
     while e:
         if e & 1:
@@ -250,12 +251,15 @@ def _raw_pow(f, a, e):
     return out
 
 
-@pytest.mark.parametrize("q,modulus", TABLE_FIELDS)
+# GF(2^16), the largest field, by its sample alone: its tables are too
+# long for the all-element checks of test_tables_agree_with_field_methods
+@pytest.mark.parametrize("q,modulus", TABLE_FIELDS + [(65536, 0x1002D)])
 def test_tables_agree_with_polynomial_arithmetic(q, modulus):
     """The scalar methods against arithmetic built from no table: products,
     inverses, powers and Frobenius images by `_mul_raw`, sums and negations
     digit by digit; and the sentinel conventions the per-entry loops rely
-    on."""
+    on.  In characteristic 2, `_mul_raw`'s shift-and-XOR product agrees
+    with the digit-list product `_poly_mul_mod`."""
     f = field(q, modulus)
     n = q - 1
     assert len(f.log) == q and f.log[0] == 2 * n
@@ -283,6 +287,8 @@ def test_tables_agree_with_polynomial_arithmetic(q, modulus):
         for b in sample:
             assert f.mul(a, b) == f._mul_raw(a, b)
             assert f.add(a, b) == _digitwise_add(f.p, a, b)
+            if f.p == 2 < f.q:
+                assert f._mul_raw(a, b) == _poly_mul_mod(a, b, f.modulus, 2)
 
 
 @pytest.mark.parametrize("q,modulus", TABLE_FIELDS)

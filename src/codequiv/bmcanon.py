@@ -72,9 +72,12 @@ incidence rows and the search's column masks (bit R-1-i holds row i) alike.
 
 The search reads the rows as the matrix's R x C uint8 bit matrix
 (ColoredBinaryMatrix.bits): the array the matrix was made from, as equiv's
-shortened matrices keep the dot kernel's output, else one unpacked from the
-masks on first use and kept.  The columns are its transpose, except that a
-symmetric matrix (projgeom's incidence) serves as its own.  The search
+shortened matrices keep their columns of the incidence, else one unpacked
+from the masks on first use and kept.  The columns are its transpose,
+except that a symmetric matrix (projgeom's incidence) serves as its own.
+A matrix made from an array packs its row masks only when they are read,
+and the search reads them, and packs its column masks, only for a step
+that popcounts ints.  The search
 writes the sorted row list of a certificate as one byte string of
 fixed-width records: each row's bits in the given column order packed
 big-endian, zero-padded on the right.  Every record has the same width, so
@@ -106,13 +109,14 @@ NODE_BUDGET = 2_000_000
 class ColoredBinaryMatrix:
     """Immutable binary matrix with column colors.
 
-    Rows are stored as int bitmasks (see module docstring for the bit order).
+    Rows are int bitmasks (see module docstring for the bit order).
     Construct from nested 0/1 lists, from masks via :meth:`from_masks`, or
     from a 0/1 array via :meth:`from_bits`.  `bits` holds the same rows as
-    an array, built on first use unless the matrix was made from one.
+    an array, built on first use unless the matrix was made from one; the
+    masks of a matrix made from an array are packed on first read.
     """
 
-    __slots__ = ("n_rows", "n_cols", "row_masks", "col_colors", "_bits",
+    __slots__ = ("n_rows", "n_cols", "_row_masks", "col_colors", "_bits",
                  "_symmetric")
 
     def __init__(self, bits, col_colors=None, n_cols: int | None = None):
@@ -137,44 +141,56 @@ class ColoredBinaryMatrix:
                     raise ValueError(f"entries must be 0/1, got {e!r}")
                 m = (m << 1) | int(e)
             masks.append(m)
-        self._init(masks, width, col_colors)
+        self._init(len(masks), width, col_colors)
+        self._row_masks = tuple(masks)
 
-    def _init(self, masks, n_cols, col_colors):
-        self.n_rows = len(masks)
+    def _init(self, n_rows, n_cols, col_colors):
+        """Shape and colors; the caller sets `_row_masks` or `_bits`."""
+        self.n_rows = n_rows
         self.n_cols = n_cols
-        self.row_masks = tuple(masks)
         self.col_colors = tuple(col_colors) if col_colors is not None else (0,) * n_cols
         if len(self.col_colors) != n_cols:
             raise ValueError("col_colors length mismatch")
-        self._bits = None
+        self._row_masks = self._bits = None
         # set where bits equal their transpose (projgeom.incidence), so the
         # search reads the rows as the columns too
         self._symmetric = False
 
     @classmethod
     def from_masks(cls, masks, n_cols, col_colors=None) -> "ColoredBinaryMatrix":
-        masks = list(masks)
+        masks = tuple(masks)
         # m >> n_cols is 0 exactly when 0 <= m < 2**n_cols (-1 for m < 0)
         if any(m >> n_cols for m in masks):
             raise ValueError(f"a mask is negative or wider than {n_cols} columns")
         self = cls.__new__(cls)
-        self._init(masks, n_cols, col_colors)
+        self._init(len(masks), n_cols, col_colors)
+        self._row_masks = masks
         return self
 
     @classmethod
     def from_bits(cls, bits: np.ndarray,
                   col_colors=None) -> "ColoredBinaryMatrix":
         """The matrix of an R x C uint8 array of 0/1 entries, kept as its
-        `bits` (made read-only) and packed into its masks."""
+        `bits` (made read-only).  Its masks are packed from the array when
+        `row_masks` is first read, which a search does only for a step it
+        popcounts (`_Search`)."""
         if bits.dtype != np.uint8 or bits.ndim != 2:
             raise ValueError("bits must be a 2-D uint8 array")
         if bits.size and bits.max() > 1:
             raise ValueError("entries must be 0/1")
         self = cls.__new__(cls)
-        self._init(_pack_rows(bits), bits.shape[1], col_colors)
+        self._init(*bits.shape, col_colors)
         bits.flags.writeable = False
         self._bits = bits
         return self
+
+    @property
+    def row_masks(self) -> tuple[int, ...]:
+        """The rows as int masks, packed from `bits` on first read when the
+        matrix was made from them, and kept."""
+        if self._row_masks is None:
+            self._row_masks = tuple(_pack_rows(self._bits))
+        return self._row_masks
 
     @property
     def bits(self) -> np.ndarray:
@@ -192,10 +208,11 @@ class ColoredBinaryMatrix:
 
     def recolored(self, col_colors) -> "ColoredBinaryMatrix":
         """The same rows with column colors `col_colors`, sharing this
-        matrix's masks and `bits` (built here if need be)."""
+        matrix's `bits` (built here if need be) and its masks, if packed."""
         new = ColoredBinaryMatrix.__new__(ColoredBinaryMatrix)
-        new._init(self.row_masks, self.n_cols, col_colors)
-        new._bits, new._symmetric = self.bits, self._symmetric
+        new._init(self.n_rows, self.n_cols, col_colors)
+        new._row_masks, new._bits = self._row_masks, self.bits
+        new._symmetric = self._symmetric
         return new
 
     def entry(self, i: int, j: int) -> int:
@@ -336,7 +353,8 @@ class CanonResult:
         C = len(self.col_colors)
         masks = _decode_records(self.cert, C) if C else [0] * self.n_rows
         mat = ColoredBinaryMatrix.__new__(ColoredBinaryMatrix)
-        mat._init(masks, C, self.col_colors)
+        mat._init(self.n_rows, C, self.col_colors)
+        mat._row_masks = tuple(masks)
         return mat
 
     def serialize(self) -> str:
@@ -399,22 +417,21 @@ _NUMPY_WORK = 64
 class _Search:
     """One walk of a matrix's search tree; see module docstring for the
     scheme.  With `stop` given, the first leaf whose certificate makes
-    `stop` true ends the walk, kept in `hit` as (certificate, leaf order)."""
+    `stop` true ends the walk, kept in `hit` as (certificate, leaf order).
+
+    Refinement reads the bit matrix and its transpose; the row masks
+    (`ColoredBinaryMatrix.row_masks`) and the column masks (`cols`) are
+    read, and so packed, only when a step popcounts ints (`_split`)."""
 
     def __init__(self, mat: ColoredBinaryMatrix, stop=None):
         self.mat = mat
         self.C = mat.n_cols
         self.R = mat.n_rows
-        self.rows = mat.row_masks
         self.records = _RowRecords(mat)
-        # the columns as rows of the transposed bit matrix, and as masks
-        # over row indices (bit R-1-i holds row i), for column signatures:
-        # a symmetric matrix's rows, as they are
-        if mat._symmetric:
-            self.bits_t, self.cols = mat.bits, self.rows
-        else:
-            self.bits_t = np.ascontiguousarray(mat.bits.T)
-            self.cols = _pack_rows(self.bits_t)
+        # the columns as rows of the transposed bit matrix: a symmetric
+        # matrix's rows, as they are
+        self.bits_t = (mat.bits if mat._symmetric
+                       else np.ascontiguousarray(mat.bits.T))
         self.nodes = 0
         # (cert, order, path) of the first leaf and of the least one so far
         self.first = None
@@ -422,6 +439,14 @@ class _Search:
         self.gens: list[tuple[int, ...]] = []
         self.stop = stop
         self.hit = None
+
+    @cached_property
+    def cols(self) -> tuple[int, ...] | list[int]:
+        """The columns as masks over row indices (bit R-1-i holds row i),
+        for column signatures: a symmetric matrix's row masks."""
+        if self.mat._symmetric:
+            return self.mat.row_masks
+        return _pack_rows(self.bits_t)
 
     # -- partitions ---------------------------------------------------------
 
@@ -459,28 +484,29 @@ class _Search:
         first = splitters is None
         if first:
             splitters = col_cells
+        rows, cols = (lambda: self.mat.row_masks), (lambda: self.cols)
         while True:
             row_cells, row_frags = self._split(
-                row_cells, self.rows, self.records.bits, splitters)
+                row_cells, rows, self.records.bits, splitters)
             if first:
                 row_frags = row_cells
             elif not row_frags:
                 yield col_cells, row_cells
                 return
             col_cells, splitters = self._split(
-                col_cells, self.cols, self.bits_t, row_frags)
+                col_cells, cols, self.bits_t, row_frags)
             yield col_cells, row_cells
             if not splitters:
                 return
             first = False
 
     @staticmethod
-    def _split(cells, vectors, bits, splitters):
+    def _split(cells, masks, bits, splitters):
         """Split each cell by its members' counts against `splitters` (index
         lists), sub-cells in increasing count order.  A member x's count
         against a splitter is the number of the splitter's indices set in
         row x of the 0/1 matrix `bits`, which is also the popcount of
-        `vectors[x]`, row x's mask, and the splitter's mask (module bit
+        `masks()[x]`, row x's mask, and the splitter's mask (module bit
         order).  Returns the new cells and the new fragments bar the last of
         each split cell.
 
@@ -495,9 +521,9 @@ class _Search:
         splitter is one index, else each splitter's block summed with
         np.add.reduceat, into one byte when every splitter has fewer than
         256 indices and into big-endian 4-byte words otherwise.  A smaller
-        step keys each member by its count tuple, popcounting ints.  A
-        step in which no cell has two members splits nothing and returns
-        at once."""
+        step keys each member by its count tuple, popcounting ints: only
+        such a step calls `masks`.  A step in which no cell has two members
+        splits nothing and returns at once."""
         members = [x for cell in cells if len(cell) > 1 for x in cell]
         if not members:
             return cells, []
@@ -523,10 +549,13 @@ class _Search:
                 # each member's row of counts as one bytes object
                 width = counts.shape[1] * counts.itemsize
                 keys = iter(counts.view(f"V{width}")[:, 0].tolist())
-        elif len(splitters) == 1:
-            single = _index_mask(splitters[0], bits.shape[1])
         else:
-            masks = [_index_mask(s, bits.shape[1]) for s in splitters]
+            vectors = masks()
+            if len(splitters) == 1:
+                single = _index_mask(splitters[0], bits.shape[1])
+            else:
+                split_masks = [_index_mask(s, bits.shape[1])
+                               for s in splitters]
         out = []
         frags = []
         for cell in cells:
@@ -560,7 +589,7 @@ class _Search:
                 for x in cell:
                     v = vectors[x]
                     buckets.setdefault(
-                        tuple([(v & s).bit_count() for s in masks]),
+                        tuple([(v & s).bit_count() for s in split_masks]),
                         []).append(x)
             if len(buckets) == 1:
                 out.append(cell)

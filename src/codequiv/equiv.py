@@ -30,10 +30,12 @@ Two decision routes are provided:
   composed with the rest of the point group, the automorphism group of
   the first matrix (its canonical form), or past the coset cap the
   isomorphism of the sides' incidence matrices (`_find_lift`).  The
-  weight distribution is read off the bits of the support matrix already
-  built for the search (`_Side.weights`: a row's weight, each column
-  counted by its multiplicity, is the weight of that hyperplane's
-  codeword);
+  support matrix is the incidence restricted to the columns at the side's
+  distinct points, sliced out of the cached incidence when the geometry is
+  small enough (`build_shortened`).  The weight distribution is read off
+  its bits (`_Side.weights`: a row's weight, each column counted by its
+  multiplicity, is the weight of that hyperplane's codeword), before any
+  row mask is packed;
   monomial maps and field automorphisms keep it, so differing
   distributions prove inequivalence with no search at all.  The
   point-multiplicity route takes no such shortcut: it stays an
@@ -83,7 +85,7 @@ from .gfield import FieldSpec, as_ints
 from .gfmatrix import (GFMatrix, RREFResult, _eliminate, mat_mul,
                        nullspace_basis, rank, rref)
 from .lincode import CharacteristicVector, GeneratorMatrix, characteristic_vector
-from .projgeom import incidence, nonzero_dot_bits, point_table
+from .projgeom import incidence, incidence_columns, point_table
 
 COSET_CAP = 10 ** 6
 # the typed failures of one code, which a batch collects per item
@@ -228,6 +230,13 @@ def _point_coordinates(code: GeneratorMatrix) -> list[tuple[int, ...]]:
     return [tuple(coords) for coords in points.values()]
 
 
+def _point_positions(table, code: GeneratorMatrix, points) -> list[int]:
+    """The 0-based positions in `table` of the distinct points of `code`
+    (`_point_coordinates`), in order."""
+    cols = code.columns()
+    return [table._index[cols[coords[0]]] for coords in points]
+
+
 def build_shortened(code: GeneratorMatrix,
                     points=None) -> ColoredBinaryMatrix:
     """Hyperplane-by-point support of the code: entry (i, p) = 1 iff the
@@ -236,13 +245,18 @@ def build_shortened(code: GeneratorMatrix,
     with hyperplane i.  Column p is colored by the point's multiplicity.  A
     hyperplane separates any two distinct points, so no two columns are
     equal.
+
+    The entries are the columns of the incidence at the points' table
+    positions (`projgeom.incidence_columns`): a slice of the geometry's
+    cached incidence when it is small enough, else the dot kernel's output.
+    The matrix keeps them as its `bits` and packs its row masks only when
+    they are read.
     """
     spec = code.spec
     table = point_table(code.k, spec.q, spec.modulus)
-    cols = code.columns()
     if points is None:
         points = _point_coordinates(code)
-    bits = nonzero_dot_bits(table, [cols[coords[0]] for coords in points])
+    bits = incidence_columns(table, _point_positions(table, code, points))
     return ColoredBinaryMatrix.from_bits(bits,
                                          [len(coords) for coords in points])
 
@@ -251,16 +265,15 @@ def _incidence_form(side: GeneratorMatrix, points):
     """(canonical form of build_ceimpg_matrix(side), {point-table position:
     index p} of the side's `points` (`_point_coordinates`), in order of p)."""
     table = point_table(side.k, side.q, side.spec.modulus)
-    cols = side.columns()
+    positions = _point_positions(table, side, points)
     return (canonical_form(build_ceimpg_matrix(characteristic_vector(side))),
-            {table.position_of(cols[coords[0]]): p
-             for p, coords in enumerate(points)})
+            {j: p for p, j in enumerate(positions)})
 
 
 class _Side:
     """A code, its `side` (`_side`), and, each built on first use, the
     side's distinct `points` (`_point_coordinates`), shortened `matrix`
-    (which keeps the dot kernel's 0/1 array as its `bits`) and codeword
+    (which keeps its incidence columns as its `bits`) and codeword
     `weights`, the minimum-weight `rows` of a binary side (None when all
     rows are kept), the canonical `form` of the rows `kept`, the code's own
     `red` = rref(code), and its `incidence()` form."""

@@ -13,7 +13,8 @@ from dataclasses import dataclass
 
 from .gfield import FieldSpec, field, normalize_vector
 from .gfmatrix import GFMatrix, rank, rref
-from .projgeom import codeword_weights, nonzero_dot_masks, point_table
+from .projgeom import (codeword_weights, nonzero_dot_masks, point_at,
+                       point_table, theta)
 
 
 class GeneratorMatrix:
@@ -142,14 +143,15 @@ def random_code(spec_or_q, n: int, k: int, seed: int,
                 projective: bool = False, modulus: int | None = None) -> GeneratorMatrix:
     """Sample a full-rank [n, k] code; deterministic in all arguments.
 
-    Columns are points drawn uniformly (without replacement when projective);
-    draws that do not reach rank k are rejected and retried.
+    Columns are points drawn uniformly (without replacement when projective)
+    as positions in the point table of PG(k-1, q), each computed on its own
+    (`point_at`), so no table is built; draws that do not reach rank k are
+    rejected and retried.
     """
     spec = spec_or_q if isinstance(spec_or_q, FieldSpec) else field(spec_or_q, modulus)
     if n < k:
         raise ValueError(f"n={n} cannot support rank k={k}")
-    table = point_table(k, spec.q, spec.modulus)
-    count = len(table)
+    count = theta(k - 1, spec.q)
     if projective and n > count:
         raise ValueError(f"projective code needs n <= {count} points, got n={n}")
     rng = random.Random(seed)
@@ -164,7 +166,7 @@ def random_code(spec_or_q, n: int, k: int, seed: int,
                     chosen.append(r)
         else:
             chosen = [rng.randrange(count) for _ in range(n)]
-        cols = [table.points[j] for j in chosen]
+        cols = [point_at(k, spec.q, j) for j in chosen]
         try:
             return GeneratorMatrix.from_columns(spec, cols)
         except ValueError:

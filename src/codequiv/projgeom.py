@@ -6,9 +6,13 @@ point is 1-based in every public interface.  Hyperplanes are indexed by the
 same table: hyperplane u is {x : u . x = 0}, and the incidence matrix records
 the complement (the nonzero inner products), which is what the equivalence
 algorithms consume.  Masks are built in bmcanon's bit order, with its
-_pack_rows; nonzero_dot_bits gives the same entries as a 0/1 array, which
-a shortened matrix keeps for its search.  The incidence matrix is
-symmetric, and keeps its bit array from its first search on.
+_pack_rows; nonzero_dot_bits gives the same entries as a 0/1 array.  The
+incidence matrix is symmetric, and keeps its bit array from its first use
+on.  A shortened matrix's entries are the incidence's columns at its
+points (incidence_columns): one gather from that cached bit array when the
+whole incidence fits in one kernel block, else the kernel's output for
+those points alone.  point_at gives one point of a table without building
+the table.
 """
 
 from __future__ import annotations
@@ -91,6 +95,22 @@ def point_table(k: int, q: int, modulus: int | None = None) -> PointTable:
     table = PointTable(spec, k, tuple(pts), {p: i for i, p in enumerate(pts)})
     _TABLE_CACHE[key] = table
     return table
+
+
+def point_at(k: int, q: int, position: int) -> tuple[int, ...]:
+    """The point at 0-based `position` of point_table(k, q), without
+    building the table: its lexicographic order lists the theta(t-1, q)
+    points with fewer than t coordinates after their leading 1 before the
+    q^t points with t, whose tails run through base q in order."""
+    t, first = 0, 0
+    while first + q ** t <= position:
+        first += q ** t
+        t += 1
+    tail, digits = position - first, []
+    for _ in range(t):
+        tail, digit = divmod(tail, q)
+        digits.append(digit)
+    return (0,) * (k - 1 - t) + (1,) + tuple(reversed(digits))
 
 
 def simplex_generator(k: int, q: int, modulus: int | None = None) -> GFMatrix:
@@ -235,9 +255,9 @@ def incidence(k: int, q: int,
     product is nonzero), both 0-based positions into the point table.
 
     The masks are packed block by block, with no theta x theta array.  The
-    matrix is cached, and is symmetric: its `bits`, built on the first
-    search (`equiv.build_ceimpg_matrix`), stay with it and serve as their
-    own transpose."""
+    matrix is cached, and is symmetric: its `bits`, built on first use (a
+    first search, `equiv.build_ceimpg_matrix`, or a first column gather,
+    `incidence_columns`), stay with it and serve as their own transpose."""
     table = point_table(k, q, modulus)
     cells = len(table) ** 2
     if cells > MAX_INCIDENCE_CELLS:
@@ -253,3 +273,18 @@ def incidence(k: int, q: int,
     result._symmetric = True
     _INCIDENCE_CACHE[key] = result
     return result
+
+
+def incidence_columns(table: PointTable, positions) -> np.ndarray:
+    """nonzero_dot_bits(table, [table.points[j] for j in positions]): the
+    columns at the 0-based `positions` of the incidence of `table`'s
+    geometry.  When that whole incidence fits in one kernel block and under
+    the incidence bound, theta^2 <= min(_BLOCK_CELLS, MAX_INCIDENCE_CELLS)
+    (theta <= 512 by default), they are one column gather from the cached
+    `incidence()`'s bits, built once per geometry; a larger geometry runs
+    the kernel on those points alone, so the bound raises nothing here."""
+    n = len(table)
+    if n * n > min(_BLOCK_CELLS, MAX_INCIDENCE_CELLS):
+        return nonzero_dot_bits(table, [table.points[j] for j in positions])
+    spec = table.spec
+    return incidence(table.k, spec.q, spec.modulus).bits.take(positions, 1)

@@ -87,6 +87,49 @@ def test_bits_hold_the_masks_rows():
     assert other.col_colors == (0, 0, 0)
 
 
+@pytest.mark.parametrize("rows,cols", [(0, 5), (5, 0), (7, 9), (3, 64),
+                                       (4, 65)])
+def test_from_bits_packs_its_masks_when_read(rows, cols):
+    """from_bits(b) equals the list-built matrix of b, hashes as it does,
+    and packs `_pack_rows(b)` as its masks on first read; equality,
+    recoloring, relabeling and serialization see those masks."""
+    rng = random.Random(100 * rows + cols)
+    b = np.array([rng.randrange(2) for _ in range(rows * cols)],
+                 np.uint8).reshape(rows, cols)
+    colors = [rng.randrange(3) for _ in range(cols)]
+    want = ColoredBinaryMatrix(b.tolist(), colors, n_cols=cols)
+    gamma = rng.sample(range(cols), cols)
+
+    def fresh():
+        return ColoredBinaryMatrix.from_bits(b.copy(), colors)
+
+    m = fresh()
+    assert m._row_masks is None
+    assert m == want and hash(m) == hash(want)
+    assert m.row_masks == tuple(_pack_rows(b)) and m.row_masks is m.row_masks
+    assert fresh().recolored(colors[::-1]) == want.recolored(colors[::-1])
+    assert permute_columns(fresh(), gamma) == permute_columns(want, gamma)
+    assert serialize(fresh()) == serialize(want)
+
+
+def test_searches_pack_masks_only_for_popcount_steps(monkeypatch):
+    """With every refinement step counted by NumPy, a canonical form and
+    an isomorphism search of matrices made from bits read no masks; with
+    every step popcounted they pack them, and find the same results."""
+    codes = [random_code(3, 10, 3, seed=s) for s in (0, 1)]
+    results = []
+    for cut, packed in ((0, False), (_NO_NUMPY, True)):
+        monkeypatch.setattr(bmcanon, "_NUMPY_WORK", cut)
+        m1, m2 = (build_shortened(code) for code in codes)
+        r = canonical_form(m1)
+        sigma = is_isomorphic(m2, m2)
+        assert (m1._row_masks is not None) == packed
+        assert (m2._row_masks is not None) == packed
+        results.append((r.cert, r.perm, r.generators, r.group_order,
+                        r.nodes, sigma))
+    assert results[0] == results[1]
+
+
 def test_from_masks_rejects_a_negative_mask():
     with pytest.raises(ValueError):
         ColoredBinaryMatrix.from_masks([0b01, -1], 2)

@@ -672,6 +672,48 @@ def test_searches_get_the_bits_of_their_masks(q):
     assert ("rows" in seen) == (q == 2)
 
 
+@pytest.mark.parametrize("q", [2, 3, 7, 4, 8, 9, 25])
+def test_shortened_bits_are_the_kernels(q):
+    """A side's shortened bits, sliced out of the cached incidence when the
+    geometry fits in one kernel block and run through the kernel otherwise,
+    equal nonzero_dot_bits of its points: primal [8,3] and [6,2] sides and
+    dual [7,4] ones.  Over GF(25), PG(2,25) has 651 points and takes the
+    kernel, PG(1,25) the slice."""
+    spec = field(q)
+    seen = set()
+    for n, k in ((8, 3), (6, 2), (7, 4)):
+        for seed in range(3):
+            code = random_code(spec, n, k, seed=seed)
+            side = equiv._side(code)
+            seen.add("dual" if side is not code else "primal")
+            table = point_table(side.k, q)
+            cols, points = side.columns(), equiv._point_coordinates(side)
+            want = projgeom.nonzero_dot_bits(
+                table, [cols[coords[0]] for coords in points])
+            got = build_shortened(side).bits
+            assert got.dtype == want.dtype and np.array_equal(got, want)
+            assert np.array_equal(equiv._Side(code).matrix.bits, want)
+    assert seen == {"dual", "primal"}
+
+
+def test_profile_stop_packs_no_masks_and_runs_no_kernel(monkeypatch):
+    """A pair whose weight profiles differ is refused off its sides' bits:
+    once the geometry's incidence is cached, neither side packs a row mask
+    or runs the dot kernel."""
+    pairs = []
+    for q, n, k, seed in ((3, 10, 3, 0), (2, 9, 6, 0), (9, 12, 3, 1)):
+        c1, c2 = (random_code(field(q), n, k, seed=s)
+                  for s in (seed, seed + 100))
+        assert _profile(c1) != _profile(c2)  # and caches the incidence
+        pairs.append((c1, c2))
+    work = [_counting(monkeypatch, "_pack_rows", module=bmcanon),
+            _counting(monkeypatch, "_pack_rows", "nonzero_dot_bits",
+                      "_nonzero_dot_blocks", module=projgeom)]
+    for c1, c2 in pairs:
+        assert not cesimpg_equiv(c1, c2).equivalent
+    assert all(seen == [] for calls in work for seen in calls.values())
+
+
 # ---------------------------------------------------------------------------
 # binary sides canonicalized on their minimum-weight rows
 
@@ -1697,13 +1739,13 @@ def test_classify_failed_ceimpg_key_built_once(monkeypatch):
     assert len(calls) == 1
 
 
-def _counting(monkeypatch, *names):
+def _counting(monkeypatch, *names, module=equiv):
     """Record the first argument of every call of each of `names` in
-    `equiv`; returns {name: list}."""
+    `module`; returns {name: list}."""
     calls = {}
     for name in names:
-        real, seen = getattr(equiv, name), calls.setdefault(name, [])
-        monkeypatch.setattr(equiv, name, lambda *a, real=real, seen=seen:
+        real, seen = getattr(module, name), calls.setdefault(name, [])
+        monkeypatch.setattr(module, name, lambda *a, real=real, seen=seen:
                             seen.append(a[0]) or real(*a))
     return calls
 
@@ -1712,13 +1754,16 @@ def test_side_structures_built_once_per_code(monkeypatch):
     """One cesimpg_equiv decision past a coset cap of 1, on a GF(8) pair
     that shares its shortened key and takes the incidence forms, finds each
     code's side and each side's points and shortened matrix once, and runs
-    each side's dot kernel once: the codeword weights are read off its
-    bits.  A pair that differs in its weight profile starts no canonical
-    search and no rref."""
+    no dot kernel per side: each shortened matrix is sliced out of its
+    geometry's incidence, whose kernel runs at most once, as it is cached,
+    and the codeword weights are read off its bits.  A pair that differs
+    in its weight profile starts no canonical search and no rref."""
     monkeypatch.setattr(equiv, "COSET_CAP", 1)
     calls = _counting(monkeypatch, "_side", "_point_coordinates",
-                      "build_shortened", "nonzero_dot_bits", "_incidence_form",
+                      "build_shortened", "_incidence_form",
                       "canonical_form", "rref")
+    kernel = _counting(monkeypatch, "nonzero_dot_bits", "nonzero_dot_masks",
+                       module=projgeom)
     spec = field(8)
     a, b = SHARED_PROFILE_SEEDS[8, 8, 3][0]
     c1, c2 = (random_code(spec, 8, 3, seed=s) for s in (a, b))
@@ -1727,16 +1772,19 @@ def test_side_structures_built_once_per_code(monkeypatch):
     for name in ("_side", "_incidence_form", "_point_coordinates",
                  "build_shortened"):
         assert list(map(id, calls[name])) == sides
-    assert len(calls["nonzero_dot_bits"]) == 2
+    assert kernel["nonzero_dot_bits"] == []
+    assert len(kernel["nonzero_dot_masks"]) <= 1
     for q, n, k, seed in ((3, 10, 3, 0), (2, 9, 6, 0)):
         c1, c2 = (random_code(field(q), n, k, seed=s)
                   for s in (seed, seed + 100))
         assert _profile(c1) != _profile(c2)
-        for seen in calls.values():
+        for seen in (*calls.values(), *kernel.values()):
             seen.clear()
         assert not cesimpg_equiv(c1, c2).equivalent
         assert calls["canonical_form"] == calls["rref"] == []
-        assert len(calls["_side"]) == len(calls["nonzero_dot_bits"]) == 2
+        assert len(calls["_side"]) == 2
+        assert kernel["nonzero_dot_bits"] == []
+        assert len(kernel["nonzero_dot_masks"]) <= 1
         # the [9,6]_2 pair is keyed on its duals
         assert [m.k for m in calls["build_shortened"]] == [min(k, n - k)] * 2
 

@@ -1,5 +1,6 @@
 """Generator matrices, characteristic vectors, and code utilities."""
 
+import hashlib
 import random
 
 import pytest
@@ -7,6 +8,7 @@ import pytest
 from codequiv import (GeneratorMatrix, characteristic_vector, code_from_chi,
                       field, min_distance_hyperplane, point_table, random_code,
                       simplex_generator, systematic_form, theta)
+from codequiv import projgeom
 from codequiv.projgeom import MAX_INCIDENCE_CELLS
 from conftest import min_weight_exhaustive
 
@@ -154,6 +156,43 @@ def test_random_code_projective():
         random_code(spec, 14, 3, seed=0, projective=True)  # theta(2,3)=13 < 14
     with pytest.raises(ValueError):
         random_code(spec, 2, 3, seed=0)  # n < k
+
+
+# sha256 over the codes of the sweep below, taken while random_code drew
+# its columns from the built point table
+RANDOM_CODE_SWEEP = (
+    "43d8bc9f1e37d128c16cbda074347f3f34e5881040e9d858d584fa6cc157dbcb")
+
+
+def test_random_code_sweep_pinned():
+    """Drawing each column's table position and unranking it gives every
+    seed the code it gave when the columns were read off the table; a
+    draw that cannot reach rank k, or a projective one with too few points,
+    raises the same error."""
+    digest = hashlib.sha256()
+    for q in (2, 3, 4, 5, 7, 8, 9, 16, 25, 27):
+        for k in (1, 2, 3, 4):
+            for n in range(k, k + 6):
+                for projective in (False, True):
+                    for seed in range(3):
+                        try:
+                            out = random_code(field(q), n, k, seed=seed,
+                                              projective=projective).mat.rows
+                        except ValueError as e:
+                            out = str(e)
+                        digest.update(repr((q, n, k, projective, seed,
+                                            out)).encode())
+    assert digest.hexdigest() == RANDOM_CODE_SWEEP
+
+
+def test_random_code_builds_no_point_table(monkeypatch):
+    # PG(5,25) has 10,172,526 points, past MAX_POINTS, and PG(3,27) 20,440
+    monkeypatch.setattr(projgeom, "_TABLE_CACHE", {})
+    code = random_code(field(25), 9, 6, seed=0)
+    assert (code.n, code.k) == (9, 6)
+    code = random_code(field(27), 7, 4, seed=0)
+    assert (code.n, code.k) == (7, 4)
+    assert projgeom._TABLE_CACHE == {}
 
 
 def test_spec_or_q_accepts_both():

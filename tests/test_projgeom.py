@@ -2,6 +2,7 @@
 
 import random
 
+import numpy as np
 import pytest
 
 import codequiv
@@ -9,7 +10,9 @@ from codequiv import (ColoredBinaryMatrix, field, incidence, point_table,
                       simplex_generator, theta)
 from codequiv import projgeom
 from codequiv.errors import ResourceLimitError
-from codequiv.projgeom import MAX_INCIDENCE_CELLS, MAX_POINTS, nonzero_dot_masks
+from codequiv.projgeom import (MAX_INCIDENCE_CELLS, MAX_POINTS,
+                               incidence_columns, nonzero_dot_bits,
+                               nonzero_dot_masks, point_at)
 
 
 def test_theta_values():
@@ -174,3 +177,35 @@ def test_nonzero_dot_masks_match_dot_on_every_field(k, q, modulus,
 def test_nonzero_dot_masks_of_no_vectors(k, q):
     table = point_table(k, q)
     assert nonzero_dot_masks(table, []) == [0] * len(table)
+
+
+@pytest.mark.parametrize("k,q", [(1, 2), (3, 2), (4, 3), (3, 4), (2, 9),
+                                 (3, 5)])
+def test_point_at_unranks_the_table(k, q):
+    table = point_table(k, q)
+    assert [point_at(k, q, j) for j in range(len(table))] == list(
+        table.points)
+
+
+def test_incidence_columns_slice_within_one_block(monkeypatch):
+    """PG(8,2), 511 points, has 261,121 incidence cells, within one kernel
+    block of 2^18: its columns are sliced out of the cached incidence.
+    PG(3,8), 585 points, is past it and runs the kernel on its columns
+    alone.  So does PG(2,5) under an incidence bound below its 961 cells,
+    which then raises nothing.  Every gather equals the kernel's bits."""
+    built = []
+    real = projgeom.incidence
+    monkeypatch.setattr(projgeom, "incidence",
+                        lambda *a: built.append(a[:2]) or real(*a))
+    cases = [(9, 2, 10 ** 8, True), (4, 8, 10 ** 8, False),
+             (3, 5, 960, False), (3, 5, 961, True)]
+    for k, q, bound, sliced in cases:
+        monkeypatch.setattr(projgeom, "MAX_INCIDENCE_CELLS", bound)
+        table = point_table(k, q)
+        positions = random.Random(k * q).sample(range(len(table)), 30)
+        for chosen in (positions, []):
+            built.clear()
+            got = incidence_columns(table, chosen)
+            want = nonzero_dot_bits(table, [table.points[j] for j in chosen])
+            assert got.dtype == want.dtype and np.array_equal(got, want)
+            assert built == ([(k, q)] if sliced else [])

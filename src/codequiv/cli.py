@@ -202,7 +202,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("classify", help="partition codes into equivalence classes")
     p.add_argument("codefile")
-    p.add_argument("--algo", choices=("ceimpg", "cesimpg", "auto"),
+    p.add_argument("--algo", choices=("ceimpg", "cesimpg"),
                    default="ceimpg")
     p.add_argument("--jobs", type=positive_int, default=1, metavar="N",
                    help=JOBS_HELP)

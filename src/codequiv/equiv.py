@@ -28,8 +28,9 @@ Two decision routes are provided:
   scalar per connected component, under each field automorphism.  The
   candidates are sigma0, then, only when it does not lift, sigma0
   composed with the rest of the point group, the automorphism group of
-  the first matrix (its canonical form), or past the coset cap the
-  isomorphism of the sides' incidence matrices (`_find_lift`).  The
+  the first matrix (its canonical form), or past the coset cap one
+  isomorphism of the sides' incidence matrices, found by the same
+  targeted search (`_find_lift`).  The
   support matrix is the incidence restricted to the columns at the side's
   distinct points, sliced out of the cached incidence when the geometry is
   small enough (`build_shortened`).  The weight distribution is read off
@@ -63,7 +64,9 @@ All that the shortened route derives from a code is built once, on first
 use, in the code's one `_Side` record: `cesimpg_equiv`, `code_aut_group`
 and the `classify` keys read it, and `_find_lift` takes two.  A pair
 decision canonicalizes a side only when sigma0 does not lift; `classify`
-has the forms of its keys already and reads sigma0 off them.
+has the forms of its keys already and reads sigma0 off them.  This route
+builds no canonical form of an incidence matrix: past the coset cap each
+comparison searches the two incidence matrices anew.
 """
 
 from __future__ import annotations
@@ -261,27 +264,18 @@ def build_shortened(code: GeneratorMatrix,
                                          [len(coords) for coords in points])
 
 
-def _incidence_form(side: GeneratorMatrix, points):
-    """(canonical form of build_ceimpg_matrix(side), {point-table position:
-    index p} of the side's `points` (`_point_coordinates`), in order of p)."""
-    table = point_table(side.k, side.q, side.spec.modulus)
-    positions = _point_positions(table, side, points)
-    return (canonical_form(build_ceimpg_matrix(characteristic_vector(side))),
-            {j: p for p, j in enumerate(positions)})
-
-
 class _Side:
     """A code, its `side` (`_side`), and, each built on first use, the
     side's distinct `points` (`_point_coordinates`), shortened `matrix`
     (which keeps its incidence columns as its `bits`) and codeword
     `weights`, the minimum-weight `rows` of a binary side (None when all
-    rows are kept), the canonical `form` of the rows `kept`, the code's own
-    `red` = rref(code), and its `incidence()` form."""
+    rows are kept), the canonical `form` of the rows `kept`, and the code's
+    own `red` = rref(code).  Its `incidence` matrix, which the ceimpg route
+    and a search past the coset cap read, is built on each read."""
 
     def __init__(self, code: GeneratorMatrix):
         self.code = code
         self.side = _side(code)
-        self._incidence = None
 
     @cached_property
     def points(self) -> list[tuple[int, ...]]:
@@ -349,17 +343,11 @@ class _Side:
     def red(self) -> RREFResult:
         return rref(self.code.mat)
 
-    def incidence(self):
-        """The side's `_incidence_form`.  A typed failure is kept and raised
-        anew on every later call."""
-        if self._incidence is None:
-            try:
-                self._incidence = _incidence_form(self.side, self.points)
-            except _ITEM_ERRORS as e:
-                self._incidence = e
-        if isinstance(self._incidence, Exception):
-            raise type(self._incidence)(*self._incidence.args)
-        return self._incidence
+    @property
+    def incidence(self) -> ColoredBinaryMatrix:
+        """The side's `build_ceimpg_matrix`, a recoloring of its geometry's
+        cached incidence, so not kept here."""
+        return build_ceimpg_matrix(characteristic_vector(self.side))
 
     def __getstate__(self):
         # a forked worker pipes back neither the code, which `_forked_keys`
@@ -529,10 +517,12 @@ def _find_lift(s1: _Side, s2: _Side, pi0):
     and sigma0 o pi o t lifts exactly when sigma0 o pi does, so None proves
     that no monomial map exists.
     When the point group is larger than COSET_CAP, the candidates are sigma0
-    and then the isomorphism of the sides' incidence forms on their points.
-    For sides of dimension 3 or more it is a collineation, so it lifts; for
-    dimension 2, whose incidence group is Sym(q+1), BudgetExceededError is
-    raised instead.
+    and then one isomorphism of the sides' incidence matrices
+    (`_Side.incidence`), found by `bmcanon.is_isomorphic` with no canonical
+    form and moved onto the sides' points.  For sides of dimension 3 or
+    more it is a collineation, so it lifts, and finding none proves that no
+    monomial map exists; for dimension 2, whose incidence group is
+    Sym(q+1), BudgetExceededError is raised instead.
     """
     g1, points1, points2 = s1.code, s1.points, s2.points
     sigma0 = _coordinate_perm(pi0, points1, points2)
@@ -550,16 +540,21 @@ def _find_lift(s1: _Side, s2: _Side, pi0):
             if lift is not None:
                 return (sigma, *lift)
         return None
-    if s1.side.k == 2:
+    side1, side2 = s1.side, s2.side
+    if side1.k == 2:
         raise BudgetExceededError(
             f"sigma0 does not lift and the point group ({r1.group_order}) "
             f"exceeds the coset cap ({COSET_CAP})")
-    (f1, index1), (f2, index2) = s1.incidence(), s2.incidence()
-    gamma = _sigma_from_canons(f1, f2)
+    gamma = bmcanon.is_isomorphic(s1.incidence, s2.incidence)
     if gamma is None:
         return None
-    sigma = _coordinate_perm([index2[gamma[t]] for t in index1],
-                             points1, points2)
+    # gamma maps point-table positions; colors are multiplicities, so it
+    # carries the first side's points onto the second's
+    table = point_table(side1.k, side1.q, side1.spec.modulus)
+    index2 = {j: p for p, j in enumerate(_point_positions(table, side2,
+                                                          points2))}
+    pi = [index2[gamma[j]] for j in _point_positions(table, side1, points1)]
+    sigma = _coordinate_perm(pi, points1, points2)
     lift = _lift(g1, s2.red, sigma)
     if lift is None:
         raise RuntimeError("internal error: incidence isomorphism did not lift")
@@ -590,9 +585,7 @@ def ceimpg_equiv(c1: GeneratorMatrix, c2: GeneratorMatrix) -> Verdict:
     sides = _comparable_sides(c1, c2)
     if sides is None:
         return Verdict(False, "ceimpg")
-    m1, m2 = (build_ceimpg_matrix(characteristic_vector(s.side))
-              for s in sides)
-    sigma = bmcanon.is_isomorphic(m1, m2)
+    sigma = bmcanon.is_isomorphic(*(s.incidence for s in sides))
     return Verdict(sigma is not None, "ceimpg")
 
 
@@ -629,10 +622,12 @@ def cesimpg_equiv(c1: GeneratorMatrix, c2: GeneratorMatrix) -> Verdict:
     field automorphism; only when it fails is the first side canonicalized
     and sigma0 composed with each other element of its point group, the
     first matrix's automorphism group (`_find_lift`); exhausting them
-    proves inequivalence.  When the point group outgrows COSET_CAP, the
-    isomorphism of the sides' incidence matrices is tried instead; on sides
-    of dimension 2, and past the node budget (as in `classify`), the typed
-    error stands: no verdict comes without a witness.
+    proves inequivalence.  When the point group outgrows COSET_CAP, one
+    isomorphism of the sides' incidence matrices is searched for instead,
+    again with `bmcanon.is_isomorphic`: it lifts, and none proves
+    inequivalence.  On sides of dimension 2, and past the node budget (as
+    in `classify`), the typed error stands: no verdict comes without a
+    witness.
     Lifting one candidate onto rref(c2) is a walk over its support graph,
     with no budget of its own.
     """
@@ -774,8 +769,7 @@ def _code_key(code: GeneratorMatrix, mode: str):
         rec = _Side(code)
         tag = "" if rec.side is code else "dual:"
         if mode == "ceimpg":
-            m = build_ceimpg_matrix(characteristic_vector(rec.side))
-            return tag + canonical_form(m).serialize(), None, None
+            return tag + canonical_form(rec.incidence).serialize(), None, None
         if rec.rows is not None:
             tag = "min:" + tag
         return tag + rec.form.serialize(), rec, None
@@ -891,15 +885,14 @@ def classify(codes, algo: str = "ceimpg", jobs: int = 1) -> ClassifyResult:
     """
     start = time.perf_counter()
     codes = list(codes)
-    if algo not in ("ceimpg", "cesimpg", "auto"):
+    if algo not in ("ceimpg", "cesimpg"):
         raise ValueError(f"unknown algorithm {algo!r}")
     if not isinstance(jobs, numbers.Integral) or jobs < 1:
         raise ValueError(f"jobs must be an int >= 1, got {jobs!r}")
     jobs = int(jobs)
     if codes and any(c.spec != codes[0].spec for c in codes):
         raise ValueError("classification requires a single ambient field")
-    mode = "ceimpg" if algo == "ceimpg" else "cesimpg"
-    keyed = _batch_keys(codes, mode, jobs)
+    keyed = _batch_keys(codes, algo, jobs)
     errors = [(i, msg) for i, (_, _, msg) in enumerate(keyed) if msg]
     buckets: dict[str, list[CodeClass]] = {}
     classes: list[CodeClass] = []
@@ -915,7 +908,7 @@ def classify(codes, algo: str = "ceimpg", jobs: int = 1) -> ClassifyResult:
                 # bucket; cesimpg members of a bucket share their canonical
                 # matrix, so pi0 is read off the forms the keys came from
                 rep = keyed[cls.representative][1]
-                if mode == "ceimpg" or _find_lift(rep, rec, _sigma_from_canons(
+                if algo == "ceimpg" or _find_lift(rep, rec, _sigma_from_canons(
                         rep.form, rec.form)) is not None:
                     joined = cls
                     break
@@ -932,4 +925,4 @@ def classify(codes, algo: str = "ceimpg", jobs: int = 1) -> ClassifyResult:
     errors.sort()
     digest = hashlib.sha256("\n\n".join(sorted(keys)).encode()).hexdigest()
     elapsed = time.perf_counter() - start
-    return ClassifyResult(mode, len(codes), classes, errors, elapsed, digest)
+    return ClassifyResult(algo, len(codes), classes, errors, elapsed, digest)

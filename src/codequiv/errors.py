@@ -6,7 +6,7 @@ class BudgetExceededError(RuntimeError):
     `bmcanon.NODE_BUDGET` nodes, or, on a side of dimension 2, a permutation
     that did not lift left the rest of a point group (`equiv._find_lift`)
     larger than `equiv.COSET_CAP` untried (sides of higher dimension go on
-    to their incidence forms instead).
+    to one isomorphism search of their incidence matrices instead).
 
     Raised instead of returning a possibly-wrong answer.  Distinct from a
     proven negative result (which is reported as a normal return value).

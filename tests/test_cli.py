@@ -241,6 +241,14 @@ def test_budget_flag_is_a_usage_error(pair_file):
     assert exc.value.code == 2
 
 
+def test_classify_auto_is_a_usage_error(pair_file, capsys):
+    # classify names its two routes; equiv keeps its default "auto"
+    with pytest.raises(SystemExit) as exc:
+        main(["classify", pair_file, "--algo", "auto"])
+    assert exc.value.code == 2
+    assert "invalid choice: 'auto'" in capsys.readouterr().err
+
+
 @pytest.mark.parametrize("argv", [["classify", "{pair}", "--jobs", "0"],
                                   ["bench", "--jobs", "-3"]])
 def test_jobs_below_one_is_a_usage_error(pair_file, argv, capsys):
@@ -387,7 +395,7 @@ ARC = """\
 
 
 @pytest.mark.parametrize("algo, lines", [
-    # the incidence forms give a witness
+    # the incidence search gives a witness
     ([], ["EQUIVALENT method=cesimpg", "witness: re-verified OK"]),
     # no weight-profile shortcut on this route
     (["--algo", "ceimpg"], ["witness: none (canonical-form route)"])],

@@ -635,13 +635,15 @@ def test_pair_decision_canonicalizes_only_when_sigma0_fails(monkeypatch):
 @pytest.mark.parametrize("q", [2, 3, 4, 5, 7, 8, 9, 16, 25, 27])
 def test_searches_get_the_bits_of_their_masks(q):
     """The 0/1 arrays the searches read pack to exactly their matrices' row
-    masks: a side's shortened matrix (the dot kernel's output converted to
-    0/1, where over GF(2^m) it holds packed digits), its minimum-weight
-    rows, and its ceimpg matrix, which shares the incidence's symmetric
-    bits.  The shortened masks are the mask kernel's, and the weights read
-    off the bits are `codeword_weights` of the masks.  Each field gives a
-    primal [8,3] side and a dual [7,4] one, GF(2) also minimum-weight
-    rows."""
+    masks: a side's shortened matrix (`projgeom.incidence_columns`: for
+    q <= 16, where theta <= 512, columns gathered from the cached
+    incidence; over GF(25) and GF(27), theta 651 and 757, the dot kernel's
+    output converted to 0/1, where over GF(p^m) it holds packed digits),
+    its minimum-weight rows, and its ceimpg matrix, which shares the
+    incidence's symmetric bits.  The shortened masks are the mask kernel's,
+    and the weights read off the bits are `codeword_weights` of the masks.
+    Each field gives a primal [8,3] side and a dual [7,4] one, GF(2) also
+    minimum-weight rows."""
     spec = field(q)
     codes = [random_code(spec, n, k, seed=s) for n, k in ((8, 3), (7, 4))
              for s in range(10 if q == 2 else 1)]
@@ -787,9 +789,9 @@ def test_min_weight_gate_refuses():
 
 def test_dimension_two_past_the_coset_cap_is_a_budget_error(monkeypatch):
     """On a side of dimension 2 a sigma0 that does not lift past the coset
-    cap ends in the typed error, and no incidence form is built."""
+    cap ends in the typed error, and no incidence matrix is read."""
     monkeypatch.setattr(equiv, "COSET_CAP", 1)
-    calls = _counting_incidence_forms(monkeypatch)
+    reads, forms = _incidence_use(monkeypatch)
     spec = field(5)
     for seed in range(10):
         c1, c2 = _transformed_pair(spec, 6, 2, seed, allow_rho=False)
@@ -802,7 +804,7 @@ def test_dimension_two_past_the_coset_cap_is_a_budget_error(monkeypatch):
         break
     else:
         pytest.fail("no [6,2]_5 pair reaches the coset cap")
-    assert calls == []
+    assert reads == forms == []
 
 
 def test_repeated_point_past_the_coset_cap_witnessed():
@@ -1397,6 +1399,12 @@ def test_classify_digests_pinned():
                    "25dc6222588e84483054243f4be702e1"}
 
 
+def test_classify_refuses_auto():
+    # classify names its two routes; only decide_equivalence takes "auto"
+    with pytest.raises(ValueError, match="unknown algorithm 'auto'"):
+        classify([random_code(field(3), 6, 2, seed=0)], algo="auto")
+
+
 def test_classify_mixed_fields_rejected():
     with pytest.raises(ValueError):
         classify([random_code(field(3), 6, 2, seed=0),
@@ -1512,7 +1520,7 @@ def _sigma0_lifts(c1, c2, routes=("pair", "classify")):
 def _fallback_pair():
     # a [16,6]_5 pair (an [8,6]_5 pair with every column doubled, so that
     # 2k <= n keeps it off the dual) whose sigma0 does not lift: with a
-    # coset cap of 1 its comparison goes to the incidence forms
+    # coset cap of 1 its comparison goes to the incidence matrices
     spec = field(5)
     pair = _transformed_pair(spec, 8, 6, seed=3, allow_rho=False)
     c1, c2 = (GeneratorMatrix(spec, [[x for x in row for _ in range(2)]
@@ -1522,14 +1530,14 @@ def _fallback_pair():
 
 
 def test_cesimpg_witnessed_past_the_coset_cap(monkeypatch):
-    # with a coset cap of 1 sigma0 is tried, then the incidence forms:
-    # where sigma0 does not lift, their isomorphism does, so the verdict
-    # carries a witness, and differing forms deny equivalence
+    # with a coset cap of 1 sigma0 is tried, then an isomorphism search
+    # of the incidence matrices: where sigma0 does not lift, the isomorphism
+    # found does, so the verdict carries a witness, and finding none denies
+    # equivalence
     monkeypatch.setattr(equiv, "COSET_CAP", 1)
     spec = field(5)
-    # a [6,3]_5 pair whose sigma0 does not lift; the incidence forms of
-    # _fallback_pair()'s [16,6]_5 codes (3,906 points) take about 3 s of
-    # CPU each on a 2-vCPU machine, too slow here
+    # a [6,3]_5 pair whose sigma0 does not lift; for _fallback_pair()'s
+    # [16,6]_5 codes see test_fallback_pair_witnessed_past_a_coset_cap_of_one
     c1, c2 = _transformed_pair(spec, 6, 3, seed=4, allow_rho=False)
     assert not _sigma0_lifts(c1, c2, ["pair"])
     v = decide_equivalence(c1, c2)
@@ -1544,19 +1552,63 @@ def test_cesimpg_witnessed_past_the_coset_cap(monkeypatch):
         assert (v.equivalent, v.method, v.witness) == (False, "cesimpg", None)
 
 
-def _counting_incidence_forms(monkeypatch):
-    """Count the sides whose incidence form is built; returns their list."""
-    calls = []
-    real = equiv._incidence_form
-    monkeypatch.setattr(equiv, "_incidence_form", lambda side, points:
-                        calls.append(side) or real(side, points))
-    return calls
+def test_fallback_pair_witnessed_past_a_coset_cap_of_one(monkeypatch):
+    """_fallback_pair()'s [16,6]_5 codes (3,906 points) at a coset cap of 1:
+    sigma0 does not lift, and one isomorphism search of the two 3,906 x
+    3,906 incidence matrices finds a map that lifts to a verified witness.
+    The one canonical form built is the first side's 3,906 x 8 shortened
+    matrix, for its point group (about 1.9 s of CPU in all, 2 vCPUs)."""
+    _, c1, c2 = _fallback_pair()
+    monkeypatch.setattr(equiv, "COSET_CAP", 1)
+    reads, forms = _incidence_use(monkeypatch)
+    every_form = _counting(monkeypatch, "canonical_form")["canonical_form"]
+    v = decide_equivalence(c1, c2)
+    assert (v.equivalent, v.method) == (True, "cesimpg")
+    assert verify_witness(c1, c2, v.witness)
+    assert len(reads) == 2 and forms == []
+    assert [(m.n_rows, m.n_cols) for m in every_form] == [(3906, 8)]
+
+
+def _incidence_use(monkeypatch):
+    """Record the characteristic vector of each incidence matrix
+    (`equiv.build_ceimpg_matrix`) read inside `equiv._find_lift`, where
+    cesimpg_equiv and a cesimpg bucket comparison read them, so that the
+    tests' own ceimpg_equiv cross-checks are not counted; and each
+    incidence matrix that equiv builds a canonical form of, anywhere.
+    Returns (reads, forms)."""
+    reads, forms, built, inside = [], [], [], []
+    real_build, real_form = equiv.build_ceimpg_matrix, equiv.canonical_form
+    real_lift = equiv._find_lift
+
+    def build(chi):
+        m = real_build(chi)
+        built.append(m)
+        if inside:
+            reads.append(chi)
+        return m
+
+    def form(m):
+        if any(m is b for b in built):
+            forms.append(m)
+        return real_form(m)
+
+    def find_lift(*args):
+        inside.append(True)
+        try:
+            return real_lift(*args)
+        finally:
+            inside.pop()
+
+    monkeypatch.setattr(equiv, "build_ceimpg_matrix", build)
+    monkeypatch.setattr(equiv, "canonical_form", form)
+    monkeypatch.setattr(equiv, "_find_lift", find_lift)
+    return reads, forms
 
 
 # seeds of independent codes of each shape below that share their weight
 # profile, so that the pair reaches the canonical searches; over GF(8) and
 # GF(9) they also share the shortened key, whose point group is not
-# trivial, so past a coset cap of 1 the incidence forms decide them
+# trivial, so past a coset cap of 1 the incidence search decides them
 SHARED_PROFILE_SEEDS = {(4, 8, 3): [(2, 59), (8, 59)],
                         (8, 8, 3): [(0, 7), (12, 23)],
                         (9, 9, 3): [(27, 52), (6, 30)],
@@ -1567,15 +1619,17 @@ SHARED_PROFILE_SEEDS = {(4, 8, 3): [(2, 59), (8, 59)],
 @pytest.mark.parametrize("q,n,k", sorted(SHARED_PROFILE_SEEDS))
 def test_incidence_lift_past_a_coset_cap_of_one(q, n, k, monkeypatch):
     """With a coset cap of 1, every pair that sigma0 does not decide goes
-    to the incidence forms: seeded transformed pairs, with a nontrivial
-    field automorphism over GF(4), GF(8) and GF(9), and independent pairs
-    of the same shape.  Most independent pairs differ in their weight
-    profile and never reach a search, so pairs that share it are added;
-    over GF(8) and GF(9) they also share the shortened key, and the
-    incidence forms tell them apart.  Every verdict equals ceimpg_equiv's,
-    and every equivalent one carries a witness that verifies."""
+    to one isomorphism search of the two incidence matrices: seeded
+    transformed pairs, with a nontrivial field automorphism over GF(4),
+    GF(8) and GF(9), and independent pairs of the same shape.  Most
+    independent pairs differ in their weight profile and never reach a
+    search, so pairs that share it are added; over GF(8) and GF(9) they
+    also share the shortened key, and the incidence search tells them
+    apart.  Every verdict equals ceimpg_equiv's, and every equivalent one
+    carries a witness that verifies.  A pair reads the incidence matrices
+    of both codes or none, and no canonical form of one is built."""
     monkeypatch.setattr(equiv, "COSET_CAP", 1)
-    calls = _counting_incidence_forms(monkeypatch)
+    reads, forms = _incidence_use(monkeypatch)
     spec = field(q)
     pairs = [_transformed_pair(spec, n, k, seed) for seed in range(12)]
     pairs += [(random_code(spec, n, k, seed=s), random_code(spec, n, k,
@@ -1588,9 +1642,10 @@ def test_incidence_lift_past_a_coset_cap_of_one(q, n, k, monkeypatch):
     pairs += shared
     verdicts, lifted_incidence = [], []
     for c1, c2 in pairs:
-        before = len(calls)
+        before = len(reads)
         verdicts.append(cesimpg_equiv(c1, c2))
-        lifted_incidence.append(len(calls) > before)
+        assert len(reads) - before in (0, 2)
+        lifted_incidence.append(len(reads) > before)
     for (c1, c2), v in zip(pairs, verdicts):
         assert v.method == "cesimpg"
         assert v.equivalent == ceimpg_equiv(c1, c2).equivalent
@@ -1601,18 +1656,20 @@ def test_incidence_lift_past_a_coset_cap_of_one(q, n, k, monkeypatch):
     if q in (8, 9):
         assert all(lifted_incidence[18:])
     # over GF(2) sigma0 always lifts (test_binary_sigma0_lifts_past_coset_cap);
-    # over GF(4), GF(8) and GF(9) some of these pairs take the incidence forms
+    # over GF(4), GF(8) and GF(9) some of these pairs take the incidence search
     if q == 2:
-        assert not calls
+        assert not reads
     if q in (4, 8, 9):
-        assert calls
+        assert reads
+    assert forms == []
 
 
 def test_classify_past_a_coset_cap_of_one(monkeypatch):
     # the codes of test_classify_bucket_with_several_classes and transformed
     # copies of three of them, not all reached by sigma0: at a coset cap of
-    # 1 the partition is the one at the real cap, and each code's incidence
-    # form is built at most once
+    # 1 the partition is the one at the real cap, each comparison past it
+    # reads the incidence matrices of both its codes, and no canonical form
+    # of one is built
     spec = field(5)
     codes = [random_code(spec, 6, 3, seed=s) for s in (0, 1, 4, 32, 12, 38)]
     rng = random.Random(5)
@@ -1624,13 +1681,14 @@ def test_classify_past_a_coset_cap_of_one(monkeypatch):
     assert not all(_sigma0_lifts(codes[i], c, ["classify"]) for i, c in
                    zip((0, 2, 4), codes[6:]))
     monkeypatch.setattr(equiv, "COSET_CAP", 1)
-    calls = _counting_incidence_forms(monkeypatch)
+    reads, forms = _incidence_use(monkeypatch)
     result = classify(codes, algo="cesimpg")
     assert result.errors == []
     assert [c.members for c in result.classes] == [
         c.members for c in expected.classes]
     assert result.digest == expected.digest
-    assert calls and len(set(map(id, calls))) == len(calls)
+    assert reads and len(reads) % 2 == 0
+    assert forms == []
 
 
 def _det3(a, b, c, q):
@@ -1658,8 +1716,9 @@ def test_arcs_witnessed_past_the_real_coset_cap(monkeypatch):
     # permutation of its points: the point group is Sym(10), past the real
     # coset cap.  sigma0 does not lift between the conic ([10,3]_11
     # Reed-Solomon) code and its seeded copies, so each decision goes to
-    # the incidence forms: their isomorphism lifts to a witness for each
-    # copy, and they tell the conic from a greedy 10-arc on no conic
+    # an isomorphism search of the incidence matrices: the isomorphism found
+    # lifts to a witness for each copy, and none is found between the conic
+    # and a greedy 10-arc on no conic
     spec = field(11)
     conic = GeneratorMatrix.from_columns(spec, [(1, t, t * t % 11)
                                                 for t in range(10)])
@@ -1688,55 +1747,64 @@ def test_arcs_witnessed_past_the_real_coset_cap(monkeypatch):
     v = decide_equivalence(conic, other)
     assert (v.equivalent, v.method, v.witness) == (False, "cesimpg", None)
     codes = [conic] + copies + [other]
-    calls = _counting_incidence_forms(monkeypatch)
+    reads, forms = _incidence_use(monkeypatch)
     for algo in ("ceimpg", "cesimpg"):
         result = classify(codes, algo=algo)
         assert result.errors == []
         assert [c.members for c in result.classes] == [[0, 1, 2, 3], [4]]
+        # the ceimpg keys are canonical forms of the five incidence
+        # matrices; cesimpg builds none, and past the cap searches those of
+        # both codes in each of its four comparisons (codes 1 to 4 against
+        # code 0)
+        assert (len(forms), len(reads)) == ((5, 0) if algo == "ceimpg"
+                                            else (0, 8))
+        forms.clear()
     assert len({c.key_digest for c in result.classes}) == 1
-    # past the cap, cesimpg builds the incidence form of each code once
-    assert sorted(map(id, calls)) == sorted(map(id, codes))
 
 
-FALLBACK_MSG = "BudgetExceededError: incidence form over budget"
+FALLBACK_MSG = "BudgetExceededError: incidence search over budget"
 
 
-def _failing_incidence_forms(monkeypatch):
-    """Cap the coset at 1 and make every incidence form fail, as one over
-    the node budget would; returns the list of sides a form was asked for."""
+def _failing_incidence_searches(monkeypatch):
+    """Cap the coset at 1 and make every isomorphism search fail, as one
+    over the node budget would; in `classify`, where pi0 is read off the
+    keys' forms, only the incidence search past the cap runs one.  Returns
+    the list of first matrices a search was asked for."""
     calls = []
 
-    def failing(side, points):
-        calls.append(side)
-        raise BudgetExceededError("incidence form over budget")
+    def failing(m1, m2):
+        calls.append(m1)
+        raise BudgetExceededError("incidence search over budget")
 
-    monkeypatch.setattr(equiv, "_incidence_form", failing)
+    monkeypatch.setattr(bmcanon, "is_isomorphic", failing)
     monkeypatch.setattr(equiv, "COSET_CAP", 1)
     return calls
 
 
 def test_classify_pair_fallback_errors_collected_not_raised(monkeypatch):
     _, c1, c2 = _fallback_pair()
-    _failing_incidence_forms(monkeypatch)
+    _failing_incidence_searches(monkeypatch)
     result = classify([c1, c2], algo="cesimpg")
     assert result.errors == [(1, FALLBACK_MSG)]
     assert [c.members for c in result.classes] == [[0]]
 
 
-def test_classify_failed_ceimpg_key_built_once(monkeypatch):
-    # the representative's failing incidence form is kept and raised again
-    # for every later member of its bucket instead of being rebuilt
+def test_classify_failed_incidence_search_is_one_error_per_comparison(
+        monkeypatch):
+    # no failure is kept: each later member of the bucket runs its own
+    # incidence search against the representative, and each failed search
+    # is that member's one per-item error
     spec, c1, c2 = _fallback_pair()
     copies = [GeneratorMatrix(spec, _random_transform(
         spec, 16, random.Random(seed), allow_rho=False).apply(c1.mat).rows)
         for seed in (7, 8)]
     assert not any(_sigma0_lifts(c1, c, ["classify"]) for c in copies)
-    calls = _failing_incidence_forms(monkeypatch)
+    calls = _failing_incidence_searches(monkeypatch)
     result = classify([c1, c2] + copies, algo="cesimpg")
     assert result.errors == [(1, FALLBACK_MSG), (2, FALLBACK_MSG),
                              (3, FALLBACK_MSG)]
     assert [c.members for c in result.classes] == [[0]]
-    assert len(calls) == 1
+    assert len(calls) == 3
 
 
 def _counting(monkeypatch, *names, module=equiv):
@@ -1752,15 +1820,17 @@ def _counting(monkeypatch, *names, module=equiv):
 
 def test_side_structures_built_once_per_code(monkeypatch):
     """One cesimpg_equiv decision past a coset cap of 1, on a GF(8) pair
-    that shares its shortened key and takes the incidence forms, finds each
-    code's side and each side's points and shortened matrix once, and runs
-    no dot kernel per side: each shortened matrix is sliced out of its
-    geometry's incidence, whose kernel runs at most once, as it is cached,
-    and the codeword weights are read off its bits.  A pair that differs
-    in its weight profile starts no canonical search and no rref."""
+    that shares its shortened key and takes the incidence search, finds
+    each code's side, and each side's points, shortened matrix and
+    characteristic vector, once, and runs no dot kernel per side: each
+    shortened matrix is sliced out of its geometry's incidence, whose
+    kernel runs at most once, as it is cached, and the codeword weights are
+    read off its bits.  Its one canonical form is the first side's
+    shortened matrix, for the point group.  A pair that differs in its
+    weight profile starts no canonical search and no rref."""
     monkeypatch.setattr(equiv, "COSET_CAP", 1)
     calls = _counting(monkeypatch, "_side", "_point_coordinates",
-                      "build_shortened", "_incidence_form",
+                      "build_shortened", "characteristic_vector",
                       "canonical_form", "rref")
     kernel = _counting(monkeypatch, "nonzero_dot_bits", "nonzero_dot_masks",
                        module=projgeom)
@@ -1769,11 +1839,12 @@ def test_side_structures_built_once_per_code(monkeypatch):
     c1, c2 = (random_code(spec, 8, 3, seed=s) for s in (a, b))
     assert not cesimpg_equiv(c1, c2).equivalent
     sides = [id(c1), id(c2)]
-    for name in ("_side", "_incidence_form", "_point_coordinates",
-                 "build_shortened"):
+    for name in ("_side", "_point_coordinates", "build_shortened",
+                 "characteristic_vector"):
         assert list(map(id, calls[name])) == sides
     assert kernel["nonzero_dot_bits"] == []
     assert len(kernel["nonzero_dot_masks"]) <= 1
+    assert calls["canonical_form"] == [equiv._Side(c1).kept]
     for q, n, k, seed in ((3, 10, 3, 0), (2, 9, 6, 0)):
         c1, c2 = (random_code(field(q), n, k, seed=s)
                   for s in (seed, seed + 100))
@@ -1814,7 +1885,7 @@ def test_forked_keys_pipe_back_records_without_code_or_matrices(forks):
 
 def test_classify_comparison_over_the_incidence_bound_collected(monkeypatch):
     # past a coset cap of 1 the pair's comparison asks for the incidence
-    # forms on PG(2,5), 961 cells: over a bound of 960 it fails for code 1
+    # matrices on PG(2,5), 961 cells: over a bound of 960 it fails for code 1
     # alone, as a typed per-item error, and decide_equivalence raises it
     spec = field(5)
     c1, c2 = _transformed_pair(spec, 6, 3, seed=4, allow_rho=False)

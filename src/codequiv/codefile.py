@@ -6,6 +6,13 @@ followed by exactly k rows of n field elements written as integers.
 ``#`` starts a comment anywhere on a line; blank and comment-only lines
 between codes are ignored.
 
+`parse_codes` checks each code in a fixed order: its header and field, then
+each row in turn (present, integers, width, range), and reports the first
+failure with its line number.  The rows it has checked go to the
+`GeneratorMatrix` constructor's private entry, which does not check them
+again, so a matrix error (first zero column, then rank below k) is
+reported at the code's header line after every row has passed.
+
 Example::
 
     # two ternary codes
@@ -75,7 +82,7 @@ def parse_codes(text: str) -> list[GeneratorMatrix]:
                 _fail(row_lineno, f"entry {bad} outside field range 0..{q - 1}")
             rows.append(row)
         try:
-            codes.append(GeneratorMatrix(spec, rows))
+            codes.append(GeneratorMatrix._checked(spec, rows))
         except ValueError as e:
             _fail(lineno, f"invalid generator matrix: {e}")
         pos += 1 + k

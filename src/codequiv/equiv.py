@@ -25,7 +25,8 @@ Two decision routes are provided:
   candidate coordinate permutation to an explicit monomial witness
   against the second code's own reduced row echelon form: the
   scalings lambda are carried along its bipartite support graph, one free
-  scalar per connected component, under each field automorphism.  The
+  scalar per connected component, under each field automorphism, all of
+  which share one elimination of the moved matrix (`_lift`).  The
   candidates are sigma0, then, only when it does not lift, sigma0
   composed with the rest of the point group, the automorphism group of
   the first matrix (its canonical form), or past the coset cap one
@@ -34,9 +35,9 @@ Two decision routes are provided:
   support matrix is the incidence restricted to the columns at the side's
   distinct points, sliced out of the cached incidence when the geometry is
   small enough (`build_shortened`).  The weight distribution is read off
-  its bits (`_Side.weights`: a row's weight, each column counted by its
-  multiplicity, is the weight of that hyperplane's codeword), before any
-  row mask is packed;
+  those columns (`_Side.weights`: a row's weight, each column counted by
+  its multiplicity, is the weight of that hyperplane's codeword), before
+  any matrix object is built or row mask packed;
   monomial maps and field automorphisms keep it, so differing
   distributions prove inequivalence with no search at all.  The
   point-multiplicity route takes no such shortcut: it stays an
@@ -212,7 +213,7 @@ def _side(code: GeneratorMatrix) -> GeneratorMatrix:
     basis = nullspace_basis(code.mat)
     if not basis or not all(any(col) for col in zip(*basis)):
         return code
-    return GeneratorMatrix(code.spec, basis)
+    return GeneratorMatrix._checked(code.spec, basis)
 
 
 def build_ceimpg_matrix(chi: CharacteristicVector) -> ColoredBinaryMatrix:
@@ -224,20 +225,19 @@ def build_ceimpg_matrix(chi: CharacteristicVector) -> ColoredBinaryMatrix:
     return incidence(chi.k, spec.q, spec.modulus).recolored(chi.counts)
 
 
+def _coordinates_by_point(code: GeneratorMatrix) -> dict:
+    """Each distinct point (normalized column) of `code`, in order of first
+    appearance, mapped to its coordinates in index order."""
+    points: dict = {}
+    for j, col in enumerate(zip(*code.mat.rows)):
+        points.setdefault(col, []).append(j)
+    return points
+
+
 def _point_coordinates(code: GeneratorMatrix) -> list[tuple[int, ...]]:
     """The coordinates of each distinct point (normalized column) of
     `code`, in index order, the points in order of first appearance."""
-    points: dict = {}
-    for j, col in enumerate(code.columns()):
-        points.setdefault(col, []).append(j)
-    return [tuple(coords) for coords in points.values()]
-
-
-def _point_positions(table, code: GeneratorMatrix, points) -> list[int]:
-    """The 0-based positions in `table` of the distinct points of `code`
-    (`_point_coordinates`), in order."""
-    cols = code.columns()
-    return [table._index[cols[coords[0]]] for coords in points]
+    return [tuple(coords) for coords in _coordinates_by_point(code).values()]
 
 
 def build_shortened(code: GeneratorMatrix,
@@ -259,40 +259,86 @@ def build_shortened(code: GeneratorMatrix,
     table = point_table(code.k, spec.q, spec.modulus)
     if points is None:
         points = _point_coordinates(code)
-    bits = incidence_columns(table, _point_positions(table, code, points))
+    cols = code.columns()
+    positions = [table._index[cols[coords[0]]] for coords in points]
+    bits = incidence_columns(table, positions)
     return ColoredBinaryMatrix.from_bits(bits,
                                          [len(coords) for coords in points])
 
 
+def _spans_binary(points, k: int) -> bool:
+    """Whether the GF(2) vectors `points` span GF(2)^k, read in order up to
+    the k-th pivot of an XOR basis."""
+    basis: dict[int, int] = {}  # pivot bit -> basis vector
+    for point in points:
+        v = int("".join(map(str, point)), 2)
+        while v and v.bit_length() in basis:
+            v ^= basis[v.bit_length()]
+        if v:
+            basis[v.bit_length()] = v
+            if len(basis) == k:
+                return True
+    return False
+
+
 class _Side:
     """A code, its `side` (`_side`), and, each built on first use, the
-    side's distinct `points` (`_point_coordinates`), shortened `matrix`
-    (which keeps its incidence columns as its `bits`) and codeword
-    `weights`, the minimum-weight `rows` of a binary side (None when all
-    rows are kept), the canonical `form` of the rows `kept`, and the code's
-    own `red` = rref(code).  Its `incidence` matrix, which the ceimpg route
-    and a search past the coset cap read, is built on each read."""
+    side's distinct `points` (`_point_coordinates`) with their point-table
+    `positions`, found in one walk over its normalized columns; the
+    incidence `columns` at those positions and the codeword `weights` read
+    off them; the shortened `matrix`, which wraps those columns only when a
+    search reads it; the minimum-weight `rows` of a binary side (None when
+    all rows are kept), the canonical `form` of the rows `kept`, and the
+    code's own `red` = rref(code).  Its `incidence` matrix, which the
+    ceimpg route and a search past the coset cap read, is built on each
+    read."""
 
     def __init__(self, code: GeneratorMatrix):
         self.code = code
         self.side = _side(code)
 
     @cached_property
+    def _located(self) -> tuple[list[tuple[int, ...]], list[int]]:
+        """(`points`, `positions`), from one walk over the columns."""
+        side = self.side
+        index = point_table(side.k, side.q, side.spec.modulus)._index
+        by_point = _coordinates_by_point(side)
+        return ([tuple(coords) for coords in by_point.values()],
+                [index[col] for col in by_point])
+
+    @property
     def points(self) -> list[tuple[int, ...]]:
-        return _point_coordinates(self.side)
+        return self._located[0]
+
+    @property
+    def positions(self) -> list[int]:
+        return self._located[1]
+
+    @cached_property
+    def columns(self) -> np.ndarray:
+        """The incidence's columns at the side's points, as
+        `build_shortened` gathers them (`projgeom.incidence_columns`)."""
+        side = self.side
+        return incidence_columns(
+            point_table(side.k, side.q, side.spec.modulus), self.positions)
+
+    @property
+    def mults(self) -> list[int]:
+        """Each point's multiplicity, the color of its column."""
+        return [len(coords) for coords in self.points]
 
     @cached_property
     def matrix(self) -> ColoredBinaryMatrix:
-        return build_shortened(self.side, self.points)
+        """`build_shortened(side)`, wrapping `columns`."""
+        return ColoredBinaryMatrix.from_bits(self.columns, self.mults)
 
     @cached_property
     def weights(self) -> list[int]:
         """Each row's weight, a column counted by its multiplicity: the
         weight of that hyperplane's codeword (`projgeom.codeword_weights`)."""
-        m = self.matrix
         # einsum casts the bits in chunks, where @ would copy them as int64
-        return np.einsum("ij,j->i", m.bits,
-                         np.array(m.col_colors, dtype=np.int64)).tolist()
+        return np.einsum("ij,j->i", self.columns,
+                         np.array(self.mults, dtype=np.int64)).tolist()
 
     @cached_property
     def rows(self) -> ColoredBinaryMatrix | None:
@@ -314,20 +360,15 @@ class _Side:
         reduction is binary only."""
         if self.side.q != 2:
             return None
-        m, k, low = self.matrix, self.side.k, min(self.weights)
+        k, low = self.side.k, min(self.weights)
         rows = [i for i, w in enumerate(self.weights) if w == low]
         points = point_table(k, 2).points
-        basis: dict[int, int] = {}  # an XOR basis of the hyperplanes so far
-        for i in rows:
-            v = int("".join(map(str, points[i])), 2)
-            while v and v.bit_length() in basis:
-                v ^= basis[v.bit_length()]
-            if v:
-                basis[v.bit_length()] = v
-                if len(basis) == k:
-                    return ColoredBinaryMatrix.from_bits(m.bits[rows],
-                                                         m.col_colors)
-        return None
+        # whether they span does not depend on the order: the table lists
+        # the points with a nonzero first coordinate last, so a scan from
+        # the end meets a spanning set sooner
+        if not _spans_binary((points[i] for i in reversed(rows)), k):
+            return None
+        return ColoredBinaryMatrix.from_bits(self.columns[rows], self.mults)
 
     @property
     def kept(self) -> ColoredBinaryMatrix:
@@ -351,10 +392,11 @@ class _Side:
 
     def __getstate__(self):
         # a forked worker pipes back neither the code, which `_forked_keys`
-        # puts back, nor the matrices `form` was built from
+        # puts back, nor the incidence columns and the matrices `form` was
+        # built from
         state = dict(vars(self), side=None if self.side is self.code
                      else self.side)
-        for key in ("code", "matrix", "weights", "rows"):
+        for key in ("code", "columns", "matrix", "weights", "rows"):
             state.pop(key, None)
         return state
 
@@ -417,48 +459,8 @@ def monomial_from_sigma(g1: GeneratorMatrix, red2: RREFResult, sigma,
     coordinate and carried along its edges.  Returns (Q, lambdas), or None
     when no lift exists.
     """
-    spec = g1.spec
-    k, n = g1.k, g1.n
-    r2, pivots = red2.rref.rows, red2.pivots
-    if red2.rref.nrows != k or red2.rref.ncols != n:
-        raise ValueError("shape mismatch")
-    rho %= spec.m
-    frob = spec.frobenius_table(rho)
-    sigma_inv = _perm_inverse(sigma)
-    moved = [[frob[row[i]] for i in sigma_inv] for row in g1.mat.rows]
-    e1 = [list(row) for row in moved]
-    if _eliminate(spec, e1, pivots) != list(pivots):
-        return None
-    if any([x != 0 for x in a] != [x != 0 for x in b] for a, b in zip(e1, r2)):
-        return None
-    # the scalings as discrete logs: every one is nonzero, and E1 and R2
-    # share their support, so each ratio below is of nonzero entries
-    log, exp, order = spec.log, spec.exp, spec.q - 1
-    row_of = {p: s for s, p in enumerate(pivots)}
-    lmu = [0] * n
-    for v, p in _support_forest(red2, n):
-        if p is None:
-            continue
-        s = row_of.get(v)
-        if s is not None:
-            lmu[v] = (lmu[p] + log[e1[s][p]] - log[r2[s][p]]) % order
-        else:
-            s = row_of[p]
-            lmu[v] = (lmu[p] + log[r2[s][v]] - log[e1[s][v]]) % order
-    for s, p in enumerate(pivots):
-        for c in range(n):
-            if r2[s][c] and (lmu[p] + log[r2[s][c]]
-                             - lmu[c] - log[e1[s][c]]) % order:
-                return None
-    a = GFMatrix._wrap(spec, [[exp[log[row[p]] + lmu[p]] for p in pivots]
-                              for row in moved])
-    q = mat_mul(a, red2.transform)
-    if rank(q) != k:
-        raise RuntimeError("internal error: lifted Q is singular")
-    # rho^-1(g^l) = g^(l p^(m - rho))
-    back = spec.p ** ((spec.m - rho) % spec.m)
-    lambdas = tuple(exp[l * back % order] for l in lmu)
-    return q, lambdas
+    lift = _lift(g1, red2, sigma, (rho % g1.spec.m,))
+    return None if lift is None else lift[1:]
 
 
 # ---------------------------------------------------------------------------
@@ -483,14 +485,61 @@ def _iter_group(gens, n: int):
         frontier = nxt
 
 
-def _lift(g1: GeneratorMatrix, red2: RREFResult, sigma):
-    """(rho, Q, lambdas) for the first field automorphism rho under which
-    `sigma` lifts (Q @ G2 == rho(g1 P_sigma diag(lambdas)), red2 = rref(G2)),
-    or None when no rho lifts."""
-    for rho in range(g1.spec.m):
-        lift = monomial_from_sigma(g1, red2, sigma, rho)
-        if lift is not None:
-            return (rho, *lift)
+def _lift(g1: GeneratorMatrix, red2: RREFResult, sigma, rhos=None):
+    """(rho, Q, lambdas) for the first field automorphism rho of `rhos`
+    (default all, in order) under which `sigma` lifts (Q @ G2 ==
+    rho(g1 P_sigma diag(lambdas)), red2 = rref(G2); `monomial_from_sigma`),
+    or None when none does.
+
+    Applied entrywise, rho commutes with Gauss-Jordan: rho(M) has its zeros
+    where M = G1 P_sigma has them, so it takes the same pivot rows and swaps
+    and ends in rho(E1), of E1's support.  So M is eliminated, and the
+    pivots and support tested, once for every rho; only the scalings, Q and
+    their consistency are computed per rho."""
+    spec = g1.spec
+    k, n = g1.k, g1.n
+    r2, pivots = red2.rref.rows, red2.pivots
+    if red2.rref.nrows != k or red2.rref.ncols != n:
+        raise ValueError("shape mismatch")
+    sigma_inv = _perm_inverse(sigma)
+    moved0 = [[row[i] for i in sigma_inv] for row in g1.mat.rows]
+    e1_0 = [list(row) for row in moved0]
+    if _eliminate(spec, e1_0, pivots) != list(pivots):
+        return None
+    if any([x != 0 for x in a] != [x != 0 for x in b]
+           for a, b in zip(e1_0, r2)):
+        return None
+    # the scalings as discrete logs: every one is nonzero, and E1 and R2
+    # share their support, so each ratio below is of nonzero entries
+    log, exp, order = spec.log, spec.exp, spec.q - 1
+    row_of = {p: s for s, p in enumerate(pivots)}
+    forest = [(v, p) for v, p in _support_forest(red2, n) if p is not None]
+    for rho in range(spec.m) if rhos is None else rhos:
+        moved, e1 = moved0, e1_0
+        if rho:
+            frob = spec.frobenius_table(rho)
+            moved, e1 = ([[frob[x] for x in row] for row in m]
+                         for m in (moved0, e1_0))
+        lmu = [0] * n
+        for v, p in forest:
+            s = row_of.get(v)
+            if s is not None:
+                lmu[v] = (lmu[p] + log[e1[s][p]] - log[r2[s][p]]) % order
+            else:
+                s = row_of[p]
+                lmu[v] = (lmu[p] + log[r2[s][v]] - log[e1[s][v]]) % order
+        if any(r2[s][c] and (lmu[p] + log[r2[s][c]]
+                             - lmu[c] - log[e1[s][c]]) % order
+               for s, p in enumerate(pivots) for c in range(n)):
+            continue
+        a = GFMatrix._wrap(spec, [[exp[log[row[p]] + lmu[p]] for p in pivots]
+                                  for row in moved])
+        q = mat_mul(a, red2.transform)
+        if rank(q) != k:
+            raise RuntimeError("internal error: lifted Q is singular")
+        # rho^-1(g^l) = g^(l p^(m - rho))
+        back = spec.p ** ((spec.m - rho) % spec.m)
+        return rho, q, tuple(exp[l * back % order] for l in lmu)
     return None
 
 
@@ -540,8 +589,7 @@ def _find_lift(s1: _Side, s2: _Side, pi0):
             if lift is not None:
                 return (sigma, *lift)
         return None
-    side1, side2 = s1.side, s2.side
-    if side1.k == 2:
+    if s1.side.k == 2:
         raise BudgetExceededError(
             f"sigma0 does not lift and the point group ({r1.group_order}) "
             f"exceeds the coset cap ({COSET_CAP})")
@@ -550,10 +598,8 @@ def _find_lift(s1: _Side, s2: _Side, pi0):
         return None
     # gamma maps point-table positions; colors are multiplicities, so it
     # carries the first side's points onto the second's
-    table = point_table(side1.k, side1.q, side1.spec.modulus)
-    index2 = {j: p for p, j in enumerate(_point_positions(table, side2,
-                                                          points2))}
-    pi = [index2[gamma[j]] for j in _point_positions(table, side1, points1)]
+    index2 = {j: p for p, j in enumerate(s2.positions)}
+    pi = [index2[gamma[j]] for j in s1.positions]
     sigma = _coordinate_perm(pi, points1, points2)
     lift = _lift(g1, s2.red, sigma)
     if lift is None:

@@ -3,7 +3,12 @@
 Columns are normalized projectively on construction (first nonzero
 coordinate scaled to 1); the original column scalings are deliberately not
 retained, since every question asked here (equivalence, automorphisms,
-distance via point multiplicities) is insensitive to them.
+distance via point multiplicities) is insensitive to them.  Construction
+reads the columns once: each is scaled by one table `scale` unless its
+lead is 1 already, and rank k is checked by inserting the columns into an
+echelon basis of GF(q)^k that stops at its k-th pivot, not by eliminating
+the k x n rows.  The public constructor range-checks its rows first
+(`GFMatrix`); `codefile.parse_codes`, which has checked them, skips that.
 """
 
 from __future__ import annotations
@@ -11,8 +16,8 @@ from __future__ import annotations
 import random
 from dataclasses import dataclass
 
-from .gfield import FieldSpec, field, normalize_vector
-from .gfmatrix import GFMatrix, rank, rref
+from .gfield import FieldSpec, field
+from .gfmatrix import GFMatrix, rref
 from .projgeom import (codeword_weights, nonzero_dot_masks, point_at,
                        point_table, theta)
 
@@ -24,21 +29,58 @@ class GeneratorMatrix:
 
     def __init__(self, spec_or_q, rows, modulus: int | None = None):
         spec = spec_or_q if isinstance(spec_or_q, FieldSpec) else field(spec_or_q, modulus)
-        raw = GFMatrix(spec, rows)  # range-checks the caller's rows
-        if raw.nrows == 0 or raw.ncols == 0:
+        self._fill(spec, GFMatrix(spec, rows).rows)  # range-checks the rows
+
+    @classmethod
+    def _checked(cls, spec: FieldSpec, rows) -> "GeneratorMatrix":
+        """The code of `rows` that the caller has checked already: rows of
+        one length, entries ints in range(q).  For `codefile.parse_codes`
+        and the duals `equiv._side` builds."""
+        self = cls.__new__(cls)
+        self._fill(spec, rows)
+        return self
+
+    def _fill(self, spec: FieldSpec, rows) -> None:
+        """Normalize the columns of checked `rows` in one pass, each with
+        one `FieldSpec.scale` and none when its lead is 1 already, and check
+        rank k by inserting them into an echelon basis that stops at its
+        k-th pivot, rather than by eliminating the k x n rows.  Raises
+        ValueError on an empty matrix, then on the first zero column, then
+        on a rank below k."""
+        k = len(rows)
+        if k == 0 or not rows[0]:
             raise ValueError("generator matrix must be non-empty")
+        invs, negs, scale, add_scaled = (spec.invs, spec.negs, spec.scale,
+                                         spec.add_scaled)
+        # basis[i]: a vector of the span of the columns so far whose first
+        # nonzero coordinate is a 1 at i
+        basis: dict[int, list[int]] = {}
         cols = []
-        for j, col in enumerate(raw.columns()):
-            if not any(col):
+        for j, col in enumerate(zip(*rows)):
+            lead = next(filter(None, col), 0)
+            if not lead:
                 raise ValueError(f"column {j + 1} is zero")
-            cols.append(normalize_vector(spec, col)[0])
+            if lead != 1:
+                col = scale(invs[lead], col)
+            cols.append(col)
+            v = col
+            while len(basis) < k:
+                x = next(filter(None, v), 0)
+                if not x:  # v is in the span
+                    break
+                i = v.index(x)
+                b = basis.get(i)
+                if b is None:
+                    basis[i] = v if x == 1 else scale(invs[x], v)
+                    break
+                # zero at i now, as at every coordinate before it
+                v = add_scaled(v, negs[x], b)
         self.spec = spec
-        # normalized columns hold field elements: no second range check
         self.mat = GFMatrix._wrap(spec, [list(row) for row in zip(*cols)])
-        self.k = raw.nrows
-        self.n = raw.ncols
-        if rank(self.mat) != self.k:
-            raise ValueError(f"rank is below k={self.k}")
+        self.k = k
+        self.n = len(cols)
+        if len(basis) < k:
+            raise ValueError(f"rank is below k={k}")
 
     @classmethod
     def from_columns(cls, spec: FieldSpec, cols) -> "GeneratorMatrix":

@@ -3,10 +3,11 @@
 Everything here works over prime fields with plain integer arithmetic mod q
 (no codequiv field tables), so oracle results cannot inherit library bugs;
 the exceptions cover extension fields too: `reference_monomial_from_sigma`
-borrows the library's field tables and `nullspace_basis`, and the
-per-entry matrix references (`reference_mat_mul`, `reference_rref`) call
-FieldSpec's scalar methods once per entry, never its row kernels `scale`
-and `add_scaled`.
+borrows the library's field tables and `nullspace_basis`,
+`reference_generator_rows` its `GFMatrix`, `normalize_vector` and `rank`,
+and the per-entry matrix references (`reference_mat_mul`, `reference_rref`)
+call FieldSpec's scalar methods once per entry, never its row kernels
+`scale` and `add_scaled`.
 """
 
 from __future__ import annotations
@@ -135,6 +136,28 @@ def reference_monomial_from_sigma(g1, g2, sigma, rho=0):
             back = (spec.m - rho) % spec.m
             return q_rows, tuple(spec.frobenius(v, back) for v in mu)
     return None
+
+
+def reference_generator_rows(spec, rows):
+    """The rows of GeneratorMatrix(spec, rows) as the library once built
+    them: GFMatrix's checks, `normalize_vector` on each column, then
+    `gfmatrix.rank` of the k x n result.  Raises the ValueError the
+    constructor raises, with the same message."""
+    from codequiv import GFMatrix
+    from codequiv.gfield import normalize_vector
+    from codequiv.gfmatrix import rank
+    raw = GFMatrix(spec, rows)
+    if raw.nrows == 0 or raw.ncols == 0:
+        raise ValueError("generator matrix must be non-empty")
+    cols = []
+    for j, col in enumerate(raw.columns()):
+        if not any(col):
+            raise ValueError(f"column {j + 1} is zero")
+        cols.append(normalize_vector(spec, col)[0])
+    mat = GFMatrix(spec, [list(row) for row in zip(*cols)])
+    if rank(mat) != raw.nrows:
+        raise ValueError(f"rank is below k={raw.nrows}")
+    return mat.rows
 
 
 def reference_mat_mul(spec, a_rows, b_rows):

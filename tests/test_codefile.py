@@ -112,3 +112,105 @@ def test_emit_normalized_columns_roundtrip_exact():
     code = GeneratorMatrix(3, [[2, 0, 2], [0, 1, 1]])
     text = emit_codes([code])
     assert text == "3 2 3\n1 0 1\n0 1 2\n"
+
+
+# Every CodeFileError the parser raises, with its exact message and line
+# number.  The checks run in a fixed order: header, field, then each row in
+# turn (the file ending, then integers, width, range), and the matrix last
+# (the first zero column, then rank), so a bad entry is reported before a
+# file that ends early, and a zero column before a rank below k.
+PARSE_ERRORS = [
+    pytest.param('3 2\n1 0 1\n0 1 1\n',
+                 "line 1: expected header 'q k n [modulus]', got '3 2'",
+                 id='header too short'),
+    pytest.param('3 2 3 11 5\n1 0 1\n0 1 1\n',
+                 "line 1: expected header 'q k n [modulus]', got '3 2 3 11 5'",
+                 id='header too long'),
+    pytest.param('x 2 3\n1 0 1\n0 1 1\n',
+                 "line 1: non-integer value in header 'x 2 3'",
+                 id='non-integer header'),
+    pytest.param('1 2 3\n1 0 1\n0 1 1\n',
+                 'line 1: invalid header values q=1 k=2 n=3',
+                 id='q below 2'),
+    pytest.param('3 0 3\n',
+                 'line 1: invalid header values q=3 k=0 n=3',
+                 id='k below 1'),
+    pytest.param('3 2 0\n\n',
+                 'line 1: invalid header values q=3 k=2 n=0',
+                 id='n below 1'),
+    pytest.param('6 2 3\n1 0 1\n0 1 1\n',
+                 'line 1: field order 6 is not a prime power',
+                 id='not a prime power'),
+    pytest.param('131072 1 1\n1\n',
+                 'line 1: field order 131072 exceeds table limit 65536',
+                 id='over the table limit'),
+    pytest.param('3 2 3 7\n1 0 1\n0 1 1\n',
+                 'line 1: prime fields take no modulus',
+                 id='modulus on a prime field'),
+    pytest.param('9 2 4 -5\n1 0 1 1\n0 1 1 2\n',
+                 'line 1: modulus must be non-negative, got -5',
+                 id='negative modulus'),
+    pytest.param('9 2 3 11\n1 0 1\n0 1 1\n',
+                 'line 1: modulus 11 is not a monic irreducible of degree 2 '
+                 'over GF(3)',
+                 id='reducible modulus'),
+    pytest.param('32 1 1\n1\n',
+                 'line 1: no default modulus for q=32; pass one explicitly',
+                 id='no default modulus'),
+    pytest.param('3 2 3\n1 0 1\n',
+                 'line 1: code needs 2 rows, file ends after 1',
+                 id='file ends'),
+    pytest.param('3 3 3\n1 0 x\n0 1 1\n',
+                 "line 2: non-integer entry in '1 0 x'",
+                 id='bad entry in a file that ends early'),
+    pytest.param('3 3 3\n1 0 1 1\n0 1 1\n',
+                 'line 2: expected 3 entries, got 4',
+                 id='wrong width in a file that ends early'),
+    pytest.param('3 2 3\n1 0\n0 1 1\n',
+                 'line 2: expected 3 entries, got 2',
+                 id='too few entries'),
+    pytest.param('3 2 3\n1 0 1 2\n0 1 1\n',
+                 'line 2: expected 3 entries, got 4',
+                 id='too many entries'),
+    pytest.param('3 2 3\n1 0 3\n0 1 1\n',
+                 'line 2: entry 3 outside field range 0..2',
+                 id='entry past q - 1'),
+    pytest.param('3 2 3\n1 -1 2\n0 1 1\n',
+                 'line 2: entry -1 outside field range 0..2',
+                 id='negative entry'),
+    pytest.param('3 2 3\n1 0 1\n0 1 one\n',
+                 "line 3: non-integer entry in '0 1 one'",
+                 id='non-integer entry'),
+    pytest.param('3 2 3\n1 0 1.0\n0 1 1\n',
+                 "line 2: non-integer entry in '1 0 1.0'",
+                 id='decimal entry'),
+    pytest.param('3 2 3\n1 0 0\n0 1 0\n',
+                 'line 1: invalid generator matrix: column 3 is zero',
+                 id='zero column'),
+    pytest.param('3 2 3\n1 1 2\n2 2 1\n',
+                 'line 1: invalid generator matrix: rank is below k=2',
+                 id='rank below k'),
+    pytest.param('4 2 3\n1 2 3\n2 3 1\n',
+                 'line 1: invalid generator matrix: rank is below k=2',
+                 id='rank below k over GF(4)'),
+    pytest.param('3 2 3\n1 1 0\n2 2 0\n',
+                 'line 1: invalid generator matrix: column 3 is zero',
+                 id='zero column in a code of rank below k'),
+    pytest.param('3 3 2\n1 0\n0 1\n1 1\n',
+                 'line 1: invalid generator matrix: rank is below k=3',
+                 id='k above n'),
+    pytest.param('# header comment\n2 2 3\n1 0 1\n0 1 1\n\n'
+                 '4 2 3  # second\n1 0 1\n# between rows\n0 1 4\n',
+                 'line 9: entry 4 outside field range 0..3',
+                 id='second code, after comments'),
+    pytest.param('2 2 3\n1 0 1\n0 1 1\n2 2 3\n1 0 1\n1 0 1\n',
+                 'line 4: invalid generator matrix: column 2 is zero',
+                 id='second code abutting the first'),
+]
+
+
+@pytest.mark.parametrize("text,message", PARSE_ERRORS)
+def test_parse_error_messages_pinned(text, message):
+    with pytest.raises(CodeFileError) as exc:
+        parse_codes(text)
+    assert str(exc.value) == message

@@ -23,7 +23,7 @@ from codequiv import (GFMatrix, GeneratorMatrix, build_ceimpg_matrix,
                       rref, serialize, simplex_generator, systematic_form,
                       theta, verify_witness)
 from codequiv import bmcanon, equiv, nullspace_basis, projgeom
-from codequiv.bmcanon import _sigma_from_canons
+from codequiv.bmcanon import ColoredBinaryMatrix, _sigma_from_canons
 from codequiv.equiv import COSET_CAP, MonomialTransform
 from codequiv.projgeom import codeword_weights
 from codequiv.errors import BudgetExceededError, ResourceLimitError
@@ -290,6 +290,57 @@ def test_lift_matches_linear_system_reference(q):
                     hits += got is not None
                     misses += got is None
     assert hits and misses and singular
+
+
+@pytest.mark.parametrize("q", [4, 8, 9, 27])
+def test_lift_eliminates_once_for_every_rho(monkeypatch, q):
+    """`_lift` returns exactly the first lift of `monomial_from_sigma` over
+    rho = 0..m-1, or None with it, and runs one `_eliminate` on a k x n
+    matrix per candidate, whatever rho lifts.  That rests on a field
+    automorphism applied entrywise commuting with Gauss-Jordan, checked
+    here too.  The candidates are sigma0 composed with point-group elements
+    on semilinear copies, the sigma of each copy's witness, and random
+    permutations."""
+    spec = field(q)
+    rng = random.Random(q)
+    real, shapes = equiv._eliminate, []
+    monkeypatch.setattr(equiv, "_eliminate", lambda *a: shapes.append(
+        (len(a[1]), len(a[1][0]))) or real(*a))
+    lifted_by = []
+    for seed in range(6):
+        c1, c2 = _transformed_pair(spec, 7, 3, seed)
+        s1, s2 = equiv._Side(c1), equiv._Side(c2)
+        sigma0 = equiv._coordinate_perm(
+            bmcanon.is_isomorphic(s1.kept, s2.kept), s1.points, s2.points)
+        taus = equiv._iter_group([equiv._coordinate_perm(g, s1.points,
+                                                         s1.points)
+                                  for g in s1.form.generators], 7)
+        sigmas = [equiv._perm_compose(sigma0, tau)
+                  for tau in itertools.islice(taus, 8)]
+        sigmas += [cesimpg_equiv(c1, c2).witness.sigma]
+        sigmas += [tuple(rng.sample(range(7), 7)) for _ in range(4)]
+        red2 = rref(c2.mat)
+        for sigma in sigmas:
+            lifts = ((rho, monomial_from_sigma(c1, red2, sigma, rho))
+                     for rho in range(spec.m))
+            want = next(((rho, *lift) for rho, lift in lifts
+                         if lift is not None), None)
+            shapes.clear()
+            got = equiv._lift(c1, red2, sigma)
+            assert shapes == [(3, 7)]
+            assert got == want, (seed, sigma)
+            lifted_by.append(None if got is None else got[0])
+            moved = [[row[i] for i in equiv._perm_inverse(sigma)]
+                     for row in c1.mat.rows]
+            for rho in range(1, spec.m):
+                frob = spec.frobenius_table(rho)
+                e1, e1_rho = [list(r) for r in moved], [[frob[x] for x in r]
+                                                        for r in moved]
+                assert real(spec, e1_rho, red2.pivots) == real(
+                    spec, e1, red2.pivots)
+                assert e1_rho == [[frob[x] for x in r] for r in e1]
+    assert None in lifted_by and 0 in lifted_by
+    assert any(rho for rho in lifted_by if rho is not None)
 
 
 # ---------------------------------------------------------------------------
@@ -738,6 +789,27 @@ def test_binary_golay_keyed_on_minimum_weight_rows(n, rows, order):
     key, _, error = equiv._code_key(code, "cesimpg")
     assert error is None
     assert key.startswith("min:" if side is code else "min:dual:")
+
+
+@pytest.mark.parametrize("n,read", [(24, 78), (23, 57)])
+def test_minimum_weight_span_is_read_from_the_end(monkeypatch, n, read):
+    """The span check of `_Side.rows` reads the minimum-weight hyperplanes
+    from the end of the point table, which lists last the points whose first
+    coordinate is nonzero: the extended Golay code passes the gate after 78
+    of its 759 rows, at most 100, and the [23,12] code, keyed by its dual,
+    after 57 of 506.  The rows kept are all of them, in table order."""
+    real, read_rows = equiv._spans_binary, []
+
+    def spy(points, k):
+        return real((read_rows.append(p) or p for p in points), k)
+
+    monkeypatch.setattr(equiv, "_spans_binary", spy)
+    rec = equiv._Side(_binary_golay(n))
+    low = min(rec.weights)
+    rows = [i for i, w in enumerate(rec.weights) if w == low]
+    assert rec.rows is not None
+    assert len(read_rows) == read <= 100
+    assert np.array_equal(rec.rows.bits, rec.matrix.bits[rows])
 
 
 # binary shapes where a fair share of random codes pass the gate; [7,4]
@@ -1821,27 +1893,35 @@ def _counting(monkeypatch, *names, module=equiv):
 def test_side_structures_built_once_per_code(monkeypatch):
     """One cesimpg_equiv decision past a coset cap of 1, on a GF(8) pair
     that shares its shortened key and takes the incidence search, finds
-    each code's side, and each side's points, shortened matrix and
-    characteristic vector, once, and runs no dot kernel per side: each
-    shortened matrix is sliced out of its geometry's incidence, whose
-    kernel runs at most once, as it is cached, and the codeword weights are
-    read off its bits.  Its one canonical form is the first side's
-    shortened matrix, for the point group.  A pair that differs in its
-    weight profile starts no canonical search and no rref."""
+    each code's side once, and for each side walks its columns, gathers its
+    incidence columns, wraps them in its shortened matrix and builds its
+    characteristic vector once, with no call of `build_shortened`; it runs
+    no dot kernel per side: the columns are sliced out of the geometry's
+    incidence, whose kernel runs at most once, as it is cached, and the
+    codeword weights are read off them.  Its one canonical form is the
+    first side's shortened matrix, for the point group.  A pair that
+    differs in its weight profile starts no canonical search and no rref,
+    and builds no shortened matrix at all."""
     monkeypatch.setattr(equiv, "COSET_CAP", 1)
-    calls = _counting(monkeypatch, "_side", "_point_coordinates",
-                      "build_shortened", "characteristic_vector",
-                      "canonical_form", "rref")
+    calls = _counting(monkeypatch, "_side", "_coordinates_by_point",
+                      "incidence_columns", "build_shortened",
+                      "characteristic_vector", "canonical_form", "rref")
     kernel = _counting(monkeypatch, "nonzero_dot_bits", "nonzero_dot_masks",
                        module=projgeom)
+    wrapped, from_bits = [], ColoredBinaryMatrix.from_bits.__func__
+    monkeypatch.setattr(ColoredBinaryMatrix, "from_bits", classmethod(
+        lambda cls, bits, *a: wrapped.append(bits)
+        or from_bits(cls, bits, *a)))
     spec = field(8)
     a, b = SHARED_PROFILE_SEEDS[8, 8, 3][0]
     c1, c2 = (random_code(spec, 8, 3, seed=s) for s in (a, b))
     assert not cesimpg_equiv(c1, c2).equivalent
     sides = [id(c1), id(c2)]
-    for name in ("_side", "_point_coordinates", "build_shortened",
-                 "characteristic_vector"):
+    for name in ("_side", "_coordinates_by_point", "characteristic_vector"):
         assert list(map(id, calls[name])) == sides
+    assert len(calls["incidence_columns"]) == 2
+    assert calls["build_shortened"] == []
+    assert [bits.shape for bits in wrapped] == [(73, 8)] * 2
     assert kernel["nonzero_dot_bits"] == []
     assert len(kernel["nonzero_dot_masks"]) <= 1
     assert calls["canonical_form"] == [equiv._Side(c1).kept]
@@ -1849,22 +1929,26 @@ def test_side_structures_built_once_per_code(monkeypatch):
         c1, c2 = (random_code(field(q), n, k, seed=s)
                   for s in (seed, seed + 100))
         assert _profile(c1) != _profile(c2)
-        for seen in (*calls.values(), *kernel.values()):
+        for seen in (*calls.values(), *kernel.values(), wrapped):
             seen.clear()
         assert not cesimpg_equiv(c1, c2).equivalent
         assert calls["canonical_form"] == calls["rref"] == []
+        assert calls["build_shortened"] == wrapped == []
         assert len(calls["_side"]) == 2
         assert kernel["nonzero_dot_bits"] == []
         assert len(kernel["nonzero_dot_masks"]) <= 1
         # the [9,6]_2 pair is keyed on its duals
-        assert [m.k for m in calls["build_shortened"]] == [min(k, n - k)] * 2
+        assert [m.k for m in calls["_coordinates_by_point"]] == [
+            min(k, n - k)] * 2
+        assert len(calls["incidence_columns"]) == 2
 
 
 def test_forked_keys_pipe_back_records_without_code_or_matrices(forks):
     """A `--jobs` worker pipes back each code's record without the code,
-    which this process puts back, and without the shortened matrix,
-    weights and minimum-weight rows.  The [8,6]_2 code keeps its dual side;
-    each record gives the key this process gives, and still lifts."""
+    which this process puts back, and without the incidence columns, the
+    shortened matrix, weights and minimum-weight rows.  The [8,6]_2 code
+    keeps its dual side; each record gives the key this process gives, and
+    still lifts."""
     c1, c2 = _transformed_pair(field(2), 8, 4, seed=7, allow_rho=False)
     codes = [c2, random_code(field(2), 8, 6, seed=0), c1]
     keyed = equiv._forked_keys(codes, "cesimpg", 3, 0)
@@ -1876,7 +1960,7 @@ def test_forked_keys_pipe_back_records_without_code_or_matrices(forks):
         assert rec.side == mine.side and rec.form.matrix == mine.form.matrix
         assert key == equiv._code_key(code, "cesimpg")[0]
     assert [key[:4] for key, _, _ in keyed] == ["min:", "dual", "min:"]
-    assert all(not {"matrix", "weights", "rows"} & set(vars(rec))
+    assert all(not {"columns", "matrix", "weights", "rows"} & set(vars(rec))
                for _, rec, _ in keyed[1:])
     rep, rec = keyed[2][1], keyed[0][1]
     pi0 = _sigma_from_canons(rep.form, rec.form)

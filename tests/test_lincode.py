@@ -5,12 +5,13 @@ import random
 
 import pytest
 
-from codequiv import (GeneratorMatrix, characteristic_vector, code_from_chi,
-                      field, min_distance_hyperplane, point_table, random_code,
-                      simplex_generator, systematic_form, theta)
+from codequiv import (CodeFileError, GeneratorMatrix, characteristic_vector,
+                      code_from_chi, emit_codes, field,
+                      min_distance_hyperplane, parse_codes, point_table,
+                      random_code, simplex_generator, systematic_form, theta)
 from codequiv import projgeom
 from codequiv.projgeom import MAX_INCIDENCE_CELLS
-from conftest import min_weight_exhaustive
+from conftest import min_weight_exhaustive, reference_generator_rows
 
 
 def _simplex_code(k, q):
@@ -54,6 +55,68 @@ def test_generator_matrix_validation():
         GeneratorMatrix(3, [])
     with pytest.raises(ValueError):
         GeneratorMatrix(3, [[1, 2], [1]])
+
+
+def _code_text(spec, rows):
+    """`rows` in the code file format, whatever their rank."""
+    header = f"{spec.q} {len(rows)} {len(rows[0])}"
+    if spec.m > 1:
+        header += f" {spec.modulus}"
+    return "\n".join([header] + [" ".join(map(str, r)) for r in rows]) + "\n"
+
+
+@pytest.mark.parametrize("q", [2, 3, 4, 5, 7, 8, 9, 16, 25, 27])
+def test_reading_a_code_matches_the_old_construction(q):
+    """GeneratorMatrix(spec, rows) and parse_codes of the same matrix give
+    the rows of the old construction (`reference_generator_rows`), or raise
+    its message, on random matrices: rows as drawn (not normalized), with a
+    zero column, with a row a multiple of another (rank below k, or a zero
+    column first), and with k > n."""
+    spec = field(q)
+    rng = random.Random(q)
+    seen = set()
+    for trial in range(80):
+        kind = trial % 4
+        k = rng.randint(2, 5)
+        n = rng.randint(1, k - 1) if kind == 3 else rng.randint(k, 9)
+        rows = [[rng.randrange(q) for _ in range(n)] for _ in range(k)]
+        if kind == 1:
+            j = rng.randrange(n)
+            for row in rows:
+                row[j] = 0
+        elif kind == 2:
+            rows[-1] = spec.scale(rng.randrange(q), rows[0])
+        text = _code_text(spec, rows)
+        try:
+            want = reference_generator_rows(spec, rows)
+        except ValueError as e:
+            seen.add(str(e).split()[0])
+            with pytest.raises(ValueError) as got:
+                GeneratorMatrix(spec, rows)
+            assert str(got.value) == str(e)
+            with pytest.raises(CodeFileError) as got:
+                parse_codes(text)
+            assert str(got.value) == f"line 1: invalid generator matrix: {e}"
+            continue
+        seen.add("ok")
+        code = GeneratorMatrix(spec, rows)
+        assert code.mat.rows == want and (code.k, code.n) == (k, n)
+        assert [c.mat.rows for c in parse_codes(text)] == [want]
+        assert parse_codes(emit_codes([code])) == [code]
+    assert seen == {"ok", "column", "rank"}
+
+
+@pytest.mark.parametrize("rows", [[], [[]], [[1, 2], [1]], [[1, 0], [0, 7]],
+                                  [[1, -1]], [[1, 0.5]], [[1, 1.0]],
+                                  [[1, "1"]]])
+def test_constructor_refusals_match_the_old_construction(rows):
+    """Rows the constructor's own checks refuse raise the old message."""
+    spec = field(7)
+    with pytest.raises(ValueError) as want:
+        reference_generator_rows(spec, rows)
+    with pytest.raises(ValueError) as got:
+        GeneratorMatrix(spec, rows)
+    assert str(got.value) == str(want.value)
 
 
 def test_chi_roundtrip_through_code_from_chi():

@@ -25,7 +25,7 @@ from .gfmatrix import (GFMatrix, RREFResult, inverse, mat_mul, nullspace_basis,
                        rank, rref)
 from .lincode import (CharacteristicVector, GeneratorMatrix,
                       characteristic_vector, code_from_chi,
-                      min_distance_hyperplane, random_code, systematic_form)
+                      min_distance_hyperplane, random_code)
 from .projgeom import (PointTable, incidence, point_table, simplex_generator,
                        theta)
 
@@ -43,6 +43,5 @@ __all__ = [
     "is_automorphism", "is_isomorphic", "mat_mul", "min_distance_hyperplane",
     "monomial_from_sigma", "normalize_vector", "nullspace_basis",
     "parse_codes", "permute_columns", "point_table", "random_code", "rank",
-    "rref", "serialize", "simplex_generator", "systematic_form", "theta",
-    "verify_witness",
+    "rref", "serialize", "simplex_generator", "theta", "verify_witness",
 ]

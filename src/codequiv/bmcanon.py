@@ -86,9 +86,10 @@ concatenations in sorted order compare exactly as the sorted mask lists
 do, and the search tree, its leaves and generators are those the masks
 would give.  The same records check generators: a relabeling fixes the row
 multiset exactly when it leaves the sorted records unchanged.  The
-canonical form keeps its certificate: CanonResult.serialize() renders the
-text key from those records with one NumPy unpack, and the canonical
-matrix is decoded from them only when read.
+canonical form keeps its certificate: serialize() and
+CanonResult.serialize() render the text key from sorted records with one
+NumPy unpack (_render), and the canonical matrix is unpacked from them
+into its bits only when read.
 """
 
 from __future__ import annotations
@@ -244,17 +245,12 @@ def permute_columns(mat: ColoredBinaryMatrix, gamma) -> ColoredBinaryMatrix:
     C = mat.n_cols
     if sorted(gamma) != list(range(C)):
         raise ValueError("gamma is not a permutation of the columns")
-    new_masks = []
-    for m in mat.row_masks:
-        nm = 0
-        for j in range(C):
-            if (m >> (C - 1 - j)) & 1:
-                nm |= 1 << (C - 1 - gamma[j])
-        new_masks.append(nm)
-    new_cc = [0] * C
-    for j in range(C):
-        new_cc[gamma[j]] = mat.col_colors[j]
-    return ColoredBinaryMatrix.from_masks(new_masks, C, new_cc)
+    inv = [0] * C
+    for j, t in enumerate(gamma):
+        inv[t] = j
+    return ColoredBinaryMatrix.from_bits(
+        mat.bits.take(np.array(inv, dtype=np.intp), 1),
+        [mat.col_colors[j] for j in inv])
 
 
 def is_automorphism(mat: ColoredBinaryMatrix, gamma) -> bool:
@@ -270,12 +266,30 @@ def serialize(mat: ColoredBinaryMatrix) -> str:
     Line 1 is ``c <col colors space-separated>``; each following line is a
     row's bits as a 0/1 string, rows sorted by their bits (an empty line for
     each row of a matrix with no columns).  Serializations of canonical
-    matrices are the dedup keys used by classification.
+    matrices are the dedup keys used by classification.  The rows are
+    rendered from their sorted byte records (`_RowRecords`), which sort as
+    the rows' bits do.
     """
-    C = mat.n_cols
-    lines = ["c " + " ".join(str(c) for c in mat.col_colors)]
-    lines += [f"{m:0{C}b}" if C else "" for m in sorted(mat.row_masks)]
-    return "\n".join(lines)
+    return _render(mat.col_colors, mat.n_rows, _RowRecords(mat).identity())
+
+
+def _unpack_records(data: bytes, n_rows: int, n_cols: int) -> np.ndarray:
+    """The n_rows x n_cols uint8 0/1 rows of the byte records `data`."""
+    records = np.frombuffer(data, np.uint8).reshape(n_rows, -(-n_cols // 8))
+    return np.unpackbits(records, axis=1)[:, :n_cols]
+
+
+def _render(col_colors, n_rows: int, data: bytes) -> str:
+    """The `serialize` text of the sorted byte records `data`: unpacked at
+    once into rows of "0"/"1" bytes, each ended by a newline."""
+    C = len(col_colors)
+    head = "c " + " ".join(map(str, col_colors))
+    if not n_rows:
+        return head
+    text = np.empty((n_rows, C + 1), np.uint8)
+    text[:, C] = ord("\n")
+    np.add(_unpack_records(data, n_rows, C), ord("0"), out=text[:, :C])
+    return head + "\n" + text.tobytes()[:-1].decode()
 
 
 class _RowRecords:
@@ -313,19 +327,6 @@ class _RowRecords:
             inv[t] = j
         return self.sorted_bytes(inv) == other.identity()
 
-    def decode(self, data: bytes) -> list[int]:
-        """The row masks of sorted records `data`."""
-        return _decode_records(data, self.n_cols)
-
-
-def _decode_records(data: bytes, n_cols: int) -> list[int]:
-    """The row masks of the records `data` of rows of `n_cols` columns
-    (at least one)."""
-    width = -(-n_cols // 8)
-    pad = 8 * width - n_cols
-    return [int.from_bytes(data[o:o + width], "big") >> pad
-            for o in range(0, len(data), width)]
-
 
 @dataclass
 class CanonResult:
@@ -333,7 +334,7 @@ class CanonResult:
 
     `cert` holds the canonical matrix's n_rows rows as the sorted byte
     records of the module docstring, and `col_colors` its column colors in
-    canonical order; `matrix` is decoded from them when first read, and
+    canonical order; `matrix` is unpacked from them when first read, and
     `serialize()` renders its text from them directly.
     Invariants: ``permute_columns(input, perm)`` with rows re-sorted by
     their bits equals `matrix`; every generator passes is_automorphism;
@@ -350,28 +351,13 @@ class CanonResult:
 
     @cached_property
     def matrix(self) -> ColoredBinaryMatrix:
-        C = len(self.col_colors)
-        masks = _decode_records(self.cert, C) if C else [0] * self.n_rows
-        mat = ColoredBinaryMatrix.__new__(ColoredBinaryMatrix)
-        mat._init(self.n_rows, C, self.col_colors)
-        mat._row_masks = tuple(masks)
-        return mat
+        return ColoredBinaryMatrix.from_bits(np.ascontiguousarray(
+            _unpack_records(self.cert, self.n_rows, len(self.col_colors))),
+            self.col_colors)
 
     def serialize(self) -> str:
-        """``serialize(self.matrix)``, rendered from `cert`: its records
-        unpacked at once into rows of "0"/"1" bytes, each ended by a
-        newline."""
-        C, R = len(self.col_colors), self.n_rows
-        head = "c " + " ".join(map(str, self.col_colors))
-        if not R:
-            return head
-        text = np.empty((R, C + 1), np.uint8)
-        text[:, C] = ord("\n")
-        if C:
-            records = np.frombuffer(self.cert, np.uint8).reshape(R, -1)
-            np.add(np.unpackbits(records, axis=1)[:, :C], ord("0"),
-                   out=text[:, :C])
-        return head + "\n" + text.tobytes()[:-1].decode()
+        """``serialize(self.matrix)``, rendered from `cert` (`_render`)."""
+        return _render(self.col_colors, self.n_rows, self.cert)
 
 
 def _color_classes(colors) -> list[list[int]]:

@@ -31,14 +31,16 @@ Two decision routes are provided:
   composed with the rest of the point group, the automorphism group of
   the first matrix (its canonical form), or past the coset cap one
   isomorphism of the sides' incidence matrices, found by the same
-  targeted search (`_find_lift`).  The
-  support matrix is the incidence restricted to the columns at the side's
-  distinct points, sliced out of the cached incidence when the geometry is
-  small enough (`build_shortened`).  The weight distribution is read off
-  those columns (`_Side.weights`: a row's weight, each column counted by
-  its multiplicity, is the weight of that hyperplane's codeword), before
-  any matrix object is built or row mask packed;
-  monomial maps and field automorphisms keep it, so differing
+  targeted search (`_find_lift`).  The side's distinct points and their
+  point-table positions come from one walk over its columns
+  (`lincode._locate`, which `characteristic_vector` reads too).  The
+  support matrix is the incidence restricted to the columns at those
+  positions, sliced out of the cached incidence when the geometry is small
+  enough (`build_shortened`).  The weight distribution is read off those
+  columns (`_Side.weights`, `projgeom.codeword_weights`: a row's weight,
+  each column counted by its multiplicity, is the weight of that
+  hyperplane's codeword), before any matrix object is built or row mask
+  packed; monomial maps and field automorphisms keep it, so differing
   distributions prove inequivalence with no search at all.  The
   point-multiplicity route takes no such shortcut: it stays an
   independent check of every inequivalent verdict.
@@ -88,8 +90,10 @@ from .errors import BudgetExceededError, ResourceLimitError
 from .gfield import FieldSpec, as_ints
 from .gfmatrix import (GFMatrix, RREFResult, _eliminate, mat_mul,
                        nullspace_basis, rank, rref)
-from .lincode import CharacteristicVector, GeneratorMatrix, characteristic_vector
-from .projgeom import incidence, incidence_columns, point_table
+from .lincode import (CharacteristicVector, GeneratorMatrix, _locate,
+                      characteristic_vector)
+from .projgeom import (codeword_weights, incidence, incidence_columns,
+                       point_table)
 
 COSET_CAP = 10 ** 6
 # the typed failures of one code, which a batch collects per item
@@ -225,29 +229,12 @@ def build_ceimpg_matrix(chi: CharacteristicVector) -> ColoredBinaryMatrix:
     return incidence(chi.k, spec.q, spec.modulus).recolored(chi.counts)
 
 
-def _coordinates_by_point(code: GeneratorMatrix) -> dict:
-    """Each distinct point (normalized column) of `code`, in order of first
-    appearance, mapped to its coordinates in index order."""
-    points: dict = {}
-    for j, col in enumerate(zip(*code.mat.rows)):
-        points.setdefault(col, []).append(j)
-    return points
-
-
-def _point_coordinates(code: GeneratorMatrix) -> list[tuple[int, ...]]:
-    """The coordinates of each distinct point (normalized column) of
-    `code`, in index order, the points in order of first appearance."""
-    return [tuple(coords) for coords in _coordinates_by_point(code).values()]
-
-
-def build_shortened(code: GeneratorMatrix,
-                    points=None) -> ColoredBinaryMatrix:
+def build_shortened(code: GeneratorMatrix) -> ColoredBinaryMatrix:
     """Hyperplane-by-point support of the code: entry (i, p) = 1 iff the
-    p-th distinct point of the code (`_point_coordinates` order, or
-    `points` when the caller already has them) has nonzero inner product
-    with hyperplane i.  Column p is colored by the point's multiplicity.  A
-    hyperplane separates any two distinct points, so no two columns are
-    equal.
+    p-th distinct point of the code (`lincode._locate` order: of first
+    appearance) has nonzero inner product with hyperplane i.  Column p is
+    colored by the point's multiplicity.  A hyperplane separates any two
+    distinct points, so no two columns are equal.
 
     The entries are the columns of the incidence at the points' table
     positions (`projgeom.incidence_columns`): a slice of the geometry's
@@ -255,13 +242,10 @@ def build_shortened(code: GeneratorMatrix,
     The matrix keeps them as its `bits` and packs its row masks only when
     they are read.
     """
+    points, positions = _locate(code)
     spec = code.spec
-    table = point_table(code.k, spec.q, spec.modulus)
-    if points is None:
-        points = _point_coordinates(code)
-    cols = code.columns()
-    positions = [table._index[cols[coords[0]]] for coords in points]
-    bits = incidence_columns(table, positions)
+    bits = incidence_columns(point_table(code.k, spec.q, spec.modulus),
+                             positions)
     return ColoredBinaryMatrix.from_bits(bits,
                                          [len(coords) for coords in points])
 
@@ -283,8 +267,8 @@ def _spans_binary(points, k: int) -> bool:
 
 class _Side:
     """A code, its `side` (`_side`), and, each built on first use, the
-    side's distinct `points` (`_point_coordinates`) with their point-table
-    `positions`, found in one walk over its normalized columns; the
+    side's distinct `points` with their point-table `positions`, found in
+    one walk over its normalized columns (`lincode._locate`); the
     incidence `columns` at those positions and the codeword `weights` read
     off them; the shortened `matrix`, which wraps those columns only when a
     search reads it; the minimum-weight `rows` of a binary side (None when
@@ -300,11 +284,7 @@ class _Side:
     @cached_property
     def _located(self) -> tuple[list[tuple[int, ...]], list[int]]:
         """(`points`, `positions`), from one walk over the columns."""
-        side = self.side
-        index = point_table(side.k, side.q, side.spec.modulus)._index
-        by_point = _coordinates_by_point(side)
-        return ([tuple(coords) for coords in by_point.values()],
-                [index[col] for col in by_point])
+        return _locate(self.side)
 
     @property
     def points(self) -> list[tuple[int, ...]]:
@@ -335,10 +315,8 @@ class _Side:
     @cached_property
     def weights(self) -> list[int]:
         """Each row's weight, a column counted by its multiplicity: the
-        weight of that hyperplane's codeword (`projgeom.codeword_weights`)."""
-        # einsum casts the bits in chunks, where @ would copy them as int64
-        return np.einsum("ij,j->i", self.columns,
-                         np.array(self.mults, dtype=np.int64)).tolist()
+        weight of that hyperplane's codeword."""
+        return codeword_weights(self.columns, self.mults)
 
     @cached_property
     def rows(self) -> ColoredBinaryMatrix | None:

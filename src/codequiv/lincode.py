@@ -9,6 +9,13 @@ lead is 1 already, and rank k is checked by inserting the columns into an
 echelon basis of GF(q)^k that stops at its k-th pivot, not by eliminating
 the k x n rows.  The public constructor range-checks its rows first
 (`GFMatrix`); `codefile.parse_codes`, which has checked them, skips that.
+
+A code's point multiset is found in one place: `_locate` walks its
+normalized columns once and gives each distinct point's coordinates and
+point-table position.  `characteristic_vector` counts from it, as do the
+shortened matrices of `equiv`.  A `CharacteristicVector` checks its counts
+on construction, so `min_distance_hyperplane` and `code_from_chi` read only
+multiplicity vectors.
 """
 
 from __future__ import annotations
@@ -16,9 +23,9 @@ from __future__ import annotations
 import random
 from dataclasses import dataclass
 
-from .gfield import FieldSpec, field
-from .gfmatrix import GFMatrix, rref
-from .projgeom import (codeword_weights, nonzero_dot_masks, point_at,
+from .gfield import FieldSpec, as_ints, field
+from .gfmatrix import GFMatrix
+from .projgeom import (codeword_weights, nonzero_dot_bits, point_at,
                        point_table, theta)
 
 
@@ -103,10 +110,21 @@ class GeneratorMatrix:
 
 @dataclass(frozen=True)
 class CharacteristicVector:
-    """Column multiplicities of a code over the point table of PG(k-1, q)."""
+    """Column multiplicities of a code over the point table of PG(k-1, q):
+    theta(k-1, q) non-negative ints, checked on construction (ValueError)."""
     spec: FieldSpec
     k: int
     counts: tuple[int, ...]
+
+    def __post_init__(self):
+        count = theta(self.k - 1, self.spec.q)
+        if len(self.counts) != count:
+            raise ValueError(
+                f"expected {count} multiplicities, got {len(self.counts)}")
+        counts = tuple(as_ints(self.counts))  # refuses 1.5, and 1.0 too
+        if min(counts, default=0) < 0:
+            raise ValueError("multiplicities must be non-negative integers")
+        object.__setattr__(self, "counts", counts)
 
     @property
     def n(self) -> int:
@@ -117,11 +135,22 @@ class CharacteristicVector:
         return all(c <= 1 for c in self.counts)
 
 
+def _locate(code: GeneratorMatrix) -> tuple[list[tuple[int, ...]], list[int]]:
+    """Each distinct point (normalized column) of `code`, in order of first
+    appearance: its coordinates in index order, and its 0-based position in
+    the point table of PG(k-1, q), from one walk over the columns."""
+    index = point_table(code.k, code.q, code.spec.modulus)._index
+    by_point: dict = {}
+    for j, col in enumerate(zip(*code.mat.rows)):
+        by_point.setdefault(col, []).append(j)
+    return ([tuple(coords) for coords in by_point.values()],
+            [index[col] for col in by_point])
+
+
 def characteristic_vector(code: GeneratorMatrix) -> CharacteristicVector:
-    table = point_table(code.k, code.q, code.spec.modulus)
-    counts = [0] * len(table)
-    for col in code.columns():
-        counts[table.position_of(col)] += 1
+    counts = [0] * theta(code.k - 1, code.q)
+    for coords, pos in zip(*_locate(code)):
+        counts[pos] = len(coords)
     return CharacteristicVector(code.spec, code.k, tuple(counts))
 
 
@@ -129,47 +158,23 @@ def code_from_chi(spec_or_q, k: int, counts, modulus: int | None = None) -> Gene
     """Build the code whose columns are table points repeated per `counts`.
 
     Columns appear in ascending point-index order.  Raises ValueError when
-    the support does not span (rank below k) or counts are invalid.
+    the support does not span (rank below k) or counts are invalid
+    (`CharacteristicVector`).
     """
     spec = spec_or_q if isinstance(spec_or_q, FieldSpec) else field(spec_or_q, modulus)
     table = point_table(k, spec.q, spec.modulus)
-    counts = tuple(counts)
-    if len(counts) != len(table):
-        raise ValueError(
-            f"expected {len(table)} multiplicities, got {len(counts)}")
-    if any(c < 0 or c != int(c) for c in counts):
-        raise ValueError("multiplicities must be non-negative integers")
-    cols = []
-    for pos, c in enumerate(counts):
-        cols.extend([table.points[pos]] * int(c))
+    chi = CharacteristicVector(spec, k, tuple(counts))
+    cols = [point for point, c in zip(table.points, chi.counts)
+            for _ in range(c)]
     if not cols:
         raise ValueError("empty support")
     return GeneratorMatrix.from_columns(spec, cols)
 
 
-def systematic_form(code: GeneratorMatrix) -> tuple[GeneratorMatrix, tuple[int, ...], GFMatrix]:
-    """Row-reduce and move pivot columns to the front: G' = (I_k | E).
-
-    Returns ``(code', perm, transform)`` where perm sends old column j to
-    position perm[j] (pivots first in pivot order, the rest keeping their
-    original order) and ``transform @ G`` equals the reduced matrix before
-    the column move; E's columns are re-normalized by construction.
-    """
-    res = rref(code.mat)
-    pivots = list(res.pivots)
-    others = [j for j in range(code.n) if j not in set(pivots)]
-    new_order = pivots + others
-    perm = [0] * code.n
-    for pos, j in enumerate(new_order):
-        perm[j] = pos
-    cols = res.rref.columns()
-    sys_code = GeneratorMatrix.from_columns(code.spec, [cols[j] for j in new_order])
-    return sys_code, tuple(perm), res.transform
-
-
 def min_distance_hyperplane(chi: CharacteristicVector) -> int:
     """Minimum weight via hyperplanes: the least codeword weight
-    (`codeword_weights`) over the masks of chi's support points.
+    (`codeword_weights`) over the incidence columns of chi's support
+    points (`nonzero_dot_bits`).
 
     Codeword u . G is nonzero exactly at the coordinates whose points lie
     off hyperplane u, so d = min_u sum(chi[j] for j off hyperplane u).
@@ -177,8 +182,8 @@ def min_distance_hyperplane(chi: CharacteristicVector) -> int:
     """
     table = point_table(chi.k, chi.spec.q, chi.spec.modulus)
     support = [j for j, c in enumerate(chi.counts) if c]
-    masks = nonzero_dot_masks(table, [table.points[j] for j in support])
-    return min(codeword_weights(masks, [chi.counts[j] for j in support]))
+    bits = nonzero_dot_bits(table, [table.points[j] for j in support])
+    return min(codeword_weights(bits, [chi.counts[j] for j in support]))
 
 
 def random_code(spec_or_q, n: int, k: int, seed: int,

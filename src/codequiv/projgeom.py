@@ -5,8 +5,11 @@ coordinate 1), listed in lexicographic coordinate order; the table index of a
 point is 1-based in every public interface.  Hyperplanes are indexed by the
 same table: hyperplane u is {x : u . x = 0}, and the incidence matrix records
 the complement (the nonzero inner products), which is what the equivalence
-algorithms consume.  Masks are built in bmcanon's bit order, with its
-_pack_rows; nonzero_dot_bits gives the same entries as a 0/1 array.  The
+algorithms consume.  One kernel computes them (_nonzero_dot_blocks):
+nonzero_dot_bits gives its entries for any vectors as a 0/1 array, and
+incidence() packs its row masks block by block in bmcanon's bit order, with
+its _pack_rows.  codeword_weights reads a code's hyperplane weights off
+such an array, each column counted by its point's multiplicity.  The
 incidence matrix is symmetric, and keeps its bit array from its first use
 on.  A shortened matrix's entries are the incidence's columns at its
 points (incidence_columns): one gather from that cached bit array when the
@@ -209,43 +212,24 @@ def _nonzero_dot_blocks(table: PointTable, vectors):
         yield nonzero(acc)
 
 
-def nonzero_dot_masks(table: PointTable, vectors) -> list[int]:
-    """One mask per point u of `table`, column j set iff u . vectors[j] != 0
-    (bmcanon's bit order), packed block by block."""
-    if not vectors:
-        return [0] * len(table)
-    masks = []
-    for block in _nonzero_dot_blocks(table, vectors):
-        masks += _pack_rows(block)
-    return masks
-
-
 def nonzero_dot_bits(table: PointTable, vectors) -> np.ndarray:
-    """The entries of nonzero_dot_masks(table, vectors) as a len(table) x
-    len(vectors) uint8 array of 0/1."""
+    """A len(table) x len(vectors) uint8 array of 0/1: entry (i, j) is 1
+    iff point i of `table` has u . vectors[j] != 0."""
     if not vectors:
         return np.zeros((len(table), 0), np.uint8)
     return np.concatenate(list(_nonzero_dot_blocks(table, vectors)),
                           dtype=bool, casting="unsafe").view(np.uint8)
 
 
-def codeword_weights(masks, colors) -> list[int]:
-    """The weight of each mask's codeword, bit (len(colors)-1-j) counted
-    colors[j] times.  For the masks of nonzero_dot_masks(table, points),
-    colored by the points' multiplicities in a code, this is the weight of
-    the codeword u . G of each point u of `table`: it is nonzero exactly at
-    the coordinates whose point lies off hyperplane u.  (A side's weights
-    are the product of its nonzero_dot_bits and the multiplicities,
-    `equiv._Side.weights`; this loop serves min_distance_hyperplane.)"""
-    n = len(colors)
-    by_color: dict[int, int] = {}
-    for j, color in enumerate(colors):
-        by_color[color] = by_color.get(color, 0) | 1 << (n - 1 - j)
-    weights = [0] * len(masks)
-    for color, bits in by_color.items():
-        weights = [w + color * (mask & bits).bit_count()
-                   for w, mask in zip(weights, masks)]
-    return weights
+def codeword_weights(bits: np.ndarray, colors) -> list[int]:
+    """Each row's sum of `bits`, column j counted colors[j] times.  For
+    nonzero_dot_bits(table, points), colored by the points' multiplicities
+    in a code, this is the weight of the codeword u . G of each point u of
+    `table`: it is nonzero exactly at the coordinates whose point lies off
+    hyperplane u."""
+    # einsum casts the bits in chunks, where @ would copy them as int64
+    return np.einsum("ij,j->i", bits,
+                     np.array(colors, dtype=np.int64)).tolist()
 
 
 def incidence(k: int, q: int,
@@ -268,8 +252,10 @@ def incidence(k: int, q: int,
     cached = _INCIDENCE_CACHE.get(key)
     if cached is not None:
         return cached
-    result = ColoredBinaryMatrix.from_masks(
-        nonzero_dot_masks(table, table.points), len(table))
+    masks = []
+    for block in _nonzero_dot_blocks(table, table.points):
+        masks += _pack_rows(block)
+    result = ColoredBinaryMatrix.from_masks(masks, len(table))
     result._symmetric = True
     _INCIDENCE_CACHE[key] = result
     return result

@@ -5,9 +5,10 @@ Everything here works over prime fields with plain integer arithmetic mod q
 the exceptions cover extension fields too: `reference_monomial_from_sigma`
 borrows the library's field tables and `nullspace_basis`,
 `reference_generator_rows` its `GFMatrix`, `normalize_vector` and `rank`,
-and the per-entry matrix references (`reference_mat_mul`, `reference_rref`)
-call FieldSpec's scalar methods once per entry, never its row kernels
-`scale` and `add_scaled`.
+`reference_locate` its point table, and the per-entry references
+(`reference_mat_mul`, `reference_rref`, `systematic_code`,
+`reference_min_weight`) call FieldSpec's scalar methods once per entry,
+never its row kernels `scale` and `add_scaled`.
 """
 
 from __future__ import annotations
@@ -158,6 +159,69 @@ def reference_generator_rows(spec, rows):
     if rank(mat) != raw.nrows:
         raise ValueError(f"rank is below k={raw.nrows}")
     return mat.rows
+
+
+def systematic_code(code):
+    """The systematic form (I_k | E) of `code`: its reduced row echelon
+    form (`reference_rref`) with the pivot columns moved to the front, the
+    rest keeping their order."""
+    from codequiv import GeneratorMatrix
+    rows, pivots = reference_rref(code.spec, code.mat.rows, code.n)
+    cols = list(zip(*rows))
+    order = pivots + [j for j in range(code.n) if j not in pivots]
+    return GeneratorMatrix.from_columns(code.spec, [cols[j] for j in order])
+
+
+def reference_locate(code):
+    """(points, positions) of `code`, one `PointTable.position_of` per
+    column: each distinct point's coordinates in index order, the points in
+    order of first appearance, and each point's 0-based table position."""
+    from codequiv import point_table
+    table = point_table(code.k, code.q, code.spec.modulus)
+    by_position: dict = {}
+    for j, col in enumerate(code.columns()):
+        by_position.setdefault(table.position_of(col), []).append(j)
+    return [tuple(c) for c in by_position.values()], list(by_position)
+
+
+def reference_codeword_weights(masks, colors):
+    """The weight of each row mask's codeword, bit (len(colors)-1-j)
+    counted colors[j] times, by popcounting Python ints: the oracle of
+    `projgeom.codeword_weights`, which reads the same weights off bit
+    arrays."""
+    n = len(colors)
+    by_color: dict = {}
+    for j, color in enumerate(colors):
+        by_color[color] = by_color.get(color, 0) | 1 << (n - 1 - j)
+    weights = [0] * len(masks)
+    for color, bits in by_color.items():
+        weights = [w + color * (mask & bits).bit_count()
+                   for w, mask in zip(weights, masks)]
+    return weights
+
+
+def reference_serialize(mat):
+    """`bmcanon.serialize` rendered from the row masks: the color header,
+    then each row's bits formatted as a 0/1 string, rows sorted by their
+    masks."""
+    C = mat.n_cols
+    lines = ["c " + " ".join(str(c) for c in mat.col_colors)]
+    lines += [f"{m:0{C}b}" if C else "" for m in sorted(mat.row_masks)]
+    return "\n".join(lines)
+
+
+def reference_min_weight(code):
+    """The least weight of a nonzero codeword of `code`, over every
+    message whose first nonzero entry is 1, each entry by FieldSpec's
+    scalar `mul` and `add` (extension fields too)."""
+    spec = code.spec
+    best = code.n
+    for msg in itertools.product(range(spec.q), repeat=code.k):
+        if next(filter(None, msg), 0) != 1:
+            continue
+        word = reference_mat_mul(spec, [msg], code.mat.rows)[0]
+        best = min(best, sum(map(bool, word)))
+    return best
 
 
 def reference_mat_mul(spec, a_rows, b_rows):

@@ -51,7 +51,7 @@ def _profile(code):
     """The weight profile cesimpg_equiv compares before any canonical
     search: that of the shortened matrix of the code's side."""
     m = build_shortened(equiv._side(code))
-    return sorted(codeword_weights(m.row_masks, m.col_colors))
+    return sorted(codeword_weights(m.bits, m.col_colors))
 
 
 # ---------------------------------------------------------------------------

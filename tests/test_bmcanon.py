@@ -15,15 +15,15 @@ from codequiv import (ColoredBinaryMatrix, GeneratorMatrix,
                       build_ceimpg_matrix, build_shortened, canonical_form,
                       characteristic_vector, code_aut_group, incidence,
                       is_automorphism, is_isomorphic, permute_columns,
-                      random_code, serialize, simplex_generator,
-                      systematic_form)
+                      random_code, serialize, simplex_generator)
 from codequiv import bmcanon
 from codequiv.bmcanon import _pack_rows, _Search
 from codequiv.equiv import _iter_group
 from codequiv.errors import BudgetExceededError
-from conftest import (brute_force_cbm_aut_count, brute_force_cbm_isomorphic,
-                      recursive_search, reference_is_automorphism,
-                      reference_leaf_cert, reference_refine)
+from conftest import (_moved_rows, brute_force_cbm_aut_count,
+                      brute_force_cbm_isomorphic, recursive_search,
+                      reference_is_automorphism, reference_leaf_cert,
+                      reference_refine, reference_serialize, systematic_code)
 
 
 def _random_cbm(rng, rows, cols, n_col_colors=1):
@@ -174,6 +174,29 @@ def test_serialize_format_exact():
     assert serialize(ColoredBinaryMatrix([[], []], n_cols=0)) == "c \n\n"
 
 
+@pytest.mark.parametrize("cols", [0, 1, 7, 8, 9, 63, 64, 65, 130])
+def test_serialize_and_permute_match_the_mask_references(cols):
+    """serialize() renders a matrix's sorted byte records, and
+    permute_columns gathers its bit columns: on seeded matrices of no rows,
+    one row and repeated rows, made from masks and from bits, the text is
+    the old mask renderer's (conftest), and the relabeled rows are the
+    reference's, with the colors moved along."""
+    rng = random.Random(500 + cols)
+    for rows, repeat in ((0, False), (1, False), (6, True), (20, True)):
+        for _ in range(3):
+            m = _shaped_cbm(rng, rows, cols, repeat)
+            from_bits = ColoredBinaryMatrix.from_bits(
+                np.array(m.bits), m.col_colors)
+            assert serialize(m) == serialize(from_bits) == \
+                reference_serialize(m)
+            gamma = list(range(cols))
+            rng.shuffle(gamma)
+            moved = permute_columns(m, gamma)
+            assert tuple(sorted(moved.row_masks)) == _moved_rows(m, gamma)
+            assert all(moved.col_colors[t] == m.col_colors[j]
+                       for j, t in enumerate(gamma))
+
+
 def _shaped_cbm(rng, rows, cols, repeat):
     """A seeded `rows` x `cols` matrix of up to three column colors; with
     `repeat`, its first row recurs at random places."""
@@ -185,7 +208,7 @@ def _shaped_cbm(rng, rows, cols, repeat):
         masks, cols, [rng.randrange(3) for _ in range(cols)])
 
 
-@pytest.mark.parametrize("cols", [1, 7, 8, 9, 16, 17, 64])
+@pytest.mark.parametrize("cols", [1, 7, 8, 9, 16, 17, 64, 65, 130])
 def test_keys_render_from_certificate_bytes(cols):
     """A CanonResult's key text, rendered from its certificate bytes,
     equals serialize() of its canonical matrix, and reading it decodes no
@@ -439,7 +462,8 @@ def test_leaf_certificates_compare_like_reference_pairs():
         certs = [_order_cert(search, o) for o in orders]
         refs = [reference_leaf_cert(m, o) for o in orders]
         for cert, (_, rows) in zip(certs, refs):
-            assert tuple(search.records.decode(cert)) == rows
+            assert tuple(_pack_rows(bmcanon._unpack_records(
+                cert, m.n_rows, m.n_cols))) == rows
         for a in range(len(orders)):
             for b in range(len(orders)):
                 assert (certs[a] == certs[b]) == (refs[a][1] == refs[b][1])
@@ -550,7 +574,7 @@ def test_group_order_matches_closure_on_shortened_matrices():
             rng = random.Random(1000 * q + seed)
             k = rng.randrange(2, 4)
             code = random_code(q, rng.randrange(k + 2, k + 7), k, seed=seed)
-            gs = systematic_form(code)[0]
+            gs = systematic_code(code)
             res = canonical_form(build_shortened(gs))
             if len(res.generators) < 2:
                 continue

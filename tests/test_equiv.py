@@ -20,15 +20,17 @@ from codequiv import (GFMatrix, GeneratorMatrix, build_ceimpg_matrix,
                       cesimpg_equiv, characteristic_vector, classify,
                       code_aut_group, decide_equivalence, field, incidence,
                       monomial_from_sigma, point_table, random_code, rank,
-                      rref, serialize, simplex_generator, systematic_form,
-                      theta, verify_witness)
+                      rref, serialize, simplex_generator, theta,
+                      verify_witness)
 from codequiv import bmcanon, equiv, nullspace_basis, projgeom
 from codequiv.bmcanon import ColoredBinaryMatrix, _sigma_from_canons
 from codequiv.equiv import COSET_CAP, MonomialTransform
+from codequiv.lincode import _locate
 from codequiv.projgeom import codeword_weights
 from codequiv.errors import BudgetExceededError, ResourceLimitError
 from conftest import (brute_force_equivalent, brute_force_preserver_count,
-                      reference_monomial_from_sigma)
+                      reference_codeword_weights, reference_locate,
+                      reference_monomial_from_sigma, systematic_code)
 
 G1_ROWS = [
     [1, 0, 0, 1, 2, 0],
@@ -120,7 +122,7 @@ def test_shortened_matrix_hand_row():
     hyperplane of (1,0,0) (table position 4) meets the coordinates in
     pattern 1,0,0,1,1,0, so its five points in pattern 1,0,0,1,1."""
     g1 = GeneratorMatrix(3, G1_ROWS)
-    assert equiv._point_coordinates(g1) == [(0,), (1, 5), (2,), (3,), (4,)]
+    assert _locate(g1)[0] == [(0,), (1, 5), (2,), (3,), (4,)]
     m = build_shortened(g1)
     assert (m.n_rows, m.n_cols) == (13, 5)
     assert m.row_masks[4] == 0b10011
@@ -136,7 +138,7 @@ def _dot_nonzero(spec, u, x) -> int:
 
 def test_shortened_matrix_has_one_column_per_point():
     # on codes with repeated points, keyed on the code itself (2k <= n) and
-    # on its dual (2k > n): _point_coordinates partitions the coordinates
+    # on its dual (2k > n): `lincode._locate` partitions the coordinates
     # into distinct points in order of first appearance; column p of the
     # shortened matrix is the hyperplane support of the p-th point, colored
     # by its multiplicity, and no two columns are equal
@@ -149,7 +151,7 @@ def test_shortened_matrix_has_one_column_per_point():
             table = point_table(side.k, q)
             counts = characteristic_vector(side).counts
             cols = side.columns()
-            points = equiv._point_coordinates(side)
+            points = _locate(side)[0]
             assert sorted(j for coords in points
                           for j in coords) == list(range(n))
             firsts = [coords[0] for coords in points]
@@ -173,6 +175,53 @@ def test_shortened_matrix_has_one_column_per_point():
     assert sides == {"code", "dual"}
 
 
+@pytest.mark.parametrize("q", [2, 3, 4, 5, 7, 8, 9, 16, 25, 27])
+def test_one_walk_and_one_weight_function_match_references(q):
+    """A side's `points` and `positions` (`lincode._locate`), its
+    characteristic vector and its shortened matrix match one
+    `PointTable.position_of` per column (conftest's `reference_locate`),
+    and its weights, `projgeom.codeword_weights` of its bits, match the
+    popcounted weights of its row masks (`reference_codeword_weights`): on
+    [8,3] codes with repeated points, whose side is the code, and on their
+    [8,5] duals, whose side is the [8,3] code's span.  Over GF(25) and
+    GF(27) the shortened bits come from the dot kernel, else from the
+    cached incidence."""
+    spec = field(q)
+    rng = random.Random(800 + q)
+    seen, pairs = set(), 0
+    for seed in range(50):
+        cols = random_code(spec, 5, 3, seed=seed).columns()
+        cols += [spec.scale(rng.randrange(1, q), rng.choice(cols))
+                 for _ in range(3)]
+        rng.shuffle(cols)
+        primal = GeneratorMatrix.from_columns(spec, cols)
+        basis = nullspace_basis(primal.mat)
+        if not all(map(any, zip(*basis))):
+            continue  # a weight-1 word gives the dual a zero column
+        pairs += 1
+        for code in (primal, GeneratorMatrix(spec, basis)):
+            rec = equiv._Side(code)
+            side = rec.side
+            seen.add("primal" if side is code else "dual")
+            points, positions = reference_locate(side)
+            assert len(points) < side.n
+            assert (rec.points, rec.positions) == (points, positions)
+            counts = [0] * theta(side.k - 1, q)
+            for coords, pos in zip(points, positions):
+                counts[pos] = len(coords)
+            assert characteristic_vector(side).counts == tuple(counts)
+            table = point_table(side.k, q)
+            m = build_shortened(side)
+            assert np.array_equal(m.bits, projgeom.nonzero_dot_bits(
+                table, [table.points[p] for p in positions]))
+            assert m.col_colors == tuple(map(len, points))
+            assert rec.weights == codeword_weights(m.bits, m.col_colors) \
+                == reference_codeword_weights(m.row_masks, m.col_colors)
+        if pairs == 2:
+            break
+    assert pairs == 2 and seen == {"primal", "dual"}
+
+
 def test_aut_group_generators_close_to_h1_order_with_repeated_points():
     # h1_generators (the point group's generators moved to coordinates, then
     # the transpositions of coordinates that share a point) generate a group
@@ -184,7 +233,7 @@ def test_aut_group_generators_close_to_h1_order_with_repeated_points():
             rep = code_aut_group(code)
             assert rep.h1_order == sum(
                 1 for _ in equiv._iter_group(rep.h1_generators, n))
-            repeated += len(equiv._point_coordinates(equiv._side(code))) < n
+            repeated += len(_locate(equiv._side(code))[0]) < n
     assert repeated >= 20
 
 
@@ -268,7 +317,7 @@ def test_lift_matches_linear_system_reference(q):
         n, k = code.n, code.k
         copy = GeneratorMatrix(spec, _random_transform(spec, n, rng).apply(
             code.mat).rows)
-        gs1, gs2 = (systematic_form(c)[0] for c in (code, copy))
+        gs1, gs2 = (systematic_code(c) for c in (code, copy))
         sigma0 = _shortened_sigma0(gs1, gs2, "pair")
         sigmas = [tuple(sigma0[t] for t in tau) for tau in itertools.islice(
             equiv._iter_group(code_aut_group(gs1).h1_generators, n), 24)]
@@ -475,7 +524,7 @@ def _profile(code):
     """The weight profile that cesimpg_equiv compares for `code`: that of
     its side's shortened matrix."""
     m = build_shortened(equiv._side(code))
-    return sorted(codeword_weights(m.row_masks, m.col_colors))
+    return sorted(codeword_weights(m.bits, m.col_colors))
 
 
 @pytest.fixture
@@ -515,7 +564,7 @@ def test_weight_profile_kept_by_monomial_and_field_maps():
             side = equiv._side(c1)
             if side.k == n - k < k:
                 seen.add("dual")
-            if len(equiv._point_coordinates(side)) < n:
+            if len(_locate(side)[0]) < n:
                 seen.add("repeated")
             cols = side.columns()
             assert _profile(c1) == sorted(
@@ -691,8 +740,9 @@ def test_searches_get_the_bits_of_their_masks(q):
     incidence; over GF(25) and GF(27), theta 651 and 757, the dot kernel's
     output converted to 0/1, where over GF(p^m) it holds packed digits),
     its minimum-weight rows, and its ceimpg matrix, which shares the
-    incidence's symmetric bits.  The shortened masks are the mask kernel's,
-    and the weights read off the bits are `codeword_weights` of the masks.
+    incidence's symmetric bits.  The shortened masks are those of the dot
+    kernel's bits, and the weights read off the bits are the popcounted
+    weights of the masks (conftest's `reference_codeword_weights`).
     Each field gives a primal [8,3] side and a dual [7,4] one, GF(2) also
     minimum-weight rows."""
     spec = field(q)
@@ -705,9 +755,11 @@ def test_searches_get_the_bits_of_their_masks(q):
         seen |= {"dual" if side is not code else "primal",
                  "rows" if rec.rows is not None else "all"}
         cols = side.columns()
-        assert list(m.row_masks) == projgeom.nonzero_dot_masks(
-            point_table(side.k, q), [cols[c[0]] for c in rec.points])
-        assert rec.weights == codeword_weights(m.row_masks, m.col_colors)
+        assert list(m.row_masks) == bmcanon._pack_rows(
+            projgeom.nonzero_dot_bits(point_table(side.k, q),
+                                      [cols[c[0]] for c in rec.points]))
+        assert rec.weights == reference_codeword_weights(m.row_masks,
+                                                         m.col_colors)
         ceimpg = build_ceimpg_matrix(characteristic_vector(side))
         assert ceimpg.bits is incidence(side.k, q).bits
         assert np.array_equal(ceimpg.bits, ceimpg.bits.T)
@@ -740,7 +792,7 @@ def test_shortened_bits_are_the_kernels(q):
             side = equiv._side(code)
             seen.add("dual" if side is not code else "primal")
             table = point_table(side.k, q)
-            cols, points = side.columns(), equiv._point_coordinates(side)
+            cols, points = side.columns(), _locate(side)[0]
             want = projgeom.nonzero_dot_bits(
                 table, [cols[coords[0]] for coords in points])
             got = build_shortened(side).bits
@@ -946,7 +998,7 @@ def test_shortened_key_and_group_order_match_systematic_form(q):
         k = rng.randrange(2, 4)
         code = random_code(spec, rng.randrange(k + 2, k + 6), k,
                            seed=rng.randrange(10 ** 6))
-        gs = systematic_form(code)[0]
+        gs = systematic_code(code)
         r, rs = (canonical_form(build_shortened(c)) for c in (code, gs))
         assert serialize(r.matrix) == serialize(rs.matrix)
         assert r.group_order == rs.group_order
@@ -1903,10 +1955,10 @@ def test_side_structures_built_once_per_code(monkeypatch):
     differs in its weight profile starts no canonical search and no rref,
     and builds no shortened matrix at all."""
     monkeypatch.setattr(equiv, "COSET_CAP", 1)
-    calls = _counting(monkeypatch, "_side", "_coordinates_by_point",
+    calls = _counting(monkeypatch, "_side", "_locate",
                       "incidence_columns", "build_shortened",
                       "characteristic_vector", "canonical_form", "rref")
-    kernel = _counting(monkeypatch, "nonzero_dot_bits", "nonzero_dot_masks",
+    kernel = _counting(monkeypatch, "nonzero_dot_bits", "_nonzero_dot_blocks",
                        module=projgeom)
     wrapped, from_bits = [], ColoredBinaryMatrix.from_bits.__func__
     monkeypatch.setattr(ColoredBinaryMatrix, "from_bits", classmethod(
@@ -1917,13 +1969,13 @@ def test_side_structures_built_once_per_code(monkeypatch):
     c1, c2 = (random_code(spec, 8, 3, seed=s) for s in (a, b))
     assert not cesimpg_equiv(c1, c2).equivalent
     sides = [id(c1), id(c2)]
-    for name in ("_side", "_coordinates_by_point", "characteristic_vector"):
+    for name in ("_side", "_locate", "characteristic_vector"):
         assert list(map(id, calls[name])) == sides
     assert len(calls["incidence_columns"]) == 2
     assert calls["build_shortened"] == []
     assert [bits.shape for bits in wrapped] == [(73, 8)] * 2
     assert kernel["nonzero_dot_bits"] == []
-    assert len(kernel["nonzero_dot_masks"]) <= 1
+    assert len(kernel["_nonzero_dot_blocks"]) <= 1
     assert calls["canonical_form"] == [equiv._Side(c1).kept]
     for q, n, k, seed in ((3, 10, 3, 0), (2, 9, 6, 0)):
         c1, c2 = (random_code(field(q), n, k, seed=s)
@@ -1936,9 +1988,9 @@ def test_side_structures_built_once_per_code(monkeypatch):
         assert calls["build_shortened"] == wrapped == []
         assert len(calls["_side"]) == 2
         assert kernel["nonzero_dot_bits"] == []
-        assert len(kernel["nonzero_dot_masks"]) <= 1
+        assert len(kernel["_nonzero_dot_blocks"]) <= 1
         # the [9,6]_2 pair is keyed on its duals
-        assert [m.k for m in calls["_coordinates_by_point"]] == [
+        assert [m.k for m in calls["_locate"]] == [
             min(k, n - k)] * 2
         assert len(calls["incidence_columns"]) == 2
 

@@ -3,15 +3,17 @@
 import hashlib
 import random
 
+import numpy as np
 import pytest
 
-from codequiv import (CodeFileError, GeneratorMatrix, characteristic_vector,
-                      code_from_chi, emit_codes, field,
+from codequiv import (CharacteristicVector, CodeFileError, GeneratorMatrix,
+                      characteristic_vector, code_from_chi, emit_codes, field,
                       min_distance_hyperplane, parse_codes, point_table,
-                      random_code, simplex_generator, systematic_form, theta)
+                      random_code, simplex_generator, theta)
 from codequiv import projgeom
 from codequiv.projgeom import MAX_INCIDENCE_CELLS
-from conftest import min_weight_exhaustive, reference_generator_rows
+from conftest import (min_weight_exhaustive, reference_generator_rows,
+                      reference_locate, reference_min_weight)
 
 
 def _simplex_code(k, q):
@@ -129,45 +131,83 @@ def test_chi_roundtrip_through_code_from_chi():
         assert characteristic_vector(rebuilt).counts == chi.counts
 
 
-def test_code_from_chi_validation():
+# over GF(3), k = 3: theta(2, 3) = 13 multiplicities, each a non-negative
+# int (bools and NumPy ints pass as ints)
+BAD_COUNTS = {
+    "negative": (-1,) + (1,) * 12,
+    "too few": (1, 1, 1),
+    "too many": (1,) * 14,
+    "fraction": (1.5,) + (1,) * 12,
+    "integral float": (1.0,) + (1,) * 12,
+    "string": ("1",) + (1,) * 12,
+    "none": (None,) + (1,) * 12,
+}
+
+
+@pytest.mark.parametrize("case", sorted(BAD_COUNTS))
+def test_invalid_multiplicity_vectors_refused(case):
+    """A CharacteristicVector is checked once, on construction, so neither
+    min_distance_hyperplane nor code_from_chi reads a vector that is no
+    multiplicity vector: each raises ValueError, not a wrong distance or an
+    IndexError."""
+    spec, counts = field(3), BAD_COUNTS[case]
+    with pytest.raises(ValueError):
+        min_distance_hyperplane(CharacteristicVector(spec, 3, counts))
+    with pytest.raises(ValueError):
+        code_from_chi(spec, 3, counts)
+
+
+def test_valid_multiplicity_vectors_kept_as_ints():
     spec = field(3)
-    with pytest.raises(ValueError):
-        code_from_chi(spec, 3, (1, 2, 3))  # wrong length (theta(2,3)=13)
-    with pytest.raises(ValueError):
-        code_from_chi(spec, 3, (-1,) + (1,) * 12)
+    counts = (True, np.int64(2)) + (0,) * 10 + (1,)
+    chi = CharacteristicVector(spec, 3, counts)
+    assert chi.counts == (1, 2) + (0,) * 10 + (1,)
+    assert all(type(c) is int for c in chi.counts)
+    assert CharacteristicVector(spec, 3, (0,) * 13).n == 0
+    assert min_distance_hyperplane(chi) == min_distance_hyperplane(
+        characteristic_vector(code_from_chi(spec, 3, counts)))
+
+
+def _with_repeats(spec, code, extra, rng):
+    """`code` with `extra` more columns, each a nonzero multiple of one of
+    its columns, all columns shuffled."""
+    cols = code.columns()
+    cols += [spec.scale(rng.randrange(1, spec.q), rng.choice(cols))
+             for _ in range(extra)]
+    rng.shuffle(cols)
+    return GeneratorMatrix.from_columns(spec, cols)
+
+
+@pytest.mark.parametrize("q", [2, 3, 4, 5, 7, 8, 9, 16, 25, 27])
+def test_chi_and_min_distance_match_references(q):
+    """On codes with repeated points, k = 2 and 3: the characteristic
+    vector counts each column at its `PointTable.position_of` position
+    (conftest's `reference_locate`), and min_distance_hyperplane equals the
+    least weight of a scan of all codewords."""
+    spec = field(q)
+    rng = random.Random(900 + q)
+    for k, n in ((2, 4), (3, 5), (3, 6)):
+        for seed in range(2):
+            code = _with_repeats(spec, random_code(spec, n, k, seed=seed),
+                                 3, rng)
+            points, positions = reference_locate(code)
+            assert len(points) < code.n
+            counts = [0] * theta(k - 1, q)
+            for coords, pos in zip(points, positions):
+                counts[pos] = len(coords)
+            chi = characteristic_vector(code)
+            assert chi.counts == tuple(counts)
+            assert min_distance_hyperplane(chi) == reference_min_weight(code)
+
+
+def test_code_from_chi_validation():
+    # counts that are no multiplicity vector: BAD_COUNTS above
+    spec = field(3)
+    with pytest.raises(ValueError, match="empty support"):
+        code_from_chi(spec, 3, (0,) * 13)
     with pytest.raises(ValueError):
         # all mass on one point: rank 1 < 3
         code_from_chi(spec, 3, (4,) + (0,) * 12)
-
-
-def test_systematic_form_properties():
-    rng = random.Random(17)
-    for q in (2, 3, 4, 5):
-        spec = field(q)
-        for _ in range(15):
-            code = random_code(spec, 8, 3, seed=rng.randrange(10 ** 6))
-            gs, perm, transform = systematic_form(code)
-            assert sorted(perm) == list(range(8))
-            # leading block is the identity
-            ident = [[1 if i == j else 0 for j in range(3)] for i in range(3)]
-            assert [row[:3] for row in gs.mat.rows] == ident
-            # same code size and field
-            assert gs.k == 3 and gs.n == 8 and gs.spec == code.spec
-            # the row operations move the point multiset by a collineation,
-            # so the multiplicity multiset is preserved (counts may permute)
-            assert (sorted(characteristic_vector(gs).counts)
-                    == sorted(characteristic_vector(code).counts))
-
-
-def test_systematic_form_of_already_systematic_input():
-    g1 = GeneratorMatrix(3, [
-        [1, 0, 0, 1, 2, 0],
-        [0, 1, 0, 1, 1, 1],
-        [0, 0, 1, 1, 1, 0],
-    ])
-    gs, perm, _ = systematic_form(g1)
-    assert list(perm) == list(range(6))
-    assert gs.mat.rows == g1.mat.rows
 
 
 @pytest.mark.parametrize("q,n,k", [(2, 7, 3), (3, 6, 3), (3, 8, 2), (5, 6, 2)])
@@ -182,8 +222,8 @@ def test_min_distance_matches_exhaustive_search(q, n, k):
 
 def test_min_distance_beyond_the_incidence_bound():
     """A [30,14]_2 code: PG(13,2) has 16,383 points, so its incidence
-    matrix (268,402,689 cells) is over the bound, but the masks of the
-    code's 30 points are all min_distance_hyperplane needs."""
+    matrix (268,402,689 cells) is over the bound, but the incidence columns
+    of the code's 30 points are all min_distance_hyperplane needs."""
     code = random_code(field(2), 30, 14, seed=5)
     assert len(point_table(14, 2)) ** 2 > MAX_INCIDENCE_CELLS
     assert min_distance_hyperplane(characteristic_vector(code)) == (

@@ -9,10 +9,12 @@ import codequiv
 from codequiv import (ColoredBinaryMatrix, field, incidence, point_table,
                       simplex_generator, theta)
 from codequiv import projgeom
+from codequiv.bmcanon import _pack_rows
 from codequiv.errors import ResourceLimitError
 from codequiv.projgeom import (MAX_INCIDENCE_CELLS, MAX_POINTS,
-                               incidence_columns, nonzero_dot_bits,
-                               nonzero_dot_masks, point_at)
+                               codeword_weights, incidence_columns,
+                               nonzero_dot_bits, point_at)
+from conftest import reference_codeword_weights
 
 
 def test_theta_values():
@@ -76,7 +78,7 @@ def test_incidence_resource_guard(monkeypatch):
     # PG(12,2) (8,191 points) is allowed, PG(13,2) (16,383) is refused
     # before any mask is computed; its point table is within MAX_POINTS
     assert theta(12, 2) ** 2 <= MAX_INCIDENCE_CELLS < theta(13, 2) ** 2
-    monkeypatch.setattr(projgeom, "nonzero_dot_masks", None)
+    monkeypatch.setattr(projgeom, "_nonzero_dot_blocks", None)
     with pytest.raises(ResourceLimitError, match="over the 100000000 limit"):
         incidence(14, 2)
 
@@ -121,8 +123,14 @@ def test_incidence_entries_match_dot_products():
                 assert inc.entry(i, j) == (1 if spec.dot(u, v) else 0)
 
 
+def _dot_masks(table, vectors):
+    """The row masks of nonzero_dot_bits(table, vectors), packed as
+    incidence() packs the kernel's blocks."""
+    return _pack_rows(nonzero_dot_bits(table, vectors))
+
+
 def _want_masks(spec, points, vectors):
-    """The masks of nonzero_dot_masks, one field inner product at a time."""
+    """The masks of _dot_masks, one field inner product at a time."""
     masks = []
     for u in points:
         want = 0
@@ -142,8 +150,19 @@ def test_nonzero_dot_masks_across_blocks(k, q, monkeypatch):
     assert len(table) > 1000
     rng = random.Random(k)
     vectors = [tuple(rng.randrange(q) for _ in range(k)) for _ in range(37)]
-    assert nonzero_dot_masks(table, vectors) == _want_masks(
+    assert _dot_masks(table, vectors) == _want_masks(
         spec, table.points, vectors)
+
+
+@pytest.mark.parametrize("k,q", [(3, 2), (3, 4), (2, 9)])
+def test_incidence_masks_packed_across_blocks(k, q, monkeypatch):
+    """incidence() packs the kernel's blocks one after another: with blocks
+    of two points, its masks still equal the per-pair inner products."""
+    monkeypatch.setattr(projgeom, "_INCIDENCE_CACHE", {})
+    table = point_table(k, q)
+    monkeypatch.setattr(projgeom, "_BLOCK_CELLS", 2 * len(table))
+    assert list(incidence(k, q).row_masks) == _want_masks(
+        field(q), table.points, table.points)
 
 
 # (k, q, modulus): both bodies of the mask kernel, prime (GF(2) and odd)
@@ -169,14 +188,30 @@ def test_nonzero_dot_masks_match_dot_on_every_field(k, q, modulus,
     vectors = [tuple(rng.randrange(q) for _ in range(k)) for _ in range(22)]
     vectors.append((0,) * k)
     monkeypatch.setattr(projgeom, "_BLOCK_CELLS", 2 * len(vectors))
-    assert nonzero_dot_masks(table, vectors) == _want_masks(
+    assert _dot_masks(table, vectors) == _want_masks(
         spec, table.points, vectors)
 
 
 @pytest.mark.parametrize("k,q", [(3, 2), (3, 3), (3, 4), (2, 9)])
 def test_nonzero_dot_masks_of_no_vectors(k, q):
     table = point_table(k, q)
-    assert nonzero_dot_masks(table, []) == [0] * len(table)
+    assert nonzero_dot_bits(table, []).shape == (len(table), 0)
+    assert _dot_masks(table, []) == [0] * len(table)
+
+
+@pytest.mark.parametrize("cols", [0, 1, 8, 64, 65, 130])
+def test_codeword_weights_match_the_mask_popcounts(cols):
+    """codeword_weights, one einsum over a 0/1 array, equals the popcounted
+    weights of its rows' masks (conftest), colors from 0 to 40, for no
+    rows, one and many."""
+    rng = random.Random(cols)
+    for rows in (0, 1, 50):
+        bits = np.array([[rng.randrange(2) for _ in range(cols)]
+                         for _ in range(rows)], np.uint8).reshape(rows, cols)
+        colors = [rng.randrange(41) for _ in range(cols)]
+        got = codeword_weights(bits, colors)
+        assert got == reference_codeword_weights(_pack_rows(bits), colors)
+        assert all(type(w) is int for w in got)
 
 
 @pytest.mark.parametrize("k,q", [(1, 2), (3, 2), (4, 3), (3, 4), (2, 9),

@@ -240,14 +240,18 @@ class ColoredBinaryMatrix:
                 f"col_colors={self.col_colors})")
 
 
+def _perm_inverse(sigma) -> tuple[int, ...]:
+    inv = [0] * len(sigma)
+    for i, s in enumerate(sigma):
+        inv[s] = i
+    return tuple(inv)
+
+
 def permute_columns(mat: ColoredBinaryMatrix, gamma) -> ColoredBinaryMatrix:
     """Relabel columns: column j of `mat` becomes column gamma[j]."""
-    C = mat.n_cols
-    if sorted(gamma) != list(range(C)):
+    if sorted(gamma) != list(range(mat.n_cols)):
         raise ValueError("gamma is not a permutation of the columns")
-    inv = [0] * C
-    for j, t in enumerate(gamma):
-        inv[t] = j
+    inv = _perm_inverse(gamma)
     return ColoredBinaryMatrix.from_bits(
         mat.bits.take(np.array(inv, dtype=np.intp), 1),
         [mat.col_colors[j] for j in inv])
@@ -369,17 +373,12 @@ def _color_classes(colors) -> list[list[int]]:
 
 def _pack_rows(bits: np.ndarray) -> list[int]:
     """One mask per row of a 2-D array, in the module's bit order (bit
-    C-1-j holds column j); any nonzero entry is a set bit.  Rows of at most
-    64 columns are read all at once, their packed bytes as the low end of
-    big-endian 8-byte words; wider ones one int.from_bytes each."""
+    C-1-j holds column j); any nonzero entry is a set bit: each row's packed
+    bytes, read by one int.from_bytes."""
     n_rows, n_cols = bits.shape
     packed = np.packbits(bits, axis=1)
     step = packed.shape[1]
     pad = 8 * step - n_cols
-    if step <= 8:
-        words = np.zeros((n_rows, 8), np.uint8)
-        words[:, 8 - step:] = packed
-        return (words.view(">u8")[:, 0] >> pad).tolist()
     data = packed.tobytes()
     return [int.from_bytes(data[i * step:(i + 1) * step], "big") >> pad
             for i in range(n_rows)]
@@ -747,13 +746,10 @@ class _Search:
             return CanonResult(b"", self.R, (), (), [], 1, 0)
         self.walk()
         cert, order, _ = self.best
-        perm = [0] * self.C
-        for t, j in enumerate(order):
-            perm[j] = t
         colors = self.mat.col_colors
         return CanonResult(cert, self.R, tuple([colors[j] for j in order]),
-                           tuple(perm), self.gens, self._group_order(),
-                           self.nodes)
+                           _perm_inverse(order), self.gens,
+                           self._group_order(), self.nodes)
 
 
 def canonical_form(mat: ColoredBinaryMatrix) -> CanonResult:
@@ -804,7 +800,5 @@ def _sigma_from_canons(r1: CanonResult, r2: CanonResult):
     if (r1.cert, r1.n_rows, r1.col_colors) != (r2.cert, r2.n_rows,
                                                r2.col_colors):
         return None
-    inv2 = [0] * len(r2.perm)
-    for j, t in enumerate(r2.perm):
-        inv2[t] = j
+    inv2 = _perm_inverse(r2.perm)
     return tuple(inv2[t] for t in r1.perm)

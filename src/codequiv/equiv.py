@@ -67,7 +67,8 @@ All that the shortened route derives from a code is built once, on first
 use, in the code's one `_Side` record: `cesimpg_equiv`, `code_aut_group`
 and the `classify` keys read it, and `_find_lift` takes two.  A pair
 decision canonicalizes a side only when sigma0 does not lift; `classify`
-has the forms of its keys already and reads sigma0 off them.  This route
+keeps only the forms of its keys, reads sigma0 off them, and makes a
+record around a code's form only when a bucket compares that code.  This route
 builds no canonical form of an incidence matrix: past the coset cap each
 comparison searches the two incidence matrices anew.
 """
@@ -79,21 +80,20 @@ import math
 import numbers
 import time
 from dataclasses import dataclass
-from functools import cached_property
+from functools import cache, cached_property
 
 import numpy as np
 
 from . import bmcanon
-from .bmcanon import (CanonResult, ColoredBinaryMatrix, _sigma_from_canons,
-                      canonical_form)
+from .bmcanon import (CanonResult, ColoredBinaryMatrix, _perm_inverse,
+                      _sigma_from_canons, canonical_form)
 from .errors import BudgetExceededError, ResourceLimitError
 from .gfield import FieldSpec, as_ints
 from .gfmatrix import (GFMatrix, RREFResult, _eliminate, mat_mul,
                        nullspace_basis, rank, rref)
-from .lincode import (CharacteristicVector, GeneratorMatrix, _locate,
-                      characteristic_vector)
+from .lincode import CharacteristicVector, GeneratorMatrix, _locate
 from .projgeom import (codeword_weights, incidence, incidence_columns,
-                       point_table)
+                       point_table, theta)
 
 COSET_CAP = 10 ** 6
 # the typed failures of one code, which a batch collects per item
@@ -106,13 +106,6 @@ FORK_PAYS_S = 0.05
 
 # ---------------------------------------------------------------------------
 # monomial-semilinear transforms
-
-
-def _perm_inverse(sigma) -> tuple[int, ...]:
-    inv = [0] * len(sigma)
-    for i, s in enumerate(sigma):
-        inv[s] = i
-    return tuple(inv)
 
 
 def _perm_compose(outer, inner) -> tuple[int, ...]:
@@ -273,13 +266,17 @@ class _Side:
     off them; the shortened `matrix`, which wraps those columns only when a
     search reads it; the minimum-weight `rows` of a binary side (None when
     all rows are kept), the canonical `form` of the rows `kept`, and the
-    code's own `red` = rref(code).  Its `incidence` matrix, which the
-    ceimpg route and a search past the coset cap read, is built on each
-    read."""
+    code's own `red` = rref(code).  A `form` already at hand (`classify`
+    has its keys') is passed in.  Its `incidence` matrix, which the ceimpg
+    route and a search past the coset cap read, is built on each read from
+    the same walk.  A record lives in one process: `--jobs` workers send
+    back forms, not records."""
 
-    def __init__(self, code: GeneratorMatrix):
+    def __init__(self, code: GeneratorMatrix, form: CanonResult | None = None):
         self.code = code
         self.side = _side(code)
+        if form is not None:
+            self.form = form
 
     @cached_property
     def _located(self) -> tuple[list[tuple[int, ...]], list[int]]:
@@ -365,18 +362,14 @@ class _Side:
     @property
     def incidence(self) -> ColoredBinaryMatrix:
         """The side's `build_ceimpg_matrix`, a recoloring of its geometry's
-        cached incidence, so not kept here."""
-        return build_ceimpg_matrix(characteristic_vector(self.side))
-
-    def __getstate__(self):
-        # a forked worker pipes back neither the code, which `_forked_keys`
-        # puts back, nor the incidence columns and the matrices `form` was
-        # built from
-        state = dict(vars(self), side=None if self.side is self.code
-                     else self.side)
-        for key in ("code", "columns", "matrix", "weights", "rows"):
-            state.pop(key, None)
-        return state
+        cached incidence, so not kept here; its multiplicities are scattered
+        from `points` and `positions`."""
+        side = self.side
+        counts = [0] * theta(side.k - 1, side.q)
+        for coords, pos in zip(*self._located):
+            counts[pos] = len(coords)
+        return build_ceimpg_matrix(
+            CharacteristicVector(side.spec, side.k, tuple(counts)))
 
 
 def _coordinate_perm(pi, points1, points2) -> tuple[int, ...]:
@@ -782,8 +775,9 @@ def _short_digest(text: str) -> str:
 
 
 def _code_key(code: GeneratorMatrix, mode: str):
-    """(key, record, error) of one code.  `record` is its `_Side`, which
-    cesimpg bucket comparisons lift with, None for ceimpg; a per-item
+    """(key, form, error) of one code, in this process and in a `--jobs`
+    worker alike.  `form` is the `CanonResult` a cesimpg key is rendered
+    from, which `classify` reads sigma0 off; None for ceimpg.  A per-item
     failure sets only `error`.  A key built from the dual
     starts with "dual:", so that a [13,10] code never shares a key with the
     [13,3] code whose matrix is the same.  A cesimpg key built from the
@@ -796,14 +790,15 @@ def _code_key(code: GeneratorMatrix, mode: str):
             return tag + canonical_form(rec.incidence).serialize(), None, None
         if rec.rows is not None:
             tag = "min:" + tag
-        return tag + rec.form.serialize(), rec, None
+        return tag + rec.form.serialize(), rec.form, None
     except _ITEM_ERRORS as e:
         return None, None, f"{type(e).__name__}: {e}"
 
 
 def _key_share(conn, codes, mode):
     """Body of a forked worker: `_code_key` of each of `codes`, sent back as
-    (True, keys) in one message, or (False, exception)."""
+    (True, [(key, form, error), ...]) in one message, or (False,
+    exception)."""
     try:
         reply = True, [_code_key(code, mode) for code in codes]
     except Exception as e:
@@ -818,9 +813,9 @@ def _batch_keys(codes, mode, jobs):
     keys the codes in order, and before each one projects its own keying CPU
     so far over the codes left (the mean per code times their number).  Once
     that CPU has reached a sample of FORK_PAYS_S / 8 and the projection
-    FORK_PAYS_S, the rest goes to `_forked_keys`, which keeps the shares
-    balanced over the whole batch; a batch projected to key in less never
-    forks.  At FORK_PAYS_S = 0 the workers start before the first code."""
+    FORK_PAYS_S, the codes left go to `_forked_keys`; a batch projected to
+    key in less never forks.  At FORK_PAYS_S = 0 the workers start before
+    the first code."""
     keys = []
     start = time.process_time()
     for done, code in enumerate(codes):
@@ -828,41 +823,36 @@ def _batch_keys(codes, mode, jobs):
         spent = time.process_time() - start
         if (min(jobs, left) > 1 and spent >= FORK_PAYS_S / 8
                 and spent * left >= FORK_PAYS_S * done):
-            return keys + _forked_keys(codes, mode, min(jobs, len(codes)),
-                                       done)
+            return keys + _forked_keys(codes[done:], mode, min(jobs, left))
         keys.append(_code_key(code, mode))
     return keys
 
 
-def _forked_keys(codes, mode, jobs, done):
-    """`_code_key` of `codes[done:]`, in order, from this process and at
-    most `jobs - 1` workers (2 <= jobs <= the number of codes).  The whole
-    batch is cut into contiguous shares of ceil(len(codes) / jobs) codes, as
-    if the workers had started before the first code: this process keys
-    what is left of the first share after the `done` codes it has keyed,
-    and a worker keys each further share.  When `done` fills the first
-    share, this process keys nothing more and the workers' shares start at
-    `codes[done]`.  A worker is forked, so it reads its share, and the
-    module state of the caller, from the memory it inherits; it pipes its
-    keys back in one message, the records without their codes, which are
-    put back here.  An exception in any share is raised here.  A worker
-    that has answered is joined, and one that has not is terminated, before
-    this returns on every path, so their CPU counts in RUSAGE_CHILDREN."""
-    share = -(-len(codes) // jobs)  # 4 codes, jobs=3: shares 2 and 2
-    mine = max(share, done)  # this process keys codes[done:mine]
+def _forked_keys(codes, mode, jobs):
+    """`_code_key` of each of `codes`, in order, from this process and
+    `jobs - 1` forked workers (2 <= jobs <= the number of codes).  The
+    codes are cut into `jobs` contiguous shares, share i starting at
+    len(codes) * i // jobs: this process keys the first, and a worker each
+    further one.  A worker is forked, so it reads its share, and the module
+    state of the caller, from the memory it inherits; it pipes its
+    (key, form, error) triples back in one message.  An exception in any
+    share is raised here.  A worker that has answered is joined, and one
+    that has not is terminated, before this returns on every path, so
+    their CPU counts in RUSAGE_CHILDREN."""
+    cuts = [len(codes) * i // jobs for i in range(jobs + 1)]
     import multiprocessing  # here: importing it costs every start-up ~10 ms
     ctx = multiprocessing.get_context("fork")
     workers = []
     try:
-        for lo in range(mine, len(codes), share):
+        for lo, hi in zip(cuts[1:], cuts[2:]):
             recv, send = ctx.Pipe(duplex=False)
             proc = ctx.Process(target=_key_share,
-                               args=(send, codes[lo:lo + share], mode))
+                               args=(send, codes[lo:hi], mode))
             proc.start()
-            workers.append((proc, recv, lo))
+            workers.append((proc, recv))
             send.close()  # a worker that dies unanswered ends in EOFError
-        keys = [_code_key(code, mode) for code in codes[done:mine]]
-        for proc, recv, lo in workers:
+        keys = [_code_key(code, mode) for code in codes[:cuts[1]]]
+        for proc, recv in workers:
             try:
                 ok, payload = recv.recv()
             except EOFError:
@@ -873,13 +863,10 @@ def _forked_keys(codes, mode, jobs, done):
             proc.join()  # it has answered and exits by itself: never kill it
             if not ok:
                 raise payload
-            for code, (_, rec, _) in zip(codes[lo:], payload):
-                if rec is not None:
-                    rec.code, rec.side = code, rec.side or code
             keys += payload
         return keys
     finally:
-        for proc, recv, _ in workers:
+        for proc, recv in workers:
             recv.close()
             if proc.exitcode is None:
                 proc.terminate()
@@ -895,13 +882,17 @@ def classify(codes, algo: str = "ceimpg", jobs: int = 1) -> ClassifyResult:
     Both keys are built from each code's side (`_side`: its dual when
     2k > n, the key then prefixed "dual:"; a cesimpg key over GF(2) built
     from the minimum-weight rows is prefixed "min:"); lifting stays on the
-    codes themselves.  `jobs`, an integer >= 1, bounds the processes that
+    codes themselves.  A cesimpg bucket that already holds a class makes
+    the `_Side` record of the code it compares, and of each representative
+    it compares against, once per code, around the form its key came from.
+    `jobs`, an integer >= 1, bounds the processes that
     key the codes: this one keys them in order until its own keying time
-    projects at least FORK_PAYS_S of CPU for the rest, and only then forks
-    up to `jobs - 1` workers for it, one contiguous share each, all reaped
-    before this returns (`_batch_keys`).  The workers are forked whatever
-    the default start method, so they see this process's module state;
-    jobs > 1 needs POSIX.  Classes are ordered by first appearance.
+    projects at least FORK_PAYS_S of CPU for the rest, and only then cuts
+    the rest into even contiguous shares, keys the first and forks up to
+    `jobs - 1` workers for the others, which send back keys and forms, all
+    reaped before this returns (`_batch_keys`).  The workers are forked
+    whatever the default start method, so they see this process's module
+    state; jobs > 1 needs POSIX.  Classes are ordered by first appearance.
     Per-item errors, from keying a code (node budget, point-table or
     incidence size) or from comparing it with a class representative (node
     budget, coset cap or incidence size), are collected in `errors` (by code
@@ -918,10 +909,12 @@ def classify(codes, algo: str = "ceimpg", jobs: int = 1) -> ClassifyResult:
         raise ValueError("classification requires a single ambient field")
     keyed = _batch_keys(codes, algo, jobs)
     errors = [(i, msg) for i, (_, _, msg) in enumerate(keyed) if msg]
+    # code i's record, built when a bucket first compares it
+    side = cache(lambda i: _Side(codes[i], keyed[i][1]))
     buckets: dict[str, list[CodeClass]] = {}
     classes: list[CodeClass] = []
     keys: list[str] = []
-    for i, (key, rec, msg) in enumerate(keyed):
+    for i, (key, form, msg) in enumerate(keyed):
         if msg:
             continue
         bucket = buckets.setdefault(key, [])
@@ -931,9 +924,10 @@ def classify(codes, algo: str = "ceimpg", jobs: int = 1) -> ClassifyResult:
                 # the ceimpg route takes its key as complete: one class per
                 # bucket; cesimpg members of a bucket share their canonical
                 # matrix, so pi0 is read off the forms the keys came from
-                rep = keyed[cls.representative][1]
-                if algo == "ceimpg" or _find_lift(rep, rec, _sigma_from_canons(
-                        rep.form, rec.form)) is not None:
+                rep = cls.representative
+                if algo == "ceimpg" or _find_lift(
+                        side(rep), side(i),
+                        _sigma_from_canons(keyed[rep][1], form)) is not None:
                     joined = cls
                     break
         except _ITEM_ERRORS as e:

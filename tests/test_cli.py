@@ -11,6 +11,7 @@ import pytest
 
 from codequiv import (GeneratorMatrix, bmcanon, emit_codes, equiv, field,
                       parse_codes, random_code, simplex_generator)
+from codequiv import cli
 from codequiv.cli import main
 from codequiv.equiv import MonomialTransform
 
@@ -191,6 +192,45 @@ def test_classify_budget_zero_exit_2(tmp_path, monkeypatch, capsys):
     assert captured.err.count("error: code") == 3
 
 
+@pytest.mark.parametrize("argv", [["autgroup", "{code}"],
+                                  ["equiv", "{pair}"]],
+                         ids=["autgroup", "equiv"])
+def test_budget_error_exit_2(tmp_path, pair_file, monkeypatch, capsys, argv):
+    # `equiv` reaches a search only on a pair that shares its weight profile
+    code = _write(tmp_path, "c.txt", [random_code(field(3), 8, 3, seed=0)])
+    monkeypatch.setattr(bmcanon, "NODE_BUDGET", 0)
+    assert main([a.format(code=code, pair=pair_file) for a in argv]) == 2
+    assert capsys.readouterr().err == (
+        "error: BudgetExceededError: canonical-form search exceeded 0 nodes\n")
+
+
+def test_comment_only_file_exit_2(tmp_path, capsys):
+    p = tmp_path / "empty.txt"
+    p.write_text("# no code here\n\n")
+    assert main(["classify", str(p)]) == 2
+    assert capsys.readouterr().err == f"error: {p}: no codes found\n"
+
+
+def test_bench_route_errors_exit_2(monkeypatch, capsys):
+    monkeypatch.setattr(bmcanon, "NODE_BUDGET", 0)
+    assert main(["bench", "-k", "3", "-n", "8", "--count", "4"]) == 2
+    assert capsys.readouterr().err == (
+        "error: cesimpg: 4 codes failed, the first with BudgetExceededError: "
+        "canonical-form search exceeded 0 nodes\n")
+
+
+def test_bench_disagreeing_class_counts_exit_2(monkeypatch, capsys):
+    def classify(codes, algo, jobs):
+        classes = [equiv.CodeClass(i, [i], "")
+                   for i in range(2 if algo == "ceimpg" else 1)]
+        return equiv.ClassifyResult(algo, len(codes), classes, [], 0.0, "")
+
+    monkeypatch.setattr(cli, "classify", classify)
+    assert main(["bench", "-k", "3", "-n", "8", "--count", "4"]) == 2
+    assert capsys.readouterr().err == (
+        "error: class counts disagree: cesimpg 1 vs ceimpg 2\n")
+
+
 def test_autgroup_simplex(tmp_path, capsys):
     simplex = GeneratorMatrix(2, simplex_generator(3, 2).rows)
     path = _write(tmp_path, "s.txt", [simplex])
@@ -313,9 +353,9 @@ def test_classify_batch_same_answer_at_every_jobs_and_route(
     forked = []
     real = equiv._forked_keys
 
-    def spy(codes, mode, procs, done):
+    def spy(codes, mode, procs):
         forked.append(procs)
-        return real(codes, mode, procs, done)
+        return real(codes, mode, procs)
 
     monkeypatch.setattr(equiv, "_forked_keys", spy)
     members = {}

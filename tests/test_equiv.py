@@ -22,8 +22,9 @@ from codequiv import (GFMatrix, GeneratorMatrix, build_ceimpg_matrix,
                       monomial_from_sigma, point_table, random_code, rank,
                       rref, serialize, simplex_generator, theta,
                       verify_witness)
-from codequiv import bmcanon, equiv, nullspace_basis, projgeom
-from codequiv.bmcanon import ColoredBinaryMatrix, _sigma_from_canons
+from codequiv import bmcanon, equiv, lincode, nullspace_basis, projgeom
+from codequiv.bmcanon import (CanonResult, ColoredBinaryMatrix,
+                              _sigma_from_canons)
 from codequiv.equiv import COSET_CAP, MonomialTransform
 from codequiv.lincode import _locate
 from codequiv.projgeom import codeword_weights
@@ -101,6 +102,23 @@ def test_transform_refuses_non_integers_and_verify_witness_says_false():
     assert v.equivalent and verify_witness(c, c, v.witness)
     v.witness.rho = 0.5
     assert not verify_witness(c, c, v.witness)
+
+
+def test_verify_witness_refuses_a_singular_or_misshapen_q():
+    c1, c2 = _transformed_pair(field(5), 7, 3, seed=1, allow_rho=False)
+    w = cesimpg_equiv(c1, c2).witness
+    assert verify_witness(c1, c2, w)
+    rows = [list(row) for row in w.q_matrix.rows]
+    rows[2] = rows[0]
+    for q in (GFMatrix(field(5), rows), GFMatrix(field(5), [[1, 0], [0, 1]])):
+        w.q_matrix = q
+        assert not verify_witness(c1, c2, w)
+
+
+def test_decide_equivalence_unknown_algorithm():
+    c = random_code(field(3), 6, 3, seed=0)
+    with pytest.raises(ValueError, match="unknown algorithm 'nope'"):
+        decide_equivalence(c, c, "nope")
 
 
 # ---------------------------------------------------------------------------
@@ -1351,14 +1369,15 @@ def test_classify_short_batch_starts_no_worker(started):
 
 @pytest.mark.parametrize("burn, keyed_here", [
     # each code burns 10 ms of CPU: after the first, this process has its
-    # sample (FORK_PAYS_S / 8) and projects 110 ms for the other 11; the
-    # shares are those of the whole batch, 4 codes each, so this process
-    # keys codes 0 to 3, the workers 4 to 7 and 8 to 11
+    # sample (FORK_PAYS_S / 8) and projects 110 ms for the other 11, which
+    # are cut at 11 * i // 3 into shares of 3, 4 and 4: this process keys
+    # codes 1 to 3, the workers 4 to 7 and 8 to 11
     (lambda i: 0.01, 4),
-    # codes 0 to 4 key at once and code 5 burns 60 ms: the projection
-    # reaches FORK_PAYS_S only after 6 codes, past the first share, so this
-    # process keys nothing more and the workers key 6 to 9 and 10 to 11
-    (lambda i: 0.06 if i == 5 else 0, 6),
+    # codes 0 to 2 key at once and code 3 burns 60 ms: the projection
+    # reaches FORK_PAYS_S only after 4 codes, and the 8 left are cut into
+    # shares of 2, 3 and 3: this process keys codes 4 and 5, the workers 6
+    # to 8 and 9 to 11
+    (lambda i: 0.06 if i == 3 else 0, 6),
 ])
 def test_classify_forks_for_the_rest_once_keying_pays(monkeypatch, started,
                                                        burn, keyed_here):
@@ -1945,9 +1964,11 @@ def _counting(monkeypatch, *names, module=equiv):
 def test_side_structures_built_once_per_code(monkeypatch):
     """One cesimpg_equiv decision past a coset cap of 1, on a GF(8) pair
     that shares its shortened key and takes the incidence search, finds
-    each code's side once, and for each side walks its columns, gathers its
-    incidence columns, wraps them in its shortened matrix and builds its
-    characteristic vector once, with no call of `build_shortened`; it runs
+    each code's side once, and for each side walks its columns once,
+    gathers its incidence columns, wraps them in its shortened matrix and
+    recolors the incidence by its multiplicities (`build_ceimpg_matrix`,
+    scattered from the same walk) once, with no call of `build_shortened`
+    or `characteristic_vector`; it runs
     no dot kernel per side: the columns are sliced out of the geometry's
     incidence, whose kernel runs at most once, as it is cached, and the
     codeword weights are read off them.  Its one canonical form is the
@@ -1957,7 +1978,8 @@ def test_side_structures_built_once_per_code(monkeypatch):
     monkeypatch.setattr(equiv, "COSET_CAP", 1)
     calls = _counting(monkeypatch, "_side", "_locate",
                       "incidence_columns", "build_shortened",
-                      "characteristic_vector", "canonical_form", "rref")
+                      "build_ceimpg_matrix", "canonical_form", "rref")
+    chi = _counting(monkeypatch, "characteristic_vector", module=lincode)
     kernel = _counting(monkeypatch, "nonzero_dot_bits", "_nonzero_dot_blocks",
                        module=projgeom)
     wrapped, from_bits = [], ColoredBinaryMatrix.from_bits.__func__
@@ -1969,8 +1991,11 @@ def test_side_structures_built_once_per_code(monkeypatch):
     c1, c2 = (random_code(spec, 8, 3, seed=s) for s in (a, b))
     assert not cesimpg_equiv(c1, c2).equivalent
     sides = [id(c1), id(c2)]
-    for name in ("_side", "_locate", "characteristic_vector"):
+    assert chi["characteristic_vector"] == []
+    for name in ("_side", "_locate"):
         assert list(map(id, calls[name])) == sides
+    assert [m.counts for m in calls["build_ceimpg_matrix"]] == [
+        characteristic_vector(c).counts for c in (c1, c2)]
     assert len(calls["incidence_columns"]) == 2
     assert calls["build_shortened"] == []
     assert [bits.shape for bits in wrapped] == [(73, 8)] * 2
@@ -1995,26 +2020,22 @@ def test_side_structures_built_once_per_code(monkeypatch):
         assert len(calls["incidence_columns"]) == 2
 
 
-def test_forked_keys_pipe_back_records_without_code_or_matrices(forks):
-    """A `--jobs` worker pipes back each code's record without the code,
-    which this process puts back, and without the incidence columns, the
-    shortened matrix, weights and minimum-weight rows.  The [8,6]_2 code
-    keeps its dual side; each record gives the key this process gives, and
-    still lifts."""
+def test_forked_keys_pipe_back_keys_and_forms(forks):
+    """A `--jobs` worker pipes back each code's (key, form, error), as this
+    process keys it: the form its cesimpg key was rendered from, and no
+    record.  The [8,6]_2 code is keyed on its dual.  A record made here
+    around a piped form still lifts."""
     c1, c2 = _transformed_pair(field(2), 8, 4, seed=7, allow_rho=False)
     codes = [c2, random_code(field(2), 8, 6, seed=0), c1]
-    keyed = equiv._forked_keys(codes, "cesimpg", 3, 0)
+    keyed = equiv._forked_keys(codes, "cesimpg", 3)
     assert len(forks) == 2
-    for code, (key, rec, error), mine in zip(codes, keyed,
-                                             map(equiv._Side, codes)):
-        assert error is None and rec.code is code
-        assert (rec.side is code) == (mine.side is code)
-        assert rec.side == mine.side and rec.form.matrix == mine.form.matrix
-        assert key == equiv._code_key(code, "cesimpg")[0]
+    for code, (key, form, error) in zip(codes, keyed):
+        mine = equiv._code_key(code, "cesimpg")
+        assert error is None and isinstance(form, CanonResult)
+        assert (key, form) == mine[:2]
     assert [key[:4] for key, _, _ in keyed] == ["min:", "dual", "min:"]
-    assert all(not {"columns", "matrix", "weights", "rows"} & set(vars(rec))
-               for _, rec, _ in keyed[1:])
-    rep, rec = keyed[2][1], keyed[0][1]
+    rep, rec = (equiv._Side(codes[i], keyed[i][1]) for i in (2, 0))
+    assert rep.form is keyed[2][1]
     pi0 = _sigma_from_canons(rep.form, rec.form)
     assert equiv._find_lift(rep, rec, pi0) is not None
 

@@ -11,6 +11,13 @@ from codequiv import (GFMatrix, field, inverse, mat_mul, nullspace_basis, rank,
 from conftest import reference_mat_mul, reference_rref
 
 
+def test_mismatched_operands_refused():
+    with pytest.raises(ValueError, match="field mismatch"):
+        mat_mul(GFMatrix(field(3), [[1]]), GFMatrix(field(5), [[1]]))
+    with pytest.raises(ValueError, match="inverse of a non-square matrix"):
+        inverse(GFMatrix(field(3), [[1, 2]]))
+
+
 def _random_matrix(spec, rows, cols, rng):
     return GFMatrix(spec, [[rng.randrange(spec.q) for _ in range(cols)]
                            for _ in range(rows)])

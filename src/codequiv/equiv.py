@@ -243,12 +243,12 @@ def build_shortened(code: GeneratorMatrix) -> ColoredBinaryMatrix:
                                          [len(coords) for coords in points])
 
 
-def _spans_binary(points, k: int) -> bool:
-    """Whether the GF(2) vectors `points` span GF(2)^k, read in order up to
-    the k-th pivot of an XOR basis."""
+def _spans_binary(vectors, k: int) -> bool:
+    """Whether the GF(2) vectors `vectors`, each an int whose bits are its
+    coordinates (the first the most significant), span GF(2)^k, read in
+    order up to the k-th pivot of an XOR basis."""
     basis: dict[int, int] = {}  # pivot bit -> basis vector
-    for point in points:
-        v = int("".join(map(str, point)), 2)
+    for v in vectors:
         while v and v.bit_length() in basis:
             v ^= basis[v.bit_length()]
         if v:
@@ -337,11 +337,11 @@ class _Side:
             return None
         k, low = self.side.k, min(self.weights)
         rows = [i for i, w in enumerate(self.weights) if w == low]
-        points = point_table(k, 2).points
-        # whether they span does not depend on the order: the table lists
+        # over GF(2) the point at table position i is i + 1 in binary.
+        # Whether they span does not depend on the order: the table lists
         # the points with a nonzero first coordinate last, so a scan from
         # the end meets a spanning set sooner
-        if not _spans_binary((points[i] for i in reversed(rows)), k):
+        if not _spans_binary((i + 1 for i in reversed(rows)), k):
             return None
         return ColoredBinaryMatrix.from_bits(self.columns[rows], self.mults)
 

@@ -11,11 +11,13 @@ the k x n rows.  The public constructor range-checks its rows first
 (`GFMatrix`); `codefile.parse_codes`, which has checked them, skips that.
 
 A code's point multiset is found in one place: `_locate` walks its
-normalized columns once and gives each distinct point's coordinates and
-point-table position.  `characteristic_vector` counts from it, as do the
-shortened matrices of `equiv`.  A `CharacteristicVector` checks its counts
-on construction, so `min_distance_hyperplane` and `code_from_chi` read only
-multiplicity vectors.
+normalized columns once, groups them by point, and ranks each distinct
+point from its coordinates (`projgeom._ranks`: arithmetic, no lookup
+table), giving the coordinates of the code it occupies and its point-table
+position.  `characteristic_vector` counts from it, as do the shortened
+matrices of `equiv`.  A `CharacteristicVector` checks its counts on
+construction, so `min_distance_hyperplane` and `code_from_chi` read only
+multiplicity vectors, and the point table's `coords` array.
 """
 
 from __future__ import annotations
@@ -25,7 +27,7 @@ from dataclasses import dataclass
 
 from .gfield import FieldSpec, as_ints, field
 from .gfmatrix import GFMatrix
-from .projgeom import (codeword_weights, nonzero_dot_bits, point_at,
+from .projgeom import (_ranks, codeword_weights, nonzero_dot_bits, point_at,
                        point_table, theta)
 
 
@@ -138,13 +140,14 @@ class CharacteristicVector:
 def _locate(code: GeneratorMatrix) -> tuple[list[tuple[int, ...]], list[int]]:
     """Each distinct point (normalized column) of `code`, in order of first
     appearance: its coordinates in index order, and its 0-based position in
-    the point table of PG(k-1, q), from one walk over the columns."""
-    index = point_table(code.k, code.q, code.spec.modulus)._index
+    the point table of PG(k-1, q), ranked from the column's entries
+    (`projgeom._ranks`), from one walk over the columns."""
+    point_table(code.k, code.q, code.spec.modulus)  # refuses one too large
     by_point: dict = {}
     for j, col in enumerate(zip(*code.mat.rows)):
         by_point.setdefault(col, []).append(j)
     return ([tuple(coords) for coords in by_point.values()],
-            [index[col] for col in by_point])
+            _ranks(by_point, code.k, code.q))
 
 
 def characteristic_vector(code: GeneratorMatrix) -> CharacteristicVector:
@@ -164,11 +167,10 @@ def code_from_chi(spec_or_q, k: int, counts, modulus: int | None = None) -> Gene
     spec = spec_or_q if isinstance(spec_or_q, FieldSpec) else field(spec_or_q, modulus)
     table = point_table(k, spec.q, spec.modulus)
     chi = CharacteristicVector(spec, k, tuple(counts))
-    cols = [point for point, c in zip(table.points, chi.counts)
-            for _ in range(c)]
-    if not cols:
+    if not chi.n:
         raise ValueError("empty support")
-    return GeneratorMatrix.from_columns(spec, cols)
+    return GeneratorMatrix._checked(
+        spec, table.coords.repeat(chi.counts, axis=1).tolist())
 
 
 def min_distance_hyperplane(chi: CharacteristicVector) -> int:
@@ -182,7 +184,7 @@ def min_distance_hyperplane(chi: CharacteristicVector) -> int:
     """
     table = point_table(chi.k, chi.spec.q, chi.spec.modulus)
     support = [j for j, c in enumerate(chi.counts) if c]
-    bits = nonzero_dot_bits(table, [table.points[j] for j in support])
+    bits = nonzero_dot_bits(table, table.coords[:, support].T)
     return min(codeword_weights(bits, [chi.counts[j] for j in support]))
 
 

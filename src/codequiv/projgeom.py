@@ -2,7 +2,13 @@
 
 Points are the normalized nonzero vectors of GF(q)^k (first nonzero
 coordinate 1), listed in lexicographic coordinate order; the table index of a
-point is 1-based in every public interface.  Hyperplanes are indexed by the
+point is 1-based in every public interface.  A table holds only its k x
+theta array `coords`, one byte per coordinate (two past q = 256), filled by
+one vectorized unranking of that order; `points` builds tuples from it when
+read.  A point's position is computed, not looked up: the theta(t-1, q)
+points with fewer than t coordinates after their leading 1 come first, then
+the q^t points with t in base-q order of those coordinates (`_ranks`, and
+`point_at` the other way).  Hyperplanes are indexed by the
 same table: hyperplane u is {x : u . x = 0}, and the incidence matrix records
 the complement (the nonzero inner products), which is what the equivalence
 algorithms consume.  One kernel computes them (_nonzero_dot_blocks):
@@ -20,15 +26,14 @@ the table.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field as dc_field
-from functools import cache, cached_property
-from itertools import product
+from dataclasses import dataclass
+from functools import cache
 
 import numpy as np
 
 from .bmcanon import ColoredBinaryMatrix, _pack_rows
 from .errors import ResourceLimitError
-from .gfield import FieldSpec, field
+from .gfield import FieldSpec, as_ints, field
 from .gfmatrix import GFMatrix
 
 MAX_POINTS = 2_000_000
@@ -45,38 +50,77 @@ def theta(r: int, q: int) -> int:
     return (q ** (r + 1) - 1) // (q - 1)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class PointTable:
-    """All points of PG(k-1, q) in lexicographic order, with reverse lookup."""
+    """All points of PG(k-1, q) in lexicographic order, as one k x theta
+    array `coords`: column i is the point at position i."""
     spec: FieldSpec
     k: int
-    points: tuple[tuple[int, ...], ...]
-    _index: dict = dc_field(repr=False, hash=False, compare=False, default_factory=dict)
+    coords: np.ndarray
 
     def __len__(self) -> int:
-        return len(self.points)
+        return self.coords.shape[1]
+
+    def __repr__(self) -> str:
+        return f"PointTable(PG({self.k - 1},{self.spec.q}), {len(self)} points)"
+
+    @property
+    def points(self) -> tuple[tuple[int, ...], ...]:
+        """Every point as a tuple, built from `coords` on each read: for
+        the CLI and tests, not for any library path."""
+        return tuple(map(tuple, self.coords.T.tolist()))
 
     def index_of(self, point) -> int:
         """1-based table index of a normalized point."""
-        try:
-            return self._index[tuple(point)] + 1
-        except KeyError:
-            raise ValueError(f"{tuple(point)} is not a normalized point") from None
+        return self.position_of(point) + 1
 
     def position_of(self, point) -> int:
-        """0-based position, for internal array indexing."""
-        return self.index_of(point) - 1
-
-    @cached_property
-    def coords(self) -> np.ndarray:
-        """The points as a contiguous k x len(self) array: row i holds every
-        point's coordinate i."""
-        dtype = np.uint8 if self.spec.q <= 256 else np.uint16
-        return np.ascontiguousarray(np.array(self.points, dtype=dtype).T)
+        """0-based position, for internal array indexing.  Raises
+        ValueError unless `point` has k entries in range(q) whose first
+        nonzero one is 1."""
+        coords = as_ints(point)
+        if (len(coords) != self.k
+                or not all(0 <= x < self.spec.q for x in coords)
+                or next(filter(None, coords), 0) != 1):
+            raise ValueError(f"{tuple(coords)} is not a normalized point")
+        return _ranks([coords], self.k, self.spec.q)[0]
 
 
 _TABLE_CACHE: dict[tuple[int, int, int], PointTable] = {}
 _INCIDENCE_CACHE: dict[tuple[int, int, int], ColoredBinaryMatrix] = {}
+
+
+@cache
+def _rank_offsets(k: int, q: int) -> tuple[int, ...]:
+    """Per coordinate lead, theta(t-1, q) - q^t with t = k-1-lead: what
+    turns the base-q value of a point with its leading 1 at `lead` into its
+    position (`_ranks`)."""
+    return tuple(theta(k - 2 - lead, q) - q ** (k - 1 - lead)
+                 for lead in range(k))
+
+
+def _ranks(points, k: int, q: int) -> list[int]:
+    """The table positions of normalized `points` of length k: the
+    theta(t-1, q) = (q^t - 1)/(q - 1) points with fewer than t coordinates
+    after their leading 1 come first, then the q^t points with t, in the
+    base-q order of those t coordinates (the tail).  A point read in base q
+    is q^t plus its tail's value."""
+    offsets, ranks = _rank_offsets(k, q), []
+    for point in points:
+        value = 0
+        for x in point:
+            value = value * q + x
+        ranks.append(value + offsets[point.index(1)])
+    return ranks
+
+
+def _tail_digits(ranks, t: int, q: int):
+    """The t base-q digits of `ranks`, an int or an int array (consumed in
+    place), the last first: the coordinates after the leading 1 of the
+    points whose tails have those base-q ranks, read from the end."""
+    for _ in range(t):
+        yield ranks % q
+        ranks //= q
 
 
 def point_table(k: int, q: int, modulus: int | None = None) -> PointTable:
@@ -91,35 +135,36 @@ def point_table(k: int, q: int, modulus: int | None = None) -> PointTable:
     if count > MAX_POINTS:
         raise ResourceLimitError(
             f"PG({k - 1},{q}) has {count} points, over the {MAX_POINTS} limit")
-    # lexicographic order: the later the leading 1, the earlier the point
-    pts = [(0,) * lead + (1,) + tail
-           for lead in range(k - 1, -1, -1)
-           for tail in product(range(q), repeat=k - 1 - lead)]
-    table = PointTable(spec, k, tuple(pts), {p: i for i, p in enumerate(pts)})
+    # lexicographic order: the later the leading 1, the earlier the point;
+    # the q^t points with t coordinates after it start at theta(t-1, q)
+    coords = np.zeros((k, count), np.uint8 if q <= 256 else np.uint16)
+    for t in range(k):
+        block = coords[:, theta(t - 1, q):theta(t, q)]
+        block[k - 1 - t] = 1
+        ranks = np.arange(q ** t, dtype=_uint_for(count))
+        for c, digits in enumerate(_tail_digits(ranks, t, q)):
+            block[k - 1 - c] = digits
+    coords.flags.writeable = False
+    table = PointTable(spec, k, coords)
     _TABLE_CACHE[key] = table
     return table
 
 
 def point_at(k: int, q: int, position: int) -> tuple[int, ...]:
     """The point at 0-based `position` of point_table(k, q), without
-    building the table: its lexicographic order lists the theta(t-1, q)
-    points with fewer than t coordinates after their leading 1 before the
-    q^t points with t, whose tails run through base q in order."""
-    t, first = 0, 0
-    while first + q ** t <= position:
-        first += q ** t
+    building the table: the point whose t-coordinate tail has base-q rank
+    position - theta(t-1, q), for the t whose block holds `position`."""
+    t = 0
+    while theta(t, q) <= position:
         t += 1
-    tail, digits = position - first, []
-    for _ in range(t):
-        tail, digit = divmod(tail, q)
-        digits.append(digit)
+    digits = list(_tail_digits(position - theta(t - 1, q), t, q))
     return (0,) * (k - 1 - t) + (1,) + tuple(reversed(digits))
 
 
 def simplex_generator(k: int, q: int, modulus: int | None = None) -> GFMatrix:
     """k x theta(k-1,q) matrix whose columns are all points, in table order."""
     table = point_table(k, q, modulus)
-    return GFMatrix.from_columns(table.spec, [list(p) for p in table.points])
+    return GFMatrix._wrap(table.spec, table.coords.tolist())
 
 
 # Cells (points x vectors) of one accumulator block of the mask kernel:
@@ -189,10 +234,11 @@ def _dot_kernel(spec: FieldSpec, k: int):
             lambda a, b: prod[a + b], add, nonzero)
 
 
-def _nonzero_dot_blocks(table: PointTable, vectors):
+def _nonzero_dot_blocks(table: PointTable, vectors: np.ndarray):
     """Yields, for consecutive blocks of the points u of `table`, an array
-    of points x `vectors` that is nonzero exactly where u . v != 0; over
-    GF(2^m), m > 1, it holds the sums' packed digits, not 0/1.
+    of points x vectors that is nonzero exactly where u . v != 0, for the
+    columns v of the k x m integer array `vectors`; over GF(2^m), m > 1, it
+    holds the sums' packed digits, not 0/1.
 
     One NumPy kernel serves every field: points are taken in blocks sized
     so the points x vectors accumulator has about _BLOCK_CELLS cells, and
@@ -201,7 +247,7 @@ def _nonzero_dot_blocks(table: PointTable, vectors):
     code, product, add, nonzero = _dot_kernel(table.spec, table.k)
     # one contiguous row per coordinate, for points and vectors alike
     pts = code[table.coords]
-    vecs = np.ascontiguousarray(code[np.array(vectors, dtype=np.intp)].T)
+    vecs = np.ascontiguousarray(code[vectors])
     n_vecs = vecs.shape[1]
     rows = max(1, _BLOCK_CELLS // n_vecs)
     for lo in range(0, pts.shape[1], rows):
@@ -214,11 +260,13 @@ def _nonzero_dot_blocks(table: PointTable, vectors):
 
 def nonzero_dot_bits(table: PointTable, vectors) -> np.ndarray:
     """A len(table) x len(vectors) uint8 array of 0/1: entry (i, j) is 1
-    iff point i of `table` has u . vectors[j] != 0."""
-    if not vectors:
+    iff point i of `table` has u . vectors[j] != 0.  `vectors` is a
+    sequence of length-k vectors or an m x k integer array."""
+    if len(vectors) == 0:
         return np.zeros((len(table), 0), np.uint8)
-    return np.concatenate(list(_nonzero_dot_blocks(table, vectors)),
-                          dtype=bool, casting="unsafe").view(np.uint8)
+    return np.concatenate(
+        list(_nonzero_dot_blocks(table, np.asarray(vectors).T)),
+        dtype=bool, casting="unsafe").view(np.uint8)
 
 
 def codeword_weights(bits: np.ndarray, colors) -> list[int]:
@@ -253,7 +301,7 @@ def incidence(k: int, q: int,
     if cached is not None:
         return cached
     masks = []
-    for block in _nonzero_dot_blocks(table, table.points):
+    for block in _nonzero_dot_blocks(table, table.coords):
         masks += _pack_rows(block)
     result = ColoredBinaryMatrix.from_masks(masks, len(table))
     result._symmetric = True
@@ -262,7 +310,7 @@ def incidence(k: int, q: int,
 
 
 def incidence_columns(table: PointTable, positions) -> np.ndarray:
-    """nonzero_dot_bits(table, [table.points[j] for j in positions]): the
+    """nonzero_dot_bits(table, table.coords[:, positions].T): the
     columns at the 0-based `positions` of the incidence of `table`'s
     geometry.  When that whole incidence fits in one kernel block and under
     the incidence bound, theta^2 <= min(_BLOCK_CELLS, MAX_INCIDENCE_CELLS)
@@ -271,6 +319,6 @@ def incidence_columns(table: PointTable, positions) -> np.ndarray:
     the kernel on those points alone, so the bound raises nothing here."""
     n = len(table)
     if n * n > min(_BLOCK_CELLS, MAX_INCIDENCE_CELLS):
-        return nonzero_dot_bits(table, [table.points[j] for j in positions])
+        return nonzero_dot_bits(table, table.coords[:, positions].T)
     spec = table.spec
     return incidence(table.k, spec.q, spec.modulus).bits.take(positions, 1)

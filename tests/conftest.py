@@ -5,7 +5,7 @@ Everything here works over prime fields with plain integer arithmetic mod q
 the exceptions cover extension fields too: `reference_monomial_from_sigma`
 borrows the library's field tables and `nullspace_basis`,
 `reference_generator_rows` its `GFMatrix`, `normalize_vector` and `rank`,
-`reference_locate` its point table, and the per-entry references
+`reference_locate` its point table's `points`, and the per-entry references
 (`reference_mat_mul`, `reference_rref`, `systematic_code`,
 `reference_min_weight`) call FieldSpec's scalar methods once per entry,
 never its row kernels `scale` and `add_scaled`.
@@ -173,14 +173,16 @@ def systematic_code(code):
 
 
 def reference_locate(code):
-    """(points, positions) of `code`, one `PointTable.position_of` per
-    column: each distinct point's coordinates in index order, the points in
-    order of first appearance, and each point's 0-based table position."""
+    """(points, positions) of `code`, each column looked up in a dict of the
+    point table's `points` (the table's unranking, not the library's
+    ranking): each distinct point's coordinates in index order, the points
+    in order of first appearance, and each point's 0-based table position."""
     from codequiv import point_table
     table = point_table(code.k, code.q, code.spec.modulus)
+    index = {point: i for i, point in enumerate(table.points)}
     by_position: dict = {}
     for j, col in enumerate(code.columns()):
-        by_position.setdefault(table.position_of(col), []).append(j)
+        by_position.setdefault(index[tuple(col)], []).append(j)
     return [tuple(c) for c in by_position.values()], list(by_position)
 
 

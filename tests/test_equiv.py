@@ -167,6 +167,7 @@ def test_shortened_matrix_has_one_column_per_point():
         for seed in range(6):
             side = equiv._side(random_code(spec, n, k, seed=seed))
             table = point_table(side.k, q)
+            table_points = table.points
             counts = characteristic_vector(side).counts
             cols = side.columns()
             points = _locate(side)[0]
@@ -187,17 +188,40 @@ def test_shortened_matrix_has_one_column_per_point():
                     table.position_of(cols[coords[0]])]
                 point = cols[coords[0]]
                 assert columns[p] == tuple(_dot_nonzero(spec, u, point)
-                                           for u in table.points)
+                                           for u in table_points)
             if len(points) < n:
                 sides.add("code" if side.k == k else "dual")
     assert sides == {"code", "dual"}
 
 
+def test_library_paths_build_no_point_tuples(monkeypatch):
+    """Locating the points of a [20,10]_3 code (PG(9,3), 29,524 points),
+    its characteristic vector, shortened matrix, weights, distance and the
+    code back from its multiplicities, and the span gate of the binary
+    Golay code's minimum-weight rows, read the point tables' `coords` and
+    rank points arithmetically: none reads `PointTable.points`."""
+    reads = []
+    monkeypatch.setattr(projgeom.PointTable, "points", property(
+        lambda table: reads.append(table)))
+    code = random_code(field(3), 20, 10, seed=0)
+    rec = equiv._Side(code)
+    assert rec.side is code
+    assert (rec.points, rec.positions) == _locate(code)
+    chi = characteristic_vector(code)
+    assert [chi.counts[p] for p in rec.positions] == rec.mults
+    assert rec.matrix.n_cols == len(rec.points) and min(rec.weights) > 0
+    assert lincode.min_distance_hyperplane(chi) == min(rec.weights)
+    assert characteristic_vector(lincode.code_from_chi(
+        field(3), 10, chi.counts)) == chi
+    assert equiv._Side(_binary_golay(24)).rows is not None
+    assert reads == []
+
+
 @pytest.mark.parametrize("q", [2, 3, 4, 5, 7, 8, 9, 16, 25, 27])
 def test_one_walk_and_one_weight_function_match_references(q):
     """A side's `points` and `positions` (`lincode._locate`), its
-    characteristic vector and its shortened matrix match one
-    `PointTable.position_of` per column (conftest's `reference_locate`),
+    characteristic vector and its shortened matrix match a lookup of each
+    column in a dict of the table's points (conftest's `reference_locate`),
     and its weights, `projgeom.codeword_weights` of its bits, match the
     popcounted weights of its row masks (`reference_codeword_weights`): on
     [8,3] codes with repeated points, whose side is the code, and on their
@@ -230,8 +254,9 @@ def test_one_walk_and_one_weight_function_match_references(q):
             assert characteristic_vector(side).counts == tuple(counts)
             table = point_table(side.k, q)
             m = build_shortened(side)
+            table_points = table.points
             assert np.array_equal(m.bits, projgeom.nonzero_dot_bits(
-                table, [table.points[p] for p in positions]))
+                table, [table_points[p] for p in positions]))
             assert m.col_colors == tuple(map(len, points))
             assert rec.weights == codeword_weights(m.bits, m.col_colors) \
                 == reference_codeword_weights(m.row_masks, m.col_colors)

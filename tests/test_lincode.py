@@ -181,7 +181,7 @@ def _with_repeats(spec, code, extra, rng):
 @pytest.mark.parametrize("q", [2, 3, 4, 5, 7, 8, 9, 16, 25, 27])
 def test_chi_and_min_distance_match_references(q):
     """On codes with repeated points, k = 2 and 3: the characteristic
-    vector counts each column at its `PointTable.position_of` position
+    vector counts each column at its position in the table's points
     (conftest's `reference_locate`), and min_distance_hyperplane equals the
     least weight of a scan of all codewords."""
     spec = field(q)

@@ -1,6 +1,7 @@
 """Projective point tables and hyperplane support structures."""
 
 import random
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -60,6 +61,61 @@ def test_point_table_indexing():
         t.index_of((0, 0, 0))
     with pytest.raises(ValueError):
         t.index_of((0, 0, 2))  # not normalized, so not a table entry
+
+
+# (k, q, modulus): k = 1, prime and composite fields, and q > 256, whose
+# coordinates are uint16
+ONE_ORDER_FIELDS = [(1, 2, None), (1, 7, None), (3, 2, None), (4, 3, None),
+                    (3, 4, None), (2, 9, None), (3, 9, None), (2, 257, None),
+                    (2, 512, 515)]
+
+
+@pytest.mark.parametrize("k,q,modulus", ONE_ORDER_FIELDS)
+def test_one_point_order(k, q, modulus):
+    """The table's unranking (`coords`, `points`), `point_at` and the
+    ranking of `index_of`/`position_of` list the points in one order."""
+    table = point_table(k, q, modulus)
+    assert table.coords.shape == (k, theta(k - 1, q))
+    assert table.coords.dtype == (np.uint8 if q <= 256 else np.uint16)
+    assert not table.coords.flags.writeable
+    points = table.points
+    assert list(points) == sorted(points)
+    for i, point in enumerate(points):
+        assert point == point_at(k, q, i)
+        assert table.position_of(point) == i
+        assert table.index_of(point) == i + 1
+        assert point == tuple(table.coords[:, i].tolist())
+
+
+def test_index_of_refuses_points_that_are_not_normalized():
+    table = point_table(3, 5)
+    for bad in [(0, 0, 0), (0, 2, 1), (3, 0, 0), (1, 5, 0), (1, -1, 0),
+                (1, 0), (0, 0, 0, 1), (1, 0, 0.0), (1.0, 0, 0)]:
+        with pytest.raises(ValueError):
+            table.index_of(bad)
+    point = (np.int64(1), np.uint8(4), np.int32(2))
+    assert table.index_of(point) == table.index_of((1, 4, 2)) == 29
+    assert table.position_of(np.array([0, 1, 3])) == 4
+
+
+def test_point_table_holds_only_its_coordinates(monkeypatch):
+    """PG(9,3): 29,524 points in one 10 x 29,524 uint8 array, about 0.3
+    MB (a tuple and a dict entry per point took 5.6 MB)."""
+    field(3)
+    monkeypatch.setattr(projgeom, "_TABLE_CACHE", {})
+    tracemalloc.start()
+    try:
+        table = point_table(10, 3)
+        held = tracemalloc.get_traced_memory()[0]
+    finally:
+        tracemalloc.stop()
+    assert len(table) == 29_524
+    assert held < 1_000_000
+
+
+def test_point_table_repr_is_short():
+    assert repr(point_table(6, 3)) == "PointTable(PG(5,3), 364 points)"
+    assert repr(point_table(2, 512, 515)) == "PointTable(PG(1,512), 513 points)"
 
 
 def test_exports_resolve_and_incidence_is_an_uncolored_matrix():
@@ -199,6 +255,21 @@ def test_nonzero_dot_masks_of_no_vectors(k, q):
     assert _dot_masks(table, []) == [0] * len(table)
 
 
+@pytest.mark.parametrize("k,q", [(3, 2), (3, 3), (3, 4), (2, 9)])
+def test_nonzero_dot_bits_of_an_array(k, q):
+    """An m x k NumPy array of vectors gives the bits its rows give as
+    tuples, and an empty (0, k) array no columns."""
+    table = point_table(k, q)
+    rng = random.Random(k * q)
+    vectors = [tuple(rng.randrange(q) for _ in range(k)) for _ in range(5)]
+    want = nonzero_dot_bits(table, vectors)
+    for dtype in (np.int64, np.uint8):
+        got = nonzero_dot_bits(table, np.array(vectors, dtype=dtype))
+        assert got.dtype == want.dtype and np.array_equal(got, want)
+    empty = nonzero_dot_bits(table, np.zeros((0, k), np.int64))
+    assert empty.shape == (len(table), 0) and empty.dtype == np.uint8
+
+
 @pytest.mark.parametrize("cols", [0, 1, 8, 64, 65, 130])
 def test_codeword_weights_match_the_mask_popcounts(cols):
     """codeword_weights, one einsum over a 0/1 array, equals the popcounted
@@ -237,10 +308,11 @@ def test_incidence_columns_slice_within_one_block(monkeypatch):
     for k, q, bound, sliced in cases:
         monkeypatch.setattr(projgeom, "MAX_INCIDENCE_CELLS", bound)
         table = point_table(k, q)
+        points = table.points
         positions = random.Random(k * q).sample(range(len(table)), 30)
         for chosen in (positions, []):
             built.clear()
             got = incidence_columns(table, chosen)
-            want = nonzero_dot_bits(table, [table.points[j] for j in chosen])
+            want = nonzero_dot_bits(table, [points[j] for j in chosen])
             assert got.dtype == want.dtype and np.array_equal(got, want)
             assert built == ([(k, q)] if sliced else [])

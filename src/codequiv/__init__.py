@@ -10,15 +10,15 @@ recovered by lifting coordinate permutations along the support graph of the
 second code's reduced row echelon form.
 """
 
+from .batch import ClassifyResult, CodeClass, classify
 from .bmcanon import (CanonResult, ColoredBinaryMatrix, canonical_form,
                       is_automorphism, is_isomorphic, permute_columns,
                       serialize)
 from .codefile import CodeFileError, emit_codes, parse_codes
-from .equiv import (AutomorphismReport, ClassifyResult, CodeClass,
-                    EquivalenceWitness, MonomialTransform, Verdict,
-                    build_ceimpg_matrix, build_shortened, ceimpg_equiv,
-                    cesimpg_equiv, classify, code_aut_group,
-                    decide_equivalence, monomial_from_sigma, verify_witness)
+from .equiv import (AutomorphismReport, EquivalenceWitness, MonomialTransform,
+                    Verdict, build_ceimpg_matrix, build_shortened,
+                    ceimpg_equiv, cesimpg_equiv, code_aut_group,
+                    decide_equivalence, verify_witness)
 from .errors import BudgetExceededError, ResourceLimitError
 from .gfield import FieldSpec, field, normalize_vector
 from .gfmatrix import (GFMatrix, RREFResult, inverse, mat_mul, nullspace_basis,
@@ -41,7 +41,7 @@ __all__ = [
     "characteristic_vector", "classify", "code_aut_group", "code_from_chi",
     "decide_equivalence", "emit_codes", "field", "incidence", "inverse",
     "is_automorphism", "is_isomorphic", "mat_mul", "min_distance_hyperplane",
-    "monomial_from_sigma", "normalize_vector", "nullspace_basis",
-    "parse_codes", "permute_columns", "point_table", "random_code", "rank",
-    "rref", "serialize", "simplex_generator", "theta", "verify_witness",
+    "normalize_vector", "nullspace_basis", "parse_codes", "permute_columns",
+    "point_table", "random_code", "rank", "rref", "serialize",
+    "simplex_generator", "theta", "verify_witness",
 ]

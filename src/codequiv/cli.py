@@ -12,9 +12,10 @@ from __future__ import annotations
 import argparse
 import sys
 
+from .batch import classify
 from .codefile import CodeFileError, emit_codes, parse_codes
-from .equiv import (EquivalenceWitness, classify, code_aut_group,
-                    decide_equivalence, verify_witness)
+from .equiv import (EquivalenceWitness, code_aut_group, decide_equivalence,
+                    verify_witness)
 from .errors import BudgetExceededError, ResourceLimitError
 from .gfield import field
 from .lincode import characteristic_vector, random_code

@@ -18,8 +18,8 @@ from codequiv import (ColoredBinaryMatrix, GeneratorMatrix,
                       random_code, serialize, simplex_generator)
 from codequiv import bmcanon
 from codequiv.bmcanon import _pack_rows, _Search
-from codequiv.equiv import _iter_group
 from codequiv.errors import BudgetExceededError
+from codequiv.lift import _iter_group
 from conftest import (_moved_rows, brute_force_cbm_aut_count,
                       brute_force_cbm_isomorphic, recursive_search,
                       reference_is_automorphism, reference_leaf_cert,

@@ -9,7 +9,7 @@ from pathlib import Path
 
 import pytest
 
-from codequiv import (GeneratorMatrix, bmcanon, emit_codes, equiv, field,
+from codequiv import (GeneratorMatrix, batch, bmcanon, emit_codes, field,
                       parse_codes, random_code, simplex_generator)
 from codequiv import cli
 from codequiv.cli import main
@@ -221,9 +221,9 @@ def test_bench_route_errors_exit_2(monkeypatch, capsys):
 
 def test_bench_disagreeing_class_counts_exit_2(monkeypatch, capsys):
     def classify(codes, algo, jobs):
-        classes = [equiv.CodeClass(i, [i], "")
+        classes = [batch.CodeClass(i, [i], "")
                    for i in range(2 if algo == "ceimpg" else 1)]
-        return equiv.ClassifyResult(algo, len(codes), classes, [], 0.0, "")
+        return batch.ClassifyResult(algo, len(codes), classes, [], 0.0, "")
 
     monkeypatch.setattr(cli, "classify", classify)
     assert main(["bench", "-k", "3", "-n", "8", "--count", "4"]) == 2
@@ -351,13 +351,13 @@ def test_classify_batch_same_answer_at_every_jobs_and_route(
     never fork: tests/test_equiv.py)."""
     path = _gen(tmp_path, q, k, n, count)
     forked = []
-    real = equiv._forked_keys
+    real = batch._forked_keys
 
     def spy(codes, mode, procs):
         forked.append(procs)
         return real(codes, mode, procs)
 
-    monkeypatch.setattr(equiv, "_forked_keys", spy)
+    monkeypatch.setattr(batch, "_forked_keys", spy)
     members = {}
     for algo in ("ceimpg", "cesimpg"):
         reports = []

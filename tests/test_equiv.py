@@ -19,13 +19,14 @@ from codequiv import (GFMatrix, GeneratorMatrix, build_ceimpg_matrix,
                       build_shortened, canonical_form, ceimpg_equiv,
                       cesimpg_equiv, characteristic_vector, classify,
                       code_aut_group, decide_equivalence, field, incidence,
-                      monomial_from_sigma, point_table, random_code, rank,
-                      rref, serialize, simplex_generator, theta,
-                      verify_witness)
-from codequiv import bmcanon, equiv, lincode, nullspace_basis, projgeom
+                      point_table, random_code, rank, rref, serialize,
+                      simplex_generator, theta, verify_witness)
+from codequiv import (batch, bmcanon, equiv, lift, lincode, nullspace_basis,
+                      projgeom)
 from codequiv.bmcanon import (CanonResult, ColoredBinaryMatrix,
                               _sigma_from_canons)
-from codequiv.equiv import COSET_CAP, MonomialTransform
+from codequiv.equiv import MonomialTransform
+from codequiv.lift import COSET_CAP
 from codequiv.lincode import _locate
 from codequiv.projgeom import codeword_weights
 from codequiv.errors import BudgetExceededError, ResourceLimitError
@@ -275,7 +276,7 @@ def test_aut_group_generators_close_to_h1_order_with_repeated_points():
             code = random_code(q, n, k, seed=seed)
             rep = code_aut_group(code)
             assert rep.h1_order == sum(
-                1 for _ in equiv._iter_group(rep.h1_generators, n))
+                1 for _ in lift._iter_group(rep.h1_generators, n))
             repeated += len(_locate(equiv._side(code))[0]) < n
     assert repeated >= 20
 
@@ -288,9 +289,9 @@ def test_lift_on_worked_example():
     g1 = GeneratorMatrix(3, G1_ROWS)
     g2 = GeneratorMatrix(3, G2_ROWS)
     sigma = (0, 2, 3, 1, 4, 5)  # the 3-cycle moving coordinates 2->3->4->2
-    lift = monomial_from_sigma(g1, rref(g2.mat), sigma)
-    assert lift is not None
-    q_mat, lambdas = lift
+    found = lift._lift(g1, rref(g2.mat), sigma)
+    assert found is not None
+    _, q_mat, lambdas = found
     t = MonomialTransform(field(3), sigma, lambdas, 0)
     from codequiv.gfmatrix import mat_mul
     assert mat_mul(q_mat, g2.mat) == t.apply(g1.mat)
@@ -299,9 +300,9 @@ def test_lift_on_worked_example():
 def test_lift_identity_on_self():
     spec = field(3)
     code = random_code(spec, 8, 3, seed=4)
-    lift = monomial_from_sigma(code, rref(code.mat), tuple(range(8)))
-    assert lift is not None
-    q_mat, lambdas = lift
+    found = lift._lift(code, rref(code.mat), tuple(range(8)))
+    assert found is not None
+    _, q_mat, lambdas = found
     assert all(l != 0 for l in lambdas)
 
 
@@ -309,11 +310,11 @@ def test_lift_shape_mismatch_raises():
     g1 = GeneratorMatrix(3, G1_ROWS)
     spec = field(3)
     with pytest.raises(ValueError):
-        monomial_from_sigma(g1, rref(random_code(spec, 6, 2, seed=0).mat),
-                            tuple(range(6)))
+        lift._lift(g1, rref(random_code(spec, 6, 2, seed=0).mat),
+                   tuple(range(6)))
     with pytest.raises(ValueError):
-        monomial_from_sigma(g1, rref(random_code(spec, 7, 3, seed=0).mat),
-                            tuple(range(6)))
+        lift._lift(g1, rref(random_code(spec, 7, 3, seed=0).mat),
+                   tuple(range(6)))
 
 
 def test_simplex_lift_census_matches_gl_order():
@@ -325,7 +326,7 @@ def test_simplex_lift_census_matches_gl_order():
     red = rref(code.mat)
     count = 0
     for sigma in itertools.permutations(range(7)):
-        if monomial_from_sigma(code, red, sigma) is not None:
+        if lift._lift(code, red, sigma) is not None:
             count += 1
     assert count == 168
 
@@ -363,7 +364,7 @@ def test_lift_matches_linear_system_reference(q):
         gs1, gs2 = (systematic_code(c) for c in (code, copy))
         sigma0 = _shortened_sigma0(gs1, gs2, "pair")
         sigmas = [tuple(sigma0[t] for t in tau) for tau in itertools.islice(
-            equiv._iter_group(code_aut_group(gs1).h1_generators, n), 24)]
+            lift._iter_group(code_aut_group(gs1).h1_generators, n), 24)]
         for _ in range(6):
             perm = list(range(n))
             rng.shuffle(perm)
@@ -375,9 +376,10 @@ def test_lift_matches_linear_system_reference(q):
                                        for row in g1.mat.rows])
                 singular += rank(lead) < k
                 for rho in range(spec.m):
-                    lift = monomial_from_sigma(g1, rref(g2.mat), sigma, rho)
+                    found = lift._lift(g1, rref(g2.mat), sigma, (rho,))
                     want = reference_monomial_from_sigma(g1, g2, sigma, rho)
-                    got = lift and (lift[0].rows, lift[1])
+                    assert found is None or found[0] == rho
+                    got = found and (found[1].rows, found[2])
                     assert got == want, (sigma, rho)
                     hits += got is not None
                     misses += got is None
@@ -386,8 +388,8 @@ def test_lift_matches_linear_system_reference(q):
 
 @pytest.mark.parametrize("q", [4, 8, 9, 27])
 def test_lift_eliminates_once_for_every_rho(monkeypatch, q):
-    """`_lift` returns exactly the first lift of `monomial_from_sigma` over
-    rho = 0..m-1, or None with it, and runs one `_eliminate` on a k x n
+    """`_lift` returns exactly the first of its one-rho lifts over
+    rho = 0..m-1, or None with them, and runs one `_eliminate` on a k x n
     matrix per candidate, whatever rho lifts.  That rests on a field
     automorphism applied entrywise commuting with Gauss-Jordan, checked
     here too.  The candidates are sigma0 composed with point-group elements
@@ -395,34 +397,33 @@ def test_lift_eliminates_once_for_every_rho(monkeypatch, q):
     permutations."""
     spec = field(q)
     rng = random.Random(q)
-    real, shapes = equiv._eliminate, []
-    monkeypatch.setattr(equiv, "_eliminate", lambda *a: shapes.append(
+    real, shapes = lift._eliminate, []
+    monkeypatch.setattr(lift, "_eliminate", lambda *a: shapes.append(
         (len(a[1]), len(a[1][0]))) or real(*a))
     lifted_by = []
     for seed in range(6):
         c1, c2 = _transformed_pair(spec, 7, 3, seed)
         s1, s2 = equiv._Side(c1), equiv._Side(c2)
-        sigma0 = equiv._coordinate_perm(
+        sigma0 = lift._coordinate_perm(
             bmcanon.is_isomorphic(s1.kept, s2.kept), s1.points, s2.points)
-        taus = equiv._iter_group([equiv._coordinate_perm(g, s1.points,
+        taus = lift._iter_group([lift._coordinate_perm(g, s1.points,
                                                          s1.points)
                                   for g in s1.form.generators], 7)
-        sigmas = [equiv._perm_compose(sigma0, tau)
+        sigmas = [lift._perm_compose(sigma0, tau)
                   for tau in itertools.islice(taus, 8)]
         sigmas += [cesimpg_equiv(c1, c2).witness.sigma]
         sigmas += [tuple(rng.sample(range(7), 7)) for _ in range(4)]
         red2 = rref(c2.mat)
         for sigma in sigmas:
-            lifts = ((rho, monomial_from_sigma(c1, red2, sigma, rho))
+            lifts = (lift._lift(c1, red2, sigma, (rho,))
                      for rho in range(spec.m))
-            want = next(((rho, *lift) for rho, lift in lifts
-                         if lift is not None), None)
+            want = next((found for found in lifts if found is not None), None)
             shapes.clear()
-            got = equiv._lift(c1, red2, sigma)
+            got = lift._lift(c1, red2, sigma)
             assert shapes == [(3, 7)]
             assert got == want, (seed, sigma)
             lifted_by.append(None if got is None else got[0])
-            moved = [[row[i] for i in equiv._perm_inverse(sigma)]
+            moved = [[row[i] for i in bmcanon._perm_inverse(sigma)]
                      for row in c1.mat.rows]
             for rho in range(1, spec.m):
                 frob = spec.frobenius_table(rho)
@@ -706,7 +707,7 @@ def test_binary_sigma0_lifts_past_coset_cap(n, k, monkeypatch):
     """For q = 2 the shortened rows are the codeword supports, so the first
     isomorphism between them always lifts: a coset cap of 1 never forces
     the fallback."""
-    monkeypatch.setattr(equiv, "COSET_CAP", 1)
+    monkeypatch.setattr(lift, "COSET_CAP", 1)
     spec = field(2)
     for seed in range(8):
         c1, c2 = _transformed_pair(spec, n, k, seed)
@@ -881,7 +882,7 @@ def test_binary_golay_keyed_on_minimum_weight_rows(n, rows, order):
         build_shortened(side)).group_order
     report = code_aut_group(code)
     assert report.complete and report.order == order
-    key, _, error = equiv._code_key(code, "cesimpg")
+    key, _, error = batch._code_key(code, "cesimpg")
     assert error is None
     assert key.startswith("min:" if side is code else "min:dual:")
 
@@ -927,7 +928,7 @@ def test_binary_min_weight_rows_keep_point_groups_and_partitions():
             reduced_here = rec.rows is not None
             assert rec.form.group_order == canonical_form(
                 build_shortened(rec.side)).group_order
-            assert [equiv._code_key(code, mode)[0].startswith("min:")
+            assert [batch._code_key(code, mode)[0].startswith("min:")
                     for mode in ("cesimpg", "ceimpg")] == [reduced_here, False]
             reduced += reduced_here
         codes += [GeneratorMatrix(spec, _random_transform(
@@ -951,13 +952,13 @@ def test_min_weight_gate_refuses():
         rec = equiv._Side(code)
         assert rec.side is code
         assert rec.rows is None and rec.form.matrix.n_rows == n_rows
-        assert not equiv._code_key(code, "cesimpg")[0].startswith("min:")
+        assert not batch._code_key(code, "cesimpg")[0].startswith("min:")
 
 
 def test_dimension_two_past_the_coset_cap_is_a_budget_error(monkeypatch):
     """On a side of dimension 2 a sigma0 that does not lift past the coset
     cap ends in the typed error, and no incidence matrix is read."""
-    monkeypatch.setattr(equiv, "COSET_CAP", 1)
+    monkeypatch.setattr(lift, "COSET_CAP", 1)
     reads, forms = _incidence_use(monkeypatch)
     spec = field(5)
     for seed in range(10):
@@ -1359,7 +1360,7 @@ def started(monkeypatch):
 def forks(started, monkeypatch):
     """`started`, with FORK_PAYS_S = 0: every classify at jobs > 1 forks its
     workers before it keys the first code, one contiguous share each."""
-    monkeypatch.setattr(equiv, "FORK_PAYS_S", 0)
+    monkeypatch.setattr(batch, "FORK_PAYS_S", 0)
     return started
 
 
@@ -1409,7 +1410,7 @@ def test_classify_forks_for_the_rest_once_keying_pays(monkeypatch, started,
     """`_code_key` burns `burn(i)` seconds of CPU on the i-th code: this
     process keys the first `keyed_here` of 12 codes, then two workers at
     jobs=3 key the rest, with the answers of jobs=1."""
-    real = equiv._code_key
+    real = batch._code_key
     mine = []
 
     def code_key(code, mode):
@@ -1422,7 +1423,7 @@ def test_classify_forks_for_the_rest_once_keying_pays(monkeypatch, started,
     spec = field(3)
     codes = [random_code(spec, 8, 3, seed=s) for s in range(12)]
     seq = classify(codes, algo="cesimpg", jobs=1)
-    monkeypatch.setattr(equiv, "_code_key", code_key)
+    monkeypatch.setattr(batch, "_code_key", code_key)
     par = classify(codes, algo="cesimpg", jobs=3)
     assert mine == [id(code) for code in codes[:keyed_here]]
     assert len(started) == 2 and all(p.exitcode == 0 for p in started)
@@ -1450,7 +1451,7 @@ def test_classify_pool_sized_by_batch(forks):
 def _act_on(monkeypatch, *actions):
     """Make `_code_key` call `action()` when it keys the code `target`, for
     each (target, action) pair."""
-    real = equiv._code_key
+    real = batch._code_key
 
     def code_key(code, mode):
         for target, action in actions:
@@ -1458,7 +1459,7 @@ def _act_on(monkeypatch, *actions):
                 action()
         return real(code, mode)
 
-    monkeypatch.setattr(equiv, "_code_key", code_key)
+    monkeypatch.setattr(batch, "_code_key", code_key)
 
 
 def _assert_no_child_left():
@@ -1667,21 +1668,21 @@ def test_classify_keeps_code_and_dual_apart(forks):
 
 
 def _shortened_sigma0(c1, c2, route):
-    """The coordinate permutation sigma0 that `equiv._find_lift` tries
+    """The coordinate permutation sigma0 that `lift._find_lift` tries
     first between the two codes on `route`: "pair" (cesimpg_equiv and
     decide_equivalence) finds it with bmcanon.is_isomorphic on the kept
     shortened matrices, "classify" reads it off their canonical forms."""
     s1, s2 = (equiv._Side(c) for c in (c1, c2))
     pi0 = (bmcanon.is_isomorphic(s1.kept, s2.kept) if route == "pair"
            else _sigma_from_canons(s1.form, s2.form))
-    return equiv._coordinate_perm(pi0, s1.points, s2.points)
+    return lift._coordinate_perm(pi0, s1.points, s2.points)
 
 
 def _sigma0_lifts(c1, c2, routes=("pair", "classify")):
     """Whether the sigma0 of any of `routes` lifts to a monomial map onto
     rref(c2) (prime field)."""
     red = rref(c2.mat)
-    return any(monomial_from_sigma(c1, red, _shortened_sigma0(c1, c2, route))
+    return any(lift._lift(c1, red, _shortened_sigma0(c1, c2, route))
                is not None for route in routes)
 
 
@@ -1702,7 +1703,8 @@ def test_cesimpg_witnessed_past_the_coset_cap(monkeypatch):
     # of the incidence matrices: where sigma0 does not lift, the isomorphism
     # found does, so the verdict carries a witness, and finding none denies
     # equivalence
-    monkeypatch.setattr(equiv, "COSET_CAP", 1)
+    monkeypatch.setattr(lift, "COSET_CAP", 1)
+    reads, _ = _incidence_use(monkeypatch)
     spec = field(5)
     # a [6,3]_5 pair whose sigma0 does not lift; for _fallback_pair()'s
     # [16,6]_5 codes see test_fallback_pair_witnessed_past_a_coset_cap_of_one
@@ -1711,6 +1713,7 @@ def test_cesimpg_witnessed_past_the_coset_cap(monkeypatch):
     v = decide_equivalence(c1, c2)
     assert (v.equivalent, v.method) == (True, "cesimpg")
     assert verify_witness(c1, c2, v.witness)
+    assert len(reads) == 2  # the incidence search, not the coset, found it
     # same shortened key, and so the same weight profile, but inequivalent
     # (test_classify_bucket_with_several_classes)
     for s1, s2 in ((0, 1), (4, 32), (12, 38)):
@@ -1727,7 +1730,7 @@ def test_fallback_pair_witnessed_past_a_coset_cap_of_one(monkeypatch):
     The one canonical form built is the first side's 3,906 x 8 shortened
     matrix, for its point group (about 1.9 s of CPU in all, 2 vCPUs)."""
     _, c1, c2 = _fallback_pair()
-    monkeypatch.setattr(equiv, "COSET_CAP", 1)
+    monkeypatch.setattr(lift, "COSET_CAP", 1)
     reads, forms = _incidence_use(monkeypatch)
     every_form = _counting(monkeypatch, "canonical_form")["canonical_form"]
     v = decide_equivalence(c1, c2)
@@ -1739,14 +1742,15 @@ def test_fallback_pair_witnessed_past_a_coset_cap_of_one(monkeypatch):
 
 def _incidence_use(monkeypatch):
     """Record the characteristic vector of each incidence matrix
-    (`equiv.build_ceimpg_matrix`) read inside `equiv._find_lift`, where
-    cesimpg_equiv and a cesimpg bucket comparison read them, so that the
-    tests' own ceimpg_equiv cross-checks are not counted; and each
-    incidence matrix that equiv builds a canonical form of, anywhere.
+    (`equiv.build_ceimpg_matrix`) read inside `lift._find_lift`, where
+    cesimpg_equiv and a cesimpg bucket comparison read them (through the
+    names `equiv._find_lift` and `batch._find_lift`), so that the tests'
+    own ceimpg_equiv cross-checks are not counted; and each incidence
+    matrix that equiv or batch builds a canonical form of, anywhere.
     Returns (reads, forms)."""
     reads, forms, built, inside = [], [], [], []
     real_build, real_form = equiv.build_ceimpg_matrix, equiv.canonical_form
-    real_lift = equiv._find_lift
+    real_lift = lift._find_lift
 
     def build(chi):
         m = real_build(chi)
@@ -1768,8 +1772,9 @@ def _incidence_use(monkeypatch):
             inside.pop()
 
     monkeypatch.setattr(equiv, "build_ceimpg_matrix", build)
-    monkeypatch.setattr(equiv, "canonical_form", form)
-    monkeypatch.setattr(equiv, "_find_lift", find_lift)
+    for module in (equiv, batch):
+        monkeypatch.setattr(module, "canonical_form", form)
+        monkeypatch.setattr(module, "_find_lift", find_lift)
     return reads, forms
 
 
@@ -1796,7 +1801,7 @@ def test_incidence_lift_past_a_coset_cap_of_one(q, n, k, monkeypatch):
     apart.  Every verdict equals ceimpg_equiv's, and every equivalent one
     carries a witness that verifies.  A pair reads the incidence matrices
     of both codes or none, and no canonical form of one is built."""
-    monkeypatch.setattr(equiv, "COSET_CAP", 1)
+    monkeypatch.setattr(lift, "COSET_CAP", 1)
     reads, forms = _incidence_use(monkeypatch)
     spec = field(q)
     pairs = [_transformed_pair(spec, n, k, seed) for seed in range(12)]
@@ -1848,7 +1853,7 @@ def test_classify_past_a_coset_cap_of_one(monkeypatch):
         [0, 6], [1], [2, 7], [3], [4, 8], [5]]
     assert not all(_sigma0_lifts(codes[i], c, ["classify"]) for i, c in
                    zip((0, 2, 4), codes[6:]))
-    monkeypatch.setattr(equiv, "COSET_CAP", 1)
+    monkeypatch.setattr(lift, "COSET_CAP", 1)
     reads, forms = _incidence_use(monkeypatch)
     result = classify(codes, algo="cesimpg")
     assert result.errors == []
@@ -1945,7 +1950,7 @@ def _failing_incidence_searches(monkeypatch):
         raise BudgetExceededError("incidence search over budget")
 
     monkeypatch.setattr(bmcanon, "is_isomorphic", failing)
-    monkeypatch.setattr(equiv, "COSET_CAP", 1)
+    monkeypatch.setattr(lift, "COSET_CAP", 1)
     return calls
 
 
@@ -1989,22 +1994,24 @@ def _counting(monkeypatch, *names, module=equiv):
 def test_side_structures_built_once_per_code(monkeypatch):
     """One cesimpg_equiv decision past a coset cap of 1, on a GF(8) pair
     that shares its shortened key and takes the incidence search, finds
-    each code's side once, and for each side walks its columns once,
-    gathers its incidence columns, wraps them in its shortened matrix and
-    recolors the incidence by its multiplicities (`build_ceimpg_matrix`,
-    scattered from the same walk) once, with no call of `build_shortened`
-    or `characteristic_vector`; it runs
+    each code's side once, and for each side walks its columns once for
+    its points, gathers its incidence columns and wraps them in its
+    shortened matrix once, with no call of `build_shortened`; its
+    incidence is recolored by the side's `characteristic_vector`
+    (`build_ceimpg_matrix`), one more walk of its own, once.  It runs
     no dot kernel per side: the columns are sliced out of the geometry's
     incidence, whose kernel runs at most once, as it is cached, and the
     codeword weights are read off them.  Its one canonical form is the
     first side's shortened matrix, for the point group.  A pair that
     differs in its weight profile starts no canonical search and no rref,
-    and builds no shortened matrix at all."""
-    monkeypatch.setattr(equiv, "COSET_CAP", 1)
+    reads no characteristic vector, and builds no shortened matrix at
+    all."""
+    monkeypatch.setattr(lift, "COSET_CAP", 1)
     calls = _counting(monkeypatch, "_side", "_locate",
                       "incidence_columns", "build_shortened",
-                      "build_ceimpg_matrix", "canonical_form", "rref")
-    chi = _counting(monkeypatch, "characteristic_vector", module=lincode)
+                      "build_ceimpg_matrix", "characteristic_vector",
+                      "canonical_form", "rref")
+    chi_walks = _counting(monkeypatch, "_locate", module=lincode)["_locate"]
     kernel = _counting(monkeypatch, "nonzero_dot_bits", "_nonzero_dot_blocks",
                        module=projgeom)
     wrapped, from_bits = [], ColoredBinaryMatrix.from_bits.__func__
@@ -2016,9 +2023,9 @@ def test_side_structures_built_once_per_code(monkeypatch):
     c1, c2 = (random_code(spec, 8, 3, seed=s) for s in (a, b))
     assert not cesimpg_equiv(c1, c2).equivalent
     sides = [id(c1), id(c2)]
-    assert chi["characteristic_vector"] == []
-    for name in ("_side", "_locate"):
+    for name in ("_side", "_locate", "characteristic_vector"):
         assert list(map(id, calls[name])) == sides
+    assert list(map(id, chi_walks)) == sides
     assert [m.counts for m in calls["build_ceimpg_matrix"]] == [
         characteristic_vector(c).counts for c in (c1, c2)]
     assert len(calls["incidence_columns"]) == 2
@@ -2031,10 +2038,11 @@ def test_side_structures_built_once_per_code(monkeypatch):
         c1, c2 = (random_code(field(q), n, k, seed=s)
                   for s in (seed, seed + 100))
         assert _profile(c1) != _profile(c2)
-        for seen in (*calls.values(), *kernel.values(), wrapped):
+        for seen in (*calls.values(), *kernel.values(), wrapped, chi_walks):
             seen.clear()
         assert not cesimpg_equiv(c1, c2).equivalent
         assert calls["canonical_form"] == calls["rref"] == []
+        assert calls["characteristic_vector"] == chi_walks == []
         assert calls["build_shortened"] == wrapped == []
         assert len(calls["_side"]) == 2
         assert kernel["nonzero_dot_bits"] == []
@@ -2052,17 +2060,17 @@ def test_forked_keys_pipe_back_keys_and_forms(forks):
     around a piped form still lifts."""
     c1, c2 = _transformed_pair(field(2), 8, 4, seed=7, allow_rho=False)
     codes = [c2, random_code(field(2), 8, 6, seed=0), c1]
-    keyed = equiv._forked_keys(codes, "cesimpg", 3)
+    keyed = batch._forked_keys(codes, "cesimpg", 3)
     assert len(forks) == 2
     for code, (key, form, error) in zip(codes, keyed):
-        mine = equiv._code_key(code, "cesimpg")
+        mine = batch._code_key(code, "cesimpg")
         assert error is None and isinstance(form, CanonResult)
         assert (key, form) == mine[:2]
     assert [key[:4] for key, _, _ in keyed] == ["min:", "dual", "min:"]
     rep, rec = (equiv._Side(codes[i], keyed[i][1]) for i in (2, 0))
     assert rep.form is keyed[2][1]
     pi0 = _sigma_from_canons(rep.form, rec.form)
-    assert equiv._find_lift(rep, rec, pi0) is not None
+    assert lift._find_lift(rep, rec, pi0) is not None
 
 
 def test_classify_comparison_over_the_incidence_bound_collected(monkeypatch):
@@ -2072,7 +2080,7 @@ def test_classify_comparison_over_the_incidence_bound_collected(monkeypatch):
     spec = field(5)
     c1, c2 = _transformed_pair(spec, 6, 3, seed=4, allow_rho=False)
     assert not _sigma0_lifts(c1, c2)
-    monkeypatch.setattr(equiv, "COSET_CAP", 1)
+    monkeypatch.setattr(lift, "COSET_CAP", 1)
     monkeypatch.setattr(projgeom, "MAX_INCIDENCE_CELLS", 960)
     result = classify([c1, c2], algo="cesimpg")
     assert result.errors == [(1, "ResourceLimitError: the incidence matrix "

@@ -42,18 +42,18 @@ refining a node once its columns are discrete: the node is then a leaf, and
 its certificate reads the column order alone, not the row cells.
 
 A refinement step counts the members of every non-singleton cell against
-all its splitters (the fragments, as index lists) at once, with NumPy,
-each count at its width.  A step whose only splitter is one index splits
-each cell in two by that index's column of the bit matrix (its transpose
-in a column step).  Any other step gathers those members' rows of the bit
-matrix at all the splitters' indices with one NumPy index operation, and
-a member's key is its row of counts as one bytes object: the gathered
-bits themselves when every splitter is one index, else each splitter's
-block summed with np.add.reduceat, one byte per count when every splitter
-has fewer than 256 indices and big-endian 4-byte words past that.  Keys of
-one step have one width and compare as bytes exactly as the count tuples
-do.  A step with few member-splitter pairs popcounts Python ints instead,
-as NumPy's fixed cost per call would outweigh its work.
+all its splitters (the fragments, as index lists) at once, one way for
+every step, however small.  A step whose only splitter is one index, as
+the first row step below every branching is, splits each cell in two by
+that index's row of the other side's bit matrix (the transpose in a row
+step, the rows in a column step), read once as a bytes object.  Any other
+step gathers those members' rows of the bit matrix at all the splitters'
+indices with one NumPy index operation, and a member's key is its row of
+counts as one bytes object: the gathered bits themselves when every
+splitter is one index, else each splitter's block summed with
+np.add.reduceat, one byte per count when every splitter has fewer than 256
+indices and big-endian 4-byte words past that.  Keys of one step have one
+width and compare as bytes exactly as the count tuples do.
 
 The generators found below the i-th node of the first path fix the columns
 individualized above it and generate their pointwise stabilizer, so the group
@@ -68,16 +68,18 @@ two distinct points and equiv.build_shortened keeps one column per point.
 Bit convention: bit (C-1-j) of a row mask holds column j, so masks compare
 exactly like the row read left to right as a binary string.  It is the
 package's one bit order: _pack_rows packs every mask in it, projgeom's
-incidence rows and the search's column masks (bit R-1-i holds row i) alike.
+incidence rows alike.
 
 The search reads the rows as the matrix's R x C uint8 bit matrix
 (ColoredBinaryMatrix.bits): the array the matrix was made from, as equiv's
 shortened matrices keep their columns of the incidence, else one unpacked
 from the masks on first use and kept.  The columns are its transpose,
 except that a symmetric matrix (projgeom's incidence) serves as its own.
-A matrix made from an array packs its row masks only when they are read,
-and the search reads them, and packs its column masks, only for a step
-that popcounts ints.  The search
+The search never reads masks, so a matrix made from an array packs none
+unless a caller reads `row_masks` (equality, hashing, `entry`).  Masks
+remain where the public API and memory want them: `from_masks`, equality
+and hashing, and projgeom's incidence, which packs its rows block by block
+rather than hold a bit matrix it may never need.  The search
 writes the sorted row list of a certificate as one byte string of
 fixed-width records: each row's bits in the given column order packed
 big-endian, zero-padded on the right.  Every record has the same width, so
@@ -96,7 +98,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import cached_property
-from itertools import compress
 from numbers import Integral
 
 import numpy as np
@@ -173,8 +174,7 @@ class ColoredBinaryMatrix:
                   col_colors=None) -> "ColoredBinaryMatrix":
         """The matrix of an R x C uint8 array of 0/1 entries, kept as its
         `bits` (made read-only).  Its masks are packed from the array when
-        `row_masks` is first read, which a search does only for a step it
-        popcounts (`_Search`)."""
+        `row_masks` is first read, which no search does (`_Search`)."""
         if bits.dtype != np.uint8 or bits.ndim != 2:
             raise ValueError("bits must be a 2-D uint8 array")
         if bits.size and bits.max() > 1:
@@ -384,29 +384,12 @@ def _pack_rows(bits: np.ndarray) -> list[int]:
             for i in range(n_rows)]
 
 
-def _index_mask(indices, width: int) -> int:
-    """The mask, in the module's bit order, of `indices` out of `width`."""
-    top = width - 1
-    m = 0
-    for j in indices:
-        m |= 1 << (top - j)
-    return m
-
-
-# a refinement step with more pairs of a non-singleton member and a splitter
-# than this counts them with NumPy, a smaller one popcounts ints; over the
-# benchmark workloads' matrices canonical_form CPU was flat for cuts 32-96
-_NUMPY_WORK = 64
-
-
 class _Search:
     """One walk of a matrix's search tree; see module docstring for the
     scheme.  With `stop` given, the first leaf whose certificate makes
     `stop` true ends the walk, kept in `hit` as (certificate, leaf order).
 
-    Refinement reads the bit matrix and its transpose; the row masks
-    (`ColoredBinaryMatrix.row_masks`) and the column masks (`cols`) are
-    read, and so packed, only when a step popcounts ints (`_split`)."""
+    Refinement reads the bit matrix and its transpose, never the masks."""
 
     def __init__(self, mat: ColoredBinaryMatrix, stop=None):
         self.mat = mat
@@ -424,14 +407,6 @@ class _Search:
         self.gens: list[tuple[int, ...]] = []
         self.stop = stop
         self.hit = None
-
-    @cached_property
-    def cols(self) -> tuple[int, ...] | list[int]:
-        """The columns as masks over row indices (bit R-1-i holds row i),
-        for column signatures: a symmetric matrix's row masks."""
-        if self.mat._symmetric:
-            return self.mat.row_masks
-        return _pack_rows(self.bits_t)
 
     # -- partitions ---------------------------------------------------------
 
@@ -469,113 +444,86 @@ class _Search:
         first = splitters is None
         if first:
             splitters = col_cells
-        rows, cols = (lambda: self.mat.row_masks), (lambda: self.cols)
+        bits, bits_t = self.records.bits, self.bits_t
         while True:
-            row_cells, row_frags = self._split(
-                row_cells, rows, self.records.bits, splitters)
+            row_cells, row_frags = self._split(row_cells, bits, bits_t,
+                                               splitters)
             if first:
                 row_frags = row_cells
             elif not row_frags:
                 yield col_cells, row_cells
                 return
-            col_cells, splitters = self._split(
-                col_cells, cols, self.bits_t, row_frags)
+            col_cells, splitters = self._split(col_cells, bits_t, bits,
+                                               row_frags)
             yield col_cells, row_cells
             if not splitters:
                 return
             first = False
 
     @staticmethod
-    def _split(cells, masks, bits, splitters):
+    def _split(cells, bits, bits_t, splitters):
         """Split each cell by its members' counts against `splitters` (index
         lists), sub-cells in increasing count order.  A member x's count
         against a splitter is the number of the splitter's indices set in
-        row x of the 0/1 matrix `bits`, which is also the popcount of
-        `masks()[x]`, row x's mask, and the splitter's mask (module bit
-        order).  Returns the new cells and the new fragments bar the last of
-        each split cell.
+        row x of the 0/1 matrix `bits`, whose transpose is `bits_t`.
+        Returns the new cells and the new fragments bar the last of each
+        split cell.
 
-        A step with more than _NUMPY_WORK pairs of a non-singleton member
-        and a splitter counts with NumPy, each count at its width.  When
-        the only splitter is one index, each cell splits in two by its
-        members' bits there, read off that column of `bits`.  Otherwise
-        the step gathers those members' rows of `bits` at all the
-        splitters' indices at once; a member's key is its row of counts as
-        one bytes object, which compares exactly as its count tuple does
-        (module docstring): the gathered bits themselves when every
-        splitter is one index, else each splitter's block summed with
-        np.add.reduceat, into one byte when every splitter has fewer than
-        256 indices and into big-endian 4-byte words otherwise.  A smaller
-        step keys each member by its count tuple, popcounting ints: only
-        such a step calls `masks`.  A step in which no cell has two members
-        splits nothing and returns at once."""
+        When the only splitter is one index, each cell splits in two by its
+        members' bits there, read off that index's row of `bits_t` as one
+        bytes object.  Otherwise the step gathers the members' rows of
+        `bits` at all the splitters' indices at once; a member's key is its
+        row of counts as one bytes object, which compares exactly as its
+        count tuple does (module docstring): the gathered bits themselves
+        when every splitter is one index, else each splitter's block summed
+        with np.add.reduceat, into one byte when every splitter has fewer
+        than 256 indices and into big-endian 4-byte words otherwise.  A step
+        in which no cell has two members, or with no splitters, splits
+        nothing and returns at once."""
         members = [x for cell in cells if len(cell) > 1 for x in cell]
-        if not members:
+        if not members or not splitters:
             return cells, []
-        keys = single = on = None
-        if len(members) * len(splitters) > _NUMPY_WORK:
-            widest = max(map(len, splitters))
-            if len(splitters) == 1 == widest:
-                # each member's bit in that column, and its complement
-                hits = bits[:, splitters[0][0]].take(members)
-                on, off, at = hits.tolist(), (hits ^ 1).tolist(), 0
-            else:
-                counts = bits.take(members, 0).take(
-                    [j for s in splitters for j in s], 1)
-                if widest > 1:
-                    starts = [0]
-                    for s in splitters[:-1]:
-                        starts.append(starts[-1] + len(s))
-                    counts = np.add.reduceat(
-                        counts, starts, axis=1,
-                        dtype=np.uint8 if widest < 256 else np.uint32)
-                    if widest >= 256:
-                        counts = counts.astype(">u4")
-                # each member's row of counts as one bytes object
-                width = counts.shape[1] * counts.itemsize
-                keys = iter(counts.view(f"V{width}")[:, 0].tolist())
+        keys = hits = None
+        widest = max(map(len, splitters))
+        if len(splitters) == 1 == widest:
+            hits = bits_t[splitters[0][0]].tobytes()
         else:
-            vectors = masks()
-            if len(splitters) == 1:
-                single = _index_mask(splitters[0], bits.shape[1])
-            else:
-                split_masks = [_index_mask(s, bits.shape[1])
-                               for s in splitters]
+            counts = bits.take(members, 0).take(
+                [j for s in splitters for j in s], 1)
+            if widest > 1:
+                starts = [0]
+                for s in splitters[:-1]:
+                    starts.append(starts[-1] + len(s))
+                counts = np.add.reduceat(
+                    counts, starts, axis=1,
+                    dtype=np.uint8 if widest < 256 else np.uint32)
+                if widest >= 256:
+                    counts = counts.astype(">u4")
+            # each member's row of counts as one bytes object
+            width = counts.shape[1] * counts.itemsize
+            keys = iter(counts.view(f"V{width}")[:, 0].tolist())
         out = []
         frags = []
         for cell in cells:
             if len(cell) == 1:
                 out.append(cell)
                 continue
-            if on is not None:
+            if hits is not None:
                 # counts 0 and 1: the members with the bit clear come first
-                end = at + len(cell)
-                ones = list(compress(cell, on[at:end]))
-                if 0 < len(ones) < len(cell):
-                    zeros = list(compress(cell, off[at:end]))
+                zeros, ones = [], []
+                for x in cell:
+                    (ones if hits[x] else zeros).append(x)
+                if zeros and ones:
                     out += (zeros, ones)
                     frags.append(zeros)
                 else:
                     out.append(cell)
-                at = end
                 continue
             buckets: dict = {}
-            if keys is not None:
-                # zip draws from `cell` first, so it ends at the cell's last
-                # member without taking the next cell's first key
-                for x, key in zip(cell, keys):
-                    buckets.setdefault(key, []).append(x)
-            elif single is not None:
-                # an int sorts like the 1-tuple it stands for
-                for x in cell:
-                    buckets.setdefault((vectors[x] & single).bit_count(),
-                                       []).append(x)
-            else:
-                for x in cell:
-                    v = vectors[x]
-                    buckets.setdefault(
-                        tuple([(v & s).bit_count() for s in split_masks]),
-                        []).append(x)
+            # zip draws from `cell` first, so it ends at the cell's last
+            # member without taking the next cell's first key
+            for x, key in zip(cell, keys):
+                buckets.setdefault(key, []).append(x)
             if len(buckets) == 1:
                 out.append(cell)
                 continue

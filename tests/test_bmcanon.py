@@ -112,22 +112,22 @@ def test_from_bits_packs_its_masks_when_read(rows, cols):
     assert serialize(fresh()) == serialize(want)
 
 
-def test_searches_pack_masks_only_for_popcount_steps(monkeypatch):
-    """With every refinement step counted by NumPy, a canonical form and
-    an isomorphism search of matrices made from bits read no masks; with
-    every step popcounted they pack them, and find the same results."""
-    codes = [random_code(3, 10, 3, seed=s) for s in (0, 1)]
-    results = []
-    for cut, packed in ((0, False), (_NO_NUMPY, True)):
-        monkeypatch.setattr(bmcanon, "_NUMPY_WORK", cut)
+def test_searches_pack_no_masks():
+    """A canonical form and an isomorphism search of matrices made from
+    bits, small or large, read the bits alone and pack no row masks; they
+    find what the same rows made from masks give."""
+    for q, n, k in ((3, 10, 3), (2, 40, 6)):
+        codes = [random_code(q, n, k, seed=s) for s in (0, 1)]
         m1, m2 = (build_shortened(code) for code in codes)
-        r = canonical_form(m1)
-        sigma = is_isomorphic(m2, m2)
-        assert (m1._row_masks is not None) == packed
-        assert (m2._row_masks is not None) == packed
-        results.append((r.cert, r.perm, r.generators, r.group_order,
-                        r.nodes, sigma))
-    assert results[0] == results[1]
+        twin1, twin2 = (ColoredBinaryMatrix.from_masks(
+            _pack_rows(m.bits), m.n_cols, m.col_colors) for m in (m1, m2))
+        r, want = canonical_form(m1), canonical_form(twin1)
+        assert (r.cert, r.perm, r.generators, r.group_order, r.nodes) == (
+            want.cert, want.perm, want.generators, want.group_order,
+            want.nodes)
+        assert is_isomorphic(m2, m2) == is_isomorphic(twin2, twin2)
+        assert is_isomorphic(m1, m2) == is_isomorphic(twin1, twin2)
+        assert m1._row_masks is None and m2._row_masks is None
 
 
 def test_from_masks_rejects_a_negative_mask():
@@ -138,15 +138,15 @@ def test_from_masks_rejects_a_negative_mask():
 @pytest.mark.parametrize("rows,cols", [(5, 3), (9, 17), (1, 8), (0, 4), (4, 0)])
 def test_pack_rows_and_column_masks_in_the_module_bit_order(rows, cols):
     """_pack_rows packs any nonzero entry as a set bit, column j at bit
-    cols-1-j, as the list constructor does; the search's column masks are
-    its rows of the transpose, row i at bit rows-1-i."""
+    cols-1-j, as the list constructor does; packed from the transpose, the
+    column masks hold row i at bit rows-1-i."""
     rng = random.Random(31 * rows + cols)
     values = np.array([rng.randrange(3) for _ in range(rows * cols)],
                       dtype=np.uint8).reshape(rows, cols)
     bits = (values != 0).astype(int)
     mat = ColoredBinaryMatrix(bits.tolist(), n_cols=cols)
     assert _pack_rows(values) == list(mat.row_masks)
-    assert _Search(mat).cols == list(
+    assert _pack_rows(values.T) == list(
         ColoredBinaryMatrix(bits.T.tolist(), n_cols=rows).row_masks)
 
 
@@ -338,43 +338,44 @@ def test_incremental_refinement_matches_full_recompute():
             assert (col_cells, row_cells) == want
 
 
-# a cut no refinement step reaches: every step popcounts ints
-_NO_NUMPY = 10 ** 12
+def _refine_down(m, rng, depth):
+    """Refine `m` from the root, then individualize a random column of a
+    non-singleton cell and refine again, up to `depth` times or until the
+    columns are discrete, checking every refinement against full
+    recomputation (`reference_refine`)."""
+    search = _Search(m)
+    col_cells, row_cells = search._initial_cells()
+    splitters = None
+    for _ in range(depth):
+        want = reference_refine(m, col_cells, row_cells)
+        col_cells, row_cells = search._refine(col_cells, row_cells, splitters)
+        assert (col_cells, row_cells) == want
+        wide = [t for t, cell in enumerate(col_cells) if len(cell) > 1]
+        if not wide:
+            return
+        t = rng.choice(wide)
+        v = rng.choice(col_cells[t])
+        col_cells = (col_cells[:t] + [[v], [w for w in col_cells[t] if w != v]]
+                     + col_cells[t + 1:])
+        splitters = [[v]]
 
 
-def test_numpy_and_popcount_steps_agree(monkeypatch):
-    # with every step counted by NumPy (cut 0), and with none, refinement
-    # after the root and after individualizations gives exactly the cells
-    # of full recomputation, and the oracle cases canonicalize identically
-    results = []
-    for cut in (0, _NO_NUMPY):
-        monkeypatch.setattr(bmcanon, "_NUMPY_WORK", cut)
-        rng = random.Random(2025)
-        for _ in range(200):
-            m = _uneven_cbm(rng)
-            search = _Search(m)
-            col_cells, row_cells = search._initial_cells()
-            splitters = None
-            for _ in range(4):
-                want = reference_refine(m, col_cells, row_cells)
-                col_cells, row_cells = search._refine(col_cells, row_cells,
-                                                      splitters)
-                assert (col_cells, row_cells) == want
-                wide = [t for t, cell in enumerate(col_cells) if len(cell) > 1]
-                if not wide:
-                    break
-                t = rng.choice(wide)
-                v = rng.choice(col_cells[t])
-                col_cells = (col_cells[:t] + [[v], [w for w in col_cells[t] if w != v]]
-                             + col_cells[t + 1:])
-                splitters = [[v]]
-        results.append([(r.matrix, r.perm, r.generators, r.group_order,
-                         r.nodes)
-                        for r in map(canonical_form, _oracle_cases())])
-    assert results[0] == results[1]
+def test_refinement_matches_full_recompute_at_depth():
+    # refinement after the root and after individualizations gives exactly
+    # the cells of full recomputation, down to discrete columns on the
+    # high-symmetry shortened matrices of the six points of PG(1,5) and the
+    # seven of PG(2,2), where every step has a handful of members
+    rng = random.Random(2025)
+    for _ in range(200):
+        _refine_down(_uneven_cbm(rng), rng, 4)
+    for q, k in ((5, 2), (2, 3)):
+        m = build_shortened(GeneratorMatrix(q, simplex_generator(k, q).rows))
+        assert m.n_cols == m.n_rows == (q ** k - 1) // (q - 1)
+        for _ in range(20):
+            _refine_down(m, rng, m.n_cols)
 
 
-def test_numpy_count_keys_order_counts_past_one_byte(monkeypatch):
+def test_numpy_count_keys_order_counts_past_one_byte():
     # 600 rows, each with a single 1, in columns of 300, 200 and 100 ones:
     # the root's column step counts the columns against the one row cell,
     # and the counts' low bytes (44, 200, 100) order them otherwise than
@@ -384,13 +385,11 @@ def test_numpy_count_keys_order_counts_past_one_byte(monkeypatch):
     random.Random(600).shuffle(rows)
     m = ColoredBinaryMatrix([[int(j == c) for j in range(3)] for c in rows])
     assert sorted(weights) != sorted(weights, key=lambda w: w % 256)
-    for cut in (0, _NO_NUMPY):
-        monkeypatch.setattr(bmcanon, "_NUMPY_WORK", cut)
-        search = _Search(m)
-        col_cells, row_cells = search._initial_cells()
-        got = search._refine(col_cells, row_cells)
-        assert got == reference_refine(m, col_cells, row_cells)
-        assert got[0] == [[2], [1], [0]]
+    search = _Search(m)
+    col_cells, row_cells = search._initial_cells()
+    got = search._refine(col_cells, row_cells)
+    assert got == reference_refine(m, col_cells, row_cells)
+    assert got[0] == [[2], [1], [0]]
 
 
 def test_initial_cells_match_per_color_scan():

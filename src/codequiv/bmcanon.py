@@ -68,7 +68,7 @@ two distinct points and equiv.build_shortened keeps one column per point.
 Bit convention: bit (C-1-j) of a row mask holds column j, so masks compare
 exactly like the row read left to right as a binary string.  It is the
 package's one bit order: _pack_rows packs every mask in it, projgeom's
-incidence rows alike.
+incidence rows included.
 
 The search reads the rows as the matrix's R x C uint8 bit matrix
 (ColoredBinaryMatrix.bits): the array the matrix was made from, as equiv's
@@ -79,7 +79,7 @@ The search never reads masks, so a matrix made from an array packs none
 unless a caller reads `row_masks` (equality, hashing, `entry`).  Masks
 remain where the public API and memory want them: `from_masks`, equality
 and hashing, and projgeom's incidence, which packs its rows block by block
-rather than hold a bit matrix it may never need.  The search
+and builds no theta x theta array.  The search
 writes the sorted row list of a certificate as one byte string of
 fixed-width records: each row's bits in the given column order packed
 big-endian, zero-padded on the right.  Every record has the same width, so

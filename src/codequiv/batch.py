@@ -7,10 +7,13 @@ so a key is a class.  The cesimpg key is the canonical form of the side's
 kept shortened matrix (`equiv._Side.kept`); codes sharing it share a
 bucket, and a bucket's members are told apart by lifting
 (`lift._find_lift`), whose sigma0 is read off the two keys' forms.  A key
-built from the dual starts with "dual:", and a cesimpg key over GF(2)
-built from the minimum-weight rows alone with "min:".  Only the forms of
-the keys are kept: a code's `_Side` record is made around its form only
-when a bucket compares that code.
+is bytes: the canonical form's `CanonResult.key()`, which frames its
+certificate with its column colors and row count and renders no text,
+after a tag: "dual:" when it was built from the dual, and "min:" for a
+cesimpg key over GF(2) built from the minimum-weight rows alone.  Two
+keys are equal exactly when the tagged `serialize()` texts of their
+forms are.  Only the forms of the cesimpg keys are kept: a code's `_Side`
+record is made around its form only when a bucket compares that code.
 """
 
 from __future__ import annotations
@@ -52,27 +55,28 @@ class ClassifyResult:
     digest: str
 
 
-def _short_digest(text: str) -> str:
-    return hashlib.sha256(text.encode()).hexdigest()[:12]
+def _short_digest(key: bytes) -> str:
+    return hashlib.sha256(key).hexdigest()[:12]
 
 
 def _code_key(code: GeneratorMatrix, mode: str):
     """(key, form, error) of one code, in this process and in a `--jobs`
-    worker alike.  `form` is the `CanonResult` a cesimpg key is rendered
-    from, which `classify` reads sigma0 off; None for ceimpg.  A per-item
-    failure sets only `error`.  A key built from the dual
-    starts with "dual:", so that a [13,10] code never shares a key with the
+    worker alike.  The key is a tag and the `CanonResult.key()` of `form`,
+    the canonical form of the code's side: bytes, no text.  `form` is kept
+    for cesimpg, where `classify` reads sigma0 off it; None for ceimpg.  A
+    per-item failure sets only `error`.  A key built from the dual starts
+    with b"dual:", so that a [13,10] code never shares a key with the
     [13,3] code whose matrix is the same.  A cesimpg key built from the
-    minimum-weight rows alone starts with "min:", since such a matrix can
+    minimum-weight rows alone starts with b"min:", since such a matrix can
     have the shape of a full one of another dimension."""
     try:
         rec = _Side(code)
-        tag = "" if rec.side is code else "dual:"
+        tag = b"" if rec.side is code else b"dual:"
         if mode == "ceimpg":
-            return tag + canonical_form(rec.incidence).serialize(), None, None
+            return tag + canonical_form(rec.incidence).key(), None, None
         if rec.rows is not None:
-            tag = "min:" + tag
-        return tag + rec.form.serialize(), rec.form, None
+            tag = b"min:" + tag
+        return tag + rec.form.key(), rec.form, None
     except _ITEM_ERRORS as e:
         return None, None, f"{type(e).__name__}: {e}"
 
@@ -164,7 +168,10 @@ def classify(codes, algo: str = "ceimpg", jobs: int = 1) -> ClassifyResult:
     Both keys are built from each code's side (`_side`: its dual when
     2k > n, the key then prefixed "dual:"; a cesimpg key over GF(2) built
     from the minimum-weight rows is prefixed "min:"); lifting stays on the
-    codes themselves.  A cesimpg bucket that already holds a class makes
+    codes themselves.  A key is its tag and its canonical form's
+    `CanonResult.key()` bytes, no rendered text; the buckets, each class's
+    `key_digest` and the batch `digest` hash those bytes.  A cesimpg
+    bucket that already holds a class makes
     the `_Side` record of the code it compares, and of each representative
     it compares against, once per code, around the form its key came from.
     `jobs`, an integer >= 1, bounds the processes that
@@ -193,9 +200,9 @@ def classify(codes, algo: str = "ceimpg", jobs: int = 1) -> ClassifyResult:
     errors = [(i, msg) for i, (_, _, msg) in enumerate(keyed) if msg]
     # code i's record, built when a bucket first compares it
     side = cache(lambda i: _Side(codes[i], keyed[i][1]))
-    buckets: dict[str, list[CodeClass]] = {}
+    buckets: dict[bytes, list[CodeClass]] = {}
     classes: list[CodeClass] = []
-    keys: list[str] = []
+    keys: list[bytes] = []
     for i, (key, form, msg) in enumerate(keyed):
         if msg:
             continue
@@ -223,6 +230,8 @@ def classify(codes, algo: str = "ceimpg", jobs: int = 1) -> ClassifyResult:
             keys.append(key)
         joined.members.append(i)
     errors.sort()
-    digest = hashlib.sha256("\n\n".join(sorted(keys)).encode()).hexdigest()
+    # a key's own counts delimit it (`CanonResult.key`), so the sorted keys
+    # concatenated stand for the sorted list
+    digest = hashlib.sha256(b"".join(sorted(keys))).hexdigest()
     elapsed = time.perf_counter() - start
     return ClassifyResult(algo, len(codes), classes, errors, elapsed, digest)

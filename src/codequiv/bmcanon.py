@@ -88,14 +88,18 @@ concatenations in sorted order compare exactly as the sorted mask lists
 do, and the search tree, its leaves and generators are those the masks
 would give.  The same records check generators: a relabeling fixes the row
 multiset exactly when it leaves the sorted records unchanged.  The
-canonical form keeps its certificate: serialize() and
-CanonResult.serialize() render the text key from sorted records with one
-NumPy unpack (_render), and the canonical matrix is unpacked from them
-into its bits only when read.
+canonical form keeps its certificate.  CanonResult.key() frames it with
+the column colors and the row count as one bytes object, the key that
+classification buckets and hashes, equal for two forms exactly when their
+serialize() texts are; serialize() and CanonResult.serialize() render
+that text from sorted records with one NumPy unpack (_render), and the
+canonical matrix is unpacked from the records into its bits only when
+read.
 """
 
 from __future__ import annotations
 
+import struct
 from dataclasses import dataclass
 from functools import cached_property
 from numbers import Integral
@@ -339,7 +343,7 @@ class CanonResult:
     `cert` holds the canonical matrix's n_rows rows as the sorted byte
     records of the module docstring, and `col_colors` its column colors in
     canonical order; `matrix` is unpacked from them when first read, and
-    `serialize()` renders its text from them directly.
+    `key()` and `serialize()` frame and render them directly.
     Invariants: ``permute_columns(input, perm)`` with rows re-sorted by
     their bits equals `matrix`; every generator passes is_automorphism;
     `group_order` is the exact order of the full automorphism group, which
@@ -358,6 +362,19 @@ class CanonResult:
         return ColoredBinaryMatrix.from_bits(np.ascontiguousarray(
             _unpack_records(self.cert, self.n_rows, len(self.col_colors))),
             self.col_colors)
+
+    def key(self) -> bytes:
+        """The canonical matrix as one bytes object, equal for two results
+        of integer colors exactly when their `serialize()` texts are: b"c",
+        the column and row counts as little-endian 8-byte words, each
+        column color as a signed one (a color outside 64 bits raises
+        struct.error), then `cert`.  The counts fix the length of the
+        rest, so a key followed by any bytes parses one way, and no "dual:"
+        or "min:" tag starts with "c": a tag and a key concatenated read
+        back as that tag and that key."""
+        C = len(self.col_colors)
+        return struct.pack(f"<cQQ{C}q", b"c", C, self.n_rows,
+                           *self.col_colors) + self.cert
 
     def serialize(self) -> str:
         """``serialize(self.matrix)``, rendered from `cert` (`_render`)."""

@@ -314,30 +314,6 @@ def _uneven_cbm(rng):
     return ColoredBinaryMatrix(bits, [rng.randrange(n_cc) for _ in range(n_cols)])
 
 
-def test_incremental_refinement_matches_full_recompute():
-    # the root refinement and three individualize-and-refine steps below it
-    # give exactly the ordered cells of full-signature refinement
-    rng = random.Random(2024)
-    for _ in range(500):
-        m = _uneven_cbm(rng)
-        search = _Search(m)
-        col_cells, row_cells = search._initial_cells()
-        want = reference_refine(m, col_cells, row_cells)
-        col_cells, row_cells = search._refine(col_cells, row_cells)
-        assert (col_cells, row_cells) == want
-        for _ in range(3):
-            wide = [t for t, cell in enumerate(col_cells) if len(cell) > 1]
-            if not wide:
-                break
-            t = rng.choice(wide)
-            v = rng.choice(col_cells[t])
-            col_cells = (col_cells[:t] + [[v], [w for w in col_cells[t] if w != v]]
-                         + col_cells[t + 1:])
-            want = reference_refine(m, col_cells, row_cells)
-            col_cells, row_cells = search._refine(col_cells, row_cells, [[v]])
-            assert (col_cells, row_cells) == want
-
-
 def _refine_down(m, rng, depth):
     """Refine `m` from the root, then individualize a random column of a
     non-singleton cell and refine again, up to `depth` times or until the
@@ -360,14 +336,17 @@ def _refine_down(m, rng, depth):
         splitters = [[v]]
 
 
-def test_refinement_matches_full_recompute_at_depth():
-    # refinement after the root and after individualizations gives exactly
-    # the cells of full recomputation, down to discrete columns on the
-    # high-symmetry shortened matrices of the six points of PG(1,5) and the
-    # seven of PG(2,2), where every step has a handful of members
-    rng = random.Random(2025)
-    for _ in range(200):
-        _refine_down(_uneven_cbm(rng), rng, 4)
+def test_incremental_refinement_matches_full_recompute():
+    # the root refinement and the refinements after each individualization
+    # below it give exactly the ordered cells of full-signature refinement
+    # (`_refine_down`): uneven matrices 4 deep, 500 at seed 2024 and 200 at
+    # seed 2025, then down to discrete columns on the high-symmetry
+    # shortened matrices of the six points of PG(1,5) and the seven of
+    # PG(2,2), where every step has a handful of members
+    for seed, count in ((2024, 500), (2025, 200)):
+        rng = random.Random(seed)
+        for _ in range(count):
+            _refine_down(_uneven_cbm(rng), rng, 4)
     for q, k in ((5, 2), (2, 3)):
         m = build_shortened(GeneratorMatrix(q, simplex_generator(k, q).rows))
         assert m.n_cols == m.n_rows == (q ** k - 1) // (q - 1)

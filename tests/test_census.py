@@ -15,11 +15,12 @@ number of spanning multisets.
 
 The points, the spanning test and the group are built here from the
 field's own addition and multiplication tables (`_field`: integers mod a
-prime q, and GF(4) from x^2 + x + 1), not with the library's field, point
-tables or `code_from_chi`; only `GeneratorMatrix`, `classify` and
-`code_aut_group` are the library's.  GF(4) checks partitions over a
-composite field, whose group has the Frobenius map x -> x^2 besides the
-matrices.
+prime q, GF(4) from x^2 + x + 1 and GF(8) from x^3 + x + 1), not with the
+library's field, point tables or `code_from_chi`; only `GeneratorMatrix`,
+`classify` and `code_aut_group` are the library's.  GF(4) and GF(8) check
+partitions over composite fields, whose groups have the Frobenius powers
+besides the matrices; on [6,2]_8 they change the count (11 classes over
+PΓL(2,8), 13 orbits of PGL(2,8)).
 """
 
 import functools
@@ -33,18 +34,34 @@ from codequiv import GeneratorMatrix, classify, code_aut_group
 from conftest import brute_force_preserver_count, gl_matrices
 
 # (n, k, q) -> the number of spanning n-multisets of points of PG(k-1, q)
-SHAPES = {(7, 2, 5): 786, (6, 2, 7): 1708, (7, 3, 2): 1478, (6, 2, 4): 205}
+SHAPES = {(7, 2, 5): 786, (6, 2, 7): 1708, (7, 3, 2): 1478, (6, 2, 4): 205,
+          (6, 2, 8): 2994}
+# the binary extension fields' moduli, in the library's encoding of a
+# polynomial as the int whose bit i holds the coefficient of x^i: x^2 + x + 1
+# and x^3 + x + 1
+MODULI = {4: 0b111, 8: 0b1011}
 
 
 @functools.cache
 def _field(q: int):
-    """(add, mul, inv) tables of GF(q), q prime or 4, in the library's
-    encoding of elements as ints: residues mod q, and c0 + 2*c1 for the
-    element c0 + c1*a of GF(4), where a^2 = a + 1."""
-    if q == 4:
+    """(add, mul, inv) tables of GF(q), q prime or in `MODULI`, in the
+    library's encoding of elements as ints: residues mod q, and c0 + 2*c1 +
+    4*c2 + ... for the element c0 + c1*a + c2*a^2 + ... of GF(2^m), where a
+    is a root of the modulus."""
+    if q in MODULI:
+        m = q.bit_length() - 1
+
         def times(x, y):
-            r = (x if y & 1 else 0) ^ (x << 1 if y & 2 else 0)
-            return r ^ 0b111 if r & 0b100 else r
+            # the carry-less product, then each bit from x^(2m-2) down to
+            # x^m cleared by the modulus shifted under it
+            r = 0
+            for i in range(m):
+                if y >> i & 1:
+                    r ^= x << i
+            for i in range(2 * m - 2, m - 1, -1):
+                if r >> i & 1:
+                    r ^= MODULI[q] << (i - m)
+            return r
         add = [[x ^ y for y in range(q)] for x in range(q)]
         mul = [[times(x, y) for y in range(q)] for x in range(q)]
     else:
@@ -191,24 +208,29 @@ def _classes(n: int, k: int, q: int, algo: str):
 def test_census_counts_and_burnside_numbers():
     """The enumerations have the expected sizes: on PG(1, q) every
     multiset of q + 1 points but the n copies of one point spans, so
-    C(q + n, n) - (q + 1) of them, 786, 1,708 and 205.  Burnside's class
-    counts are 14, 14, 21 and 9; one dimension has one class.  GF(4) has
-    the identity and x -> x^2 as automorphisms, and its tables make a
-    field.  On [6,2]_4 the Frobenius map changes no count: PΓL(2,4) is
-    Sym(5) on the five points, and every 6-multiset of them has two points
-    of equal multiplicity, so a transposition fixes it and its Sym(5)-orbit
-    is one orbit of PGL(2,4), the even permutations."""
+    C(q + n, n) - (q + 1) of them, 786, 1,708, 205 and 2,994.  Burnside's
+    class counts are 14, 14, 21, 9 and 11; one dimension has one class.
+    GF(4) has the identity and x -> x^2 as automorphisms, GF(8) those and
+    x -> x^4, and their tables make fields.  On [6,2]_4 the Frobenius map
+    changes no count: PΓL(2,4) is Sym(5) on the five points, and every
+    6-multiset of them has two points of equal multiplicity, so a
+    transposition fixes it and its Sym(5)-orbit is one orbit of PGL(2,4),
+    the even permutations.  On [6,2]_8 it does: PGL(2,8) alone has 13
+    orbits there."""
     assert {shape: len(_census(*shape)[1]) for shape in SHAPES} == SHAPES
     assert [math.comb(q + n, n) - (q + 1) for n, k, q in SHAPES
-            if k == 2] == [786, 1708, 205]
-    assert [burnside_spanning(*shape) for shape in SHAPES] == [14, 14, 21, 9]
+            if k == 2] == [786, 1708, 205, 2994]
+    assert [burnside_spanning(*shape) for shape in SHAPES] == [
+        14, 14, 21, 9, 11]
     assert burnside_spanning(7, 1, 5) == 1
     assert _automorphisms(4) == [(0, 1, 2, 3), (0, 1, 3, 2)]
-    add, mul, inv = _field(4)
-    for x, y, z in itertools.product(range(4), repeat=3):
-        assert mul[x][add[y][z]] == add[mul[x][y]][mul[x][z]]
-        assert mul[x][mul[y][z]] == mul[mul[x][y]][z]
-    assert all(mul[x][inv[x]] == 1 for x in range(1, 4))
+    assert [f[2] for f in _automorphisms(8)] == [2, 4, 6]
+    for q in MODULI:
+        add, mul, inv = _field(q)
+        for x, y, z in itertools.product(range(q), repeat=3):
+            assert mul[x][add[y][z]] == add[mul[x][y]][mul[x][z]]
+            assert mul[x][mul[y][z]] == mul[mul[x][y]][z]
+        assert all(mul[x][inv[x]] == 1 for x in range(1, q))
 
 
 # ceimpg keys a dimension-2 side by its incidence, a matching on PG(1, q)

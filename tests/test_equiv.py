@@ -2,12 +2,14 @@
 and batch classification, cross-checked against GL brute-force oracles."""
 
 import contextlib
+import hashlib
 import itertools
 import math
 import multiprocessing
 import os
 import random
 import signal
+import struct
 import time
 import tracemalloc
 import types
@@ -24,7 +26,7 @@ from codequiv import (GFMatrix, GeneratorMatrix, build_ceimpg_matrix,
 from codequiv import (batch, bmcanon, equiv, lift, lincode, nullspace_basis,
                       projgeom)
 from codequiv.bmcanon import (CanonResult, ColoredBinaryMatrix,
-                              _sigma_from_canons)
+                              _sigma_from_canons, permute_columns)
 from codequiv.equiv import MonomialTransform
 from codequiv.lift import COSET_CAP
 from codequiv.lincode import _locate
@@ -882,9 +884,9 @@ def test_binary_golay_keyed_on_minimum_weight_rows(n, rows, order):
         build_shortened(side)).group_order
     report = code_aut_group(code)
     assert report.complete and report.order == order
-    key, _, error = batch._code_key(code, "cesimpg")
-    assert error is None
-    assert key.startswith("min:" if side is code else "min:dual:")
+    key, form, error = batch._code_key(code, "cesimpg")
+    assert error is None and form is not None
+    assert key == (b"min:" if side is code else b"min:dual:") + form.key()
 
 
 @pytest.mark.parametrize("n,read", [(24, 78), (23, 57)])
@@ -928,7 +930,7 @@ def test_binary_min_weight_rows_keep_point_groups_and_partitions():
             reduced_here = rec.rows is not None
             assert rec.form.group_order == canonical_form(
                 build_shortened(rec.side)).group_order
-            assert [batch._code_key(code, mode)[0].startswith("min:")
+            assert [batch._code_key(code, mode)[0].startswith(b"min:")
                     for mode in ("cesimpg", "ceimpg")] == [reduced_here, False]
             reduced += reduced_here
         codes += [GeneratorMatrix(spec, _random_transform(
@@ -952,7 +954,7 @@ def test_min_weight_gate_refuses():
         rec = equiv._Side(code)
         assert rec.side is code
         assert rec.rows is None and rec.form.matrix.n_rows == n_rows
-        assert not batch._code_key(code, "cesimpg")[0].startswith("min:")
+        assert not batch._code_key(code, "cesimpg")[0].startswith(b"min:")
 
 
 def test_dimension_two_past_the_coset_cap_is_a_budget_error(monkeypatch):
@@ -1546,10 +1548,10 @@ def test_classify_workers_see_module_state_under_spawn_default(monkeypatch,
 
 
 def test_classify_digests_pinned():
-    # canonical serializations, and so the classify digests, change only on
-    # purpose: 40 [10,3]_3 codes, most with repeated points, 10 high-rate
-    # [10,7]_3 codes, most keyed by their duals, and a seeded copy of every
-    # fifth, on both routes
+    # canonical keys (`CanonResult.key`), and so the classify digests,
+    # change only on purpose: 40 [10,3]_3 codes, most with repeated points,
+    # 10 high-rate [10,7]_3 codes, most keyed by their duals, and a seeded
+    # copy of every fifth, on both routes
     spec = field(3)
     codes = [random_code(spec, 10, 3, seed=s) for s in range(40)]
     codes += [random_code(spec, 10, 7, seed=s) for s in range(10)]
@@ -1562,10 +1564,157 @@ def test_classify_digests_pinned():
         assert result.errors == [] and len(result.classes) == 45
         digests[algo] = result.digest
     assert digests == {
-        "ceimpg": "31f2186e584670ff43d357ca14f25fc6"
-                  "17ec1780f4730c05ff4a9ae6debd6d9d",
-        "cesimpg": "04faafed9cb494e9afcf5193d60dd95e"
-                   "25dc6222588e84483054243f4be702e1"}
+        "ceimpg": "d02e70972270bc2d97d97b809a5582e0"
+                  "2f7d8c04b1680015b61d61f237604092",
+        "cesimpg": "c281dbfb327af34b3705908a1c9637ca"
+                   "cbc7892698cc8bebb2243cfad6bcc7c3"}
+
+
+# ---------------------------------------------------------------------------
+# classification keys: certificate bytes, no text
+
+
+def _text_code_key(code, mode):
+    """`batch._code_key` keyed on the tagged `serialize()` text of the same
+    canonical form, encoded, as classify keyed every code before its keys
+    were bytes: the reference the byte keys must partition like."""
+    try:
+        rec = equiv._Side(code)
+        tag = "" if rec.side is code else "dual:"
+        if mode == "ceimpg":
+            text = canonical_form(rec.incidence).serialize()
+            return (tag + text).encode(), None, None
+        if rec.rows is not None:
+            tag = "min:" + tag
+        return (tag + rec.form.serialize()).encode(), rec.form, None
+    except (BudgetExceededError, ResourceLimitError) as e:
+        return None, None, f"{type(e).__name__}: {e}"
+
+
+# per field, [n,k] shapes of one seeded batch: codes keyed on themselves,
+# high-rate ones keyed on their duals, and ones with repeated points (n
+# over theta(k-1, q)); over GF(2) also shapes whose minimum-weight rows span
+KEY_SHAPES = {2: [(6, 2), (7, 3), (7, 4), (8, 4), (10, 3)],
+              3: [(6, 2), (7, 3), (7, 5), (14, 2)],
+              4: [(7, 3), (8, 5), (10, 2)],
+              8: [(6, 3), (7, 4), (12, 2)]}
+
+
+def _key_batch(q):
+    """Eight seeded codes of each of `KEY_SHAPES[q]` and a seeded monomial
+    copy (semilinear over GF(4) and GF(8)) of every third, shuffled, so one
+    batch mixes lengths and dimensions."""
+    spec = field(q)
+    rng = random.Random(4300 + q)
+    codes = [random_code(spec, n, k, seed=s) for n, k in KEY_SHAPES[q]
+             for s in range(8)]
+    codes += [GeneratorMatrix(spec, _random_transform(spec, c.n, rng).apply(
+        c.mat).rows) for c in codes[::3]]
+    rng.shuffle(codes)
+    return codes
+
+
+@pytest.mark.parametrize("jobs", [1, 2])
+@pytest.mark.parametrize("algo", ["ceimpg", "cesimpg"])
+@pytest.mark.parametrize("q", sorted(KEY_SHAPES))
+def test_byte_keys_classify_as_text_keys(monkeypatch, forks, q, algo, jobs):
+    """A batch classified on its byte keys has the partition, class order
+    and errors of the same batch keyed on the tagged `serialize()` texts
+    (`_text_code_key`), at jobs 1 and 2; two codes' byte keys are equal
+    exactly when their texts are; each class's `key_digest` and the batch
+    `digest` hash the byte keys.  The batches hold primal, "dual:" and
+    repeated-point codes, and over GF(2) on cesimpg "min:" ones.  No text
+    is rendered: `serialize`, `CanonResult.serialize` and `_render` raise
+    while the byte keys classify, in this process and in the worker."""
+
+    def refuse(*args):
+        raise AssertionError("classify rendered a key's text")
+
+    codes = _key_batch(q)
+    keys = [batch._code_key(code, algo) for code in codes]
+    texts = [_text_code_key(code, algo) for code in codes]
+    assert all(msg is None for _, _, msg in keys + texts)
+    pairs = {(key, text) for (key, _, _), (text, _, _) in zip(keys, texts)}
+    assert len(pairs) == len({key for key, _ in pairs}) == len(
+        {text for _, text in pairs}) < len(codes)
+    tags = {text.split(b"c ")[0] for _, text in pairs}
+    assert tags == ({b"", b"dual:", b"min:", b"min:dual:"}
+                    if q == 2 and algo == "cesimpg" else {b"", b"dual:"})
+    assert any(len(_locate(equiv._side(c))[0]) < c.n for c in codes)
+    with monkeypatch.context() as m:
+        for owner, name in ((bmcanon, "serialize"), (bmcanon, "_render"),
+                            (CanonResult, "serialize")):
+            m.setattr(owner, name, refuse)
+        got = classify(codes, algo=algo, jobs=jobs)
+    assert len(forks) == jobs - 1 and all(p.exitcode == 0 for p in forks)
+    forks.clear()
+    monkeypatch.setattr(batch, "_code_key", _text_code_key)
+    want = classify(codes, algo=algo, jobs=jobs)
+    assert ([(c.representative, c.members) for c in got.classes]
+            == [(c.representative, c.members) for c in want.classes])
+    assert got.errors == want.errors == []
+    reps = [keys[c.representative][0] for c in got.classes]
+    assert [c.key_digest for c in got.classes] == [
+        hashlib.sha256(key).hexdigest()[:12] for key in reps]
+    assert got.digest == hashlib.sha256(b"".join(sorted(reps))).hexdigest()
+
+
+def _read_key(blob):
+    """(tag, n_rows, col_colors, cert, rest) read off the front of `blob`,
+    a tag and a `CanonResult.key()` followed by any bytes."""
+    tag = b""
+    for part in (b"min:", b"dual:"):
+        if blob[len(tag):].startswith(part):
+            tag += part
+    blob = blob[len(tag):]
+    assert blob[:1] == b"c"
+    n_cols, n_rows = struct.unpack_from("<QQ", blob, 1)
+    colors = struct.unpack_from(f"<{n_cols}q", blob, 17)
+    start = 17 + 8 * n_cols
+    end = start + n_rows * -(-n_cols // 8)
+    return tag, n_rows, colors, blob[start:end], blob[end:]
+
+
+def test_canon_key_equal_exactly_when_texts_are():
+    """Tagged keys of hand-made forms are equal exactly when their tagged
+    `serialize()` texts are, and each reads back as its tag, rows, colors
+    and certificate, also followed by another key.  The forms include ones
+    whose first color's bytes spell "dual:" or "min:", ones with no
+    columns, and forms alike but for their rows, colors or row count."""
+    dual = int.from_bytes(b"dual:\0\0\0", "little")
+    mimic = int.from_bytes(b"min:dual", "little")
+    matrices = [
+        ColoredBinaryMatrix([[1, 0], [0, 1]], [3, 4]),
+        ColoredBinaryMatrix([[1, 0], [0, 1]], [3, 5]),
+        ColoredBinaryMatrix([[1, 1], [0, 1]], [3, 4]),
+        ColoredBinaryMatrix([[1, 0], [0, 1], [1, 1]], [3, 4]),
+        ColoredBinaryMatrix([[1, 0], [0, 1]], [dual, 0]),
+        ColoredBinaryMatrix([[1, 0], [0, 1]], [mimic, -1]),
+        ColoredBinaryMatrix([[1, 0, 1]], [mimic, dual, 99]),
+        ColoredBinaryMatrix([], n_cols=0),
+        ColoredBinaryMatrix([[]], n_cols=0),
+        ColoredBinaryMatrix([[], []], n_cols=0),
+        ColoredBinaryMatrix([], [0, 0]),
+        ColoredBinaryMatrix([[0] * 9, [1] * 9], [1] * 9),
+        ColoredBinaryMatrix([[0] * 9, [1] * 8 + [0]], [1] * 9),
+    ]
+    # relabeled copies have the same canonical form
+    matrices += [permute_columns(m, tuple(reversed(range(m.n_cols))))
+                 for m in matrices[:7]]
+    forms = [canonical_form(m) for m in matrices]
+    tagged = [(tag, form) for tag in ("", "dual:", "min:", "min:dual:")
+              for form in forms]
+    for tag, form in tagged:
+        key = tag.encode() + form.key()
+        want = (tag.encode(), form.n_rows, form.col_colors, form.cert, b"")
+        assert _read_key(key) == want
+        for tag2, form2 in tagged:
+            key2 = tag2.encode() + form2.key()
+            assert (key == key2) == (
+                tag + form.serialize() == tag2 + form2.serialize())
+            assert _read_key(key + key2)[:4] == want[:4]
+    assert len({tag.encode() + form.key() for tag, form in tagged}) == len(
+        {tag + form.serialize() for tag, form in tagged}) == 4 * 13
 
 
 def test_classify_refuses_auto():
@@ -2066,7 +2215,7 @@ def test_forked_keys_pipe_back_keys_and_forms(forks):
         mine = batch._code_key(code, "cesimpg")
         assert error is None and isinstance(form, CanonResult)
         assert (key, form) == mine[:2]
-    assert [key[:4] for key, _, _ in keyed] == ["min:", "dual", "min:"]
+    assert [key[:5] for key, _, _ in keyed] == [b"min:c", b"dual:", b"min:c"]
     rep, rec = (equiv._Side(codes[i], keyed[i][1]) for i in (2, 0))
     assert rep.form is keyed[2][1]
     pi0 = _sigma_from_canons(rep.form, rec.form)

@@ -5,15 +5,17 @@ worker (`_batch_keys`).  The ceimpg key is the canonical form of the
 multiplicity-colored incidence of the code's side, a complete invariant,
 so a key is a class.  The cesimpg key is the canonical form of the side's
 kept shortened matrix (`equiv._Side.kept`); codes sharing it share a
-bucket, and a bucket's members are told apart by lifting
-(`lift._find_lift`), whose sigma0 is read off the two keys' forms.  A key
-is bytes: the canonical form's `CanonResult.key()`, which frames its
-certificate with its column colors and row count and renders no text,
-after a tag: "dual:" when it was built from the dual, and "min:" for a
-cesimpg key over GF(2) built from the minimum-weight rows alone.  Two
+bucket, and a bucket's members are told apart by lifting each one onto a
+class representative's lift target (`lift._find_lift`), whose sigma0 is
+read off the two keys' forms.  A key is bytes: the canonical form's
+`CanonResult.key()`, which frames its certificate with its column colors
+and row count and renders no text, after a tag: "dual:" when it was built
+from the dual, and "min:" for a cesimpg key over GF(2) built from the
+minimum-weight rows alone.  Two
 keys are equal exactly when the tagged `serialize()` texts of their
 forms are.  Only the forms of the cesimpg keys are kept: a code's `_Side`
-record is made around its form only when a bucket compares that code.
+record is made around its form only when a bucket compares that code, and
+only a representative's record builds a lift target.
 """
 
 from __future__ import annotations
@@ -171,9 +173,12 @@ def classify(codes, algo: str = "ceimpg", jobs: int = 1) -> ClassifyResult:
     codes themselves.  A key is its tag and its canonical form's
     `CanonResult.key()` bytes, no rendered text; the buckets, each class's
     `key_digest` and the batch `digest` hash those bytes.  A cesimpg
-    bucket that already holds a class makes
-    the `_Side` record of the code it compares, and of each representative
-    it compares against, once per code, around the form its key came from.
+    bucket that already holds a class makes the `_Side` record of the code
+    it compares, and of each representative it compares against, once per
+    code, around the form its key came from, and lifts the code onto the
+    representative's lift target: each class builds one rref, on its
+    representative, however many members join it, and past sigma0 the
+    point group comes from the member's own form.
     `jobs`, an integer >= 1, bounds the processes that
     key the codes: this one keys them in order until its own keying time
     projects at least FORK_PAYS_S of CPU for the rest, and only then cuts
@@ -212,11 +217,12 @@ def classify(codes, algo: str = "ceimpg", jobs: int = 1) -> ClassifyResult:
             for cls in bucket:
                 # the ceimpg route takes its key as complete: one class per
                 # bucket; cesimpg members of a bucket share their canonical
-                # matrix, so pi0 is read off the forms the keys came from
+                # matrix, so pi0 is read off the forms the keys came from,
+                # and code i is lifted onto the representative's target
                 rep = cls.representative
                 if algo == "ceimpg" or _find_lift(
-                        side(rep), side(i),
-                        _sigma_from_canons(keyed[rep][1], form)) is not None:
+                        side(i), side(rep),
+                        _sigma_from_canons(form, keyed[rep][1])) is not None:
                     joined = cls
                     break
         except _ITEM_ERRORS as e:

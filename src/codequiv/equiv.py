@@ -42,8 +42,9 @@ has dimension n - k (`_side` names the exceptions).  C1 ~ C2 exactly when
 C1^perp ~ C2^perp under the same coordinate permutation and field
 automorphism, so the dual's canonical forms yield the same candidate
 permutations and the same permutation group.  Lifting, witnesses and the
-diagonal kernel always stay on the codes themselves and their own reduced
-row echelon forms.
+diagonal kernel always stay on the codes themselves and their own lift
+targets (`lift.LiftTarget`: a reduced row echelon form and its support
+graph).
 
 Over GF(2) the shortened matrix of a side whose minimum-weight words span it
 is cut to the rows of those words (`_Side.rows`): a row is the support
@@ -56,9 +57,10 @@ field keeps all rows, as does the point-multiplicity route.
 All that the shortened route derives from a code is built once, on first
 use, in the code's one `_Side` record: `cesimpg_equiv`, `code_aut_group`
 and the keys of `batch.classify` read it, and `lift._find_lift` takes two.
-A pair decision canonicalizes a side only when sigma0 does not lift.  This
-route builds no canonical form of an incidence matrix: past the coset cap
-each comparison searches the two incidence matrices anew.
+A pair decision canonicalizes a side only when sigma0 does not lift, and
+builds a lift target only for its second code.  This route builds no
+canonical form of an incidence matrix: past the coset cap each comparison
+searches the two incidence matrices anew.
 """
 
 from __future__ import annotations
@@ -73,9 +75,8 @@ from . import bmcanon
 from .bmcanon import (CanonResult, ColoredBinaryMatrix, _perm_inverse,
                       canonical_form)
 from .gfield import FieldSpec, as_ints
-from .gfmatrix import (GFMatrix, RREFResult, mat_mul, nullspace_basis, rank,
-                       rref)
-from .lift import _coordinate_perm, _find_lift, _lift, _support_forest
+from .gfmatrix import GFMatrix, mat_mul, nullspace_basis, rank
+from .lift import LiftTarget, _coordinate_perm, _find_lift, _lift
 from .lincode import (CharacteristicVector, GeneratorMatrix, _locate,
                       characteristic_vector)
 from .projgeom import (codeword_weights, incidence, incidence_columns,
@@ -237,11 +238,13 @@ class _Side:
     off them; the shortened `matrix`, which wraps those columns only when a
     search reads it; the minimum-weight `rows` of a binary side (None when
     all rows are kept), the canonical `form` of the rows `kept`, and the
-    code's own `red` = rref(code).  A `form` already at hand (`classify`
-    has its keys') is passed in.  Its `incidence` matrix, which the ceimpg
-    route and a search past the coset cap read, is built on each read from
-    the side's `characteristic_vector`, a walk of its own.  A record lives
-    in one process: `--jobs` workers send back forms, not records."""
+    code's own `target` (`lift.LiftTarget`: its rref and support graph),
+    which every candidate lifted onto the code shares.  A `form` already
+    at hand (`classify` has its keys') is passed in.  Its `incidence`
+    matrix, which the ceimpg route and a search past the coset cap read, is
+    built on each read from the side's `characteristic_vector`, a walk of
+    its own.  A record lives in one process: `--jobs` workers send back
+    forms, not records."""
 
     def __init__(self, code: GeneratorMatrix, form: CanonResult | None = None):
         self.code = code
@@ -321,8 +324,8 @@ class _Side:
         return canonical_form(self.kept)
 
     @cached_property
-    def red(self) -> RREFResult:
-        return rref(self.code.mat)
+    def target(self) -> LiftTarget:
+        return LiftTarget(self.code)
 
     @property
     def incidence(self) -> ColoredBinaryMatrix:
@@ -359,11 +362,24 @@ def ceimpg_equiv(c1: GeneratorMatrix, c2: GeneratorMatrix) -> Verdict:
     return Verdict(sigma is not None, "ceimpg")
 
 
-def _witness(c1: GeneratorMatrix, c2: GeneratorMatrix, sigma, rho: int,
-             q: GFMatrix, lambdas) -> EquivalenceWitness:
-    """The witness of a lift of c1 onto rref(c2), rechecked from scratch."""
+def _witness(c1: GeneratorMatrix, target: LiftTarget, sigma, rho: int,
+             lambdas) -> EquivalenceWitness:
+    """The witness of a lift (`lift._lift`) of c1 onto the code of
+    `target`, rechecked from scratch.  Q = A T2, where T2 @ G2 == rref(G2)
+    and A is the k pivot columns of rho(c1 P_sigma diag(lambdas)), read
+    with k^2 table lookups.  `verify_witness` checks Q's rank, once per
+    witness; a lift that fails it raises."""
+    spec = c1.spec
+    log, exp = spec.log, spec.exp
+    sigma_inv = _perm_inverse(sigma)
+    cols = [(sigma_inv[p], log[lambdas[p]]) for p in target.red.pivots]
+    a = [[exp[log[row[j]] + ll] for j, ll in cols] for row in c1.mat.rows]
+    if rho:
+        frob = spec.frobenius_table(rho)
+        a = [[frob[x] for x in row] for row in a]
+    q = mat_mul(GFMatrix._wrap(spec, a), target.red.transform)
     witness = EquivalenceWitness(tuple(sigma), tuple(lambdas), rho, q)
-    if not verify_witness(c1, c2, witness):
+    if not verify_witness(c1, target.code, witness):
         raise RuntimeError("internal error: assembled witness failed verification")
     return witness
 
@@ -398,8 +414,9 @@ def cesimpg_equiv(c1: GeneratorMatrix, c2: GeneratorMatrix) -> Verdict:
     inequivalence.  On sides of dimension 2, and past the node budget (as
     in `classify`), the typed error stands: no verdict comes without a
     witness.
-    Lifting one candidate onto rref(c2) is a walk over its support graph,
-    with no budget of its own.
+    Lifting one candidate onto c2's lift target is a walk over the support
+    graph of rref(c2), with no budget of its own; Q is built, and its rank
+    checked, only for the witness.
     """
     sides = _comparable_sides(c1, c2)
     if sides is None:
@@ -413,7 +430,7 @@ def cesimpg_equiv(c1: GeneratorMatrix, c2: GeneratorMatrix) -> Verdict:
     found = _find_lift(s1, s2, pi0)
     if found is None:
         return Verdict(False, "cesimpg")
-    return Verdict(True, "cesimpg", _witness(c1, c2, *found))
+    return Verdict(True, "cesimpg", _witness(c1, s2.target, *found))
 
 
 def decide_equivalence(c1: GeneratorMatrix, c2: GeneratorMatrix,
@@ -449,7 +466,8 @@ class AutomorphismReport:
     which always lift; `h1_order` is the point group's order times m_p!
     for each point's multiplicity m_p.  `lifted`
     holds one verified monomial automorphism of the code itself per
-    generator that lifts onto the code's rref, and `failed` the others.
+    generator that lifts onto the code's lift target, and `failed` the
+    others.
     `kernel_order` counts the diagonal-only automorphisms (the scalings
     fixing the code with the identity permutation): (q-1)^c for the c
     connected components of the support graph of the rref, so q-1 unless
@@ -473,11 +491,12 @@ def code_aut_group(code: GeneratorMatrix) -> AutomorphismReport:
     """The automorphism group of `code` (see AutomorphismReport).  H1 comes
     from the shortened matrix of the code's side (its dual when 2k > n),
     over GF(2) from its minimum-weight rows alone when those words span the
-    side (`_Side.rows`: the same group); each generator is lifted, and
-    the kernel counted, on the code itself."""
+    side (`_Side.rows`: the same group); each generator is lifted onto
+    the code's one lift target, whose support forest also counts the
+    kernel's components."""
     spec = code.spec
     rec = _Side(code)
-    r, points = rec.form, rec.points
+    r, points, target = rec.form, rec.points, rec.target
     gens = [_coordinate_perm(g, points, points) for g in r.generators]
     h1_order = r.group_order
     for coords in points:
@@ -489,13 +508,12 @@ def code_aut_group(code: GeneratorMatrix) -> AutomorphismReport:
     lifted: list[EquivalenceWitness] = []
     failed: list[tuple[int, ...]] = []
     for tau in gens:
-        lift = _lift(code, rec.red, tau)
+        lift = _lift(code, target, tau)
         if lift is None:
             failed.append(tau)
         else:
-            lifted.append(_witness(code, code, tau, *lift))
-    forest = _support_forest(rec.red, code.n)
-    kernel = (spec.q - 1) ** sum(p is None for _, p in forest)
+            lifted.append(_witness(code, target, tau, *lift))
+    kernel = (spec.q - 1) ** target.components
     complete = spec.m == 1 and not failed
     order = h1_order * kernel if complete else None
     return AutomorphismReport(h1_order, gens, lifted, failed, kernel, order,

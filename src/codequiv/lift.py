@@ -5,12 +5,15 @@ some invertible Q, nonzero scalings lambda and field automorphism rho give
 
     Q @ G2  ==  rho(G1 @ P_sigma @ diag(lambda))
 
-(the orientation of `equiv`).  The lift works against the second code's
-own reduced row echelon form: the scalings lambda are carried along its
-bipartite support graph, one free scalar per connected component, under
-each field automorphism, all of which share one elimination of the moved
-matrix (`_lift`).  Lifting always stays on the codes themselves, never on
-the duals that `equiv._side` may search in their place.
+(the orientation of `equiv`).  The lift works against a `LiftTarget`, built
+once per second code from its own reduced row echelon form: the scalings
+lambda are carried along that form's bipartite support graph, one free
+scalar per connected component, under each field automorphism, all of
+which share one elimination of the moved matrix (`_lift`).  A lift yields
+(rho, lambdas) only; Q is assembled, and rank-checked, once, where a
+witness is built and verified (`equiv._witness`).  Lifting always stays on
+the codes themselves, never on the duals that `equiv._side` may search in
+their place.
 
 The candidates between two `equiv._Side` records are sigma0, the
 coordinate map of one isomorphism of their kept shortened matrices, then,
@@ -26,7 +29,7 @@ from __future__ import annotations
 from . import bmcanon
 from .bmcanon import _perm_inverse
 from .errors import BudgetExceededError
-from .gfmatrix import GFMatrix, RREFResult, _eliminate, mat_mul, rank
+from .gfmatrix import RREFResult, _eliminate, rref
 from .lincode import GeneratorMatrix
 
 COSET_CAP = 10 ** 6
@@ -53,8 +56,13 @@ def _support_forest(red: RREFResult, n: int):
     coordinate c for column c, and the two are adjacent when R[s][c] != 0.
     Each component is walked from its highest-numbered coordinate; yields
     (coordinate, parent) in walk order, parent None at a root."""
-    rows, pivots = red.rref.rows, red.pivots
-    row_of = {p: s for s, p in enumerate(pivots)}
+    # a pivot's neighbours in column order, a column's in row order
+    nbrs = [[] for _ in range(n)]
+    for p, row in zip(red.pivots, red.rref.rows):
+        for c, x in enumerate(row):
+            if x and c != p:
+                nbrs[p].append(c)
+                nbrs[c].append(p)
     seen = [False] * n
     for root in range(n - 1, -1, -1):
         if seen[root]:
@@ -64,12 +72,7 @@ def _support_forest(red: RREFResult, n: int):
         stack = [root]
         while stack:
             v = stack.pop()
-            s = row_of.get(v)
-            if s is not None:
-                nbrs = [c for c in range(n) if c != v and rows[s][c]]
-            else:
-                nbrs = [p for t, p in enumerate(pivots) if rows[t][v]]
-            for w in nbrs:
+            for w in nbrs[v]:
                 if not seen[w]:
                     seen[w] = True
                     yield w, v
@@ -94,78 +97,99 @@ def _iter_group(gens, n: int):
         frontier = nxt
 
 
-def _lift(g1: GeneratorMatrix, red2: RREFResult, sigma, rhos=None):
-    """(rho, Q, lambdas) for the first field automorphism rho of `rhos`
-    (default all, in order) under which `sigma` lifts (Q @ G2 ==
-    rho(g1 P_sigma diag(lambdas)), red2 = rref(G2)), or None when none
-    does.  Raises ValueError when red2 is not k x n.
+class LiftTarget:
+    """A code G2 as `_lift` reads it, built once per code and shared by
+    every candidate lifted onto it: `red` = rref(G2), T2 @ G2 == R2, with
+    R2's identity columns at the pivots p_0..p_k-1; the `support` of each
+    row of R2; the `edges` of the spanning forest of R2's support graph
+    (`_support_forest`), each (v, parent, s, c, sign, log R2[s][c]) for the
+    entry (s, c) it reads, sign 1 when v is the pivot of row s and -1 when
+    v is the column c; the `checks` (s, p_s, c, log R2[s][c]) for every
+    other nonzero entry off the pivots, which the scalings the edges carry
+    must also satisfy; and the forest's number of `components`."""
 
-    `red2` is rref(G2): T2 @ G2 == R2, with R2's identity columns at the
-    pivots p_0..p_k-1.  Writing M for rho(G1) P_sigma and A for its columns
-    at those pivots, a lift needs A invertible; then A^-1 M == E1 has the
-    same identity columns, Q = A diag(mu_p0..mu_pk-1) T2, and the scalings
-    mu (lambdas = rho^-1(mu)) are exactly the all-nonzero solutions of
-    mu_ps R2[s][c] == mu_c E1[s][c].  So E1 and R2 must share their
-    support, and mu is one free scalar per connected component of that
-    support's bipartite graph, set to 1 at the component's highest-numbered
-    coordinate and carried along its edges (`_support_forest`).
+    __slots__ = ("code", "red", "support", "edges", "checks", "components")
+
+    def __init__(self, code: GeneratorMatrix):
+        red = rref(code.mat)
+        rows, pivots, log = red.rref.rows, red.pivots, code.spec.log
+        row_of = {p: s for s, p in enumerate(pivots)}
+        self.code, self.red = code, red
+        self.support = [[x != 0 for x in row] for row in rows]
+        self.edges, tree, self.components = [], set(), 0
+        for v, p in _support_forest(red, code.n):
+            if p is None:
+                self.components += 1
+                continue
+            s = row_of.get(v)
+            s, c, sign = (s, p, 1) if s is not None else (row_of[p], v, -1)
+            self.edges.append((v, p, s, c, sign, log[rows[s][c]]))
+            tree.add((s, c))
+        # an entry on a forest edge holds by construction
+        self.checks = [(s, p, c, log[x]) for s, p in enumerate(pivots)
+                       for c, x in enumerate(rows[s])
+                       if x and c != p and (s, c) not in tree]
+
+
+def _lift(g1: GeneratorMatrix, target: LiftTarget, sigma, rhos=None):
+    """(rho, lambdas) for the first field automorphism rho of `rhos`
+    (default all, in order) under which `sigma` lifts onto the code of
+    `target` (Q @ G2 == rho(g1 P_sigma diag(lambdas)) for some invertible
+    Q), or None when none does.  Raises ValueError when the two codes'
+    shapes differ.  Q itself is built only with a witness
+    (`equiv._witness`).
+
+    Writing M for rho(G1) P_sigma and A for its columns at R2's pivots, a
+    lift needs A invertible; then A^-1 M == E1 has the same identity
+    columns, Q = A diag(mu_p0..mu_pk-1) T2, and the scalings mu (lambdas =
+    rho^-1(mu)) are exactly the all-nonzero solutions of mu_ps R2[s][c] ==
+    mu_c E1[s][c].  So E1 and R2 must share their support, and mu is one
+    free scalar per connected component of that support's bipartite graph,
+    set to 1 at the component's highest-numbered coordinate and carried
+    along the target's `edges`; the target's `checks` are the other
+    equations.
 
     Applied entrywise, rho commutes with Gauss-Jordan: rho(M) has its zeros
     where M = G1 P_sigma has them, so it takes the same pivot rows and swaps
     and ends in rho(E1), of E1's support.  So M is eliminated, and the
-    pivots and support tested, once for every rho; only the scalings, Q and
+    pivots and support tested, once for every rho; only the scalings and
     their consistency are computed per rho."""
     spec = g1.spec
-    k, n = g1.k, g1.n
-    r2, pivots = red2.rref.rows, red2.pivots
-    if red2.rref.nrows != k or red2.rref.ncols != n:
+    n = g1.n
+    code2 = target.code
+    if (code2.k, code2.n) != (g1.k, n):
         raise ValueError("shape mismatch")
+    pivots = target.red.pivots
     sigma_inv = _perm_inverse(sigma)
-    moved0 = [[row[i] for i in sigma_inv] for row in g1.mat.rows]
-    e1_0 = [list(row) for row in moved0]
+    e1_0 = [[row[i] for i in sigma_inv] for row in g1.mat.rows]
     if _eliminate(spec, e1_0, pivots) != list(pivots):
         return None
-    if any([x != 0 for x in a] != [x != 0 for x in b]
-           for a, b in zip(e1_0, r2)):
+    if any([x != 0 for x in a] != b for a, b in zip(e1_0, target.support)):
         return None
     # the scalings as discrete logs: every one is nonzero, and E1 and R2
     # share their support, so each ratio below is of nonzero entries
     log, exp, order = spec.log, spec.exp, spec.q - 1
-    row_of = {p: s for s, p in enumerate(pivots)}
-    forest = [(v, p) for v, p in _support_forest(red2, n) if p is not None]
     for rho in range(spec.m) if rhos is None else rhos:
-        moved, e1 = moved0, e1_0
+        e1 = e1_0
         if rho:
             frob = spec.frobenius_table(rho)
-            moved, e1 = ([[frob[x] for x in row] for row in m]
-                         for m in (moved0, e1_0))
+            e1 = [[frob[x] for x in row] for row in e1_0]
         lmu = [0] * n
-        for v, p in forest:
-            s = row_of.get(v)
-            if s is not None:
-                lmu[v] = (lmu[p] + log[e1[s][p]] - log[r2[s][p]]) % order
-            else:
-                s = row_of[p]
-                lmu[v] = (lmu[p] + log[r2[s][v]] - log[e1[s][v]]) % order
-        if any(r2[s][c] and (lmu[p] + log[r2[s][c]]
-                             - lmu[c] - log[e1[s][c]]) % order
-               for s, p in enumerate(pivots) for c in range(n)):
+        for v, p, s, c, sign, lr in target.edges:
+            lmu[v] = (lmu[p] + sign * (log[e1[s][c]] - lr)) % order
+        if any((lmu[p] + lr - lmu[c] - log[e1[s][c]]) % order
+               for s, p, c, lr in target.checks):
             continue
-        a = GFMatrix._wrap(spec, [[exp[log[row[p]] + lmu[p]] for p in pivots]
-                                  for row in moved])
-        q = mat_mul(a, red2.transform)
-        if rank(q) != k:
-            raise RuntimeError("internal error: lifted Q is singular")
         # rho^-1(g^l) = g^(l p^(m - rho))
         back = spec.p ** ((spec.m - rho) % spec.m)
-        return rho, q, tuple(exp[l * back % order] for l in lmu)
+        return rho, tuple(exp[l * back % order] for l in lmu)
     return None
 
 
 def _find_lift(s1, s2, pi0):
-    """(sigma, rho, Q, lambdas) for the first candidate permutation that
-    lifts code s1 onto the rref of code s2, or None when none does; s1 and
-    s2 are `equiv._Side` records.
+    """(sigma, rho, lambdas) for the first candidate permutation that lifts
+    code s1 onto the lift target of code s2 (`_Side.target`), or None when
+    none does; s1 and s2 are `equiv._Side` records.
 
     `pi0` is an isomorphism of the sides' kept matrices (`_Side.kept`, both
     reduced or neither), as a map of their points.  The permutations
@@ -195,7 +219,7 @@ def _find_lift(s1, s2, pi0):
     """
     g1, points1, points2 = s1.code, s1.points, s2.points
     sigma0 = _coordinate_perm(pi0, points1, points2)
-    lift = _lift(g1, s2.red, sigma0)
+    lift = _lift(g1, s2.target, sigma0)
     if lift is not None:
         return (sigma0, *lift)
     r1 = s1.form
@@ -205,7 +229,7 @@ def _find_lift(s1, s2, pi0):
         next(taus)  # the identity: sigma0 itself
         for tau in taus:
             sigma = _perm_compose(sigma0, tau)
-            lift = _lift(g1, s2.red, sigma)
+            lift = _lift(g1, s2.target, sigma)
             if lift is not None:
                 return (sigma, *lift)
         return None
@@ -221,7 +245,7 @@ def _find_lift(s1, s2, pi0):
     index2 = {j: p for p, j in enumerate(s2.positions)}
     pi = [index2[gamma[j]] for j in s1.positions]
     sigma = _coordinate_perm(pi, points1, points2)
-    lift = _lift(g1, s2.red, sigma)
+    lift = _lift(g1, s2.target, sigma)
     if lift is None:
         raise RuntimeError("internal error: incidence isomorphism did not lift")
     return (sigma, *lift)

@@ -291,9 +291,11 @@ def test_lift_on_worked_example():
     g1 = GeneratorMatrix(3, G1_ROWS)
     g2 = GeneratorMatrix(3, G2_ROWS)
     sigma = (0, 2, 3, 1, 4, 5)  # the 3-cycle moving coordinates 2->3->4->2
-    found = lift._lift(g1, rref(g2.mat), sigma)
+    target = lift.LiftTarget(g2)
+    found = lift._lift(g1, target, sigma)
     assert found is not None
-    _, q_mat, lambdas = found
+    rho, lambdas = found
+    q_mat = equiv._witness(g1, target, sigma, rho, lambdas).q_matrix
     t = MonomialTransform(field(3), sigma, lambdas, 0)
     from codequiv.gfmatrix import mat_mul
     assert mat_mul(q_mat, g2.mat) == t.apply(g1.mat)
@@ -302,9 +304,9 @@ def test_lift_on_worked_example():
 def test_lift_identity_on_self():
     spec = field(3)
     code = random_code(spec, 8, 3, seed=4)
-    found = lift._lift(code, rref(code.mat), tuple(range(8)))
+    found = lift._lift(code, lift.LiftTarget(code), tuple(range(8)))
     assert found is not None
-    _, q_mat, lambdas = found
+    _, lambdas = found
     assert all(l != 0 for l in lambdas)
 
 
@@ -312,10 +314,10 @@ def test_lift_shape_mismatch_raises():
     g1 = GeneratorMatrix(3, G1_ROWS)
     spec = field(3)
     with pytest.raises(ValueError):
-        lift._lift(g1, rref(random_code(spec, 6, 2, seed=0).mat),
+        lift._lift(g1, lift.LiftTarget(random_code(spec, 6, 2, seed=0)),
                    tuple(range(6)))
     with pytest.raises(ValueError):
-        lift._lift(g1, rref(random_code(spec, 7, 3, seed=0).mat),
+        lift._lift(g1, lift.LiftTarget(random_code(spec, 7, 3, seed=0)),
                    tuple(range(6)))
 
 
@@ -325,10 +327,10 @@ def test_simplex_lift_census_matches_gl_order():
     each invertible map realizes exactly one permutation here."""
     g = simplex_generator(3, 2)
     code = GeneratorMatrix(2, g.rows)
-    red = rref(code.mat)
+    target = lift.LiftTarget(code)
     count = 0
     for sigma in itertools.permutations(range(7)):
-        if lift._lift(code, red, sigma) is not None:
+        if lift._lift(code, target, sigma) is not None:
             count += 1
     assert count == 168
 
@@ -345,10 +347,10 @@ def _direct_sum(spec, parts):
 
 @pytest.mark.parametrize("q", [2, 3, 4, 5, 7, 8, 9])
 def test_lift_matches_linear_system_reference(q):
-    """The support-graph walk returns exactly the (Q, lambdas) of the
-    nullspace search, or None with it, for every rho: on the coset
-    candidates of transformed pairs, on random permutations, and on direct
-    sums whose support graph has several components."""
+    """The support-graph walk returns exactly the lambdas of the nullspace
+    search, and `equiv._witness` its Q, or None with it, for every rho: on
+    the coset candidates of transformed pairs, on random permutations, and
+    on direct sums whose support graph has several components."""
     spec = field(q)
     rng = random.Random(600 + q)
     codes = [random_code(spec, rng.randrange(5, 8), rng.randrange(2, 4),
@@ -372,16 +374,18 @@ def test_lift_matches_linear_system_reference(q):
             rng.shuffle(perm)
             sigmas.append(tuple(perm))
         for g1, g2 in ((code, gs2), (gs1, gs1)):
+            target = lift.LiftTarget(g2)
             for sigma in sigmas:
                 sigma_inv = [sigma.index(s) for s in range(k)]
                 lead = GFMatrix(spec, [[row[i] for i in sigma_inv]
                                        for row in g1.mat.rows])
                 singular += rank(lead) < k
                 for rho in range(spec.m):
-                    found = lift._lift(g1, rref(g2.mat), sigma, (rho,))
+                    found = lift._lift(g1, target, sigma, (rho,))
                     want = reference_monomial_from_sigma(g1, g2, sigma, rho)
                     assert found is None or found[0] == rho
-                    got = found and (found[1].rows, found[2])
+                    got = found and (equiv._witness(
+                        g1, target, sigma, *found).q_matrix.rows, found[1])
                     assert got == want, (sigma, rho)
                     hits += got is not None
                     misses += got is None
@@ -415,13 +419,13 @@ def test_lift_eliminates_once_for_every_rho(monkeypatch, q):
                   for tau in itertools.islice(taus, 8)]
         sigmas += [cesimpg_equiv(c1, c2).witness.sigma]
         sigmas += [tuple(rng.sample(range(7), 7)) for _ in range(4)]
-        red2 = rref(c2.mat)
+        target = lift.LiftTarget(c2)
         for sigma in sigmas:
-            lifts = (lift._lift(c1, red2, sigma, (rho,))
+            lifts = (lift._lift(c1, target, sigma, (rho,))
                      for rho in range(spec.m))
             want = next((found for found in lifts if found is not None), None)
             shapes.clear()
-            got = lift._lift(c1, red2, sigma)
+            got = lift._lift(c1, target, sigma)
             assert shapes == [(3, 7)]
             assert got == want, (seed, sigma)
             lifted_by.append(None if got is None else got[0])
@@ -431,8 +435,8 @@ def test_lift_eliminates_once_for_every_rho(monkeypatch, q):
                 frob = spec.frobenius_table(rho)
                 e1, e1_rho = [list(r) for r in moved], [[frob[x] for x in r]
                                                         for r in moved]
-                assert real(spec, e1_rho, red2.pivots) == real(
-                    spec, e1, red2.pivots)
+                pivots = target.red.pivots
+                assert real(spec, e1_rho, pivots) == real(spec, e1, pivots)
                 assert e1_rho == [[frob[x] for x in r] for r in e1]
     assert None in lifted_by and 0 in lifted_by
     assert any(rho for rho in lifted_by if rho is not None)
@@ -1139,6 +1143,22 @@ def test_aut_group_witnesses_verify():
         assert verify_witness(code, code, w)
 
 
+def test_aut_group_lifts_onto_one_target(monkeypatch):
+    """code_aut_group of the [31,5]_2 simplex code lifts its 14 generators
+    onto one lift target: the support forest of its rref is walked once,
+    for every lift and the kernel's component count alike, and the rank of
+    a Q is checked once per lifted witness, by `verify_witness`."""
+    code = GeneratorMatrix(2, simplex_generator(5, 2).rows)
+    walks = _counting(monkeypatch, "_support_forest",
+                      module=lift)["_support_forest"]
+    ranks = _counting(monkeypatch, "rank")["rank"]
+    rep = code_aut_group(code)
+    assert len(rep.h1_generators) >= 10 and not rep.failed
+    assert rep.order == 9999360  # |GL(5,2)|
+    assert len(walks) == 1
+    assert len(ranks) == len(rep.lifted) == len(rep.h1_generators)
+
+
 # ---------------------------------------------------------------------------
 # high-rate codes: canonical forms of the dual, lifting on the code
 
@@ -1777,12 +1797,12 @@ def test_classify_classes_ordered_by_first_appearance():
 def test_classify_bucket_with_several_classes(monkeypatch, forks):
     """Three shortened-key buckets of two inequivalent codes each: the
     cesimpg route must tell the bucket members apart by lifting, and takes
-    the rref of the second member of each bucket only.  At jobs=2 a worker
+    the rref of each bucket's representative only.  At jobs=2 a worker
     keys codes 3 to 5 and pipes back their shortened forms."""
     spec = field(5)
     codes = [random_code(spec, 6, 3, seed=s) for s in (0, 1, 4, 32, 12, 38)]
     reduced = []
-    monkeypatch.setattr(equiv, "rref", lambda m: reduced.append(m) or rref(m))
+    monkeypatch.setattr(lift, "rref", lambda m: reduced.append(m) or rref(m))
     for algo in ("ceimpg", "cesimpg"):
         for jobs in (1, 2):
             result = classify(codes, algo=algo, jobs=jobs)
@@ -1793,6 +1813,27 @@ def test_classify_bucket_with_several_classes(monkeypatch, forks):
             assert len(reduced) == (3 if algo == "cesimpg" else 0)
             reduced.clear()
     assert len({c.key_digest for c in result.classes}) == 3
+
+
+def test_classify_lifts_members_onto_their_representative(monkeypatch):
+    """Constructed classes of 3 and 4 monomial copies, interleaved, beside
+    two codes of their own: the cesimpg route lifts each joining member
+    onto its class representative, so it takes one rref per class that a
+    member joins, of the representative's matrix, and none for a class
+    that no member joins."""
+    spec = field(5)
+    rng = random.Random(7)
+    a, b, c, d = (random_code(spec, 8, 3, seed=s) for s in (1, 2, 3, 4))
+    copies = [GeneratorMatrix(spec, _random_transform(spec, 8, rng).apply(
+        base.mat).rows) for base in (a, a, b, b, b)]
+    codes = [a, b, copies[0], c, copies[2], copies[1], copies[3], d,
+             copies[4]]
+    reduced = []
+    monkeypatch.setattr(lift, "rref", lambda m: reduced.append(m) or rref(m))
+    result = classify(codes, algo="cesimpg")
+    assert [cls.members for cls in result.classes] == [
+        [0, 2, 5], [1, 4, 6, 8], [3], [7]]
+    assert len(reduced) == 2 and reduced[0] is a.mat and reduced[1] is b.mat
 
 
 def test_classify_keeps_code_and_dual_apart(forks):
@@ -1829,9 +1870,9 @@ def _shortened_sigma0(c1, c2, route):
 
 def _sigma0_lifts(c1, c2, routes=("pair", "classify")):
     """Whether the sigma0 of any of `routes` lifts to a monomial map onto
-    rref(c2) (prime field)."""
-    red = rref(c2.mat)
-    return any(lift._lift(c1, red, _shortened_sigma0(c1, c2, route))
+    c2 (prime field)."""
+    target = lift.LiftTarget(c2)
+    return any(lift._lift(c1, target, _shortened_sigma0(c1, c2, route))
                is not None for route in routes)
 
 
@@ -2159,7 +2200,8 @@ def test_side_structures_built_once_per_code(monkeypatch):
     calls = _counting(monkeypatch, "_side", "_locate",
                       "incidence_columns", "build_shortened",
                       "build_ceimpg_matrix", "characteristic_vector",
-                      "canonical_form", "rref")
+                      "canonical_form")
+    calls.update(_counting(monkeypatch, "rref", module=lift))
     chi_walks = _counting(monkeypatch, "_locate", module=lincode)["_locate"]
     kernel = _counting(monkeypatch, "nonzero_dot_bits", "_nonzero_dot_blocks",
                        module=projgeom)

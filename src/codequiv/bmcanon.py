@@ -65,35 +65,34 @@ branches on each of them, so a row of m ones alone takes m(m+1)/2 nodes.
 The matrices the library builds have none, as a hyperplane always separates
 two distinct points and equiv.build_shortened keeps one column per point.
 
-Bit convention: bit (C-1-j) of a row mask holds column j, so masks compare
-exactly like the row read left to right as a binary string.  It is the
-package's one bit order: _pack_rows packs every mask in it, projgeom's
-incidence rows included.
+Bit convention: a matrix stores its rows once, as fixed-width byte
+records (ColoredBinaryMatrix.packed): row i is ceil(C/8) bytes holding
+column j at bit 7 - j % 8 of byte j // 8, zero-padded on the right, as
+np.packbits packs a row of 0/1.  Records of one width compare as bytes
+exactly as the rows read left to right as binary strings do, and so as the
+int masks of `row_masks`, in which bit C-1-j holds column j.  It is the
+package's one bit order: every constructor packs into it, projgeom's
+incidence too, block by block, with no theta x theta array.
 
 The search reads the rows as the matrix's R x C uint8 bit matrix
 (ColoredBinaryMatrix.bits): the array the matrix was made from, as equiv's
 shortened matrices keep their columns of the incidence, else one unpacked
-from the masks on first use and kept.  The columns are its transpose,
+from the records on first use and kept.  The columns are its transpose,
 except that a symmetric matrix (projgeom's incidence) serves as its own.
-The search never reads masks, so a matrix made from an array packs none
-unless a caller reads `row_masks` (equality, hashing, `entry`).  Masks
-remain where the public API and memory want them: `from_masks`, equality
-and hashing, and projgeom's incidence, which packs its rows block by block
-and builds no theta x theta array.  The search
-writes the sorted row list of a certificate as one byte string of
-fixed-width records: each row's bits in the given column order packed
-big-endian, zero-padded on the right.  Every record has the same width, so
-records compare as bytes exactly as the masks compare as ints, their
-concatenations in sorted order compare exactly as the sorted mask lists
-do, and the search tree, its leaves and generators are those the masks
-would give.  The same records check generators: a relabeling fixes the row
-multiset exactly when it leaves the sorted records unchanged.  The
-canonical form keeps its certificate.  CanonResult.key() frames it with
-the column colors and the row count as one bytes object, the key that
-classification buckets and hashes, equal for two forms exactly when their
-serialize() texts are; serialize() and CanonResult.serialize() render
-that text from sorted records with one NumPy unpack (_render), and the
-canonical matrix is unpacked from the records into its bits only when
+The search never reads masks.  It writes the sorted row list of a
+certificate as one byte string of records, each row's bits in the leaf's
+column order packed as above.  Every record has the same width, so their
+concatenations in sorted order compare exactly as the sorted row lists
+do, and the search tree, its leaves and generators are those the rows
+would give.  The same records check generators: a relabeling fixes the
+row multiset exactly when it leaves the sorted records unchanged, those of
+the identity being the matrix's own records, sorted.  The canonical form
+keeps its certificate.  CanonResult.key() frames it with the column colors
+and the row count as one bytes object, the key that classification
+buckets and hashes, equal for two forms exactly when their serialize()
+texts are; serialize() and CanonResult.serialize() render that text from
+sorted records with one NumPy unpack (_render), and the canonical matrix
+holds the certificate as its records, unpacked into its bits only when
 read.
 """
 
@@ -115,14 +114,15 @@ NODE_BUDGET = 2_000_000
 class ColoredBinaryMatrix:
     """Immutable binary matrix with column colors.
 
-    Rows are int bitmasks (see module docstring for the bit order).
-    Construct from nested 0/1 lists, from masks via :meth:`from_masks`, or
-    from a 0/1 array via :meth:`from_bits`.  `bits` holds the same rows as
-    an array, built on first use unless the matrix was made from one; the
-    masks of a matrix made from an array are packed on first read.
+    The rows are stored once, as `packed`: a read-only R x ceil(C/8) uint8
+    array of byte records (see module docstring for the bit order).
+    Construct from nested 0/1 lists, from int masks via :meth:`from_masks`,
+    or from a 0/1 array via :meth:`from_bits`.  `row_masks` reads the rows
+    as ints; `bits` holds them as an R x C array, the one the matrix was
+    made from, else unpacked on first use and kept.
     """
 
-    __slots__ = ("n_rows", "n_cols", "_row_masks", "col_colors", "_bits",
+    __slots__ = ("n_rows", "n_cols", "col_colors", "packed", "_bits",
                  "_symmetric")
 
     def __init__(self, bits, col_colors=None, n_cols: int | None = None):
@@ -137,30 +137,38 @@ class ColoredBinaryMatrix:
             width = len(col_colors)
         else:
             raise ValueError("cannot infer column count of an empty matrix")
-        masks = []
         for r in bits:
             if len(r) != width:
                 raise ValueError("ragged rows")
-            m = 0
             for e in r:
                 if e not in (0, 1) or not isinstance(e, Integral):
                     raise ValueError(f"entries must be 0/1, got {e!r}")
-                m = (m << 1) | int(e)
-            masks.append(m)
-        self._init(len(masks), width, col_colors)
-        self._row_masks = tuple(masks)
+        array = np.array(bits, np.uint8).reshape(len(bits), width)
+        self._init(np.packbits(array, axis=1), width, col_colors, False)
 
-    def _init(self, n_rows, n_cols, col_colors):
-        """Shape and colors; the caller sets `_row_masks` or `_bits`."""
-        self.n_rows = n_rows
+    def _init(self, packed, n_cols, col_colors, symmetric):
+        """Rows `packed` (made read-only), shape and colors; no `bits` yet."""
+        packed.flags.writeable = False
+        self.packed = packed
+        self.n_rows = packed.shape[0]
         self.n_cols = n_cols
         self.col_colors = tuple(col_colors) if col_colors is not None else (0,) * n_cols
         if len(self.col_colors) != n_cols:
             raise ValueError("col_colors length mismatch")
-        self._row_masks = self._bits = None
+        self._bits = None
         # set where bits equal their transpose (projgeom.incidence), so the
         # search reads the rows as the columns too
-        self._symmetric = False
+        self._symmetric = symmetric
+
+    @classmethod
+    def _of(cls, packed: np.ndarray, n_cols: int, col_colors=None,
+            symmetric: bool = False) -> "ColoredBinaryMatrix":
+        """The matrix whose rows are the byte records `packed`, an
+        R x ceil(n_cols/8) uint8 array with zero padding, kept as given;
+        `symmetric` marks one whose bits equal their transpose."""
+        self = cls.__new__(cls)
+        self._init(packed, n_cols, col_colors, symmetric)
+        return self
 
     @classmethod
     def from_masks(cls, masks, n_cols, col_colors=None) -> "ColoredBinaryMatrix":
@@ -168,76 +176,74 @@ class ColoredBinaryMatrix:
         # m >> n_cols is 0 exactly when 0 <= m < 2**n_cols (-1 for m < 0)
         if any(m >> n_cols for m in masks):
             raise ValueError(f"a mask is negative or wider than {n_cols} columns")
-        self = cls.__new__(cls)
-        self._init(len(masks), n_cols, col_colors)
-        self._row_masks = masks
-        return self
+        width = -(-n_cols // 8)
+        pad = 8 * width - n_cols
+        data = b"".join((m << pad).to_bytes(width, "big") for m in masks)
+        return cls._of(_records(data, len(masks), n_cols), n_cols, col_colors)
 
     @classmethod
     def from_bits(cls, bits: np.ndarray,
                   col_colors=None) -> "ColoredBinaryMatrix":
-        """The matrix of an R x C uint8 array of 0/1 entries, kept as its
-        `bits` (made read-only).  Its masks are packed from the array when
-        `row_masks` is first read, which no search does (`_Search`)."""
+        """The matrix of an R x C uint8 array of 0/1 entries, packed into
+        its records at once and kept as its `bits` (made read-only)."""
         if bits.dtype != np.uint8 or bits.ndim != 2:
             raise ValueError("bits must be a 2-D uint8 array")
         if bits.size and bits.max() > 1:
             raise ValueError("entries must be 0/1")
-        self = cls.__new__(cls)
-        self._init(*bits.shape, col_colors)
+        self = cls._of(np.packbits(bits, axis=1), bits.shape[1], col_colors)
         bits.flags.writeable = False
         self._bits = bits
         return self
 
     @property
     def row_masks(self) -> tuple[int, ...]:
-        """The rows as int masks, packed from `bits` on first read when the
-        matrix was made from them, and kept."""
-        if self._row_masks is None:
-            self._row_masks = tuple(_pack_rows(self._bits))
-        return self._row_masks
+        """The rows as int masks, bit C-1-j holding column j, read off
+        `packed` on each call."""
+        pad = 8 * self.packed.shape[1] - self.n_cols
+        return tuple(int.from_bytes(row, "big") >> pad
+                     for row in map(bytes, self.packed))
 
     @property
     def bits(self) -> np.ndarray:
         """The rows as a read-only R x C uint8 array of 0/1, unpacked from
-        the masks on first use and kept."""
+        `packed` on first use and kept."""
         if self._bits is None:
-            width = -(-self.n_cols // 8)
-            data = b"".join(m.to_bytes(width, "big") for m in self.row_masks)
-            packed = np.frombuffer(data, np.uint8).reshape(self.n_rows, width)
-            bits = np.ascontiguousarray(
-                np.unpackbits(packed, axis=1)[:, 8 * width - self.n_cols:])
+            bits = np.unpackbits(self.packed, axis=1, count=self.n_cols)
             bits.flags.writeable = False
             self._bits = bits
         return self._bits
 
     def recolored(self, col_colors) -> "ColoredBinaryMatrix":
         """The same rows with column colors `col_colors`, sharing this
-        matrix's `bits` (built here if need be) and its masks, if packed."""
-        new = ColoredBinaryMatrix.__new__(ColoredBinaryMatrix)
-        new._init(self.n_rows, self.n_cols, col_colors)
-        new._row_masks, new._bits = self._row_masks, self.bits
-        new._symmetric = self._symmetric
+        matrix's `packed` and its `bits` (built here if need be)."""
+        new = ColoredBinaryMatrix._of(self.packed, self.n_cols, col_colors,
+                                      self._symmetric)
+        new._bits = self.bits
         return new
 
     def entry(self, i: int, j: int) -> int:
-        return (self.row_masks[i] >> (self.n_cols - 1 - j)) & 1
+        """The entry in row i, column j; IndexError unless 0 <= i < n_rows
+        and 0 <= j < n_cols."""
+        if not (0 <= i < self.n_rows and 0 <= j < self.n_cols):
+            raise IndexError(f"entry ({i}, {j}) is outside a "
+                             f"{self.n_rows} x {self.n_cols} matrix")
+        return int(self.packed[i, j // 8]) >> (7 - j % 8) & 1
 
     def to_lists(self) -> list[list[int]]:
-        return [[self.entry(i, j) for j in range(self.n_cols)]
-                for i in range(self.n_rows)]
+        return self.bits.tolist()
 
     def row_multiset(self) -> tuple:
         return tuple(sorted(self.row_masks))
 
+    def _state(self) -> tuple:
+        return self.n_rows, self.n_cols, self.packed.tobytes(), self.col_colors
+
     def __eq__(self, other) -> bool:
         return (isinstance(other, ColoredBinaryMatrix)
-                and self.n_cols == other.n_cols
-                and self.row_masks == other.row_masks
-                and self.col_colors == other.col_colors)
+                and self._state() == other._state())
 
     def __hash__(self) -> int:
-        return hash((self.n_cols, self.row_masks, self.col_colors))
+        return hash(self._state())
 
     def __repr__(self) -> str:
         return (f"ColoredBinaryMatrix({self.n_rows}x{self.n_cols}, "
@@ -265,7 +271,7 @@ def is_automorphism(mat: ColoredBinaryMatrix, gamma) -> bool:
     """True when relabeling columns by `gamma` fixes colors and row multiset."""
     if sorted(gamma) != list(range(mat.n_cols)):
         return False
-    return _RowRecords(mat).maps_onto(gamma)
+    return _maps_onto(mat, gamma, mat, _sorted_records(mat))
 
 
 def serialize(mat: ColoredBinaryMatrix) -> str:
@@ -274,17 +280,42 @@ def serialize(mat: ColoredBinaryMatrix) -> str:
     Line 1 is ``c <col colors space-separated>``; each following line is a
     row's bits as a 0/1 string, rows sorted by their bits (an empty line for
     each row of a matrix with no columns).  Serializations of canonical
-    matrices are the dedup keys used by classification.  The rows are
-    rendered from their sorted byte records (`_RowRecords`), which sort as
-    the rows' bits do.
+    matrices render the texts that classification's keys
+    (`CanonResult.key()` bytes) tell apart.  The rows are rendered from the
+    matrix's byte records (`packed`), sorted, which sort as the rows' bits
+    do; no bit matrix is built.
     """
-    return _render(mat.col_colors, mat.n_rows, _RowRecords(mat).identity())
+    return _render(mat.col_colors, mat.n_rows, _sorted_records(mat))
 
 
-def _unpack_records(data: bytes, n_rows: int, n_cols: int) -> np.ndarray:
-    """The n_rows x n_cols uint8 0/1 rows of the byte records `data`."""
-    records = np.frombuffer(data, np.uint8).reshape(n_rows, -(-n_cols // 8))
-    return np.unpackbits(records, axis=1)[:, :n_cols]
+def _records(data: bytes, n_rows: int, n_cols: int) -> np.ndarray:
+    """The byte records `data` as a read-only n_rows x ceil(n_cols/8)
+    uint8 array sharing their buffer."""
+    return np.frombuffer(data, np.uint8).reshape(n_rows, -(-n_cols // 8))
+
+
+def _sorted_records(mat: ColoredBinaryMatrix, order=None) -> bytes:
+    """The sorted byte records of `mat`'s rows as one bytes object: its own
+    records (`packed`), or with `order` given its rows read in that column
+    order, packed from its bit matrix."""
+    records = (mat.packed if order is None
+               else np.packbits(mat.bits[:, order], axis=1))
+    if not records.shape[1]:
+        return b""  # lexsort needs a key; rows of no columns are empty
+    return records[np.lexsort(records.T[::-1])].tobytes()
+
+
+def _maps_onto(m1: ColoredBinaryMatrix, sigma, m2: ColoredBinaryMatrix,
+               target: bytes) -> bool:
+    """True when relabeling columns by the permutation `sigma` carries
+    m1's column colors and row multiset onto m2's, whose sorted records
+    are `target`."""
+    inv = [0] * len(sigma)
+    for j, t in enumerate(sigma):
+        if m1.col_colors[j] != m2.col_colors[t]:
+            return False
+        inv[t] = j
+    return _sorted_records(m1, inv) == target
 
 
 def _render(col_colors, n_rows: int, data: bytes) -> str:
@@ -296,44 +327,9 @@ def _render(col_colors, n_rows: int, data: bytes) -> str:
         return head
     text = np.empty((n_rows, C + 1), np.uint8)
     text[:, C] = ord("\n")
-    np.add(_unpack_records(data, n_rows, C), ord("0"), out=text[:, :C])
+    np.add(np.unpackbits(_records(data, n_rows, C), axis=1, count=C),
+           ord("0"), out=text[:, :C])
     return head + "\n" + text.tobytes()[:-1].decode()
-
-
-class _RowRecords:
-    """A matrix's rows as the fixed-width byte records of the module
-    docstring, built from its R x C uint8 bit matrix (`bits`)."""
-
-    def __init__(self, mat: ColoredBinaryMatrix):
-        self.col_colors = mat.col_colors
-        self.n_cols = mat.n_cols
-        self.width = -(-mat.n_cols // 8)
-        self.bits = mat.bits
-        self._identity = None
-
-    def sorted_bytes(self, order) -> bytes:
-        """The sorted records of the rows read in column order `order`."""
-        if not self.width:
-            return b""  # lexsort needs a key; rows of no columns are empty
-        recs = np.packbits(self.bits[:, order], axis=1)
-        return recs[np.lexsort(recs.T[::-1])].tobytes()
-
-    def identity(self) -> bytes:
-        if self._identity is None:
-            self._identity = self.sorted_bytes(slice(None))
-        return self._identity
-
-    def maps_onto(self, sigma, other: "_RowRecords | None" = None) -> bool:
-        """True when relabeling columns by the permutation `sigma` carries
-        this matrix's column colors and row multiset onto `other`'s (by
-        default its own)."""
-        other = other or self
-        inv = [0] * len(sigma)
-        for j, t in enumerate(sigma):
-            if self.col_colors[j] != other.col_colors[t]:
-                return False
-            inv[t] = j
-        return self.sorted_bytes(inv) == other.identity()
 
 
 @dataclass
@@ -342,8 +338,8 @@ class CanonResult:
 
     `cert` holds the canonical matrix's n_rows rows as the sorted byte
     records of the module docstring, and `col_colors` its column colors in
-    canonical order; `matrix` is unpacked from them when first read, and
-    `key()` and `serialize()` frame and render them directly.
+    canonical order; `matrix` holds `cert` as its records, and `key()` and
+    `serialize()` frame and render it directly.
     Invariants: ``permute_columns(input, perm)`` with rows re-sorted by
     their bits equals `matrix`; every generator passes is_automorphism;
     `group_order` is the exact order of the full automorphism group, which
@@ -359,9 +355,9 @@ class CanonResult:
 
     @cached_property
     def matrix(self) -> ColoredBinaryMatrix:
-        return ColoredBinaryMatrix.from_bits(np.ascontiguousarray(
-            _unpack_records(self.cert, self.n_rows, len(self.col_colors))),
-            self.col_colors)
+        C = len(self.col_colors)
+        return ColoredBinaryMatrix._of(_records(self.cert, self.n_rows, C), C,
+                                       self.col_colors)
 
     def key(self) -> bytes:
         """The canonical matrix as one bytes object, equal for two results
@@ -388,19 +384,6 @@ def _color_classes(colors) -> list[list[int]]:
     return [classes[color] for color in sorted(classes)]
 
 
-def _pack_rows(bits: np.ndarray) -> list[int]:
-    """One mask per row of a 2-D array, in the module's bit order (bit
-    C-1-j holds column j); any nonzero entry is a set bit: each row's packed
-    bytes, read by one int.from_bytes."""
-    n_rows, n_cols = bits.shape
-    packed = np.packbits(bits, axis=1)
-    step = packed.shape[1]
-    pad = 8 * step - n_cols
-    data = packed.tobytes()
-    return [int.from_bytes(data[i * step:(i + 1) * step], "big") >> pad
-            for i in range(n_rows)]
-
-
 class _Search:
     """One walk of a matrix's search tree; see module docstring for the
     scheme.  With `stop` given, the first leaf whose certificate makes
@@ -412,7 +395,6 @@ class _Search:
         self.mat = mat
         self.C = mat.n_cols
         self.R = mat.n_rows
-        self.records = _RowRecords(mat)
         # the columns as rows of the transposed bit matrix: a symmetric
         # matrix's rows, as they are
         self.bits_t = (mat.bits if mat._symmetric
@@ -424,6 +406,11 @@ class _Search:
         self.gens: list[tuple[int, ...]] = []
         self.stop = stop
         self.hit = None
+
+    @cached_property
+    def identity(self) -> bytes:
+        """The matrix's own sorted records, which a generator keeps."""
+        return _sorted_records(self.mat)
 
     # -- partitions ---------------------------------------------------------
 
@@ -461,7 +448,7 @@ class _Search:
         first = splitters is None
         if first:
             splitters = col_cells
-        bits, bits_t = self.records.bits, self.bits_t
+        bits, bits_t = self.mat.bits, self.bits_t
         while True:
             row_cells, row_frags = self._split(row_cells, bits, bits_t,
                                                splitters)
@@ -557,7 +544,7 @@ class _Search:
         """(certificate, column order) of a leaf: the sorted row records
         with the columns read in leaf order (module docstring)."""
         order = [cell[0] for cell in col_cells]
-        return self.records.sorted_bytes(order), order
+        return _sorted_records(self.mat, order), order
 
     def _perm_between(self, from_order, to_order):
         """The column permutation carrying leaf order `from_order` onto
@@ -568,7 +555,7 @@ class _Search:
         return tuple(gamma)
 
     def _record_generator(self, gamma):
-        if not self.records.maps_onto(gamma):
+        if not _maps_onto(self.mat, gamma, self.mat, self.identity):
             raise RuntimeError("internal error: collision produced a non-automorphism")
         self.gens.append(gamma)
 
@@ -752,7 +739,7 @@ def is_isomorphic(m1: ColoredBinaryMatrix, m2: ColoredBinaryMatrix):
     if hit is None:
         return None
     sigma = s1._perm_between(order1, hit[1])
-    if not s1.records.maps_onto(sigma, s2.records):
+    if not _maps_onto(m1, sigma, m2, s2.identity):
         raise RuntimeError("internal error: equal certificates gave a map "
                            "that is not an isomorphism")
     return sigma

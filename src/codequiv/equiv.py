@@ -30,7 +30,7 @@ Two decision routes are provided:
   enough (`build_shortened`).  The weight distribution is read off those
   columns (`_Side.weights`, `projgeom.codeword_weights`: a row's weight,
   each column counted by its multiplicity, is the weight of that
-  hyperplane's codeword), before any matrix object is built or row mask
+  hyperplane's codeword), before any matrix object is built or row
   packed; monomial maps and field automorphisms keep it, so differing
   distributions prove inequivalence with no search at all.  The
   point-multiplicity route takes no such shortcut: it stays an
@@ -190,8 +190,8 @@ def _side(code: GeneratorMatrix) -> GeneratorMatrix:
 def build_ceimpg_matrix(chi: CharacteristicVector) -> ColoredBinaryMatrix:
     """`incidence()`, with column j recolored by the multiplicity chi[j];
     a color-preserving column permutation fixes the support.  It shares the
-    cached incidence's masks and bit matrix (`ColoredBinaryMatrix.recolored`),
-    and so its symmetry."""
+    cached incidence's records and bit matrix
+    (`ColoredBinaryMatrix.recolored`), and so its symmetry."""
     spec = chi.spec
     return incidence(chi.k, spec.q, spec.modulus).recolored(chi.counts)
 
@@ -206,8 +206,8 @@ def build_shortened(code: GeneratorMatrix) -> ColoredBinaryMatrix:
     The entries are the columns of the incidence at the points' table
     positions (`projgeom.incidence_columns`): a slice of the geometry's
     cached incidence when it is small enough, else the dot kernel's output.
-    The matrix keeps them as its `bits` and packs its row masks only when
-    they are read.
+    The matrix keeps them as its `bits` and packs them into its byte
+    records.
     """
     points, positions = _locate(code)
     table = point_table(code.k, code.q, code.spec.modulus)

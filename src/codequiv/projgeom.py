@@ -13,15 +13,15 @@ same table: hyperplane u is {x : u . x = 0}, and the incidence matrix records
 the complement (the nonzero inner products), which is what the equivalence
 algorithms consume.  One kernel computes them (_nonzero_dot_blocks):
 nonzero_dot_bits gives its entries for any vectors as a 0/1 array, and
-incidence() packs its row masks block by block in bmcanon's bit order, with
-its _pack_rows.  codeword_weights reads a code's hyperplane weights off
-such an array, each column counted by its point's multiplicity.  The
-incidence matrix is symmetric, and keeps its bit array from its first use
-on.  A shortened matrix's entries are the incidence's columns at its
-points (incidence_columns): one gather from that cached bit array when the
-whole incidence fits in one kernel block, else the kernel's output for
-those points alone.  point_at gives one point of a table without building
-the table.
+incidence() packs its blocks, one after another, into one preallocated
+array of the byte records a ColoredBinaryMatrix stores.  codeword_weights
+reads a code's hyperplane weights off such an array, each column counted
+by its point's multiplicity.  The incidence matrix is symmetric, and keeps
+its bit array from its first use on.  A shortened matrix's entries are the
+incidence's columns at its points (incidence_columns): one gather from
+that cached bit array when the whole incidence fits in one kernel block,
+else the kernel's output for those points alone.  point_at gives one point
+of a table without building the table.
 """
 
 from __future__ import annotations
@@ -31,7 +31,7 @@ from functools import cache
 
 import numpy as np
 
-from .bmcanon import ColoredBinaryMatrix, _pack_rows
+from .bmcanon import ColoredBinaryMatrix
 from .errors import ResourceLimitError
 from .gfield import FieldSpec, as_ints, field
 from .gfmatrix import GFMatrix
@@ -286,25 +286,29 @@ def incidence(k: int, q: int,
     0: entry (i, j) is 1 iff point j is *not* on hyperplane i (their inner
     product is nonzero), both 0-based positions into the point table.
 
-    The masks are packed block by block, with no theta x theta array.  The
-    matrix is cached, and is symmetric: its `bits`, built on first use (a
-    first search, `equiv.build_ceimpg_matrix`, or a first column gather,
-    `incidence_columns`), stay with it and serve as their own transpose."""
+    The kernel's blocks are packed one by one into the matrix's
+    preallocated byte records (`ColoredBinaryMatrix.packed`), with no
+    theta x theta array.  The matrix is cached, and is symmetric: its
+    `bits`, unpacked on first use (a first search, `build_ceimpg_matrix`,
+    or a first column gather, `incidence_columns`), stay with it and serve
+    as their own transpose."""
     table = point_table(k, q, modulus)
-    cells = len(table) ** 2
-    if cells > MAX_INCIDENCE_CELLS:
+    n = len(table)
+    if n * n > MAX_INCIDENCE_CELLS:
         raise ResourceLimitError(
-            f"the incidence matrix of PG({k - 1},{q}) has {cells} cells, "
+            f"the incidence matrix of PG({k - 1},{q}) has {n * n} cells, "
             f"over the {MAX_INCIDENCE_CELLS} limit")
     key = (k, q, table.spec.modulus)
     cached = _INCIDENCE_CACHE.get(key)
     if cached is not None:
         return cached
-    masks = []
+    packed = np.empty((n, -(-n // 8)), np.uint8)
+    lo = 0
     for block in _nonzero_dot_blocks(table, table.coords):
-        masks += _pack_rows(block)
-    result = ColoredBinaryMatrix.from_masks(masks, len(table))
-    result._symmetric = True
+        # any nonzero entry packs as a set bit
+        packed[lo:lo + len(block)] = np.packbits(block, axis=1)
+        lo += len(block)
+    result = ColoredBinaryMatrix._of(packed, n, symmetric=True)
     _INCIDENCE_CACHE[key] = result
     return result
 

@@ -202,6 +202,25 @@ def reference_codeword_weights(masks, colors):
     return weights
 
 
+def reference_pack_rows(rows) -> list[int]:
+    """One int mask per row of a 2-D array or nested list, column j at bit
+    C-1-j and any nonzero entry a set bit: the row written out as a string
+    of 0s and 1s and read in base 2.  The oracle of the rows a
+    `ColoredBinaryMatrix` stores as byte records (`packed`)."""
+    return [int("".join("1" if e else "0" for e in row) or "0", 2)
+            for row in rows]
+
+
+def reference_record_masks(data: bytes, n_rows: int, n_cols: int):
+    """The int masks of the `n_rows` byte records of `n_cols` bits each in
+    `data`: each record's bytes written out as 8-digit binary strings, cut
+    to its first n_cols digits and read in base 2."""
+    width = -(-n_cols // 8)
+    return [int("".join(f"{b:08b}" for b in data[i * width:(i + 1) * width])
+                [:n_cols] or "0", 2)
+            for i in range(n_rows)]
+
+
 def reference_serialize(mat):
     """`bmcanon.serialize` rendered from the row masks: the color header,
     then each row's bits formatted as a 0/1 string, rows sorted by their

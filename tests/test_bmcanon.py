@@ -17,12 +17,13 @@ from codequiv import (ColoredBinaryMatrix, GeneratorMatrix,
                       is_automorphism, is_isomorphic, permute_columns,
                       random_code, serialize, simplex_generator)
 from codequiv import bmcanon
-from codequiv.bmcanon import _pack_rows, _Search
+from codequiv.bmcanon import _Search
 from codequiv.errors import BudgetExceededError
 from codequiv.lift import _iter_group
 from conftest import (_moved_rows, brute_force_cbm_aut_count,
                       brute_force_cbm_isomorphic, recursive_search,
                       reference_is_automorphism, reference_leaf_cert,
+                      reference_pack_rows, reference_record_masks,
                       reference_refine, reference_serialize, systematic_code)
 
 
@@ -53,6 +54,19 @@ def test_construction_and_entry_access():
         ColoredBinaryMatrix([[1], [0, 1]])
 
 
+def test_entry_refuses_indices_out_of_range():
+    """entry(i, j) reads only cells of the matrix: a negative index, or one
+    past the last row or column, raises IndexError instead of reading
+    another cell or the padding."""
+    m = ColoredBinaryMatrix([[1, 0, 1]])
+    assert [m.entry(0, j) for j in range(3)] == [1, 0, 1]
+    for i, j in ((0, -1), (0, 3), (-1, 0), (1, 0), (0, 8), (0, 100)):
+        with pytest.raises(IndexError):
+            m.entry(i, j)
+    with pytest.raises(IndexError):
+        ColoredBinaryMatrix([], n_cols=2).entry(0, 0)
+
+
 def test_non_integer_entries_refused():
     for bad in (1.0, 0.0, 0.5):
         with pytest.raises(ValueError, match="0/1"):
@@ -69,9 +83,9 @@ def test_from_masks_rejects_a_mask_wider_than_n_cols():
 
 
 def test_bits_hold_the_masks_rows():
-    """`bits` unpacks the masks once, read-only; from_bits keeps the array
-    it packs, and refuses anything but a 2-D uint8 array of 0/1;
-    recolored shares masks and bits."""
+    """`bits` unpacks the records once, read-only; from_bits keeps the
+    array it packs, and refuses anything but a 2-D uint8 array of 0/1;
+    recolored shares records and bits."""
     m = ColoredBinaryMatrix([[1, 0, 1], [0, 1, 1]], [1, 2, 3])
     assert m.bits.tolist() == [[1, 0, 1], [0, 1, 1]]
     assert m.bits is m.bits and not m.bits.flags.writeable
@@ -84,6 +98,7 @@ def test_bits_hold_the_masks_rows():
             ColoredBinaryMatrix.from_bits(bad)
     other = m.recolored([0, 0, 0])
     assert other.row_masks == m.row_masks and other.bits is m.bits
+    assert other.packed is m.packed
     assert other.col_colors == (0, 0, 0)
 
 
@@ -91,8 +106,10 @@ def test_bits_hold_the_masks_rows():
                                        (4, 65)])
 def test_from_bits_packs_its_masks_when_read(rows, cols):
     """from_bits(b) equals the list-built matrix of b, hashes as it does,
-    and packs `_pack_rows(b)` as its masks on first read; equality,
-    recoloring, relabeling and serialization see those masks."""
+    and packs b into its byte records at once, read-only: the records hold
+    the reference packer's masks (conftest), and `row_masks`, read off the
+    records on each call, gives them; equality, recoloring, relabeling and
+    serialization see those records."""
     rng = random.Random(100 * rows + cols)
     b = np.array([rng.randrange(2) for _ in range(rows * cols)],
                  np.uint8).reshape(rows, cols)
@@ -104,30 +121,38 @@ def test_from_bits_packs_its_masks_when_read(rows, cols):
         return ColoredBinaryMatrix.from_bits(b.copy(), colors)
 
     m = fresh()
-    assert m._row_masks is None
+    assert m.packed.shape == (rows, -(-cols // 8))
+    assert not m.packed.flags.writeable
+    assert reference_record_masks(m.packed.tobytes(), rows,
+                                  cols) == reference_pack_rows(b)
     assert m == want and hash(m) == hash(want)
-    assert m.row_masks == tuple(_pack_rows(b)) and m.row_masks is m.row_masks
+    assert m.row_masks == tuple(reference_pack_rows(b)) == m.row_masks
     assert fresh().recolored(colors[::-1]) == want.recolored(colors[::-1])
     assert permute_columns(fresh(), gamma) == permute_columns(want, gamma)
     assert serialize(fresh()) == serialize(want)
 
 
-def test_searches_pack_no_masks():
+def test_searches_pack_no_masks(monkeypatch):
     """A canonical form and an isomorphism search of matrices made from
-    bits, small or large, read the bits alone and pack no row masks; they
+    bits, small or large, read the bits alone and read no row masks; they
     find what the same rows made from masks give."""
+    reads, masks = [], ColoredBinaryMatrix.row_masks
+    monkeypatch.setattr(ColoredBinaryMatrix, "row_masks", property(
+        lambda m: reads.append(m) or masks.fget(m)))
     for q, n, k in ((3, 10, 3), (2, 40, 6)):
         codes = [random_code(q, n, k, seed=s) for s in (0, 1)]
         m1, m2 = (build_shortened(code) for code in codes)
         twin1, twin2 = (ColoredBinaryMatrix.from_masks(
-            _pack_rows(m.bits), m.n_cols, m.col_colors) for m in (m1, m2))
+            reference_pack_rows(m.bits), m.n_cols, m.col_colors)
+            for m in (m1, m2))
+        assert twin1 == m1 and twin2 == m2
         r, want = canonical_form(m1), canonical_form(twin1)
         assert (r.cert, r.perm, r.generators, r.group_order, r.nodes) == (
             want.cert, want.perm, want.generators, want.group_order,
             want.nodes)
         assert is_isomorphic(m2, m2) == is_isomorphic(twin2, twin2)
         assert is_isomorphic(m1, m2) == is_isomorphic(twin1, twin2)
-        assert m1._row_masks is None and m2._row_masks is None
+        assert reads == []
 
 
 def test_from_masks_rejects_a_negative_mask():
@@ -137,17 +162,52 @@ def test_from_masks_rejects_a_negative_mask():
 
 @pytest.mark.parametrize("rows,cols", [(5, 3), (9, 17), (1, 8), (0, 4), (4, 0)])
 def test_pack_rows_and_column_masks_in_the_module_bit_order(rows, cols):
-    """_pack_rows packs any nonzero entry as a set bit, column j at bit
-    cols-1-j, as the list constructor does; packed from the transpose, the
+    """Byte records packed from any nonzero entries, as projgeom.incidence
+    packs the dot kernel's blocks (`ColoredBinaryMatrix._of`), give the
+    masks of the reference packer (conftest), column j at bit cols-1-j, as
+    the list constructor and from_bits do; packed from the transpose, the
     column masks hold row i at bit rows-1-i."""
     rng = random.Random(31 * rows + cols)
     values = np.array([rng.randrange(3) for _ in range(rows * cols)],
                       dtype=np.uint8).reshape(rows, cols)
-    bits = (values != 0).astype(int)
-    mat = ColoredBinaryMatrix(bits.tolist(), n_cols=cols)
-    assert _pack_rows(values) == list(mat.row_masks)
-    assert _pack_rows(values.T) == list(
-        ColoredBinaryMatrix(bits.T.tolist(), n_cols=rows).row_masks)
+    bits = (values != 0).astype(np.uint8)
+    for v, b, width in ((values, bits, cols), (values.T, bits.T, len(bits))):
+        packed = ColoredBinaryMatrix._of(np.packbits(v, axis=1), width)
+        want = reference_pack_rows(v)
+        assert list(packed.row_masks) == want == list(
+            ColoredBinaryMatrix(b.tolist(), n_cols=width).row_masks)
+        assert list(ColoredBinaryMatrix.from_bits(
+            np.ascontiguousarray(b)).row_masks) == want
+
+
+@pytest.mark.parametrize("cols", [0, 1, 7, 8, 9, 64, 65])
+def test_row_formats_round_trip(cols):
+    """The list, from_masks and from_bits constructors give equal matrices
+    with equal hashes, for no rows, one row and several: their records
+    hold the reference masks, and `row_masks`, `bits`, `to_lists` and
+    `entry` agree; a canonical form's matrix holds its certificate as its
+    records."""
+    rng = random.Random(700 + cols)
+    for rows in (0, 1, 2, 13):
+        lists = [[rng.randrange(2) for _ in range(cols)] for _ in range(rows)]
+        colors = [rng.randrange(3) for _ in range(cols)]
+        masks = reference_pack_rows(lists)
+        made = [ColoredBinaryMatrix(lists, colors, n_cols=cols),
+                ColoredBinaryMatrix.from_masks(masks, cols, colors),
+                ColoredBinaryMatrix.from_bits(
+                    np.array(lists, np.uint8).reshape(rows, cols), colors)]
+        for m in made:
+            assert m == made[0] and hash(m) == hash(made[0])
+            assert m.packed.shape == (rows, -(-cols // 8))
+            assert reference_record_masks(m.packed.tobytes(), rows,
+                                          cols) == masks
+            assert list(m.row_masks) == masks
+            assert m.bits.shape == (rows, cols) and m.bits.tolist() == lists
+            assert m.to_lists() == lists == [
+                [m.entry(i, j) for j in range(cols)] for i in range(rows)]
+        res = canonical_form(made[0])
+        assert res.matrix.packed.tobytes() == res.cert
+        assert res.matrix.n_rows == rows and res.matrix.n_cols == cols
 
 
 def test_list_constructor_rejects_n_cols_unlike_the_rows():
@@ -446,8 +506,8 @@ def test_leaf_certificates_compare_like_reference_pairs():
         certs = [_order_cert(search, o) for o in orders]
         refs = [reference_leaf_cert(m, o) for o in orders]
         for cert, (_, rows) in zip(certs, refs):
-            assert tuple(_pack_rows(bmcanon._unpack_records(
-                cert, m.n_rows, m.n_cols))) == rows
+            assert tuple(reference_record_masks(cert, m.n_rows,
+                                                m.n_cols)) == rows
         for a in range(len(orders)):
             for b in range(len(orders)):
                 assert (certs[a] == certs[b]) == (refs[a][1] == refs[b][1])
@@ -709,7 +769,7 @@ def test_children_prune_by_orbits_on_the_first_path_only():
     m = ColoredBinaryMatrix([[1, 0, 0, 0], [0, 1, 0, 0], [0, 0, 1, 1]])
     search = _Search(m)
     search.gens = [(0, 1, 3, 2)]
-    assert search.records.maps_onto(search.gens[0])
+    assert is_automorphism(m, search.gens[0])
 
     def children(col_cells, path):
         tried, seen = [], []

@@ -34,7 +34,8 @@ from codequiv.projgeom import codeword_weights
 from codequiv.errors import BudgetExceededError, ResourceLimitError
 from conftest import (brute_force_equivalent, brute_force_preserver_count,
                       reference_codeword_weights, reference_locate,
-                      reference_monomial_from_sigma, systematic_code)
+                      reference_monomial_from_sigma, reference_pack_rows,
+                      systematic_code)
 
 G1_ROWS = [
     [1, 0, 0, 1, 2, 0],
@@ -805,7 +806,7 @@ def test_searches_get_the_bits_of_their_masks(q):
         seen |= {"dual" if side is not code else "primal",
                  "rows" if rec.rows is not None else "all"}
         cols = side.columns()
-        assert list(m.row_masks) == bmcanon._pack_rows(
+        assert list(m.row_masks) == reference_pack_rows(
             projgeom.nonzero_dot_bits(point_table(side.k, q),
                                       [cols[c[0]] for c in rec.points]))
         assert rec.weights == reference_codeword_weights(m.row_masks,
@@ -818,7 +819,7 @@ def test_searches_get_the_bits_of_their_masks(q):
                 continue
             assert mat.bits.dtype == np.uint8 and mat.bits.max() <= 1
             assert mat.bits.shape == (mat.n_rows, mat.n_cols)
-            assert bmcanon._pack_rows(mat.bits) == list(mat.row_masks)
+            assert reference_pack_rows(mat.bits) == list(mat.row_masks)
         if rec.rows is not None:
             low = min(rec.weights)
             assert rec.rows.row_masks == tuple(
@@ -853,20 +854,24 @@ def test_shortened_bits_are_the_kernels(q):
 
 def test_profile_stop_packs_no_masks_and_runs_no_kernel(monkeypatch):
     """A pair whose weight profiles differ is refused off its sides' bits:
-    once the geometry's incidence is cached, neither side packs a row mask
-    or runs the dot kernel."""
+    once the geometry's incidence is cached, neither side makes a matrix
+    of them (`ColoredBinaryMatrix.from_bits`), so none packs its rows, and
+    neither runs the dot kernel."""
     pairs = []
     for q, n, k, seed in ((3, 10, 3, 0), (2, 9, 6, 0), (9, 12, 3, 1)):
         c1, c2 = (random_code(field(q), n, k, seed=s)
                   for s in (seed, seed + 100))
         assert _profile(c1) != _profile(c2)  # and caches the incidence
         pairs.append((c1, c2))
-    work = [_counting(monkeypatch, "_pack_rows", module=bmcanon),
-            _counting(monkeypatch, "_pack_rows", "nonzero_dot_bits",
-                      "_nonzero_dot_blocks", module=projgeom)]
+    kernel = _counting(monkeypatch, "nonzero_dot_bits", "_nonzero_dot_blocks",
+                       module=projgeom)
+    wrapped, from_bits = [], ColoredBinaryMatrix.from_bits.__func__
+    monkeypatch.setattr(ColoredBinaryMatrix, "from_bits", classmethod(
+        lambda cls, bits, *a: wrapped.append(bits)
+        or from_bits(cls, bits, *a)))
     for c1, c2 in pairs:
         assert not cesimpg_equiv(c1, c2).equivalent
-    assert all(seen == [] for calls in work for seen in calls.values())
+    assert wrapped == [] and all(seen == [] for seen in kernel.values())
 
 
 # ---------------------------------------------------------------------------

@@ -1,5 +1,6 @@
-"""Source checks over the library's modules: no module but the package's
-`__init__` (which re-exports) imports a name it never uses."""
+"""Source checks over the library's modules and README: no module but the
+package's `__init__` (which re-exports) imports a name it never uses, and
+README's library example runs as written."""
 
 import ast
 import pathlib
@@ -43,3 +44,15 @@ def test_unused_imports_are_found():
 @pytest.mark.parametrize("name", MODULES)
 def test_module_imports_only_what_it_uses(name):
     assert unused_imports((SRC / name).read_text()) == []
+
+
+def test_readme_library_example_runs():
+    """README's `## Library` python block runs as written, and the group
+    order its comment states holds: report.order == 24."""
+    text = (pathlib.Path(__file__).parents[1] / "README.md").read_text()
+    section = text[text.index("\n## Library\n"):]
+    start = section.index("```python\n") + len("```python\n")
+    block = section[start:section.index("```", start)]
+    scope = {}
+    exec(compile(block, "README.md", "exec"), scope)
+    assert scope["report"].order == 24

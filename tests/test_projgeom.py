@@ -8,14 +8,13 @@ import pytest
 
 import codequiv
 from codequiv import (ColoredBinaryMatrix, field, incidence, point_table,
-                      simplex_generator, theta)
+                      serialize, simplex_generator, theta)
 from codequiv import projgeom
-from codequiv.bmcanon import _pack_rows
 from codequiv.errors import ResourceLimitError
 from codequiv.projgeom import (MAX_INCIDENCE_CELLS, MAX_POINTS,
                                codeword_weights, incidence_columns,
                                nonzero_dot_bits, point_at)
-from conftest import reference_codeword_weights
+from conftest import reference_codeword_weights, reference_pack_rows
 
 
 def test_theta_values():
@@ -180,9 +179,9 @@ def test_incidence_entries_match_dot_products():
 
 
 def _dot_masks(table, vectors):
-    """The row masks of nonzero_dot_bits(table, vectors), packed as
-    incidence() packs the kernel's blocks."""
-    return _pack_rows(nonzero_dot_bits(table, vectors))
+    """The row masks of nonzero_dot_bits(table, vectors), packed by the
+    reference packer (conftest)."""
+    return reference_pack_rows(nonzero_dot_bits(table, vectors))
 
 
 def _want_masks(spec, points, vectors):
@@ -208,6 +207,24 @@ def test_nonzero_dot_masks_across_blocks(k, q, monkeypatch):
     vectors = [tuple(rng.randrange(q) for _ in range(k)) for _ in range(37)]
     assert _dot_masks(table, vectors) == _want_masks(
         spec, table.points, vectors)
+
+
+def test_incidence_reads_leave_its_bits_unbuilt(monkeypatch):
+    """The cached incidence of PG(11,2), 4,095 points, stores its rows as
+    byte records alone: serializing it, reading its row masks and comparing
+    it build no 4,095 x 4,095 bit matrix, which only a search or a column
+    gather unpacks."""
+    monkeypatch.setattr(projgeom, "_INCIDENCE_CACHE", {})
+    inc = incidence(12, 2)
+    assert incidence(12, 2) is inc
+    assert inc.packed.shape == (4095, 512)
+    text = serialize(inc)
+    masks = inc.row_masks
+    assert text.count("\n") == 4095 and len(masks) == 4095
+    assert all(m.bit_count() == 2048 for m in masks)
+    assert inc == ColoredBinaryMatrix.from_masks(masks, 4095)
+    assert inc != ColoredBinaryMatrix.from_masks(masks[::-1], 4095)
+    assert inc._bits is None
 
 
 @pytest.mark.parametrize("k,q", [(3, 2), (3, 4), (2, 9)])
@@ -281,7 +298,8 @@ def test_codeword_weights_match_the_mask_popcounts(cols):
                          for _ in range(rows)], np.uint8).reshape(rows, cols)
         colors = [rng.randrange(41) for _ in range(cols)]
         got = codeword_weights(bits, colors)
-        assert got == reference_codeword_weights(_pack_rows(bits), colors)
+        assert got == reference_codeword_weights(reference_pack_rows(bits),
+                                                 colors)
         assert all(type(w) is int for w in got)
 
 

@@ -299,7 +299,7 @@ def _sorted_records(mat: ColoredBinaryMatrix, order=None) -> bytes:
     records (`packed`), or with `order` given its rows read in that column
     order, packed from its bit matrix."""
     records = (mat.packed if order is None
-               else np.packbits(mat.bits[:, order], axis=1))
+               else np.packbits(mat.bits.take(order, 1), axis=1))
     if not records.shape[1]:
         return b""  # lexsort needs a key; rows of no columns are empty
     return records[np.lexsort(records.T[::-1])].tobytes()

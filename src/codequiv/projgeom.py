@@ -14,7 +14,10 @@ the complement (the nonzero inner products), which is what the equivalence
 algorithms consume.  One kernel computes them (_nonzero_dot_blocks):
 nonzero_dot_bits gives its entries for any vectors as a 0/1 array, and
 incidence() packs its blocks, one after another, into one preallocated
-array of the byte records a ColoredBinaryMatrix stores.  codeword_weights
+array of the byte records a ColoredBinaryMatrix stores.  Over GF(2),
+incidence() runs no kernel: position i holds the vector i + 1 in binary, so
+its records are those of the parity matrix popcount(a & b) mod 2 without
+vector 0, built by Sylvester's doubling (_binary_records).  codeword_weights
 reads a code's hyperplane weights off such an array, each column counted
 by its point's multiplicity.  The incidence matrix is symmetric, and keeps
 its bit array from its first use on.  A shortened matrix's entries are the
@@ -280,18 +283,58 @@ def codeword_weights(bits: np.ndarray, colors) -> list[int]:
                      np.array(colors, dtype=np.int64)).tolist()
 
 
+def _binary_records(k: int) -> np.ndarray:
+    """The byte records of incidence(k, 2), made without the dot kernel.
+    Position i of PG(k-1, 2)'s table holds the vector i + 1 in binary, so
+    with vector 0 put back the incidence is the 2^k x 2^k parity matrix
+    P_k(a, b) = popcount(a & b) mod 2, and P_(k+1) = [[P_k, P_k], [P_k,
+    ~P_k]] (Sylvester's construction of Hadamard matrices): the new top
+    bit of a and b adds 1 to the count exactly when both are set.
+
+    P_min(k,3) is doubled bit by bit and packed, one byte a row; then whole
+    records are doubled, in one preallocated 2^k x ceil((2^k - 1)/8) array.
+    Vector 0 is dropped after: its row by a row slice, its column by
+    shifting each record left one bit, the next byte's top bit carried in,
+    in row blocks of about _BLOCK_CELLS bytes through one scratch block."""
+    size = 1 << k
+    width = -(-(size - 1) // 8)
+    buf = np.empty((size, width), np.uint8)
+    bits = np.zeros((1, 1), np.uint8)
+    for _ in range(min(k, 3)):
+        bits = np.block([[bits, bits], [bits, bits ^ 1]])
+    rows, cols = len(bits), 1
+    buf[:rows, :cols] = np.packbits(bits, axis=1)
+    while rows < size:
+        top = buf[:rows, :cols]
+        buf[:rows, cols:2 * cols] = top
+        buf[rows:2 * rows, :cols] = top
+        np.invert(top, out=buf[rows:2 * rows, cols:2 * cols])
+        rows, cols = 2 * rows, 2 * cols
+    packed = buf[1:]
+    step = max(1, _BLOCK_CELLS // width)
+    carry = np.empty((min(step, size - 1), width - 1), np.uint8)
+    for lo in range(0, size - 1, step):
+        block = packed[lo:lo + step]
+        spill = carry[:len(block)]
+        np.right_shift(block[:, 1:], 7, out=spill)
+        block <<= 1
+        block[:, :-1] |= spill
+    return packed
+
+
 def incidence(k: int, q: int,
               modulus: int | None = None) -> ColoredBinaryMatrix:
     """The binary support of the simplex Gram matrix, every column colored
     0: entry (i, j) is 1 iff point j is *not* on hyperplane i (their inner
     product is nonzero), both 0-based positions into the point table.
 
-    The kernel's blocks are packed one by one into the matrix's
-    preallocated byte records (`ColoredBinaryMatrix.packed`), with no
-    theta x theta array.  The matrix is cached, and is symmetric: its
-    `bits`, unpacked on first use (a first search, `build_ceimpg_matrix`,
-    or a first column gather, `incidence_columns`), stay with it and serve
-    as their own transpose."""
+    The matrix's byte records (`ColoredBinaryMatrix.packed`) are filled in
+    one preallocated array, with no theta x theta array of bits: over
+    GF(2) by doubling packed rows (_binary_records), over any other field
+    by packing the kernel's blocks one by one.  The matrix is cached, and
+    is symmetric: its `bits`, unpacked on first use (a first search,
+    `build_ceimpg_matrix`, or a first column gather, `incidence_columns`),
+    stay with it and serve as their own transpose."""
     table = point_table(k, q, modulus)
     n = len(table)
     if n * n > MAX_INCIDENCE_CELLS:
@@ -302,12 +345,15 @@ def incidence(k: int, q: int,
     cached = _INCIDENCE_CACHE.get(key)
     if cached is not None:
         return cached
-    packed = np.empty((n, -(-n // 8)), np.uint8)
-    lo = 0
-    for block in _nonzero_dot_blocks(table, table.coords):
-        # any nonzero entry packs as a set bit
-        packed[lo:lo + len(block)] = np.packbits(block, axis=1)
-        lo += len(block)
+    if q == 2:
+        packed = _binary_records(k)
+    else:
+        packed = np.empty((n, -(-n // 8)), np.uint8)
+        lo = 0
+        for block in _nonzero_dot_blocks(table, table.coords):
+            # any nonzero entry packs as a set bit
+            packed[lo:lo + len(block)] = np.packbits(block, axis=1)
+            lo += len(block)
     result = ColoredBinaryMatrix._of(packed, n, symmetric=True)
     _INCIDENCE_CACHE[key] = result
     return result

@@ -131,9 +131,11 @@ def test_exports_resolve_and_incidence_is_an_uncolored_matrix():
 
 def test_incidence_resource_guard(monkeypatch):
     # PG(12,2) (8,191 points) is allowed, PG(13,2) (16,383) is refused
-    # before any mask is computed; its point table is within MAX_POINTS
+    # before any mask is computed, by the kernel or by the GF(2) doubling;
+    # its point table is within MAX_POINTS
     assert theta(12, 2) ** 2 <= MAX_INCIDENCE_CELLS < theta(13, 2) ** 2
     monkeypatch.setattr(projgeom, "_nonzero_dot_blocks", None)
+    monkeypatch.setattr(projgeom, "_binary_records", None)
     with pytest.raises(ResourceLimitError, match="over the 100000000 limit"):
         incidence(14, 2)
 
@@ -227,15 +229,46 @@ def test_incidence_reads_leave_its_bits_unbuilt(monkeypatch):
     assert inc._bits is None
 
 
-@pytest.mark.parametrize("k,q", [(3, 2), (3, 4), (2, 9)])
+@pytest.mark.parametrize("k,q", [(3, 3), (3, 4), (2, 9)])
 def test_incidence_masks_packed_across_blocks(k, q, monkeypatch):
     """incidence() packs the kernel's blocks one after another: with blocks
-    of two points, its masks still equal the per-pair inner products."""
+    of two points, its masks still equal the per-pair inner products.  The
+    fields are odd prime and composite: GF(2) runs no kernel."""
     monkeypatch.setattr(projgeom, "_INCIDENCE_CACHE", {})
     table = point_table(k, q)
     monkeypatch.setattr(projgeom, "_BLOCK_CELLS", 2 * len(table))
     assert list(incidence(k, q).row_masks) == _want_masks(
         field(q), table.points, table.points)
+
+
+@pytest.mark.parametrize("k", range(1, 13))
+def test_binary_incidence_doubling_matches_the_kernel(k, monkeypatch):
+    """Over GF(2), incidence() doubles packed rows instead of running the
+    dot kernel; its records equal the kernel's, packed, for PG(0,2) to
+    PG(11,2), and the matrix is read-only, symmetric, cached and keeps its
+    bits unbuilt."""
+    monkeypatch.setattr(projgeom, "_INCIDENCE_CACHE", {})
+    table = point_table(k, 2)
+    inc = incidence(k, 2)
+    want = np.packbits(nonzero_dot_bits(table, table.coords.T), axis=1)
+    assert inc.packed.dtype == np.uint8
+    assert inc.packed.shape == want.shape
+    assert np.array_equal(inc.packed, want)
+    assert not inc.packed.flags.writeable
+    assert inc._symmetric
+    assert incidence(k, 2) is inc
+    assert inc._bits is None
+
+
+def test_binary_incidence_of_pg_12_2(monkeypatch):
+    """PG(12,2), the largest GF(2) incidence under MAX_INCIDENCE_CELLS:
+    8,191 records of 1,024 bytes, each hyperplane missing 4,096 points,
+    counted without unpacking."""
+    monkeypatch.setattr(projgeom, "_INCIDENCE_CACHE", {})
+    packed = incidence(13, 2).packed
+    assert packed.shape == (8191, 1024)
+    popcount = np.array([bin(b).count("1") for b in range(256)], np.uint8)
+    assert (popcount[packed].sum(axis=1, dtype=np.int64) == 4096).all()
 
 
 # (k, q, modulus): both bodies of the mask kernel, prime (GF(2) and odd)

@@ -301,7 +301,9 @@ def _binary_records(k: int) -> np.ndarray:
     buf = np.empty((size, width), np.uint8)
     bits = np.zeros((1, 1), np.uint8)
     for _ in range(min(k, 3)):
-        bits = np.block([[bits, bits], [bits, bits ^ 1]])
+        bits = np.tile(bits, (2, 2))
+        half = len(bits) // 2
+        bits[half:, half:] ^= 1
     rows, cols = len(bits), 1
     buf[:rows, :cols] = np.packbits(bits, axis=1)
     while rows < size:

@@ -2,20 +2,21 @@
 
 Every code is keyed on its own, in this process or in a forked `--jobs`
 worker (`_batch_keys`).  The ceimpg key is the canonical form of the
-multiplicity-colored incidence of the code's side, a complete invariant,
-so a key is a class.  The cesimpg key is the canonical form of the side's
-kept shortened matrix (`equiv._Side.kept`); codes sharing it share a
-bucket, and a bucket's members are told apart by lifting each one onto a
-class representative's lift target (`lift._find_lift`), whose sigma0 is
-read off the two keys' forms.  A key is bytes: the canonical form's
+multiplicity-colored incidence of the code's side, the cesimpg key that of
+the side's kept shortened matrix (`equiv._Side.kept`).  Codes sharing a key
+share a bucket, and a bucket's members are told apart by lifting each one
+onto a class representative's lift target (`lift._find_lift`), whose sigma0
+is read off the two keys' forms; a ceimpg key is itself the proof where
+every incidence isomorphism is a collineation (sides of dimension other
+than 2, and q <= 4).  A key is bytes: the canonical form's
 `CanonResult.key()`, which frames its certificate with its column colors
 and row count and renders no text, after a tag: "dual:" when it was built
 from the dual, and "min:" for a cesimpg key over GF(2) built from the
-minimum-weight rows alone.  Two
-keys are equal exactly when the tagged `serialize()` texts of their
-forms are.  Only the forms of the cesimpg keys are kept: a code's `_Side`
-record is made around its form only when a bucket compares that code, and
-only a representative's record builds a lift target.
+minimum-weight rows alone.  Two keys are equal exactly when the tagged
+`serialize()` texts of their forms are.  A code keyed in this process keeps
+the `_Side` record its keying built; one a worker keyed gets its record
+when a bucket first compares it.  Only a representative's record builds a
+lift target.
 """
 
 from __future__ import annotations
@@ -29,7 +30,7 @@ from functools import cache
 from .bmcanon import _sigma_from_canons, canonical_form
 from .equiv import _Side
 from .errors import BudgetExceededError, ResourceLimitError
-from .lift import _find_lift
+from .lift import _find_lift, _incidence_points
 from .lincode import GeneratorMatrix
 
 # the typed failures of one code, which a batch collects per item
@@ -62,33 +63,33 @@ def _short_digest(key: bytes) -> str:
 
 
 def _code_key(code: GeneratorMatrix, mode: str):
-    """(key, form, error) of one code, in this process and in a `--jobs`
-    worker alike.  The key is a tag and the `CanonResult.key()` of `form`,
-    the canonical form of the code's side: bytes, no text.  `form` is kept
-    for cesimpg, where `classify` reads sigma0 off it; None for ceimpg.  A
-    per-item failure sets only `error`.  A key built from the dual starts
-    with b"dual:", so that a [13,10] code never shares a key with the
+    """(key, form, error, record) of one code, in this process and in a
+    `--jobs` worker alike.  The key is a tag and the `CanonResult.key()` of
+    `form`, the canonical form of the code's side (of its incidence for
+    ceimpg): bytes, no text.  `classify` reads sigma0 off `form`, and keeps
+    `record`, the code's `_Side`, which a worker does not send.  A per-item
+    failure sets only `error`.  A key built from the dual starts with
+    b"dual:", so that a [13,10] code never shares a key with the
     [13,3] code whose matrix is the same.  A cesimpg key built from the
     minimum-weight rows alone starts with b"min:", since such a matrix can
     have the shape of a full one of another dimension."""
     try:
         rec = _Side(code)
         tag = b"" if rec.side is code else b"dual:"
-        if mode == "ceimpg":
-            return tag + canonical_form(rec.incidence).key(), None, None
-        if rec.rows is not None:
+        form = canonical_form(rec.incidence) if mode == "ceimpg" else rec.form
+        if mode == "cesimpg" and rec.rows is not None:
             tag = b"min:" + tag
-        return tag + rec.form.key(), rec.form, None
+        return tag + form.key(), form, None, rec
     except _ITEM_ERRORS as e:
-        return None, None, f"{type(e).__name__}: {e}"
+        return None, None, f"{type(e).__name__}: {e}", None
 
 
 def _key_share(conn, codes, mode):
     """Body of a forked worker: `_code_key` of each of `codes`, sent back as
-    (True, [(key, form, error), ...]) in one message, or (False,
-    exception)."""
+    (True, [(key, form, error, None), ...]) in one message, with no record,
+    or (False, exception)."""
     try:
-        reply = True, [_code_key(code, mode) for code in codes]
+        reply = True, [_code_key(code, mode)[:3] + (None,) for code in codes]
     except Exception as e:
         reply = False, e
     conn.send(reply)
@@ -123,7 +124,7 @@ def _forked_keys(codes, mode, jobs):
     len(codes) * i // jobs: this process keys the first, and a worker each
     further one.  A worker is forked, so it reads its share, and the module
     state of the caller, from the memory it inherits; it pipes its
-    (key, form, error) triples back in one message.  An exception in any
+    (key, form, error, None) back in one message.  An exception in any
     share is raised here.  A worker that has answered is joined, and one
     that has not is terminated, before this returns on every path, so
     their CPU counts in RUSAGE_CHILDREN."""
@@ -164,21 +165,20 @@ def _forked_keys(codes, mode, jobs):
 def classify(codes, algo: str = "ceimpg", jobs: int = 1) -> ClassifyResult:
     """Partition `codes` into equivalence classes.
 
-    algo="ceimpg" groups by the complete canonical key.  algo="cesimpg"
-    buckets by the shortened-matrix canonical key and separates bucket
-    members with the lifting procedure of cesimpg_equiv (`_find_lift`).
-    Both keys are built from each code's side (`_side`: its dual when
-    2k > n, the key then prefixed "dual:"; a cesimpg key over GF(2) built
-    from the minimum-weight rows is prefixed "min:"); lifting stays on the
-    codes themselves.  A key is its tag and its canonical form's
+    Both routes key, then lift: algo="ceimpg" buckets by the canonical
+    incidence key, algo="cesimpg" by the shortened-matrix one, and bucket
+    members are separated by the lifting procedure of the equivalence
+    routes (`_find_lift`), but where a ceimpg key is a proof.  Both keys
+    are built from each code's side (`_side`: its dual when 2k > n, the key
+    then prefixed "dual:"; a cesimpg key over GF(2) built from the
+    minimum-weight rows is prefixed "min:"); lifting stays on the codes
+    themselves.  A key is its tag and its canonical form's
     `CanonResult.key()` bytes, no rendered text; the buckets, each class's
-    `key_digest` and the batch `digest` hash those bytes.  A cesimpg
-    bucket that already holds a class makes the `_Side` record of the code
-    it compares, and of each representative it compares against, once per
-    code, around the form its key came from, and lifts the code onto the
-    representative's lift target: each class builds one rref, on its
-    representative, however many members join it, and past sigma0 the
-    point group comes from the member's own form.
+    `key_digest` and the batch `digest` hash those bytes.  A bucket that
+    already holds a class lifts the code it compares onto the lift target
+    of each representative's `_Side` record: each class builds one rref, on
+    its representative, however many members join it, and past sigma0 the
+    point group comes from the member's own shortened form.
     `jobs`, an integer >= 1, bounds the processes that
     key the codes: this one keys them in order until its own keying time
     projects at least FORK_PAYS_S of CPU for the rest, and only then cuts
@@ -202,29 +202,33 @@ def classify(codes, algo: str = "ceimpg", jobs: int = 1) -> ClassifyResult:
     if codes and any(c.spec != codes[0].spec for c in codes):
         raise ValueError("classification requires a single ambient field")
     keyed = _batch_keys(codes, algo, jobs)
-    errors = [(i, msg) for i, (_, _, msg) in enumerate(keyed) if msg]
-    # code i's record, built when a bucket first compares it
-    side = cache(lambda i: _Side(codes[i], keyed[i][1]))
+    errors = [(i, msg) for i, (_, _, msg, _) in enumerate(keyed) if msg]
+    # code i's record, or one made around a worker's (shortened) form
+    side = cache(lambda i: keyed[i][3] or _Side(
+        codes[i], keyed[i][1] if algo == "cesimpg" else None))
+
+    def lifts(i, rep):
+        # bucket members share their canonical matrix, so pi0 is read off
+        # the keys' forms.  A ceimpg one is a collineation, which lifts, on
+        # sides of dimension other than 2 and over q <= 4 (Hirschfeld)
+        s1, s2 = side(i), side(rep)
+        if algo == "ceimpg" and (s1.side.k != 2 or s1.side.q <= 4):
+            return True
+        pi0 = _sigma_from_canons(keyed[i][1], keyed[rep][1])
+        if algo == "ceimpg":
+            pi0 = _incidence_points(pi0, s1, s2)
+        return _find_lift(s1, s2, pi0) is not None
+
     buckets: dict[bytes, list[CodeClass]] = {}
     classes: list[CodeClass] = []
     keys: list[bytes] = []
-    for i, (key, form, msg) in enumerate(keyed):
+    for i, (key, _, msg, _) in enumerate(keyed):
         if msg:
             continue
         bucket = buckets.setdefault(key, [])
-        joined = None
         try:
-            for cls in bucket:
-                # the ceimpg route takes its key as complete: one class per
-                # bucket; cesimpg members of a bucket share their canonical
-                # matrix, so pi0 is read off the forms the keys came from,
-                # and code i is lifted onto the representative's target
-                rep = cls.representative
-                if algo == "ceimpg" or _find_lift(
-                        side(i), side(rep),
-                        _sigma_from_canons(form, keyed[rep][1])) is not None:
-                    joined = cls
-                    break
+            joined = next((cls for cls in bucket
+                           if lifts(i, cls.representative)), None)
         except _ITEM_ERRORS as e:
             # the pair's comparison failed: code i stays unplaced
             errors.append((i, f"{type(e).__name__}: {e}"))

@@ -76,10 +76,7 @@ def cmd_equiv(args) -> int:
     verdict = decide_equivalence(c1, c2, args.algo)
     if verdict.equivalent:
         print(f"EQUIVALENT method={verdict.method}")
-        if verdict.witness is not None:
-            _print_witness(verdict.witness, verify_witness(c1, c2, verdict.witness))
-        else:
-            print("witness: none (canonical-form route)")
+        _print_witness(verdict.witness, verify_witness(c1, c2, verdict.witness))
         return 0
     print(f"INEQUIVALENT method={verdict.method}")
     return 1

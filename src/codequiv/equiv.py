@@ -14,9 +14,9 @@ library; the CLI prints them 1-based.
 Two decision routes are provided:
 
 * the point-multiplicity route: color the columns of the full
-  point/hyperplane incidence structure by the code's point multiplicities
-  and decide whether the two are isomorphic (complete invariant; no
-  monomial witness);
+  point/hyperplane incidence structure by the code's point multiplicities,
+  search for one isomorphism of the two, and lift it, moved onto the
+  points, to an explicit monomial witness (`ceimpg_equiv`);
 * the shortened route: compare the weight distributions of the codes'
   sides first, then search for one isomorphism sigma0 between the
   hyperplane-by-point support matrices of their distinct points, colored
@@ -34,7 +34,7 @@ Two decision routes are provided:
   packed; monomial maps and field automorphisms keep it, so differing
   distributions prove inequivalence with no search at all.  The
   point-multiplicity route takes no such shortcut: it stays an
-  independent check of every inequivalent verdict.
+  independent check of every inequivalent verdict its search reaches.
 
 Both binary matrices have theta(k) = (q^k - 1)/(q - 1) rows or columns, so
 for a high-rate code (2k > n) they are built from its dual instead, which
@@ -76,11 +76,11 @@ from .bmcanon import (CanonResult, ColoredBinaryMatrix, _perm_inverse,
                       canonical_form)
 from .gfield import FieldSpec, as_ints
 from .gfmatrix import GFMatrix, mat_mul, nullspace_basis, rank
-from .lift import LiftTarget, _coordinate_perm, _find_lift, _lift
-from .lincode import (CharacteristicVector, GeneratorMatrix, _locate,
-                      characteristic_vector)
+from .lift import (LiftTarget, _coordinate_perm, _find_lift,
+                   _incidence_points, _lift)
+from .lincode import CharacteristicVector, GeneratorMatrix, _locate
 from .projgeom import (codeword_weights, incidence, incidence_columns,
-                       point_table)
+                       point_table, theta)
 
 
 # ---------------------------------------------------------------------------
@@ -134,11 +134,7 @@ class EquivalenceWitness:
 
 @dataclass
 class Verdict:
-    """Outcome of an equivalence decision.
-
-    `witness` is set on every equivalent verdict of the lifting route; the
-    canonical-form route proves equivalence without producing a monomial map.
-    """
+    """An equivalence decision, with a verified `witness` when equivalent."""
     equivalent: bool
     method: str
     witness: EquivalenceWitness | None = None
@@ -240,11 +236,11 @@ class _Side:
     all rows are kept), the canonical `form` of the rows `kept`, and the
     code's own `target` (`lift.LiftTarget`: its rref and support graph),
     which every candidate lifted onto the code shares.  A `form` already
-    at hand (`classify` has its keys') is passed in.  Its `incidence`
-    matrix, which the ceimpg route and a search past the coset cap read, is
-    built on each read from the side's `characteristic_vector`, a walk of
-    its own.  A record lives in one process: `--jobs` workers send back
-    forms, not records."""
+    at hand (a cesimpg key's) is passed in.  Its `incidence` matrix, which
+    the ceimpg route and a search past the coset cap read, is built on
+    each read from the `positions` and `mults`, with no walk of its own.
+    A record lives in one process: `--jobs` workers send back forms, not
+    records."""
 
     def __init__(self, code: GeneratorMatrix, form: CanonResult | None = None):
         self.code = code
@@ -331,7 +327,11 @@ class _Side:
     def incidence(self) -> ColoredBinaryMatrix:
         """The side's `build_ceimpg_matrix`, a recoloring of its geometry's
         cached incidence, so not kept here."""
-        return build_ceimpg_matrix(characteristic_vector(self.side))
+        counts = [0] * theta(self.side.k - 1, self.side.q)
+        for j, m in zip(self.positions, self.mults):
+            counts[j] = m
+        return build_ceimpg_matrix(CharacteristicVector(
+            self.side.spec, self.side.k, tuple(counts)))
 
 
 # ---------------------------------------------------------------------------
@@ -350,16 +350,24 @@ def _comparable_sides(c1: GeneratorMatrix, c2: GeneratorMatrix):
 
 
 def ceimpg_equiv(c1: GeneratorMatrix, c2: GeneratorMatrix) -> Verdict:
-    """Decide equivalence by an isomorphism search (`bmcanon.is_isomorphic`)
-    between the multiplicity-extended incidence matrices of the codes'
-    sides (their duals when 2k > n).
-    Complete invariant, except on sides of dimension 2 over q >= 5, whose
-    incidence is a matching; produces no monomial witness."""
+    """Decide equivalence by one isomorphism search (`bmcanon.is_isomorphic`)
+    of the multiplicity-colored incidence matrices of the codes' sides
+    (their duals when 2k > n), and lift the map found, moved onto the
+    points, as cesimpg_equiv lifts its pi0.  It is a collineation, so it
+    lifts at once, on sides of dimension other than 2 and over q <= 4 (the
+    fundamental theorem of projective geometry); on a dimension-2 side over
+    q >= 5 a failed lift streams the point group (`lift._find_lift`)."""
     sides = _comparable_sides(c1, c2)
     if sides is None:
         return Verdict(False, "ceimpg")
-    sigma = bmcanon.is_isomorphic(*(s.incidence for s in sides))
-    return Verdict(sigma is not None, "ceimpg")
+    s1, s2 = sides
+    gamma = bmcanon.is_isomorphic(s1.incidence, s2.incidence)
+    if gamma is None:
+        return Verdict(False, "ceimpg")
+    found = _find_lift(s1, s2, _incidence_points(gamma, s1, s2))
+    if found is None:
+        return Verdict(False, "ceimpg")
+    return Verdict(True, "ceimpg", _witness(c1, s2.target, *found))
 
 
 def _witness(c1: GeneratorMatrix, target: LiftTarget, sigma, rho: int,
@@ -388,29 +396,27 @@ def cesimpg_equiv(c1: GeneratorMatrix, c2: GeneratorMatrix) -> Verdict:
     """Decide equivalence via shortened matrices plus monomial lifting.
 
     The shortened matrices are those of the codes' sides (`_side`: the
-    duals when 2k > n); lifting and the witness are on c1 and c2 themselves.
-    Codes on different sides, with different weight profiles, or with
-    non-isomorphic shortened matrices, are inequivalent outright.  The
-    weight profiles of the two shortened matrices (their sorted
-    `_Side.weights`) are compared before any search: they
-    are the weight distributions of the sides, which every monomial map
-    and field automorphism keeps, and both sides are primal or both dual.
-    Over GF(2), when the minimum-weight words span a side, only their rows
-    are searched (`_Side.rows`), with the same point group and
+    duals when 2k > n); lifting and the witness are on c1 and c2
+    themselves. Codes on different sides, with different weight profiles,
+    or with non-isomorphic shortened matrices, are inequivalent outright.
+     The weight profiles of the two shortened matrices (their sorted
+    `_Side.weights`) are compared before any search, as ceimpg_equiv does
+    not: they are the weight distributions of the sides, which every
+    monomial map and field automorphism keeps, and both sides are primal or
+    both dual.  Over GF(2), when the minimum-weight words span a side, only
+    their rows are searched (`_Side.rows`), with the same point group and
     isomorphisms; equivalent sides take the same branch, and two sides of
     one profile on two branches keep different numbers of rows, which
-    `bmcanon.is_isomorphic` refuses before any search.
-    ceimpg_equiv does not take this shortcut, so that it stays an
-    independent check of an inequivalent verdict.
-    Otherwise one isomorphism pi0 of the sides' kept matrices comes from
+    `bmcanon.is_isomorphic` refuses before any search.  Otherwise one
+    isomorphism pi0 of the sides' kept matrices comes from
     `bmcanon.is_isomorphic`, with no canonical form; None proves
     inequivalence.  Its coordinate map sigma0 is lifted first, trying each
     field automorphism; only when it fails is the first side canonicalized
     and sigma0 composed with each other element of its point group, the
     first matrix's automorphism group (`lift._find_lift`); exhausting them
     proves inequivalence.  When the point group outgrows `lift.COSET_CAP`,
-    one isomorphism of the sides' incidence matrices is searched for instead,
-    again with `bmcanon.is_isomorphic`: it lifts, and none proves
+    one isomorphism of the sides' incidence matrices is searched for
+    instead, again with `bmcanon.is_isomorphic`: it lifts, and none proves
     inequivalence.  On sides of dimension 2, and past the node budget (as
     in `classify`), the typed error stands: no verdict comes without a
     witness.
@@ -435,14 +441,10 @@ def cesimpg_equiv(c1: GeneratorMatrix, c2: GeneratorMatrix) -> Verdict:
 
 def decide_equivalence(c1: GeneratorMatrix, c2: GeneratorMatrix,
                        algo: str = "auto") -> Verdict:
-    """Decide whether c1 and c2 are equivalent, by the route `algo` names.
-
-    "cesimpg" is `cesimpg_equiv`: weight profiles, one isomorphism search
-    and lifting, and a verified witness on every equivalent verdict.
-    "ceimpg" is `ceimpg_equiv`: the incidence matrices, with no witness.
-    "auto", the default, takes the cesimpg route, the one that gives a
-    witness.  Any other name raises ValueError.
-    """
+    """Decide whether c1 and c2 are equivalent, by the route `algo` names:
+    "cesimpg" (`cesimpg_equiv`), "ceimpg" (`ceimpg_equiv`), or "auto", the
+    default, which takes cesimpg.  Each gives a verified witness on every
+    equivalent verdict.  Any other name raises ValueError."""
     if algo == "ceimpg":
         return ceimpg_equiv(c1, c2)
     if algo in ("auto", "cesimpg"):

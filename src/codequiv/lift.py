@@ -16,12 +16,12 @@ the codes themselves, never on the duals that `equiv._side` may search in
 their place.
 
 The candidates between two `equiv._Side` records are sigma0, the
-coordinate map of one isomorphism of their kept shortened matrices, then,
-only when it does not lift, sigma0 composed with the rest of the point
-group, the automorphism group of the first matrix (its canonical form), or
-past the coset cap one isomorphism of the sides' incidence matrices, found
-by the same targeted search (`_find_lift`).  The records are read, never
-built, here.
+coordinate map of one isomorphism of their kept shortened matrices or of
+their incidence matrices (`_incidence_points`), then, only when it does not
+lift, sigma0 composed with the rest of the point group, the automorphism
+group of the first matrix (its canonical form), or past the coset cap one
+isomorphism of the sides' incidence matrices, found by the same targeted
+search (`_find_lift`).  The records are read, never built, here.
 """
 
 from __future__ import annotations
@@ -48,6 +48,14 @@ def _coordinate_perm(pi, points1, points2) -> tuple[int, ...]:
         for a, b in zip(coords, points2[t]):
             sigma[a] = b
     return tuple(sigma)
+
+
+def _incidence_points(gamma, s1, s2) -> list[int]:
+    """The map of `equiv._Side` s1's points onto s2's that `gamma`, an
+    isomorphism of their `incidence` matrices on point-table positions,
+    gives: its colors are multiplicities, so it keeps the points."""
+    index2 = {j: p for p, j in enumerate(s2.positions)}
+    return [index2[gamma[j]] for j in s1.positions]
 
 
 def _support_forest(red: RREFResult, n: int):
@@ -192,23 +200,25 @@ def _find_lift(s1, s2, pi0):
     none does; s1 and s2 are `equiv._Side` records.
 
     `pi0` is an isomorphism of the sides' kept matrices (`_Side.kept`, both
-    reduced or neither), as a map of their points.  The permutations
-    carrying the first side's point multiset onto the second's are sigma0 o
-    pi o t: sigma0 is pi0 moved to coordinates by `_coordinate_perm`, pi
-    runs over the point group P, the automorphism group of the first kept
-    matrix (the same for the minimum-weight rows alone), moved likewise,
-    and t runs over the permutations of each point's own coordinates.  The
-    candidates are sigma0 o pi, pi in P, sigma0 first; only when sigma0
-    does not lift is the first side's `form` read, for P, its order and the
-    coset cap, and P's other elements streamed.  Any isomorphism serves as
-    pi0: every one spans the same coset.  Nor do the t lose anything:
-    coordinates of one point have proportional columns in the side,
-    c_j = a c_i.  Swapping them and scaling by a and a^-1 maps the side
-    onto itself, a monomial automorphism of the side, and so of the code
-    (with the inverse scalings when the side is the dual).  Every
-    t is thus the permutation of a monomial automorphism of the first code,
-    and sigma0 o pi o t lifts exactly when sigma0 o pi does, so None proves
-    that no monomial map exists.
+    reduced or neither, their incidences' columns at the points), as a map
+    of their points, or one of their incidences (`_incidence_points`).  The
+    permutations carrying the first side's point multiset onto the second's
+    are sigma0 o pi o t: sigma0 is pi0 moved to coordinates by
+    `_coordinate_perm`, pi runs over the point group P, the automorphism
+    group of the first kept matrix (the same for the minimum-weight rows
+    alone), moved likewise, and t runs over the permutations of each
+    point's own coordinates.  The candidates are sigma0 o pi, pi in P,
+    sigma0 first; only when sigma0 does not lift is the first side's `form`
+    read, for P, its order and the coset cap, and P's other elements
+    streamed.  Any isomorphism serves as pi0: every one spans the same
+    coset.  Nor do the t lose anything: coordinates of one point have
+    proportional columns in the side, c_j = a c_i.  Swapping them and
+    scaling by a and a^-1 maps the side onto itself, a monomial
+    automorphism of the side, and so of the code (with the inverse scalings
+    when the side is the dual).  Every t is thus the permutation of a
+    monomial automorphism of the first code, and sigma0 o pi o t lifts
+    exactly when sigma0 o pi does, so None proves that no monomial map
+    exists.
     When the point group is larger than COSET_CAP, the candidates are sigma0
     and then one isomorphism of the sides' incidence matrices
     (`_Side.incidence`), found by `bmcanon.is_isomorphic` with no canonical
@@ -240,11 +250,8 @@ def _find_lift(s1, s2, pi0):
     gamma = bmcanon.is_isomorphic(s1.incidence, s2.incidence)
     if gamma is None:
         return None
-    # gamma maps point-table positions; colors are multiplicities, so it
-    # carries the first side's points onto the second's
-    index2 = {j: p for p, j in enumerate(s2.positions)}
-    pi = [index2[gamma[j]] for j in s1.positions]
-    sigma = _coordinate_perm(pi, points1, points2)
+    sigma = _coordinate_perm(_incidence_points(gamma, s1, s2), points1,
+                             points2)
     lift = _lift(g1, s2.target, sigma)
     if lift is None:
         raise RuntimeError("internal error: incidence isomorphism did not lift")

@@ -14,9 +14,9 @@ A code's point multiset is found in one place: `_locate` walks its
 normalized columns once, groups them by point, and ranks each distinct
 point from its coordinates (`projgeom._ranks`: arithmetic, no lookup
 table), giving the coordinates of the code it occupies and its point-table
-position.  `characteristic_vector` counts from it, as do the shortened
-matrices of `equiv`.  A `CharacteristicVector` checks its counts on
-construction, so `min_distance_hyperplane` and `code_from_chi` read only
+position.  `characteristic_vector` counts from it, as do the shortened and
+incidence matrices of `equiv`.  A `CharacteristicVector` checks its counts
+on construction, so `min_distance_hyperplane` and `code_from_chi` read only
 multiplicity vectors, and the point table's `coords` array.
 """
 

@@ -233,22 +233,13 @@ def test_census_counts_and_burnside_numbers():
         assert all(mul[x][inv[x]] == 1 for x in range(1, q))
 
 
-# ceimpg keys a dimension-2 side by its incidence, a matching on PG(1, q)
-# whose group Sym(q+1) is larger than PGL(2, q) for q >= 5, so it merges
-# classes there
-DIMENSION_TWO_KEY = pytest.mark.xfail(
-    strict=True, reason="ROADMAP item 1: the ceimpg key merges classes of "
-                        "dimension 2 over q >= 5")
-
-
 @pytest.mark.parametrize("n,k,q,algo", [
-    pytest.param(*shape, algo, marks=DIMENSION_TWO_KEY
-                 if algo == "ceimpg" and shape[1] == 2 and shape[2] >= 5
-                 else ())
-    for shape in SHAPES for algo in ("cesimpg", "ceimpg")])
+    (*shape, algo) for shape in SHAPES for algo in ("cesimpg", "ceimpg")])
 def test_class_count_matches_burnside(n, k, q, algo):
     """Every spanning multiset of the shape, classified on one route: the
-    class count is Burnside's."""
+    class count is Burnside's.  On ceimpg a dimension-2 key over q >= 5,
+    a matching on PG(1, q) whose group Sym(q+1) is larger than PΓL(2, q),
+    merges classes, so its members are lifted."""
     assert len(_classes(n, k, q, algo)) == burnside_spanning(n, k, q)
 
 

@@ -83,11 +83,12 @@ def test_equiv_inequivalent_exit_1(tmp_path, capsys):
     assert capsys.readouterr().out.startswith("INEQUIVALENT method=")
 
 
-def test_equiv_ceimpg_route_no_witness(pair_file, capsys):
+def test_equiv_ceimpg_route_witness(pair_file, capsys):
+    # the incidence isomorphism, moved onto the points, lifts to a witness
     assert main(["equiv", pair_file, "--algo", "ceimpg"]) == 0
     out = capsys.readouterr().out
     assert "EQUIVALENT method=ceimpg" in out
-    assert "witness: none (canonical-form route)" in out
+    assert "witness: re-verified OK" in out
 
 
 def test_equiv_single_code_errors(tmp_path, capsys):
@@ -437,8 +438,10 @@ ARC = """\
 @pytest.mark.parametrize("algo, lines", [
     # the incidence search gives a witness
     ([], ["EQUIVALENT method=cesimpg", "witness: re-verified OK"]),
-    # no weight-profile shortcut on this route
-    (["--algo", "ceimpg"], ["witness: none (canonical-form route)"])],
+    # no weight-profile shortcut on this route, and the incidence
+    # isomorphism it finds lifts to a witness too
+    (["--algo", "ceimpg"], ["EQUIVALENT method=ceimpg",
+                            "witness: re-verified OK"])],
     ids=["auto", "ceimpg"])
 def test_process_equiv_past_the_coset_cap(tmp_path, algo, lines):
     conic, arc = tmp_path / "conic.txt", tmp_path / "arc.txt"

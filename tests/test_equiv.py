@@ -457,28 +457,60 @@ def test_worked_example_pair(worked_pair):
     assert brute_force_equivalent(c1.mat.rows, c2.mat.rows, 3)
 
 
-@pytest.mark.parametrize("q,n,k", [(2, 8, 3), (3, 8, 3), (5, 7, 2)])
-def test_constructed_equivalences_prime(q, n, k):
+def _ceimpg_witnessed(monkeypatch, c1, c2):
+    """ceimpg_equiv on an equivalent pair: its witness verifies, and where
+    the incidence isomorphism it finds is a collineation (a side of
+    dimension other than 2, or q <= 4) it lifts on the first candidate,
+    one `lift._lift` call with no canonical form (`_Side.form`) built.
+    Returns the verdict and its number of `lift._lift` calls."""
+    with monkeypatch.context() as m:
+        lifts = _counting(m, "_lift", module=lift)["_lift"]
+        forms = _counting(m, "canonical_form")["canonical_form"]
+        v = ceimpg_equiv(c1, c2)
+    assert (v.equivalent, v.method) == (True, "ceimpg")
+    assert verify_witness(c1, c2, v.witness)
+    if equiv._side(c1).k != 2 or c1.q <= 4:
+        assert len(lifts) == 1 and forms == []
+    return v, len(lifts)
+
+
+# the side of (3, 7, 4) is its dual, of dimension 3; the [n,2] shapes over
+# q >= 5 have sides of dimension 2, where a first lift can fail
+@pytest.mark.parametrize("q,n,k", [(2, 8, 3), (3, 8, 3), (5, 7, 2),
+                                   (3, 7, 4), (3, 8, 2), (5, 8, 3),
+                                   (7, 6, 2)])
+def test_constructed_equivalences_prime(q, n, k, monkeypatch):
     spec = field(q)
     for seed in range(12):
         c1, c2 = _transformed_pair(spec, n, k, seed)
         v = cesimpg_equiv(c1, c2)
         assert v.equivalent
         assert verify_witness(c1, c2, v.witness)
-        assert ceimpg_equiv(c1, c2).equivalent
+        _ceimpg_witnessed(monkeypatch, c1, c2)
 
 
-@pytest.mark.parametrize("q", [4, 9])
-def test_constructed_equivalences_semilinear(q):
+# [n, k] shapes per field: over GF(8) one of side dimension 2, where some
+# first lifts fail and the point group is streamed
+SEMILINEAR_SHAPES = {4: [(6, 3), (7, 2)], 8: [(6, 3), (6, 2)], 9: [(6, 3)]}
+
+
+@pytest.mark.parametrize("q", [4, 9, 8])
+def test_constructed_equivalences_semilinear(q, monkeypatch):
     spec = field(q)
-    hit_rho = False
-    for seed in range(12):
-        c1, c2 = _transformed_pair(spec, 6, 3, seed)
-        v = cesimpg_equiv(c1, c2)
-        assert v.equivalent
-        assert verify_witness(c1, c2, v.witness)
-        hit_rho = hit_rho or v.witness.rho != 0
-    assert hit_rho  # at least one pair genuinely needed the field automorphism
+    for n, k in SEMILINEAR_SHAPES[q]:
+        hit_rho = hit_rho_ceimpg = streamed = False
+        for seed in range(12):
+            c1, c2 = _transformed_pair(spec, n, k, seed)
+            v = cesimpg_equiv(c1, c2)
+            assert v.equivalent
+            assert verify_witness(c1, c2, v.witness)
+            hit_rho = hit_rho or v.witness.rho != 0
+            w, lifts = _ceimpg_witnessed(monkeypatch, c1, c2)
+            hit_rho_ceimpg = hit_rho_ceimpg or w.witness.rho != 0
+            streamed = streamed or lifts > 1
+        # at least one pair genuinely needed the field automorphism
+        assert hit_rho and hit_rho_ceimpg
+        assert streamed == (k == 2 and q >= 5)
 
 
 def test_verdicts_match_brute_force_small():
@@ -670,9 +702,10 @@ def _cross_ratio_code(lam):
 def test_equal_profile_inequivalent_pairs_reach_the_search(monkeypatch,
                                                            searches):
     """Seeded inequivalent pairs that share a profile reach the isomorphism
-    search and come out inequivalent, as ceimpg_equiv says on sides of
-    dimension 3 or more, and as the GL oracle says where n <= 6 (GL(3,5),
-    1.5 million matrices, is left to ceimpg_equiv).  The exceptions are the
+    search and come out inequivalent, as ceimpg_equiv says (on the
+    dimension-2 cross-ratio pair by its lift, on the others by its
+    search), and as the GL oracle says where n <= 6 (GL(3,5), 1.5 million
+    matrices, is left to ceimpg_equiv).  The exceptions are the
     two [6,3]_2 pairs: one code's minimum-weight words span it and the
     other's do not, so their kept matrices differ in shape and
     bmcanon.is_isomorphic refuses them before any search.  The [6,3]_5
@@ -701,8 +734,9 @@ def test_equal_profile_inequivalent_pairs_reach_the_search(monkeypatch,
         assert bool(searches) == same_shape
         shared_key = c1.q == 5 or c1.k == 2
         assert forms == (kept[:1] if shared_key else [])
-        # on PG(1,7) the ceimpg key is a matching, blind to cross ratios
-        assert ceimpg_equiv(c1, c2).equivalent == (c1.k == 2)
+        # on PG(1,7) the incidence is a matching, blind to cross ratios:
+        # ceimpg_equiv finds an isomorphism of it, which does not lift
+        assert not ceimpg_equiv(c1, c2).equivalent
         if c1.n <= 6 and c1.q ** (c1.k * c1.k) < 10 ** 5:
             assert not brute_force_equivalent(c1.mat.rows, c2.mat.rows, c1.q)
             oracle += 1
@@ -893,8 +927,8 @@ def test_binary_golay_keyed_on_minimum_weight_rows(n, rows, order):
         build_shortened(side)).group_order
     report = code_aut_group(code)
     assert report.complete and report.order == order
-    key, form, error = batch._code_key(code, "cesimpg")
-    assert error is None and form is not None
+    key, form, error, kept = batch._code_key(code, "cesimpg")
+    assert error is None and form is not None and kept.form is form
     assert key == (b"min:" if side is code else b"min:dual:") + form.key()
 
 
@@ -1333,7 +1367,10 @@ def test_incidence_route_on_1023_points():
 # classification
 
 
-def test_classify_groups_transformed_copies():
+def test_classify_groups_transformed_copies(monkeypatch):
+    # a [8,3]_3 side: the ceimpg key proves membership with no lift, while
+    # cesimpg lifts each copy onto the representative
+    lifts = _counting(monkeypatch, "_find_lift", module=batch)["_find_lift"]
     spec = field(3)
     rng = random.Random(8)
     base = random_code(spec, 8, 3, seed=55)
@@ -1347,20 +1384,28 @@ def test_classify_groups_transformed_copies():
         sizes = sorted(len(c.members) for c in result.classes)
         assert sizes[-1] >= 10  # all copies land together
         assert result.n_codes == 11
+        assert len(lifts) >= 9 if algo == "cesimpg" else lifts == []
+        lifts.clear()
 
 
 def test_classify_agreement_and_determinism():
-    spec = field(3)
-    codes = [random_code(spec, 9, 3, seed=s) for s in range(60)]
-    r_ce = classify(codes, algo="ceimpg")
-    r_cs = classify(codes, algo="cesimpg")
-    assert len(r_ce.classes) == len(r_cs.classes)
-    part_ce = sorted(tuple(c.members) for c in r_ce.classes)
-    part_cs = sorted(tuple(c.members) for c in r_cs.classes)
-    assert part_ce == part_cs  # identical partitions, not just counts
-    again = classify(codes, algo="ceimpg")
-    assert again.digest == r_ce.digest
-    assert [c.members for c in again.classes] == [c.members for c in r_ce.classes]
+    # a [9,3]_3 batch, and a [6,2]_7 one, whose ceimpg keys (a matching on
+    # PG(1,7)) each hold several classes, told apart by lifting
+    for q, n, k in ((3, 9, 3), (7, 6, 2)):
+        spec = field(q)
+        codes = [random_code(spec, n, k, seed=s) for s in range(60)]
+        r_ce = classify(codes, algo="ceimpg")
+        r_cs = classify(codes, algo="cesimpg")
+        assert len(r_ce.classes) == len(r_cs.classes)
+        part_ce = sorted(tuple(c.members) for c in r_ce.classes)
+        part_cs = sorted(tuple(c.members) for c in r_cs.classes)
+        assert part_ce == part_cs  # identical partitions, not just counts
+        keys = len({c.key_digest for c in r_ce.classes})
+        assert (keys < len(r_ce.classes)) == (k == 2)
+        again = classify(codes, algo="ceimpg")
+        assert again.digest == r_ce.digest
+        assert [c.members for c in again.classes] == [
+            c.members for c in r_ce.classes]
 
 
 @pytest.fixture
@@ -1607,13 +1652,14 @@ def _text_code_key(code, mode):
         rec = equiv._Side(code)
         tag = "" if rec.side is code else "dual:"
         if mode == "ceimpg":
-            text = canonical_form(rec.incidence).serialize()
-            return (tag + text).encode(), None, None
-        if rec.rows is not None:
-            tag = "min:" + tag
-        return (tag + rec.form.serialize()).encode(), rec.form, None
+            form = canonical_form(rec.incidence)
+        else:
+            form = rec.form
+            if rec.rows is not None:
+                tag = "min:" + tag
+        return (tag + form.serialize()).encode(), form, None, rec
     except (BudgetExceededError, ResourceLimitError) as e:
-        return None, None, f"{type(e).__name__}: {e}"
+        return None, None, f"{type(e).__name__}: {e}", None
 
 
 # per field, [n,k] shapes of one seeded batch: codes keyed on themselves,
@@ -1658,8 +1704,8 @@ def test_byte_keys_classify_as_text_keys(monkeypatch, forks, q, algo, jobs):
     codes = _key_batch(q)
     keys = [batch._code_key(code, algo) for code in codes]
     texts = [_text_code_key(code, algo) for code in codes]
-    assert all(msg is None for _, _, msg in keys + texts)
-    pairs = {(key, text) for (key, _, _), (text, _, _) in zip(keys, texts)}
+    assert all(msg is None for _, _, msg, _ in keys + texts)
+    pairs = {(key, text) for (key, *_), (text, *_) in zip(keys, texts)}
     assert len(pairs) == len({key for key, _ in pairs}) == len(
         {text for _, text in pairs}) < len(codes)
     tags = {text.split(b"c ")[0] for _, text in pairs}
@@ -2192,8 +2238,9 @@ def test_side_structures_built_once_per_code(monkeypatch):
     each code's side once, and for each side walks its columns once for
     its points, gathers its incidence columns and wraps them in its
     shortened matrix once, with no call of `build_shortened`; its
-    incidence is recolored by the side's `characteristic_vector`
-    (`build_ceimpg_matrix`), one more walk of its own, once.  It runs
+    incidence (`build_ceimpg_matrix`) is recolored once, by the
+    multiplicities of the points that walk found, with no walk of its own
+    and no `characteristic_vector`.  It runs
     no dot kernel per side: the columns are sliced out of the geometry's
     incidence, whose kernel runs at most once, as it is cached, and the
     codeword weights are read off them.  Its one canonical form is the
@@ -2204,10 +2251,11 @@ def test_side_structures_built_once_per_code(monkeypatch):
     monkeypatch.setattr(lift, "COSET_CAP", 1)
     calls = _counting(monkeypatch, "_side", "_locate",
                       "incidence_columns", "build_shortened",
-                      "build_ceimpg_matrix", "characteristic_vector",
-                      "canonical_form")
+                      "build_ceimpg_matrix", "canonical_form")
     calls.update(_counting(monkeypatch, "rref", module=lift))
-    chi_walks = _counting(monkeypatch, "_locate", module=lincode)["_locate"]
+    chi_walks = _counting(monkeypatch, "_locate", "characteristic_vector",
+                          module=lincode)
+    chi_walks = chi_walks["_locate"] + chi_walks["characteristic_vector"]
     kernel = _counting(monkeypatch, "nonzero_dot_bits", "_nonzero_dot_blocks",
                        module=projgeom)
     wrapped, from_bits = [], ColoredBinaryMatrix.from_bits.__func__
@@ -2219,9 +2267,9 @@ def test_side_structures_built_once_per_code(monkeypatch):
     c1, c2 = (random_code(spec, 8, 3, seed=s) for s in (a, b))
     assert not cesimpg_equiv(c1, c2).equivalent
     sides = [id(c1), id(c2)]
-    for name in ("_side", "_locate", "characteristic_vector"):
+    for name in ("_side", "_locate"):
         assert list(map(id, calls[name])) == sides
-    assert list(map(id, chi_walks)) == sides
+    assert chi_walks == []
     assert [m.counts for m in calls["build_ceimpg_matrix"]] == [
         characteristic_vector(c).counts for c in (c1, c2)]
     assert len(calls["incidence_columns"]) == 2
@@ -2238,7 +2286,7 @@ def test_side_structures_built_once_per_code(monkeypatch):
             seen.clear()
         assert not cesimpg_equiv(c1, c2).equivalent
         assert calls["canonical_form"] == calls["rref"] == []
-        assert calls["characteristic_vector"] == chi_walks == []
+        assert calls["build_ceimpg_matrix"] == chi_walks == []
         assert calls["build_shortened"] == wrapped == []
         assert len(calls["_side"]) == 2
         assert kernel["nonzero_dot_bits"] == []
@@ -2252,17 +2300,20 @@ def test_side_structures_built_once_per_code(monkeypatch):
 def test_forked_keys_pipe_back_keys_and_forms(forks):
     """A `--jobs` worker pipes back each code's (key, form, error), as this
     process keys it: the form its cesimpg key was rendered from, and no
-    record.  The [8,6]_2 code is keyed on its dual.  A record made here
+    record, where this process keeps the record it keyed its own share
+    with.  The [8,6]_2 code is keyed on its dual.  A record made here
     around a piped form still lifts."""
     c1, c2 = _transformed_pair(field(2), 8, 4, seed=7, allow_rho=False)
     codes = [c2, random_code(field(2), 8, 6, seed=0), c1]
     keyed = batch._forked_keys(codes, "cesimpg", 3)
     assert len(forks) == 2
-    for code, (key, form, error) in zip(codes, keyed):
+    for code, (key, form, error, _) in zip(codes, keyed):
         mine = batch._code_key(code, "cesimpg")
         assert error is None and isinstance(form, CanonResult)
         assert (key, form) == mine[:2]
-    assert [key[:5] for key, _, _ in keyed] == [b"min:c", b"dual:", b"min:c"]
+    assert [rec is None for *_, rec in keyed] == [False, True, True]
+    assert keyed[0][3].code is codes[0] and keyed[0][3].form is keyed[0][1]
+    assert [key[:5] for key, *_ in keyed] == [b"min:c", b"dual:", b"min:c"]
     rep, rec = (equiv._Side(codes[i], keyed[i][1]) for i in (2, 0))
     assert rep.form is keyed[2][1]
     pi0 = _sigma_from_canons(rep.form, rec.form)

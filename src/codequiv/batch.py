@@ -79,6 +79,7 @@ def _code_key(code: GeneratorMatrix, mode: str):
         form = canonical_form(rec.incidence) if mode == "ceimpg" else rec.form
         if mode == "cesimpg" and rec.rows is not None:
             tag = b"min:" + tag
+        rec.drop_keying()
         return tag + form.key(), form, None, rec
     except _ITEM_ERRORS as e:
         return None, None, f"{type(e).__name__}: {e}", None

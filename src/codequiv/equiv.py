@@ -38,7 +38,7 @@ Two decision routes are provided:
 
 Both binary matrices have theta(k) = (q^k - 1)/(q - 1) rows or columns, so
 for a high-rate code (2k > n) they are built from its dual instead, which
-has dimension n - k (`_side` names the exceptions).  C1 ~ C2 exactly when
+has dimension n - k (`_side` names the exception).  C1 ~ C2 exactly when
 C1^perp ~ C2^perp under the same coordinate permutation and field
 automorphism, so the dual's canonical forms yield the same candidate
 permutations and the same permutation group.  Lifting, witnesses and the
@@ -167,15 +167,11 @@ def _side(code: GeneratorMatrix) -> GeneratorMatrix:
 
     This is the dual when 2k > n, so the point table has theta(n - k)
     points instead of theta(k).  It stays `code` when the dual has a zero
-    column (`code` holds a weight-1 word; k = n leaves no dual at all), and
-    when the dual would have dimension 2 over q > 3: the incidence of
-    PG(1, q) is a matching, whose group Sym(q+1) is PGL(2, q) only for
-    q <= 3, so there the ceimpg key would lose completeness (q >= 5) and the
-    shortened matrix would gain automorphisms that do not lift.
-    The choice depends only on (n, k, q) and the minimum distance being 1,
+    column (`code` holds a weight-1 word; k = n leaves no dual at all).
+    The choice depends only on (n, k) and the minimum distance being 1,
     so equivalent codes always take the same side.
     """
-    if 2 * code.k <= code.n or (code.n - code.k == 2 and code.q > 3):
+    if 2 * code.k <= code.n:
         return code
     basis = nullspace_basis(code.mat)
     if not basis or not all(any(col) for col in zip(*basis)):
@@ -323,6 +319,11 @@ class _Side:
     def target(self) -> LiftTarget:
         return LiftTarget(self.code)
 
+    def drop_keying(self) -> None:
+        """Forget what only keying reads: a batch keeps its records."""
+        for name in ("columns", "matrix", "weights", "rows"):
+            self.__dict__.pop(name, None)
+
     @property
     def incidence(self) -> ColoredBinaryMatrix:
         """The side's `build_ceimpg_matrix`, a recoloring of its geometry's
@@ -356,7 +357,7 @@ def ceimpg_equiv(c1: GeneratorMatrix, c2: GeneratorMatrix) -> Verdict:
     points, as cesimpg_equiv lifts its pi0.  It is a collineation, so it
     lifts at once, on sides of dimension other than 2 and over q <= 4 (the
     fundamental theorem of projective geometry); on a dimension-2 side over
-    q >= 5 a failed lift streams the point group (`lift._find_lift`)."""
+    q >= 5 a failed lift goes on to a frame's orbit (`lift._find_lift`)."""
     sides = _comparable_sides(c1, c2)
     if sides is None:
         return Verdict(False, "ceimpg")
@@ -411,17 +412,11 @@ def cesimpg_equiv(c1: GeneratorMatrix, c2: GeneratorMatrix) -> Verdict:
     isomorphism pi0 of the sides' kept matrices comes from
     `bmcanon.is_isomorphic`, with no canonical form; None proves
     inequivalence.  Its coordinate map sigma0 is lifted first, trying each
-    field automorphism; only when it fails is the first side canonicalized
-    and sigma0 composed with each other element of its point group, the
-    first matrix's automorphism group (`lift._find_lift`); exhausting them
-    proves inequivalence.  When the point group outgrows `lift.COSET_CAP`,
-    one isomorphism of the sides' incidence matrices is searched for
-    instead, again with `bmcanon.is_isomorphic`: it lifts, and none proves
-    inequivalence.  On sides of dimension 2, and past the node budget (as
-    in `classify`), the typed error stands: no verdict comes without a
-    witness.
-    Lifting one candidate onto c2's lift target is a walk over the support
-    graph of rref(c2), with no budget of its own; Q is built, and its rank
+    field automorphism; only when it fails is the first side canonicalized,
+    for the orbit of a frame of its points under its point group, and one
+    collineation per image lifted (`lift._find_lift`).  Past the coset cap
+    on a side of dimension 2, and past the node budget, the typed error
+    stands: no verdict comes without a witness.  Q is built, and its rank
     checked, only for the witness.
     """
     sides = _comparable_sides(c1, c2)

@@ -3,10 +3,10 @@
 
 class BudgetExceededError(RuntimeError):
     """A search hit a fixed bound: a canonical search visited more than
-    `bmcanon.NODE_BUDGET` nodes, or, on a side of dimension 2, a permutation
-    that did not lift left the rest of a point group (`lift._find_lift`)
-    larger than `lift.COSET_CAP` untried (sides of higher dimension go on
-    to one isomorphism search of their incidence matrices instead).
+    `bmcanon.NODE_BUDGET` nodes, or, on a side of dimension 2, a sigma0
+    that did not lift left a frame orbit (`lift._find_lift`) that may hold
+    more than `lift.COSET_CAP` images (sides of higher dimension go on to
+    one isomorphism search of their incidence matrices instead).
 
     Raised instead of returning a possibly-wrong answer.  Distinct from a
     proven negative result (which is reported as a normal return value).

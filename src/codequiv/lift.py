@@ -18,26 +18,26 @@ their place.
 The candidates between two `equiv._Side` records are sigma0, the
 coordinate map of one isomorphism of their kept shortened matrices or of
 their incidence matrices (`_incidence_points`), then, only when it does not
-lift, sigma0 composed with the rest of the point group, the automorphism
-group of the first matrix (its canonical form), or past the coset cap one
-isomorphism of the sides' incidence matrices, found by the same targeted
-search (`_find_lift`).  The records are read, never built, here.
+lift, the point maps fixed by the images of one frame of the first side's
+points (or of all of them, where they hold no frame) under its point
+group, the automorphism group of the first matrix (its canonical form), or
+past the coset cap one isomorphism of the sides' incidence matrices, found
+by the same targeted search (`_find_lift`).  The records are read, never
+built, here.
 """
 
 from __future__ import annotations
 
+import math
+
 from . import bmcanon
 from .bmcanon import _perm_inverse
 from .errors import BudgetExceededError
-from .gfmatrix import RREFResult, _eliminate, rref
+from .gfmatrix import GFMatrix, RREFResult, _eliminate, mat_mul, rref
 from .lincode import GeneratorMatrix
+from .projgeom import _ranks
 
 COSET_CAP = 10 ** 6
-
-
-def _perm_compose(outer, inner) -> tuple[int, ...]:
-    """Permutation applying `inner` first: result[i] = outer[inner[i]]."""
-    return tuple(outer[inner[i]] for i in range(len(inner)))
 
 
 def _coordinate_perm(pi, points1, points2) -> tuple[int, ...]:
@@ -87,22 +87,17 @@ def _support_forest(red: RREFResult, n: int):
                     stack.append(w)
 
 
-def _iter_group(gens, n: int):
-    """Yield every element of <gens> (identity first, BFS order)."""
-    ident = tuple(range(n))
-    seen = {ident}
-    yield ident
-    frontier = [ident]
-    while frontier:
-        nxt = []
-        for a in frontier:
-            for g in gens:
-                b = tuple(g[a[i]] for i in range(n))
-                if b not in seen:
-                    seen.add(b)
-                    nxt.append(b)
-                    yield b
-        frontier = nxt
+def _orbit(base: tuple[int, ...], gens):
+    """Yield every image of the tuple `base` under <gens> (`base` first,
+    BFS order), each permutation g moving a tuple t to (g[x] for x in t)."""
+    seen, queue = {base}, [base]
+    for a in queue:  # the queue grows as it is read
+        yield a
+        for g in gens:
+            b = tuple(g[x] for x in a)
+            if b not in seen:
+                seen.add(b)
+                queue.append(b)
 
 
 class LiftTarget:
@@ -194,59 +189,92 @@ def _lift(g1: GeneratorMatrix, target: LiftTarget, sigma, rhos=None):
     return None
 
 
+def _point_maps(s1, s2, pi0, reduced, frame):
+    """Yield (rhos, pi): the point maps of s1 onto s2 to lift, each under
+    the field automorphisms `rhos` (None: all of them).
+
+    With no `frame` each image of all s points under the point group is a
+    point map, pi0 o pi.  Else each image T fixes x -> B rho(x) per rho:
+    with `reduced` the k x s matrix X of s1's points in reduced echelon
+    form and c its column at the frame's last point, Y = diag(c)^-1
+    reduced holds that point at (1, ..., 1) and the others on unit
+    vectors, so B rho(X) = M diag(d) rho(Y), where M holds the first k
+    points of pi0(T) and M d is the last.  A map is yielded when every
+    image is a point of s2 of the same multiplicity."""
+    gens = s1.form.generators
+    if frame is None:
+        for t in _orbit(tuple(range(len(s1.points))), gens):
+            yield None, [pi0[p] for p in t]
+        return
+    spec, k, mults = s1.code.spec, s1.side.k, s1.mults
+    y = [spec.scale(spec.invs[row[frame[k]]], row) for row in reduced]
+    ys = [GFMatrix._wrap(spec, [[frob[x] for x in row] for row in y])
+          for frob in map(spec.frobenius_table, range(spec.m))]
+    cols2 = s2.side.columns()
+    x2, mults2 = [cols2[coords[0]] for coords in s2.points], s2.mults
+    index2 = {j: t for t, j in enumerate(s2.positions)}
+    for t in _orbit(frame, gens):
+        images = [list(r) for r in zip(*(x2[pi0[p]] for p in t))]
+        if (_eliminate(spec, images, range(k + 1)) != list(range(k))
+                or not all(row[k] for row in images)):
+            continue  # the images are no frame
+        z = GFMatrix._wrap(spec, [list(r) for r in zip(*(
+            spec.scale(row[k], x2[pi0[p]]) for row, p in zip(images, t)))])
+        for rho, y_rho in enumerate(ys):
+            moved = [spec.scale(spec.invs[next(filter(None, col))], col)
+                     for col in mat_mul(z, y_rho).columns()]
+            pi = [index2.get(j) for j in _ranks(moved, k, spec.q)]
+            if None not in pi and [mults2[j] for j in pi] == mults:
+                yield (rho,), pi
+
+
 def _find_lift(s1, s2, pi0):
     """(sigma, rho, lambdas) for the first candidate permutation that lifts
     code s1 onto the lift target of code s2 (`_Side.target`), or None when
     none does; s1 and s2 are `equiv._Side` records.
 
-    `pi0` is an isomorphism of the sides' kept matrices (`_Side.kept`, both
-    reduced or neither, their incidences' columns at the points), as a map
-    of their points, or one of their incidences (`_incidence_points`).  The
-    permutations carrying the first side's point multiset onto the second's
-    are sigma0 o pi o t: sigma0 is pi0 moved to coordinates by
-    `_coordinate_perm`, pi runs over the point group P, the automorphism
-    group of the first kept matrix (the same for the minimum-weight rows
-    alone), moved likewise, and t runs over the permutations of each
-    point's own coordinates.  The candidates are sigma0 o pi, pi in P,
-    sigma0 first; only when sigma0 does not lift is the first side's `form`
-    read, for P, its order and the coset cap, and P's other elements
-    streamed.  Any isomorphism serves as pi0: every one spans the same
-    coset.  Nor do the t lose anything: coordinates of one point have
-    proportional columns in the side, c_j = a c_i.  Swapping them and
-    scaling by a and a^-1 maps the side onto itself, a monomial
-    automorphism of the side, and so of the code (with the inverse scalings
-    when the side is the dual).  Every t is thus the permutation of a
-    monomial automorphism of the first code, and sigma0 o pi o t lifts
-    exactly when sigma0 o pi does, so None proves that no monomial map
-    exists.
-    When the point group is larger than COSET_CAP, the candidates are sigma0
-    and then one isomorphism of the sides' incidence matrices
-    (`_Side.incidence`), found by `bmcanon.is_isomorphic` with no canonical
-    form and moved onto the sides' points.  For sides of dimension 3 or
-    more it is a collineation, so it lifts, and finding none proves that no
-    monomial map exists; for dimension 2, whose incidence group is
-    Sym(q+1), BudgetExceededError is raised instead.
-    """
+    `pi0` is an isomorphism of the sides' kept matrices (`_Side.kept`), as
+    a map of their points, or one of their incidences (`_incidence_points`);
+    its coordinate map sigma0 (`_coordinate_perm`) is lifted first.  A
+    monomial map moves the points by a collineation x -> B rho(x) keeping
+    multiplicities, so by pi0 o pi for some pi in the point group P, the
+    automorphism group of the first kept matrix (its `form`); permuting a
+    point's coordinates is a monomial automorphism, so the point map
+    decides.  A collineation is fixed by rho and the images of a frame, k +
+    1 points any k of them independent: here the points' first basis in
+    order and their first point with no zero coordinate on it, or, on a
+    side with none (a decomposable one), all its points.  The candidates
+    are the point maps of this base's orbit under P (`_point_maps`), at
+    most min(|P|, s!/(s-b)!) for s points and a base of b; None proves that
+    no monomial map exists.  Past COSET_CAP on that bound, the candidate is
+    one isomorphism of the sides' incidences (`_Side.incidence`,
+    `bmcanon.is_isomorphic`) moved onto the points: a collineation on sides
+    of dimension 3 or more, so none proves inequivalence, and on dimension
+    2, whose incidence group is Sym(q+1), BudgetExceededError is raised
+    instead (a frame needs 102 points of PG(1, q) for that)."""
     g1, points1, points2 = s1.code, s1.points, s2.points
     sigma0 = _coordinate_perm(pi0, points1, points2)
     lift = _lift(g1, s2.target, sigma0)
     if lift is not None:
         return (sigma0, *lift)
-    r1 = s1.form
-    if r1.group_order <= COSET_CAP:
-        taus = _iter_group([_coordinate_perm(g, points1, points1)
-                            for g in r1.generators], g1.n)
-        next(taus)  # the identity: sigma0 itself
-        for tau in taus:
-            sigma = _perm_compose(sigma0, tau)
-            lift = _lift(g1, s2.target, sigma)
+    s = len(points1)
+    reduced = [[row[c[0]] for c in points1] for row in s1.side.mat.rows]
+    pivots = _eliminate(g1.spec, reduced, range(s))
+    extra = next((j for j in range(s) if j not in pivots
+                  and all(row[j] for row in reduced)), None)
+    frame = None if extra is None else (*pivots, extra)
+    bound = min(s1.form.group_order, math.perm(s, len(frame or points1)))
+    if bound <= COSET_CAP:
+        for rhos, pi in _point_maps(s1, s2, pi0, reduced, frame):
+            sigma = _coordinate_perm(pi, points1, points2)
+            lift = _lift(g1, s2.target, sigma, rhos)
             if lift is not None:
                 return (sigma, *lift)
         return None
     if s1.side.k == 2:
         raise BudgetExceededError(
-            f"sigma0 does not lift and the point group ({r1.group_order}) "
-            f"exceeds the coset cap ({COSET_CAP})")
+            f"sigma0 does not lift and the orbit bound ({bound}) exceeds "
+            f"the coset cap ({COSET_CAP})")
     gamma = bmcanon.is_isomorphic(s1.incidence, s2.incidence)
     if gamma is None:
         return None

@@ -311,6 +311,26 @@ def reference_is_automorphism(mat, gamma) -> bool:
     return _moved_rows(mat, gamma) == mat.row_multiset()
 
 
+def iter_group(gens, n: int):
+    """Yield every element of the permutation group <gens> on range(n),
+    the identity first, in BFS order: the reference enumeration that group
+    orders are checked against."""
+    ident = tuple(range(n))
+    seen = {ident}
+    yield ident
+    frontier = [ident]
+    while frontier:
+        nxt = []
+        for a in frontier:
+            for g in gens:
+                b = tuple(g[a[i]] for i in range(n))
+                if b not in seen:
+                    seen.add(b)
+                    nxt.append(b)
+                    yield b
+        frontier = nxt
+
+
 def brute_force_cbm_aut_count(mat) -> int:
     """Number of color-preserving column permutations fixing the row multiset."""
     return sum(reference_is_automorphism(mat, gamma)

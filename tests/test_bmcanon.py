@@ -19,10 +19,9 @@ from codequiv import (ColoredBinaryMatrix, GeneratorMatrix,
 from codequiv import bmcanon
 from codequiv.bmcanon import _Search
 from codequiv.errors import BudgetExceededError
-from codequiv.lift import _iter_group
 from conftest import (_moved_rows, brute_force_cbm_aut_count,
-                      brute_force_cbm_isomorphic, recursive_search,
-                      reference_is_automorphism, reference_leaf_cert,
+                      brute_force_cbm_isomorphic, iter_group,
+                      recursive_search, reference_is_automorphism, reference_leaf_cert,
                       reference_pack_rows, reference_record_masks,
                       reference_refine, reference_serialize, systematic_code)
 
@@ -604,7 +603,7 @@ def test_group_order_matches_brute_force_with_equal_columns():
         res = canonical_form(m)
         assert res.group_order == brute_force_cbm_aut_count(m)
         assert res.group_order == sum(
-            1 for _ in _iter_group(res.generators, m.n_cols))
+            1 for _ in iter_group(res.generators, m.n_cols))
 
 
 def test_group_order_matches_closure_on_shortened_matrices():
@@ -622,7 +621,7 @@ def test_group_order_matches_closure_on_shortened_matrices():
             res = canonical_form(build_shortened(gs))
             if len(res.generators) < 2:
                 continue
-            closure = sum(1 for _ in _iter_group(res.generators,
+            closure = sum(1 for _ in iter_group(res.generators,
                                                  res.matrix.n_cols))
             assert res.group_order == closure, (q, seed)
             per_field += 1

@@ -33,7 +33,7 @@ from codequiv.lincode import _locate
 from codequiv.projgeom import codeword_weights
 from codequiv.errors import BudgetExceededError, ResourceLimitError
 from conftest import (brute_force_equivalent, brute_force_preserver_count,
-                      reference_codeword_weights, reference_locate,
+                      iter_group, reference_codeword_weights, reference_locate,
                       reference_monomial_from_sigma, reference_pack_rows,
                       systematic_code)
 
@@ -279,7 +279,7 @@ def test_aut_group_generators_close_to_h1_order_with_repeated_points():
             code = random_code(q, n, k, seed=seed)
             rep = code_aut_group(code)
             assert rep.h1_order == sum(
-                1 for _ in lift._iter_group(rep.h1_generators, n))
+                1 for _ in iter_group(rep.h1_generators, n))
             repeated += len(_locate(equiv._side(code))[0]) < n
     assert repeated >= 20
 
@@ -369,7 +369,7 @@ def test_lift_matches_linear_system_reference(q):
         gs1, gs2 = (systematic_code(c) for c in (code, copy))
         sigma0 = _shortened_sigma0(gs1, gs2, "pair")
         sigmas = [tuple(sigma0[t] for t in tau) for tau in itertools.islice(
-            lift._iter_group(code_aut_group(gs1).h1_generators, n), 24)]
+            iter_group(code_aut_group(gs1).h1_generators, n), 24)]
         for _ in range(6):
             perm = list(range(n))
             rng.shuffle(perm)
@@ -413,10 +413,10 @@ def test_lift_eliminates_once_for_every_rho(monkeypatch, q):
         s1, s2 = equiv._Side(c1), equiv._Side(c2)
         sigma0 = lift._coordinate_perm(
             bmcanon.is_isomorphic(s1.kept, s2.kept), s1.points, s2.points)
-        taus = lift._iter_group([lift._coordinate_perm(g, s1.points,
+        taus = iter_group([lift._coordinate_perm(g, s1.points,
                                                          s1.points)
                                   for g in s1.form.generators], 7)
-        sigmas = [lift._perm_compose(sigma0, tau)
+        sigmas = [tuple(sigma0[t] for t in tau)
                   for tau in itertools.islice(taus, 8)]
         sigmas += [cesimpg_equiv(c1, c2).witness.sigma]
         sigmas += [tuple(rng.sample(range(7), 7)) for _ in range(4)]
@@ -489,16 +489,17 @@ def test_constructed_equivalences_prime(q, n, k, monkeypatch):
         _ceimpg_witnessed(monkeypatch, c1, c2)
 
 
-# [n, k] shapes per field: over GF(8) one of side dimension 2, where some
-# first lifts fail and the point group is streamed
-SEMILINEAR_SHAPES = {4: [(6, 3), (7, 2)], 8: [(6, 3), (6, 2)], 9: [(6, 3)]}
+# [n, k] shapes per field: over GF(8), GF(9) and GF(25) ones of side
+# dimension 2, where some first lifts fail and a frame's orbit is searched
+SEMILINEAR_SHAPES = {4: [(6, 3), (7, 2)], 8: [(6, 3), (6, 2)],
+                     9: [(6, 3), (7, 2)], 25: [(12, 2)]}
 
 
-@pytest.mark.parametrize("q", [4, 9, 8])
+@pytest.mark.parametrize("q", [4, 9, 8, 25])
 def test_constructed_equivalences_semilinear(q, monkeypatch):
     spec = field(q)
     for n, k in SEMILINEAR_SHAPES[q]:
-        hit_rho = hit_rho_ceimpg = streamed = False
+        hit_rho = hit_rho_ceimpg = past_sigma0 = False
         for seed in range(12):
             c1, c2 = _transformed_pair(spec, n, k, seed)
             v = cesimpg_equiv(c1, c2)
@@ -507,10 +508,30 @@ def test_constructed_equivalences_semilinear(q, monkeypatch):
             hit_rho = hit_rho or v.witness.rho != 0
             w, lifts = _ceimpg_witnessed(monkeypatch, c1, c2)
             hit_rho_ceimpg = hit_rho_ceimpg or w.witness.rho != 0
-            streamed = streamed or lifts > 1
+            past_sigma0 = past_sigma0 or lifts > 1
         # at least one pair genuinely needed the field automorphism
         assert hit_rho and hit_rho_ceimpg
-        assert streamed == (k == 2 and q >= 5)
+        assert past_sigma0 == (k == 2 and q >= 5)
+
+
+@pytest.mark.parametrize("q", [8, 9, 25])
+def test_semilinear_copies_of_the_projective_line(q):
+    """The [q+1,2]_q code of every point of PG(1,q) has the point group
+    Sym(q+1), 9! over GF(8) and past the coset cap over GF(9) and GF(25),
+    but a frame of three points has at most (q+1)q(q-1) images: seeded
+    copies, some by a nontrivial field automorphism, get verified
+    witnesses on both routes (the point set is all of PG(1,q), so a linear
+    map serves for each)."""
+    spec = field(q)
+    code = GeneratorMatrix(spec, simplex_generator(2, q).rows)
+    rng = random.Random(q)
+    for i in range(6):
+        t = _random_transform(spec, q + 1, rng)
+        t = MonomialTransform(spec, t.sigma, t.lambdas, i % spec.m)
+        copy = GeneratorMatrix(spec, t.apply(code.mat).rows)
+        for decide in (cesimpg_equiv, ceimpg_equiv):
+            v = decide(code, copy)
+            assert v.equivalent and verify_witness(code, copy, v.witness)
 
 
 def test_verdicts_match_brute_force_small():
@@ -1001,9 +1022,10 @@ def test_min_weight_gate_refuses():
 
 
 def test_dimension_two_past_the_coset_cap_is_a_budget_error(monkeypatch):
-    """On a side of dimension 2 a sigma0 that does not lift past the coset
-    cap ends in the typed error, and no incidence matrix is read."""
-    monkeypatch.setattr(lift, "COSET_CAP", 1)
+    """On a side of dimension 2 a sigma0 that does not lift goes to the
+    orbit of a frame of three points, at most s(s-1)(s-2) tuples: at the
+    real cap the pair gets a verified witness.  Only past a cap below that
+    bound does the typed error stand, and no incidence matrix is read."""
     reads, forms = _incidence_use(monkeypatch)
     spec = field(5)
     for seed in range(10):
@@ -1011,8 +1033,11 @@ def test_dimension_two_past_the_coset_cap_is_a_budget_error(monkeypatch):
         if canonical_form(build_shortened(c1)).group_order == 1 or (
                 _sigma0_lifts(c1, c2, ["pair"])):
             continue
+        v = cesimpg_equiv(c1, c2)
+        assert v.equivalent and verify_witness(c1, c2, v.witness)
+        monkeypatch.setattr(lift, "COSET_CAP", 1)
         with pytest.raises(BudgetExceededError,
-                           match="sigma0 does not lift and the point group"):
+                           match="sigma0 does not lift and the orbit bound"):
             cesimpg_equiv(c1, c2)
         break
     else:
@@ -1020,11 +1045,117 @@ def test_dimension_two_past_the_coset_cap_is_a_budget_error(monkeypatch):
     assert reads == forms == []
 
 
+@pytest.mark.parametrize("q,n,seed", [(q, n, seed) for q, n in ((41, 40),
+                                                                 (19, 20))
+                                        for seed in range(3)])
+def test_large_dimension_two_pairs_witnessed(q, n, seed):
+    """[40,2]_41 and [20,2]_19 transformed pairs: their point groups reach
+    10^19, far past the coset cap, but a frame of three of at most 41
+    points has at most 41*40*39 = 63,960 images, so each pair gets a
+    verified witness, in well under a second of CPU, and the [20,2]_19
+    seed-1 pair, which once streamed its point group for 24 s and 194 MB,
+    traces under 16 MB."""
+    c1, c2 = _transformed_pair(field(q), n, 2, seed, allow_rho=False)
+    start = time.process_time()
+    v = cesimpg_equiv(c1, c2)
+    assert time.process_time() - start < 1
+    assert (v.equivalent, v.method) == (True, "cesimpg")
+    assert verify_witness(c1, c2, v.witness)
+    if (q, seed) == (19, 1):
+        tracemalloc.start()
+        try:
+            cesimpg_equiv(c1, c2)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 16 * 2 ** 20
+
+
+def _forced_past_sigma0(monkeypatch):
+    """Make the first `lift._lift` of each `lift._find_lift` call, sigma0's,
+    fail, so that every decision goes on to the frame orbit; returns the
+    list of (s1, s2) records of each call."""
+    real_lift, real_find, calls = lift._lift, lift._find_lift, []
+
+    def find_lift(s1, s2, pi0):
+        calls.append((s1, s2))
+        first = []
+        monkeypatch.setattr(lift, "_lift", lambda *a: None if not first
+                            and not first.append(a) else real_lift(*a))
+        try:
+            return real_find(s1, s2, pi0)
+        finally:
+            monkeypatch.setattr(lift, "_lift", real_lift)
+
+    for module in (equiv, batch):
+        monkeypatch.setattr(module, "_find_lift", find_lift)
+    return calls
+
+
+@pytest.mark.parametrize("q,n,k", [(7, 6, 2), (5, 8, 2), (3, 6, 3),
+                                   (3, 8, 3)])
+def test_frame_orbit_verdicts_match_brute_force(q, n, k, monkeypatch):
+    """With sigma0 made to fail, every pair that reaches a lift is decided
+    by the orbit of a frame (or, on a side with none, of all its points)
+    under the point group alone: on transformed copies, on [4,2] codes of
+    two points, and on the pairs of 40 seeded codes that share a cesimpg
+    key, inequivalent ones among them on dimension 2, each verdict equals
+    the GL oracle's, and each equivalent one carries a verified witness."""
+    spec = field(q)
+    pairs = [_transformed_pair(spec, n, k, seed) for seed in range(6)]
+    if k == 2:
+        two = [GeneratorMatrix(spec, [[1, 1, 0, 0], [0, 0, 1, a]])
+               for a in (1, 2)]
+        pairs += [(two[0], two[1]), (two[1], two[0])]
+    codes = [random_code(spec, n, k, seed=s) for s in range(40)]
+    by_key = {}
+    for code in codes:
+        by_key.setdefault(batch._code_key(code, "cesimpg")[0],
+                          []).append(code)
+    pairs += [(same[0], c) for same in by_key.values() for c in same[1:]]
+    calls = _forced_past_sigma0(monkeypatch)
+    verdicts = set()
+    for c1, c2 in pairs:
+        calls.clear()
+        v = cesimpg_equiv(c1, c2)
+        want = brute_force_equivalent(c1.mat.rows, c2.mat.rows, q)
+        assert v.equivalent == want
+        assert not want or verify_witness(c1, c2, v.witness)
+        verdicts.add((v.equivalent, bool(calls)))
+    assert (True, True) in verdicts
+    assert ((False, True) in verdicts) == (k == 2)
+
+
+def test_decomposable_side_with_no_frame(monkeypatch):
+    """A decomposable [8,3]_5 code, a point beside a line of six, holds no
+    frame: its base is all six points, whose images under the point group
+    are the candidate point maps, and at a coset cap of 1 one isomorphism
+    search of the incidence matrices decides instead.  A seeded copy whose
+    sigma0 does not lift gets a verified witness both ways."""
+    spec = field(5)
+    c1 = _direct_sum(spec, [random_code(spec, 2, 1, seed=1),
+                            random_code(spec, 6, 2, seed=1)])
+    c2 = GeneratorMatrix(spec, _random_transform(
+        spec, 8, random.Random(1), allow_rho=False).apply(c1.mat).rows)
+    rec = equiv._Side(c1)
+    assert rec.side is c1 and len(rec.points) == 6
+    assert not _sigma0_lifts(c1, c2, ["pair"])
+    reads, _ = _incidence_use(monkeypatch)
+    for cap, searched in ((COSET_CAP, 0), (1, 2)):
+        monkeypatch.setattr(lift, "COSET_CAP", cap)
+        reads.clear()
+        v = cesimpg_equiv(c1, c2)
+        assert (v.equivalent, v.method) == (True, "cesimpg")
+        assert verify_witness(c1, c2, v.witness)
+        assert len(reads) == searched
+
+
 def test_repeated_point_past_the_coset_cap_witnessed():
     # a [6,3]_5 code with its first point repeated 10 more times, scaled:
     # |H1| >= 10! is past the coset cap, but permuting a point's coordinates
-    # never changes whether a candidate lifts, so only the point group is
-    # streamed and the pair gets a witness where sigma0 alone does not lift
+    # never changes whether a candidate lifts, so only a frame's orbit under
+    # the point group is searched, and the pair gets a witness where sigma0
+    # alone does not lift
     spec = field(5)
     for seed in (0, 5, 7, 8, 9):
         rng = random.Random(seed)
@@ -1207,16 +1338,16 @@ def _dual(code):
 
 
 # q -> (n, k) shapes with 2k > n whose primal incidence stays small enough
-# for the independent primal oracle below; n - k = 2 over q > 3 stays on
-# the primal side
+# for the independent primal oracle below; n - k = 2 gives duals of
+# dimension 2
 HIGH_RATE_SHAPES = {2: [(9, 6), (8, 5), (5, 3)], 3: [(7, 4), (6, 4), (5, 4)],
                     4: [(7, 4), (5, 3), (4, 3)], 5: [(7, 4), (5, 3), (4, 3)],
                     7: [(5, 3), (4, 3)], 8: [(5, 3), (4, 3)],
                     9: [(5, 3), (4, 3)]}
 
 
-# q -> (n, k, seed, seed) of inequivalent codes, keyed on their duals except
-# over GF(7) and GF(9) (n - k = 2), that share their weight profile
+# q -> (n, k, seed, seed) of inequivalent codes, keyed on their duals, that
+# share their weight profile
 HIGH_RATE_SHARED_PROFILE = {2: [(9, 6, 3, 8)], 3: [(7, 4, 6, 8)],
                             4: [(7, 4, 5, 25)], 5: [(7, 4, 10, 14)],
                             7: [(5, 3, 0, 3)], 9: [(5, 3, 0, 5)]}
@@ -1304,9 +1435,11 @@ def test_weight_one_word_stays_primal():
     rep = code_aut_group(code)
     assert rep.complete
     assert rep.order == brute_force_preserver_count(code.mat.rows, 3)
-    # a code without the weight-1 word is on the dual side, so inequivalent
+    # a code without the weight-1 word is on the dual side, so inequivalent;
+    # an [n, n-2] code over q > 3 takes its dual like any other
     other = random_code(spec, 5, 3, seed=3)
     assert equiv._side(other).k == 2
+    assert equiv._Side(random_code(field(8), 7, 5, seed=0)).side.k == 2
     assert not cesimpg_equiv(code, other).equivalent
     assert not ceimpg_equiv(code, other).equivalent
 
@@ -1638,6 +1771,28 @@ def test_classify_digests_pinned():
                   "2f7d8c04b1680015b61d61f237604092",
         "cesimpg": "c281dbfb327af34b3705908a1c9637ca"
                    "cbc7892698cc8bebb2243cfad6bcc7c3"}
+
+
+def test_classify_keeps_no_keying_caches():
+    """A batch keeps each code's `_Side` record until it returns, but not
+    what only keying reads (`_Side.drop_keying`): the incidence columns,
+    the shortened matrix, the weights and the binary rows.  On 300 seeded
+    [20,3]_7 codes (300 classes) cesimpg then traces at most 4,300 bytes
+    per code at its peak, about 3,500 on CPython 3.11, against 5,100 while
+    the records kept them."""
+    codes = [random_code(field(7), 20, 3, seed=s) for s in range(300)]
+    classify(codes[:5], algo="cesimpg")  # the geometry's cached tables
+    tracemalloc.start()
+    try:
+        result = classify(codes, algo="cesimpg")
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert len(result.classes) == 300
+    assert peak < 4300 * len(codes)
+    rec = batch._code_key(codes[0], "cesimpg")[3]
+    assert not {"columns", "matrix", "weights", "rows"} & set(vars(rec))
+    assert rec.points and rec.form
 
 
 # ---------------------------------------------------------------------------
@@ -2128,10 +2283,11 @@ def test_arcs_witnessed_past_the_real_coset_cap(monkeypatch):
     # every line meets a 10-arc of PG(2,11) in at most two points, so the
     # shortened rows are the same for every 10-arc and are fixed by every
     # permutation of its points: the point group is Sym(10), past the real
-    # coset cap.  sigma0 does not lift between the conic ([10,3]_11
-    # Reed-Solomon) code and its seeded copies, so each decision goes to
-    # an isomorphism search of the incidence matrices: the isomorphism found
-    # lifts to a witness for each copy, and none is found between the conic
+    # coset cap, but the orbit of a frame of four of the ten points has at
+    # most 10*9*8*7 = 5,040 tuples.  sigma0 does not lift between the conic
+    # ([10,3]_11 Reed-Solomon) code and its seeded copies, so each decision
+    # goes to that orbit, with no incidence matrix read: a frame image
+    # lifts to a witness for each copy, and none does between the conic
     # and a greedy 10-arc on no conic
     spec = field(11)
     conic = GeneratorMatrix.from_columns(spec, [(1, t, t * t % 11)
@@ -2149,7 +2305,7 @@ def test_arcs_witnessed_past_the_real_coset_cap(monkeypatch):
         [8] * 45 + [9] * 30 + [10] * 58)
     assert canonical_form(build_shortened(conic)).group_order == (
         math.factorial(10))
-    assert math.factorial(10) > COSET_CAP
+    assert math.factorial(10) > COSET_CAP >= math.perm(10, 4)
     rng = random.Random(11)
     copies = [GeneratorMatrix(spec, _random_transform(spec, 10, rng).apply(
         conic.mat).rows) for _ in range(3)]
@@ -2158,20 +2314,20 @@ def test_arcs_witnessed_past_the_real_coset_cap(monkeypatch):
         v = decide_equivalence(conic, c)
         assert (v.equivalent, v.method) == (True, "cesimpg")
         assert verify_witness(conic, c, v.witness)
+    reads, forms = _incidence_use(monkeypatch)
     v = decide_equivalence(conic, other)
     assert (v.equivalent, v.method, v.witness) == (False, "cesimpg", None)
+    assert reads == []
     codes = [conic] + copies + [other]
-    reads, forms = _incidence_use(monkeypatch)
     for algo in ("ceimpg", "cesimpg"):
         result = classify(codes, algo=algo)
         assert result.errors == []
         assert [c.members for c in result.classes] == [[0, 1, 2, 3], [4]]
         # the ceimpg keys are canonical forms of the five incidence
-        # matrices; cesimpg builds none, and past the cap searches those of
-        # both codes in each of its four comparisons (codes 1 to 4 against
-        # code 0)
+        # matrices; cesimpg builds none, and its four comparisons (codes 1
+        # to 4 against code 0) take the frame orbit, reading none
         assert (len(forms), len(reads)) == ((5, 0) if algo == "ceimpg"
-                                            else (0, 8))
+                                            else (0, 0))
         forms.clear()
     assert len({c.key_digest for c in result.classes}) == 1
 
@@ -2343,8 +2499,8 @@ def test_dimension_two_fallback_never_guesses():
     PG(1,5) the incidence is a matching, so the ceimpg key cannot tell them
     apart and no decision may fall back to it.  |H1| is 6!5!4!3! =
     12,441,600, past the coset cap, but all of it permutes the coordinates
-    of each point, so only the point group is streamed and every pair is
-    decided: each verdict matches GL(2,5), each equivalent one carries a
+    of each point, so only a frame's orbit under the point group is
+    searched and every pair is decided: each verdict matches GL(2,5), each equivalent one carries a
     verified witness, and classify places both codes with no errors."""
     spec = field(5)
     points = point_table(2, 5).points

@@ -17,9 +17,10 @@ Two decision routes are provided:
   point/hyperplane incidence structure by the code's point multiplicities,
   search for one isomorphism of the two, and lift it, moved onto the
   points, to an explicit monomial witness (`ceimpg_equiv`);
-* the shortened route: compare the weight distributions of the codes'
-  sides first, then search for one isomorphism sigma0 between the
-  hyperplane-by-point support matrices of their distinct points, colored
+* the shortened route: compare the weight profiles of the codes' sides
+  first (`_Side.profile`: weight distribution and point multiplicities),
+  then search for one isomorphism sigma0 between the hyperplane-by-point
+  support matrices of their distinct points, colored
   by multiplicity (`bmcanon.is_isomorphic`: the first leaf of one search
   tree, looked for in the other; no canonical form), then lift candidate
   coordinate permutations to an explicit monomial witness
@@ -31,10 +32,12 @@ Two decision routes are provided:
   columns (`_Side.weights`, `projgeom.codeword_weights`: a row's weight,
   each column counted by its multiplicity, is the weight of that
   hyperplane's codeword), before any matrix object is built or row
-  packed; monomial maps and field automorphisms keep it, so differing
-  distributions prove inequivalence with no search at all.  The
-  point-multiplicity route takes no such shortcut: it stays an
-  independent check of every inequivalent verdict its search reaches.
+  packed; monomial maps and field automorphisms keep the profile, so
+  differing profiles prove inequivalence with no search at all, in a pair
+  and, on both routes, in a `batch.classify` batch.  The
+  point-multiplicity pair decision (`ceimpg_equiv`) takes no such
+  shortcut: it stays an independent check of every inequivalent verdict
+  its search reaches.
 
 Both binary matrices have theta(k) = (q^k - 1)/(q - 1) rows or columns, so
 for a high-rate code (2k > n) they are built from its dual instead, which
@@ -227,22 +230,21 @@ class _Side:
     side's distinct `points` with their point-table `positions`, found in
     one walk over its normalized columns (`lincode._locate`); the
     incidence `columns` at those positions and the codeword `weights` read
-    off them; the shortened `matrix`, which wraps those columns only when a
+    off them, which with the points' `mults` make the code's `profile`;
+    the shortened `matrix`, which wraps those columns only when a
     search reads it; the minimum-weight `rows` of a binary side (None when
     all rows are kept), the canonical `form` of the rows `kept`, and the
     code's own `target` (`lift.LiftTarget`: its rref and support graph),
-    which every candidate lifted onto the code shares.  A `form` already
-    at hand (a cesimpg key's) is passed in.  Its `incidence` matrix, which
-    the ceimpg route and a search past the coset cap read, is built on
-    each read from the `positions` and `mults`, with no walk of its own.
-    A record lives in one process: `--jobs` workers send back forms, not
-    records."""
+    which every candidate lifted onto the code shares.  Its `incidence`
+    matrix, which the ceimpg route and a search past the coset cap read,
+    is built on each read from the `positions` and `mults`, with no walk of
+    its own.  A record lives in one process: a `--jobs` worker keys the
+    copy it inherits and sends back forms, which `batch.classify` sets on
+    the record it holds (a cesimpg key's as its `form`)."""
 
-    def __init__(self, code: GeneratorMatrix, form: CanonResult | None = None):
+    def __init__(self, code: GeneratorMatrix):
         self.code = code
         self.side = _side(code)
-        if form is not None:
-            self.form = form
 
     @cached_property
     def _located(self) -> tuple[list[tuple[int, ...]], list[int]]:
@@ -259,7 +261,7 @@ class _Side:
         table = point_table(self.side.k, self.side.q, self.side.spec.modulus)
         return incidence_columns(table, self.positions)
 
-    @property
+    @cached_property
     def mults(self) -> list[int]:
         """Each point's multiplicity, the color of its column."""
         return [len(coords) for coords in self.points]
@@ -274,6 +276,16 @@ class _Side:
         """Each row's weight, a column counted by its multiplicity: the
         weight of that hyperplane's codeword."""
         return codeword_weights(self.columns, self.mults)
+
+    @property
+    def profile(self) -> tuple:
+        """What every monomial map and field automorphism keeps of the
+        code, read off this record with no search: whether its side is the
+        dual, n, the side's dimension, its sorted `weights` (the side's
+        weight distribution) and its points' sorted multiplicities.  Codes
+        whose profiles differ are inequivalent."""
+        return (self.side is not self.code, self.code.n, self.side.k,
+                tuple(sorted(self.weights)), tuple(sorted(self.mults)))
 
     @cached_property
     def rows(self) -> ColoredBinaryMatrix | None:
@@ -400,15 +412,16 @@ def cesimpg_equiv(c1: GeneratorMatrix, c2: GeneratorMatrix) -> Verdict:
     duals when 2k > n); lifting and the witness are on c1 and c2
     themselves. Codes on different sides, with different weight profiles,
     or with non-isomorphic shortened matrices, are inequivalent outright.
-     The weight profiles of the two shortened matrices (their sorted
-    `_Side.weights`) are compared before any search, as ceimpg_equiv does
-    not: they are the weight distributions of the sides, which every
-    monomial map and field automorphism keeps, and both sides are primal or
-    both dual.  Over GF(2), when the minimum-weight words span a side, only
-    their rows are searched (`_Side.rows`), with the same point group and
-    isomorphisms; equivalent sides take the same branch, and two sides of
-    one profile on two branches keep different numbers of rows, which
-    `bmcanon.is_isomorphic` refuses before any search.  Otherwise one
+    The profiles of the two sides (`_Side.profile`: their weight
+    distributions, the sorted `_Side.weights`, and their sorted point
+    multiplicities) are compared before any search, as ceimpg_equiv does
+    not: every monomial map and field automorphism keeps them, and both
+    sides are primal or both dual.  Over GF(2), when the minimum-weight
+    words span a side, only their rows are searched (`_Side.rows`), with
+    the same point group and isomorphisms; equivalent sides take the same
+    branch, and two sides of one profile on two branches keep different
+    numbers of rows, which `bmcanon.is_isomorphic` refuses before any
+    search.  Otherwise one
     isomorphism pi0 of the sides' kept matrices comes from
     `bmcanon.is_isomorphic`, with no canonical form; None proves
     inequivalence.  Its coordinate map sigma0 is lifted first, trying each
@@ -423,7 +436,7 @@ def cesimpg_equiv(c1: GeneratorMatrix, c2: GeneratorMatrix) -> Verdict:
     if sides is None:
         return Verdict(False, "cesimpg")
     s1, s2 = sides
-    if sorted(s1.weights) != sorted(s2.weights):
+    if s1.profile != s2.profile:
         return Verdict(False, "cesimpg")
     pi0 = bmcanon.is_isomorphic(s1.kept, s2.kept)
     if pi0 is None:

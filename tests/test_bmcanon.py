@@ -395,22 +395,17 @@ def _refine_down(m, rng, depth):
         splitters = [[v]]
 
 
-def test_incremental_refinement_matches_full_recompute():
+@pytest.mark.parametrize("seed, uneven", [(2024, 500), (2025, 200)],
+                         ids=["2024", "2025"])
+def test_refinement_matches_full_recompute(seed, uneven):
     # the root refinement and three individualize-and-refine steps below it
     # give exactly the ordered cells of full-signature refinement
-    # (`_refine_down`), on uneven matrices
-    rng = random.Random(2024)
-    for _ in range(500):
-        _refine_down(_uneven_cbm(rng), rng, 4)
-
-
-def test_refinement_matches_full_recompute_at_depth():
-    # refinement after the root and after individualizations gives exactly
-    # the cells of full recomputation, down to discrete columns on the
-    # high-symmetry shortened matrices of the six points of PG(1,5) and the
-    # seven of PG(2,2), where every step has a handful of members
-    rng = random.Random(2025)
-    for _ in range(200):
+    # (`_refine_down`), on `uneven` uneven matrices; then down to discrete
+    # columns on the high-symmetry shortened matrices of the six points of
+    # PG(1,5) and the seven of PG(2,2), where every step has a handful of
+    # members
+    rng = random.Random(seed)
+    for _ in range(uneven):
         _refine_down(_uneven_cbm(rng), rng, 4)
     for q, k in ((5, 2), (2, 3)):
         m = build_shortened(GeneratorMatrix(q, simplex_generator(k, q).rows))

@@ -183,9 +183,14 @@ def test_classify_report_and_determinism(tmp_path, capsys):
 
 
 def test_classify_budget_zero_exit_2(tmp_path, monkeypatch, capsys):
+    # a code and two column-rotated copies: they share their profile, so
+    # each is keyed, and each key runs out of nodes
     spec = field(3)
-    path = _write(tmp_path, "b.txt", [random_code(spec, 8, 3, seed=s)
-                                      for s in range(3)])
+    code = random_code(spec, 8, 3, seed=0)
+    rotations = [MonomialTransform(spec, tuple((i + r) % 8 for i in range(8)),
+                                   (1,) * 8) for r in range(3)]
+    path = _write(tmp_path, "b.txt", [GeneratorMatrix(
+        spec, t.apply(code.mat).rows) for t in rotations])
     monkeypatch.setattr(bmcanon, "NODE_BUDGET", 0)
     assert main(["classify", path]) == 2
     captured = capsys.readouterr()
@@ -213,8 +218,10 @@ def test_comment_only_file_exit_2(tmp_path, capsys):
 
 
 def test_bench_route_errors_exit_2(monkeypatch, capsys):
+    # each of the 4 seeded [5,3]_3 codes shares its profile with another,
+    # so each is keyed
     monkeypatch.setattr(bmcanon, "NODE_BUDGET", 0)
-    assert main(["bench", "-k", "3", "-n", "8", "--count", "4"]) == 2
+    assert main(["bench", "-k", "3", "-n", "5", "--count", "4"]) == 2
     assert capsys.readouterr().err == (
         "error: cesimpg: 4 codes failed, the first with BudgetExceededError: "
         "canonical-form search exceeded 0 nodes\n")
@@ -340,17 +347,21 @@ def _classify_report(path, algo, jobs, capsys):
     # both bodies of the mask kernel's composite half: odd p, then p = 2
     (9, 3, 10, 20, (1, 2), False),
     (4, 3, 9, 20, (1, 2), False),
-    # 0.37-0.49 s of serial keying on 2 vCPUs, some 10x FORK_PAYS_S
-    (7, 3, 20, 600, (1, 2, 3), True),
+    # 300 codes twice over: each shares its profile with its second copy,
+    # so all 600 are keyed, 0.37-0.49 s of serial keying on 2 vCPUs, some
+    # 10x FORK_PAYS_S
+    (7, 3, 20, 300, (1, 2, 3), True),
 ], ids=["8-3-3", "8-6-3", "10-3-9", "9-3-4", "20-3-7x600"])
 def test_classify_batch_same_answer_at_every_jobs_and_route(
         tmp_path, monkeypatch, capsys, q, k, n, count, jobs, forks):
     """The digest of a seeded batch is the same at every `--jobs`, and both
-    routes place every code in the same classes.  `forks`: `--jobs` above 1
-    hands the rest of the batch to forked workers with the real
-    FORK_PAYS_S; a batch without it may be keyed here alone (short batches
-    never fork: tests/test_equiv.py)."""
+    routes place every code in the same classes.  `forks`: the batch is
+    the seeded codes twice over, and `--jobs` above 1 hands the rest of it
+    to forked workers with the real FORK_PAYS_S; a batch without it may be
+    keyed here alone (short batches never fork: tests/test_equiv.py)."""
     path = _gen(tmp_path, q, k, n, count)
+    if forks:
+        Path(path).write_text(Path(path).read_text() * 2)
     forked = []
     real = batch._forked_keys
 

@@ -1,6 +1,7 @@
 """Equivalence decisions, monomial lifting, witnesses, automorphism groups,
 and batch classification, cross-checked against GL brute-force oracles."""
 
+import collections
 import contextlib
 import hashlib
 import itertools
@@ -63,6 +64,19 @@ def _transformed_pair(spec, n, k, seed, allow_rho=True):
     t = _random_transform(spec, n, rng, allow_rho)
     c2 = GeneratorMatrix(spec, t.apply(c1.mat).rows)
     return c1, c2
+
+
+def _sharing_batch(count, q=3, n=8, k=3):
+    """`count` [n,k]_q codes of which each shares its weight profile with
+    another, so that `batch.classify` keys every one: seeded codes 0 to
+    h - 1, h = count // 2, then a seeded monomial copy of each, in order,
+    and for an odd count a second copy of code 0 last."""
+    spec = field(q)
+    rng = random.Random(count)
+    bases = [random_code(spec, n, k, seed=s) for s in range(count // 2)]
+    copies = [GeneratorMatrix(spec, _random_transform(spec, n, rng).apply(
+        c.mat).rows) for c in bases + bases[:count % 2]]
+    return bases + copies
 
 
 # ---------------------------------------------------------------------------
@@ -675,6 +689,12 @@ def test_weight_profile_kept_by_monomial_and_field_maps():
                 sum(_dot_nonzero(spec, u, col) for col in cols)
                 for u in point_table(side.k, q).points)
             assert _profile(c1) == _profile(c2)
+            # `_Side.profile`, which both routes' batches compare first,
+            # holds that distribution and the sorted multiplicities
+            profile = equiv._Side(c1).profile
+            assert profile == equiv._Side(c2).profile
+            assert profile == (side is not c1, n, side.k, tuple(_profile(c1)),
+                               tuple(sorted(map(len, _locate(side)[0]))))
             v = cesimpg_equiv(c1, c2)
             assert v.equivalent and verify_witness(c1, c2, v.witness)
     assert seen == {"semilinear", "dual", "repeated"}
@@ -1462,8 +1482,12 @@ def test_high_rate_beyond_the_point_table_gets_a_witness():
 def test_incidence_beyond_the_cell_bound_is_a_per_item_error():
     """[32,15]_2 codes are keyed on PG(14,2): 32,767 points, whose point
     table is allowed but whose incidence matrix (about 1.1e9 cells) is
-    refused before any of it is allocated."""
-    codes = [random_code(field(2), 32, 15, seed=s) for s in range(2)]
+    refused before any of it is allocated.  The code and its transformed
+    copy share their profile, so both are keyed, and each ends in the
+    typed error.  Beside an independent code of the same shape, whose
+    profile differs, the code is never keyed: both are classes of their
+    own on both routes."""
+    codes = list(_transformed_pair(field(2), 32, 15, seed=0))
     tracemalloc.start()
     try:
         result = classify(codes, algo="ceimpg")
@@ -1475,6 +1499,11 @@ def test_incidence_beyond_the_cell_bound_is_a_per_item_error():
     assert all(msg.startswith("ResourceLimitError: the incidence matrix of "
                               "PG(14,2)") for _, msg in result.errors)
     assert result.classes == []
+    other = random_code(field(2), 32, 15, seed=1)
+    for algo in ("ceimpg", "cesimpg"):
+        result = classify([codes[0], other], algo=algo)
+        assert result.errors == []
+        assert [c.members for c in result.classes] == [[0], [1]]
 
 
 def test_incidence_route_on_1023_points():
@@ -1618,15 +1647,14 @@ def test_classify_forks_for_the_rest_once_keying_pays(monkeypatch, started,
     real = batch._code_key
     mine = []
 
-    def code_key(code, mode):
+    def code_key(code, mode, rec=None):
         end = time.process_time() + burn(len(mine))
         mine.append(id(code))  # a worker appends to its own copy
         while time.process_time() < end:
             pass
-        return real(code, mode)
+        return real(code, mode, rec)
 
-    spec = field(3)
-    codes = [random_code(spec, 8, 3, seed=s) for s in range(12)]
+    codes = _sharing_batch(12)
     seq = classify(codes, algo="cesimpg", jobs=1)
     monkeypatch.setattr(batch, "_code_key", code_key)
     par = classify(codes, algo="cesimpg", jobs=3)
@@ -1640,8 +1668,7 @@ def test_classify_forks_for_the_rest_once_keying_pays(monkeypatch, started,
 def test_classify_pool_sized_by_batch(forks):
     """jobs counts this process too and never exceeds the batch: 3 codes at
     jobs=64 start 2 workers, one code starts none."""
-    spec = field(3)
-    codes = [random_code(spec, 8, 3, seed=s) for s in range(3)]
+    codes = _sharing_batch(3)
     for algo in ("ceimpg", "cesimpg"):
         seq = classify(codes, algo=algo, jobs=1)
         classify(codes[:1], algo=algo, jobs=64)
@@ -1658,11 +1685,11 @@ def _act_on(monkeypatch, *actions):
     each (target, action) pair."""
     real = batch._code_key
 
-    def code_key(code, mode):
+    def code_key(code, mode, rec=None):
         for target, action in actions:
             if code is target:
                 action()
-        return real(code, mode)
+        return real(code, mode, rec)
 
     monkeypatch.setattr(batch, "_code_key", code_key)
 
@@ -1694,7 +1721,7 @@ def _deadline(seconds):
 
 def test_classify_worker_exception_reaches_caller(monkeypatch, forks):
     # 4 codes at jobs=2: the worker keys codes 2 and 3
-    codes = [random_code(field(3), 8, 3, seed=s) for s in range(4)]
+    codes = _sharing_batch(4)
     _act_on(monkeypatch, (codes[3], lambda: _raise(RuntimeError("boom"))))
     with pytest.raises(RuntimeError, match="^boom$"):
         classify(codes, algo="cesimpg", jobs=2)
@@ -1706,7 +1733,7 @@ def test_classify_worker_dying_unanswered_is_an_error(monkeypatch, forks):
     # 6 codes at jobs=3: the second worker keys codes 4 and 5 and exits with
     # status 3 on code 5; this process holds no copy of the sending end of
     # its pipe, so it reads EOF there rather than waiting forever
-    codes = [random_code(field(3), 8, 3, seed=s) for s in range(6)]
+    codes = _sharing_batch(6)
     _act_on(monkeypatch, (codes[5], lambda: os._exit(3)))
     with _deadline(30), pytest.raises(RuntimeError,
                                       match="exited with status 3"):
@@ -1719,7 +1746,7 @@ def test_classify_worker_dying_unanswered_is_an_error(monkeypatch, forks):
 def test_classify_own_share_failure_terminates_workers(monkeypatch, forks, exc):
     # this process fails on code 0 while its worker would sleep for a minute
     # on code 2: the worker is terminated and reaped at once
-    codes = [random_code(field(3), 8, 3, seed=s) for s in range(4)]
+    codes = _sharing_batch(4)
     _act_on(monkeypatch, (codes[0], lambda: _raise(exc("mine"))),
             (codes[2], lambda: time.sleep(60)))
     with _deadline(30), pytest.raises(exc, match="mine"):
@@ -1732,8 +1759,7 @@ def test_classify_workers_see_module_state_under_spawn_default(monkeypatch,
                                                                forks):
     # workers are forked whatever the default start method is, so they run
     # with this process's NODE_BUDGET = 0 rather than a fresh import's
-    spec = field(3)
-    codes = [random_code(spec, 8, 3, seed=s) for s in range(5)]
+    codes = _sharing_batch(5)
     monkeypatch.setattr(bmcanon, "NODE_BUDGET", 0)
     default = multiprocessing.get_start_method(allow_none=True)
     multiprocessing.set_start_method("spawn", force=True)
@@ -1751,26 +1777,30 @@ def test_classify_workers_see_module_state_under_spawn_default(monkeypatch,
 
 
 def test_classify_digests_pinned():
-    # canonical keys (`CanonResult.key`), and so the classify digests,
-    # change only on purpose: 40 [10,3]_3 codes, most with repeated points,
-    # 10 high-rate [10,7]_3 codes, most keyed by their duals, and a seeded
-    # copy of every fifth, on both routes
+    # canonical keys (`CanonResult.key`) and profile keys
+    # (`batch._profile_key`), and so the classify digests, change only on
+    # purpose: 40 [10,3]_3 codes, most with repeated points, 10 high-rate
+    # [10,7]_3 codes, most keyed by their duals, and a seeded copy of every
+    # fifth, on both routes.  26 of the 60 codes have a profile of their
+    # own and classes keyed by it; the other 34 are keyed canonically
     spec = field(3)
     codes = [random_code(spec, 10, 3, seed=s) for s in range(40)]
     codes += [random_code(spec, 10, 7, seed=s) for s in range(10)]
     rng = random.Random(17)
     codes += [GeneratorMatrix(spec, _random_transform(spec, 10, rng).apply(
         c.mat).rows) for c in codes[::5]]
+    shared = collections.Counter(equiv._Side(c).profile for c in codes)
+    assert sorted(shared.values()).count(1) == 26
     digests = {}
     for algo in ("ceimpg", "cesimpg"):
         result = classify(codes, algo=algo)
         assert result.errors == [] and len(result.classes) == 45
         digests[algo] = result.digest
     assert digests == {
-        "ceimpg": "d02e70972270bc2d97d97b809a5582e0"
-                  "2f7d8c04b1680015b61d61f237604092",
-        "cesimpg": "c281dbfb327af34b3705908a1c9637ca"
-                   "cbc7892698cc8bebb2243cfad6bcc7c3"}
+        "ceimpg": "81abf44c820830838e98925ee51b2162"
+                  "f87b74257303e6f1e6d5a66ae71a39fb",
+        "cesimpg": "dee53d867884cb132e4bef6e21b95dbf"
+                   "da404ce21975e7ca5ce1b93f9aecadde"}
 
 
 def test_classify_keeps_no_keying_caches():
@@ -1799,12 +1829,12 @@ def test_classify_keeps_no_keying_caches():
 # classification keys: certificate bytes, no text
 
 
-def _text_code_key(code, mode):
+def _text_code_key(code, mode, rec=None):
     """`batch._code_key` keyed on the tagged `serialize()` text of the same
     canonical form, encoded, as classify keyed every code before its keys
     were bytes: the reference the byte keys must partition like."""
+    rec = equiv._Side(code) if rec is None else rec
     try:
-        rec = equiv._Side(code)
         tag = "" if rec.side is code else "dual:"
         if mode == "ceimpg":
             form = canonical_form(rec.incidence)
@@ -1814,7 +1844,7 @@ def _text_code_key(code, mode):
                 tag = "min:" + tag
         return (tag + form.serialize()).encode(), form, None, rec
     except (BudgetExceededError, ResourceLimitError) as e:
-        return None, None, f"{type(e).__name__}: {e}", None
+        return None, None, f"{type(e).__name__}: {e}", rec
 
 
 # per field, [n,k] shapes of one seeded batch: codes keyed on themselves,
@@ -1828,14 +1858,15 @@ KEY_SHAPES = {2: [(6, 2), (7, 3), (7, 4), (8, 4), (10, 3)],
 
 def _key_batch(q):
     """Eight seeded codes of each of `KEY_SHAPES[q]` and a seeded monomial
-    copy (semilinear over GF(4) and GF(8)) of every third, shuffled, so one
-    batch mixes lengths and dimensions."""
+    copy (semilinear over GF(4) and GF(8)) of each, so that every code
+    shares its profile and is keyed, shuffled, so one batch mixes lengths
+    and dimensions."""
     spec = field(q)
     rng = random.Random(4300 + q)
     codes = [random_code(spec, n, k, seed=s) for n, k in KEY_SHAPES[q]
              for s in range(8)]
     codes += [GeneratorMatrix(spec, _random_transform(spec, c.n, rng).apply(
-        c.mat).rows) for c in codes[::3]]
+        c.mat).rows) for c in codes]
     rng.shuffle(codes)
     return codes
 
@@ -1963,7 +1994,7 @@ def test_classify_rejects_jobs_below_one_or_not_int(jobs):
 
 
 def test_classify_takes_any_integral_jobs(forks):
-    codes = [random_code(field(3), 6, 2, seed=s) for s in range(3)]
+    codes = _sharing_batch(3, n=6, k=2)
     assert (classify(codes, jobs=np.int64(2)).digest
             == classify(codes, jobs=1).digest)
     assert len(forks) == 1
@@ -1972,8 +2003,7 @@ def test_classify_takes_any_integral_jobs(forks):
 def test_classify_budget_errors_collected_not_raised(monkeypatch, forks):
     # the forked workers inherit NODE_BUDGET = 0, so at jobs=2 the errors
     # come from this process's share and from the worker's share alike
-    spec = field(3)
-    codes = [random_code(spec, 8, 3, seed=s) for s in range(5)]
+    codes = _sharing_batch(5)
     monkeypatch.setattr(bmcanon, "NODE_BUDGET", 0)
     for algo in ("ceimpg", "cesimpg"):
         seq = classify(codes, algo=algo, jobs=1)
@@ -2046,19 +2076,25 @@ def test_classify_keeps_code_and_dual_apart(forks):
     """A code and its dual have the same binary matrices when one of them is
     keyed through its dual: [13,3]_3 simplex beside the [13,10]_3 Hamming
     code, and a random [10,3]_5 code beside its [10,7]_5 dual (classify
-    takes one field per batch).  At jobs=2 a worker keys the second code of
-    each pair, so its "dual:" key comes back through the pipe."""
+    takes one field per batch), each followed by a column-reversed copy of
+    both, so that all four are keyed.  At jobs=2 a worker keys the copies,
+    so a "dual:" key comes back through the pipe."""
     simplex = GeneratorMatrix(3, simplex_generator(3, 3).rows)
     low = random_code(field(5), 10, 3, seed=2)
     classes = []
-    for batch in ([simplex, _dual(simplex)], [low, _dual(low)]):
+    for code in (simplex, low):
+        pair = [code, _dual(code)]
+        t = MonomialTransform(code.spec, tuple(reversed(range(code.n))),
+                              (1,) * code.n)
+        batch = pair + [GeneratorMatrix(c.spec, t.apply(c.mat).rows)
+                        for c in pair]
         for algo, jobs in itertools.product(("ceimpg", "cesimpg"), (1, 2)):
             result = classify(batch, algo=algo, jobs=jobs)
             assert len(forks) == jobs - 1
             assert all(p.exitcode == 0 for p in forks)
             forks.clear()
             assert not result.errors
-            assert [c.members for c in result.classes] == [[0], [1]]
+            assert [c.members for c in result.classes] == [[0, 2], [1, 3]]
         classes += result.classes
     assert len(classes) == 4
 
@@ -2454,24 +2490,27 @@ def test_side_structures_built_once_per_code(monkeypatch):
 
 
 def test_forked_keys_pipe_back_keys_and_forms(forks):
-    """A `--jobs` worker pipes back each code's (key, form, error), as this
-    process keys it: the form its cesimpg key was rendered from, and no
-    record, where this process keeps the record it keyed its own share
-    with.  The [8,6]_2 code is keyed on its dual.  A record made here
-    around a piped form still lifts."""
+    """A `--jobs` worker keys the records it inherits and pipes back each
+    code's (key, form, error), as this process keys it: the form its
+    cesimpg key was rendered from, and no record, where this process keys
+    its own share on the records it holds.  The [8,6]_2 code is keyed on
+    its dual.  A record of this process, given a piped form, still
+    lifts."""
     c1, c2 = _transformed_pair(field(2), 8, 4, seed=7, allow_rho=False)
     codes = [c2, random_code(field(2), 8, 6, seed=0), c1]
-    keyed = batch._forked_keys(codes, "cesimpg", 3)
+    records = [equiv._Side(code) for code in codes]
+    keyed = batch._forked_keys(records, "cesimpg", 3)
     assert len(forks) == 2
     for code, (key, form, error, _) in zip(codes, keyed):
         mine = batch._code_key(code, "cesimpg")
         assert error is None and isinstance(form, CanonResult)
         assert (key, form) == mine[:2]
     assert [rec is None for *_, rec in keyed] == [False, True, True]
-    assert keyed[0][3].code is codes[0] and keyed[0][3].form is keyed[0][1]
+    assert keyed[0][3] is records[0] and records[0].form is keyed[0][1]
+    assert "form" not in vars(records[2])
     assert [key[:5] for key, *_ in keyed] == [b"min:c", b"dual:", b"min:c"]
-    rep, rec = (equiv._Side(codes[i], keyed[i][1]) for i in (2, 0))
-    assert rep.form is keyed[2][1]
+    rep, rec = records[2], records[0]
+    rep.form = keyed[2][1]
     pi0 = _sigma_from_canons(rep.form, rec.form)
     assert lift._find_lift(rep, rec, pi0) is not None
 
@@ -2533,3 +2572,74 @@ def test_dimension_two_fallback_never_guesses():
                    for i in cls.members)
     assert not any(brute_force_equivalent(a, b, 5)
                    for a, b in itertools.combinations(reps, 2))
+
+
+# ---------------------------------------------------------------------------
+# classification: profiles first, keys only where profiles collide
+
+
+@pytest.mark.parametrize("q,n,k", [(4, 8, 3), (8, 8, 3), (2, 12, 4)])
+def test_profile_pass_partitions_as_pairwise_decisions(monkeypatch, forks,
+                                                       q, n, k):
+    """A batch of inequivalent codes that share a profile
+    (SHARED_PROFILE_SEEDS), codes with profiles of their own, and seeded
+    monomial copies of every third code (semilinear over GF(4) and GF(8)),
+    shuffled: on both routes at jobs 1 and 2 it has the partition, classes
+    in order of first appearance, that pairwise `decide_equivalence` gives.
+    Only the codes whose profile another code shares are keyed."""
+    spec = field(q)
+    rng = random.Random(4900 + q)
+    seeds = sorted({s for pair in SHARED_PROFILE_SEEDS[q, n, k] for s in pair})
+    codes = [random_code(spec, n, k, seed=s) for s in [*seeds, *range(200,
+                                                                     206)]]
+    codes += [GeneratorMatrix(spec, _random_transform(spec, n, rng).apply(
+        c.mat).rows) for c in codes[::3]]
+    rng.shuffle(codes)
+    shared = collections.Counter(equiv._Side(c).profile for c in codes)
+    colliding = sum(m for m in shared.values() if m > 1)
+    assert 0 < colliding < len(codes)
+    want: list[list[int]] = []
+    for i, code in enumerate(codes):
+        cls = next((m for m in want if decide_equivalence(
+            codes[m[0]], code).equivalent), None)
+        if cls is None:
+            want.append([i])
+        else:
+            cls.append(i)
+    assert any(len(m) > 1 for m in want)
+    keyed = _counting(monkeypatch, "_code_key", module=batch)["_code_key"]
+    for algo, jobs in itertools.product(("ceimpg", "cesimpg"), (1, 2)):
+        result = classify(codes, algo=algo, jobs=jobs)
+        assert len(forks) == jobs - 1 and all(p.exitcode == 0 for p in forks)
+        forks.clear()
+        assert result.errors == []
+        assert [c.members for c in result.classes] == want
+        # at jobs=2 this process keys the first half, rounded down, and
+        # the worker the rest, in its own memory
+        assert len(keyed) == colliding // jobs
+        keyed.clear()
+
+
+def test_profile_unique_batch_is_never_keyed(monkeypatch, forks, searches):
+    """20 seeded [20,3]_7 codes, each with a profile of its own: on both
+    routes at jobs=2, with FORK_PAYS_S = 0, classify starts no worker and
+    no search, so builds no canonical form.  Each code is a class keyed by
+    its profile key, which starts with none of the canonical keys' tags;
+    the batch digest hashes those keys, and reads the same at jobs=1."""
+    codes = [random_code(field(7), 20, 3, seed=s) for s in range(20)]
+    keys = [batch._profile_key(equiv._Side(c).profile) for c in codes]
+    assert len(set(keys)) == len(codes)
+    assert not any(key.startswith((b"c", b"dual:", b"min:")) for key in keys)
+    forms = _counting(monkeypatch, "canonical_form", module=batch)
+    forms.update(_counting(monkeypatch, "canonical_form", module=equiv))
+    for algo in ("ceimpg", "cesimpg"):
+        result = classify(codes, algo=algo, jobs=2)
+        assert forks == [] and searches == []
+        assert forms == {"canonical_form": []}
+        assert result.errors == []
+        assert [c.members for c in result.classes] == [[i] for i in range(20)]
+        assert [c.key_digest for c in result.classes] == [
+            hashlib.sha256(key).hexdigest()[:12] for key in keys]
+        assert result.digest == hashlib.sha256(
+            b"".join(sorted(keys))).hexdigest()
+        assert classify(codes, algo=algo, jobs=1).digest == result.digest

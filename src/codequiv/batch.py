@@ -3,26 +3,26 @@
 Every code first gets its `equiv._Side` record and, read off it with no
 search, its profile (`_Side.profile`: whether its side is the dual, n, the
 side's dimension, the side's weight distribution and its points' sorted
-multiplicities), which every monomial and semilinear map keeps.  A code
-whose profile no other code in the batch shares is a class of its own, keyed
-by its profile (`_profile_key`, tagged b"profile:"), with no canonical form.
-The codes whose profiles collide are keyed on their own records, in this
-process or in a forked `--jobs` worker (`_batch_keys`).  The ceimpg key is
-the canonical form of the multiplicity-colored incidence of the code's side,
-the cesimpg key that of the side's kept shortened matrix (`_Side.kept`).
-Codes sharing a key share a bucket, and a bucket's members are told apart
-by lifting each one onto a class representative's lift target
+multiplicities), which every monomial and semilinear map keeps.  A code's
+class key starts with its profile's bytes (`_profile_key`).  A code whose
+profile no other code in the batch shares is a class of its own, keyed by
+its profile alone, with no canonical form.  The codes whose profiles collide
+are keyed on their own records, in this process or in a forked `--jobs`
+worker (`_batch_keys`), and their key goes on with the `CanonResult.key()`
+of a canonical form: for ceimpg that of the multiplicity-colored incidence
+of the code's side, for cesimpg that of the side's kept shortened matrix
+(`_Side.kept`).  Codes sharing a key share a bucket, and a bucket's members
+are told apart by lifting each one onto a class representative's lift target
 (`lift._find_lift`), whose sigma0 is read off the two keys' forms; a ceimpg
 key is itself the proof where every incidence isomorphism is a collineation
-(sides of dimension other than 2, and q <= 4).  A key is bytes: the
-canonical form's `CanonResult.key()`, which frames its certificate with its
-column colors and row count and renders no text, after a tag: "dual:" when
-it was built from the dual, and "min:" for a cesimpg key over GF(2) built
-from the minimum-weight rows alone.  Two keys are equal exactly when the
-tagged `serialize()` texts of their forms are.  The batch holds one record
-per code, made once: the profile pass and keying fill and drop its keying
-caches, and a code a worker keyed gets the worker's cesimpg form set on it.
-Only a representative's record builds a lift target.
+(sides of dimension other than 2, and q <= 4).  A key is bytes and renders
+no text; two keys are equal exactly when the profiles and the `serialize()`
+texts of the forms are.  The profile holds the side's dual flag, n and k, and
+a form its row count, so no code shares a key with its dual, nor a GF(2)
+form of fewer than theta(k) minimum-weight rows with a full one.  The batch
+holds one record per code, made once: the profile pass and keying fill and
+drop its keying caches, and a code a worker keyed gets the worker's cesimpg
+form set on it.  Only a representative's record builds a lift target.
 """
 
 from __future__ import annotations
@@ -38,7 +38,6 @@ from .bmcanon import _sigma_from_canons, canonical_form
 from .equiv import _Side
 from .errors import BudgetExceededError, ResourceLimitError
 from .lift import _find_lift, _incidence_points
-from .lincode import GeneratorMatrix
 
 # the typed failures of one code, which a batch collects per item
 _ITEM_ERRORS = (BudgetExceededError, ResourceLimitError)
@@ -70,53 +69,43 @@ def _short_digest(key: bytes) -> str:
 
 
 def _profile_key(profile) -> bytes:
-    """The class key of a code whose `_Side.profile` no other code in its
-    batch shares: b"profile:", then the profile's dual flag, n, k and, for
-    its sorted weights and then its sorted multiplicities, the number of
-    distinct values and each value with its count, as little-endian 8-byte
-    integers.  So the key delimits itself, as a `CanonResult.key()` does,
-    whose tags it never starts with, and holds O(n) integers, where the
-    side has theta(k) weights."""
+    """The bytes every class key of a code starts with, and the whole key
+    of one whose `_Side.profile` no other code in its batch shares: the
+    profile's dual flag, n, k and, for its sorted weights and then its
+    sorted multiplicities, the number of distinct values and each value
+    with its count, as little-endian 8-byte integers.  So the key delimits
+    itself, starts with byte 0 or 1 where a `CanonResult.key()` starts with
+    b"c", and holds O(n) integers, where the side has theta(k) weights."""
     dual, n, k, weights, mults = profile
     ints = [dual, n, k]
     for values in (weights, mults):
         counts = Counter(values)  # in order of first appearance: sorted
         ints += [len(counts), *(x for pair in counts.items() for x in pair)]
-    return b"profile:" + struct.pack(f"<{len(ints)}q", *ints)
+    return struct.pack(f"<{len(ints)}q", *ints)
 
 
-def _code_key(code: GeneratorMatrix, mode: str, rec: _Side | None = None):
-    """(key, form, error, record) of one code, in this process and in a
-    `--jobs` worker alike, keyed on `rec`, the code's `_Side` record, when
-    the batch holds one, else on a new one; either way its keying caches
-    are dropped after (`_Side.drop_keying`).  The key is a tag and the
-    `CanonResult.key()` of `form`, the canonical form of the code's side (of
-    its incidence for ceimpg): bytes, no text.  `classify` reads sigma0 off
-    `form`.  A per-item failure sets only `error`.  A key built from the
-    dual starts with b"dual:", so that a [13,10] code never shares a key
-    with the [13,3] code whose matrix is the same.  A cesimpg key built from
-    the minimum-weight rows alone starts with b"min:", since such a matrix
-    can have the shape of a full one of another dimension."""
-    rec = _Side(code) if rec is None else rec
+def _code_key(rec: _Side, mode: str):
+    """(form, error) of one code's `_Side` record, in this process and in a
+    `--jobs` worker alike: `form` is the canonical form of the code's side
+    (of its incidence for ceimpg, of its kept shortened matrix for
+    cesimpg), whose `CanonResult.key()` ends the code's class key and off
+    which `classify` reads sigma0.  A per-item failure sets only `error`.
+    The record's keying caches are dropped after (`_Side.drop_keying`)."""
     try:
-        tag = b"" if rec.side is code else b"dual:"
         form = canonical_form(rec.incidence) if mode == "ceimpg" else rec.form
-        if mode == "cesimpg" and rec.rows is not None:
-            tag = b"min:" + tag
-        return tag + form.key(), form, None, rec
+        return form, None
     except _ITEM_ERRORS as e:
-        return None, None, f"{type(e).__name__}: {e}", rec
+        return None, f"{type(e).__name__}: {e}"
     finally:
         rec.drop_keying()
 
 
 def _key_share(conn, records, mode):
     """Body of a forked worker: `_code_key` of each of `records`, the
-    records it inherits, sent back as (True, [(key, form, error, None),
-    ...]) in one message, with no record, or (False, exception)."""
+    records it inherits, sent back as (True, [(form, error), ...]) in one
+    message, or (False, exception)."""
     try:
-        reply = True, [_code_key(rec.code, mode, rec)[:3] + (None,)
-                       for rec in records]
+        reply = True, [_code_key(rec, mode) for rec in records]
     except Exception as e:
         reply = False, e
     conn.send(reply)
@@ -140,7 +129,7 @@ def _batch_keys(records, mode, jobs):
         if (min(jobs, left) > 1 and spent >= FORK_PAYS_S / 8
                 and spent * left >= FORK_PAYS_S * done):
             return keys + _forked_keys(records[done:], mode, min(jobs, left))
-        keys.append(_code_key(rec.code, mode, rec))
+        keys.append(_code_key(rec, mode))
     return keys
 
 
@@ -151,7 +140,7 @@ def _forked_keys(records, mode, jobs):
     len(records) * i // jobs: this process keys the first, and a worker
     each further one.  A worker is forked, so it reads its share, and the
     module state of the caller, from the memory it inherits; it pipes its
-    (key, form, error, None) back in one message.  An exception in any
+    (form, error) pairs back in one message.  An exception in any
     share is raised here.  A worker that has answered is joined, and one
     that has not is terminated, before this returns on every path, so
     their CPU counts in RUSAGE_CHILDREN."""
@@ -167,7 +156,7 @@ def _forked_keys(records, mode, jobs):
             proc.start()
             workers.append((proc, recv))
             send.close()  # a worker that dies unanswered ends in EOFError
-        keys = [_code_key(rec.code, mode, rec) for rec in records[:cuts[1]]]
+        keys = [_code_key(rec, mode) for rec in records[:cuts[1]]]
         for proc, recv in workers:
             try:
                 ok, payload = recv.recv()
@@ -195,41 +184,38 @@ def classify(codes, algo: str = "ceimpg", jobs: int = 1) -> ClassifyResult:
     Every code first gets its `_Side` record and its profile
     (`_Side.profile`: whether its side is the dual, n, the side's
     dimension, the side's weight distribution and its points' sorted
-    multiplicities), which every monomial and semilinear map keeps.  A code
-    whose profile no other code in the batch shares is a class of its own:
-    its key is the profile's (`_profile_key`, tagged b"profile:"), and it
-    gets no canonical form.  Only the codes whose profiles collide are
-    keyed, then lifted: algo="ceimpg" buckets them by the canonical
-    incidence key, algo="cesimpg" by the shortened-matrix one, and bucket
-    members are separated by the lifting procedure of the equivalence
-    routes (`_find_lift`), but where a ceimpg key is a proof.  Both keys
-    are built from each code's side (`_side`: its dual when 2k > n, the key
-    then prefixed "dual:"; a cesimpg key over GF(2) built from the
-    minimum-weight rows is prefixed "min:"); lifting stays on the codes
-    themselves.  A key is its tag and its canonical form's
-    `CanonResult.key()` bytes, no rendered text; the buckets, each class's
-    `key_digest` and the batch `digest` hash those bytes, or a profile key
-    for a class of a code whose profile is its own.  So a class's digest
-    depends on the batch around it, and is the same at every `jobs`.  A
-    bucket that already holds a class lifts the code it compares onto the
-    lift target of each representative's record: each class builds one
-    rref, on its representative, however many members join it, and past
-    sigma0 the point group comes from the member's own shortened form.
-    `jobs`, an integer >= 1, bounds the processes that key the colliding
-    codes: this one keys them in order until its own keying time projects
-    at least FORK_PAYS_S of CPU for the rest, and only then cuts the rest
-    into even contiguous shares, keys the first and forks up to `jobs - 1`
-    workers for the others, which key the records they inherit and send
-    back keys and forms, all reaped before this returns (`_batch_keys`).  A
-    batch with no colliding profiles forks nothing.  The workers are forked
-    whatever the default start method, so they see this process's module
-    state; jobs > 1 needs POSIX.  Classes are ordered by first appearance.
-    Per-item errors, from profiling a code (point-table size), from keying
-    one whose profile collides (node budget, incidence size) or from
-    comparing it with a class representative (node budget, coset cap or
-    incidence size), are collected in `errors` (by code index) without
-    aborting the batch; a code whose profile is its own is never keyed, so
-    it is classified where its key could not have been built.
+    multiplicities), which every monomial and semilinear map keeps.  A
+    code's key is its profile's bytes (`_profile_key`), and, when its
+    profile collides with another code's, then its canonical form's
+    `CanonResult.key()`: algo="ceimpg" keys the canonical incidence,
+    algo="cesimpg" the canonical shortened matrix, both of the code's side
+    (`_side`: its dual when 2k > n).  A code whose profile no other code in
+    the batch shares is so a class of its own, with no canonical form.
+    Codes sharing a key share a bucket, and bucket members are separated by
+    the lifting procedure of the equivalence routes (`_find_lift`), on the
+    codes themselves, but where a ceimpg key is a proof.  The buckets, each
+    class's `key_digest` and the batch `digest` hash the key bytes, no
+    rendered text.  So a class's digest depends on the batch around it, and
+    is the same at every `jobs`.  A bucket that already holds a class lifts
+    the code it compares onto the lift target of each representative's
+    record: each class builds one rref, on its representative, however many
+    members join it, and past sigma0 the point group comes from the
+    member's own shortened form.  `jobs`, an integer >= 1, bounds the
+    processes that key the colliding codes: this one keys them in order
+    until its own keying time projects at least FORK_PAYS_S of CPU for the
+    rest, and only then cuts the rest into even contiguous shares, keys the
+    first and forks up to `jobs - 1` workers for the others, which key the
+    records they inherit and send back forms, all reaped before this
+    returns (`_batch_keys`).  A batch with no colliding profiles forks
+    nothing.  The workers are forked whatever the default start method, so
+    they see this process's module state; jobs > 1 needs POSIX.  Classes
+    are ordered by first appearance.  Per-item errors, from profiling a
+    code (point-table size), from keying one whose profile collides (node
+    budget, incidence size) or from comparing it with a class
+    representative (node budget, coset cap or incidence size), are
+    collected in `errors` (by code index) without aborting the batch; a
+    code whose profile is its own is never keyed, so it is classified where
+    its canonical form could not have been built.
     """
     start = time.perf_counter()
     codes = list(codes)
@@ -263,7 +249,7 @@ def classify(codes, algo: str = "ceimpg", jobs: int = 1) -> ClassifyResult:
         s1, s2 = sides[i], sides[rep]
         if algo == "ceimpg" and (s1.side.k != 2 or s1.side.q <= 4):
             return True
-        pi0 = _sigma_from_canons(keyed[i][1], keyed[rep][1])
+        pi0 = _sigma_from_canons(keyed[i][0], keyed[rep][0])
         if algo == "ceimpg":
             pi0 = _incidence_points(pi0, s1, s2)
         return _find_lift(s1, s2, pi0) is not None
@@ -271,20 +257,18 @@ def classify(codes, algo: str = "ceimpg", jobs: int = 1) -> ClassifyResult:
     buckets: dict[bytes, list[CodeClass]] = {}
     classes: list[CodeClass] = []
     keys: list[bytes] = []
-    for i, profile in enumerate(profiles):
-        if profile is None:
+    for i, key in enumerate(profiles):
+        if key is None:
             continue
-        if i not in keyed:
-            # no other code shares its profile: a class of its own
-            classes.append(CodeClass(i, [i], _short_digest(profile)))
-            keys.append(profile)
-            continue
-        key, form, msg, _ = keyed[i]
+        form, msg = keyed.get(i, (None, None))
         if msg:
             errors.append((i, msg))
             continue
-        if algo == "cesimpg":
-            sides[i].form = form  # the same form, or one a worker sent
+        if form is not None:
+            key += form.key()
+            if algo == "cesimpg":
+                sides[i].form = form  # the same form, or one a worker sent
+        # a code whose profile is its own finds its bucket empty
         bucket = buckets.setdefault(key, [])
         try:
             joined = next((cls for cls in bucket
@@ -300,8 +284,9 @@ def classify(codes, algo: str = "ceimpg", jobs: int = 1) -> ClassifyResult:
             keys.append(key)
         joined.members.append(i)
     errors.sort()
-    # a key's own counts delimit it (`CanonResult.key`, `_profile_key`), so
-    # the sorted keys concatenated stand for the sorted list
+    # a profile key delimits itself and starts with byte 0 or 1, a form key
+    # starts with b"c" and its counts delimit it (`CanonResult.key`), so the
+    # sorted keys concatenated stand for the sorted list
     digest = hashlib.sha256(b"".join(sorted(keys))).hexdigest()
     elapsed = time.perf_counter() - start
     return ClassifyResult(algo, len(codes), classes, errors, elapsed, digest)

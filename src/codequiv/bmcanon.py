@@ -365,9 +365,7 @@ class CanonResult:
         the column and row counts as little-endian 8-byte words, each
         column color as a signed one (a color outside 64 bits raises
         struct.error), then `cert`.  The counts fix the length of the
-        rest, so a key followed by any bytes parses one way, and no "dual:"
-        or "min:" tag starts with "c": a tag and a key concatenated read
-        back as that tag and that key."""
+        rest, so a key followed by any bytes parses one way."""
         C = len(self.col_colors)
         return struct.pack(f"<cQQ{C}q", b"c", C, self.n_rows,
                            *self.col_colors) + self.cert

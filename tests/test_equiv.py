@@ -3,6 +3,7 @@ and batch classification, cross-checked against GL brute-force oracles."""
 
 import collections
 import contextlib
+import dataclasses
 import hashlib
 import itertools
 import math
@@ -968,9 +969,10 @@ def test_binary_golay_keyed_on_minimum_weight_rows(n, rows, order):
         build_shortened(side)).group_order
     report = code_aut_group(code)
     assert report.complete and report.order == order
-    key, form, error, kept = batch._code_key(code, "cesimpg")
-    assert error is None and form is not None and kept.form is form
-    assert key == (b"min:" if side is code else b"min:dual:") + form.key()
+    form, error = batch._code_key(rec, "cesimpg")
+    assert error is None and form is rec.form
+    # keyed on the minimum-weight rows, of the dual for [23,12]
+    assert form.n_rows == rows and rec.profile[0] == (side is not code)
 
 
 @pytest.mark.parametrize("n,read", [(24, 78), (23, 57)])
@@ -1001,9 +1003,10 @@ MIN_WEIGHT_SHAPES = [(6, 2), (7, 3), (7, 4), (8, 4)]
 
 def test_binary_min_weight_rows_keep_point_groups_and_partitions():
     """On seeded random binary codes, those whose minimum-weight words span
-    get the point group of the full matrix from their minimum-weight rows
-    and a "min:" key, and the cesimpg partition, with seeded monomial
-    copies, is the ceimpg one."""
+    get the point group of the full matrix from their minimum-weight rows,
+    and a cesimpg form of those rows alone where the ceimpg one keeps all
+    theta(k) rows; the cesimpg partition, with seeded monomial copies, is
+    the ceimpg one."""
     spec = field(2)
     rng = random.Random(27)
     reduced = 0
@@ -1014,8 +1017,11 @@ def test_binary_min_weight_rows_keep_point_groups_and_partitions():
             reduced_here = rec.rows is not None
             assert rec.form.group_order == canonical_form(
                 build_shortened(rec.side)).group_order
-            assert [batch._code_key(code, mode)[0].startswith(b"min:")
-                    for mode in ("cesimpg", "ceimpg")] == [reduced_here, False]
+            low = rec.weights.count(min(rec.weights))
+            full = len(rec.weights)
+            assert [batch._code_key(equiv._Side(code), mode)[0].n_rows
+                    for mode in ("cesimpg", "ceimpg")] == [
+                low if reduced_here else full, full]
             reduced += reduced_here
         codes += [GeneratorMatrix(spec, _random_transform(
             spec, n, rng, allow_rho=False).apply(c.mat).rows)
@@ -1038,7 +1044,7 @@ def test_min_weight_gate_refuses():
         rec = equiv._Side(code)
         assert rec.side is code
         assert rec.rows is None and rec.form.matrix.n_rows == n_rows
-        assert not batch._code_key(code, "cesimpg")[0].startswith(b"min:")
+        assert batch._code_key(rec, "cesimpg")[0].n_rows == n_rows
 
 
 def test_dimension_two_past_the_coset_cap_is_a_budget_error(monkeypatch):
@@ -1119,7 +1125,7 @@ def test_frame_orbit_verdicts_match_brute_force(q, n, k, monkeypatch):
     by the orbit of a frame (or, on a side with none, of all its points)
     under the point group alone: on transformed copies, on [4,2] codes of
     two points, and on the pairs of 40 seeded codes that share a cesimpg
-    key, inequivalent ones among them on dimension 2, each verdict equals
+    class key, inequivalent ones among them on dimension 2, each verdict equals
     the GL oracle's, and each equivalent one carries a verified witness."""
     spec = field(q)
     pairs = [_transformed_pair(spec, n, k, seed) for seed in range(6)]
@@ -1130,8 +1136,10 @@ def test_frame_orbit_verdicts_match_brute_force(q, n, k, monkeypatch):
     codes = [random_code(spec, n, k, seed=s) for s in range(40)]
     by_key = {}
     for code in codes:
-        by_key.setdefault(batch._code_key(code, "cesimpg")[0],
-                          []).append(code)
+        rec = equiv._Side(code)
+        key = batch._profile_key(rec.profile) + batch._code_key(
+            rec, "cesimpg")[0].key()
+        by_key.setdefault(key, []).append(code)
     pairs += [(same[0], c) for same in by_key.values() for c in same[1:]]
     calls = _forced_past_sigma0(monkeypatch)
     verdicts = set()
@@ -1647,12 +1655,12 @@ def test_classify_forks_for_the_rest_once_keying_pays(monkeypatch, started,
     real = batch._code_key
     mine = []
 
-    def code_key(code, mode, rec=None):
+    def code_key(rec, mode):
         end = time.process_time() + burn(len(mine))
-        mine.append(id(code))  # a worker appends to its own copy
+        mine.append(id(rec.code))  # a worker appends to its own copy
         while time.process_time() < end:
             pass
-        return real(code, mode, rec)
+        return real(rec, mode)
 
     codes = _sharing_batch(12)
     seq = classify(codes, algo="cesimpg", jobs=1)
@@ -1685,11 +1693,11 @@ def _act_on(monkeypatch, *actions):
     each (target, action) pair."""
     real = batch._code_key
 
-    def code_key(code, mode, rec=None):
+    def code_key(rec, mode):
         for target, action in actions:
-            if code is target:
+            if rec.code is target:
                 action()
-        return real(code, mode, rec)
+        return real(rec, mode)
 
     monkeypatch.setattr(batch, "_code_key", code_key)
 
@@ -1777,12 +1785,13 @@ def test_classify_workers_see_module_state_under_spawn_default(monkeypatch,
 
 
 def test_classify_digests_pinned():
-    # canonical keys (`CanonResult.key`) and profile keys
-    # (`batch._profile_key`), and so the classify digests, change only on
-    # purpose: 40 [10,3]_3 codes, most with repeated points, 10 high-rate
-    # [10,7]_3 codes, most keyed by their duals, and a seeded copy of every
-    # fifth, on both routes.  26 of the 60 codes have a profile of their
-    # own and classes keyed by it; the other 34 are keyed canonically
+    # class keys, a profile key (`batch._profile_key`) followed, where
+    # profiles collide, by a canonical key (`CanonResult.key`), and so the
+    # classify digests, change only on purpose: 40 [10,3]_3 codes, most with
+    # repeated points, 10 high-rate [10,7]_3 codes, most keyed by their
+    # duals, and a seeded copy of every fifth, on both routes.  26 of the 60
+    # codes have a profile of their own and classes keyed by it alone; the
+    # other 34 are keyed canonically
     spec = field(3)
     codes = [random_code(spec, 10, 3, seed=s) for s in range(40)]
     codes += [random_code(spec, 10, 7, seed=s) for s in range(10)]
@@ -1797,10 +1806,10 @@ def test_classify_digests_pinned():
         assert result.errors == [] and len(result.classes) == 45
         digests[algo] = result.digest
     assert digests == {
-        "ceimpg": "81abf44c820830838e98925ee51b2162"
-                  "f87b74257303e6f1e6d5a66ae71a39fb",
-        "cesimpg": "dee53d867884cb132e4bef6e21b95dbf"
-                   "da404ce21975e7ca5ce1b93f9aecadde"}
+        "ceimpg": "f3a02d4b82c4d8993c29cc7c2aaebbee"
+                  "6274c19deacf1b6d71491ab0455968b7",
+        "cesimpg": "fd2d763f67bad7ba5379a0a3ac89c2ac"
+                   "0cbcbed5b7925517f7e401876112de48"}
 
 
 def test_classify_keeps_no_keying_caches():
@@ -1820,7 +1829,8 @@ def test_classify_keeps_no_keying_caches():
         tracemalloc.stop()
     assert len(result.classes) == 300
     assert peak < 4300 * len(codes)
-    rec = batch._code_key(codes[0], "cesimpg")[3]
+    rec = equiv._Side(codes[0])
+    batch._code_key(rec, "cesimpg")
     assert not {"columns", "matrix", "weights", "rows"} & set(vars(rec))
     assert rec.points and rec.form
 
@@ -1829,22 +1839,26 @@ def test_classify_keeps_no_keying_caches():
 # classification keys: certificate bytes, no text
 
 
-def _text_code_key(code, mode, rec=None):
-    """`batch._code_key` keyed on the tagged `serialize()` text of the same
-    canonical form, encoded, as classify keyed every code before its keys
-    were bytes: the reference the byte keys must partition like."""
-    rec = equiv._Side(code) if rec is None else rec
+class _TextKeyed(CanonResult):
+    """A canonical form whose `key()` is its `serialize()` text, encoded."""
+
+    def key(self) -> bytes:
+        return self.serialize().encode()
+
+
+def _text_code_key(rec, mode):
+    """`batch._code_key` with the same canonical form keyed on its
+    `serialize()` text, so that a class key is the profile key followed by
+    that text, as classify keyed codes before its keys were bytes: the
+    reference the byte keys must partition like."""
     try:
-        tag = "" if rec.side is code else "dual:"
-        if mode == "ceimpg":
-            form = canonical_form(rec.incidence)
-        else:
-            form = rec.form
-            if rec.rows is not None:
-                tag = "min:" + tag
-        return (tag + form.serialize()).encode(), form, None, rec
+        form = canonical_form(rec.incidence) if mode == "ceimpg" else rec.form
     except (BudgetExceededError, ResourceLimitError) as e:
-        return None, None, f"{type(e).__name__}: {e}", rec
+        return None, f"{type(e).__name__}: {e}"
+    finally:
+        rec.drop_keying()
+    return _TextKeyed(**{f.name: getattr(form, f.name)
+                         for f in dataclasses.fields(form)}), None
 
 
 # per field, [n,k] shapes of one seeded batch: codes keyed on themselves,
@@ -1876,27 +1890,34 @@ def _key_batch(q):
 @pytest.mark.parametrize("q", sorted(KEY_SHAPES))
 def test_byte_keys_classify_as_text_keys(monkeypatch, forks, q, algo, jobs):
     """A batch classified on its byte keys has the partition, class order
-    and errors of the same batch keyed on the tagged `serialize()` texts
-    (`_text_code_key`), at jobs 1 and 2; two codes' byte keys are equal
-    exactly when their texts are; each class's `key_digest` and the batch
-    `digest` hash the byte keys.  The batches hold primal, "dual:" and
-    repeated-point codes, and over GF(2) on cesimpg "min:" ones.  No text
-    is rendered: `serialize`, `CanonResult.serialize` and `_render` raise
-    while the byte keys classify, in this process and in the worker."""
+    and errors of the same batch keyed on the profile key followed by the
+    `serialize()` text (`_text_code_key`), at jobs 1 and 2; two codes' byte
+    keys are equal exactly when their texts are; each class's `key_digest`
+    and the batch `digest` hash the byte keys.  The batches hold primal,
+    dual-side and repeated-point codes, and over GF(2) on cesimpg ones
+    keyed on their minimum-weight rows.  No text is rendered:
+    `serialize`, `CanonResult.serialize` and `_render` raise while the byte
+    keys classify, in this process and in the worker."""
 
     def refuse(*args):
         raise AssertionError("classify rendered a key's text")
 
     codes = _key_batch(q)
-    keys = [batch._code_key(code, algo) for code in codes]
-    texts = [_text_code_key(code, algo) for code in codes]
-    assert all(msg is None for _, _, msg, _ in keys + texts)
-    pairs = {(key, text) for (key, *_), (text, *_) in zip(keys, texts)}
+    records = [equiv._Side(code) for code in codes]
+    kinds = {(rec.profile[0], algo == "cesimpg" and rec.rows is not None)
+             for rec in records}
+    profiles = [batch._profile_key(rec.profile) for rec in records]
+    forms = [batch._code_key(rec, algo) for rec in records]
+    texts = [_text_code_key(rec, algo) for rec in records]
+    assert all(msg is None for _, msg in forms + texts)
+    keys = [p + form.key() for p, (form, _) in zip(profiles, forms)]
+    pairs = {(key, p + text.key())
+             for key, p, (text, _) in zip(keys, profiles, texts)}
     assert len(pairs) == len({key for key, _ in pairs}) == len(
         {text for _, text in pairs}) < len(codes)
-    tags = {text.split(b"c ")[0] for _, text in pairs}
-    assert tags == ({b"", b"dual:", b"min:", b"min:dual:"}
-                    if q == 2 and algo == "cesimpg" else {b"", b"dual:"})
+    assert kinds == ({(False, False), (True, False), (False, True),
+                      (True, True)} if q == 2 and algo == "cesimpg"
+                     else {(False, False), (True, False)})
     assert any(len(_locate(equiv._side(c))[0]) < c.n for c in codes)
     with monkeypatch.context() as m:
         for owner, name in ((bmcanon, "serialize"), (bmcanon, "_render"),
@@ -1910,44 +1931,54 @@ def test_byte_keys_classify_as_text_keys(monkeypatch, forks, q, algo, jobs):
     assert ([(c.representative, c.members) for c in got.classes]
             == [(c.representative, c.members) for c in want.classes])
     assert got.errors == want.errors == []
-    reps = [keys[c.representative][0] for c in got.classes]
+    reps = [keys[c.representative] for c in got.classes]
     assert [c.key_digest for c in got.classes] == [
         hashlib.sha256(key).hexdigest()[:12] for key in reps]
     assert got.digest == hashlib.sha256(b"".join(sorted(reps))).hexdigest()
 
 
 def _read_key(blob):
-    """(tag, n_rows, col_colors, cert, rest) read off the front of `blob`,
-    a tag and a `CanonResult.key()` followed by any bytes."""
-    tag = b""
-    for part in (b"min:", b"dual:"):
-        if blob[len(tag):].startswith(part):
-            tag += part
-    blob = blob[len(tag):]
-    assert blob[:1] == b"c"
+    """(profile, n_rows, col_colors, cert, rest) read off the front of
+    `blob`, a class key (a `batch._profile_key`, then a `CanonResult.key()`
+    or none) followed by any bytes; with no canonical key, n_rows,
+    col_colors and cert are None."""
+    end = 24  # the dual flag, n and k
+    for _ in range(2):  # the weights, then the multiplicities
+        end += 8 + 16 * struct.unpack_from("<q", blob, end)[0]
+    profile, blob = blob[:end], blob[end:]
+    if blob[:1] != b"c":
+        return profile, None, None, None, blob
     n_cols, n_rows = struct.unpack_from("<QQ", blob, 1)
     colors = struct.unpack_from(f"<{n_cols}q", blob, 17)
     start = 17 + 8 * n_cols
     end = start + n_rows * -(-n_cols // 8)
-    return tag, n_rows, colors, blob[start:end], blob[end:]
+    return profile, n_rows, colors, blob[start:end], blob[end:]
+
+
+# profiles of hand-made class keys: a primal and a dual side of one n, k,
+# weights and multiplicities, and one of no points
+KEY_PROFILES = [(False, 7, 3, (0, 3, 3, 4, 4, 4, 4), (1, 1, 1, 1, 1, 1, 1)),
+                (True, 7, 3, (0, 3, 3, 4, 4, 4, 4), (1, 1, 1, 1, 1, 1, 1)),
+                (False, 0, 0, (), ())]
 
 
 def test_canon_key_equal_exactly_when_texts_are():
-    """Tagged keys of hand-made forms are equal exactly when their tagged
-    `serialize()` texts are, and each reads back as its tag, rows, colors
-    and certificate, also followed by another key.  The forms include ones
-    whose first color's bytes spell "dual:" or "min:", ones with no
-    columns, and forms alike but for their rows, colors or row count."""
-    dual = int.from_bytes(b"dual:\0\0\0", "little")
+    """Class keys made of a profile key and the key of a hand-made form are
+    equal exactly when the profile keys followed by the `serialize()` texts
+    are, and each reads back as its profile, rows, colors and certificate,
+    also followed by another key, with or without a form.  The forms
+    include ones whose colors are 8 arbitrary bytes, ones with no columns,
+    and forms alike but for their rows, colors or row count."""
+    wide = int.from_bytes(b"dual:\0\0\0", "little")
     mimic = int.from_bytes(b"min:dual", "little")
     matrices = [
         ColoredBinaryMatrix([[1, 0], [0, 1]], [3, 4]),
         ColoredBinaryMatrix([[1, 0], [0, 1]], [3, 5]),
         ColoredBinaryMatrix([[1, 1], [0, 1]], [3, 4]),
         ColoredBinaryMatrix([[1, 0], [0, 1], [1, 1]], [3, 4]),
-        ColoredBinaryMatrix([[1, 0], [0, 1]], [dual, 0]),
+        ColoredBinaryMatrix([[1, 0], [0, 1]], [wide, 0]),
         ColoredBinaryMatrix([[1, 0], [0, 1]], [mimic, -1]),
-        ColoredBinaryMatrix([[1, 0, 1]], [mimic, dual, 99]),
+        ColoredBinaryMatrix([[1, 0, 1]], [mimic, wide, 99]),
         ColoredBinaryMatrix([], n_cols=0),
         ColoredBinaryMatrix([[]], n_cols=0),
         ColoredBinaryMatrix([[], []], n_cols=0),
@@ -1959,19 +1990,22 @@ def test_canon_key_equal_exactly_when_texts_are():
     matrices += [permute_columns(m, tuple(reversed(range(m.n_cols))))
                  for m in matrices[:7]]
     forms = [canonical_form(m) for m in matrices]
-    tagged = [(tag, form) for tag in ("", "dual:", "min:", "min:dual:")
-              for form in forms]
-    for tag, form in tagged:
-        key = tag.encode() + form.key()
-        want = (tag.encode(), form.n_rows, form.col_colors, form.cert, b"")
+    profiles = [batch._profile_key(p) for p in KEY_PROFILES]
+    keyed = [(p, form) for p in profiles for form in forms]
+    for p, form in keyed:
+        key = p + form.key()
+        want = (p, form.n_rows, form.col_colors, form.cert, b"")
         assert _read_key(key) == want
-        for tag2, form2 in tagged:
-            key2 = tag2.encode() + form2.key()
-            assert (key == key2) == (
-                tag + form.serialize() == tag2 + form2.serialize())
+        assert _read_key(p) == (p, None, None, None, b"")
+        for p2, form2 in keyed:
+            key2 = p2 + form2.key()
+            assert (key == key2) == ((p, form.serialize())
+                                     == (p2, form2.serialize()))
             assert _read_key(key + key2)[:4] == want[:4]
-    assert len({tag.encode() + form.key() for tag, form in tagged}) == len(
-        {tag + form.serialize() for tag, form in tagged}) == 4 * 13
+            assert _read_key(key + p2)[:4] == want[:4]
+            assert _read_key(p + key2) == (p, None, None, None, key2)
+    assert len({p + form.key() for p, form in keyed}) == len(
+        {p + form.serialize().encode() for p, form in keyed}) == 3 * 13
 
 
 def test_classify_refuses_auto():
@@ -2078,7 +2112,7 @@ def test_classify_keeps_code_and_dual_apart(forks):
     code, and a random [10,3]_5 code beside its [10,7]_5 dual (classify
     takes one field per batch), each followed by a column-reversed copy of
     both, so that all four are keyed.  At jobs=2 a worker keys the copies,
-    so a "dual:" key comes back through the pipe."""
+    so a form of a dual side comes back through the pipe."""
     simplex = GeneratorMatrix(3, simplex_generator(3, 3).rows)
     low = random_code(field(5), 10, 3, seed=2)
     classes = []
@@ -2491,26 +2525,26 @@ def test_side_structures_built_once_per_code(monkeypatch):
 
 def test_forked_keys_pipe_back_keys_and_forms(forks):
     """A `--jobs` worker keys the records it inherits and pipes back each
-    code's (key, form, error), as this process keys it: the form its
-    cesimpg key was rendered from, and no record, where this process keys
+    code's (form, error), as this process keys it, where this process keys
     its own share on the records it holds.  The [8,6]_2 code is keyed on
-    its dual.  A record of this process, given a piped form, still
-    lifts."""
+    its dual, the [8,4]_2 codes on their minimum-weight rows.  A record of
+    this process, given a piped form, still lifts."""
     c1, c2 = _transformed_pair(field(2), 8, 4, seed=7, allow_rho=False)
     codes = [c2, random_code(field(2), 8, 6, seed=0), c1]
     records = [equiv._Side(code) for code in codes]
     keyed = batch._forked_keys(records, "cesimpg", 3)
     assert len(forks) == 2
-    for code, (key, form, error, _) in zip(codes, keyed):
-        mine = batch._code_key(code, "cesimpg")
+    for code, (form, error) in zip(codes, keyed):
+        mine, _ = batch._code_key(equiv._Side(code), "cesimpg")
         assert error is None and isinstance(form, CanonResult)
-        assert (key, form) == mine[:2]
-    assert [rec is None for *_, rec in keyed] == [False, True, True]
-    assert keyed[0][3] is records[0] and records[0].form is keyed[0][1]
-    assert "form" not in vars(records[2])
-    assert [key[:5] for key, *_ in keyed] == [b"min:c", b"dual:", b"min:c"]
+        assert (form.key(), form) == (mine.key(), mine)
+    assert records[0].form is keyed[0][0]
+    assert "form" not in vars(records[1]) and "form" not in vars(records[2])
+    # 4 minimum-weight rows of 15, and all 3 rows of the dual side
+    assert [(rec.profile[0], form.n_rows) for rec, (form, _) in zip(
+        records, keyed)] == [(False, 4), (True, 3), (False, 4)]
     rep, rec = records[2], records[0]
-    rep.form = keyed[2][1]
+    rep.form = keyed[2][0]
     pi0 = _sigma_from_canons(rep.form, rec.form)
     assert lift._find_lift(rep, rec, pi0) is not None
 
@@ -2624,12 +2658,12 @@ def test_profile_unique_batch_is_never_keyed(monkeypatch, forks, searches):
     """20 seeded [20,3]_7 codes, each with a profile of its own: on both
     routes at jobs=2, with FORK_PAYS_S = 0, classify starts no worker and
     no search, so builds no canonical form.  Each code is a class keyed by
-    its profile key, which starts with none of the canonical keys' tags;
-    the batch digest hashes those keys, and reads the same at jobs=1."""
+    its profile key, which does not start with b"c", as a canonical key
+    does; the batch digest hashes those keys, and reads the same at jobs=1."""
     codes = [random_code(field(7), 20, 3, seed=s) for s in range(20)]
     keys = [batch._profile_key(equiv._Side(c).profile) for c in codes]
     assert len(set(keys)) == len(codes)
-    assert not any(key.startswith((b"c", b"dual:", b"min:")) for key in keys)
+    assert not any(key.startswith(b"c") for key in keys)
     forms = _counting(monkeypatch, "canonical_form", module=batch)
     forms.update(_counting(monkeypatch, "canonical_form", module=equiv))
     for algo in ("ceimpg", "cesimpg"):
@@ -2643,3 +2677,64 @@ def test_profile_unique_batch_is_never_keyed(monkeypatch, forks, searches):
         assert result.digest == hashlib.sha256(
             b"".join(sorted(keys))).hexdigest()
         assert classify(codes, algo=algo, jobs=1).digest == result.digest
+
+
+# per field, the [n,k] of four codes given seeded copies, of six codes with
+# profiles of their own, and of a code given beside its dual
+ONE_KEY_SHAPES = {2: ((7, 3), (12, 4), (8, 3)),
+                  3: ((8, 3), (12, 3), (9, 3)),
+                  4: ((7, 3), (10, 3), (8, 3))}
+
+
+@pytest.mark.parametrize("jobs", [1, 2])
+@pytest.mark.parametrize("algo", ["ceimpg", "cesimpg"])
+@pytest.mark.parametrize("q", sorted(ONE_KEY_SHAPES))
+def test_class_key_is_profile_then_form(forks, q, algo, jobs):
+    """Every class key is the profile key of its representative
+    (`batch._profile_key`), followed by the `CanonResult.key()` of its
+    canonical form when that profile collides with another code's.  The
+    batch mixes profile-unique codes, seeded copies, and a code and its
+    dual (whose side is the code's), each with a column-reversed copy:
+    the two land in classes of their own.  Each `key_digest` hashes that
+    key, no key is a prefix of another, so the sorted keys concatenated
+    read back as those keys, and the batch `digest` hashes them."""
+    spec = field(q)
+    rng = random.Random(50 + q)
+    (n1, k1), (n2, k2), (n3, k3) = ONE_KEY_SHAPES[q]
+    codes = [random_code(spec, n1, k1, seed=s) for s in range(4)]
+    codes += [GeneratorMatrix(spec, _random_transform(spec, n1, rng).apply(
+        c.mat).rows) for c in codes]
+    codes += [random_code(spec, n2, k2, seed=s) for s in range(6)]
+    rng.shuffle(codes)
+    low = random_code(spec, n3, k3, seed=1)
+    pair = [low, _dual(low)]
+    t = MonomialTransform(spec, tuple(reversed(range(n3))), (1,) * n3)
+    codes += pair + [GeneratorMatrix(spec, t.apply(c.mat).rows) for c in pair]
+    records = [equiv._Side(c) for c in codes]
+    profiles = [batch._profile_key(rec.profile) for rec in records]
+    shared = collections.Counter(profiles)
+    result = classify(codes, algo=algo, jobs=jobs)
+    assert len(forks) == jobs - 1 and all(p.exitcode == 0 for p in forks)
+    assert result.errors == []
+    m = len(codes) - 4
+    assert [m, m + 2] in [c.members for c in result.classes]
+    assert [m + 1, m + 3] in [c.members for c in result.classes]
+    keys = []
+    for cls in result.classes:
+        rep, key = records[cls.representative], profiles[cls.representative]
+        if shared[key] > 1:
+            key += batch._code_key(rep, algo)[0].key()
+        assert cls.key_digest == hashlib.sha256(key).hexdigest()[:12]
+        keys.append(key)
+    kinds = {(len(key) > len(profiles[cls.representative]),
+              records[cls.representative].profile[0])
+             for cls, key in zip(result.classes, keys)}
+    assert kinds == {(False, False), (True, False), (True, True)}
+    assert not any(a != b and b.startswith(a) for a in keys for b in keys)
+    blob, read = b"".join(sorted(keys)), []
+    while blob:
+        rest = _read_key(blob)[4]
+        read.append(blob[:len(blob) - len(rest)])
+        blob = rest
+    assert read == sorted(keys)
+    assert result.digest == hashlib.sha256(b"".join(read)).hexdigest()
